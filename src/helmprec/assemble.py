@@ -22,6 +22,7 @@ symmetric row/column deletion, which keeps D and M SPD on the free set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -35,6 +36,7 @@ from .errors import (
     NotPositiveDefiniteError,
 )
 from .mesh import BoundaryTag, Mesh
+from .numerics import GramFactor, LUFactor, gram_factor, lu_factor
 
 _HERMITIAN_RTOL = 1e-12
 
@@ -87,8 +89,24 @@ class ProblemSpec:
         return ProblemSpec(self.k, self.mesh, self.mu_inv, eps, self.theta)
 
 
+class _NormFactors:
+    """Gram factors of the norm matrices D and M, computed on first use.
+
+    A system owns the factors of its matrices, so every quantity computed
+    from one system shares them, and they live as long as the system.
+    """
+
+    @cached_property
+    def gram_d(self) -> GramFactor:
+        return gram_factor(self.D)
+
+    @cached_property
+    def gram_m(self) -> GramFactor:
+        return gram_factor(self.M)
+
+
 @dataclass(frozen=True, eq=False)
-class GalerkinSystem:
+class GalerkinSystem(_NormFactors):
     """Assembled matrices of one problem, restricted to free dofs."""
 
     n: int
@@ -101,9 +119,14 @@ class GalerkinSystem:
     free_nodes: np.ndarray
     spec: ProblemSpec
 
+    @cached_property
+    def lu(self) -> LUFactor:
+        """LU factors of A, computed on first use."""
+        return lu_factor(self.A)
+
 
 @dataclass(frozen=True, eq=False)
-class ExternalSystem:
+class ExternalSystem(_NormFactors):
     """A pair of systems supplied as matrices (e.g. from another code).
 
     Carries both Galerkin matrices of a nearby pair plus the shared
@@ -119,26 +142,36 @@ class ExternalSystem:
     dmu: Optional[float] = None
     deps: Optional[float] = None
 
+    @cached_property
+    def lu1(self) -> LUFactor:
+        return lu_factor(self.A1)
+
+    @cached_property
+    def lu2(self) -> LUFactor:
+        return lu_factor(self.A2)
+
 
 def _free_nodes(mesh: Mesh) -> np.ndarray:
     dirichlet = set(mesh.nodes_with_tag(BoundaryTag.DIRICHLET).tolist())
     return np.array([i for i in range(mesh.n_nodes) if i not in dirichlet], dtype=int)
 
 
-def _stiffness_entries(mesh: Mesh):
-    """COO pattern (rows, cols, vals_per_element) of the unweighted stiffness.
+def _stiffness_entries(mesh: Mesh, mu: CoefficientField):
+    """COO pattern (rows, cols) and per-element values of the stiffness.
 
-    vals has shape (n_elements, nodes_per_el**2) so per-element weights
-    can be broadcast in before summation.
+    Returns the values of the unweighted stiffness K and of the
+    mu^{-1}-weighted one, each of shape (n_elements, nodes_per_el**2) so
+    they sum into matrices sharing one pattern.
     """
     elems = mesh.elements
     if mesh.dimension == 1:
         h = mesh.element_measures()
         local = np.array([1.0, -1.0, -1.0, 1.0])
-        vals = local[None, :] / h[:, None]
         rows = elems[:, [0, 0, 1, 1]]
         cols = elems[:, [0, 1, 0, 1]]
-        return rows.ravel(), cols.ravel(), vals
+        kvals = local[None, :] / h[:, None]
+        wvals = (mu.values / h)[:, None] * local[None, :]
+        return rows.ravel(), cols.ravel(), kvals, wvals
     pts = mesh.coords[elems]
     area = mesh.element_measures()
     # grad of barycentric i: ([y_{i+1}-y_{i+2}, x_{i+2}-x_{i+1}]) / (2 * signed area)
@@ -151,21 +184,14 @@ def _stiffness_entries(mesh: Mesh):
         j, k = (i + 1) % 3, (i + 2) % 3
         grads[:, i, 0] = (y[:, j] - y[:, k]) / sgn_area2
         grads[:, i, 1] = (x[:, k] - x[:, j]) / sgn_area2
-    vals = np.einsum("eia,eja->eij", grads, grads) * area[:, None, None]
+    kvals = np.einsum("eia,eja->eij", grads, grads) * area[:, None, None]
+    wvals = np.einsum("eia,eab,ejb->eij", grads, mu.as_matrix(), grads)
+    wvals *= area[:, None, None]
     idx = np.arange(3)
     rows = elems[:, np.repeat(idx, 3)]
     cols = elems[:, np.tile(idx, 3)]
-    return rows.ravel(), cols.ravel(), vals.reshape(len(elems), 9), grads
-
-
-def _weighted_stiffness_vals(mesh: Mesh, mu: CoefficientField, grads, area):
-    mu_m = mu.as_matrix() if mesh.dimension == 2 else None
-    if mesh.dimension == 1:
-        h = mesh.element_measures()
-        local = np.array([1.0, -1.0, -1.0, 1.0])
-        return (mu.values / h)[:, None] * local[None, :]
-    vals = np.einsum("eia,eab,ejb->eij", grads, mu_m, grads) * area[:, None, None]
-    return vals.reshape(mesh.n_elements, 9)
+    ne = len(elems)
+    return rows.ravel(), cols.ravel(), kvals.reshape(ne, 9), wvals.reshape(ne, 9)
 
 
 def _mass_entries(mesh: Mesh):
@@ -222,18 +248,12 @@ def assemble_system(spec: ProblemSpec) -> GalerkinSystem:
     nn = mesh.n_nodes
     k2 = spec.k ** -2
 
-    if mesh.dimension == 1:
-        rows_k, cols_k, kvals = _stiffness_entries(mesh)
-        grads = None
-    else:
-        rows_k, cols_k, kvals, grads = _stiffness_entries(mesh)
-    area = mesh.element_measures()
+    rows_k, cols_k, kvals, wvals = _stiffness_entries(mesh, spec.mu_inv)
     rows_m, cols_m, mvals = _mass_entries(mesh)
 
     K = _tocsr(rows_k, cols_k, kvals, nn, float)
     M = _tocsr(rows_m, cols_m, mvals, nn, float)
-    svals = k2 * _weighted_stiffness_vals(mesh, spec.mu_inv, grads, area)
-    S = _tocsr(rows_k, cols_k, svals, nn, complex)
+    S = _tocsr(rows_k, cols_k, k2 * wvals, nn, complex)
     M_eps = _tocsr(rows_m, cols_m, spec.eps.values[:, None] * mvals, nn, complex)
 
     rows_b, cols_b, bvals = _boundary_entries(spec)
@@ -292,8 +312,6 @@ def validate_external(system: ExternalSystem) -> ExternalSystem:
             raise InvalidSystemError(
                 f"matrix {name} has dimension {X.shape[0]}, expected {system.n}"
             )
-    from .numerics import gram_factor
-
     for name in ("D", "M"):
         X = mats[name]
         _check_hermitian(X, name)

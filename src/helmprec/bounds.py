@@ -49,8 +49,10 @@ from .coeffs import (
 from .errors import InvalidArgumentError, InvalidPairError, SingularSystemError
 from .mesh import BoundaryTag, build_interval_mesh, build_rect_mesh
 from .numerics import (
+    SINGULAR_INF_SUP,
+    InfSupReport,
+    LUFactor,
     discrete_inf_sup,
-    gram_factor,
     mass_extremes,
     solution_operator_norms,
     weighted_operator_norm,
@@ -261,13 +263,30 @@ def garding_check(
 
 
 def _system_view(s: AnySystem, position: int):
-    """(A, D, M, field pair or None) for either kind of system argument."""
+    """(A, field pair or None) for either kind of system argument."""
     if isinstance(s, GalerkinSystem):
-        return s.A, s.D, s.M, (s.spec.mu_inv, s.spec.eps)
+        return s.A, (s.spec.mu_inv, s.spec.eps)
     if isinstance(s, ExternalSystem):
-        A = s.A1 if position == 1 else s.A2
-        return A, s.D, s.M, None
+        return (s.A1 if position == 1 else s.A2), None
     raise InvalidArgumentError(f"unsupported system type {type(s).__name__}")
+
+
+def _lu_of(s: AnySystem, position: int) -> LUFactor:
+    """LU factors of the system matrix in ``position``, owned by the system."""
+    if isinstance(s, GalerkinSystem):
+        return s.lu
+    if isinstance(s, ExternalSystem):
+        return s.lu1 if position == 1 else s.lu2
+    raise InvalidArgumentError(f"unsupported system type {type(s).__name__}")
+
+
+def _inf_sup(s: AnySystem, position: int, gram, seed: int) -> InfSupReport:
+    """:func:`discrete_inf_sup` over the system's own factors (singular: reported)."""
+    try:
+        lu = _lu_of(s, position)
+    except SingularSystemError:
+        return SINGULAR_INF_SUP
+    return discrete_inf_sup(lu, gram, seed=seed)
 
 
 def _matrices_match(X, Y) -> bool:
@@ -280,49 +299,15 @@ def _matrices_match(X, Y) -> bool:
     return diff.max() <= 1e-12 * scale
 
 
-def _factor_or_raise(A2) -> spla.SuperLU:
-    try:
-        return spla.splu(sp.csc_matrix(A2, dtype=complex))
-    except RuntimeError as exc:
-        if "singular" in str(exc).lower():
-            raise SingularSystemError("perturbed matrix is singular") from exc
-        raise
-
-
-def residual_operators(A1, A2) -> tuple[spla.LinearOperator, spla.LinearOperator]:
+def _difference_operators(A1, A2, lu2: LUFactor):
     """Actions of I - A2^{-1} A1 (left) and I - A1 A2^{-1} (right).
 
-    Both come with adjoints (rmatvec) through the conjugate-transpose
-    solve of the same LU factorization, as required for norm estimation.
-    Raises SingularSystemError when A2 cannot be factored.
+    Written as A2^{-1} (A2 - A1) and (A2 - A1) A2^{-1} over the LU
+    factors ``lu2`` of A2: applying the difference matrix first makes an
+    identical pair give exactly zero. Both operators come with adjoints
+    (rmatvec) through the conjugate-transpose solve, as norm estimation
+    requires.
     """
-    lu2 = _factor_or_raise(A2)
-    A1c = sp.csr_matrix(A1, dtype=complex)
-    A1h = A1c.getH().tocsr()
-    n = A1c.shape[0]
-    left = spla.LinearOperator(
-        (n, n),
-        matvec=lambda x: x - lu2.solve(A1c @ x),
-        rmatvec=lambda y: y - A1h @ lu2.solve(y, trans="H"),
-        dtype=complex,
-    )
-    right = spla.LinearOperator(
-        (n, n),
-        matvec=lambda x: x - A1c @ lu2.solve(x),
-        rmatvec=lambda y: y - lu2.solve(A1h @ y, trans="H"),
-        dtype=complex,
-    )
-    return left, right
-
-
-def _difference_operators(A1, A2):
-    """The same two residual operators in the cancellation-free form.
-
-    I - A2^{-1} A1 = A2^{-1} (A2 - A1) and I - A1 A2^{-1} =
-    (A2 - A1) A2^{-1}; applying the difference matrix first makes an
-    identical pair give exactly zero.
-    """
-    lu2 = _factor_or_raise(A2)
     E = (sp.csr_matrix(A2, dtype=complex) - sp.csr_matrix(A1, dtype=complex)).tocsr()
     Eh = E.getH().tocsr()
     n = E.shape[0]
@@ -361,11 +346,11 @@ def nearby_bound_report(
     norms are taken from the fields when available and can be
     overridden; for bare external matrices they must be supplied.
     """
-    A1, D1, M1, fields1 = _system_view(sys1, 1)
-    A2, D2, M2, fields2 = _system_view(sys2, 2)
+    A1, fields1 = _system_view(sys1, 1)
+    A2, fields2 = _system_view(sys2, 2)
     if A1.shape != A2.shape:
         raise InvalidPairError(f"dimension mismatch: {A1.shape} vs {A2.shape}")
-    if not (_matrices_match(D1, D2) and _matrices_match(M1, M2)):
+    if not (_matrices_match(sys1.D, sys2.D) and _matrices_match(sys1.M, sys2.M)):
         raise InvalidPairError("systems do not share the same D and M")
 
     if dmu is None or deps is None:
@@ -389,9 +374,8 @@ def nearby_bound_report(
         if h is None:
             h = sys1.spec.mesh.h
 
-    G = gram_factor(D1)
-    Rm = gram_factor(M1)
-    inf2 = discrete_inf_sup(A2, G, seed=seed)
+    G = sys1.gram_d
+    inf2 = _inf_sup(sys2, 2, G, seed)
     nan = math.nan
     if inf2.singular:
         return BoundReport(
@@ -400,9 +384,9 @@ def nearby_bound_report(
             rhs_lemma=math.inf, rhs_lemma2=None, cond=nan, checks=(),
             singular=True, k=k, h=h, alpha=alpha,
         )
-    inf1 = discrete_inf_sup(A1, G, seed=seed)
-    me = mass_extremes(M1, seed=seed)
-    op_left, op_right, zero_pair = _difference_operators(A1, A2)
+    inf1 = _inf_sup(sys1, 1, G, seed)
+    me = mass_extremes(sys1.gram_m, seed=seed)
+    op_left, op_right, zero_pair = _difference_operators(A1, A2, _lu_of(sys2, 2))
 
     if zero_pair:
         lhs_D = lhs_Dinv = lhs_2 = lhs_2p = 0.0
@@ -474,11 +458,9 @@ def norm_equivalence_report(
     that the two independent routes to the solution-operator norm (the
     inf-sup reciprocal and the conjugated-matrix norm) agree.
     """
-    A, D, M, _ = _system_view(sys, 1)
-    G = gram_factor(D)
-    Rm = gram_factor(M)
-    trio = solution_operator_norms(A, G, Rm, seed=seed)
-    rep = discrete_inf_sup(A, G, seed=seed)
+    lu, G = _lu_of(sys, 1), sys.gram_d
+    trio = solution_operator_norms(lu, G, sys.gram_m, seed=seed)
+    rep = discrete_inf_sup(lu, G, seed=seed)
     if rep.singular:
         raise SingularSystemError("system matrix is singular")
     cg1, cg2 = constants.c_g1, constants.c_g2
@@ -591,7 +573,7 @@ def infsup_ladder(
         for hh in (h, h_ref):
             spec = remesh_problem(base_spec, k, hh)
             system = assemble_system(spec)
-            rep = discrete_inf_sup(system.A, gram_factor(system.D), seed=seed)
+            rep = discrete_inf_sup(system.A, system.gram_d, seed=seed)
             gammas.append(rep.gamma)
             sizes.append(system.n)
             singular = singular or rep.singular

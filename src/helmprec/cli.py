@@ -12,12 +12,9 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import io as hio
 from .assemble import (
@@ -36,9 +33,8 @@ from .bounds import (
     nearby_bound_report,
     norm_equivalence_report,
 )
-from .coeffs import CoefficientField, Role, field_diff_sup_norm
+from .coeffs import Role, absorption_shift, field_diff_sup_norm
 from .errors import HelmprecError
-from .numerics import gram_factor
 from .solvers import fixed_point, gmres
 
 SWEEP_COLUMNS = hio.BOUND_COLUMNS + ("fp_iters", "gmres_iters", "error")
@@ -78,9 +74,7 @@ def _build_pair(cfg: hio.ExperimentConfig, k: float, mesh=None, alpha=None):
     pert = cfg.perturbation
     if pert["mode"] == "absorption":
         a = pert["alpha"] if alpha is None else alpha
-        eps2 = spec1.eps.values * (1.0 + 1j * a)
-        spec2 = spec1.with_eps(CoefficientField(spec1.mesh, eps2, Role.EPS))
-        sys2 = assemble_system(spec2)
+        sys2 = assemble_system(spec1.with_eps(absorption_shift(spec1.eps, a)))
         return sys1, sys2, a
     mu2 = (
         hio.field_from_rule(spec1.mesh, pert["mu_inv"], Role.MU_INV, k)
@@ -101,7 +95,6 @@ def cmd_verify(
     out_dir: str | None = None,
     seed: int | None = None,
     tol_scale: float = 1.0,
-    threads: int = 1,
 ) -> ScenarioResult:
     """Run the full bound-verification scenario of one config."""
     cfg = hio.load_config(config_path)
@@ -162,15 +155,13 @@ def _sweep_point(cfg, k, alpha, slack, seed):
         if rep.singular:
             return row
         b = assemble_load(sys1.spec, 1.0)
-        gram = gram_factor(sys1.D)
         fp = fixed_point(
             sys1, sys2, b, np.zeros(sys1.n, dtype=complex),
-            max_it=cfg.solver["max_it"], tol=cfg.solver["tol"], gram=gram,
+            max_it=cfg.solver["max_it"], tol=cfg.solver["tol"],
         )
-        lu2 = spla.splu(sp.csc_matrix(sys2.A, dtype=complex))
-        apply_op = lambda x: lu2.solve(sys1.A @ x)
+        lu2 = sys2.lu
         gm = gmres(
-            apply_op, lu2.solve(b), inner=gram,
+            lambda x: lu2.solve(sys1.A @ x), lu2.solve(b), inner=sys1.gram_d,
             max_it=cfg.solver["max_it"], tol=cfg.solver["tol"],
         )
         row["fp_iters"] = fp.iterations
@@ -185,7 +176,6 @@ def cmd_sweep(
     out_dir: str | None = None,
     seed: int | None = None,
     tol_scale: float = 1.0,
-    threads: int = 1,
 ) -> ScenarioResult:
     """Evaluate the config's (k, alpha) grid; one CSV row per point."""
     cfg = hio.load_config(config_path)
@@ -197,13 +187,7 @@ def cmd_sweep(
 
     alphas = cfg.sweep["alpha_values"] if cfg.perturbation["mode"] == "absorption" else [None]
     grid = [(k, a) for k in cfg.sweep["k_values"] for a in alphas]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(
-                pool.map(lambda p: _sweep_point(cfg, p[0], p[1], slack, seed), grid)
-            )
-    else:
-        rows = [_sweep_point(cfg, k, a, slack, seed) for k, a in grid]
+    rows = [_sweep_point(cfg, k, a, slack, seed) for k, a in grid]
 
     sweep_path = os.path.join(out, "sweep.csv")
     hio.write_csv(sweep_path, SWEEP_COLUMNS, rows)
@@ -248,7 +232,6 @@ def cmd_export(
     out_dir: str | None = None,
     seed: int | None = None,
     tol_scale: float = 1.0,
-    threads: int = 1,
 ) -> ScenarioResult:
     """Assemble the config's pair and write it as matrix exchange files."""
     cfg = hio.load_config(config_path)
@@ -310,8 +293,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
         sp.add_argument("--tol-scale", type=float, default=1.0,
                         help="multiplier on the inequality slack")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="parallel sweep points (results stay in grid order)")
 
     for name, doc in (
         ("verify", "run bound checks for one config"),
@@ -340,14 +321,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "verify":
-            result = cmd_verify(args.config, args.out_dir, args.seed,
-                                args.tol_scale, args.threads)
+            result = cmd_verify(args.config, args.out_dir, args.seed, args.tol_scale)
         elif args.command == "sweep":
-            result = cmd_sweep(args.config, args.out_dir, args.seed,
-                               args.tol_scale, args.threads)
+            result = cmd_sweep(args.config, args.out_dir, args.seed, args.tol_scale)
         elif args.command == "export":
-            result = cmd_export(args.config, args.out_dir, args.seed,
-                                args.tol_scale, args.threads)
+            result = cmd_export(args.config, args.out_dir, args.seed, args.tol_scale)
         else:
             result = cmd_import(args.dir, args.d, args.m, args.out_dir,
                                 args.seed or 0, args.tol_scale,

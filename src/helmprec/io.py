@@ -223,6 +223,8 @@ def read_config(text: str) -> ExperimentConfig:
     _check_rule(sweep["resolution"], "sweep.resolution", _RES_KEYS)
     if not sweep["k_values"] or not sweep["alpha_values"]:
         raise ConfigError("sweep grids must be non-empty")
+    if min(sweep["alpha_values"]) < 0:
+        raise ConfigError("sweep.alpha_values must be >= 0")
     if sweep["ladder"] is not None:
         if set(sweep["ladder"]) - {"refine"}:
             raise ConfigError("sweep.ladder accepts only 'refine'")

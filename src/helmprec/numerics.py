@@ -49,37 +49,70 @@ DEFAULT_SEED = 0
 _MODES = ("D", "D_inv", "euclid")
 
 
-def _as_csc(X) -> sp.csc_matrix:
-    if sp.issparse(X):
-        return X.tocsc()
-    return sp.csc_matrix(np.asarray(X))
+def _square_csc(X) -> sp.csc_matrix:
+    Xc = X.tocsc() if sp.issparse(X) else sp.csc_matrix(np.asarray(X))
+    if Xc.shape[0] != Xc.shape[1]:
+        raise InvalidArgumentError(f"matrix must be square, got {Xc.shape}")
+    return Xc
 
 
 @dataclass(frozen=True, eq=False)
-class GramFactor:
-    """Cholesky-type factorization D = L L^T of a real SPD matrix.
+class LUFactor:
+    """Sparse LU factors of the square matrix ``A``; ``solve`` applies A^{-1}."""
 
-    Holds the sparse lower factor plus a reusable solver for D itself;
-    ``norm`` evaluates the induced vector norm sqrt(v* D v).
+    A: sp.csc_matrix
+    superlu: spla.SuperLU
+
+    @property
+    def n(self) -> int:
+        return self.A.shape[0]
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        return self.superlu.solve(b, trans=trans)
+
+
+def lu_factor(A, dtype=complex, **options) -> LUFactor:
+    """Factor a square matrix once; an existing factor is returned unchanged.
+
+    The package's only call into SuperLU: A is cast to ``dtype`` (system
+    solves take complex right-hand sides) and ``options`` pass through to
+    ``splu``. An exactly singular matrix raises SingularSystemError.
+    """
+    if isinstance(A, LUFactor):
+        return A
+    Ac = _square_csc(A).astype(dtype, copy=False)
+    try:
+        return LUFactor(Ac, spla.splu(Ac, **options))
+    except RuntimeError as exc:
+        if "singular" in str(exc).lower():
+            raise SingularSystemError("matrix is exactly singular") from exc
+        raise
+
+
+@dataclass(frozen=True, eq=False)
+class GramFactor(LUFactor):
+    """Cholesky-type factorization D = L L^T of a real SPD matrix D = ``A``.
+
+    ``solve`` applies D^{-1} to real or complex vectors; ``norm``
+    evaluates the induced vector norm sqrt(v* D v).
     """
 
-    L: sp.csc_matrix
-    n: int
-    D: sp.csc_matrix
-    _lu: spla.SuperLU
+    @property
+    def D(self) -> sp.csc_matrix:
+        return self.A
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.D @ x
+        return self.A @ x
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        # the factorization is real; split complex right-hand sides
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        # the factorization is real and symmetric; split complex right-hand sides
         b = np.asarray(b)
         if np.iscomplexobj(b):
-            return self._lu.solve(b.real) + 1j * self._lu.solve(b.imag)
-        return self._lu.solve(b)
+            return self.superlu.solve(b.real) + 1j * self.superlu.solve(b.imag)
+        return self.superlu.solve(b)
 
     def inner(self, x: np.ndarray, y: np.ndarray) -> complex:
-        return complex(np.vdot(x, self.D @ y))
+        return complex(np.vdot(x, self.A @ y))
 
     def norm(self, x: np.ndarray) -> float:
         return math.sqrt(max(self.inner(x, x).real, 0.0))
@@ -90,11 +123,12 @@ def gram_factor(D) -> GramFactor:
 
     Uses a no-pivot sparse LU in symmetric mode; for SPD input this is
     exactly the Cholesky factorization (L scaled by sqrt of the pivot).
-    Non-SPD input surfaces as a non-positive pivot.
+    Non-SPD input surfaces as a row interchange or a non-positive pivot.
+    An existing Gram factor is returned unchanged.
     """
-    Dc = _as_csc(D)
-    if Dc.shape[0] != Dc.shape[1]:
-        raise InvalidArgumentError(f"matrix must be square, got {Dc.shape}")
+    if isinstance(D, GramFactor):
+        return D
+    Dc = _square_csc(D)
     if np.iscomplexobj(Dc):
         if Dc.nnz and abs(Dc.imag).max() > 0:
             raise InvalidArgumentError("gram_factor needs a real matrix")
@@ -105,24 +139,21 @@ def gram_factor(D) -> GramFactor:
     if Dc.nnz and asym.nnz and asym.max() > 1e-12 * scale:
         raise InvalidArgumentError("gram_factor needs a symmetric matrix")
     try:
-        lu = spla.splu(
-            Dc,
-            permc_spec="NATURAL",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:
+        f = lu_factor(Dc, dtype=float, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True})
+    except SingularSystemError as exc:
         raise NotPositiveDefiniteError(f"factorization failed: {exc}") from exc
+    lu = f.superlu
+    # No row interchange makes LU = D an LDL^T factorization, and a
+    # symmetric matrix with such a factorization and positive pivots is SPD.
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NotPositiveDefiniteError("factorization needed row pivoting; not SPD")
     piv = lu.U.diagonal().real
     if not np.all(piv > 0) or not np.all(np.isfinite(piv)):
         raise NotPositiveDefiniteError(
             f"non-positive pivot encountered (min {piv.min():g})"
         )
-    L = (lu.L.real @ sp.diags(np.sqrt(piv))).tocsc()
-    resid = abs(L @ L.T - Dc)
-    if resid.nnz and resid.max() > 1e-12 * max(scale, 1e-300):
-        raise NotPositiveDefiniteError("factor residual too large; matrix not SPD")
-    return GramFactor(L=L, n=Dc.shape[0], D=Dc, _lu=lu)
+    return GramFactor(f.A, lu)
 
 
 @dataclass(frozen=True)
@@ -159,6 +190,11 @@ class InfSupReport:
     iterations: int
     residual: float
     singular: bool = False
+
+
+SINGULAR_INF_SUP = InfSupReport(
+    gamma=0.0, c_dis=math.inf, iterations=0, residual=0.0, singular=True
+)
 
 
 @dataclass(frozen=True)
@@ -304,15 +340,6 @@ def weighted_operator_norm(
     return math.sqrt(lam)
 
 
-def _lu_or_none(A) -> Optional[spla.SuperLU]:
-    try:
-        return spla.splu(_as_csc(A).astype(complex))
-    except RuntimeError as exc:
-        if "singular" in str(exc).lower():
-            return None
-        raise
-
-
 def discrete_inf_sup(
     A,
     gram: GramFactor,
@@ -322,18 +349,18 @@ def discrete_inf_sup(
 ) -> InfSupReport:
     """Discrete inf-sup constant sigma_min(L^{-1} A L^{-*}) of a system.
 
-    Computed as the reciprocal of ||L* A^{-1} L||_2 through an LU
-    factorization of A; an exactly singular A yields gamma = 0 (a
-    legitimate outcome near discrete eigenvalues), not an exception.
+    Computed as the reciprocal of ||L* A^{-1} L||_2 through the LU
+    factors of A (``A`` may be a matrix or its :class:`LUFactor`); an
+    exactly singular A yields gamma = 0 (a legitimate outcome near
+    discrete eigenvalues), not an exception.
     """
-    n = A.shape[0]
-    if A.shape != (n, n) or gram.n != n:
+    try:
+        lu = lu_factor(A)
+    except SingularSystemError:
+        return SINGULAR_INF_SUP
+    n = lu.n
+    if gram.n != n:
         raise InvalidArgumentError("A and Gram factor dimensions disagree")
-    lu = _lu_or_none(A)
-    if lu is None:
-        return InfSupReport(
-            gamma=0.0, c_dis=math.inf, iterations=0, residual=0.0, singular=True
-        )
     # C_dis^2 = lambda_max(A^{-*} D A^{-1}, D^{-1})
     apply_x = lambda v: lu.solve(gram.apply(lu.solve(v)), trans="H")
     lam, it, res = _pencil_lambda_max(
@@ -353,7 +380,7 @@ def mass_extremes(
     max_it: int = DEFAULT_MAXIT,
     seed: int = DEFAULT_SEED,
 ) -> MassExtremes:
-    """Extreme eigenvalues of a real SPD mass matrix by (inverse) power iteration."""
+    """Extreme eigenvalues of a real SPD mass matrix (or its Gram factor)."""
     g = gram_factor(M)  # also certifies SPD
     Mc = g.D
     ident = lambda v: v
@@ -377,14 +404,13 @@ def solution_operator_norms(
     """The three discrete solution-operator norms of A^{-1}.
 
     ||L* A^{-1} L||_2, ||L* A^{-1} R||_2 and ||R* A^{-1} R||_2 for
-    D = L L^T and M = R R^T. Raises on singular A.
+    D = L L^T and M = R R^T; ``A`` may be a matrix or its
+    :class:`LUFactor`. Raises on singular A.
     """
-    n = A.shape[0]
+    lu = lu_factor(A)
+    n = lu.n
     if gram_d.n != n or gram_m.n != n:
         raise InvalidArgumentError("Gram factor dimensions disagree with A")
-    lu = _lu_or_none(A)
-    if lu is None:
-        raise SingularSystemError("matrix is exactly singular")
 
     def z_apply(metric_mid):
         return lambda v: lu.solve(metric_mid(lu.solve(v)), trans="H")

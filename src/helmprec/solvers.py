@@ -24,11 +24,10 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from .assemble import GalerkinSystem
 from .errors import InvalidArgumentError, SingularSystemError
-from .numerics import GramFactor
+from .numerics import GramFactor, lu_factor
 
 _BREAKDOWN = 1e-14
 
@@ -78,22 +77,18 @@ def envelopes(c: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return env_c, env_elman
 
 
-def _solve_lu(A, b: np.ndarray):
-    try:
-        return spla.splu(sp.csc_matrix(A, dtype=complex)).solve(b)
-    except RuntimeError as exc:
-        if "singular" in str(exc).lower():
-            raise SingularSystemError("matrix is exactly singular") from exc
-        raise
-
-
 def direct_solve(A, b: np.ndarray) -> np.ndarray:
-    """LU-based reference solve with a backward-error check."""
+    """LU-based reference solve with a backward-error check.
+
+    ``A`` may be a matrix or its :class:`LUFactor`.
+    """
     b = np.asarray(b, dtype=complex)
-    if A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
-        raise InvalidArgumentError(f"shape mismatch: A {A.shape}, b {b.shape}")
-    x = _solve_lu(A, b)
-    norm_a1 = abs(A).sum(axis=0).max() if sp.issparse(A) else np.abs(A).sum(0).max()
+    lu = lu_factor(A)
+    if lu.n != b.shape[0]:
+        raise InvalidArgumentError(f"shape mismatch: A {lu.A.shape}, b {b.shape}")
+    x = lu.solve(b)
+    A = lu.A
+    norm_a1 = abs(A).sum(axis=0).max()
     resid = np.linalg.norm(A @ x - b)
     bound = 1e-10 * (float(norm_a1) * np.linalg.norm(x) + np.linalg.norm(b))
     if resid > bound:
@@ -104,30 +99,23 @@ def direct_solve(A, b: np.ndarray) -> np.ndarray:
 
 
 def fixed_point(
-    sys1,
-    sys2,
+    sys1: GalerkinSystem,
+    sys2: GalerkinSystem,
     b: np.ndarray,
     x0: np.ndarray,
     max_it: int = 200,
     tol: float = 1e-10,
-    gram: Optional[GramFactor] = None,
 ) -> IterationTrace:
     """Preconditioned fixed-point iteration x <- x + A2^{-1} (b - A1 x).
 
     Error norms are measured in the D norm against a direct reference
     solve of A1 x = b, so the trace matches the contraction estimate
     exactly. Stops at relative error ``tol`` or after ``max_it`` steps.
+    Uses the factors the two systems own.
     """
-    from .numerics import gram_factor
-
-    A1, A2, D = sys1.A, sys2.A, sys1.D
-    if gram is None:
-        gram = gram_factor(D)
-    x_ref = direct_solve(A1, b)
-    try:
-        lu2 = spla.splu(sp.csc_matrix(A2, dtype=complex))
-    except RuntimeError as exc:
-        raise SingularSystemError("preconditioner matrix is singular") from exc
+    A1, gram = sys1.A, sys1.gram_d
+    x_ref = direct_solve(sys1.lu, b)
+    lu2 = sys2.lu
     x = np.asarray(x0, dtype=complex).copy()
     err0 = gram.norm(x_ref - x)
     norms = [err0]

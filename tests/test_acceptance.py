@@ -227,9 +227,7 @@ def test_oracle_equivalence(rng):
 def _check_envelopes(sys1, sys2, c, label):
     b = assemble_load(sys1.spec, 1.0)
     gram = gram_factor(sys1.D)
-    fp = fixed_point(
-        sys1, sys2, b, np.zeros(sys1.n, complex), max_it=300, tol=1e-6, gram=gram
-    )
+    fp = fixed_point(sys1, sys2, b, np.zeros(sys1.n, complex), max_it=300, tol=1e-6)
     env_c, _ = envelopes(c, fp.iterations)
     assert np.all(fp.norms <= env_c * fp.norms[0] * (1 + ENV_SLACK)), label
     lu2 = spla.splu(sp.csc_matrix(sys2.A, dtype=complex))

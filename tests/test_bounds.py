@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from conftest import (
     IMP,
@@ -22,7 +24,6 @@ from helmprec.bounds import (
     nearby_bound_report,
     norm_equivalence_report,
     remesh_problem,
-    residual_operators,
 )
 from helmprec.coeffs import Role, absorption_shift, constant_field, piecewise_field
 from helmprec.errors import InvalidArgumentError, InvalidPairError
@@ -141,6 +142,33 @@ def test_absorption_report_matches_nearby_field_by_field():
 def test_absorption_zero_alpha_is_identity():
     rep = absorption_report(canonical_1d(5.0, 20), 0.0)
     assert rep.lhs_D == 0.0 and rep.rhs_lemma == 0.0 and rep.passed
+
+
+def residual_operators(A1, A2) -> tuple[spla.LinearOperator, spla.LinearOperator]:
+    """Actions of I - A2^{-1} A1 (left) and I - A1 A2^{-1} (right).
+
+    The cancellation form of the residual operators, a reference route
+    for the difference form the bound report uses. Both come with
+    adjoints (rmatvec) through the conjugate-transpose solve of the same
+    LU factorization, as required for norm estimation.
+    """
+    lu2 = spla.splu(sp.csc_matrix(A2, dtype=complex))
+    A1c = sp.csr_matrix(A1, dtype=complex)
+    A1h = A1c.getH().tocsr()
+    n = A1c.shape[0]
+    left = spla.LinearOperator(
+        (n, n),
+        matvec=lambda x: x - lu2.solve(A1c @ x),
+        rmatvec=lambda y: y - A1h @ lu2.solve(y, trans="H"),
+        dtype=complex,
+    )
+    right = spla.LinearOperator(
+        (n, n),
+        matvec=lambda x: x - A1c @ lu2.solve(x),
+        rmatvec=lambda y: y - lu2.solve(A1h @ y, trans="H"),
+        dtype=complex,
+    )
+    return left, right
 
 
 def test_residual_identity_two_routes():

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from helmprec.cli import cmd_export, cmd_import, cmd_sweep, cmd_verify, main
 from helmprec.errors import InvalidSystemError
@@ -96,14 +97,30 @@ def test_sweep_grid_rows_and_zero_alpha(tmp_path):
     assert float(first["rhs_lemma"]) == 0.0
 
 
-def test_sweep_deterministic_and_threaded(tmp_path):
+def test_sweep_deterministic(tmp_path):
     path = write_cfg(tmp_path)
     r1 = cmd_sweep(path, out_dir=str(tmp_path / "s1"))
     r2 = cmd_sweep(path, out_dir=str(tmp_path / "s2"))
-    b1 = open(r1.paths["sweep"], "rb").read()
-    assert b1 == open(r2.paths["sweep"], "rb").read()
-    r4 = cmd_sweep(path, out_dir=str(tmp_path / "s4"), threads=3)
-    assert b1 == open(r4.paths["sweep"], "rb").read()
+    assert open(r1.paths["sweep"], "rb").read() == open(r2.paths["sweep"], "rb").read()
+
+
+def test_each_matrix_factored_once(tmp_path, monkeypatch):
+    """verify and every sweep point factor D, M, A1 and A2 once each."""
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(A, *args, **kwargs):
+        calls.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    path = write_cfg(tmp_path)
+    assert cmd_verify(path, out_dir=str(tmp_path / "v")).exit_status == 0
+    assert len(calls) == 4
+    calls.clear()
+    res = cmd_sweep(path, out_dir=str(tmp_path / "s"))
+    assert len(res.summaries) == 6
+    assert len(calls) == 4 * 6
 
 
 def test_sweep_with_ladder(tmp_path):

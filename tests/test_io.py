@@ -68,6 +68,8 @@ def test_config_validation_errors():
         read_config('{"problem": {"dimension": 1, "k": 1}, "sweep": {"k_values": []}}')
     with pytest.raises(ConfigError):
         read_config('{"problem": {"dimension": 1, "k": 1}, "perturbation": {"mode": "nearby"}}')
+    with pytest.raises(ConfigError, match="alpha_values"):
+        read_config('{"problem": {"dimension": 1, "k": 1}, "sweep": {"alpha_values": [0.1, -0.3]}}')
     with pytest.raises(ConfigError):
         read_config("not json")
     with pytest.raises(ConfigError, match="schema_version"):

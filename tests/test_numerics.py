@@ -26,29 +26,44 @@ from helmprec.numerics import (
 
 def test_gram_factor_trivials():
     g = gram_factor(np.eye(3))
-    assert np.allclose(g.L.toarray(), np.eye(3))
+    b = np.array([1.0, -2.0, 3.0])
+    assert np.array_equal(g.solve(b), b)
+    assert g.norm(b) ** 2 == pytest.approx(14.0, rel=1e-15)
     g2 = gram_factor(np.array([[4.0]]))
-    assert g2.L.toarray()[0, 0] == pytest.approx(2.0, rel=1e-15)
+    assert g2.solve(np.array([4.0]))[0] == pytest.approx(1.0, rel=1e-15)
+    assert g2.norm(np.array([1.0])) == pytest.approx(2.0, rel=1e-15)
 
 
-def test_gram_factor_reproduces_single_element_d():
+def _assert_gram_factor_of(g, D, rng):
+    """D g.solve(b) = b, ||v||^2 = v* D v, and positive pivots."""
+    scale = abs(D).max()
+    for _ in range(3):
+        b = rng.standard_normal(D.shape[0]) + 1j * rng.standard_normal(D.shape[0])
+        assert np.abs(D @ g.solve(b) - b).max() <= 1e-12 * scale * np.abs(b).max()
+        assert g.norm(b) ** 2 == pytest.approx(np.vdot(b, D @ b).real, rel=1e-14)
+    assert np.all(g.superlu.U.diagonal() > 0)
+
+
+def test_gram_factor_reproduces_single_element_d(rng):
     D = canonical_1d(1.0, 1).D
-    g = gram_factor(D)
-    assert abs(g.L @ g.L.T - D).max() <= 1e-14 * abs(D).max()
+    _assert_gram_factor_of(gram_factor(D), D, rng)
 
 
-def test_gram_factor_is_lower_triangular_positive_diagonal():
+def test_gram_factor_solves_with_positive_pivots(rng):
     D = canonical_1d(6.0, 25).D
     g = gram_factor(D)
-    L = g.L.toarray()
-    assert np.all(np.triu(L, k=1) == 0.0)
-    assert np.all(np.diag(L) > 0)
-    assert np.abs(L @ L.T - D.toarray()).max() <= 1e-12 * np.abs(D.toarray()).max()
+    _assert_gram_factor_of(g, D, rng)
+    assert np.array_equal(g.superlu.perm_r, g.superlu.perm_c)
 
 
 def test_gram_factor_rejects_bad_input():
     with pytest.raises(NotPositiveDefiniteError):
         gram_factor(np.diag([1.0, -2.0]))
+    # symmetric indefinite with a zero diagonal: SuperLU pivots rows to
+    # positive pivots, so only the row-interchange check rejects these
+    for D in ([[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]):
+        with pytest.raises(NotPositiveDefiniteError):
+            gram_factor(np.array(D))
     with pytest.raises(InvalidArgumentError):
         gram_factor(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(InvalidArgumentError):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -80,14 +82,10 @@ def test_fixed_point_singular_preconditioner(absorption_pair):
     s1, _, _ = absorption_pair
     bad = s1.A.tolil()
     bad[0, :] = 0
-
-    class Fake:
-        A = bad.tocsr()
-        D = s1.D
-
+    s_bad = dataclasses.replace(s1, A=bad.tocsr())
     b = assemble_load(s1.spec, 1.0)
     with pytest.raises(SingularSystemError):
-        fixed_point(s1, Fake(), b, np.zeros(s1.n, complex))
+        fixed_point(s1, s_bad, b, np.zeros(s1.n, complex))
 
 
 def test_gmres_identity_one_iteration():
