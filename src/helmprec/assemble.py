@@ -315,10 +315,12 @@ def validate_external(system: ExternalSystem) -> ExternalSystem:
     for name in ("D", "M"):
         X = mats[name]
         _check_hermitian(X, name)
-        if X.nnz and abs(X.imag).max() > _HERMITIAN_RTOL * abs(X).max():
+        if X.nnz and abs(X.imag).max() > 0:
             raise InvalidSystemError(f"matrix {name} must be real symmetric")
         try:
-            gram_factor(X.real.tocsr())
+            # the system's own factor: the certificate is the factorization
+            # every later norm of this pair solves with
+            getattr(system, "gram_" + name.lower())
         except NotPositiveDefiniteError as exc:
             raise InvalidSystemError(f"matrix {name} is not positive definite") from exc
     return system

@@ -238,6 +238,13 @@ def read_config(text: str) -> ExperimentConfig:
         "max_it": int(solver_in.get("max_it", 500)),
         "garding_samples": int(solver_in.get("garding_samples", 1000)),
     }
+    # zero samples or iterations would print PASS without checking anything
+    if solver["garding_samples"] < 1:
+        raise ConfigError("solver.garding_samples must be >= 1")
+    if solver["max_it"] < 1:
+        raise ConfigError("solver.max_it must be >= 1")
+    if not solver["tol"] > 0:
+        raise ConfigError("solver.tol must be > 0")
 
     data = {
         "schema_version": SCHEMA_VERSION,

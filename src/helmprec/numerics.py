@@ -20,9 +20,13 @@ bound (relative tolerance 1e-10 by default) and are capped; hitting the
 cap raises, carrying the last estimate. Start vectors are seeded, so
 all reported numbers are reproducible.
 
-Conjugations never form L^{-1} explicitly: matrix inverses are applied
-through sparse LU factorizations, and the pencil formulation needs only
-products and solves with D, M, and A.
+Conjugations never form L^{-1} explicitly: the pencil formulation needs
+only products and solves with D, M, and A. Solves go through sparse
+factorizations under one fill-reducing ordering (minimum degree on the
+pattern of A^T + A): complex LU for A, and for D and M a Cholesky-type
+factorization P D P^T = L L^T of the symmetrically permuted matrix, so
+L above stands for P^T L. Complex right-hand sides against the real D
+and M factors are solved as one two-column real solve.
 """
 
 from __future__ import annotations
@@ -47,6 +51,12 @@ DEFAULT_MAXIT = 50_000
 DEFAULT_SEED = 0
 
 _MODES = ("D", "D_inv", "euclid")
+
+# Minimum-degree ordering of A^T + A (Liu, ACM TOMS 1985). The system and
+# norm matrices are structurally symmetric, and on lexicographically
+# numbered 2D meshes the natural order fills the whole band: this ordering
+# cuts the factor fill of D, M and A there by more than half.
+_FILL_ORDERING = "MMD_AT_PLUS_A"
 
 
 def _square_csc(X) -> sp.csc_matrix:
@@ -75,14 +85,15 @@ def lu_factor(A, dtype=complex, **options) -> LUFactor:
     """Factor a square matrix once; an existing factor is returned unchanged.
 
     The package's only call into SuperLU: A is cast to ``dtype`` (system
-    solves take complex right-hand sides) and ``options`` pass through to
-    ``splu``. An exactly singular matrix raises SingularSystemError.
+    solves take complex right-hand sides), its columns are ordered by
+    minimum degree on the pattern of A^T + A, and ``options`` pass through
+    to ``splu``. An exactly singular matrix raises SingularSystemError.
     """
     if isinstance(A, LUFactor):
         return A
     Ac = _square_csc(A).astype(dtype, copy=False)
     try:
-        return LUFactor(Ac, spla.splu(Ac, **options))
+        return LUFactor(Ac, spla.splu(Ac, permc_spec=_FILL_ORDERING, **options))
     except RuntimeError as exc:
         if "singular" in str(exc).lower():
             raise SingularSystemError("matrix is exactly singular") from exc
@@ -91,7 +102,7 @@ def lu_factor(A, dtype=complex, **options) -> LUFactor:
 
 @dataclass(frozen=True, eq=False)
 class GramFactor(LUFactor):
-    """Cholesky-type factorization D = L L^T of a real SPD matrix D = ``A``.
+    """Cholesky-type factorization P D P^T = L L^T of a real SPD matrix D = ``A``.
 
     ``solve`` applies D^{-1} to real or complex vectors; ``norm``
     evaluates the induced vector norm sqrt(v* D v).
@@ -105,11 +116,15 @@ class GramFactor(LUFactor):
         return self.A @ x
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        # the factorization is real and symmetric; split complex right-hand sides
+        # the factorization is real and symmetric: a complex right-hand side
+        # is solved as one real solve with its real and imaginary parts as columns
         b = np.asarray(b)
-        if np.iscomplexobj(b):
-            return self.superlu.solve(b.real) + 1j * self.superlu.solve(b.imag)
-        return self.superlu.solve(b)
+        if not np.iscomplexobj(b):
+            return self.superlu.solve(b)
+        cols = b.reshape(b.shape[0], -1)
+        k = cols.shape[1]
+        x = self.superlu.solve(np.hstack([cols.real, cols.imag]))
+        return (x[:, :k] + 1j * x[:, k:]).reshape(b.shape)
 
     def inner(self, x: np.ndarray, y: np.ndarray) -> complex:
         return complex(np.vdot(x, self.A @ y))
@@ -119,12 +134,15 @@ class GramFactor(LUFactor):
 
 
 def gram_factor(D) -> GramFactor:
-    """Factor a real symmetric positive definite matrix as L L^T.
+    """Factor a real symmetric positive definite matrix as P D P^T = L L^T.
 
-    Uses a no-pivot sparse LU in symmetric mode; for SPD input this is
-    exactly the Cholesky factorization (L scaled by sqrt of the pivot).
-    Non-SPD input surfaces as a row interchange or a non-positive pivot.
-    An existing Gram factor is returned unchanged.
+    P is the fill-reducing symmetric permutation of :func:`lu_factor`.
+    SuperLU runs in symmetric mode with diagonal pivots only, so rows
+    are permuted like columns unless a diagonal pivot is exactly zero;
+    for SPD input the result is the Cholesky factorization of P D P^T
+    (L scaled by the square root of each pivot). Non-SPD input surfaces
+    as a row interchange that differs from the column permutation or as
+    a non-positive pivot. An existing Gram factor is returned unchanged.
     """
     if isinstance(D, GramFactor):
         return D
@@ -139,13 +157,14 @@ def gram_factor(D) -> GramFactor:
     if Dc.nnz and asym.nnz and asym.max() > 1e-12 * scale:
         raise InvalidArgumentError("gram_factor needs a symmetric matrix")
     try:
-        f = lu_factor(Dc, dtype=float, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+        f = lu_factor(Dc, dtype=float, diag_pivot_thresh=0.0,
                       options={"SymmetricMode": True})
     except SingularSystemError as exc:
         raise NotPositiveDefiniteError(f"factorization failed: {exc}") from exc
     lu = f.superlu
-    # No row interchange makes LU = D an LDL^T factorization, and a
-    # symmetric matrix with such a factorization and positive pivots is SPD.
+    # Rows permuted like columns make LU = P D P^T an LDL^T factorization,
+    # and a symmetric matrix with such a factorization and positive pivots
+    # is SPD.
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise NotPositiveDefiniteError("factorization needed row pivoting; not SPD")
     piv = lu.U.diagonal().real

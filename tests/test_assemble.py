@@ -193,6 +193,12 @@ def test_validate_external_roundtrip_and_errors():
     )
     with pytest.raises(InvalidSystemError, match="D"):
         validate_external(bad_d)
+    # D and M are factored as real matrices, so any imaginary part is rejected
+    tiny_imag = ExternalSystem(
+        A1=s1.A, A2=s2.A, D=s1.D, M=(s1.M * (1 + 1e-15j)).tocsr(), n=s1.n
+    )
+    with pytest.raises(InvalidSystemError, match="M must be real"):
+        validate_external(tiny_imag)
 
     small = canonical_1d(4.0, 5)
     mismatched = ExternalSystem(A1=s1.A, A2=s2.A, D=s1.D, M=small.M, n=s1.n)

@@ -104,8 +104,9 @@ def test_sweep_deterministic(tmp_path):
     assert open(r1.paths["sweep"], "rb").read() == open(r2.paths["sweep"], "rb").read()
 
 
-def test_each_matrix_factored_once(tmp_path, monkeypatch):
-    """verify and every sweep point factor D, M, A1 and A2 once each."""
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Shapes of the matrices passed to ``spla.splu``, in call order."""
     calls = []
     splu = spla.splu
 
@@ -114,13 +115,27 @@ def test_each_matrix_factored_once(tmp_path, monkeypatch):
         return splu(A, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting_splu)
+    return calls
+
+
+def test_each_matrix_factored_once(tmp_path, splu_calls):
+    """verify and every sweep point factor D, M, A1 and A2 once each."""
     path = write_cfg(tmp_path)
     assert cmd_verify(path, out_dir=str(tmp_path / "v")).exit_status == 0
-    assert len(calls) == 4
-    calls.clear()
+    assert len(splu_calls) == 4
+    splu_calls.clear()
     res = cmd_sweep(path, out_dir=str(tmp_path / "s"))
     assert len(res.summaries) == 6
-    assert len(calls) == 4 * 6
+    assert len(splu_calls) == 4 * 6
+
+
+def test_import_factors_each_matrix_once(tmp_path, splu_calls):
+    """import certifies D and M SPD with the factors its report solves with."""
+    exch = str(tmp_path / "exch")
+    assert cmd_export(write_cfg(tmp_path), out_dir=exch).exit_status == 0
+    splu_calls.clear()
+    assert cmd_import(exch, out_dir=str(tmp_path / "i")).exit_status == 0
+    assert len(splu_calls) == 4
 
 
 def test_sweep_with_ladder(tmp_path):

@@ -70,6 +70,11 @@ def test_config_validation_errors():
         read_config('{"problem": {"dimension": 1, "k": 1}, "perturbation": {"mode": "nearby"}}')
     with pytest.raises(ConfigError, match="alpha_values"):
         read_config('{"problem": {"dimension": 1, "k": 1}, "sweep": {"alpha_values": [0.1, -0.3]}}')
+    for key, value in (("garding_samples", 0), ("garding_samples", -5), ("max_it", 0),
+                       ("tol", -1), ("tol", 0), ("tol", "nan")):
+        with pytest.raises(ConfigError, match=f"solver.{key}"):
+            read_config('{"problem": {"dimension": 1, "k": 1}, '
+                        f'"solver": {{"{key}": {json.dumps(value)}}}}}')
     with pytest.raises(ConfigError):
         read_config("not json")
     with pytest.raises(ConfigError, match="schema_version"):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from conftest import (
     canonical_1d,
+    canonical_2d,
     oracle_infsup,
     oracle_solution_norms,
     oracle_weighted_norm,
@@ -18,6 +21,7 @@ from helmprec.errors import (
 from helmprec.numerics import (
     discrete_inf_sup,
     gram_factor,
+    lu_factor,
     mass_extremes,
     solution_operator_norms,
     weighted_operator_norm,
@@ -68,6 +72,42 @@ def test_gram_factor_rejects_bad_input():
         gram_factor(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(InvalidArgumentError):
         gram_factor(np.array([[1.0 + 1j, 0], [0, 1.0]]))
+
+
+def test_gram_factor_rejects_indefinite_with_nonzero_diagonal():
+    """Under the fill-reducing ordering, indefinite input still meets a negative pivot."""
+    s = canonical_2d(4.0, 6, 6)
+    ev = sla.eigh(s.D.toarray(), s.M.toarray(), eigvals_only=True)
+    assert ev[1] > ev[0] * (1 + 1e-3)
+    shifted = (s.D - 0.5 * (ev[0] + ev[1]) * s.M).tocsr()
+    assert np.all(shifted.diagonal() != 0)
+    for D in (shifted, np.array([[1.0, 2.0], [2.0, 1.0]])):
+        with pytest.raises(NotPositiveDefiniteError, match="non-positive pivot"):
+            gram_factor(D)
+
+
+def test_factor_fill_below_half_of_natural_order():
+    """2D factors stay under half the fill of the natural (banded) order."""
+    s = canonical_2d(10.0, 40, 40)
+    fill = lambda lu: lu.L.nnz + lu.U.nnz
+    natural_d = spla.splu(s.D.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                          options={"SymmetricMode": True})
+    natural_a = spla.splu(s.A.tocsc(), permc_spec="NATURAL")
+    assert fill(gram_factor(s.D).superlu) < fill(natural_d) / 2
+    assert fill(lu_factor(s.A).superlu) < fill(natural_a) / 2
+
+
+def test_gram_factor_complex_solve_is_real_imag_split(rng):
+    g = gram_factor(canonical_2d(4.0, 8, 8).D)
+    re, im = rng.standard_normal((2, g.n, 3))
+    for b in (re[:, 0] + 1j * im[:, 0], re + 1j * im):
+        split = g.superlu.solve(b.real) + 1j * g.superlu.solve(b.imag)
+        x = g.solve(b)
+        assert x.shape == b.shape
+        assert np.abs(x - split).max() <= 1e-14 * np.abs(split).max()
+    x = g.solve(re[:, 0])
+    assert not np.iscomplexobj(x)
+    assert np.array_equal(x, g.superlu.solve(re[:, 0]))
 
 
 def test_weighted_norm_identity_and_scaling(rng):
