@@ -226,8 +226,11 @@ def garding_check(
     For the canonical homogeneous impedance problem (mu^{-1} = eps = 1,
     real theta) the inequality with constants (1, 2) follows from the
     exact identity Re(v*Av) + 2 v*Mv = v*Dv, which is then asserted at
-    relative tolerance ``rtol``.
+    relative tolerance ``rtol``. At least one sample is required: an empty
+    sample would report no violation without testing anything.
     """
+    if n_samples < 1:
+        raise InvalidArgumentError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     A, M, D = sys.A, sys.M, sys.D
     spec = sys.spec
@@ -256,7 +259,7 @@ def garding_check(
         constants=constants,
         n_samples=n_samples,
         violations=violations,
-        worst_rel_margin=worst if n_samples else 0.0,
+        worst_rel_margin=worst,
         canonical=canonical,
         identity_max_rel_err=ident_err if canonical else None,
     )
@@ -375,6 +378,9 @@ def nearby_bound_report(
             h = sys1.spec.mesh.h
 
     G = sys1.gram_d
+    # before A2 is factored: the transient shifted-mass factor inside
+    # mass_extremes is then freed before A2's complex LU factors exist
+    me = mass_extremes(sys1.gram_m, seed=seed)
     inf2 = _inf_sup(sys2, 2, G, seed)
     nan = math.nan
     if inf2.singular:
@@ -385,7 +391,6 @@ def nearby_bound_report(
             singular=True, k=k, h=h, alpha=alpha,
         )
     inf1 = _inf_sup(sys1, 1, G, seed)
-    me = mass_extremes(sys1.gram_m, seed=seed)
     op_left, op_right, zero_pair = _difference_operators(A1, A2, _lu_of(sys2, 2))
 
     if zero_pair:

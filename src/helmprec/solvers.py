@@ -178,7 +178,9 @@ def gmres(
         )
 
     max_it = min(max_it, n)
-    V = np.zeros((n, max_it + 1), dtype=complex)
+    # column-major, so each basis vector is contiguous and the columns not
+    # yet written stay untouched (np.zeros memory is mapped on first write)
+    V = np.zeros((n, max_it + 1), dtype=complex, order="F")
     H = np.zeros((max_it + 1, max_it), dtype=complex)
     cs = np.zeros(max_it, dtype=complex)
     sn = np.zeros(max_it, dtype=complex)

@@ -7,6 +7,7 @@ stay independent of the package's sparse/iterative code paths.
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from helmprec import (
     ProblemSpec,
@@ -94,3 +95,17 @@ def random_spd(rng, n, shift=None):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """(shape, dtype) of every matrix passed to ``spla.splu``, in call order."""
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(A, *args, **kwargs):
+        calls.append((A.shape, A.dtype))
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    return calls

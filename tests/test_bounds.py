@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -64,6 +65,13 @@ def test_garding_false_constants_reported():
     assert rep.worst_rel_margin < 0
 
 
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_garding_rejects_empty_sample(n_samples):
+    """No samples would read as a PASS that tested nothing."""
+    with pytest.raises(InvalidArgumentError):
+        garding_check(canonical_1d(3.0, 10), n_samples=n_samples)
+
+
 def test_garding_constants_for_fields():
     spec = canonical_spec_1d(5.0, 10)
     g = garding_constants_for(spec)
@@ -77,6 +85,20 @@ def test_garding_constants_for_fields():
     assert (g2.c_g1, g2.c_g2) == (2.0, 5.0)
     rep = garding_check(assemble_system(spec2), g2, n_samples=300)
     assert rep.violations == 0
+
+
+def test_singular_pair_report():
+    """An exactly singular A2 is reported, with every estimate left unset."""
+    s1 = canonical_1d(6.0, 40)
+    bad = s1.A.tolil()
+    bad[0, :] = 0
+    rep = nearby_bound_report(s1, dataclasses.replace(s1, A=bad.tocsr()))
+    assert rep.singular and not rep.passed
+    assert rep.c_dis2 == math.inf and rep.rhs_lemma == math.inf
+    assert rep.checks == () and rep.rhs_lemma2 is None
+    for v in (rep.c_dis1, rep.mass_ratio, rep.lhs_D, rep.lhs_Dinv,
+              rep.lhs_2, rep.lhs_2p, rep.cond):
+        assert math.isnan(v)
 
 
 def test_identity_pair_zero_report():

@@ -1,9 +1,9 @@
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from helmprec.cli import cmd_export, cmd_import, cmd_sweep, cmd_verify, main
 from helmprec.errors import InvalidSystemError
@@ -104,29 +104,23 @@ def test_sweep_deterministic(tmp_path):
     assert open(r1.paths["sweep"], "rb").read() == open(r2.paths["sweep"], "rb").read()
 
 
-@pytest.fixture
-def splu_calls(monkeypatch):
-    """Shapes of the matrices passed to ``spla.splu``, in call order."""
-    calls = []
-    splu = spla.splu
-
-    def counting_splu(A, *args, **kwargs):
-        calls.append(A.shape)
-        return splu(A, *args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counting_splu)
-    return calls
+def _factor_kinds(splu_calls):
+    """{'f': real factors, 'c': complex factors} among the recorded calls."""
+    return dict(Counter(dtype.kind for _, dtype in splu_calls))
 
 
 def test_each_matrix_factored_once(tmp_path, splu_calls):
-    """verify and every sweep point factor D, M, A1 and A2 once each."""
+    """verify and every sweep point factor D, M, A1 and A2 once each, plus
+    the transient shifted mass matrix sigma I - M of ``mass_extremes``."""
     path = write_cfg(tmp_path)
     assert cmd_verify(path, out_dir=str(tmp_path / "v")).exit_status == 0
-    assert len(splu_calls) == 4
+    assert len(splu_calls) == 5
+    assert _factor_kinds(splu_calls) == {"f": 3, "c": 2}
     splu_calls.clear()
     res = cmd_sweep(path, out_dir=str(tmp_path / "s"))
     assert len(res.summaries) == 6
-    assert len(splu_calls) == 4 * 6
+    assert len(splu_calls) == 5 * 6
+    assert _factor_kinds(splu_calls) == {"f": 3 * 6, "c": 2 * 6}
 
 
 def test_import_factors_each_matrix_once(tmp_path, splu_calls):
@@ -135,7 +129,8 @@ def test_import_factors_each_matrix_once(tmp_path, splu_calls):
     assert cmd_export(write_cfg(tmp_path), out_dir=exch).exit_status == 0
     splu_calls.clear()
     assert cmd_import(exch, out_dir=str(tmp_path / "i")).exit_status == 0
-    assert len(splu_calls) == 4
+    assert len(splu_calls) == 5
+    assert _factor_kinds(splu_calls) == {"f": 3, "c": 2}
 
 
 def test_sweep_with_ladder(tmp_path):

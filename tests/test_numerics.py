@@ -202,6 +202,60 @@ def test_mass_extremes_rejects_non_spd():
         mass_extremes(np.diag([1.0, -1.0, 2.0]))
 
 
+def _assert_extremes(me, lo, hi):
+    assert me.m_minus_sq == pytest.approx(lo, rel=1e-12)
+    assert me.m_plus_sq == pytest.approx(hi, rel=1e-12)
+
+
+def test_mass_extremes_clustered_1d_top():
+    """k = 200 1D impedance mesh (n = 2,830): the top two eigenvalues of M
+    are 6e-7 apart relatively, which stalls Lanczos on M itself."""
+    M = canonical_1d(200.0, 2829).M
+    assert M.shape == (2830, 2830)
+    ev = sla.eigvalsh_tridiagonal(M.diagonal(), M.diagonal(1))
+    assert (ev[-1] - ev[-2]) / ev[-1] < 1e-6
+    _assert_extremes(mass_extremes(M, max_it=2000), ev[0], ev[-1])
+
+
+def test_mass_extremes_2d_matches_dense():
+    M = canonical_2d(1.0, 30, 30).M
+    ev = sla.eigvalsh(M.toarray())
+    _assert_extremes(mass_extremes(M), ev[0], ev[-1])
+
+
+def test_mass_extremes_equal_row_sums_is_exact_shift():
+    """Periodic tridiag(1, 4, 1): every row sums to 6, so sigma I - M is
+    singular and the Gershgorin shift itself is lambda_max."""
+    n = 20
+    M = sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(n, n)).tolil()
+    M[0, n - 1] = M[n - 1, 0] = 1.0
+    me = mass_extremes(M.tocsc())
+    assert me.m_plus_sq == 6.0
+    assert me.m_minus_sq == pytest.approx(2.0, rel=1e-12)
+
+
+def test_mass_extremes_loose_gershgorin_shift(rng):
+    """Random element lengths spread the lumped masses, so the shift sits
+    well above lambda_max; the result must not depend on that."""
+    h = rng.uniform(0.01, 1.0, size=300)
+    diag = np.zeros(h.size + 1)
+    diag[:-1] += h / 3
+    diag[1:] += h / 3
+    M = sp.diags([h / 6, diag, h / 6], [-1, 0, 1]).tocsc()
+    ev = sla.eigvalsh(M.toarray())
+    sigma = abs(M).sum(axis=1).max()
+    assert (sigma - ev[-1]) / ev[-1] > 1e-3
+    _assert_extremes(mass_extremes(M), ev[0], ev[-1])
+
+
+def test_mass_extremes_factors_only_the_shifted_matrix(splu_calls):
+    M = canonical_2d(1.0, 12, 12).M
+    g = gram_factor(M)
+    splu_calls.clear()
+    mass_extremes(g)
+    assert splu_calls == [(M.shape, np.dtype(float))]
+
+
 def test_solution_operator_norms_closed_forms():
     s = canonical_1d(5.0, 25)
     g = gram_factor(s.D)
