@@ -152,8 +152,9 @@ class ExternalSystem(_NormFactors):
 
 
 def _free_nodes(mesh: Mesh) -> np.ndarray:
-    dirichlet = set(mesh.nodes_with_tag(BoundaryTag.DIRICHLET).tolist())
-    return np.array([i for i in range(mesh.n_nodes) if i not in dirichlet], dtype=int)
+    free = np.ones(mesh.n_nodes, dtype=bool)
+    free[mesh.nodes_with_tag(BoundaryTag.DIRICHLET)] = False
+    return np.flatnonzero(free)
 
 
 def _stiffness_entries(mesh: Mesh, mu: CoefficientField):

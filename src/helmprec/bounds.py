@@ -207,7 +207,7 @@ def garding_constants_for(spec: ProblemSpec) -> GardingConstants:
     """
     mu = spec.mu_inv
     if mu.is_matrix:
-        m = min(float(np.linalg.eigvalsh(v.real).min()) for v in mu.values)
+        m = float(np.linalg.eigvalsh(mu.values.real).min())
     else:
         m = float(mu.values.real.min())
     e_max = max(float(spec.eps.values.real.max()), 0.0)

@@ -73,7 +73,7 @@ class CoefficientField:
             if values.ndim == 1:
                 re_min = values.real.min()
             else:
-                re_min = min(np.linalg.eigvalsh(v.real).min() for v in values)
+                re_min = np.linalg.eigvalsh(values.real).min()
             if not re_min > 0:
                 raise InvalidCoefficientError(
                     f"Re(mu^-1) must be positive elementwise (min {re_min:g})"

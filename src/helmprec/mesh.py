@@ -93,38 +93,99 @@ class Mesh:
 
     def nodes_with_tag(self, tag: BoundaryTag) -> np.ndarray:
         """Sorted indices of all nodes lying on facets with the given tag."""
-        idx: set[int] = set()
-        for f in self.facets:
-            if f.tag == tag:
-                idx.update(f.nodes)
-        return np.array(sorted(idx), dtype=int)
+        nodes = [n for f in self.facets if f.tag == tag for n in f.nodes]
+        return np.unique(np.array(nodes, dtype=int))
 
     def locate_elements(self, points: np.ndarray) -> np.ndarray:
         """Element index containing each query point (ties broken low).
 
-        Used to re-sample piecewise-constant data onto a refined mesh.
+        Used to re-sample piecewise-constant data onto a refined mesh. A
+        point belongs to an element when it lies in it up to the tolerance
+        ``tol = 1e-12 * max(h, 1)``: in 1D within ``tol`` of its end
+        points, in 2D with barycentric coordinates ``l1, l2 >= -tol`` and
+        ``l1 + l2 <= 1 + tol``. A point in several elements (on a shared
+        node or edge) gets the lowest of their indices.
+
+        1D looks the points up in the sorted node coordinates. 2D sorts
+        the elements into a uniform grid of about ``n_elements`` square
+        buckets over the bounding box, each element registered in every
+        bucket its tolerance-padded bounding box overlaps, and tests each
+        point against the elements of its bucket only, so the cost is
+        O(n_elements + n_points) on quasi-uniform meshes.
+
+        Raises ``InvalidArgumentError`` for a point that no element
+        contains (also a non-finite one).
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.dimension == 1:
-            ends = np.sort(np.unique(self.coords[:, 0]))
-            idx = np.searchsorted(ends, points[:, 0], side="right") - 1
-            return np.clip(idx, 0, self.n_elements - 1)
-        pts = self.coords[self.elements]
-        out = np.full(points.shape[0], -1, dtype=int)
         tol = 1e-12 * max(self.h, 1.0)
-        for e in range(self.n_elements):
-            if np.all(out >= 0):
-                break
-            a, b, c = pts[e]
-            det = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
-            rel = points - a
-            l1 = ((c[1] - a[1]) * rel[:, 0] - (c[0] - a[0]) * rel[:, 1]) / det
-            l2 = (-(b[1] - a[1]) * rel[:, 0] + (b[0] - a[0]) * rel[:, 1]) / det
-            inside = (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1 + tol) & (out < 0)
-            out[inside] = e
-        if np.any(out < 0):
+        if self.dimension == 1:
+            ends = np.unique(self.coords[:, 0])
+            x = points[:, 0]
+            if not np.all((x >= ends[0] - tol) & (x <= ends[-1] + tol)):
+                raise InvalidArgumentError("point outside mesh in locate_elements")
+            idx = np.searchsorted(ends, x, side="left") - 1
+            return np.clip(idx, 0, self.n_elements - 1)
+        if not np.all(np.isfinite(points)):
+            raise InvalidArgumentError("point outside mesh in locate_elements")
+        n_el = self.n_elements
+        pts = self.coords[self.elements]
+
+        # Bucket grid. The tolerance set of a triangle is the triangle
+        # scaled by 1 + 3*tol about its centroid, which reaches at most
+        # 2*tol*diameter < 3*tol*(largest box side) beyond it, so padding
+        # each box by 4*tol*(largest box side) plus a rounding allowance
+        # keeps every point an element accepts inside its padded box.
+        lo_xy, hi_xy = pts.min(axis=1), pts.max(axis=1)
+        origin = self.coords.min(axis=0)
+        span = self.coords.max(axis=0) - origin
+        side = math.sqrt(span[0] * span[1] / n_el) or 1.0
+        n_b = np.clip(np.ceil(span / side), 1, n_el).astype(int)
+        scale = n_b / np.where(span > 0, span, 1.0)
+
+        def bucket_xy(xy):
+            return np.clip(np.floor((xy - origin) * scale), 0, n_b - 1).astype(int)
+
+        pad = 4 * tol * (hi_xy - lo_xy).max() + 1e-12 * np.abs(self.coords).max()
+        lo = bucket_xy(lo_xy - pad)
+        ext = bucket_xy(hi_xy + pad) - lo + 1
+        count = ext[:, 0] * ext[:, 1]
+        member = np.repeat(np.arange(n_el), count)
+        k = _offsets_within(count)
+        ix = lo[member, 0] + k % ext[member, 0]
+        iy = lo[member, 1] + k // ext[member, 0]
+        bucket = ix * n_b[1] + iy
+        order = np.argsort(bucket)
+        member = member[order]
+        start = np.searchsorted(bucket[order], np.arange(n_b[0] * n_b[1] + 1))
+
+        # Candidate (point, element) pairs from each point's bucket.
+        q = bucket_xy(points)
+        q = q[:, 0] * n_b[1] + q[:, 1]
+        n_cand = start[q + 1] - start[q]
+        pi = np.repeat(np.arange(points.shape[0]), n_cand)
+        ei = member[np.repeat(start[q], n_cand) + _offsets_within(n_cand)]
+
+        # Barycentric coordinates with the operations, in order, of the
+        # element-by-element reference loop in tests/test_mesh.py, so l1
+        # and l2 are bit-equal to it.
+        ab = pts[:, 1] - pts[:, 0]
+        ac = pts[:, 2] - pts[:, 0]
+        det = (ab[:, 0] * ac[:, 1] - ac[:, 0] * ab[:, 1])[ei]
+        ab, ac = ab[ei], ac[ei]
+        rel = points[pi] - pts[ei, 0]
+        l1 = (ac[:, 1] * rel[:, 0] - ac[:, 0] * rel[:, 1]) / det
+        l2 = (-ab[:, 1] * rel[:, 0] + ab[:, 0] * rel[:, 1]) / det
+        inside = (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1 + tol)
+        out = np.full(points.shape[0], n_el)
+        np.minimum.at(out, pi[inside], ei[inside])
+        if np.any(out == n_el):
             raise InvalidArgumentError("point outside mesh in locate_elements")
         return out
+
+
+def _offsets_within(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each c in ``counts``, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def build_interval_mesh(
@@ -182,16 +243,21 @@ def build_rect_mesh(
     ys = np.tile(np.arange(ny + 1) * dy, nx + 1)
     coords = np.column_stack([xs, ys])
 
-    elements = []
+    # Per cell (ix, iy), in lexicographic order: the lower-right triangle
+    # (ll, lr, ur), then the upper-left one (ll, ur, ul), both CCW.
+    ll = nid(*np.divmod(np.arange(nx * ny), ny))
+    lr, ul = ll + ny + 1, ll + 1
+    ur = lr + 1
+    elements = np.column_stack([ll, lr, ur, ll, ur, ul]).reshape(-1, 3)
+
     facets = []
     for ix in range(nx):
-        for iy in range(ny):
+        rows = range(ny) if ix in (0, nx - 1) else sorted({0, ny - 1})
+        for iy in rows:
             ll, lr = nid(ix, iy), nid(ix + 1, iy)
             ul, ur = nid(ix, iy + 1), nid(ix + 1, iy + 1)
-            lower = len(elements)
-            elements.append((ll, lr, ur))  # lower-right triangle, CCW
-            upper = len(elements)
-            elements.append((ll, ur, ul))  # upper-left triangle, CCW
+            lower = 2 * (ix * ny + iy)
+            upper = lower + 1
             if iy == 0:
                 facets.append(Facet((ll, lr), lower, side_tags["bottom"]))
             if ix == nx - 1:
@@ -202,4 +268,4 @@ def build_rect_mesh(
                 facets.append(Facet((ul, ll), upper, side_tags["left"]))
 
     h = math.hypot(dx, dy)
-    return Mesh(2, coords, np.array(elements, dtype=int), tuple(facets), h=h)
+    return Mesh(2, coords, elements, tuple(facets), h=h)

@@ -26,9 +26,15 @@ from helmprec.bounds import (
     norm_equivalence_report,
     remesh_problem,
 )
-from helmprec.coeffs import Role, absorption_shift, constant_field, piecewise_field
-from helmprec.errors import InvalidArgumentError, InvalidPairError
-from helmprec.mesh import build_interval_mesh
+from helmprec.coeffs import (
+    CoefficientField,
+    Role,
+    absorption_shift,
+    constant_field,
+    piecewise_field,
+)
+from helmprec.errors import InvalidArgumentError, InvalidCoefficientError, InvalidPairError
+from helmprec.mesh import build_interval_mesh, build_rect_mesh
 from helmprec.numerics import gram_factor, weighted_operator_norm
 from helmprec.assemble import ProblemSpec
 
@@ -85,6 +91,28 @@ def test_garding_constants_for_fields():
     assert (g2.c_g1, g2.c_g2) == (2.0, 5.0)
     rep = garding_check(assemble_system(spec2), g2, n_samples=300)
     assert rep.violations == 0
+
+
+def test_garding_constants_for_matrix_mu():
+    """Rotated anisotropic Re(mu^-1): the element-by-element minimum eigenvalue."""
+    mesh = build_rect_mesh(1, 1, 20, 20, IMP)
+    theta = np.pi * mesh.element_centroids().sum(axis=1)
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    scales = 1.0 + 0.5 * mesh.element_centroids()[:, 0]
+    diag = np.zeros((mesh.n_elements, 2, 2))
+    diag[:, 0, 0], diag[:, 1, 1] = scales, 0.1 * scales
+    values = rot @ diag @ np.swapaxes(rot, 1, 2)
+    values = 0.5 * (values + np.swapaxes(values, 1, 2)) * (1 + 0.2j)
+    loop_min = min(float(np.linalg.eigvalsh(v.real).min()) for v in values)
+    mu = CoefficientField(mesh, values, Role.MU_INV)
+    spec = ProblemSpec(5.0, mesh, mu, constant_field(mesh, 1.0, Role.EPS), 1.0)
+    assert garding_constants_for(spec) == GardingConstants(loop_min, loop_min + 1.0)
+
+    bad = values.copy()
+    bad[137] = np.diag([1.0, -0.25])
+    with pytest.raises(InvalidCoefficientError, match="min -0.25"):
+        CoefficientField(mesh, bad, Role.MU_INV)
 
 
 def test_singular_pair_report():
