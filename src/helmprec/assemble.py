@@ -28,15 +28,27 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .coeffs import CoefficientField, Role
+from .coeffs import AbsorptionSpec, CoefficientField, Role, absorption_shift
 from .errors import (
     DegenerateSystemError,
     InvalidArgumentError,
     InvalidSystemError,
     NotPositiveDefiniteError,
+    SingularSystemError,
 )
 from .mesh import BoundaryTag, Mesh
-from .numerics import GramFactor, LUFactor, gram_factor, lu_factor
+from .numerics import (
+    DEFAULT_SEED,
+    SINGULAR_INF_SUP,
+    GramFactor,
+    InfSupReport,
+    LUFactor,
+    MassExtremes,
+    discrete_inf_sup,
+    gram_factor,
+    lu_factor,
+    mass_extremes,
+)
 
 _HERMITIAN_RTOL = 1e-12
 
@@ -88,12 +100,19 @@ class ProblemSpec:
     def with_eps(self, eps: CoefficientField) -> "ProblemSpec":
         return ProblemSpec(self.k, self.mesh, self.mu_inv, eps, self.theta)
 
+    def with_absorption(self, alpha: AbsorptionSpec | float) -> "ProblemSpec":
+        """The absorption perturbation eps -> (1 + i*alpha) eps."""
+        return self.with_eps(absorption_shift(self.eps, alpha))
 
-class _NormFactors:
-    """Gram factors of the norm matrices D and M, computed on first use.
 
-    A system owns the factors of its matrices, so every quantity computed
-    from one system shares them, and they live as long as the system.
+class _SystemQuantities:
+    """Factors of a system's matrices and the quantities derived from them.
+
+    A system owns the factors of its matrices, computed on first use, so
+    every quantity computed from one system shares them, and they live as
+    long as the system. The derived quantities are cached per seed: the
+    discrete inf-sup report of each system matrix (through the Gram factor
+    of D) and the mass-matrix extremes (through the Gram factor of M).
     """
 
     @cached_property
@@ -104,9 +123,41 @@ class _NormFactors:
     def gram_m(self) -> GramFactor:
         return gram_factor(self.M)
 
+    @cached_property
+    def _derived(self) -> dict:
+        return {}
+
+    def share_norm_factors(self, other: "_SystemQuantities") -> None:
+        """Use the Gram factors of ``other``, whose D and M the caller has
+        checked to equal this system's; factors already owned are kept."""
+        if other is not self:
+            self.__dict__.setdefault("gram_d", other.gram_d)
+            self.__dict__.setdefault("gram_m", other.gram_m)
+
+    def inf_sup(self, position: int = 1, seed: int = DEFAULT_SEED) -> InfSupReport:
+        """Discrete inf-sup report of the system matrix in ``position``
+        (a singular matrix is reported, not raised), cached per factor."""
+        try:
+            lu = self.lu_at(position)
+        except SingularSystemError:
+            return SINGULAR_INF_SUP
+        key = ("inf_sup", lu, seed)
+        if key not in self._derived:
+            self._derived[key] = discrete_inf_sup(lu, self.gram_d, seed=seed)
+        return self._derived[key]
+
+    def mass_extremes(self, seed: int = DEFAULT_SEED) -> MassExtremes:
+        """Extreme eigenvalues of M, through this system's Gram factor of M."""
+        key = ("mass_extremes", seed)
+        if key not in self._derived:
+            # the numerics function: the method's name shadows it only as
+            # an attribute, and the module-level name is looked up per call
+            self._derived[key] = mass_extremes(self.gram_m, seed=seed)
+        return self._derived[key]
+
 
 @dataclass(frozen=True, eq=False)
-class GalerkinSystem(_NormFactors):
+class GalerkinSystem(_SystemQuantities):
     """Assembled matrices of one problem, restricted to free dofs."""
 
     n: int
@@ -124,9 +175,13 @@ class GalerkinSystem(_NormFactors):
         """LU factors of A, computed on first use."""
         return lu_factor(self.A)
 
+    def lu_at(self, position: int = 1) -> LUFactor:
+        """The LU factors of A: the one system matrix fills every position."""
+        return self.lu
+
 
 @dataclass(frozen=True, eq=False)
-class ExternalSystem(_NormFactors):
+class ExternalSystem(_SystemQuantities):
     """A pair of systems supplied as matrices (e.g. from another code).
 
     Carries both Galerkin matrices of a nearby pair plus the shared
@@ -149,6 +204,10 @@ class ExternalSystem(_NormFactors):
     @cached_property
     def lu2(self) -> LUFactor:
         return lu_factor(self.A2)
+
+    def lu_at(self, position: int) -> LUFactor:
+        """LU factors of A1 (position 1) or A2 (position 2)."""
+        return self.lu1 if position == 1 else self.lu2
 
 
 def _free_nodes(mesh: Mesh) -> np.ndarray:

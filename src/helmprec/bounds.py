@@ -18,6 +18,16 @@ the unperturbed problem only. Reports evaluate both sides of every
 inequality with a multiplicative slack absorbing the norm-estimation
 tolerance and carry pass/fail margins.
 
+A system owns its factors and caches, per seed, its discrete inf-sup
+report and its mass-matrix extremes, so each command computes C_dis_1,
+C_dis_2 and m+/m- once; the second system of a pair shares the first's
+Gram factors of D and M. Helmholtz Galerkin matrices are complex
+symmetric, and when A1 and A2 both are (||A - A^T|| <= 1e-14 ||A|| in
+the largest entry) the right-hand operator I - A1 A2^{-1} is the
+transpose of the left-hand one, so by the twin identities of
+:mod:`helmprec.numerics` ||I - A1 A2^{-1}||_{D^{-1}} = ||I - A2^{-1} A1||_D
+and the two Euclidean norms agree: only the left-hand side is estimated.
+
 Note the smallness-condition checks use the measured discrete constant
 C_dis_1 as a stand-in for its continuous counterpart; the refinement
 ladder (:func:`infsup_ladder`) is the empirical instrument for that
@@ -40,20 +50,12 @@ from .assemble import (
     ProblemSpec,
     assemble_system,
 )
-from .coeffs import (
-    AbsorptionSpec,
-    absorption_shift,
-    field_diff_sup_norm,
-    resample_field,
-)
+from .coeffs import AbsorptionSpec, field_diff_sup_norm, resample_field
 from .errors import InvalidArgumentError, InvalidPairError, SingularSystemError
 from .mesh import BoundaryTag, build_interval_mesh, build_rect_mesh
 from .numerics import (
-    SINGULAR_INF_SUP,
-    InfSupReport,
     LUFactor,
     discrete_inf_sup,
-    mass_extremes,
     solution_operator_norms,
     weighted_operator_norm,
 )
@@ -274,24 +276,6 @@ def _system_view(s: AnySystem, position: int):
     raise InvalidArgumentError(f"unsupported system type {type(s).__name__}")
 
 
-def _lu_of(s: AnySystem, position: int) -> LUFactor:
-    """LU factors of the system matrix in ``position``, owned by the system."""
-    if isinstance(s, GalerkinSystem):
-        return s.lu
-    if isinstance(s, ExternalSystem):
-        return s.lu1 if position == 1 else s.lu2
-    raise InvalidArgumentError(f"unsupported system type {type(s).__name__}")
-
-
-def _inf_sup(s: AnySystem, position: int, gram, seed: int) -> InfSupReport:
-    """:func:`discrete_inf_sup` over the system's own factors (singular: reported)."""
-    try:
-        lu = _lu_of(s, position)
-    except SingularSystemError:
-        return SINGULAR_INF_SUP
-    return discrete_inf_sup(lu, gram, seed=seed)
-
-
 def _matrices_match(X, Y) -> bool:
     if X.shape != Y.shape:
         return False
@@ -300,6 +284,12 @@ def _matrices_match(X, Y) -> bool:
         return True
     scale = max(abs(X).max(), abs(Y).max(), 1e-300)
     return diff.max() <= 1e-12 * scale
+
+
+def _symmetric(A) -> bool:
+    """A^T = A up to 1e-14 relative in the largest entry."""
+    diff = abs(A - A.T)
+    return diff.nnz == 0 or diff.max() <= 1e-14 * abs(A).max()
 
 
 def _difference_operators(A1, A2, lu2: LUFactor):
@@ -377,11 +367,12 @@ def nearby_bound_report(
         if h is None:
             h = sys1.spec.mesh.h
 
+    sys2.share_norm_factors(sys1)
     G = sys1.gram_d
     # before A2 is factored: the transient shifted-mass factor inside
     # mass_extremes is then freed before A2's complex LU factors exist
-    me = mass_extremes(sys1.gram_m, seed=seed)
-    inf2 = _inf_sup(sys2, 2, G, seed)
+    me = sys1.mass_extremes(seed)
+    inf2 = sys2.inf_sup(2, seed)
     nan = math.nan
     if inf2.singular:
         return BoundReport(
@@ -390,16 +381,20 @@ def nearby_bound_report(
             rhs_lemma=math.inf, rhs_lemma2=None, cond=nan, checks=(),
             singular=True, k=k, h=h, alpha=alpha,
         )
-    inf1 = _inf_sup(sys1, 1, G, seed)
-    op_left, op_right, zero_pair = _difference_operators(A1, A2, _lu_of(sys2, 2))
+    inf1 = sys1.inf_sup(1, seed)
+    op_left, op_right, zero_pair = _difference_operators(A1, A2, sys2.lu_at(2))
 
     if zero_pair:
         lhs_D = lhs_Dinv = lhs_2 = lhs_2p = 0.0
     else:
         lhs_D = weighted_operator_norm(op_left, G, "D", seed=seed)
-        lhs_Dinv = weighted_operator_norm(op_right, G, "D_inv", seed=seed)
         lhs_2 = weighted_operator_norm(op_left, None, "euclid", seed=seed)
-        lhs_2p = weighted_operator_norm(op_right, None, "euclid", seed=seed)
+        if _symmetric(A1) and _symmetric(A2):
+            # op_right is the transpose of op_left: the twin identities
+            lhs_Dinv, lhs_2p = lhs_D, lhs_2
+        else:
+            lhs_Dinv = weighted_operator_norm(op_right, G, "D_inv", seed=seed)
+            lhs_2p = weighted_operator_norm(op_right, None, "euclid", seed=seed)
 
     rhs_lemma = (dmu + deps) * inf2.c_dis
     rhs_lemma2 = me.ratio * deps * inf2.c_dis if dmu == 0.0 else None
@@ -436,13 +431,9 @@ def absorption_report(
     seed: int = 0,
 ) -> BoundReport:
     """Bound report for the absorption perturbation eps -> (1 + i*alpha) eps."""
-    if not isinstance(alpha, AbsorptionSpec):
-        alpha = AbsorptionSpec(float(alpha))
-    eps2 = absorption_shift(sys1.spec.eps, alpha)
-    sys2 = assemble_system(sys1.spec.with_eps(eps2))
-    return nearby_bound_report(
-        sys1, sys2, slack=slack, seed=seed, alpha=alpha.alpha
-    )
+    a = alpha.alpha if isinstance(alpha, AbsorptionSpec) else float(alpha)
+    sys2 = assemble_system(sys1.spec.with_absorption(a))
+    return nearby_bound_report(sys1, sys2, slack=slack, seed=seed, alpha=a)
 
 
 def norm_equivalence_report(
@@ -459,33 +450,33 @@ def norm_equivalence_report(
         h0_to_h0 <= h0_to_h <= C_g1^{-1/2} h0_to_h0 sqrt(C_g2 + 1/h0_to_h0),
 
     and the inf-sup constant is bounded below through the same argument,
-    gamma >= 1 / ((1/C_g1)(1 + C_g2 * h0_to_h)). The report also checks
-    that the two independent routes to the solution-operator norm (the
-    inf-sup reciprocal and the conjugated-matrix norm) agree.
+    gamma >= 1 / ((1/C_g1)(1 + C_g2 * h0_to_h)). hstar_to_h is the
+    system's cached C_dis (the same pencil), so the ``two_routes`` check,
+    their difference, is zero by construction; it is kept for the
+    report's format.
     """
-    lu, G = _lu_of(sys, 1), sys.gram_d
-    trio = solution_operator_norms(lu, G, sys.gram_m, seed=seed)
-    rep = discrete_inf_sup(lu, G, seed=seed)
+    rep = sys.inf_sup(1, seed)
     if rep.singular:
         raise SingularSystemError("system matrix is singular")
+    duo = solution_operator_norms(sys.lu_at(1), sys.gram_d, sys.gram_m, seed=seed)
+    hstar_to_h = rep.c_dis
     cg1, cg2 = constants.c_g1, constants.c_g2
-    upper1 = (1.0 / cg1) * (1.0 + cg2 * trio.h0_to_h)
-    upper2 = trio.h0_to_h0 * math.sqrt(cg2 + 1.0 / trio.h0_to_h0) / math.sqrt(cg1)
+    upper1 = (1.0 / cg1) * (1.0 + cg2 * duo.h0_to_h)
+    upper2 = duo.h0_to_h0 * math.sqrt(cg2 + 1.0 / duo.h0_to_h0) / math.sqrt(cg1)
     gamma_lower = 1.0 / upper1
-    route_diff = abs(rep.c_dis - trio.hstar_to_h)
     checks = (
-        _make_check("chain1_lower", trio.h0_to_h, trio.hstar_to_h, slack),
-        _make_check("chain1_upper", trio.hstar_to_h, upper1, slack),
-        _make_check("chain2_lower", trio.h0_to_h0, trio.h0_to_h, slack),
-        _make_check("chain2_upper", trio.h0_to_h, upper2, slack),
+        _make_check("chain1_lower", duo.h0_to_h, hstar_to_h, slack),
+        _make_check("chain1_upper", hstar_to_h, upper1, slack),
+        _make_check("chain2_lower", duo.h0_to_h0, duo.h0_to_h, slack),
+        _make_check("chain2_upper", duo.h0_to_h, upper2, slack),
         _make_lower_check("infsup_lower", rep.gamma, gamma_lower, slack),
-        _make_check("two_routes", route_diff, 1e-8 * trio.hstar_to_h, 0.0),
+        _make_check("two_routes", 0.0, 1e-8 * hstar_to_h, 0.0),
     )
     return NormEquivalenceReport(
         constants=constants,
-        hstar_to_h=trio.hstar_to_h,
-        h0_to_h=trio.h0_to_h,
-        h0_to_h0=trio.h0_to_h0,
+        hstar_to_h=hstar_to_h,
+        h0_to_h=duo.h0_to_h,
+        h0_to_h0=duo.h0_to_h0,
         gamma=rep.gamma,
         c_dis=rep.c_dis,
         checks=checks,

@@ -33,7 +33,7 @@ from .bounds import (
     nearby_bound_report,
     norm_equivalence_report,
 )
-from .coeffs import Role, absorption_shift, field_diff_sup_norm
+from .coeffs import Role, field_diff_sup_norm
 from .errors import HelmprecError
 from .solvers import fixed_point, gmres
 
@@ -67,27 +67,26 @@ def _add_report_checks(result: ScenarioResult, prefix: str, checks):
         result.add(f"{prefix}.{c.name}", c.passed, c.margin)
 
 
-def _build_pair(cfg: hio.ExperimentConfig, k: float, mesh=None, alpha=None):
-    """Assemble the (sys1, sys2) pair a config's perturbation describes."""
-    spec1 = hio.build_problem(cfg, k=k, mesh=mesh)
-    sys1 = assemble_system(spec1)
-    pert = cfg.perturbation
+def _prologue(config_path: str, out_dir, seed, tol_scale: float):
+    """(config, output directory, seed, slack) of a config command."""
+    cfg = hio.load_config(config_path)
+    out = out_dir or cfg.output_dir
+    os.makedirs(out, exist_ok=True)
+    return cfg, out, cfg.seed if seed is None else seed, DEFAULT_SLACK * tol_scale
+
+
+def _perturbed(cfg: hio.ExperimentConfig, sys1, alpha=None):
+    """(sys2, absorption or None): the perturbed system of the config's pair."""
+    pert, spec1 = cfg.perturbation, sys1.spec
     if pert["mode"] == "absorption":
         a = pert["alpha"] if alpha is None else alpha
-        sys2 = assemble_system(spec1.with_eps(absorption_shift(spec1.eps, a)))
-        return sys1, sys2, a
-    mu2 = (
-        hio.field_from_rule(spec1.mesh, pert["mu_inv"], Role.MU_INV, k)
-        if pert["mu_inv"] is not None
-        else spec1.mu_inv
-    )
-    eps2 = (
-        hio.field_from_rule(spec1.mesh, pert["eps"], Role.EPS, k)
-        if pert["eps"] is not None
-        else spec1.eps
-    )
-    spec2 = ProblemSpec(k, spec1.mesh, mu2, eps2, spec1.theta)
-    return sys1, assemble_system(spec2), None
+        return assemble_system(spec1.with_absorption(a)), a
+    fields = [
+        getattr(spec1, key) if pert[key] is None
+        else hio.field_from_rule(spec1.mesh, pert[key], role, spec1.k)
+        for key, role in (("mu_inv", Role.MU_INV), ("eps", Role.EPS))
+    ]
+    return assemble_system(ProblemSpec(spec1.k, spec1.mesh, *fields, spec1.theta)), None
 
 
 def cmd_verify(
@@ -97,14 +96,11 @@ def cmd_verify(
     tol_scale: float = 1.0,
 ) -> ScenarioResult:
     """Run the full bound-verification scenario of one config."""
-    cfg = hio.load_config(config_path)
-    out = out_dir or cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    seed = cfg.seed if seed is None else seed
-    slack = DEFAULT_SLACK * tol_scale
+    cfg, out, seed, slack = _prologue(config_path, out_dir, seed, tol_scale)
     result = ScenarioResult()
 
-    sys1, sys2, alpha = _build_pair(cfg, cfg.problem["k"])
+    sys1 = assemble_system(hio.build_problem(cfg))
+    sys2, alpha = _perturbed(cfg, sys1)
     if cfg.problem.get("garding") is not None:
         constants = GardingConstants(**cfg.problem["garding"])
     else:
@@ -144,12 +140,14 @@ def cmd_verify(
     return result
 
 
-def _sweep_point(cfg, k, alpha, slack, seed):
+def _sweep_point(cfg, sys1, k, alpha, slack, seed):
+    """One (k, alpha) row; ``sys1`` is k's system or the error building it raised."""
     row = {c: None for c in SWEEP_COLUMNS}
     row.update({"k": k, "alpha": alpha, "error": ""})
     try:
-        mesh = hio.build_mesh(dict(cfg.problem, resolution=cfg.sweep["resolution"]), k)
-        sys1, sys2, alpha = _build_pair(cfg, k, mesh=mesh, alpha=alpha)
+        if isinstance(sys1, HelmprecError):
+            raise sys1
+        sys2, alpha = _perturbed(cfg, sys1, alpha)
         rep = nearby_bound_report(sys1, sys2, slack=slack, seed=seed, alpha=alpha)
         row.update(hio.bound_report_row(rep))
         if rep.singular:
@@ -177,17 +175,22 @@ def cmd_sweep(
     seed: int | None = None,
     tol_scale: float = 1.0,
 ) -> ScenarioResult:
-    """Evaluate the config's (k, alpha) grid; one CSV row per point."""
-    cfg = hio.load_config(config_path)
-    out = out_dir or cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    seed = cfg.seed if seed is None else seed
-    slack = DEFAULT_SLACK * tol_scale
+    """Evaluate the config's (k, alpha) grid; one CSV row per point. Each k's
+    first system, with its factors, C_dis and mass extremes, serves every alpha."""
+    cfg, out, seed, slack = _prologue(config_path, out_dir, seed, tol_scale)
     result = ScenarioResult()
 
     alphas = cfg.sweep["alpha_values"] if cfg.perturbation["mode"] == "absorption" else [None]
     grid = [(k, a) for k in cfg.sweep["k_values"] for a in alphas]
-    rows = [_sweep_point(cfg, k, a, slack, seed) for k, a in grid]
+    rows = []
+    for k in cfg.sweep["k_values"]:
+        try:
+            mesh = hio.build_mesh(dict(cfg.problem, resolution=cfg.sweep["resolution"]), k)
+            sys1 = assemble_system(hio.build_problem(cfg, k=k, mesh=mesh))
+        except HelmprecError as exc:
+            sys1 = exc
+        rows += [_sweep_point(cfg, sys1, k, a, slack, seed) for a in alphas]
+    del sys1  # the last k's factors must not stay alive through the ladder
 
     sweep_path = os.path.join(out, "sweep.csv")
     hio.write_csv(sweep_path, SWEEP_COLUMNS, rows)
@@ -234,9 +237,9 @@ def cmd_export(
     tol_scale: float = 1.0,
 ) -> ScenarioResult:
     """Assemble the config's pair and write it as matrix exchange files."""
-    cfg = hio.load_config(config_path)
-    out = out_dir or cfg.output_dir
-    sys1, sys2, _ = _build_pair(cfg, cfg.problem["k"])
+    cfg, out, _, _ = _prologue(config_path, out_dir, seed, tol_scale)
+    sys1 = assemble_system(hio.build_problem(cfg))
+    sys2, _ = _perturbed(cfg, sys1)
     dmu = field_diff_sup_norm(sys1.spec.mu_inv, sys2.spec.mu_inv)
     deps = field_diff_sup_norm(sys1.spec.eps, sys2.spec.eps)
     ext = pair_as_external(sys1, sys2, dmu=dmu, deps=deps)

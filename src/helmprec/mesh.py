@@ -106,7 +106,8 @@ class Mesh:
         ``l1 + l2 <= 1 + tol``. A point in several elements (on a shared
         node or edge) gets the lowest of their indices.
 
-        1D looks the points up in the sorted node coordinates. 2D sorts
+        1D looks the points up among the elements sorted by their left
+        end points (elements may be numbered in any order). 2D sorts
         the elements into a uniform grid of about ``n_elements`` square
         buckets over the bounding box, each element registered in every
         bucket its tolerance-padded bounding box overlaps, and tests each
@@ -119,12 +120,20 @@ class Mesh:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         tol = 1e-12 * max(self.h, 1.0)
         if self.dimension == 1:
-            ends = np.unique(self.coords[:, 0])
+            ends = np.sort(self.coords[self.elements, 0], axis=1)
+            order = np.argsort(ends[:, 0], kind="stable")
+            lo, hi = ends[order, 0], ends[order, 1]
             x = points[:, 0]
-            if not np.all((x >= ends[0] - tol) & (x <= ends[-1] + tol)):
+            # the last element (by left end) starting at or before x, and
+            # the one before it, which contains x when x is on their node
+            j = np.searchsorted(lo, x + tol, side="right") - 1
+            found = np.full(x.shape, self.n_elements)
+            for c in (j, j - 1):
+                ok = (c >= 0) & (x <= hi[np.maximum(c, 0)] + tol)
+                found[ok] = np.minimum(found[ok], order[c[ok]])
+            if np.any(found == self.n_elements):
                 raise InvalidArgumentError("point outside mesh in locate_elements")
-            idx = np.searchsorted(ends, x, side="left") - 1
-            return np.clip(idx, 0, self.n_elements - 1)
+            return found
         if not np.all(np.isfinite(points)):
             raise InvalidArgumentError("point outside mesh in locate_elements")
         n_el = self.n_elements

@@ -11,6 +11,14 @@ matrix and M = R R* the mass matrix:
     ||A^{-1}||_{0->H}  = ||L* A^{-1} R||_2
     ||A^{-1}||_{0->0}  = ||R* A^{-1} R||_2
 
+For real symmetric D, transposition keeps singular values, and
+L^{-1} C^T L = (L^T C L^{-T})^T, so ||C^T||_{D^{-1}} = ||C||_D; also
+||C^T||_2 = ||C||_2. :mod:`helmprec.bounds` uses these twin identities
+to estimate one norm of each pair when both system matrices pass the
+symmetry test ||A - A^T|| <= 1e-14 ||A|| (largest entries). The systems
+of :mod:`helmprec.assemble` cache, per seed, the results of
+:func:`discrete_inf_sup` and :func:`mass_extremes` next to their factors.
+
 Each sigma_max is the top eigenvalue of a Hermitian pencil (X, B) with
 X PSD and B PD, computed by Krylov iteration on B^{-1} X. That map is
 self-adjoint in the B inner product, so the Ritz value comes with a
@@ -230,9 +238,9 @@ SINGULAR_INF_SUP = InfSupReport(
 
 @dataclass(frozen=True)
 class SolutionOperatorNorms:
-    """The three discrete solution-operator norms (dual->H, L2->H, L2->L2)."""
+    """The M-weighted solution-operator norms (L2->H, L2->L2); the third,
+    dual->H, is the C_dis of :class:`InfSupReport`."""
 
-    hstar_to_h: float
     h0_to_h: float
     h0_to_h0: float
 
@@ -469,11 +477,12 @@ def solution_operator_norms(
     max_it: int = DEFAULT_MAXIT,
     seed: int = DEFAULT_SEED,
 ) -> SolutionOperatorNorms:
-    """The three discrete solution-operator norms of A^{-1}.
+    """The two M-weighted discrete solution-operator norms of A^{-1}.
 
-    ||L* A^{-1} L||_2, ||L* A^{-1} R||_2 and ||R* A^{-1} R||_2 for
-    D = L L^T and M = R R^T; ``A`` may be a matrix or its
-    :class:`LUFactor`. Raises on singular A.
+    ||L* A^{-1} R||_2 and ||R* A^{-1} R||_2 for D = L L^T and M = R R^T;
+    ``A`` may be a matrix or its :class:`LUFactor`. The third norm of the
+    chain, ||L* A^{-1} L||_2, is C_dis of :func:`discrete_inf_sup` (the
+    same pencil). Raises on singular A.
     """
     lu = lu_factor(A)
     n = lu.n
@@ -483,10 +492,6 @@ def solution_operator_norms(
     def z_apply(metric_mid):
         return lambda v: lu.solve(metric_mid(lu.solve(v)), trans="H")
 
-    # ||L* A^{-1} L||^2 = lambda_max(A^{-*} D A^{-1}, D^{-1})
-    lam_hstar, _, _ = _pencil_lambda_max(
-        z_apply(gram_d.apply), gram_d.solve, gram_d.apply, n, tol, max_it, seed
-    )
     # ||L* A^{-1} R||^2 = lambda_max(A^{-*} D A^{-1}, M^{-1})
     lam_h0h, _, _ = _pencil_lambda_max(
         z_apply(gram_d.apply), gram_m.solve, gram_m.apply, n, tol, max_it, seed
@@ -496,7 +501,5 @@ def solution_operator_norms(
         z_apply(gram_m.apply), gram_m.solve, gram_m.apply, n, tol, max_it, seed
     )
     return SolutionOperatorNorms(
-        hstar_to_h=math.sqrt(lam_hstar),
-        h0_to_h=math.sqrt(lam_h0h),
-        h0_to_h0=math.sqrt(lam_h0h0),
+        h0_to_h=math.sqrt(lam_h0h), h0_to_h0=math.sqrt(lam_h0h0)
     )

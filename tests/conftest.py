@@ -4,6 +4,8 @@ The oracle helpers use dense scipy.linalg factorizations only, so they
 stay independent of the package's sparse/iterative code paths.
 """
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -108,4 +110,25 @@ def splu_calls(monkeypatch):
         return splu(A, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting_splu)
+    return calls
+
+
+@pytest.fixture
+def pencil_calls(monkeypatch):
+    """Dimension of every eigensolve (``numerics._pencil_lambda_max`` call),
+    in call order, counted through every helmprec module that binds it."""
+    from helmprec import numerics
+
+    calls = []
+    pencil = numerics._pencil_lambda_max
+
+    def counting_pencil(*args, **kwargs):
+        calls.append(args[3])
+        return pencil(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "helmprec" or name.startswith("helmprec.")):
+            for attr, value in list(vars(mod).items()):
+                if value is pencil:
+                    monkeypatch.setattr(mod, attr, counting_pencil)
     return calls

@@ -10,11 +10,12 @@ from conftest import (
     IMP,
     canonical_1d,
     canonical_spec_1d,
+    canonical_spec_2d,
     oracle_infsup,
     oracle_weighted_norm,
 )
 
-from helmprec.assemble import assemble_system, pair_as_external
+from helmprec.assemble import ExternalSystem, assemble_system, pair_as_external
 from helmprec.bounds import (
     CANONICAL_GARDING,
     GardingConstants,
@@ -32,6 +33,7 @@ from helmprec.coeffs import (
     absorption_shift,
     constant_field,
     piecewise_field,
+    pml_profile_1d,
 )
 from helmprec.errors import InvalidArgumentError, InvalidCoefficientError, InvalidPairError
 from helmprec.mesh import build_interval_mesh, build_rect_mesh
@@ -348,3 +350,78 @@ def test_remesh_preserves_structure():
     assert np.array_equal(fine.mu_inv.values, np.where(x < 1.0, 2.0, 1.0))
     with pytest.raises(InvalidArgumentError):
         remesh_problem(spec, 7.0, 2.5)  # fewer than two elements
+
+
+def _absorption_pair(spec, alpha):
+    return assemble_system(spec), assemble_system(
+        spec.with_eps(absorption_shift(spec.eps, alpha)))
+
+
+def _pml_pair():
+    spec = canonical_spec_1d(10.0, 80)
+    mu, eps = pml_profile_1d(spec.mesh, 10.0, 0.7, 10.0)
+    return assemble_system(spec), assemble_system(
+        ProblemSpec(spec.k, spec.mesh, mu, eps, spec.theta))
+
+
+@pytest.mark.parametrize("make_pair", [
+    lambda: _absorption_pair(canonical_spec_1d(10.0, 60), 0.3),
+    lambda: _absorption_pair(canonical_spec_2d(6.0, 10, 10), 0.2),
+    _pml_pair,
+], ids=["1d", "2d", "pml"])
+def test_symmetric_twins_match_independent_estimates(make_pair):
+    """For complex symmetric A1, A2 the right-hand norms are copies of the
+    left-hand ones; an independent estimate of the right-hand operator
+    I - A1 A2^{-1} agrees."""
+    s1, s2 = make_pair()
+    rep = nearby_bound_report(s1, s2)
+    assert rep.lhs_Dinv == rep.lhs_D and rep.lhs_2p == rep.lhs_2
+    right = np.eye(s1.n) - s1.A.toarray() @ np.linalg.inv(s2.A.toarray())
+    g = gram_factor(s1.D)
+    assert rep.lhs_Dinv == pytest.approx(
+        weighted_operator_norm(right, g, "D_inv"), rel=1e-10)
+    assert rep.lhs_2p == pytest.approx(
+        weighted_operator_norm(right, None, "euclid"), rel=1e-10)
+
+
+def test_non_symmetric_pair_estimates_all_four_norms(pencil_calls):
+    """One asymmetric entry in A1: no twin identity, four norm eigensolves."""
+    spec = canonical_spec_1d(8.0, 40)
+    s1, s2 = _absorption_pair(spec, 0.2)
+    A1 = s1.A.tolil()
+    A1[3, 4] += 0.05
+    A1 = A1.tocsr()
+    ext = ExternalSystem(A1=A1, A2=s2.A, D=s1.D, M=s1.M, n=s1.n, dmu=0.0, deps=0.2)
+    rep = nearby_bound_report(ext, ext)
+    # 2 mass extremes, C_dis of A2 and of A1, 4 norm estimates
+    assert len(pencil_calls) == 2 + 2 + 4
+    A1d, A2d = A1.toarray(), s2.A.toarray()
+    left = np.eye(s1.n) - np.linalg.solve(A2d, A1d)
+    right = np.eye(s1.n) - A1d @ np.linalg.inv(A2d)
+    for value, C, mode in ((rep.lhs_D, left, "D"), (rep.lhs_Dinv, right, "D_inv"),
+                           (rep.lhs_2, left, "euclid"), (rep.lhs_2p, right, "euclid")):
+        assert value == pytest.approx(oracle_weighted_norm(C, s1.D, mode), rel=1e-8)
+    assert rep.lhs_Dinv != rep.lhs_D
+
+
+def test_pair_shares_factors_and_caches_derived(splu_calls, pencil_calls):
+    """C_dis_2 solves with sys1's factor of D, and C_dis, the mass extremes
+    and every factor are computed once per system and seed."""
+    s1, s2 = _absorption_pair(canonical_spec_1d(8.0, 60), 0.2)
+    rep = nearby_bound_report(s1, s2)
+    assert s2.gram_d is s1.gram_d and s2.gram_m is s1.gram_m
+    # D, M, sigma I - M, A2, A1
+    assert [dtype.kind for _, dtype in splu_calls] == ["f", "f", "f", "c", "c"]
+    assert len(pencil_calls) == 2 + 2 + 2
+    splu_calls.clear()
+    pencil_calls.clear()
+    again = nearby_bound_report(s1, s2)
+    assert splu_calls == [] and len(pencil_calls) == 2  # the norm estimates only
+    for field in ("c_dis1", "c_dis2", "mass_ratio", "lhs_D", "lhs_Dinv", "lhs_2"):
+        assert getattr(again, field) == getattr(rep, field), field
+    nrep = norm_equivalence_report(s1)
+    assert splu_calls == [] and len(pencil_calls) == 2 + 2  # two M-weighted norms
+    assert nrep.hstar_to_h == nrep.c_dis == rep.c_dis1
+    assert s1.inf_sup(1, 0) is s1.inf_sup(1, 0)
+    assert s1.inf_sup(1, 1) is not s1.inf_sup(1, 0)  # another seed: computed again
+    assert s1.inf_sup(1, 1).c_dis == pytest.approx(rep.c_dis1, rel=1e-9)

@@ -110,17 +110,31 @@ def _factor_kinds(splu_calls):
 
 
 def test_each_matrix_factored_once(tmp_path, splu_calls):
-    """verify and every sweep point factor D, M, A1 and A2 once each, plus
-    the transient shifted mass matrix sigma I - M of ``mass_extremes``."""
+    """verify factors D, M, A1 and A2 once each, plus the transient shifted
+    mass matrix sigma I - M of ``mass_extremes``; a sweep factors the first
+    four of them once per k and only A2 per (k, alpha) point."""
     path = write_cfg(tmp_path)
     assert cmd_verify(path, out_dir=str(tmp_path / "v")).exit_status == 0
     assert len(splu_calls) == 5
     assert _factor_kinds(splu_calls) == {"f": 3, "c": 2}
     splu_calls.clear()
     res = cmd_sweep(path, out_dir=str(tmp_path / "s"))
-    assert len(res.summaries) == 6
-    assert len(splu_calls) == 5 * 6
-    assert _factor_kinds(splu_calls) == {"f": 3 * 6, "c": 2 * 6}
+    assert len(res.summaries) == 6  # 2 k-values x 3 alphas
+    assert len(splu_calls) == 2 * (4 + 3)
+    assert _factor_kinds(splu_calls) == {"f": 2 * 3, "c": 2 * (1 + 3)}
+
+
+def test_eigensolves_per_command(tmp_path, pencil_calls):
+    """verify: 2 M-weighted solution norms, 1 C_dis per matrix, 2 mass
+    extremes and 2 norm estimates (one per symmetric twin pair). A sweep
+    computes C_dis_1 and the mass extremes once per k, and C_dis_2 and 2
+    norm estimates per point."""
+    path = write_cfg(tmp_path)
+    assert cmd_verify(path, out_dir=str(tmp_path / "v")).exit_status == 0
+    assert len(pencil_calls) == 8
+    pencil_calls.clear()
+    assert cmd_sweep(path, out_dir=str(tmp_path / "s")).exit_status == 0
+    assert len(pencil_calls) == 2 * (3 + 3 * 3)
 
 
 def test_import_factors_each_matrix_once(tmp_path, splu_calls):
@@ -218,3 +232,18 @@ def test_import_errors(tmp_path):
     write_matrix_mm(os.path.join(exch, "D.mtx"), bad, "hermitian")
     with pytest.raises(InvalidSystemError, match="D"):
         cmd_import(exch)
+
+
+def test_sweep_first_system_failure_fills_each_row_of_its_k(tmp_path):
+    """k's first system is built once; when that fails, every alpha of
+    that k gets the error row and the run continues."""
+    path = write_cfg(tmp_path, {
+        "problem": {"mu_inv": {"type": "step", "axis": 0, "threshold": 0.5,
+                               "below": [-1.0, 0.0], "above": [1.0, 0.0]}},
+        "sweep": {"alpha_values": [0.1, 0.2]},
+    })
+    res = cmd_sweep(path, out_dir=str(tmp_path / "sf"))
+    assert res.exit_status == 1
+    lines = open(res.paths["sweep"]).read().splitlines()
+    assert len(lines) == 1 + 2 * 2
+    assert all(l.endswith("InvalidCoefficientError") for l in lines[1:])

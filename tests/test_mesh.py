@@ -295,3 +295,23 @@ def test_locate_interval_ties_low_and_outside_raises():
     for bad in ([[-5.0]], [[7.0]], [[-2 * tol]], [[1 + 2 * tol]], [[np.nan]]):
         with pytest.raises(InvalidArgumentError):
             m.locate_elements(bad)
+
+
+def test_locate_interval_elements_in_any_order():
+    """1D elements are located by their own end points, not by the rank of
+    the sorted node coordinates."""
+    m = Mesh(1, np.array([[0.0], [0.5], [1.0]]), np.array([[1, 2], [0, 1]]), (), h=0.5)
+    assert m.locate_elements([[0.25], [0.75]]).tolist() == [1, 0]
+    assert m.locate_elements([[0.0], [0.5], [1.0]]).tolist() == [1, 0, 0]
+    # shuffled elements with reversed node order and shuffled nodes
+    rng = np.random.default_rng(3)
+    xs = np.sort(rng.uniform(0, 1, 9))
+    perm = rng.permutation(9)
+    coords = xs[perm].reshape(-1, 1)
+    node_of = np.argsort(perm)  # node index of the i-th smallest coordinate
+    elements = np.column_stack([node_of[1:], node_of[:-1]])[rng.permutation(8)]
+    m = Mesh(1, coords, elements, (), h=float(np.diff(xs).max()))
+    mids = coords[elements].mean(axis=1)
+    assert m.locate_elements(mids).tolist() == list(range(8))
+    with pytest.raises(InvalidArgumentError):
+        m.locate_elements([[xs[0] - 0.1]])

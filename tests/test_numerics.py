@@ -260,22 +260,23 @@ def test_solution_operator_norms_closed_forms():
     s = canonical_1d(5.0, 25)
     g = gram_factor(s.D)
     same = solution_operator_norms(s.D.astype(complex), g, g)
-    for v in (same.hstar_to_h, same.h0_to_h, same.h0_to_h0):
+    hstar = discrete_inf_sup(s.D.astype(complex), g).c_dis
+    for v in (hstar, same.h0_to_h, same.h0_to_h0):
         assert v == pytest.approx(1.0, rel=1e-10)
     quarter = gram_factor((s.D / 4).tocsr())
     scaled = solution_operator_norms(s.D.astype(complex), g, quarter)
-    assert scaled.hstar_to_h == pytest.approx(1.0, rel=1e-10)
     assert scaled.h0_to_h == pytest.approx(0.5, rel=1e-10)
     assert scaled.h0_to_h0 == pytest.approx(0.25, rel=1e-10)
 
 
 def test_solution_operator_norms_vs_dense():
     s = canonical_1d(5.0, 50)
-    trio = solution_operator_norms(s.A, gram_factor(s.D), gram_factor(s.M))
+    g = gram_factor(s.D)
+    duo = solution_operator_norms(s.A, g, gram_factor(s.M))
     o1, o2, o3 = oracle_solution_norms(s.A, s.D, s.M)
-    assert trio.hstar_to_h == pytest.approx(o1, rel=1e-8)
-    assert trio.h0_to_h == pytest.approx(o2, rel=1e-8)
-    assert trio.h0_to_h0 == pytest.approx(o3, rel=1e-8)
+    assert discrete_inf_sup(s.A, g).c_dis == pytest.approx(o1, rel=1e-8)
+    assert duo.h0_to_h == pytest.approx(o2, rel=1e-8)
+    assert duo.h0_to_h0 == pytest.approx(o3, rel=1e-8)
 
 
 def test_solution_operator_norms_singular_raises():
@@ -290,14 +291,15 @@ def test_solution_operator_norms_singular_raises():
 def test_norm_chains_and_route_agreement(k, n):
     s = canonical_1d(float(k), n)
     g, r = gram_factor(s.D), gram_factor(s.M)
-    trio = solution_operator_norms(s.A, g, r)
-    slack = 1e-10 * trio.hstar_to_h
-    assert trio.h0_to_h <= trio.hstar_to_h + slack
-    assert trio.hstar_to_h <= 1 + 2 * trio.h0_to_h + slack
-    assert trio.h0_to_h0 <= trio.h0_to_h + slack
-    assert trio.h0_to_h <= trio.h0_to_h0 * np.sqrt(2 + 1 / trio.h0_to_h0) + slack
-    rep = discrete_inf_sup(s.A, g)
-    assert rep.c_dis == pytest.approx(trio.hstar_to_h, rel=1e-8)
+    duo = solution_operator_norms(s.A, g, r)
+    hstar = discrete_inf_sup(s.A, g).c_dis
+    slack = 1e-10 * hstar
+    assert duo.h0_to_h <= hstar + slack
+    assert hstar <= 1 + 2 * duo.h0_to_h + slack
+    assert duo.h0_to_h0 <= duo.h0_to_h + slack
+    assert duo.h0_to_h <= duo.h0_to_h0 * np.sqrt(2 + 1 / duo.h0_to_h0) + slack
+    # the iterative C_dis against the dense inf-sup route
+    assert hstar == pytest.approx(1.0 / oracle_infsup(s.A, s.D), rel=1e-8)
 
 
 def test_l2_embedding_contraction():
