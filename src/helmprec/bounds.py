@@ -451,7 +451,7 @@ def norm_equivalence_report(
 
     and the inf-sup constant is bounded below through the same argument,
     gamma >= 1 / ((1/C_g1)(1 + C_g2 * h0_to_h)). hstar_to_h is the
-    system's cached C_dis (the same pencil), so the ``two_routes`` check,
+    system's cached C_dis (the same eigensolve), so the ``two_routes`` check,
     their difference, is zero by construction; it is kept for the
     report's format.
     """

@@ -32,7 +32,8 @@ class SingularSystemError(HelmprecError):
 class NoConvergenceError(HelmprecError):
     """An iterative estimator hit its iteration cap.
 
-    Carries the last estimate so callers can decide whether it is usable.
+    Carries the last estimate, as the quantity the raising function
+    returns, so callers can decide whether it is usable.
     """
 
     def __init__(self, msg, estimate=None, iterations=None):

@@ -1,15 +1,16 @@
 """Weighted matrix norms, inf-sup constants, and mass-matrix extremes.
 
 Everything here reduces a functional-analytic quantity to a singular
-value of a conjugated matrix. With D = L L* the Gram (energy-norm)
-matrix and M = R R* the mass matrix:
+value of a conjugated matrix. With D = L L^T the Gram (energy-norm)
+matrix and M = R R^T the mass matrix, L and R their real Cholesky
+factors (below):
 
-    ||C||_D            = sigma_max(L* C L^{-*})     operator norm in the D norm
+    ||C||_D            = sigma_max(L^T C L^{-T})    operator norm in the D norm
     ||C||_{D^{-1}}     = sigma_max(L^{-1} C L)
-    gamma_dis          = sigma_min(L^{-1} A L^{-*}) discrete inf-sup constant
-    C_dis = 1/gamma    = ||L* A^{-1} L||_2          discrete solution-operator norm
-    ||A^{-1}||_{0->H}  = ||L* A^{-1} R||_2
-    ||A^{-1}||_{0->0}  = ||R* A^{-1} R||_2
+    gamma_dis          = sigma_min(L^{-1} A L^{-T}) discrete inf-sup constant
+    C_dis = 1/gamma    = ||L^T A^{-1} L||_2         discrete solution-operator norm
+    ||A^{-1}||_{0->H}  = ||L^T A^{-1} R||_2
+    ||A^{-1}||_{0->0}  = ||R^T A^{-1} R||_2
 
 For real symmetric D, transposition keeps singular values, and
 L^{-1} C^T L = (L^T C L^{-T})^T, so ||C^T||_{D^{-1}} = ||C||_D; also
@@ -19,16 +20,28 @@ symmetry test ||A - A^T|| <= 1e-14 ||A|| (largest entries). The systems
 of :mod:`helmprec.assemble` cache, per seed, the results of
 :func:`discrete_inf_sup` and :func:`mass_extremes` next to their factors.
 
-Each sigma_max is the top eigenvalue of a Hermitian pencil (X, B) with
-X PSD and B PD, computed by Krylov iteration on B^{-1} X. That map is
-self-adjoint in the B inner product, so the Ritz value comes with a
-computable residual bound: |lambda - lambda_exact| <= ||B^{-1}X v -
-lambda v||_B for a B-normalized iterate v. Iterations stop on that
-bound (relative tolerance 1e-10 by default) and are capped; hitting the
-cap raises, carrying the last estimate. Start vectors are seeded, so
-all reported numbers are reproducible. Where B = I (Euclidean norms and
-the mass-matrix extremes) Lanczos runs in standard mode, with no B
-products or solves.
+Each sigma_max^2 is the top eigenvalue of a standard Hermitian PSD
+operator T^H T, T the conjugated matrix, applied as a product chain in
+the coordinates of the factor:
+
+    C_dis^2            = lambda_max(L^T A^{-H} D A^{-1} L)
+    ||A^{-1}||_{0->H}^2 = lambda_max(R^T A^{-H} D A^{-1} R)
+    ||A^{-1}||_{0->0}^2 = lambda_max(R^T A^{-H} M A^{-1} R)
+    ||C||_{D^{-1}}^2   = lambda_max(L^T C^H D^{-1} C L)
+    ||C||_D^2          = ||C^H||_{D^{-1}}^2 = lambda_max(L^T C D^{-1} C^H L)
+
+The factor turns each weighted norm into a Euclidean one, so there is no
+B-operator: Lanczos runs in standard mode and never solves with D or M
+to keep its basis B-orthogonal. The solution-operator norms take only
+products with L, R, D and M besides the two solves with A, and a D-weighted
+operator norm takes one D solve per application. The Ritz value comes
+with a computable residual bound |lambda - lambda_exact| <=
+||T^H T v - lambda v||_2 for a unit iterate v; the Euclidean norm in the
+factor's coordinates is the B norm of the corresponding generalized
+pencil, so the bound is the same one. Iterations stop on it (relative
+tolerance 1e-10 by default) and are capped; hitting the cap raises,
+carrying the last estimate as the quantity the function returns. Start
+vectors are seeded, so all reported numbers are reproducible.
 
 The extremes m_-^2 <= m_+^2 of M (the norm-equivalence constant m_+/m_-)
 need care at the top, where the P1 mass spectrum clusters and Lanczos on
@@ -40,19 +53,21 @@ less separated than the top of M, so the value of sigma affects only the
 iteration count, never correctness. m_-^2 is 1/lambda_max(M^{-1})
 through the factor of M.
 
-Conjugations never form L^{-1} explicitly: the pencil formulation needs
-only products and solves with D, M, and A. Solves go through sparse
+Conjugations never form L^{-1} explicitly. Solves go through sparse
 factorizations under one fill-reducing ordering (minimum degree on the
 pattern of A^T + A): complex LU for A, and for D and M a Cholesky-type
-factorization P D P^T = L L^T of the symmetrically permuted matrix, so
-L above stands for P^T L. Complex right-hand sides against the real D
-and M factors are solved as one two-column real solve.
+factorization P D P^T = L_0 U_0 of the symmetrically permuted matrix,
+with U_0 = diag(pivots) L_0^T, so L above stands for P^T L_0
+diag(sqrt(pivots)). Complex vectors against the real factors are
+handled as two real columns.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -120,17 +135,48 @@ def lu_factor(A, dtype=complex, **options) -> LUFactor:
         raise
 
 
+def _real_product(X, x: np.ndarray) -> np.ndarray:
+    """X @ x for a real sparse X; a complex x is multiplied as its real and
+    imaginary parts, which is exact and avoids the complex copy of X that
+    ``X @ x`` would make on every call."""
+    if not np.iscomplexobj(x):
+        return X @ x
+    return X @ x.real + 1j * (X @ x.imag)
+
+
 @dataclass(frozen=True, eq=False)
 class GramFactor(LUFactor):
-    """Cholesky-type factorization P D P^T = L L^T of a real SPD matrix D = ``A``.
+    """Cholesky factorization D = L L^T of a real SPD matrix D = ``A``.
 
-    ``solve`` applies D^{-1} to real or complex vectors; ``norm``
-    evaluates the induced vector norm sqrt(v* D v).
+    ``solve`` applies D^{-1} to real or complex vectors, ``factor_mul``
+    applies L or L^T, and ``norm`` evaluates the induced vector norm
+    sqrt(v* D v). L = P^T L_0 diag(sqrt(pivots)) comes from the SuperLU
+    factorization P D P^T = L_0 U_0 that :func:`gram_factor` certified
+    (rows permuted like columns, positive pivots), so L is lower
+    triangular up to the symmetric permutation P.
     """
 
     @property
     def D(self) -> sp.csc_matrix:
         return self.A
+
+    @cached_property
+    def cholesky(self) -> sp.csc_matrix:
+        """The real factor L of D = L L^T, built once, on first use, from the
+        existing factorization: no new factorization, one stored copy."""
+        lu = self.superlu
+        root = np.sqrt(lu.U.diagonal().real)
+        L0 = lu.L  # a fresh copy on every access, so scaling it in place is safe
+        L0.data *= np.repeat(root, np.diff(L0.indptr))
+        # P^T moves row perm_c[i] of L_0 diag(sqrt(pivots)) to row i
+        rows = np.empty_like(lu.perm_c)
+        rows[lu.perm_c] = np.arange(self.n, dtype=rows.dtype)
+        return sp.csc_matrix((L0.data, rows[L0.indices], L0.indptr), shape=L0.shape)
+
+    def factor_mul(self, x: np.ndarray, trans: str = "N") -> np.ndarray:
+        """L x, or L^T x for ``trans="T"``."""
+        L = self.cholesky
+        return _real_product(L if trans == "N" else L.T, x)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.A @ x
@@ -154,13 +200,14 @@ class GramFactor(LUFactor):
 
 
 def gram_factor(D) -> GramFactor:
-    """Factor a real symmetric positive definite matrix as P D P^T = L L^T.
+    """Factor a real symmetric positive definite matrix as D = L L^T.
 
     P is the fill-reducing symmetric permutation of :func:`lu_factor`.
     SuperLU runs in symmetric mode with diagonal pivots only, so rows
     are permuted like columns unless a diagonal pivot is exactly zero;
-    for SPD input the result is the Cholesky factorization of P D P^T
-    (L scaled by the square root of each pivot). Non-SPD input surfaces
+    for SPD input the result P D P^T = L_0 U_0 is the Cholesky
+    factorization of P D P^T once L_0 is scaled by the square root of
+    each pivot (:attr:`GramFactor.cholesky`). Non-SPD input surfaces
     as a row interchange that differs from the column permutation or as
     a non-positive pivot. An existing Gram factor is returned unchanged.
     """
@@ -250,43 +297,28 @@ _DENSE_PENCIL_N = 8
 
 def _pencil_lambda_max(
     apply_x: Callable[[np.ndarray], np.ndarray],
-    apply_b: Optional[Callable[[np.ndarray], np.ndarray]],
-    solve_b: Optional[Callable[[np.ndarray], np.ndarray]],
     n: int,
     tol: float,
     max_it: int,
     seed: int,
     dtype=complex,
 ) -> tuple[float, int, float]:
-    """Top eigenvalue of the Hermitian pencil X v = lambda B v (X PSD, B PD).
+    """Top eigenvalue of the Hermitian PSD operator X applied by ``apply_x``.
 
-    Krylov iteration on B^{-1} X in the B inner product (ARPACK Lanczos
-    with a seeded start vector); plain power iteration cannot be used
-    here because the extreme eigenvalues of finite-element mass and
-    Gram matrices cluster, which stalls single-vector iterations.
-    ``apply_b = solve_b = None`` means B = I: Lanczos then runs in
-    standard mode, with no B products or solves. ``dtype=float`` runs a
-    real symmetric X from a real start vector.
-    Returns (lambda, operator applications, final residual in the B
-    norm); hitting the cap raises, carrying the last estimate.
+    ARPACK Lanczos in standard mode from a seeded start vector; plain
+    power iteration cannot be used here because the extreme eigenvalues
+    of finite-element mass and Gram matrices cluster, which stalls
+    single-vector iterations. Weighted problems reach this function
+    already conjugated by a Cholesky factor, so there is no B-operator.
+    ``dtype=float`` runs a real symmetric X from a real start vector.
+    Returns (lambda, operator applications, residual ||X v - lambda v||_2
+    of the unit Ritz vector v). Hitting the cap raises, carrying the last
+    Ritz value of X itself; callers convert it with :func:`_estimate_as`.
     """
-    if apply_b is None:
-        apply_b = solve_b = lambda v: v
-        b_kwargs = {}
-    else:
-        b_kwargs = {
-            "M": spla.LinearOperator((n, n), matvec=apply_b, dtype=dtype),
-            "Minv": spla.LinearOperator((n, n), matvec=solve_b, dtype=dtype),
-        }
     if n <= _DENSE_PENCIL_N:
         eye = np.eye(n, dtype=dtype)
         X = np.column_stack([apply_x(eye[:, j]) for j in range(n)])
-        B = np.column_stack([apply_b(eye[:, j]) for j in range(n)])
-        import scipy.linalg as sla
-
-        vals = sla.eigh(
-            0.5 * (X + X.conj().T), 0.5 * (B + B.conj().T), eigvals_only=True
-        )
+        vals = np.linalg.eigvalsh(0.5 * (X + X.conj().T))
         return max(float(vals[-1]), 0.0), n, 0.0
 
     counter = {"n": 0}
@@ -300,7 +332,7 @@ def _pencil_lambda_max(
     if np.dtype(dtype).kind == "c":
         v0 = v0 + 1j * rng.standard_normal(n)
     if not np.any(apply_x(v0)):
-        # X annihilates a random probe: the (PSD) pencil top is zero.
+        # X annihilates a random probe: the (PSD) operator's top is zero.
         return 0.0, 1, 0.0
     ncv = min(n, 20)
     x_op = spla.LinearOperator((n, n), matvec=counted_x, dtype=dtype)
@@ -313,25 +345,44 @@ def _pencil_lambda_max(
             ncv=ncv,
             tol=tol,
             maxiter=max(100, max_it // ncv),
-            **b_kwargs,
         )
     except spla.ArpackNoConvergence as exc:
-        est = float(exc.eigenvalues[-1]) if len(exc.eigenvalues) else None
         raise NoConvergenceError(
             f"eigensolver did not reach tolerance {tol:g} within the "
             f"iteration cap ({counter['n']} operator applications)",
-            estimate=math.sqrt(est) if est and est > 0 else est,
+            estimate=float(exc.eigenvalues[-1]) if len(exc.eigenvalues) else None,
             iterations=counter["n"],
         ) from exc
     lam = max(float(vals[0]), 0.0)
-    v = vecs[:, 0]
-    bv = apply_b(v)
-    nb = math.sqrt(max(np.vdot(v, bv).real, 0.0))
-    if nb > 0:
-        v = v / nb
-    r = solve_b(apply_x(v)) - lam * v
-    res = math.sqrt(max(np.vdot(r, apply_b(r)).real, 0.0))
+    v = vecs[:, 0]  # unit norm
+    res = float(np.linalg.norm(apply_x(v) - lam * v))
     return lam, counter["n"], res
+
+
+@contextmanager
+def _estimate_as(convert: Callable[[float], Optional[float]]):
+    """Re-express the raw Ritz value that a NoConvergenceError from
+    :func:`_pencil_lambda_max` carries as the quantity the caller returns."""
+    try:
+        yield
+    except NoConvergenceError as exc:
+        if exc.estimate is not None:
+            exc.estimate = convert(exc.estimate)
+        raise
+
+
+def _sigma_max(
+    apply_normal: Callable[[np.ndarray], np.ndarray],
+    n: int,
+    tol: float,
+    max_it: int,
+    seed: int,
+) -> tuple[float, int, float]:
+    """Largest singular value of T from its normal operator T^H T:
+    (sigma, operator applications, eigenvalue residual)."""
+    with _estimate_as(lambda lam: math.sqrt(max(lam, 0.0))):
+        lam, it, res = _pencil_lambda_max(apply_normal, n, tol, max_it, seed)
+    return math.sqrt(lam), it, res
 
 
 def _operator_pair(op):
@@ -361,32 +412,34 @@ def weighted_operator_norm(
     ``matvec`` and ``rmatvec`` (the adjoint is required: the norm is a
     largest singular value, computed through the normal operator).
     ``mode`` selects 'D', 'D_inv', or 'euclid'; the Gram factor is
-    ignored for 'euclid'.
+    ignored for 'euclid'. The weighted modes make one D solve per
+    operator application.
     """
     if mode not in _MODES:
         raise InvalidArgumentError(f"mode must be one of {_MODES}, got {mode!r}")
     mv, rmv, n = _operator_pair(op)
     if mode == "euclid":
-        apply_x = lambda v: rmv(mv(v))
-        lam, _, _ = _pencil_lambda_max(apply_x, None, None, n, tol, max_it, seed)
-        return math.sqrt(lam)
-    if gram is None:
+        apply_normal = lambda v: rmv(mv(v))
+    elif gram is None:
         raise InvalidArgumentError(f"mode {mode!r} requires a Gram factor")
-    if gram.n != n:
+    elif gram.n != n:
         raise InvalidArgumentError(f"operator dim {n} != Gram factor dim {gram.n}")
-    if mode == "D":
-        # sigma_max(L* C L^{-*})^2 = lambda_max(C* D C, D)
-        apply_x = lambda v: rmv(gram.apply(mv(v)))
-        lam, _, _ = _pencil_lambda_max(
-            apply_x, gram.apply, gram.solve, n, tol, max_it, seed
-        )
     else:
-        # sigma_max(L^{-1} C L)^2 = lambda_max(C* D^{-1} C, D^{-1})
-        apply_x = lambda v: rmv(gram.solve(mv(v)))
-        lam, _, _ = _pencil_lambda_max(
-            apply_x, gram.solve, gram.apply, n, tol, max_it, seed
+        # ||C||_{D^{-1}}^2 = lambda_max(L^T C^H D^{-1} C L), and
+        # ||C||_D = ||C^H||_{D^{-1}}: lambda_max(L^T C D^{-1} C^H L)
+        first, then = (rmv, mv) if mode == "D" else (mv, rmv)
+        apply_normal = lambda v: gram.factor_mul(
+            then(gram.solve(first(gram.factor_mul(v)))), "T"
         )
-    return math.sqrt(lam)
+    return _sigma_max(apply_normal, n, tol, max_it, seed)[0]
+
+
+def _solution_normal(lu: LUFactor, right: GramFactor, mid: Callable):
+    """The normal operator R^T A^{-H} W A^{-1} R of W^{1/2} A^{-1} R, for
+    the factor R of ``right`` and W applied by ``mid``."""
+    return lambda v: right.factor_mul(
+        lu.solve(mid(lu.solve(right.factor_mul(v))), trans="H"), "T"
+    )
 
 
 def discrete_inf_sup(
@@ -396,12 +449,13 @@ def discrete_inf_sup(
     max_it: int = DEFAULT_MAXIT,
     seed: int = DEFAULT_SEED,
 ) -> InfSupReport:
-    """Discrete inf-sup constant sigma_min(L^{-1} A L^{-*}) of a system.
+    """Discrete inf-sup constant sigma_min(L^{-1} A L^{-T}) of a system.
 
-    Computed as the reciprocal of ||L* A^{-1} L||_2 through the LU
-    factors of A (``A`` may be a matrix or its :class:`LUFactor`); an
-    exactly singular A yields gamma = 0 (a legitimate outcome near
-    discrete eigenvalues), not an exception.
+    Computed as the reciprocal of C_dis = ||L^T A^{-1} L||_2 through the
+    LU factors of A (``A`` may be a matrix or its :class:`LUFactor`) and
+    products with L and D; an exactly singular A yields gamma = 0 (a
+    legitimate outcome near discrete eigenvalues), not an exception. A
+    NoConvergenceError carries the estimate of C_dis.
     """
     try:
         lu = lu_factor(A)
@@ -410,12 +464,10 @@ def discrete_inf_sup(
     n = lu.n
     if gram.n != n:
         raise InvalidArgumentError("A and Gram factor dimensions disagree")
-    # C_dis^2 = lambda_max(A^{-*} D A^{-1}, D^{-1})
-    apply_x = lambda v: lu.solve(gram.apply(lu.solve(v)), trans="H")
-    lam, it, res = _pencil_lambda_max(
-        apply_x, gram.solve, gram.apply, n, tol, max_it, seed
+    # C_dis^2 = lambda_max(L^T A^{-H} D A^{-1} L)
+    c_dis, it, res = _sigma_max(
+        _solution_normal(lu, gram, gram.apply), n, tol, max_it, seed
     )
-    c_dis = math.sqrt(lam)
     if c_dis == 0.0:
         return InfSupReport(
             gamma=0.0, c_dis=math.inf, iterations=it, residual=res, singular=True
@@ -446,8 +498,9 @@ def mass_extremes(
     fails the certificate means sigma I - M is singular to working
     precision, so sigma is itself the top eigenvalue (as when every row
     sum is equal). lambda_min is 1/lambda_max(M^{-1}) through the factor
-    of M. Both eigensolves are real standard-mode (B = I) Lanczos runs;
-    the shifted factor is not kept.
+    of M. Both eigensolves are real standard-mode Lanczos runs; the
+    shifted factor is not kept. A NoConvergenceError carries the estimate
+    of m_+^2 or of m_-^2, whichever eigensolve stopped.
     """
     g = gram_factor(M)  # also certifies SPD
     n = g.n
@@ -457,13 +510,13 @@ def mass_extremes(
     except NotPositiveDefiniteError:
         lam_max = sigma
     else:
-        tau, _, _ = _pencil_lambda_max(
-            shifted.solve, None, None, n, tol, max_it, seed, dtype=float
-        )
+        with _estimate_as(lambda tau: sigma - 1.0 / tau if tau > 0 else None):
+            tau, _, _ = _pencil_lambda_max(
+                shifted.solve, n, tol, max_it, seed, dtype=float
+            )
         lam_max = sigma - 1.0 / tau
-    inv_max, _, _ = _pencil_lambda_max(
-        g.solve, None, None, n, tol, max_it, seed, dtype=float
-    )
+    with _estimate_as(lambda inv: 1.0 / inv if inv > 0 else None):
+        inv_max, _, _ = _pencil_lambda_max(g.solve, n, tol, max_it, seed, dtype=float)
     if inv_max <= 0:
         raise NotPositiveDefiniteError("mass matrix has non-positive spectrum")
     return MassExtremes(m_minus_sq=1.0 / inv_max, m_plus_sq=lam_max)
@@ -479,27 +532,22 @@ def solution_operator_norms(
 ) -> SolutionOperatorNorms:
     """The two M-weighted discrete solution-operator norms of A^{-1}.
 
-    ||L* A^{-1} R||_2 and ||R* A^{-1} R||_2 for D = L L^T and M = R R^T;
-    ``A`` may be a matrix or its :class:`LUFactor`. The third norm of the
-    chain, ||L* A^{-1} L||_2, is C_dis of :func:`discrete_inf_sup` (the
-    same pencil). Raises on singular A.
+    ||L^T A^{-1} R||_2 and ||R^T A^{-1} R||_2 for D = L L^T and M = R R^T;
+    ``A`` may be a matrix or its :class:`LUFactor`. Each takes solves with
+    A and products with R, D or M only. The third norm of the chain,
+    ||L^T A^{-1} L||_2, is C_dis of :func:`discrete_inf_sup`. Raises on
+    singular A.
     """
     lu = lu_factor(A)
     n = lu.n
     if gram_d.n != n or gram_m.n != n:
         raise InvalidArgumentError("Gram factor dimensions disagree with A")
-
-    def z_apply(metric_mid):
-        return lambda v: lu.solve(metric_mid(lu.solve(v)), trans="H")
-
-    # ||L* A^{-1} R||^2 = lambda_max(A^{-*} D A^{-1}, M^{-1})
-    lam_h0h, _, _ = _pencil_lambda_max(
-        z_apply(gram_d.apply), gram_m.solve, gram_m.apply, n, tol, max_it, seed
+    # ||L^T A^{-1} R||^2 = lambda_max(R^T A^{-H} D A^{-1} R)
+    h0_to_h, _, _ = _sigma_max(
+        _solution_normal(lu, gram_m, gram_d.apply), n, tol, max_it, seed
     )
-    # ||R* A^{-1} R||^2 = lambda_max(A^{-*} M A^{-1}, M^{-1})
-    lam_h0h0, _, _ = _pencil_lambda_max(
-        z_apply(gram_m.apply), gram_m.solve, gram_m.apply, n, tol, max_it, seed
+    # ||R^T A^{-1} R||^2 = lambda_max(R^T A^{-H} M A^{-1} R)
+    h0_to_h0, _, _ = _sigma_max(
+        _solution_normal(lu, gram_m, gram_m.apply), n, tol, max_it, seed
     )
-    return SolutionOperatorNorms(
-        h0_to_h=math.sqrt(lam_h0h), h0_to_h0=math.sqrt(lam_h0h0)
-    )
+    return SolutionOperatorNorms(h0_to_h=h0_to_h, h0_to_h0=h0_to_h0)

@@ -4,6 +4,7 @@ The oracle helpers use dense scipy.linalg factorizations only, so they
 stay independent of the package's sparse/iterative code paths.
 """
 
+import inspect
 import sys
 
 import numpy as np
@@ -113,22 +114,29 @@ def splu_calls(monkeypatch):
     return calls
 
 
+def rebind_everywhere(monkeypatch, original, replacement):
+    """Replace ``original`` under every name a helmprec module binds it to."""
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "helmprec" or name.startswith("helmprec.")):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
 @pytest.fixture
 def pencil_calls(monkeypatch):
     """Dimension of every eigensolve (``numerics._pencil_lambda_max`` call),
-    in call order, counted through every helmprec module that binds it."""
+    in call order, counted through every helmprec module that binds it.
+    The dimension is read by parameter name, wherever it sits in the call."""
     from helmprec import numerics
 
     calls = []
     pencil = numerics._pencil_lambda_max
+    signature = inspect.signature(pencil)
 
     def counting_pencil(*args, **kwargs):
-        calls.append(args[3])
+        calls.append(signature.bind(*args, **kwargs).arguments["n"])
         return pencil(*args, **kwargs)
 
-    for name, mod in list(sys.modules.items()):
-        if mod is not None and (name == "helmprec" or name.startswith("helmprec.")):
-            for attr, value in list(vars(mod).items()):
-                if value is pencil:
-                    monkeypatch.setattr(mod, attr, counting_pencil)
+    rebind_everywhere(monkeypatch, pencil, counting_pencil)
     return calls

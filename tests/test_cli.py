@@ -131,10 +131,70 @@ def test_eigensolves_per_command(tmp_path, pencil_calls):
     norm estimates per point."""
     path = write_cfg(tmp_path)
     assert cmd_verify(path, out_dir=str(tmp_path / "v")).exit_status == 0
-    assert len(pencil_calls) == 8
+    assert pencil_calls == [61] * 8
     pencil_calls.clear()
     assert cmd_sweep(path, out_dir=str(tmp_path / "s")).exit_status == 0
     assert len(pencil_calls) == 2 * (3 + 3 * 3)
+
+
+def test_eigensolves_run_in_standard_mode(tmp_path, monkeypatch):
+    """No eigsh call takes a B-operator (M, Minv) or a shift: the inf-sup
+    constant and the solution-operator norms make no Gram-factor solve,
+    and a D-weighted operator norm makes one per operator application."""
+    from conftest import rebind_everywhere
+
+    from helmprec import numerics
+
+    eigsh_kwargs, scope = [], []
+    solves, applies = Counter(), Counter()
+    eigsh = numerics.spla.eigsh
+    gram_solve = numerics.GramFactor.solve
+    pencil = numerics._pencil_lambda_max
+
+    def recording_eigsh(*args, **kwargs):
+        assert len(args) == 1  # the operator; k, M, sigma, ... not positionally
+        eigsh_kwargs.append(kwargs)
+        return eigsh(*args, **kwargs)
+
+    def counting_solve(self, *args, **kwargs):
+        solves[scope[-1] if scope else None] += 1
+        return gram_solve(self, *args, **kwargs)
+
+    def counting_pencil(apply_x, *args, **kwargs):
+        def counted(v):
+            applies[scope[-1] if scope else None] += 1
+            return apply_x(v)
+        return pencil(counted, *args, **kwargs)
+
+    def scoped(fn):
+        def run(*args, **kwargs):
+            scope.append(fn.__name__)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                scope.pop()
+        return run
+
+    monkeypatch.setattr(numerics.spla, "eigsh", recording_eigsh)
+    monkeypatch.setattr(numerics.GramFactor, "solve", counting_solve)
+    rebind_everywhere(monkeypatch, pencil, counting_pencil)
+    for fn in (numerics.discrete_inf_sup, numerics.solution_operator_norms,
+               numerics.weighted_operator_norm):
+        rebind_everywhere(monkeypatch, fn, scoped(fn))
+
+    path = write_cfg(tmp_path, {
+        "problem": {"dimension": 2, "k": 4.0, "resolution": {"type": "elements", "n": 6}},
+        "sweep": {"k_values": [4.0], "alpha_values": [0.2],
+                  "resolution": {"type": "elements", "n": 6}, "ladder": {"refine": 2}},
+    })
+    assert cmd_verify(path, out_dir=str(tmp_path / "v")).exit_status == 0
+    assert cmd_sweep(path, out_dir=str(tmp_path / "s")).exit_status == 0
+    assert eigsh_kwargs
+    for kwargs in eigsh_kwargs:
+        assert not {"M", "Minv", "sigma", "OPinv"} & set(kwargs), sorted(kwargs)
+    for name in ("discrete_inf_sup", "solution_operator_norms"):
+        assert applies[name] > 0 and solves[name] == 0, name
+    assert 0 < solves["weighted_operator_norm"] <= applies["weighted_operator_norm"]
 
 
 def test_import_factors_each_matrix_once(tmp_path, splu_calls):

@@ -5,6 +5,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import (
+    DIR,
+    IMP,
+    NEU,
     canonical_1d,
     canonical_2d,
     oracle_infsup,
@@ -13,12 +16,23 @@ from conftest import (
     random_spd,
 )
 
+from helmprec import (
+    CoefficientField,
+    ProblemSpec,
+    Role,
+    assemble_system,
+    build_rect_mesh,
+    constant_field,
+)
+from helmprec import numerics
 from helmprec.errors import (
     InvalidArgumentError,
+    NoConvergenceError,
     NotPositiveDefiniteError,
     SingularSystemError,
 )
 from helmprec.numerics import (
+    _DENSE_PENCIL_N,
     discrete_inf_sup,
     gram_factor,
     lu_factor,
@@ -108,6 +122,120 @@ def test_gram_factor_complex_solve_is_real_imag_split(rng):
     x = g.solve(re[:, 0])
     assert not np.iscomplexobj(x)
     assert np.array_equal(x, g.superlu.solve(re[:, 0]))
+
+
+def _matrix_mu_system():
+    """2D system with a rotated anisotropic complex mu^{-1}, one 2x2 per element."""
+    mesh = build_rect_mesh(1, 1, 8, 8, IMP)
+    theta = np.pi * mesh.element_centroids().sum(axis=1)
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    diag = np.zeros((mesh.n_elements, 2, 2))
+    diag[:, 0, 0], diag[:, 1, 1] = 1.5, 0.2
+    values = rot @ diag @ np.swapaxes(rot, 1, 2)
+    values = 0.5 * (values + np.swapaxes(values, 1, 2)) * (1 + 0.2j)
+    mu = CoefficientField(mesh, values, Role.MU_INV)
+    return assemble_system(
+        ProblemSpec(5.0, mesh, mu, constant_field(mesh, 1.0, Role.EPS), 1.0))
+
+
+FACTOR_CASES = {
+    "1d": lambda: canonical_1d(8.0, 40),
+    "2d": lambda: canonical_2d(6.0, 12, 12),
+    "matrix_mu": _matrix_mu_system,
+    "dirichlet": lambda: canonical_2d(
+        6.0, 10, 10, tags={"left": DIR, "right": IMP, "bottom": DIR, "top": NEU}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACTOR_CASES))
+def test_cholesky_factor_reproduces_d_and_m(case, rng, splu_calls):
+    """L L^T = D and R R^T = M to 1e-14, with L = P^T L_0 diag(sqrt(pivots))
+    lower triangular under P, built once from the existing factorization."""
+    s = FACTOR_CASES[case]()
+    if case == "dirichlet":
+        assert s.n < s.spec.mesh.n_nodes
+    for X in (s.D, s.M):
+        g = gram_factor(X)
+        splu_calls.clear()
+        L = g.cholesky
+        assert splu_calls == [] and g.cholesky is L
+        assert L.dtype == np.float64
+        assert abs(L @ L.T - X).max() <= 1e-14 * abs(X).max()
+        lower = L[np.argsort(g.superlu.perm_c)]  # P L
+        assert sp.triu(lower, 1).nnz == 0 and np.all(lower.diagonal() > 0)
+        x = rng.standard_normal(s.n) + 1j * rng.standard_normal(s.n)
+        assert np.abs(g.factor_mul(x) - L @ x).max() <= 1e-14 * np.abs(L @ x).max()
+        assert np.abs(g.factor_mul(x, "T") - L.T @ x).max() <= (
+            1e-14 * np.abs(L.T @ x).max())
+        assert np.array_equal(g.factor_mul(x.real), L @ x.real)
+
+
+@pytest.mark.parametrize("case", ["2d", "matrix_mu", "dirichlet"])
+def test_lanczos_estimates_match_dense_oracles(case):
+    """Above the dense cutoff, so ARPACK runs: C_dis, both solution norms
+    and the three operator-norm modes, D_inv on a non-symmetric pair."""
+    s = FACTOR_CASES[case]()
+    assert s.n > _DENSE_PENCIL_N
+    g, r = gram_factor(s.D), gram_factor(s.M)
+    hstar, h0_to_h, h0_to_h0 = oracle_solution_norms(s.A, s.D, s.M)
+    assert discrete_inf_sup(s.A, g).c_dis == pytest.approx(hstar, rel=1e-9)
+    duo = solution_operator_norms(s.A, g, r)
+    assert duo.h0_to_h == pytest.approx(h0_to_h, rel=1e-9)
+    assert duo.h0_to_h0 == pytest.approx(h0_to_h0, rel=1e-9)
+    A1 = s.A.tolil()
+    A1[3, 4] += 0.05  # one asymmetric entry
+    A1, A2 = A1.toarray(), (s.A - 0.2j * s.M).toarray()
+    left = np.eye(s.n) - np.linalg.solve(A2, A1)
+    right = np.eye(s.n) - A1 @ np.linalg.inv(A2)
+    norms = {}
+    for C, name in ((left, "left"), (right, "right")):
+        for mode in ("D", "D_inv", "euclid"):
+            norms[name, mode] = weighted_operator_norm(C, g, mode)
+            assert norms[name, mode] == pytest.approx(
+                oracle_weighted_norm(C, s.D, mode), rel=1e-9), (name, mode)
+    # no twin identity for a non-symmetric pair
+    assert norms["right", "D_inv"] != pytest.approx(norms["left", "D"], rel=1e-6)
+
+
+def _eigsh_stalling_after(converged):
+    """eigsh that runs ``converged`` calls, then stops with Ritz value 4."""
+    eigsh, calls = spla.eigsh, []
+
+    def stalling(A, **kwargs):
+        calls.append(A)
+        if len(calls) > converged:
+            raise spla.ArpackNoConvergence(
+                "stalled", np.array([4.0]), np.zeros((A.shape[0], 1)))
+        return eigsh(A, **kwargs)
+
+    return stalling
+
+
+def test_no_convergence_estimate_is_the_returned_quantity(monkeypatch):
+    """A stopped eigensolve with last Ritz value 4 reports the estimate of
+    what the function returns: a norm sqrt(4), m_+^2 = sigma - 1/4 by
+    shift-invert and m_-^2 = 1/4 through M^{-1}."""
+    stall_first, stall_second = _eigsh_stalling_after(0), _eigsh_stalling_after(1)
+    monkeypatch.setattr(numerics.spla, "eigsh", stall_first)
+    s = canonical_1d(5.0, 30)
+    g = gram_factor(s.D)
+    calls = [lambda mode=mode: weighted_operator_norm(np.eye(s.n), g, mode)
+             for mode in ("D", "D_inv", "euclid")]
+    calls += [lambda: discrete_inf_sup(s.A, g),
+              lambda: solution_operator_norms(s.A, g, gram_factor(s.M))]
+    for call in calls:
+        with pytest.raises(NoConvergenceError) as info:
+            call()
+        assert info.value.estimate == 2.0
+    sigma = abs(s.M).sum(axis=1).max()
+    with pytest.raises(NoConvergenceError) as info:
+        mass_extremes(s.M)
+    assert info.value.estimate == pytest.approx(sigma - 0.25, rel=1e-15)
+    monkeypatch.setattr(numerics.spla, "eigsh", stall_second)
+    with pytest.raises(NoConvergenceError) as info:
+        mass_extremes(s.M)  # the shifted eigensolve converges, M^{-1} stops
+    assert info.value.estimate == 0.25
 
 
 def test_weighted_norm_identity_and_scaling(rng):
