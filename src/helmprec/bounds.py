@@ -31,7 +31,8 @@ and the two Euclidean norms agree: only the left-hand side is estimated.
 Note the smallness-condition checks use the measured discrete constant
 C_dis_1 as a stand-in for its continuous counterpart; the refinement
 ladder (:func:`infsup_ladder`) is the empirical instrument for that
-identification.
+identification: it compares each working system's C_dis, already
+computed, with that of the same problem on a nested refinement.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ from .assemble import (
 )
 from .coeffs import AbsorptionSpec, field_diff_sup_norm, resample_field
 from .errors import InvalidArgumentError, InvalidPairError, SingularSystemError
-from .mesh import BoundaryTag, build_interval_mesh, build_rect_mesh
+from .mesh import Mesh
 from .numerics import (
+    InfSupReport,
     LUFactor,
-    discrete_inf_sup,
     solution_operator_norms,
     weighted_operator_norm,
 )
@@ -483,106 +484,50 @@ def norm_equivalence_report(
     )
 
 
-def _interval_tags(spec: ProblemSpec) -> tuple[BoundaryTag, BoundaryTag]:
-    mesh = spec.mesh
-    xs = mesh.coords[:, 0]
-    left = right = None
-    for f in mesh.facets:
-        x = xs[f.nodes[0]]
-        if x == xs.min():
-            left = f.tag
-        elif x == xs.max():
-            right = f.tag
-    return left, right
+def remesh_problem(spec: ProblemSpec, mesh: Mesh) -> ProblemSpec:
+    """The problem ``spec`` on another mesh of its domain, at the same k.
 
-
-def _rect_tags(spec: ProblemSpec) -> dict[str, BoundaryTag]:
-    mesh = spec.mesh
-    xs, ys = mesh.coords[:, 0], mesh.coords[:, 1]
-    w, ht = xs.max(), ys.max()
-    tags = {}
-    for f in mesh.facets:
-        pts = mesh.coords[list(f.nodes)]
-        if np.all(pts[:, 0] == 0):
-            tags["left"] = f.tag
-        elif np.all(pts[:, 0] == w):
-            tags["right"] = f.tag
-        elif np.all(pts[:, 1] == 0):
-            tags["bottom"] = f.tag
-        elif np.all(pts[:, 1] == ht):
-            tags["top"] = f.tag
-    return tags
-
-
-def remesh_problem(spec: ProblemSpec, k: float, h: float) -> ProblemSpec:
-    """Rebuild the problem at wavenumber k on a mesh of target size h.
-
-    The domain, boundary tags, impedance weight, and (re-sampled)
-    coefficient fields are inherited from ``spec``; requires a uniform
-    impedance weight and at least two elements at the target size.
+    The coefficient fields are transferred with :func:`resample_field`,
+    which is exact when ``mesh`` refines ``spec.mesh``: both problems then
+    see the same coefficient function. The boundary tags are the new
+    mesh's own; the impedance weight must be uniform.
     """
-    mesh = spec.mesh
     thetas = np.unique(spec.theta)
     if thetas.size > 1:
         raise InvalidArgumentError("remesh requires a uniform impedance weight")
-    theta = float(thetas[0]) if thetas.size else 1.0
-    if mesh.dimension == 1:
-        a, b = mesh.coords[:, 0].min(), mesh.coords[:, 0].max()
-        n = math.ceil((b - a) / h)
-        if n < 2:
-            raise InvalidArgumentError(f"h={h:g} yields {n} elements (need >= 2)")
-        left, right = _interval_tags(spec)
-        new_mesh = build_interval_mesh(a, b, n, left, right)
-    else:
-        w, ht = mesh.coords[:, 0].max(), mesh.coords[:, 1].max()
-        cell = h / math.sqrt(2.0)
-        nx, ny = math.ceil(w / cell), math.ceil(ht / cell)
-        if nx < 2 or ny < 2:
-            raise InvalidArgumentError(f"h={h:g} yields a {nx}x{ny} grid (need >= 2)")
-        new_mesh = build_rect_mesh(w, ht, nx, ny, _rect_tags(spec))
-    mu = resample_field(spec.mu_inv, new_mesh)
-    eps = resample_field(spec.eps, new_mesh)
-    return ProblemSpec(k, new_mesh, mu, eps, theta)
+    mu = resample_field(spec.mu_inv, mesh)
+    eps = resample_field(spec.eps, mesh)
+    return ProblemSpec(spec.k, mesh, mu, eps, float(thetas[0]))
 
 
 def infsup_ladder(
-    base_spec: ProblemSpec,
-    k_values: Sequence[float],
-    h_rule: Callable[[float], float],
-    reference_h_rule: Callable[[float], float],
+    rungs: Sequence[tuple[ProblemSpec, int, InfSupReport]],
+    refined_mesh: Callable[[float], Mesh],
     seed: int = 0,
 ) -> InfSupLadder:
     """Discrete inf-sup constants along a refinement ladder in k.
 
-    For each k the constant is computed at h(k) and at the finer
-    reference size; the recorded ratio C_dis(h)/C_dis(h_ref) is the
-    empirical stability constant of the working resolution. Singular
+    Each rung is a working system, given as its problem, its number of
+    dofs and its inf-sup report under ``seed``; its reference is the same
+    problem (:func:`remesh_problem`) on ``refined_mesh(k)``, a nested
+    refinement of the working mesh, so the recorded ratio
+    C_dis(h)/C_dis(h_ref) measures discretization error only: it is the
+    empirical stability constant of the working resolution. Only the
+    reference rung is assembled, factored and solved for here. Singular
     systems are recorded in the ladder rather than raised.
     """
     entries = []
-    for k in k_values:
-        h = float(h_rule(k))
-        h_ref = float(reference_h_rule(k))
-        gammas = []
-        sizes = []
-        singular = False
-        for hh in (h, h_ref):
-            spec = remesh_problem(base_spec, k, hh)
-            system = assemble_system(spec)
-            rep = discrete_inf_sup(system.A, system.gram_d, seed=seed)
-            gammas.append(rep.gamma)
-            sizes.append(system.n)
-            singular = singular or rep.singular
-        if singular or gammas[0] == 0.0 or gammas[1] == 0.0:
-            ratio = math.nan
-            singular = True
-        else:
-            # C_dis(h) / C_dis(h_ref) = gamma(h_ref) / gamma(h)
-            ratio = gammas[1] / gammas[0]
+    for spec, n, rep in rungs:
+        ref = assemble_system(remesh_problem(spec, refined_mesh(spec.k)))
+        gamma, gamma_ref = rep.gamma, ref.inf_sup(1, seed).gamma
+        # singular reports carry gamma = 0
+        singular = gamma == 0.0 or gamma_ref == 0.0
         entries.append(
             LadderEntry(
-                k=float(k), h=h, h_ref=h_ref, n=sizes[0], n_ref=sizes[1],
-                gamma=gammas[0], gamma_ref=gammas[1], ratio=ratio, singular=singular,
+                k=float(spec.k), h=spec.mesh.h, h_ref=ref.spec.mesh.h, n=n, n_ref=ref.n,
+                gamma=gamma, gamma_ref=gamma_ref,
+                # C_dis(h) / C_dis(h_ref) = gamma(h_ref) / gamma(h)
+                ratio=math.nan if singular else gamma_ref / gamma, singular=singular,
             )
         )
     return InfSupLadder(tuple(entries))

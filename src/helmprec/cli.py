@@ -67,6 +67,17 @@ def _add_report_checks(result: ScenarioResult, prefix: str, checks):
         result.add(f"{prefix}.{c.name}", c.passed, c.margin)
 
 
+def _add_bound_report(result: ScenarioResult, rep, out: str):
+    """Write a bound report as bounds.json and bounds.csv and add its checks."""
+    for key, name, fmt in (("bounds", "bounds.json", "json"),
+                           ("bounds_csv", "bounds.csv", "csv")):
+        result.paths[key] = hio.write_report(rep, os.path.join(out, name), fmt)
+    if rep.singular:
+        result.add("bounds.nonsingular", False, math.nan)
+    else:
+        _add_report_checks(result, "bounds", rep.checks)
+
+
 def _prologue(config_path: str, out_dir, seed, tol_scale: float):
     """(config, output directory, seed, slack) of a config command."""
     cfg = hio.load_config(config_path)
@@ -127,16 +138,7 @@ def cmd_verify(
     _add_report_checks(result, "norms", nrep.checks)
 
     brep = nearby_bound_report(sys1, sys2, slack=slack, seed=seed, alpha=alpha)
-    result.paths["bounds"] = hio.write_report(
-        brep, os.path.join(out, "bounds.json"), "json"
-    )
-    result.paths["bounds_csv"] = hio.write_report(
-        brep, os.path.join(out, "bounds.csv"), "csv"
-    )
-    if brep.singular:
-        result.add("bounds.nonsingular", False, math.nan)
-    else:
-        _add_report_checks(result, "bounds", brep.checks)
+    _add_bound_report(result, brep, out)
     return result
 
 
@@ -169,6 +171,17 @@ def _sweep_point(cfg, sys1, k, alpha, slack, seed):
     return row
 
 
+def _ladder_rung(sys1, seed):
+    """k's working ladder rung, (spec, n, C_dis report) of its sweep system,
+    or the error that building the system or its C_dis raised."""
+    if isinstance(sys1, HelmprecError):
+        return sys1
+    try:
+        return sys1.spec, sys1.n, sys1.inf_sup(1, seed)
+    except HelmprecError as exc:
+        return exc
+
+
 def cmd_sweep(
     config_path: str,
     out_dir: str | None = None,
@@ -176,20 +189,24 @@ def cmd_sweep(
     tol_scale: float = 1.0,
 ) -> ScenarioResult:
     """Evaluate the config's (k, alpha) grid; one CSV row per point. Each k's
-    first system, with its factors, C_dis and mass extremes, serves every alpha."""
+    first system, with its factors, C_dis and mass extremes, serves every alpha
+    and is the working rung of the inf-sup ladder."""
     cfg, out, seed, slack = _prologue(config_path, out_dir, seed, tol_scale)
     result = ScenarioResult()
 
+    problem = dict(cfg.problem, resolution=cfg.sweep["resolution"])
     alphas = cfg.sweep["alpha_values"] if cfg.perturbation["mode"] == "absorption" else [None]
     grid = [(k, a) for k in cfg.sweep["k_values"] for a in alphas]
-    rows = []
+    rows, rungs = [], []
     for k in cfg.sweep["k_values"]:
         try:
-            mesh = hio.build_mesh(dict(cfg.problem, resolution=cfg.sweep["resolution"]), k)
+            mesh = hio.build_mesh(problem, k)
             sys1 = assemble_system(hio.build_problem(cfg, k=k, mesh=mesh))
         except HelmprecError as exc:
             sys1 = exc
         rows += [_sweep_point(cfg, sys1, k, a, slack, seed) for a in alphas]
+        if cfg.sweep["ladder"] is not None:
+            rungs.append(_ladder_rung(sys1, seed))
     del sys1  # the last k's factors must not stay alive through the ladder
 
     sweep_path = os.path.join(out, "sweep.csv")
@@ -205,19 +222,12 @@ def cmd_sweep(
             result.add(name, bool(row["passed"]), 0.0)
 
     if cfg.sweep["ladder"] is not None:
+        for rung in rungs:
+            if isinstance(rung, HelmprecError):
+                raise rung
         refine = cfg.sweep["ladder"]["refine"]
-        base = hio.build_problem(cfg, k=cfg.sweep["k_values"][0])
-
-        def h_of(k):
-            length = (
-                cfg.problem["domain"][1] - cfg.problem["domain"][0]
-                if cfg.problem["dimension"] == 1
-                else max(cfg.problem["domain"]) * math.sqrt(2.0)
-            )
-            return length / hio.resolution_elements(cfg.sweep["resolution"], k, length)
-
         ladder = infsup_ladder(
-            base, cfg.sweep["k_values"], h_of, lambda k: h_of(k) / refine, seed=seed
+            rungs, lambda k: hio.build_mesh(problem, k, refine=refine), seed=seed
         )
         ladder_path = os.path.join(out, "ladder.csv")
         hio.write_report(ladder, ladder_path, "csv")
@@ -271,16 +281,7 @@ def cmd_import(
     out = out_dir or matrix_dir
     os.makedirs(out, exist_ok=True)
     result = ScenarioResult()
-    result.paths["bounds"] = hio.write_report(
-        rep, os.path.join(out, "bounds.json"), "json"
-    )
-    result.paths["bounds_csv"] = hio.write_report(
-        rep, os.path.join(out, "bounds.csv"), "csv"
-    )
-    if rep.singular:
-        result.add("bounds.nonsingular", False, math.nan)
-    else:
-        _add_report_checks(result, "bounds", rep.checks)
+    _add_bound_report(result, rep, out)
     return result
 
 
@@ -331,7 +332,7 @@ def main(argv=None) -> int:
             result = cmd_export(args.config, args.out_dir, args.seed, args.tol_scale)
         else:
             result = cmd_import(args.dir, args.d, args.m, args.out_dir,
-                                args.seed or 0, args.tol_scale,
+                                args.seed, args.tol_scale,
                                 args.dmu, args.deps)
     except (HelmprecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

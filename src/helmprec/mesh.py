@@ -66,9 +66,6 @@ class Mesh:
     def n_elements(self) -> int:
         return self.elements.shape[0]
 
-    def element_coords(self, e: int) -> np.ndarray:
-        return self.coords[self.elements[e]]
-
     def element_measures(self) -> np.ndarray:
         """Lengths (1D) or areas (2D) of all elements."""
         pts = self.coords[self.elements]

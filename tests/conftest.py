@@ -39,6 +39,12 @@ def canonical_1d(k, n, **kw):
     return assemble_system(canonical_spec_1d(k, n, **kw))
 
 
+def working_rung(spec, seed=0):
+    """An inf-sup ladder's working rung: (spec, n, inf-sup report) of ``spec``'s system."""
+    system = assemble_system(spec)
+    return spec, system.n, system.inf_sup(1, seed)
+
+
 def canonical_spec_2d(k, nx, ny, tags=IMP, theta=1.0):
     mesh = build_rect_mesh(1.0, 1.0, nx, ny, tags)
     return ProblemSpec(

@@ -16,6 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import (
+    IMP,
     canonical_1d,
     canonical_2d,
     canonical_spec_1d,
@@ -23,11 +24,13 @@ from conftest import (
     oracle_solution_norms,
     oracle_weighted_norm,
     random_spd,
+    working_rung,
 )
 
 from helmprec.assemble import assemble_load, assemble_system
 from helmprec.bounds import nearby_bound_report, norm_equivalence_report
 from helmprec.coeffs import Role, absorption_shift, piecewise_field
+from helmprec.mesh import build_interval_mesh
 from helmprec.numerics import (
     discrete_inf_sup,
     gram_factor,
@@ -253,10 +256,11 @@ def test_preasymptotic_ladder():
         t0 = time.monotonic()
         from helmprec.bounds import infsup_ladder
 
-        base = canonical_spec_1d(10.0, 10)
+        # working h = k^-1.5, reference h/4 on the nested refinement
+        ks = [10.0, 20.0, 40.0, 80.0]
+        rungs = [working_rung(canonical_spec_1d(k, math.ceil(k ** 1.5))) for k in ks]
         ladder = infsup_ladder(
-            base, [10.0, 20.0, 40.0, 80.0],
-            lambda k: k ** -1.5, lambda k: k ** -1.5 / 4.0,
+            rungs, lambda k: build_interval_mesh(0, 1, 4 * math.ceil(k ** 1.5), IMP, IMP)
         )
         assert len(ladder.entries) == 4
         for e in ladder.entries:

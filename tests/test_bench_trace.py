@@ -1,12 +1,13 @@
 """The benchmark's traced mode still reaches every layer it reports.
 
 Runs the benchmark's measured process, ``bench/child.py --trace``, on tiny
-1D ``verify`` and ``sweep`` configs. Every span name the benchmark requires
-of that command (``WORKLOADS[...]["spans"]`` in ``bench/run.py``) must be
-recorded, and every tracer wrapper must have been bound to at least one
-module attribute. A refactor that renames a traced function, or captures
-it where the tracer cannot rebind it, fails here rather than in a
-benchmark run. The test only reads ``bench/``.
+1D ``verify`` and ``sweep`` configs and a tiny 2D ``sweep``, whose ladder
+transfers its coefficients through the 2D point location. Every span name
+the benchmark requires of that command (``WORKLOADS[...]["spans"]`` in
+``bench/run.py``) must be recorded, and every tracer wrapper must have
+been bound to at least one module attribute. A refactor that renames a
+traced function, or captures it where the tracer cannot rebind it, fails
+here rather than in a benchmark run. The test only reads ``bench/``.
 """
 
 import importlib.util
@@ -33,6 +34,12 @@ CONFIGS = {
         "sweep": {"k_values": [4.0, 6.0], "alpha_values": [0.1, 0.3],
                   "resolution": {"type": "k_power", "scale": 1, "exponent": 1.5},
                   "ladder": {"refine": 2}},
+    },
+    "sweep2d": {
+        "problem": {"dimension": 2, "k": 4.0, "resolution": {"type": "elements", "n": 4}},
+        "perturbation": {"mode": "absorption", "alpha": 0.3},
+        "sweep": {"k_values": [4.0], "alpha_values": [0.3],
+                  "resolution": {"type": "elements", "n": 6}, "ladder": {"refine": 2}},
     },
 }
 

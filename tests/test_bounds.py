@@ -13,6 +13,7 @@ from conftest import (
     canonical_spec_2d,
     oracle_infsup,
     oracle_weighted_norm,
+    working_rung,
 )
 
 from helmprec.assemble import ExternalSystem, assemble_system, pair_as_external
@@ -306,50 +307,71 @@ def test_norm_equivalence_report_canonical(k, n):
     assert rep.gamma >= 1.0 / (1.0 + 2.0 * rep.h0_to_h) * (1 - 1e-9)
 
 
+def _interval_ladder(ks, elements, refine):
+    """Ladder on canonical [0, 1] problems with ``elements(k)`` elements per
+    working mesh, each refined ``refine`` times for its reference."""
+    rungs = [working_rung(canonical_spec_1d(k, elements(k))) for k in ks]
+    return infsup_ladder(
+        rungs, lambda k: build_interval_mesh(0, 1, elements(k) * refine, IMP, IMP)
+    )
+
+
 def test_ladder_trivial_equal_rules():
-    spec = canonical_spec_1d(10.0, 10)
-    ladder = infsup_ladder(spec, [10.0], lambda k: 0.05, lambda k: 0.05)
+    ladder = _interval_ladder([10.0], lambda k: 20, refine=1)
     assert len(ladder.entries) == 1
-    assert ladder.entries[0].ratio == 1.0
-    assert not ladder.entries[0].singular
+    e = ladder.entries[0]
+    assert e.ratio == 1.0
+    assert not e.singular
+    assert (e.n, e.h) == (e.n_ref, e.h_ref) == (21, 0.05)
 
 
 def test_ladder_preasymptotic_band():
-    spec = canonical_spec_1d(10.0, 10)
-    ladder = infsup_ladder(
-        spec, [10.0, 20.0, 40.0],
-        lambda k: k ** -1.5,
-        lambda k: k ** -1.5 / 4,
+    ladder = _interval_ladder(
+        [10.0, 20.0, 40.0], lambda k: math.ceil(k ** 1.5), refine=4
     )
     for e in ladder.entries:
         assert not e.singular
         assert 1 / 3 <= e.ratio <= 3
+        assert e.n_ref - 1 == 4 * (e.n - 1)
     ks = [e.k for e in ladder.entries]
     assert ks == [10.0, 20.0, 40.0]
 
 
 def test_ladder_fixed_points_per_wavelength_recorded():
-    spec = canonical_spec_1d(10.0, 10)
-    ladder = infsup_ladder(spec, [10.0, 20.0], lambda k: 1 / (2 * k),
-                           lambda k: 1 / (8 * k))
+    ladder = _interval_ladder([10.0, 20.0], lambda k: int(2 * k), refine=4)
     assert len(ladder.entries) == 2
     for e in ladder.entries:
         assert math.isfinite(e.ratio)
 
 
 def test_remesh_preserves_structure():
+    """The nested transfer of a step field is exact: the fine problem sees
+    the coefficient function of the coarse one, at the same k and theta."""
     mesh = build_interval_mesh(0, 2, 6, IMP, IMP)
     mu = piecewise_field(mesh, lambda x: 2.0 if x < 1.0 else 1.0, Role.MU_INV)
     eps = constant_field(mesh, 1.0, Role.EPS)
     spec = ProblemSpec(5.0, mesh, mu, eps, 1.5)
-    fine = remesh_problem(spec, 7.0, 0.1)
-    assert fine.k == 7.0
-    assert fine.mesh.n_elements == 20
+    fine = remesh_problem(spec, build_interval_mesh(0, 2, 24, IMP, IMP))
+    assert fine.k == 5.0
+    assert fine.mesh.n_elements == 24
     assert np.all(fine.theta == 1.5)
     x = fine.mesh.element_centroids()[:, 0]
     assert np.array_equal(fine.mu_inv.values, np.where(x < 1.0, 2.0, 1.0))
-    with pytest.raises(InvalidArgumentError):
-        remesh_problem(spec, 7.0, 2.5)  # fewer than two elements
+    assert np.array_equal(fine.eps.values, np.ones(24))
+
+    def step(p):
+        return 3.0 if p[0] < 0.5 and p[1] >= 0.25 else 1.0
+
+    coarse = build_rect_mesh(2.0, 1.0, 4, 4, IMP)
+    spec2 = ProblemSpec(4.0, coarse, constant_field(coarse, 1.0, Role.MU_INV),
+                        piecewise_field(coarse, step, Role.EPS))
+    refined = build_rect_mesh(2.0, 1.0, 12, 12, IMP)
+    fine2 = remesh_problem(spec2, refined)
+    assert np.array_equal(fine2.eps.values, piecewise_field(refined, step, Role.EPS).values)
+
+    uneven = ProblemSpec(5.0, mesh, mu, eps, [1.0, 2.0])
+    with pytest.raises(InvalidArgumentError, match="uniform impedance"):
+        remesh_problem(uneven, fine.mesh)
 
 
 def _absorption_pair(spec, alpha):

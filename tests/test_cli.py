@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from collections import Counter
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from helmprec.cli import cmd_export, cmd_import, cmd_sweep, cmd_verify, main
-from helmprec.errors import InvalidSystemError
+from helmprec.errors import InvalidCoefficientError, InvalidSystemError
 
 
 def write_cfg(tmp_path, extra=None, name="cfg.json"):
@@ -109,32 +110,40 @@ def _factor_kinds(splu_calls):
     return dict(Counter(dtype.kind for _, dtype in splu_calls))
 
 
+LADDER = {"sweep": {"ladder": {"refine": 2}}}
+
+
 def test_each_matrix_factored_once(tmp_path, splu_calls):
     """verify factors D, M, A1 and A2 once each, plus the transient shifted
     mass matrix sigma I - M of ``mass_extremes``; a sweep factors the first
-    four of them once per k and only A2 per (k, alpha) point."""
-    path = write_cfg(tmp_path)
+    four of them once per k and only A2 per (k, alpha) point, and its ladder
+    factors only each k's reference rung (D and A): the working rung is the
+    sweep's own system."""
+    path = write_cfg(tmp_path, LADDER)
     assert cmd_verify(path, out_dir=str(tmp_path / "v")).exit_status == 0
     assert len(splu_calls) == 5
     assert _factor_kinds(splu_calls) == {"f": 3, "c": 2}
     splu_calls.clear()
     res = cmd_sweep(path, out_dir=str(tmp_path / "s"))
-    assert len(res.summaries) == 6  # 2 k-values x 3 alphas
-    assert len(splu_calls) == 2 * (4 + 3)
-    assert _factor_kinds(splu_calls) == {"f": 2 * 3, "c": 2 * (1 + 3)}
+    assert len(res.summaries) == 6 + 2  # 2 k-values x 3 alphas, 2 ladder rungs
+    assert len(splu_calls) == 2 * (4 + 3) + 2 * 2
+    assert _factor_kinds(splu_calls) == {"f": 2 * 3 + 2, "c": 2 * (1 + 3) + 2}
 
 
 def test_eigensolves_per_command(tmp_path, pencil_calls):
     """verify: 2 M-weighted solution norms, 1 C_dis per matrix, 2 mass
     extremes and 2 norm estimates (one per symmetric twin pair). A sweep
     computes C_dis_1 and the mass extremes once per k, and C_dis_2 and 2
-    norm estimates per point."""
-    path = write_cfg(tmp_path)
+    norm estimates per point; its ladder adds one C_dis per k, of the
+    reference rung (60 elements refined twice: 121 dofs)."""
+    path = write_cfg(tmp_path, LADDER)
     assert cmd_verify(path, out_dir=str(tmp_path / "v")).exit_status == 0
     assert pencil_calls == [61] * 8
     pencil_calls.clear()
     assert cmd_sweep(path, out_dir=str(tmp_path / "s")).exit_status == 0
-    assert len(pencil_calls) == 2 * (3 + 3 * 3)
+    assert len(pencil_calls) == 2 * (3 + 3 * 3) + 2
+    assert pencil_calls[:-2] == [61] * (2 * (3 + 3 * 3))
+    assert pencil_calls[-2:] == [121, 121]
 
 
 def test_eigensolves_run_in_standard_mode(tmp_path, monkeypatch):
@@ -219,6 +228,70 @@ def test_sweep_with_ladder(tmp_path):
     assert len(lines) == 3
     ratios = [float(l.split(",")[7]) for l in lines[1:]]
     assert all(1 / 3 <= r <= 3 for r in ratios)
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _sweep_and_ladder(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    res = cmd_sweep(str(path), out_dir=str(tmp_path / "out"))
+    assert res.exit_status == 0
+    return _csv_rows(res.paths["sweep"]), _csv_rows(res.paths["ladder"])
+
+
+def test_sweep_ladder_working_rung_is_the_sweep_system_pml(tmp_path):
+    """The pml layer scales with k: every k's working rung is that k's own
+    sweep system, so its gamma is 1/cdis1 of the sweep row at that k."""
+    pml = {"type": "pml", "start": 0.7, "sigma0": 20.0}
+    sweep, ladder = _sweep_and_ladder(tmp_path, {
+        "problem": {"dimension": 1, "k": 10.0, "mu_inv": pml, "eps": pml,
+                    "resolution": {"type": "per_k", "factor": 10}},
+        "perturbation": {"mode": "absorption", "alpha": 0.3},
+        "sweep": {"k_values": [10.0, 40.0], "alpha_values": [0.3],
+                  "ladder": {"refine": 2}},
+    })
+    assert [r["k"] for r in ladder] == [r["k"] for r in sweep] == ["10.0", "40.0"]
+    assert [int(r["n"]) for r in ladder] == [101, 401]
+    for row, rung in zip(sweep, ladder):
+        assert float(rung["gamma"]) == pytest.approx(1 / float(row["cdis1"]), rel=1e-12)
+        assert int(rung["n_ref"]) == 2 * int(rung["n"]) - 1
+
+
+def test_sweep_ladder_working_rung_is_the_sweep_mesh_non_square(tmp_path):
+    """On a [2, 1] domain each axis is sized separately, for the sweep's
+    mesh and for the ladder's working rung alike."""
+    sweep, ladder = _sweep_and_ladder(tmp_path, {
+        "problem": {"dimension": 2, "k": 4.0, "domain": [2.0, 1.0],
+                    "resolution": {"type": "per_k", "factor": 3}},
+        "perturbation": {"mode": "absorption", "alpha": 0.3},
+        "sweep": {"k_values": [4.0, 5.0], "alpha_values": [0.3],
+                  "ladder": {"refine": 2}},
+    })
+    assert sweep[0]["n"] == "169"
+    assert len(ladder) == len(sweep) == 2
+    for row, rung in zip(sweep, ladder):
+        assert (rung["n"], rung["h"]) == (row["n"], row["h"])
+        assert float(rung["h_ref"]) == pytest.approx(float(rung["h"]) / 2, rel=1e-15)
+
+
+def test_sweep_ladder_raises_when_a_system_failed(tmp_path):
+    """A k whose sweep system could not be built stops the ladder; the
+    sweep's error rows are written first."""
+    path = write_cfg(tmp_path, {
+        "problem": {"mu_inv": {"type": "step", "axis": 0, "threshold": 0.5,
+                               "below": [-1.0, 0.0], "above": [1.0, 0.0]}},
+        "sweep": {"alpha_values": [0.1], "ladder": {"refine": 2}},
+    })
+    out = tmp_path / "sf"
+    with pytest.raises(InvalidCoefficientError):
+        cmd_sweep(path, out_dir=str(out))
+    assert all(r["error"] == "InvalidCoefficientError"
+               for r in _csv_rows(out / "sweep.csv"))
+    assert not (out / "ladder.csv").exists()
 
 
 def test_sweep_alpha_growth_and_small_alpha_linearity(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import canonical_1d, canonical_spec_1d
+from conftest import IMP, canonical_1d, canonical_spec_1d, working_rung
 
 from helmprec.assemble import assemble_system, pair_as_external
 from helmprec.bounds import absorption_report, garding_check, infsup_ladder, InfSupLadder
@@ -21,6 +21,7 @@ from helmprec.io import (
     write_matrix_mm,
     write_report,
 )
+from helmprec.mesh import build_interval_mesh
 from helmprec.solvers import fixed_point
 
 MINIMAL = '{"problem": {"dimension": 1, "k": 10.0}}'
@@ -213,8 +214,8 @@ def test_trace_and_ladder_serialization(tmp_path):
     assert lines[0] == "iteration,norm,envelope_c,envelope_elman"
     assert len(lines) == len(tr.norms) + 1
 
-    spec = canonical_spec_1d(10.0, 10)
-    ladder = infsup_ladder(spec, [10.0], lambda k: 0.1, lambda k: 0.025)
+    rung = working_rung(canonical_spec_1d(10.0, 10))
+    ladder = infsup_ladder([rung], lambda k: build_interval_mesh(0, 1, 40, IMP, IMP))
     lpath = write_report(ladder, str(tmp_path / "l.csv"), "csv")
     lines = open(lpath).read().splitlines()
     assert lines[0].startswith("k,h,h_ref")
