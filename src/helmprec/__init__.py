@@ -1,12 +1,11 @@
 """Helmholtz finite-element systems and nearby-preconditioner bound checks."""
 
 from .assemble import (
-    ExternalSystem,
     GalerkinSystem,
+    MatrixSystem,
     ProblemSpec,
     assemble_load,
     assemble_system,
-    pair_as_external,
     validate_external,
 )
 from .bounds import (

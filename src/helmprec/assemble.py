@@ -17,14 +17,19 @@ finite-element function equals V* D V for its coefficient vector V.
 All element integrals are closed-form (exact for affine elements and
 piecewise-constant coefficients). Dirichlet dofs are eliminated by
 symmetric row/column deletion, which keeps D and M SPD on the free set.
+
+Every system is a :class:`MatrixSystem`: one system matrix A with the
+norm matrices D and M, owning their factors and the quantities derived
+from them. An assembled :class:`GalerkinSystem` adds the parts of A and
+the problem it came from; a pair supplied as matrices (e.g. Maxwell
+edge-element matrices from another code) is two matrix systems on the
+same D and M, checked by :func:`validate_external`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -48,6 +53,7 @@ from .numerics import (
     gram_factor,
     lu_factor,
     mass_extremes,
+    nearly_equal,
 )
 
 _HERMITIAN_RTOL = 1e-12
@@ -105,15 +111,29 @@ class ProblemSpec:
         return self.with_eps(absorption_shift(self.eps, alpha))
 
 
-class _SystemQuantities:
-    """Factors of a system's matrices and the quantities derived from them.
+@dataclass(frozen=True, eq=False)
+class MatrixSystem:
+    """A system matrix ``A`` with the norm matrices ``D`` and ``M`` of its space.
 
     A system owns the factors of its matrices, computed on first use, so
     every quantity computed from one system shares them, and they live as
     long as the system. The derived quantities are cached per seed: the
-    discrete inf-sup report of each system matrix (through the Gram factor
-    of D) and the mass-matrix extremes (through the Gram factor of M).
+    discrete inf-sup report of A (through the Gram factor of D) and the
+    mass-matrix extremes (through the Gram factor of M).
     """
+
+    A: sp.csr_matrix
+    D: sp.csr_matrix
+    M: sp.csr_matrix
+
+    @property
+    def n(self) -> int:
+        return self.A.shape[0]
+
+    @cached_property
+    def lu(self) -> LUFactor:
+        """LU factors of A, computed on first use."""
+        return lu_factor(self.A)
 
     @cached_property
     def gram_d(self) -> GramFactor:
@@ -127,21 +147,21 @@ class _SystemQuantities:
     def _derived(self) -> dict:
         return {}
 
-    def share_norm_factors(self, other: "_SystemQuantities") -> None:
+    def share_norm_factors(self, other: "MatrixSystem") -> None:
         """Use the Gram factors of ``other``, whose D and M the caller has
         checked to equal this system's; factors already owned are kept."""
         if other is not self:
             self.__dict__.setdefault("gram_d", other.gram_d)
             self.__dict__.setdefault("gram_m", other.gram_m)
 
-    def inf_sup(self, position: int = 1, seed: int = DEFAULT_SEED) -> InfSupReport:
-        """Discrete inf-sup report of the system matrix in ``position``
-        (a singular matrix is reported, not raised), cached per factor."""
+    def inf_sup(self, seed: int = DEFAULT_SEED) -> InfSupReport:
+        """Discrete inf-sup report of A (a singular matrix is reported, not
+        raised), cached per seed."""
         try:
-            lu = self.lu_at(position)
+            lu = self.lu
         except SingularSystemError:
             return SINGULAR_INF_SUP
-        key = ("inf_sup", lu, seed)
+        key = ("inf_sup", seed)
         if key not in self._derived:
             self._derived[key] = discrete_inf_sup(lu, self.gram_d, seed=seed)
         return self._derived[key]
@@ -157,57 +177,14 @@ class _SystemQuantities:
 
 
 @dataclass(frozen=True, eq=False)
-class GalerkinSystem(_SystemQuantities):
+class GalerkinSystem(MatrixSystem):
     """Assembled matrices of one problem, restricted to free dofs."""
 
-    n: int
     S: sp.csr_matrix
     B: sp.csr_matrix
     M_eps: sp.csr_matrix
-    A: sp.csr_matrix
-    D: sp.csr_matrix
-    M: sp.csr_matrix
     free_nodes: np.ndarray
     spec: ProblemSpec
-
-    @cached_property
-    def lu(self) -> LUFactor:
-        """LU factors of A, computed on first use."""
-        return lu_factor(self.A)
-
-    def lu_at(self, position: int = 1) -> LUFactor:
-        """The LU factors of A: the one system matrix fills every position."""
-        return self.lu
-
-
-@dataclass(frozen=True, eq=False)
-class ExternalSystem(_SystemQuantities):
-    """A pair of systems supplied as matrices (e.g. from another code).
-
-    Carries both Galerkin matrices of a nearby pair plus the shared
-    norm matrices; coefficient-difference sup norms are optional
-    metadata (they cannot be recovered from the matrices alone).
-    """
-
-    A1: sp.csr_matrix
-    A2: sp.csr_matrix
-    D: sp.csr_matrix
-    M: sp.csr_matrix
-    n: int
-    dmu: Optional[float] = None
-    deps: Optional[float] = None
-
-    @cached_property
-    def lu1(self) -> LUFactor:
-        return lu_factor(self.A1)
-
-    @cached_property
-    def lu2(self) -> LUFactor:
-        return lu_factor(self.A2)
-
-    def lu_at(self, position: int) -> LUFactor:
-        """LU factors of A1 (position 1) or A2 (position 2)."""
-        return self.lu1 if position == 1 else self.lu2
 
 
 def _free_nodes(mesh: Mesh) -> np.ndarray:
@@ -333,7 +310,7 @@ def assemble_system(spec: ProblemSpec) -> GalerkinSystem:
     D = (k2 * cut(K) + M).tocsr()
     A = (S + B - M_eps).tocsr()
     return GalerkinSystem(
-        n=free.size, S=S, B=B, M_eps=M_eps, A=A, D=D, M=M, free_nodes=free, spec=spec
+        A=A, D=D, M=M, S=S, B=B, M_eps=M_eps, free_nodes=free, spec=spec
     )
 
 
@@ -356,21 +333,23 @@ def assemble_load(spec: ProblemSpec, f) -> np.ndarray:
 
 
 def _check_hermitian(X, name: str):
-    diff = abs(X - X.getH())
-    scale = abs(X).max() if X.nnz else 0.0
-    if X.nnz and diff.max() > _HERMITIAN_RTOL * max(scale, 1e-300):
+    if not nearly_equal(X, X.getH(), _HERMITIAN_RTOL):
         raise InvalidSystemError(f"matrix {name} is not Hermitian")
 
 
-def validate_external(system: ExternalSystem) -> ExternalSystem:
-    """Check an imported pair: consistent dimensions, D and M Hermitian PD."""
-    mats = {"A1": system.A1, "A2": system.A2, "D": system.D, "M": system.M}
+def validate_external(sys1: MatrixSystem, sys2: MatrixSystem) -> None:
+    """Check an imported pair: consistent dimensions, D and M Hermitian PD.
+
+    D and M are those of ``sys1``; the bound report checks that ``sys2``
+    has the same ones and shares their factors.
+    """
+    mats = {"A1": sys1.A, "A2": sys2.A, "D": sys1.D, "M": sys1.M}
     for name, X in mats.items():
         if X.shape[0] != X.shape[1]:
             raise InvalidSystemError(f"matrix {name} is not square: {X.shape}")
-        if X.shape[0] != system.n:
+        if X.shape[0] != sys1.n:
             raise InvalidSystemError(
-                f"matrix {name} has dimension {X.shape[0]}, expected {system.n}"
+                f"matrix {name} has dimension {X.shape[0]}, expected {sys1.n}"
             )
     for name in ("D", "M"):
         X = mats[name]
@@ -380,21 +359,6 @@ def validate_external(system: ExternalSystem) -> ExternalSystem:
         try:
             # the system's own factor: the certificate is the factorization
             # every later norm of this pair solves with
-            getattr(system, "gram_" + name.lower())
+            getattr(sys1, "gram_" + name.lower())
         except NotPositiveDefiniteError as exc:
             raise InvalidSystemError(f"matrix {name} is not positive definite") from exc
-    return system
-
-
-def pair_as_external(
-    sys1: GalerkinSystem,
-    sys2: GalerkinSystem,
-    dmu: Optional[float] = None,
-    deps: Optional[float] = None,
-) -> ExternalSystem:
-    """Package two assembled systems on the same space as an external pair."""
-    if sys1.n != sys2.n:
-        raise InvalidArgumentError("systems have different dimensions")
-    return ExternalSystem(
-        A1=sys1.A, A2=sys2.A, D=sys1.D, M=sys1.M, n=sys1.n, dmu=dmu, deps=deps
-    )

@@ -18,15 +18,21 @@ the unperturbed problem only. Reports evaluate both sides of every
 inequality with a multiplicative slack absorbing the norm-estimation
 tolerance and carry pass/fail margins.
 
-A system owns its factors and caches, per seed, its discrete inf-sup
-report and its mass-matrix extremes, so each command computes C_dis_1,
-C_dis_2 and m+/m- once; the second system of a pair shares the first's
-Gram factors of D and M. Helmholtz Galerkin matrices are complex
-symmetric, and when A1 and A2 both are (||A - A^T|| <= 1e-14 ||A|| in
-the largest entry) the right-hand operator I - A1 A2^{-1} is the
-transpose of the left-hand one, so by the twin identities of
-:mod:`helmprec.numerics` ||I - A1 A2^{-1}||_{D^{-1}} = ||I - A2^{-1} A1||_D
-and the two Euclidean norms agree: only the left-hand side is estimated.
+Each system of a pair is a :class:`~helmprec.assemble.MatrixSystem`,
+assembled or imported alike. A system owns its factors and caches, per
+seed, its discrete inf-sup report and its mass-matrix extremes, so each
+command computes C_dis_1, C_dis_2 and m+/m- once; the second system of a
+pair shares the first's Gram factors of D and M. Only the
+coefficient-difference norms depend on the kind of system: they come
+from the problems' fields for two Galerkin systems and are supplied
+otherwise.
+
+Helmholtz Galerkin matrices are complex symmetric, and when A1 and A2
+both are (||A - A^T|| <= 1e-14 ||A|| in the largest entry) the
+right-hand operator I - A1 A2^{-1} is the transpose of the left-hand
+one, so by the twin identities of :mod:`helmprec.numerics`
+||I - A1 A2^{-1}||_{D^{-1}} = ||I - A2^{-1} A1||_D and the two Euclidean
+norms agree: only the left-hand side is estimated.
 
 Note the smallness-condition checks use the measured discrete constant
 C_dis_1 as a stand-in for its continuous counterpart; the refinement
@@ -39,33 +45,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assemble import (
-    ExternalSystem,
-    GalerkinSystem,
-    ProblemSpec,
-    assemble_system,
-)
+from .assemble import GalerkinSystem, MatrixSystem, ProblemSpec, assemble_system
 from .coeffs import AbsorptionSpec, field_diff_sup_norm, resample_field
 from .errors import InvalidArgumentError, InvalidPairError, SingularSystemError
 from .mesh import Mesh
 from .numerics import (
     InfSupReport,
     LUFactor,
+    nearly_equal,
     solution_operator_norms,
     weighted_operator_norm,
 )
 
 DEFAULT_SLACK = 1e-9
 _IDENTITY_RTOL = 1e-12
-
-AnySystem = Union[GalerkinSystem, ExternalSystem]
-
 
 @dataclass(frozen=True)
 class GardingConstants:
@@ -268,29 +267,13 @@ def garding_check(
     )
 
 
-def _system_view(s: AnySystem, position: int):
-    """(A, field pair or None) for either kind of system argument."""
-    if isinstance(s, GalerkinSystem):
-        return s.A, (s.spec.mu_inv, s.spec.eps)
-    if isinstance(s, ExternalSystem):
-        return (s.A1 if position == 1 else s.A2), None
-    raise InvalidArgumentError(f"unsupported system type {type(s).__name__}")
-
-
 def _matrices_match(X, Y) -> bool:
-    if X.shape != Y.shape:
-        return False
-    diff = abs(X - Y)
-    if diff.nnz == 0:
-        return True
-    scale = max(abs(X).max(), abs(Y).max(), 1e-300)
-    return diff.max() <= 1e-12 * scale
+    return X.shape == Y.shape and nearly_equal(X, Y, 1e-12)
 
 
 def _symmetric(A) -> bool:
     """A^T = A up to 1e-14 relative in the largest entry."""
-    diff = abs(A - A.T)
-    return diff.nnz == 0 or diff.max() <= 1e-14 * abs(A).max()
+    return nearly_equal(A, A.T, 1e-14)
 
 
 def _difference_operators(A1, A2, lu2: LUFactor):
@@ -322,8 +305,8 @@ def _difference_operators(A1, A2, lu2: LUFactor):
 
 
 def nearby_bound_report(
-    sys1: AnySystem,
-    sys2: AnySystem,
+    sys1: MatrixSystem,
+    sys2: MatrixSystem,
     dmu: Optional[float] = None,
     deps: Optional[float] = None,
     slack: float = DEFAULT_SLACK,
@@ -334,34 +317,29 @@ def nearby_bound_report(
 ) -> BoundReport:
     """Evaluate every nearby-preconditioner inequality for a system pair.
 
-    Both arguments may be assembled systems or the two halves of an
-    :class:`ExternalSystem` (pass the external object in both slots; the
-    first position reads A1, the second A2). Coefficient-difference
-    norms are taken from the fields when available and can be
-    overridden; for bare external matrices they must be supplied.
+    The systems are assembled or supplied as matrices alike. The
+    coefficient-difference norms are taken from the two problems' fields
+    when both systems are Galerkin systems and can be overridden; for
+    matrix systems they must be supplied.
     """
-    A1, fields1 = _system_view(sys1, 1)
-    A2, fields2 = _system_view(sys2, 2)
+    A1, A2 = sys1.A, sys2.A
     if A1.shape != A2.shape:
         raise InvalidPairError(f"dimension mismatch: {A1.shape} vs {A2.shape}")
     if not (_matrices_match(sys1.D, sys2.D) and _matrices_match(sys1.M, sys2.M)):
         raise InvalidPairError("systems do not share the same D and M")
 
-    if dmu is None or deps is None:
-        if fields1 is not None and fields2 is not None:
-            dmu = field_diff_sup_norm(fields1[0], fields2[0]) if dmu is None else dmu
-            deps = field_diff_sup_norm(fields1[1], fields2[1]) if deps is None else deps
-        else:
-            ext = sys1 if isinstance(sys1, ExternalSystem) else sys2
-            if isinstance(ext, ExternalSystem):
-                dmu = ext.dmu if dmu is None else dmu
-                deps = ext.deps if deps is None else deps
+    if isinstance(sys1, GalerkinSystem) and isinstance(sys2, GalerkinSystem):
+        spec1, spec2 = sys1.spec, sys2.spec
+        if dmu is None:
+            dmu = field_diff_sup_norm(spec1.mu_inv, spec2.mu_inv)
+        if deps is None:
+            deps = field_diff_sup_norm(spec1.eps, spec2.eps)
     if dmu is None or deps is None:
         raise InvalidArgumentError(
             "coefficient-difference norms unavailable; pass dmu and deps"
         )
 
-    n = A1.shape[0]
+    n = sys1.n
     if isinstance(sys1, GalerkinSystem):
         if k is None:
             k = sys1.spec.k
@@ -373,7 +351,7 @@ def nearby_bound_report(
     # before A2 is factored: the transient shifted-mass factor inside
     # mass_extremes is then freed before A2's complex LU factors exist
     me = sys1.mass_extremes(seed)
-    inf2 = sys2.inf_sup(2, seed)
+    inf2 = sys2.inf_sup(seed)
     nan = math.nan
     if inf2.singular:
         return BoundReport(
@@ -382,8 +360,8 @@ def nearby_bound_report(
             rhs_lemma=math.inf, rhs_lemma2=None, cond=nan, checks=(),
             singular=True, k=k, h=h, alpha=alpha,
         )
-    inf1 = sys1.inf_sup(1, seed)
-    op_left, op_right, zero_pair = _difference_operators(A1, A2, sys2.lu_at(2))
+    inf1 = sys1.inf_sup(seed)
+    op_left, op_right, zero_pair = _difference_operators(A1, A2, sys2.lu)
 
     if zero_pair:
         lhs_D = lhs_Dinv = lhs_2 = lhs_2p = 0.0
@@ -438,7 +416,7 @@ def absorption_report(
 
 
 def norm_equivalence_report(
-    sys: AnySystem,
+    sys: MatrixSystem,
     constants: GardingConstants = CANONICAL_GARDING,
     slack: float = DEFAULT_SLACK,
     seed: int = 0,
@@ -456,10 +434,10 @@ def norm_equivalence_report(
     their difference, is zero by construction; it is kept for the
     report's format.
     """
-    rep = sys.inf_sup(1, seed)
+    rep = sys.inf_sup(seed)
     if rep.singular:
         raise SingularSystemError("system matrix is singular")
-    duo = solution_operator_norms(sys.lu_at(1), sys.gram_d, sys.gram_m, seed=seed)
+    duo = solution_operator_norms(sys.lu, sys.gram_d, sys.gram_m, seed=seed)
     hstar_to_h = rep.c_dis
     cg1, cg2 = constants.c_g1, constants.c_g2
     upper1 = (1.0 / cg1) * (1.0 + cg2 * duo.h0_to_h)
@@ -519,7 +497,7 @@ def infsup_ladder(
     entries = []
     for spec, n, rep in rungs:
         ref = assemble_system(remesh_problem(spec, refined_mesh(spec.k)))
-        gamma, gamma_ref = rep.gamma, ref.inf_sup(1, seed).gamma
+        gamma, gamma_ref = rep.gamma, ref.inf_sup(seed).gamma
         # singular reports carry gamma = 0
         singular = gamma == 0.0 or gamma_ref == 0.0
         entries.append(

@@ -21,7 +21,6 @@ from .assemble import (
     ProblemSpec,
     assemble_load,
     assemble_system,
-    pair_as_external,
     validate_external,
 )
 from .bounds import (
@@ -38,8 +37,6 @@ from .errors import HelmprecError
 from .solvers import fixed_point, gmres
 
 SWEEP_COLUMNS = hio.BOUND_COLUMNS + ("fp_iters", "gmres_iters", "error")
-LADDER_COLUMNS = ("k", "h", "h_ref", "n", "n_ref", "gamma", "gamma_ref", "ratio",
-                  "singular")
 
 
 @dataclass
@@ -177,7 +174,7 @@ def _ladder_rung(sys1, seed):
     if isinstance(sys1, HelmprecError):
         return sys1
     try:
-        return sys1.spec, sys1.n, sys1.inf_sup(1, seed)
+        return sys1.spec, sys1.n, sys1.inf_sup(seed)
     except HelmprecError as exc:
         return exc
 
@@ -252,9 +249,8 @@ def cmd_export(
     sys2, _ = _perturbed(cfg, sys1)
     dmu = field_diff_sup_norm(sys1.spec.mu_inv, sys2.spec.mu_inv)
     deps = field_diff_sup_norm(sys1.spec.eps, sys2.spec.eps)
-    ext = pair_as_external(sys1, sys2, dmu=dmu, deps=deps)
     result = ScenarioResult()
-    result.paths.update(hio.write_matrix_exchange(ext, out))
+    result.paths.update(hio.write_matrix_exchange(sys1, sys2, out, dmu=dmu, deps=deps))
     result.add("export", True, 0.0)
     return result
 
@@ -269,15 +265,21 @@ def cmd_import(
     dmu: float | None = None,
     deps: float | None = None,
 ) -> ScenarioResult:
-    """Read an external pair, validate it, and run the nearby bound report."""
+    """Read an external pair, validate it, and run the nearby bound report.
+
+    Each coefficient-difference norm is the one given here, else the one
+    in the pair's meta.json; without either the report cannot be made.
+    """
     a1 = os.path.join(matrix_dir, "A1.mtx")
     a2 = os.path.join(matrix_dir, "A2.mtx")
     d_path = d_path or os.path.join(matrix_dir, "D.mtx")
     m_path = m_path or os.path.join(matrix_dir, "M.mtx")
-    ext = hio.read_matrix_exchange(a1, a2, d_path, m_path)
-    validate_external(ext)
+    sys1, sys2, meta = hio.read_matrix_exchange(a1, a2, d_path, m_path)
+    validate_external(sys1, sys2)
+    dmu = meta.get("dmu") if dmu is None else dmu
+    deps = meta.get("deps") if deps is None else deps
     slack = DEFAULT_SLACK * tol_scale
-    rep = nearby_bound_report(ext, ext, dmu=dmu, deps=deps, slack=slack, seed=seed)
+    rep = nearby_bound_report(sys1, sys2, dmu=dmu, deps=deps, slack=slack, seed=seed)
     out = out_dir or matrix_dir
     os.makedirs(out, exist_ok=True)
     result = ScenarioResult()

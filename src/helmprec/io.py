@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .assemble import ExternalSystem, ProblemSpec
+from .assemble import MatrixSystem, ProblemSpec
 from .bounds import (
     BoundReport,
     GardingReport,
@@ -281,11 +281,16 @@ def dump_config(cfg: ExperimentConfig) -> str:
 # -- config -> problem objects ------------------------------------------------
 
 def resolution_elements(rule: dict, k: float, length: float) -> int:
-    """Number of mesh elements along a length for one resolution rule."""
+    """Number of mesh elements along a length for one resolution rule.
+
+    ``elements`` is an explicit count per axis, whatever its length;
+    ``per_k`` puts factor * k elements on each unit of length; ``k_power``
+    fits elements of diameter scale * k^{-exponent} into ``length``.
+    """
     if rule["type"] == "elements":
         n = int(rule["n"])
     elif rule["type"] == "per_k":
-        n = math.ceil(float(rule["factor"]) * k)
+        n = math.ceil(float(rule["factor"]) * k * length)
     else:  # k_power: target h = scale * k^{-exponent}
         h = float(rule.get("scale", 1.0)) * k ** (-float(rule["exponent"]))
         n = math.ceil(length / h)
@@ -304,9 +309,10 @@ def build_mesh(problem: dict, k: Optional[float] = None, refine: int = 1) -> Mes
             a, b, n, _TAGS[problem["boundary"]["left"]], _TAGS[problem["boundary"]["right"]]
         )
     w, h = problem["domain"]
-    # element diameter is the cell diagonal; resolve counts per axis
-    nx = resolution_elements(rule, k, w * math.sqrt(2.0)) * refine
-    ny = resolution_elements(rule, k, h * math.sqrt(2.0)) * refine
+    # k_power sizes the element diameter, which is the cell diagonal
+    stretch = math.sqrt(2.0) if rule["type"] == "k_power" else 1.0
+    nx = resolution_elements(rule, k, w * stretch) * refine
+    ny = resolution_elements(rule, k, h * stretch) * refine
     tags = {s: _TAGS[t] for s, t in problem["boundary"].items()}
     return build_rect_mesh(w, h, nx, ny, tags)
 
@@ -448,27 +454,33 @@ def read_matrix_mm(path: str) -> sp.csr_matrix:
     return X
 
 
-_EXCHANGE_NAMES = ("A1.mtx", "A2.mtx", "D.mtx", "M.mtx")
-
-
-def write_matrix_exchange(system: ExternalSystem, directory: str) -> dict[str, str]:
-    """Write a system pair (A1, A2, D, M) plus optional metadata to a directory."""
+def write_matrix_exchange(
+    sys1: MatrixSystem,
+    sys2: MatrixSystem,
+    directory: str,
+    dmu: Optional[float] = None,
+    deps: Optional[float] = None,
+) -> dict[str, str]:
+    """Write a system pair to a directory: A1.mtx and A2.mtx, the system
+    matrices; D.mtx and M.mtx, the norm matrices of ``sys1``; and, when
+    either coefficient-difference norm is given, meta.json with the given
+    ones. Returns the written paths by file name."""
     os.makedirs(directory, exist_ok=True)
     paths = {}
     for name, X, symmetry in (
-        ("A1.mtx", system.A1, "general"),
-        ("A2.mtx", system.A2, "general"),
-        ("D.mtx", system.D, "hermitian"),
-        ("M.mtx", system.M, "hermitian"),
+        ("A1.mtx", sys1.A, "general"),
+        ("A2.mtx", sys2.A, "general"),
+        ("D.mtx", sys1.D, "hermitian"),
+        ("M.mtx", sys1.M, "hermitian"),
     ):
         path = os.path.join(directory, name)
         write_matrix_mm(path, X, symmetry)
         paths[name] = path
     meta = {}
-    if system.dmu is not None:
-        meta["dmu"] = system.dmu
-    if system.deps is not None:
-        meta["deps"] = system.deps
+    if dmu is not None:
+        meta["dmu"] = dmu
+    if deps is not None:
+        meta["deps"] = deps
     if meta:
         meta_path = os.path.join(directory, "meta.json")
         with open(meta_path, "w", encoding="utf-8") as fh:
@@ -480,11 +492,13 @@ def write_matrix_exchange(system: ExternalSystem, directory: str) -> dict[str, s
 
 def read_matrix_exchange(
     a1_path: str, a2_path: str, d_path: str, m_path: str
-) -> ExternalSystem:
+) -> tuple[MatrixSystem, MatrixSystem, dict]:
     """Read a system pair from four coordinate-format files.
 
-    A ``meta.json`` next to the A1 file, when present, supplies the
-    coefficient-difference norms.
+    Returns ``(sys1, sys2, meta)``: the systems of A1 and A2, both on the
+    same D and M objects, and the parsed ``meta.json`` next to the A1 file
+    (the coefficient-difference norms of an exported pair), or ``{}``
+    when there is none.
     """
     mats = {}
     for name, path in (
@@ -493,17 +507,13 @@ def read_matrix_exchange(
         if not os.path.exists(path):
             raise MatrixExchangeError(f"matrix file for {name} not found: {path}")
         mats[name] = read_matrix_mm(path)
-    dmu = deps = None
+    meta = {}
     meta_path = os.path.join(os.path.dirname(os.path.abspath(a1_path)), "meta.json")
     if os.path.exists(meta_path):
         with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
-        dmu = meta.get("dmu")
-        deps = meta.get("deps")
-    return ExternalSystem(
-        A1=mats["A1"], A2=mats["A2"], D=mats["D"], M=mats["M"],
-        n=mats["A1"].shape[0], dmu=dmu, deps=deps,
-    )
+    D, M = mats["D"], mats["M"]
+    return MatrixSystem(mats["A1"], D, M), MatrixSystem(mats["A2"], D, M), meta
 
 
 # -- report serialization -----------------------------------------------------

@@ -101,6 +101,16 @@ def _square_csc(X) -> sp.csc_matrix:
     return Xc
 
 
+def nearly_equal(X, Y, rtol: float) -> bool:
+    """max |X - Y| <= rtol times the largest entry of X or Y, for sparse X and
+    Y; an exactly zero difference passes, so two zero matrices are equal."""
+    diff = abs(X - Y)
+    if diff.nnz == 0:
+        return True
+    scale = max(abs(X).max(), abs(Y).max(), 1e-300)
+    return diff.max() <= rtol * scale
+
+
 @dataclass(frozen=True, eq=False)
 class LUFactor:
     """Sparse LU factors of the square matrix ``A``; ``solve`` applies A^{-1}."""
@@ -219,9 +229,7 @@ def gram_factor(D) -> GramFactor:
             raise InvalidArgumentError("gram_factor needs a real matrix")
         Dc = Dc.real.tocsc()
         Dc.data = np.ascontiguousarray(Dc.data)  # .real is a strided view
-    scale = abs(Dc).max() if Dc.nnz else 0.0
-    asym = abs(Dc - Dc.T)
-    if Dc.nnz and asym.nnz and asym.max() > 1e-12 * scale:
+    if not nearly_equal(Dc, Dc.T, 1e-12):
         raise InvalidArgumentError("gram_factor needs a symmetric matrix")
     try:
         f = lu_factor(Dc, dtype=float, diag_pivot_thresh=0.0,

@@ -160,7 +160,7 @@ def gmres(
     if inner is None:
         ip = lambda u, v: complex(np.vdot(u, v))
     else:
-        ip = lambda u, v: complex(np.vdot(u, inner.D @ v))
+        ip = inner.inner
 
     def ip_norm(u):
         return math.sqrt(max(ip(u, u).real, 0.0))

@@ -42,7 +42,7 @@ def canonical_1d(k, n, **kw):
 def working_rung(spec, seed=0):
     """An inf-sup ladder's working rung: (spec, n, inf-sup report) of ``spec``'s system."""
     system = assemble_system(spec)
-    return spec, system.n, system.inf_sup(1, seed)
+    return spec, system.n, system.inf_sup(seed)
 
 
 def canonical_spec_2d(k, nx, ny, tags=IMP, theta=1.0):

@@ -4,11 +4,10 @@ import pytest
 from conftest import DIR, IMP, NEU, canonical_1d, canonical_spec_1d, canonical_2d
 
 from helmprec.assemble import (
-    ExternalSystem,
+    MatrixSystem,
     ProblemSpec,
     assemble_load,
     assemble_system,
-    pair_as_external,
     validate_external,
 )
 from helmprec.coeffs import Role, absorption_shift, constant_field, piecewise_field
@@ -185,22 +184,17 @@ def test_spec_validation_errors():
 def test_validate_external_roundtrip_and_errors():
     s1 = canonical_1d(4.0, 10)
     s2 = assemble_system(s1.spec.with_eps(absorption_shift(s1.spec.eps, 0.2)))
-    ext = pair_as_external(s1, s2, dmu=0.0, deps=0.2)
-    assert validate_external(ext) is ext
+    validate_external(s1, s2)
 
-    bad_d = ExternalSystem(
-        A1=s1.A, A2=s2.A, D=(-1.0 * s1.D).tocsr(), M=s1.M, n=s1.n
-    )
+    def pair(D, M):
+        return MatrixSystem(s1.A, D, M), MatrixSystem(s2.A, D, M)
+
     with pytest.raises(InvalidSystemError, match="D"):
-        validate_external(bad_d)
+        validate_external(*pair((-1.0 * s1.D).tocsr(), s1.M))
     # D and M are factored as real matrices, so any imaginary part is rejected
-    tiny_imag = ExternalSystem(
-        A1=s1.A, A2=s2.A, D=s1.D, M=(s1.M * (1 + 1e-15j)).tocsr(), n=s1.n
-    )
     with pytest.raises(InvalidSystemError, match="M must be real"):
-        validate_external(tiny_imag)
+        validate_external(*pair(s1.D, (s1.M * (1 + 1e-15j)).tocsr()))
 
     small = canonical_1d(4.0, 5)
-    mismatched = ExternalSystem(A1=s1.A, A2=s2.A, D=s1.D, M=small.M, n=s1.n)
     with pytest.raises(InvalidSystemError, match="M"):
-        validate_external(mismatched)
+        validate_external(*pair(s1.D, small.M))

@@ -16,7 +16,7 @@ from conftest import (
     working_rung,
 )
 
-from helmprec.assemble import ExternalSystem, assemble_system, pair_as_external
+from helmprec.assemble import MatrixSystem, assemble_system
 from helmprec.bounds import (
     CANONICAL_GARDING,
     GardingConstants,
@@ -275,26 +275,22 @@ def test_external_pair_report_and_missing_norms():
     spec = canonical_spec_1d(9.0, 50)
     s1 = assemble_system(spec)
     s2 = assemble_system(spec.with_eps(absorption_shift(spec.eps, 0.2)))
-    ext = pair_as_external(s1, s2, dmu=0.0, deps=0.2)
-    rep_ext = nearby_bound_report(ext, ext)
     rep_in = nearby_bound_report(s1, s2)
+    b1 = MatrixSystem(s1.A, s1.D, s1.M)
+    b2 = MatrixSystem(s2.A, s1.D, s1.M)
+    with pytest.raises(InvalidArgumentError):
+        nearby_bound_report(b1, b2)
+    with pytest.raises(InvalidArgumentError):
+        nearby_bound_report(b1, b2, dmu=0.0)
+    rep_ext = nearby_bound_report(b1, b2, dmu=0.0, deps=0.2)
     assert rep_ext.lhs_D == rep_in.lhs_D
     assert rep_ext.rhs_lemma == rep_in.rhs_lemma
-    bare = pair_as_external(s1, s2)
-    with pytest.raises(InvalidArgumentError):
-        nearby_bound_report(bare, bare)
-    rep_override = nearby_bound_report(bare, bare, dmu=0.0, deps=0.2)
-    assert rep_override.rhs_lemma == rep_in.rhs_lemma
 
 
 def test_norm_equivalence_trivial_system():
     # A = D with M = D: all three norms are 1 and the chains are tight
-    from helmprec.assemble import ExternalSystem
-
     s = canonical_1d(5.0, 20)
-    ext = ExternalSystem(A1=s.D.astype(complex).tocsr(), A2=s.D.astype(complex).tocsr(),
-                         D=s.D, M=s.D, n=s.n)
-    rep = norm_equivalence_report(ext)
+    rep = norm_equivalence_report(MatrixSystem(s.D.astype(complex).tocsr(), s.D, s.D))
     for v in (rep.hstar_to_h, rep.h0_to_h, rep.h0_to_h0, rep.gamma):
         assert v == pytest.approx(1.0, rel=1e-9)
     assert rep.passed
@@ -413,8 +409,8 @@ def test_non_symmetric_pair_estimates_all_four_norms(pencil_calls):
     A1 = s1.A.tolil()
     A1[3, 4] += 0.05
     A1 = A1.tocsr()
-    ext = ExternalSystem(A1=A1, A2=s2.A, D=s1.D, M=s1.M, n=s1.n, dmu=0.0, deps=0.2)
-    rep = nearby_bound_report(ext, ext)
+    rep = nearby_bound_report(MatrixSystem(A1, s1.D, s1.M), MatrixSystem(s2.A, s1.D, s1.M),
+                              dmu=0.0, deps=0.2)
     # 2 mass extremes, C_dis of A2 and of A1, 4 norm estimates
     assert len(pencil_calls) == 2 + 2 + 4
     A1d, A2d = A1.toarray(), s2.A.toarray()
@@ -444,6 +440,6 @@ def test_pair_shares_factors_and_caches_derived(splu_calls, pencil_calls):
     nrep = norm_equivalence_report(s1)
     assert splu_calls == [] and len(pencil_calls) == 2 + 2  # two M-weighted norms
     assert nrep.hstar_to_h == nrep.c_dis == rep.c_dis1
-    assert s1.inf_sup(1, 0) is s1.inf_sup(1, 0)
-    assert s1.inf_sup(1, 1) is not s1.inf_sup(1, 0)  # another seed: computed again
-    assert s1.inf_sup(1, 1).c_dis == pytest.approx(rep.c_dis1, rel=1e-9)
+    assert s1.inf_sup(0) is s1.inf_sup(0)
+    assert s1.inf_sup(1) is not s1.inf_sup(0)  # another seed: computed again
+    assert s1.inf_sup(1).c_dis == pytest.approx(rep.c_dis1, rel=1e-9)

@@ -271,7 +271,7 @@ def test_sweep_ladder_working_rung_is_the_sweep_mesh_non_square(tmp_path):
         "sweep": {"k_values": [4.0, 5.0], "alpha_values": [0.3],
                   "ladder": {"refine": 2}},
     })
-    assert sweep[0]["n"] == "169"
+    assert sweep[0]["n"] == "325"
     assert len(ladder) == len(sweep) == 2
     for row, rung in zip(sweep, ladder):
         assert (rung["n"], rung["h"]) == (row["n"], row["h"])
@@ -365,6 +365,36 @@ def test_import_errors(tmp_path):
     write_matrix_mm(os.path.join(exch, "D.mtx"), bad, "hermitian")
     with pytest.raises(InvalidSystemError, match="D"):
         cmd_import(exch)
+
+
+def test_import_norms_flags_over_meta(tmp_path):
+    """import takes each coefficient-difference norm from its flag, else from
+    the pair's meta.json, and fails without either."""
+    exch = str(tmp_path / "exch")
+    cmd_export(write_cfg(tmp_path), out_dir=exch)
+    meta_path = os.path.join(exch, "meta.json")
+    meta = json.loads(open(meta_path).read())
+    assert meta == {"dmu": 0.0, "deps": pytest.approx(0.2, rel=1e-15)}
+
+    def bounds(directory):
+        return json.loads(open(os.path.join(directory, "bounds.json")).read())
+
+    cmd_import(exch, out_dir=str(tmp_path / "m"))
+    from_meta = bounds(tmp_path / "m")
+    assert (from_meta["dmu"], from_meta["deps"]) == (meta["dmu"], meta["deps"])
+    cmd_import(exch, out_dir=str(tmp_path / "f"), deps=0.5)
+    assert (bounds(tmp_path / "f")["dmu"], bounds(tmp_path / "f")["deps"]) == (0.0, 0.5)
+    cmd_import(exch, out_dir=str(tmp_path / "g"), dmu=0.1, deps=0.5)
+    assert (bounds(tmp_path / "g")["dmu"], bounds(tmp_path / "g")["deps"]) == (0.1, 0.5)
+
+    os.remove(meta_path)
+    out = str(tmp_path / "x")
+    assert main(["import", "--dir", exch, "--out-dir", out]) == 1
+    assert main(["import", "--dir", exch, "--out-dir", out, "--deps", "0.5"]) == 1
+    assert not os.path.exists(os.path.join(out, "bounds.json"))
+    flags = ["--dmu", repr(meta["dmu"]), "--deps", repr(meta["deps"])]
+    assert main(["import", "--dir", exch, "--out-dir", out] + flags) == 0
+    assert bounds(out)["rhs_lemma"] == from_meta["rhs_lemma"]
 
 
 def test_sweep_first_system_failure_fills_each_row_of_its_k(tmp_path):

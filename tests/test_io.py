@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from conftest import IMP, canonical_1d, canonical_spec_1d, working_rung
 
-from helmprec.assemble import assemble_system, pair_as_external
+from helmprec.assemble import assemble_system
 from helmprec.bounds import absorption_report, garding_check, infsup_ladder, InfSupLadder
 from helmprec.coeffs import absorption_shift
 from helmprec.errors import ConfigError, InvalidArgumentError, MatrixExchangeError
@@ -87,6 +87,28 @@ def test_resolution_rules():
     assert resolution_elements({"type": "per_k", "factor": 10}, 5.0, 1.0) == 50
     n = resolution_elements({"type": "k_power", "scale": 1.0, "exponent": 1.5}, 4.0, 1.0)
     assert n == 8  # ceil(1 / 4^{-1.5}) = 8
+    assert resolution_elements({"type": "elements", "n": 17}, 5.0, 2.0) == 17
+
+
+def test_per_k_resolution_is_per_unit_length():
+    """per_k gives factor * k elements per unit length on every axis, so the
+    cells of a non-square domain stay square and a longer interval gets
+    proportionally more elements."""
+    cfg = read_config(
+        '{"problem": {"dimension": 2, "k": 4.0, "domain": [2.0, 1.0], '
+        '"resolution": {"type": "per_k", "factor": 3}}}'
+    )
+    mesh = build_problem(cfg).mesh
+    assert mesh.n_nodes == 25 * 13 == 325
+    for axis, cells in ((0, 24), (1, 12)):
+        lines = np.unique(mesh.coords[:, axis])
+        assert len(lines) == cells + 1
+        assert np.allclose(np.diff(lines), 1 / 12, rtol=1e-12, atol=0)
+    cfg1d = read_config(
+        '{"problem": {"dimension": 1, "k": 5.0, "domain": [0.0, 2.0], '
+        '"resolution": {"type": "per_k", "factor": 10}}}'
+    )
+    assert build_problem(cfg1d).mesh.n_elements == 100
 
 
 def test_build_problem_and_fields():
@@ -169,17 +191,17 @@ def test_matrix_exchange_dir_roundtrip(tmp_path):
     spec = canonical_spec_1d(6.0, 15)
     s1 = assemble_system(spec)
     s2 = assemble_system(spec.with_eps(absorption_shift(spec.eps, 0.25)))
-    ext = pair_as_external(s1, s2, dmu=0.0, deps=0.25)
     d = tmp_path / "exch"
-    paths = write_matrix_exchange(ext, str(d))
+    paths = write_matrix_exchange(s1, s2, str(d), dmu=0.0, deps=0.25)
     assert set(paths) == {"A1.mtx", "A2.mtx", "D.mtx", "M.mtx", "meta.json"}
-    back = read_matrix_exchange(
+    b1, b2, meta = read_matrix_exchange(
         paths["A1.mtx"], paths["A2.mtx"], paths["D.mtx"], paths["M.mtx"]
     )
-    assert (abs(back.A1 - s1.A)).max() == 0.0
-    assert (abs(back.A2 - s2.A)).max() == 0.0
-    assert (abs(back.D - s1.D)).max() == 0.0
-    assert back.dmu == 0.0 and back.deps == 0.25
+    assert (abs(b1.A - s1.A)).max() == 0.0
+    assert (abs(b2.A - s2.A)).max() == 0.0
+    assert (abs(b1.D - s1.D)).max() == 0.0
+    assert b2.D is b1.D and b2.M is b1.M
+    assert meta == {"dmu": 0.0, "deps": 0.25}
     with pytest.raises(MatrixExchangeError, match="D"):
         read_matrix_exchange(paths["A1.mtx"], paths["A2.mtx"],
                              str(tmp_path / "missing.mtx"), paths["M.mtx"])
