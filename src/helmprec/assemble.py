@@ -63,15 +63,14 @@ _HERMITIAN_RTOL = 1e-12
 class ProblemSpec:
     """A concrete variational problem: k, mesh, coefficients, impedance weight.
 
-    ``theta`` is a positive real, either one scalar for all impedance
-    facets or one value per impedance facet (in mesh facet order).
+    ``theta`` is one positive real for all impedance facets.
     """
 
     k: float
     mesh: Mesh
     mu_inv: CoefficientField
     eps: CoefficientField
-    theta: float | np.ndarray = 1.0
+    theta: float = 1.0
 
     def __post_init__(self):
         if self.k <= 0:
@@ -80,28 +79,9 @@ class ProblemSpec:
             raise InvalidArgumentError("coefficient roles do not match their slots")
         if self.mu_inv.mesh is not self.mesh or self.eps.mesh is not self.mesh:
             raise InvalidArgumentError("coefficient fields built on a different mesh")
-        n_imp = sum(1 for f in self.mesh.facets if f.tag == BoundaryTag.IMPEDANCE)
-        theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
-        if theta.size == 1:
-            theta = np.full(max(n_imp, 1), float(theta[0]))
-        elif theta.size != n_imp:
-            raise InvalidArgumentError(
-                f"{theta.size} theta values for {n_imp} impedance facets"
-            )
-        if n_imp > 0 and not theta.min() > 0:
-            raise InvalidArgumentError("theta must be positive on impedance facets")
-        theta.setflags(write=False)
-        object.__setattr__(self, "theta", theta)
-
-    def impedance_thetas(self) -> list[tuple[int, float]]:
-        """(facet index, theta) pairs for all impedance facets."""
-        out = []
-        j = 0
-        for i, f in enumerate(self.mesh.facets):
-            if f.tag == BoundaryTag.IMPEDANCE:
-                out.append((i, float(self.theta[j])))
-                j += 1
-        return out
+        if not self.theta > 0:
+            raise InvalidArgumentError(f"theta must be positive, got {self.theta}")
+        object.__setattr__(self, "theta", float(self.theta))
 
     def with_eps(self, eps: CoefficientField) -> "ProblemSpec":
         return ProblemSpec(self.k, self.mesh, self.mu_inv, eps, self.theta)
@@ -251,8 +231,10 @@ def _boundary_entries(spec: ProblemSpec):
     """COO entries of the theta-weighted boundary mass on impedance facets."""
     mesh = spec.mesh
     rows, cols, vals = [], [], []
-    for fi, theta in spec.impedance_thetas():
-        f = mesh.facets[fi]
+    theta = spec.theta
+    for f in mesh.facets:
+        if f.tag != BoundaryTag.IMPEDANCE:
+            continue
         if mesh.dimension == 1:
             (j,) = f.nodes
             rows.append(j)

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -194,9 +194,6 @@ class InfSupLadder:
     """(k, h, inf-sup) triples at a working and a reference resolution."""
 
     entries: tuple[LadderEntry, ...]
-
-    def ratios(self) -> np.ndarray:
-        return np.array([e.ratio for e in self.entries])
 
 
 def garding_constants_for(spec: ProblemSpec) -> GardingConstants:
@@ -463,40 +460,39 @@ def norm_equivalence_report(
 
 
 def remesh_problem(spec: ProblemSpec, mesh: Mesh) -> ProblemSpec:
-    """The problem ``spec`` on another mesh of its domain, at the same k.
+    """The problem ``spec`` on another mesh of its domain, at the same k and
+    theta.
 
     The coefficient fields are transferred with :func:`resample_field`,
-    which is exact when ``mesh`` refines ``spec.mesh``: both problems then
-    see the same coefficient function. The boundary tags are the new
-    mesh's own; the impedance weight must be uniform.
+    which is exact when ``mesh`` refines ``spec.mesh`` (as
+    ``spec.mesh.refined(r)`` does): both problems then see the same
+    coefficient function. The boundary tags are the new mesh's own.
     """
-    thetas = np.unique(spec.theta)
-    if thetas.size > 1:
-        raise InvalidArgumentError("remesh requires a uniform impedance weight")
     mu = resample_field(spec.mu_inv, mesh)
     eps = resample_field(spec.eps, mesh)
-    return ProblemSpec(spec.k, mesh, mu, eps, float(thetas[0]))
+    return ProblemSpec(spec.k, mesh, mu, eps, spec.theta)
 
 
 def infsup_ladder(
     rungs: Sequence[tuple[ProblemSpec, int, InfSupReport]],
-    refined_mesh: Callable[[float], Mesh],
+    refine: int,
     seed: int = 0,
 ) -> InfSupLadder:
     """Discrete inf-sup constants along a refinement ladder in k.
 
     Each rung is a working system, given as its problem, its number of
     dofs and its inf-sup report under ``seed``; its reference is the same
-    problem (:func:`remesh_problem`) on ``refined_mesh(k)``, a nested
-    refinement of the working mesh, so the recorded ratio
-    C_dis(h)/C_dis(h_ref) measures discretization error only: it is the
-    empirical stability constant of the working resolution. Only the
-    reference rung is assembled, factored and solved for here. Singular
-    systems are recorded in the ladder rather than raised.
+    problem (:func:`remesh_problem`) on ``spec.mesh.refined(refine)``, the
+    working mesh with every cell split ``refine`` times per axis, so the
+    recorded ratio C_dis(h)/C_dis(h_ref) measures discretization error
+    only: it is the empirical stability constant of the working
+    resolution. Only the reference rung is assembled, factored and solved
+    for here. Singular systems are recorded in the ladder rather than
+    raised.
     """
     entries = []
     for spec, n, rep in rungs:
-        ref = assemble_system(remesh_problem(spec, refined_mesh(spec.k)))
+        ref = assemble_system(remesh_problem(spec, spec.mesh.refined(refine)))
         gamma, gamma_ref = rep.gamma, ref.inf_sup(seed).gamma
         # singular reports carry gamma = 0
         singular = gamma == 0.0 or gamma_ref == 0.0

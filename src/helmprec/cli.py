@@ -222,10 +222,7 @@ def cmd_sweep(
         for rung in rungs:
             if isinstance(rung, HelmprecError):
                 raise rung
-        refine = cfg.sweep["ladder"]["refine"]
-        ladder = infsup_ladder(
-            rungs, lambda k: hio.build_mesh(problem, k, refine=refine), seed=seed
-        )
+        ladder = infsup_ladder(rungs, cfg.sweep["ladder"]["refine"], seed=seed)
         ladder_path = os.path.join(out, "ladder.csv")
         hio.write_report(ladder, ladder_path, "csv")
         result.paths["ladder"] = ladder_path

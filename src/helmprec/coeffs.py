@@ -90,12 +90,6 @@ class CoefficientField:
         eye = np.eye(2)
         return self.values[:, None, None] * eye[None, :, :]
 
-    def sup_norm(self) -> float:
-        """Max over elements of |value| (scalar) or spectral norm (matrix)."""
-        if self.is_matrix:
-            return float(np.linalg.svd(self.values, compute_uv=False).max())
-        return float(np.abs(self.values).max())
-
 
 def constant_field(mesh: Mesh, value, role: Role) -> CoefficientField:
     """Field with the same (scalar or 2x2) value on every element."""

@@ -1,14 +1,17 @@
 """Experiment configs, sparse-matrix exchange files, report serialization.
 
 Configs are JSON with three blocks (problem, perturbation, sweep) plus
-solver knobs and output paths; unknown keys are rejected by name and
-defaults are materialized so a dump/re-read round-trip is the identity.
+solver knobs and output paths; unknown keys, missing rule keys and
+non-numeric values are rejected by name, and defaults are materialized,
+so re-reading the JSON dump of a config's ``data`` gives the same data.
 
 Matrices travel in Matrix Market coordinate format with complex
 entries (real/imag pairs), 1-based indices, and symmetry 'general' or
 'hermitian'; values are written with 17 significant digits so doubles
-round-trip exactly. Reports serialize to JSON or flat CSV with a fixed
-column order, so identical inputs give byte-identical files.
+round-trip exactly. Reports serialize with a fixed field order, so
+identical inputs give byte-identical files: a bound report to JSON or
+CSV, a Gårding or norm-equivalence report to JSON, and an inf-sup ladder
+to CSV.
 """
 
 from __future__ import annotations
@@ -31,23 +34,34 @@ from .bounds import (
 )
 from .coeffs import CoefficientField, Role, constant_field, piecewise_field, pml_profile_1d
 from .errors import ConfigError, InvalidArgumentError, MatrixExchangeError
-from .mesh import BoundaryTag, Mesh, build_interval_mesh, build_rect_mesh
-from .solvers import IterationTrace
+from .mesh import SIDES, BoundaryTag, Mesh, build_interval_mesh, build_rect_mesh
 
 SCHEMA_VERSION = 1
 
 _TAGS = {t.value: t for t in BoundaryTag}
 
+
+def _as_complex(v) -> complex:
+    if isinstance(v, (list, tuple)):
+        if len(v) != 2:
+            raise ConfigError(f"complex value must be [re, im], got {v}")
+        return complex(v[0], v[1])
+    return complex(v)
+
+
+# The keys of each rule type besides 'type', with the conversion of their
+# values; all are required except those in _OPTIONAL_KEYS.
 _RULE_KEYS = {
-    "constant": {"type", "value"},
-    "step": {"type", "axis", "threshold", "below", "above"},
-    "pml": {"type", "start", "sigma0"},
+    "constant": {"value": _as_complex},
+    "step": {"axis": int, "threshold": float, "below": _as_complex, "above": _as_complex},
+    "pml": {"start": float, "sigma0": float},
 }
 _RES_KEYS = {
-    "elements": {"type", "n"},
-    "per_k": {"type", "factor"},
-    "k_power": {"type", "scale", "exponent"},
+    "elements": {"n": int},
+    "per_k": {"factor": float},
+    "k_power": {"scale": float, "exponent": float},
 }
+_OPTIONAL_KEYS = {"axis", "scale"}
 
 _SCHEMA = {
     "schema_version": None,
@@ -84,17 +98,24 @@ def _check_rule(rule, where: str, table: dict):
     rtype = rule["type"]
     if rtype not in table:
         raise ConfigError(f"{where}: unknown type {rtype!r} (one of {sorted(table)})")
-    extra = set(rule) - table[rtype]
+    keys = table[rtype]
+    extra = set(rule) - set(keys) - {"type"}
     if extra:
         raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
+    missing = set(keys) - _OPTIONAL_KEYS - set(rule)
+    if missing:
+        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+    for key, kind in keys.items():
+        if key in rule:
+            _number(rule[key], f"{where}.{key}", kind)
 
 
-def _as_complex(v) -> complex:
-    if isinstance(v, (list, tuple)):
-        if len(v) != 2:
-            raise ConfigError(f"complex value must be [re, im], got {v}")
-        return complex(v[0], v[1])
-    return complex(v)
+def _number(value, where: str, kind=float):
+    """``kind(value)``, or a ConfigError naming the key when it fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: not a valid number: {value!r}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,9 +148,6 @@ class ExperimentConfig:
     def output_dir(self) -> str:
         return self.data["output"]["dir"]
 
-    def normalized(self) -> dict:
-        return self.data
-
 
 def read_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON experiment config; apply defaults."""
@@ -160,16 +178,16 @@ def read_config(text: str) -> ExperimentConfig:
     dim = prob["dimension"]
     if dim not in (1, 2):
         raise ConfigError(f"problem.dimension must be 1 or 2, got {dim!r}")
-    k = float(prob["k"])
+    k = _number(prob["k"], "problem.k")
     if k <= 0:
         raise ConfigError("problem.k must be positive")
 
     domain = prob.get("domain", [0.0, 1.0] if dim == 1 else [1.0, 1.0])
     if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
         raise ConfigError("problem.domain must be a pair of numbers")
-    domain = [float(domain[0]), float(domain[1])]
+    domain = [_number(x, "problem.domain") for x in domain]
 
-    sides = ("left", "right") if dim == 1 else ("left", "right", "bottom", "top")
+    sides = SIDES[dim]
     boundary = dict(prob.get("boundary", {}))
     extra_sides = set(boundary) - set(sides)
     if extra_sides:
@@ -193,7 +211,7 @@ def read_config(text: str) -> ExperimentConfig:
         extra = set(garding) - {"c_g1", "c_g2"}
         if extra or not {"c_g1", "c_g2"} <= set(garding):
             raise ConfigError("problem.garding needs exactly the keys c_g1, c_g2")
-        garding = {"c_g1": float(garding["c_g1"]), "c_g2": float(garding["c_g2"])}
+        garding = {c: _number(garding[c], f"problem.garding.{c}") for c in ("c_g1", "c_g2")}
 
     pert_in = raw.get("perturbation", {})
     mode = pert_in.get("mode", "absorption")
@@ -201,7 +219,7 @@ def read_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"perturbation.mode must be absorption|nearby, got {mode!r}")
     pert = {
         "mode": mode,
-        "alpha": float(pert_in.get("alpha", 0.3)),
+        "alpha": _number(pert_in.get("alpha", 0.3), "perturbation.alpha"),
         "mu_inv": pert_in.get("mu_inv"),
         "eps": pert_in.get("eps"),
     }
@@ -215,8 +233,9 @@ def read_config(text: str) -> ExperimentConfig:
 
     sweep_in = raw.get("sweep", {})
     sweep = {
-        "k_values": [float(x) for x in sweep_in.get("k_values", [k])],
-        "alpha_values": [float(x) for x in sweep_in.get("alpha_values", [pert["alpha"]])],
+        "k_values": [_number(x, "sweep.k_values") for x in sweep_in.get("k_values", [k])],
+        "alpha_values": [_number(x, "sweep.alpha_values")
+                         for x in sweep_in.get("alpha_values", [pert["alpha"]])],
         "resolution": sweep_in.get("resolution", resolution),
         "ladder": sweep_in.get("ladder"),
     }
@@ -228,15 +247,18 @@ def read_config(text: str) -> ExperimentConfig:
     if sweep["ladder"] is not None:
         if set(sweep["ladder"]) - {"refine"}:
             raise ConfigError("sweep.ladder accepts only 'refine'")
-        sweep["ladder"] = {"refine": int(sweep["ladder"].get("refine", 4))}
+        sweep["ladder"] = {
+            "refine": _number(sweep["ladder"].get("refine", 4), "sweep.ladder.refine", int)
+        }
         if sweep["ladder"]["refine"] < 2:
             raise ConfigError("sweep.ladder.refine must be >= 2")
 
     solver_in = raw.get("solver", {})
     solver = {
-        "tol": float(solver_in.get("tol", 1e-8)),
-        "max_it": int(solver_in.get("max_it", 500)),
-        "garding_samples": int(solver_in.get("garding_samples", 1000)),
+        "tol": _number(solver_in.get("tol", 1e-8), "solver.tol"),
+        "max_it": _number(solver_in.get("max_it", 500), "solver.max_it", int),
+        "garding_samples": _number(solver_in.get("garding_samples", 1000),
+                                   "solver.garding_samples", int),
     }
     # zero samples or iterations would print PASS without checking anything
     if solver["garding_samples"] < 1:
@@ -248,13 +270,13 @@ def read_config(text: str) -> ExperimentConfig:
 
     data = {
         "schema_version": SCHEMA_VERSION,
-        "seed": int(raw.get("seed", 0)),
+        "seed": _number(raw.get("seed", 0), "seed", int),
         "problem": {
             "dimension": dim,
             "domain": domain,
             "boundary": boundary,
             "k": k,
-            "theta": float(prob.get("theta", 1.0)),
+            "theta": _number(prob.get("theta", 1.0), "problem.theta"),
             "resolution": resolution,
             "mu_inv": mu_rule,
             "eps": eps_rule,
@@ -271,11 +293,6 @@ def read_config(text: str) -> ExperimentConfig:
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return read_config(fh.read())
-
-
-def dump_config(cfg: ExperimentConfig) -> str:
-    """Canonical JSON dump of the normalized config (round-trip stable)."""
-    return json.dumps(cfg.normalized(), indent=2) + "\n"
 
 
 # -- config -> problem objects ------------------------------------------------
@@ -299,20 +316,20 @@ def resolution_elements(rule: dict, k: float, length: float) -> int:
     return n
 
 
-def build_mesh(problem: dict, k: Optional[float] = None, refine: int = 1) -> Mesh:
+def build_mesh(problem: dict, k: Optional[float] = None) -> Mesh:
     k = problem["k"] if k is None else k
     rule = problem["resolution"]
     if problem["dimension"] == 1:
         a, b = problem["domain"]
-        n = resolution_elements(rule, k, b - a) * refine
+        n = resolution_elements(rule, k, b - a)
         return build_interval_mesh(
             a, b, n, _TAGS[problem["boundary"]["left"]], _TAGS[problem["boundary"]["right"]]
         )
     w, h = problem["domain"]
     # k_power sizes the element diameter, which is the cell diagonal
     stretch = math.sqrt(2.0) if rule["type"] == "k_power" else 1.0
-    nx = resolution_elements(rule, k, w * stretch) * refine
-    ny = resolution_elements(rule, k, h * stretch) * refine
+    nx = resolution_elements(rule, k, w * stretch)
+    ny = resolution_elements(rule, k, h * stretch)
     tags = {s: _TAGS[t] for s, t in problem["boundary"].items()}
     return build_rect_mesh(w, h, nx, ny, tags)
 
@@ -602,18 +619,6 @@ def _norm_equiv_json(rep: NormEquivalenceReport) -> dict:
     }
 
 
-def _trace_rows(tr: IterationTrace):
-    rows = []
-    for i, norm in enumerate(tr.norms):
-        env_c = tr.envelope_c[i] if tr.envelope_c is not None else None
-        env_e = tr.envelope_elman[i] if tr.envelope_elman is not None else None
-        rows.append(
-            {"iteration": i, "norm": float(norm), "envelope_c": env_c,
-             "envelope_elman": env_e}
-        )
-    return rows
-
-
 def _ladder_rows(ladder: InfSupLadder):
     return [
         {"k": e.k, "h": e.h, "h_ref": e.h_ref, "n": e.n, "n_ref": e.n_ref,
@@ -632,43 +637,34 @@ def write_csv(path: str, columns, rows):
         fh.write("\n".join(lines) + "\n")
 
 
+LADDER_COLUMNS = ("k", "h", "h_ref", "n", "n_ref", "gamma", "gamma_ref",
+                  "ratio", "singular")
+
+# The forms each report type is written in: its JSON payload, or its CSV
+# columns and rows.
+_JSON_FORMS = {
+    BoundReport: _bound_report_json,
+    GardingReport: _garding_json,
+    NormEquivalenceReport: _norm_equiv_json,
+}
+_CSV_FORMS = {
+    BoundReport: (BOUND_COLUMNS, lambda rep: [bound_report_row(rep)]),
+    InfSupLadder: (LADDER_COLUMNS, _ladder_rows),
+}
+
+
 def write_report(report, path: str, fmt: str = "json") -> str:
     """Serialize a report to JSON or CSV with deterministic field order."""
-    if fmt not in ("json", "csv"):
+    forms = {"json": _JSON_FORMS, "csv": _CSV_FORMS}.get(fmt)
+    if forms is None:
         raise InvalidArgumentError(f"format must be json or csv, got {fmt!r}")
-    if isinstance(report, BoundReport):
-        payload, columns, rows = _bound_report_json(report), BOUND_COLUMNS, [
-            bound_report_row(report)
-        ]
-    elif isinstance(report, GardingReport):
-        payload = _garding_json(report)
-        columns, rows = tuple(payload.keys()), [payload]
-    elif isinstance(report, NormEquivalenceReport):
-        payload = _norm_equiv_json(report)
-        columns = ("c_g1", "c_g2", "hstar_to_h", "h0_to_h", "h0_to_h0",
-                   "gamma", "c_dis", "passed")
-        rows = [{c: payload[c] for c in columns}]
-    elif isinstance(report, IterationTrace):
-        rows = _trace_rows(report)
-        columns = ("iteration", "norm", "envelope_c", "envelope_elman")
-        payload = {
-            "kind": report.kind, "inner": report.inner,
-            "converged": report.converged,
-            "final_relative": report.final_relative,
-            "c": report.c, "trace": rows,
-        }
-    elif isinstance(report, InfSupLadder):
-        rows = _ladder_rows(report)
-        columns = ("k", "h", "h_ref", "n", "n_ref", "gamma", "gamma_ref",
-                   "ratio", "singular")
-        payload = {"entries": rows}
-    else:
-        raise InvalidArgumentError(f"cannot serialize {type(report).__name__}")
-
+    if type(report) not in forms:
+        raise InvalidArgumentError(f"cannot write {type(report).__name__} as {fmt}")
     if fmt == "json":
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(_jsonify(payload), fh, indent=2)
+            json.dump(_jsonify(forms[type(report)](report)), fh, indent=2)
             fh.write("\n")
     else:
-        write_csv(path, columns, rows)
+        columns, rows = forms[type(report)]
+        write_csv(path, columns, rows(report))
     return path

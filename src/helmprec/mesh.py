@@ -1,22 +1,25 @@
 """Structured meshes: uniform intervals and triangulated rectangles.
 
-Only two mesh families are supported: uniform 1D interval meshes and
-rectangles split into right triangles (two per grid cell). Boundary
-facets (endpoints in 1D, edges in 2D) carry one of three tags that
-decide the boundary treatment during assembly:
+A mesh is its grid: the box corners ``lo`` and ``hi``, the number of
+cells per axis and one boundary tag per side. In 1D the cells are the
+elements; in 2D each rectangular cell is split into two right triangles.
+Boundary facets (endpoints in 1D, edges in 2D) carry the tag of their
+side, which decides the boundary treatment during assembly:
 
 * DIRICHLET  - dof eliminated,
 * IMPEDANCE  - lower-order boundary term assembled,
 * NEUMANN    - natural condition, no boundary term.
 
 Node ordering is lexicographic by coordinate, so mesh construction is
-deterministic and suitable for golden tests.
+deterministic and suitable for golden tests. Refining every cell r times
+per axis gives the nested mesh :meth:`Mesh.refined`, and point location
+is cell arithmetic on the grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -30,6 +33,10 @@ class BoundaryTag(Enum):
     NEUMANN = "neumann"
 
 
+# The sides of the box in the order of ``Mesh.tags``, per dimension.
+SIDES = {1: ("left", "right"), 2: ("left", "right", "bottom", "top")}
+
+
 @dataclass(frozen=True)
 class Facet:
     """One boundary facet: its node indices, owning element, and tag."""
@@ -41,22 +48,37 @@ class Facet:
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """Immutable simplicial mesh (1D segments or 2D triangles).
+    """Immutable simplicial mesh of the box ``[lo, hi]`` with ``cells`` cells
+    per axis: 1D segments or 2D triangles, two per cell.
 
-    ``coords`` has shape (n_nodes, dim), ``elements`` shape
-    (n_elements, dim + 1). ``h`` is the maximum element diameter and is
-    recomputable from the coordinates.
+    ``tags`` holds one boundary tag per side, in the order of ``SIDES``.
+    The arrays are derived when the mesh is built: ``coords`` has shape
+    (n_nodes, dim), ``elements`` shape (n_elements, dim + 1), ``facets``
+    lists the boundary facets and ``h`` is the maximum element diameter.
     """
 
-    dimension: int
-    coords: np.ndarray
-    elements: np.ndarray
-    facets: tuple[Facet, ...]
-    h: float
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
+    cells: tuple[int, ...]
+    tags: tuple[BoundaryTag, ...]
+    coords: np.ndarray = field(init=False, repr=False)
+    elements: np.ndarray = field(init=False, repr=False)
+    facets: tuple[Facet, ...] = field(init=False, repr=False)
+    h: float = field(init=False)
 
     def __post_init__(self):
+        if self.dimension == 1:
+            derived = _interval_arrays(self.lo[0], self.hi[0], self.cells[0], *self.tags)
+        else:
+            derived = _rect_arrays(self.lo, self.hi, *self.cells, dict(zip(SIDES[2], self.tags)))
+        for name, value in zip(("coords", "elements", "facets", "h"), derived):
+            object.__setattr__(self, name, value)
         self.coords.setflags(write=False)
         self.elements.setflags(write=False)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.cells)
 
     @property
     def n_nodes(self) -> int:
@@ -65,6 +87,12 @@ class Mesh:
     @property
     def n_elements(self) -> int:
         return self.elements.shape[0]
+
+    def refined(self, r: int) -> "Mesh":
+        """The nested refinement: every cell split into r cells per axis."""
+        if r < 1:
+            raise InvalidArgumentError(f"refinement factor must be >= 1, got {r}")
+        return Mesh(self.lo, self.hi, tuple(r * c for c in self.cells), self.tags)
 
     def element_measures(self) -> np.ndarray:
         """Lengths (1D) or areas (2D) of all elements."""
@@ -77,16 +105,6 @@ class Mesh:
 
     def element_centroids(self) -> np.ndarray:
         return self.coords[self.elements].mean(axis=1)
-
-    def element_diameters(self) -> np.ndarray:
-        pts = self.coords[self.elements]
-        if self.dimension == 1:
-            return np.abs(pts[:, 1, 0] - pts[:, 0, 0])
-        # Triangle diameter equals its longest edge.
-        e01 = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
-        e12 = np.linalg.norm(pts[:, 2] - pts[:, 1], axis=1)
-        e20 = np.linalg.norm(pts[:, 0] - pts[:, 2], axis=1)
-        return np.max(np.stack([e01, e12, e20]), axis=0)
 
     def nodes_with_tag(self, tag: BoundaryTag) -> np.ndarray:
         """Sorted indices of all nodes lying on facets with the given tag."""
@@ -103,150 +121,69 @@ class Mesh:
         ``l1 + l2 <= 1 + tol``. A point in several elements (on a shared
         node or edge) gets the lowest of their indices.
 
-        1D looks the points up among the elements sorted by their left
-        end points (elements may be numbered in any order). 2D sorts
-        the elements into a uniform grid of about ``n_elements`` square
-        buckets over the bounding box, each element registered in every
-        bucket its tolerance-padded bounding box overlaps, and tests each
-        point against the elements of its bucket only, so the cost is
-        O(n_elements + n_points) on quasi-uniform meshes.
+        Only the elements of two candidate cells per axis are tested: the
+        point's own cell and its neighbour across the nearer cell edge.
+        Every element that can hold the point lies in one of them, as
+        ``tol`` is far below half a cell width.
 
         Raises ``InvalidArgumentError`` for a point that no element
         contains (also a non-finite one).
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        tol = 1e-12 * max(self.h, 1.0)
-        if self.dimension == 1:
-            ends = np.sort(self.coords[self.elements, 0], axis=1)
-            order = np.argsort(ends[:, 0], kind="stable")
-            lo, hi = ends[order, 0], ends[order, 1]
-            x = points[:, 0]
-            # the last element (by left end) starting at or before x, and
-            # the one before it, which contains x when x is on their node
-            j = np.searchsorted(lo, x + tol, side="right") - 1
-            found = np.full(x.shape, self.n_elements)
-            for c in (j, j - 1):
-                ok = (c >= 0) & (x <= hi[np.maximum(c, 0)] + tol)
-                found[ok] = np.minimum(found[ok], order[c[ok]])
-            if np.any(found == self.n_elements):
-                raise InvalidArgumentError("point outside mesh in locate_elements")
-            return found
         if not np.all(np.isfinite(points)):
             raise InvalidArgumentError("point outside mesh in locate_elements")
-        n_el = self.n_elements
-        pts = self.coords[self.elements]
-
-        # Bucket grid. The tolerance set of a triangle is the triangle
-        # scaled by 1 + 3*tol about its centroid, which reaches at most
-        # 2*tol*diameter < 3*tol*(largest box side) beyond it, so padding
-        # each box by 4*tol*(largest box side) plus a rounding allowance
-        # keeps every point an element accepts inside its padded box.
-        lo_xy, hi_xy = pts.min(axis=1), pts.max(axis=1)
-        origin = self.coords.min(axis=0)
-        span = self.coords.max(axis=0) - origin
-        side = math.sqrt(span[0] * span[1] / n_el) or 1.0
-        n_b = np.clip(np.ceil(span / side), 1, n_el).astype(int)
-        scale = n_b / np.where(span > 0, span, 1.0)
-
-        def bucket_xy(xy):
-            return np.clip(np.floor((xy - origin) * scale), 0, n_b - 1).astype(int)
-
-        pad = 4 * tol * (hi_xy - lo_xy).max() + 1e-12 * np.abs(self.coords).max()
-        lo = bucket_xy(lo_xy - pad)
-        ext = bucket_xy(hi_xy + pad) - lo + 1
-        count = ext[:, 0] * ext[:, 1]
-        member = np.repeat(np.arange(n_el), count)
-        k = _offsets_within(count)
-        ix = lo[member, 0] + k % ext[member, 0]
-        iy = lo[member, 1] + k // ext[member, 0]
-        bucket = ix * n_b[1] + iy
-        order = np.argsort(bucket)
-        member = member[order]
-        start = np.searchsorted(bucket[order], np.arange(n_b[0] * n_b[1] + 1))
-
-        # Candidate (point, element) pairs from each point's bucket.
-        q = bucket_xy(points)
-        q = q[:, 0] * n_b[1] + q[:, 1]
-        n_cand = start[q + 1] - start[q]
-        pi = np.repeat(np.arange(points.shape[0]), n_cand)
-        ei = member[np.repeat(start[q], n_cand) + _offsets_within(n_cand)]
-
-        # Barycentric coordinates with the operations, in order, of the
-        # element-by-element reference loop in tests/test_mesh.py, so l1
-        # and l2 are bit-equal to it.
-        ab = pts[:, 1] - pts[:, 0]
-        ac = pts[:, 2] - pts[:, 0]
-        det = (ab[:, 0] * ac[:, 1] - ac[:, 0] * ab[:, 1])[ei]
-        ab, ac = ab[ei], ac[ei]
-        rel = points[pi] - pts[ei, 0]
-        l1 = (ac[:, 1] * rel[:, 0] - ac[:, 0] * rel[:, 1]) / det
-        l2 = (-ab[:, 1] * rel[:, 0] + ab[:, 0] * rel[:, 1]) / det
-        inside = (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1 + tol)
-        out = np.full(points.shape[0], n_el)
-        np.minimum.at(out, pi[inside], ei[inside])
-        if np.any(out == n_el):
+        tol = 1e-12 * max(self.h, 1.0)
+        cells = np.array(self.cells)
+        u = (points - self.lo) * cells / np.subtract(self.hi, self.lo)
+        near = np.clip(np.floor(u - 0.5), -1, cells - 1).astype(int)
+        cand = np.clip(np.stack([near, near + 1]), 0, cells - 1)  # (2, points, dim)
+        if self.dimension == 1:
+            e = cand[..., 0]
+            x, nodes = points[:, 0], self.coords[:, 0]
+            inside = (nodes[e] <= x + tol) & (x <= nodes[e + 1] + tol)
+        else:
+            cell = cand[:, None, :, 0] * self.cells[1] + cand[None, :, :, 1]
+            # the lower-right (2 * cell) and upper-left (2 * cell + 1) triangle
+            e = (2 * cell[:, :, None] + np.arange(2)[:, None]).reshape(8, -1)
+            # Barycentric coordinates with the operations, in order, of the
+            # element-by-element reference loop in tests/test_mesh.py, so l1
+            # and l2 are bit-equal to it.
+            pts = self.coords[self.elements]
+            ab = pts[:, 1] - pts[:, 0]
+            ac = pts[:, 2] - pts[:, 0]
+            det = (ab[:, 0] * ac[:, 1] - ac[:, 0] * ab[:, 1])[e]
+            ab, ac = ab[e], ac[e]
+            rel = points - pts[e, 0]
+            l1 = (ac[..., 1] * rel[..., 0] - ac[..., 0] * rel[..., 1]) / det
+            l2 = (-ab[..., 1] * rel[..., 0] + ab[..., 0] * rel[..., 1]) / det
+            inside = (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1 + tol)
+        found = np.where(inside, e, self.n_elements).min(axis=0)
+        if np.any(found == self.n_elements):
             raise InvalidArgumentError("point outside mesh in locate_elements")
-        return out
+        return found
 
 
-def _offsets_within(counts: np.ndarray) -> np.ndarray:
-    """0, 1, ..., c - 1 for each c in ``counts``, concatenated."""
-    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
-def build_interval_mesh(
-    a: float,
-    b: float,
-    n: int,
-    left_tag: BoundaryTag,
-    right_tag: BoundaryTag,
-) -> Mesh:
-    """Uniform mesh of [a, b] with n elements and tagged endpoints."""
-    if n < 1:
-        raise InvalidArgumentError(f"element count must be >= 1, got {n}")
-    if not a < b:
-        raise InvalidArgumentError(f"need a < b, got a={a}, b={b}")
+def _interval_arrays(a: float, b: float, n: int, left_tag, right_tag):
+    """Coordinates, elements, facets and h of the uniform mesh of [a, b]."""
     coords = np.linspace(a, b, n + 1).reshape(-1, 1)
     elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
     facets = (
         Facet(nodes=(0,), element=0, tag=left_tag),
         Facet(nodes=(n,), element=n - 1, tag=right_tag),
     )
-    return Mesh(1, coords, elements, facets, h=(b - a) / n)
+    return coords, elements, facets, (b - a) / n
 
 
-def build_rect_mesh(
-    width: float,
-    height: float,
-    nx: int,
-    ny: int,
-    tags: BoundaryTag | dict[str, BoundaryTag],
-) -> Mesh:
-    """Triangulated [0,width] x [0,height], two right triangles per cell.
-
-    ``tags`` is a single tag for all four sides or a dict with keys
-    'left', 'right', 'bottom', 'top'.
-    """
-    if width <= 0 or height <= 0:
-        raise InvalidArgumentError("width and height must be positive")
-    if nx < 1 or ny < 1:
-        raise InvalidArgumentError("nx and ny must be >= 1")
-    if isinstance(tags, BoundaryTag):
-        side_tags = {s: tags for s in ("left", "right", "bottom", "top")}
-    else:
-        missing = {"left", "right", "bottom", "top"} - set(tags)
-        if missing:
-            raise InvalidArgumentError(f"missing side tags: {sorted(missing)}")
-        side_tags = dict(tags)
-
-    dx, dy = width / nx, height / ny
+def _rect_arrays(lo, hi, nx: int, ny: int, side_tags: dict):
+    """Coordinates, elements, facets and h of the triangulated box."""
+    dx, dy = (hi[0] - lo[0]) / nx, (hi[1] - lo[1]) / ny
 
     # Lexicographic by (x, y): node (ix, iy) -> ix*(ny+1) + iy.
     def nid(ix, iy):
         return ix * (ny + 1) + iy
 
-    xs = np.repeat(np.arange(nx + 1) * dx, ny + 1)
-    ys = np.tile(np.arange(ny + 1) * dy, nx + 1)
+    xs = np.repeat(lo[0] + np.arange(nx + 1) * dx, ny + 1)
+    ys = np.tile(lo[1] + np.arange(ny + 1) * dy, nx + 1)
     coords = np.column_stack([xs, ys])
 
     # Per cell (ix, iy), in lexicographic order: the lower-right triangle
@@ -272,6 +209,43 @@ def build_rect_mesh(
                 facets.append(Facet((ur, ul), upper, side_tags["top"]))
             if ix == 0:
                 facets.append(Facet((ul, ll), upper, side_tags["left"]))
+    return coords, elements, tuple(facets), math.hypot(dx, dy)
 
-    h = math.hypot(dx, dy)
-    return Mesh(2, coords, elements, tuple(facets), h=h)
+
+def build_interval_mesh(
+    a: float,
+    b: float,
+    n: int,
+    left_tag: BoundaryTag,
+    right_tag: BoundaryTag,
+) -> Mesh:
+    """Uniform mesh of [a, b] with n elements and tagged endpoints."""
+    if n < 1:
+        raise InvalidArgumentError(f"element count must be >= 1, got {n}")
+    if not a < b:
+        raise InvalidArgumentError(f"need a < b, got a={a}, b={b}")
+    return Mesh((a,), (b,), (n,), (left_tag, right_tag))
+
+
+def build_rect_mesh(
+    width: float,
+    height: float,
+    nx: int,
+    ny: int,
+    tags: BoundaryTag | dict[str, BoundaryTag],
+) -> Mesh:
+    """Triangulated [0,width] x [0,height], two right triangles per cell.
+
+    ``tags`` is a single tag for all four sides or a dict with keys
+    'left', 'right', 'bottom', 'top'.
+    """
+    if width <= 0 or height <= 0:
+        raise InvalidArgumentError("width and height must be positive")
+    if nx < 1 or ny < 1:
+        raise InvalidArgumentError("nx and ny must be >= 1")
+    if isinstance(tags, BoundaryTag):
+        tags = dict.fromkeys(SIDES[2], tags)
+    missing = set(SIDES[2]) - set(tags)
+    if missing:
+        raise InvalidArgumentError(f"missing side tags: {sorted(missing)}")
+    return Mesh((0.0, 0.0), (width, height), (nx, ny), tuple(tags[s] for s in SIDES[2]))

@@ -393,19 +393,6 @@ def _sigma_max(
     return math.sqrt(lam), it, res
 
 
-def _operator_pair(op):
-    """(matvec, adjoint matvec, n) for an ndarray/sparse/LinearOperator."""
-    if isinstance(op, spla.LinearOperator):
-        return op.matvec, op.rmatvec, op.shape[0]
-    if sp.issparse(op):
-        oph = op.getH().tocsr()
-        opc = op.tocsr()
-        return (lambda x: opc @ x), (lambda x: oph @ x), op.shape[0]
-    arr = np.asarray(op)
-    arrh = arr.conj().T
-    return (lambda x: arr @ x), (lambda x: arrh @ x), arr.shape[0]
-
-
 def weighted_operator_norm(
     op,
     gram: Optional[GramFactor],
@@ -425,7 +412,8 @@ def weighted_operator_norm(
     """
     if mode not in _MODES:
         raise InvalidArgumentError(f"mode must be one of {_MODES}, got {mode!r}")
-    mv, rmv, n = _operator_pair(op)
+    op = spla.aslinearoperator(op)
+    mv, rmv, n = op.matvec, op.rmatvec, op.shape[0]
     if mode == "euclid":
         apply_normal = lambda v: rmv(mv(v))
     elif gram is None:

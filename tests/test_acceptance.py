@@ -16,7 +16,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import (
-    IMP,
     canonical_1d,
     canonical_2d,
     canonical_spec_1d,
@@ -30,7 +29,6 @@ from conftest import (
 from helmprec.assemble import assemble_load, assemble_system
 from helmprec.bounds import nearby_bound_report, norm_equivalence_report
 from helmprec.coeffs import Role, absorption_shift, piecewise_field
-from helmprec.mesh import build_interval_mesh
 from helmprec.numerics import (
     discrete_inf_sup,
     gram_factor,
@@ -259,9 +257,7 @@ def test_preasymptotic_ladder():
         # working h = k^-1.5, reference h/4 on the nested refinement
         ks = [10.0, 20.0, 40.0, 80.0]
         rungs = [working_rung(canonical_spec_1d(k, math.ceil(k ** 1.5))) for k in ks]
-        ladder = infsup_ladder(
-            rungs, lambda k: build_interval_mesh(0, 1, 4 * math.ceil(k ** 1.5), IMP, IMP)
-        )
+        ladder = infsup_ladder(rungs, 4)
         assert len(ladder.entries) == 4
         for e in ladder.entries:
             assert not e.singular, e

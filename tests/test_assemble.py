@@ -155,12 +155,6 @@ def test_theta_validation():
     eps = constant_field(mesh, 1.0, Role.EPS)
     with pytest.raises(InvalidArgumentError):
         ProblemSpec(1.0, mesh, mu, eps, 0.0)
-    with pytest.raises(InvalidArgumentError):
-        ProblemSpec(1.0, mesh, mu, eps, [1.0, 2.0, 3.0])
-    spec = ProblemSpec(1.0, mesh, mu, eps, [1.0, 2.0])
-    s = assemble_system(spec)
-    assert s.B.toarray()[0, 0] == pytest.approx(-1j, abs=1e-15)
-    assert s.B.toarray()[-1, -1] == pytest.approx(-2j, abs=1e-15)
 
 
 def test_neumann_means_no_boundary_term():

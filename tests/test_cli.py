@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from helmprec.cli import cmd_export, cmd_import, cmd_sweep, cmd_verify, main
-from helmprec.errors import InvalidCoefficientError, InvalidSystemError
+from helmprec.errors import ConfigError, InvalidCoefficientError, InvalidSystemError
+from helmprec.io import load_config
 
 
 def write_cfg(tmp_path, extra=None, name="cfg.json"):
@@ -80,6 +81,28 @@ def test_main_exit_codes(tmp_path, capsys):
                     name="bad.json")
     assert main(["verify", "--config", bad, "--out-dir", str(tmp_path / "o2")]) == 1
     assert main(["verify", "--config", str(tmp_path / "nope.json")]) == 1
+
+
+@pytest.mark.parametrize("problem,where", [
+    ({"resolution": {"type": "elements"}}, "problem.resolution: missing keys ['n']"),
+    ({"resolution": {"type": "per_k"}}, "missing keys ['factor']"),
+    ({"resolution": {"type": "k_power", "scale": 1}}, "missing keys ['exponent']"),
+    ({"resolution": {"type": "elements", "n": "six"}}, "problem.resolution.n"),
+    ({"eps": {"type": "step", "below": 1, "above": 2}}, "missing keys ['threshold']"),
+    ({"eps": {"type": "pml", "start": 0.5}}, "problem.eps: missing keys ['sigma0']"),
+    ({"mu_inv": {"type": "constant"}}, "problem.mu_inv: missing keys ['value']"),
+    ({"mu_inv": {"type": "constant", "value": "one"}}, "problem.mu_inv.value"),
+    ({"k": "abc"}, "problem.k"),
+    ({"theta": [1.0]}, "problem.theta"),
+], ids=["elements", "per_k", "k_power", "n", "step", "pml", "constant", "value", "k",
+        "theta"])
+def test_malformed_config_is_a_config_error(tmp_path, capsys, problem, where):
+    path = write_cfg(tmp_path, {"problem": problem})
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert where in str(exc.value)
+    assert main(["verify", "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_sweep_grid_rows_and_zero_alpha(tmp_path):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helmprec.errors import InvalidArgumentError
-from helmprec.mesh import BoundaryTag, Mesh, build_interval_mesh, build_rect_mesh
+from helmprec.io import build_mesh
+from helmprec.mesh import BoundaryTag, build_interval_mesh, build_rect_mesh
 
 IMP = BoundaryTag.IMPEDANCE
 DIR = BoundaryTag.DIRICHLET
@@ -92,7 +93,10 @@ def test_rect_measure_sum_and_facets(w, h, nx, ny):
     assert m.element_measures().sum() == pytest.approx(w * h, rel=1e-12)
     assert np.all(m.element_measures() > 0)
     assert len(m.facets) == 2 * (nx + ny)
-    assert m.h == pytest.approx(m.element_diameters().max(), rel=1e-15)
+    pts = m.coords[m.elements]
+    diam = max(np.linalg.norm(pts[:, i] - pts[:, j], axis=1).max()
+               for i, j in ((0, 1), (1, 2), (2, 0)))
+    assert m.h == pytest.approx(diam, rel=1e-15)
 
 
 def test_facet_belongs_to_its_element():
@@ -146,8 +150,8 @@ def test_rect_layout_listing():
 def locate_reference(mesh, points):
     """Element-by-element point location, O(n_elements * n_points).
 
-    The bucketed search of ``Mesh.locate_elements`` must return exactly
-    this: the same tolerance, the lowest passing element index.
+    The cell search of ``Mesh.locate_elements`` must return exactly this:
+    the same tolerance, the lowest passing element index.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     pts = mesh.coords[mesh.elements]
@@ -235,50 +239,22 @@ def test_locate_tolerance_band_at_boundary():
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
-def test_locate_tolerance_band_at_hole_edge(n):
-    """Points in the hole of an L-shaped mesh, within tolerance of its edges.
-
-    Their only containing elements start exactly at the hole's edge, which
-    for some n lies on a bucket boundary (x = 0.5 with 8 buckets at n = 6).
-    """
-    grid = build_rect_mesh(1, 1, n, n, IMP)
-    cents = grid.element_centroids()
-    keep = ~((cents[:, 0] < 0.5) & (cents[:, 1] > 0.5))
-    m = Mesh(2, grid.coords, grid.elements[keep], (), h=grid.h)
-    tol = 1e-12 * max(m.h, 1.0)
-    delta = 0.1 * tol / n
-    s = np.linspace(0.55, 0.95, 9)
-    inside = np.vstack([
-        np.column_stack([np.full(9, 0.5 - delta), s]),
-        np.column_stack([s - 0.5, np.full(9, 0.5 + delta)]),
-    ])
-    assert_locates_as_reference(m, inside)
-    for y in s:
-        with pytest.raises(InvalidArgumentError):
-            m.locate_elements([0.5 - 1e3 * delta, y])
-
-
-def test_locate_irregular_mesh_matches_reference():
-    """Jittered interior nodes and an L-shaped hole, unrelated to any grid."""
-    rng = np.random.default_rng(7)
-    grid = build_rect_mesh(1, 1, 12, 12, IMP)
-    coords = grid.coords.copy()
-    interior = np.all((coords > 0) & (coords < 1), axis=1)
-    coords[interior] += rng.uniform(-0.03, 0.03, (interior.sum(), 2))
-    keep = ~np.all(grid.element_centroids() > 0.5, axis=1)
-    elements = grid.elements[keep]
-    pts = coords[elements]
-    diam = max(float(np.linalg.norm(pts[:, i] - pts[:, j], axis=1).max())
-               for i, j in ((0, 1), (1, 2), (2, 0)))
-    m = Mesh(2, coords, elements, (), h=diam)
-    assert np.array_equal(m.locate_elements(m.element_centroids()), np.arange(m.n_elements))
-    assert_locates_as_reference(m, nodes_and_edge_midpoints(m))
-    random = rng.uniform(0, 1, (3000, 2))
-    # The jitter moves the hole's edges by at most 0.03 off x, y = 0.5.
-    assert_locates_as_reference(m, random[~np.all(random > 0.46, axis=1)])
-    for p in random[np.all(random > 0.54, axis=1)][:20]:
-        with pytest.raises(InvalidArgumentError):
-            m.locate_elements(p)
+def test_locate_tolerance_band_at_interior_grid_lines(n):
+    """A point within tolerance of the grid line between two cells lies in
+    the elements of both; the lower index wins, on either side of the line."""
+    m = build_rect_mesh(1, 1, n, n, IMP)
+    delta = 0.1 * 1e-12 * max(m.h, 1.0) / n
+    s = np.linspace(0.05, 0.95, 10)
+    points = np.vstack(
+        [np.column_stack([np.full(10, 0.5 + d), s]) for d in (-delta, delta)]
+        + [np.column_stack([s, np.full(10, 0.5 + d)]) for d in (-delta, delta)]
+    )
+    assert_locates_as_reference(m, points)
+    line = build_interval_mesh(0, 1, n, IMP, IMP)
+    nodes = line.coords[1:-1, 0]
+    for d in (-delta, delta):
+        located = line.locate_elements((nodes + d).reshape(-1, 1))
+        assert located.tolist() == list(range(n - 1))
 
 
 @pytest.mark.parametrize("point", [[np.nan, 0.5], [np.inf, 0.5]])
@@ -297,21 +273,39 @@ def test_locate_interval_ties_low_and_outside_raises():
             m.locate_elements(bad)
 
 
-def test_locate_interval_elements_in_any_order():
-    """1D elements are located by their own end points, not by the rank of
-    the sorted node coordinates."""
-    m = Mesh(1, np.array([[0.0], [0.5], [1.0]]), np.array([[1, 2], [0, 1]]), (), h=0.5)
-    assert m.locate_elements([[0.25], [0.75]]).tolist() == [1, 0]
-    assert m.locate_elements([[0.0], [0.5], [1.0]]).tolist() == [1, 0, 0]
-    # shuffled elements with reversed node order and shuffled nodes
-    rng = np.random.default_rng(3)
-    xs = np.sort(rng.uniform(0, 1, 9))
-    perm = rng.permutation(9)
-    coords = xs[perm].reshape(-1, 1)
-    node_of = np.argsort(perm)  # node index of the i-th smallest coordinate
-    elements = np.column_stack([node_of[1:], node_of[:-1]])[rng.permutation(8)]
-    m = Mesh(1, coords, elements, (), h=float(np.diff(xs).max()))
-    mids = coords[elements].mean(axis=1)
-    assert m.locate_elements(mids).tolist() == list(range(8))
-    with pytest.raises(InvalidArgumentError):
-        m.locate_elements([[xs[0] - 0.1]])
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("problem", [
+    {"dimension": 1, "domain": [0.5, 2.0], "k": 2.0,
+     "boundary": {"left": "dirichlet", "right": "impedance"}},
+    {"dimension": 2, "domain": [1.0, 1.0], "k": 3.0,
+     "boundary": {"left": "dirichlet", "right": "impedance", "bottom": "neumann",
+                  "top": "impedance"}},
+    {"dimension": 2, "domain": [2.0, 1.0], "k": 3.0,
+     "boundary": dict.fromkeys(("left", "right", "bottom", "top"), "impedance")},
+], ids=["1d", "square", "non-square"])
+def test_refined_is_the_nested_mesh(problem, r):
+    """``refined(r)`` is the mesh of r times the cell counts, and each fine
+    element lies in the coarse element its cell and diagonal side give."""
+    coarse = build_mesh(dict(problem, resolution={"type": "per_k", "factor": 1.0}))
+    fine = coarse.refined(r)
+    expected = build_mesh(dict(problem, resolution={"type": "per_k", "factor": float(r)}))
+    assert fine.cells == tuple(r * c for c in coarse.cells) == expected.cells
+    assert np.array_equal(fine.coords, expected.coords)
+    assert np.array_equal(fine.elements, expected.elements)
+    assert fine.facets == expected.facets
+    assert fine.h == expected.h
+
+    e = np.arange(fine.n_elements)
+    if coarse.dimension == 1:
+        parent = e // r
+    else:
+        ny = fine.cells[1]
+        ix, iy = np.divmod(e // 2, ny)
+        cell = (ix // r) * coarse.cells[1] + iy // r
+        # in thirds of a fine cell, the centroid's offset from the coarse
+        # cell's corner: the lower-right triangle's is (2, 1), the other's (1, 2)
+        lower = e % 2 == 0
+        x3 = 3 * (ix % r) + np.where(lower, 2, 1)
+        y3 = 3 * (iy % r) + np.where(lower, 1, 2)
+        parent = 2 * cell + (y3 > x3)
+    assert np.array_equal(coarse.locate_elements(fine.element_centroids()), parent)
