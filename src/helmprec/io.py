@@ -1,9 +1,11 @@
 """Experiment configs, sparse-matrix exchange files, report serialization.
 
 Configs are JSON with three blocks (problem, perturbation, sweep) plus
-solver knobs and output paths; unknown keys, missing rule keys and
-non-numeric values are rejected by name, and defaults are materialized,
-so re-reading the JSON dump of a config's ``data`` gives the same data.
+solver knobs and output paths; unknown keys, missing rule keys,
+non-numeric values, sections that are not objects, grids that are not
+lists and step axes that are not axes of the mesh are rejected by name,
+and defaults are materialized, so re-reading the JSON dump of a config's
+``data`` gives the same data.
 
 Matrices travel in Matrix Market coordinate format with complex
 entries (real/imag pairs), 1-based indices, and symmetry 'general' or
@@ -118,6 +120,27 @@ def _number(value, where: str, kind=float):
         raise ConfigError(f"{where}: not a valid number: {value!r}") from exc
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    return value
+
+
+def _grid(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
+    return [_number(x, where) for x in value]
+
+
+def _check_coefficient_rule(rule, where: str, dim: int):
+    """A coefficient rule, whose step ``axis`` must be an axis of the mesh."""
+    _check_rule(rule, where, _RULE_KEYS)
+    if rule["type"] == "step":
+        axis = _number(rule.get("axis", 0), f"{where}.axis", int)
+        if axis not in range(dim):
+            raise ConfigError(f"{where}.axis must be in range({dim}), got {rule['axis']!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """A validated experiment description with all defaults applied."""
@@ -170,6 +193,7 @@ def read_config(text: str) -> ExperimentConfig:
     prob = raw.get("problem")
     if prob is None:
         raise ConfigError("missing mandatory key: problem")
+    _object(prob, "problem")
     missing = [k for k in ("dimension", "k") if k not in prob]
     if missing:
         raise ConfigError(
@@ -188,7 +212,7 @@ def read_config(text: str) -> ExperimentConfig:
     domain = [_number(x, "problem.domain") for x in domain]
 
     sides = SIDES[dim]
-    boundary = dict(prob.get("boundary", {}))
+    boundary = dict(_object(prob.get("boundary", {}), "problem.boundary"))
     extra_sides = set(boundary) - set(sides)
     if extra_sides:
         raise ConfigError(f"unknown boundary sides: {sorted(extra_sides)}")
@@ -205,15 +229,15 @@ def read_config(text: str) -> ExperimentConfig:
     mu_rule = prob.get("mu_inv", {"type": "constant", "value": [1.0, 0.0]})
     eps_rule = prob.get("eps", {"type": "constant", "value": [1.0, 0.0]})
     for name, rule in (("problem.mu_inv", mu_rule), ("problem.eps", eps_rule)):
-        _check_rule(rule, name, _RULE_KEYS)
+        _check_coefficient_rule(rule, name, dim)
     garding = prob.get("garding")
     if garding is not None:
-        extra = set(garding) - {"c_g1", "c_g2"}
+        extra = set(_object(garding, "problem.garding")) - {"c_g1", "c_g2"}
         if extra or not {"c_g1", "c_g2"} <= set(garding):
             raise ConfigError("problem.garding needs exactly the keys c_g1, c_g2")
         garding = {c: _number(garding[c], f"problem.garding.{c}") for c in ("c_g1", "c_g2")}
 
-    pert_in = raw.get("perturbation", {})
+    pert_in = _object(raw.get("perturbation", {}), "perturbation")
     mode = pert_in.get("mode", "absorption")
     if mode not in ("absorption", "nearby"):
         raise ConfigError(f"perturbation.mode must be absorption|nearby, got {mode!r}")
@@ -225,17 +249,17 @@ def read_config(text: str) -> ExperimentConfig:
     }
     for name in ("mu_inv", "eps"):
         if pert[name] is not None:
-            _check_rule(pert[name], f"perturbation.{name}", _RULE_KEYS)
+            _check_coefficient_rule(pert[name], f"perturbation.{name}", dim)
     if pert["alpha"] < 0:
         raise ConfigError("perturbation.alpha must be >= 0")
     if mode == "nearby" and pert["mu_inv"] is None and pert["eps"] is None:
         raise ConfigError("nearby perturbation needs mu_inv and/or eps rules")
 
-    sweep_in = raw.get("sweep", {})
+    sweep_in = _object(raw.get("sweep", {}), "sweep")
     sweep = {
-        "k_values": [_number(x, "sweep.k_values") for x in sweep_in.get("k_values", [k])],
-        "alpha_values": [_number(x, "sweep.alpha_values")
-                         for x in sweep_in.get("alpha_values", [pert["alpha"]])],
+        "k_values": _grid(sweep_in.get("k_values", [k]), "sweep.k_values"),
+        "alpha_values": _grid(sweep_in.get("alpha_values", [pert["alpha"]]),
+                              "sweep.alpha_values"),
         "resolution": sweep_in.get("resolution", resolution),
         "ladder": sweep_in.get("ladder"),
     }
@@ -245,7 +269,7 @@ def read_config(text: str) -> ExperimentConfig:
     if min(sweep["alpha_values"]) < 0:
         raise ConfigError("sweep.alpha_values must be >= 0")
     if sweep["ladder"] is not None:
-        if set(sweep["ladder"]) - {"refine"}:
+        if set(_object(sweep["ladder"], "sweep.ladder")) - {"refine"}:
             raise ConfigError("sweep.ladder accepts only 'refine'")
         sweep["ladder"] = {
             "refine": _number(sweep["ladder"].get("refine", 4), "sweep.ladder.refine", int)
@@ -253,7 +277,7 @@ def read_config(text: str) -> ExperimentConfig:
         if sweep["ladder"]["refine"] < 2:
             raise ConfigError("sweep.ladder.refine must be >= 2")
 
-    solver_in = raw.get("solver", {})
+    solver_in = _object(raw.get("solver", {}), "solver")
     solver = {
         "tol": _number(solver_in.get("tol", 1e-8), "solver.tol"),
         "max_it": _number(solver_in.get("max_it", 500), "solver.max_it", int),
@@ -267,6 +291,10 @@ def read_config(text: str) -> ExperimentConfig:
         raise ConfigError("solver.max_it must be >= 1")
     if not solver["tol"] > 0:
         raise ConfigError("solver.tol must be > 0")
+
+    out_dir = _object(raw.get("output", {}), "output").get("dir", "out")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"output.dir must be a string, got {out_dir!r}")
 
     data = {
         "schema_version": SCHEMA_VERSION,
@@ -285,7 +313,7 @@ def read_config(text: str) -> ExperimentConfig:
         "perturbation": pert,
         "sweep": sweep,
         "solver": solver,
-        "output": {"dir": raw.get("output", {}).get("dir", "out")},
+        "output": {"dir": out_dir},
     }
     return ExperimentConfig(data)
 

@@ -41,7 +41,11 @@ factor's coordinates is the B norm of the corresponding generalized
 pencil, so the bound is the same one. Iterations stop on it (relative
 tolerance 1e-10 by default) and are capped; hitting the cap raises,
 carrying the last estimate as the quantity the function returns. Start
-vectors are seeded, so all reported numbers are reproducible.
+vectors are seeded, so all reported numbers are reproducible. ARPACK's
+first application is to the start vector itself; an operator that maps
+that random vector to exactly zero is the zero operator, whose top
+eigenvalue 0 is returned after that one application, with no separate
+probe.
 
 The extremes m_-^2 <= m_+^2 of M (the norm-equivalence constant m_+/m_-)
 need care at the top, where the P1 mass spectrum clusters and Lanczos on
@@ -59,7 +63,16 @@ pattern of A^T + A): complex LU for A, and for D and M a Cholesky-type
 factorization P D P^T = L_0 U_0 of the symmetrically permuted matrix,
 with U_0 = diag(pivots) L_0^T, so L above stands for P^T L_0
 diag(sqrt(pivots)). Complex vectors against the real factors are
-handled as two real columns.
+handled as two real columns, and products with the real D, M, L and L^T
+as their real and imaginary parts, with no complex copy of the matrix.
+
+A Galerkin Helmholtz matrix is complex symmetric, A^T = A, and an LU
+factor tests that once, exactly (no entry of A - A^T is nonzero). Its
+solves then run SuperLU's transposed sweep, which was about 25% faster
+per column than the plain one at n = 1,681-9,409: A^{-1} b is the
+solution of A^T x = b, and A^{-H} b = conj(A^{-1} conj(b)). A matrix
+that is not exactly symmetric, such as an imported one, is solved as
+asked.
 """
 
 from __future__ import annotations
@@ -113,7 +126,8 @@ def nearly_equal(X, Y, rtol: float) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class LUFactor:
-    """Sparse LU factors of the square matrix ``A``; ``solve`` applies A^{-1}."""
+    """Sparse LU factors of the square matrix ``A``; ``solve`` applies A^{-1},
+    A^{-T} (``trans="T"``) or A^{-H} (``trans="H"``)."""
 
     A: sp.csc_matrix
     superlu: spla.SuperLU
@@ -122,8 +136,20 @@ class LUFactor:
     def n(self) -> int:
         return self.A.shape[0]
 
+    @cached_property
+    def symmetric(self) -> bool:
+        """A^T = A exactly (no entry of A - A^T is nonzero), tested once."""
+        return (self.A != self.A.T).nnz == 0
+
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        return self.superlu.solve(b, trans=trans)
+        if not self.symmetric:
+            return self.superlu.solve(b, trans=trans)
+        # SuperLU's transposed sweep is the faster one (about 25% per
+        # column at n = 1,681-9,409), and for A = A^T it solves A x = b;
+        # A^H = conj(A), so A^H x = b is conj(A^{-1} conj(b)).
+        if trans == "H":
+            return np.conj(self.superlu.solve(np.conj(b), trans="T"))
+        return self.superlu.solve(b, trans="T")
 
 
 def lu_factor(A, dtype=complex, **options) -> LUFactor:
@@ -183,13 +209,17 @@ class GramFactor(LUFactor):
         rows[lu.perm_c] = np.arange(self.n, dtype=rows.dtype)
         return sp.csc_matrix((L0.data, rows[L0.indices], L0.indptr), shape=L0.shape)
 
+    @cached_property
+    def _cholesky_T(self) -> sp.csr_matrix:
+        # L^T as the CSR view of L: it shares L's arrays, so no second copy
+        return self.cholesky.T
+
     def factor_mul(self, x: np.ndarray, trans: str = "N") -> np.ndarray:
         """L x, or L^T x for ``trans="T"``."""
-        L = self.cholesky
-        return _real_product(L if trans == "N" else L.T, x)
+        return _real_product(self.cholesky if trans == "N" else self._cholesky_T, x)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ x
+        return _real_product(self.A, x)
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         # the factorization is real and symmetric: a complex right-hand side
@@ -203,7 +233,7 @@ class GramFactor(LUFactor):
         return (x[:, :k] + 1j * x[:, k:]).reshape(b.shape)
 
     def inner(self, x: np.ndarray, y: np.ndarray) -> complex:
-        return complex(np.vdot(x, self.A @ y))
+        return complex(np.vdot(x, _real_product(self.A, y)))
 
     def norm(self, x: np.ndarray) -> float:
         return math.sqrt(max(self.inner(x, x).real, 0.0))
@@ -302,6 +332,14 @@ class SolutionOperatorNorms:
 
 _DENSE_PENCIL_N = 8
 
+# ARPACK's Lanczos basis size (ncv), chosen by measurement; see
+# _pencil_lambda_max.
+_NCV = 15
+
+
+class _ZeroOperator(Exception):
+    """The operator annihilated ARPACK's start vector."""
+
 
 def _pencil_lambda_max(
     apply_x: Callable[[np.ndarray], np.ndarray],
@@ -322,6 +360,20 @@ def _pencil_lambda_max(
     Returns (lambda, operator applications, residual ||X v - lambda v||_2
     of the unit Ritz vector v). Hitting the cap raises, carrying the last
     Ritz value of X itself; callers convert it with :func:`_estimate_as`.
+
+    ARPACK's first application is to the seeded start vector itself; when
+    it returns exactly zero, X annihilates a random vector, so the PSD
+    operator's top is zero and (0.0, 1, 0.0) is returned at once. Other
+    runs take ARPACK's applications plus one for the residual.
+
+    The basis size ncv is also the restart length: ARPACK tests
+    convergence only once it has built ncv vectors (Lehoucq, Sorensen &
+    Yang, ARPACK Users' Guide, SIAM 1998), so a run ends only at the end
+    of a restart cycle (at ncv = 20, most runs took 21 or 31
+    applications), and a larger basis can overshoot convergence. ncv =
+    15 gave the fewest LU solves over the three benchmark workloads
+    (verify2d, sweep2d, sweep1d, seed 0) among ncv = 12..20: 3,643 in all
+    (375 / 1,193 / 2,075), against 3,682 at 14, 3,686 at 16 and 3,844 at 20.
     """
     if n <= _DENSE_PENCIL_N:
         eye = np.eye(n, dtype=dtype)
@@ -333,16 +385,16 @@ def _pencil_lambda_max(
 
     def counted_x(v):
         counter["n"] += 1
-        return apply_x(v)
+        y = apply_x(v)
+        if counter["n"] == 1 and not np.any(y):
+            raise _ZeroOperator
+        return y
 
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
     if np.dtype(dtype).kind == "c":
         v0 = v0 + 1j * rng.standard_normal(n)
-    if not np.any(apply_x(v0)):
-        # X annihilates a random probe: the (PSD) operator's top is zero.
-        return 0.0, 1, 0.0
-    ncv = min(n, 20)
+    ncv = min(n, _NCV)
     x_op = spla.LinearOperator((n, n), matvec=counted_x, dtype=dtype)
     try:
         vals, vecs = spla.eigsh(
@@ -354,6 +406,8 @@ def _pencil_lambda_max(
             tol=tol,
             maxiter=max(100, max_it // ncv),
         )
+    except _ZeroOperator:
+        return 0.0, 1, 0.0
     except spla.ArpackNoConvergence as exc:
         raise NoConvergenceError(
             f"eigensolver did not reach tolerance {tol:g} within the "

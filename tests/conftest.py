@@ -4,7 +4,9 @@ The oracle helpers use dense scipy.linalg factorizations only, so they
 stay independent of the package's sparse/iterative code paths.
 """
 
+import importlib.util
 import inspect
+import os
 import sys
 
 import numpy as np
@@ -21,6 +23,23 @@ from helmprec import (
     constant_field,
 )
 from helmprec.mesh import BoundaryTag
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "bench")
+
+
+def bench_run():
+    """``bench/run.py`` as a module; its sibling ``check.py`` is its ``check``."""
+    sys.path.insert(0, BENCH)  # run.py imports check.py
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "bench_run", os.path.join(BENCH, "run.py"))
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(BENCH)
+    return run
+
 
 IMP = BoundaryTag.IMPEDANCE
 DIR = BoundaryTag.DIRICHLET

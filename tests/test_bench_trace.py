@@ -10,16 +10,13 @@ traced function, or captures it where the tracer cannot rebind it, fails
 here rather than in a benchmark run. The test only reads ``bench/``.
 """
 
-import importlib.util
 import json
 import os
 import subprocess
 import sys
 
 import pytest
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH = os.path.join(ROOT, "bench")
+from conftest import BENCH, ROOT, bench_run
 
 PROBLEM = {"dimension": 1, "k": 6.0, "resolution": {"type": "elements", "n": 30}}
 CONFIGS = {
@@ -44,21 +41,9 @@ CONFIGS = {
 }
 
 
-def _bench_workloads() -> dict:
-    sys.path.insert(0, BENCH)  # run.py imports its sibling check.py
-    try:
-        spec = importlib.util.spec_from_file_location(
-            "bench_run", os.path.join(BENCH, "run.py"))
-        run = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(run)
-    finally:
-        sys.path.remove(BENCH)
-    return run.WORKLOADS
-
-
 @pytest.mark.parametrize("workload", sorted(CONFIGS))
 def test_traced_child_records_every_required_span(tmp_path, workload):
-    spec = _bench_workloads()[workload]
+    spec = bench_run().WORKLOADS[workload]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(CONFIGS[workload]))
     result = tmp_path / "result.json"

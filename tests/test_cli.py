@@ -83,21 +83,48 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["verify", "--config", str(tmp_path / "nope.json")]) == 1
 
 
-@pytest.mark.parametrize("problem,where", [
-    ({"resolution": {"type": "elements"}}, "problem.resolution: missing keys ['n']"),
-    ({"resolution": {"type": "per_k"}}, "missing keys ['factor']"),
-    ({"resolution": {"type": "k_power", "scale": 1}}, "missing keys ['exponent']"),
-    ({"resolution": {"type": "elements", "n": "six"}}, "problem.resolution.n"),
-    ({"eps": {"type": "step", "below": 1, "above": 2}}, "missing keys ['threshold']"),
-    ({"eps": {"type": "pml", "start": 0.5}}, "problem.eps: missing keys ['sigma0']"),
-    ({"mu_inv": {"type": "constant"}}, "problem.mu_inv: missing keys ['value']"),
-    ({"mu_inv": {"type": "constant", "value": "one"}}, "problem.mu_inv.value"),
-    ({"k": "abc"}, "problem.k"),
-    ({"theta": [1.0]}, "problem.theta"),
+def _step(axis):
+    return {"type": "step", "axis": axis, "threshold": 0.5, "below": 1, "above": 2}
+
+
+PLANE = {"dimension": 2, "resolution": {"type": "elements", "n": 4}}
+
+
+@pytest.mark.parametrize("extra,where", [
+    ({"problem": {"resolution": {"type": "elements"}}},
+     "problem.resolution: missing keys ['n']"),
+    ({"problem": {"resolution": {"type": "per_k"}}}, "missing keys ['factor']"),
+    ({"problem": {"resolution": {"type": "k_power", "scale": 1}}},
+     "missing keys ['exponent']"),
+    ({"problem": {"resolution": {"type": "elements", "n": "six"}}}, "problem.resolution.n"),
+    ({"problem": {"eps": {"type": "step", "below": 1, "above": 2}}},
+     "missing keys ['threshold']"),
+    ({"problem": {"eps": {"type": "pml", "start": 0.5}}},
+     "problem.eps: missing keys ['sigma0']"),
+    ({"problem": {"mu_inv": {"type": "constant"}}}, "problem.mu_inv: missing keys ['value']"),
+    ({"problem": {"mu_inv": {"type": "constant", "value": "one"}}}, "problem.mu_inv.value"),
+    ({"problem": {"k": "abc"}}, "problem.k"),
+    ({"problem": {"theta": [1.0]}}, "problem.theta"),
+    ({"problem": dict(PLANE, eps=_step(3))}, "problem.eps.axis"),
+    ({"problem": dict(PLANE, mu_inv=_step(-1))}, "problem.mu_inv.axis"),
+    ({"problem": {"eps": _step(1)}}, "problem.eps.axis"),
+    ({"perturbation": {"mode": "nearby", "eps": _step(2)}}, "perturbation.eps.axis"),
+    ({"sweep": {"ladder": 5}}, "sweep.ladder"),
+    ({"sweep": {"k_values": 5}}, "sweep.k_values"),
+    ({"sweep": {"k_values": "12"}}, "sweep.k_values"),
+    ({"sweep": {"alpha_values": 0.3}}, "sweep.alpha_values"),
+    ({"problem": {"boundary": "dirichlet"}}, "problem.boundary"),
+    ({"problem": {"garding": 5}}, "problem.garding"),
+    ({"solver": [1]}, "solver"),
+    ({"perturbation": "absorption"}, "perturbation"),
+    ({"problem": 5}, "problem"),
+    ({"output": {"dir": 5}}, "output.dir"),
 ], ids=["elements", "per_k", "k_power", "n", "step", "pml", "constant", "value", "k",
-        "theta"])
-def test_malformed_config_is_a_config_error(tmp_path, capsys, problem, where):
-    path = write_cfg(tmp_path, {"problem": problem})
+        "theta", "axis_3", "axis_negative", "axis_1d", "perturbation_axis", "ladder",
+        "k_values", "k_values_text", "alpha_values", "boundary", "garding", "solver", "perturbation",
+        "problem", "output_dir"])
+def test_malformed_config_is_a_config_error(tmp_path, capsys, extra, where):
+    path = write_cfg(tmp_path, extra)
     with pytest.raises(ConfigError) as exc:
         load_config(path)
     assert where in str(exc.value)

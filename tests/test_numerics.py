@@ -33,6 +33,8 @@ from helmprec.errors import (
 )
 from helmprec.numerics import (
     _DENSE_PENCIL_N,
+    LUFactor,
+    _pencil_lambda_max,
     discrete_inf_sup,
     gram_factor,
     lu_factor,
@@ -196,6 +198,70 @@ def test_lanczos_estimates_match_dense_oracles(case):
                 oracle_weighted_norm(C, s.D, mode), rel=1e-9), (name, mode)
     # no twin identity for a non-symmetric pair
     assert norms["right", "D_inv"] != pytest.approx(norms["left", "D"], rel=1e-6)
+
+
+class _RecordingSuperLU:
+    """A SuperLU factor that records the ``trans`` of every solve."""
+
+    def __init__(self, lu):
+        self.lu, self.trans = lu, []
+
+    def solve(self, b, trans="N"):
+        self.trans.append(trans)
+        return self.lu.solve(b, trans=trans)
+
+
+def _helmholtz_variant(kind):
+    """A complex symmetric 2D Helmholtz matrix, or the same matrix with one
+    asymmetric entry (``asymmetric``) or one entry changed by 1e-15
+    relative (``nudged``)."""
+    A = canonical_2d(6.0, 12, 12).A.tolil()
+    if kind == "asymmetric":
+        A[3, 4] += 0.05
+    elif kind == "nudged":
+        A[3, 4] *= 1 + 1e-15
+    return A.tocsc()
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "asymmetric", "nudged"])
+def test_lu_solve_paths_match_dense(kind, rng):
+    """Solves with A, A^T and A^H match dense solves to 1e-12; an exactly
+    symmetric A runs every one on SuperLU's transposed sweep, any other A
+    (even one entry off by 1e-15 relative) solves as asked."""
+    A = _helmholtz_variant(kind)
+    lu = lu_factor(A)
+    assert lu.symmetric == (kind == "symmetric")
+    spy = _RecordingSuperLU(lu.superlu)
+    lu = LUFactor(lu.A, spy)
+    dense = A.toarray()
+    b = rng.standard_normal((A.shape[0], 2)) @ np.array([1.0, 1j])
+    for trans, op in (("N", dense), ("T", dense.T), ("H", dense.conj().T)):
+        want = np.linalg.solve(op, b)
+        got = lu.solve(b, trans)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), trans
+    assert spy.trans == (["T"] * 3 if kind == "symmetric" else ["N", "T", "H"])
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_eigensolve_application_count(dtype, rng):
+    """A zero operator is detected on ARPACK's first application; any other
+    takes ARPACK's applications plus the one for the residual."""
+    n = 30
+    B = rng.standard_normal((n, n))
+    X = B.T @ B
+    for op, top in ((np.zeros((n, n)), 0.0), (X, np.linalg.eigvalsh(X)[-1])):
+        calls = []
+
+        def apply_x(v):
+            calls.append(v)
+            return op @ v
+
+        lam, it, res = _pencil_lambda_max(apply_x, n, 1e-10, 10_000, 0, dtype=dtype)
+        assert lam == pytest.approx(top, rel=1e-9)
+        if top == 0.0:
+            assert (lam, it, res) == (0.0, 1, 0.0) and len(calls) == 1
+        else:
+            assert len(calls) == it + 1 and res <= 1e-8 * top
 
 
 def _eigsh_stalling_after(converged):
