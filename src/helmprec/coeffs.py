@@ -8,6 +8,8 @@ two roles mirror the two coefficients of the operator
 * MU_INV fields must have positive-definite real part elementwise,
 * EPS fields are unconstrained bounded multipliers.
 
+Every value of either role must be finite.
+
 Because fields are piecewise constant, their sup-norm differences are
 exact maxima and all element integrals in the assembly stay closed-form.
 """
@@ -60,6 +62,8 @@ class CoefficientField:
             raise InvalidArgumentError(
                 f"{values.shape[0]} values for {self.mesh.n_elements} elements"
             )
+        if not np.all(np.isfinite(values)):
+            raise InvalidCoefficientError(f"{self.role.value} values must be finite")
         if values.ndim == 3:
             if self.mesh.dimension != 2 or values.shape[1:] != (2, 2):
                 raise InvalidArgumentError(

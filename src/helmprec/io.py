@@ -113,7 +113,15 @@ def _check_rule(rule, where: str, table: dict):
 
 
 def _number(value, where: str, kind=float):
-    """``kind(value)``, or a ConfigError naming the key when it fails."""
+    """``kind(value)``, or a ConfigError naming the key when it fails.
+
+    An integer key rejects a boolean or a non-integral number rather than
+    truncating it.
+    """
+    if kind is int and (
+        isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+    ):
+        raise ConfigError(f"{where}: not an integer: {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:

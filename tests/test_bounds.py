@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -18,8 +19,10 @@ from conftest import (
 
 from helmprec.assemble import MatrixSystem, assemble_system
 from helmprec.bounds import (
+    _GARDING_BLOCK,
     CANONICAL_GARDING,
     GardingConstants,
+    GardingReport,
     absorption_report,
     garding_check,
     garding_constants_for,
@@ -72,6 +75,173 @@ def test_garding_false_constants_reported():
     assert rep.violations > 0
     assert not rep.passed
     assert rep.worst_rel_margin < 0
+
+
+def garding_reference(sys, constants, n_samples, seed, rtol=1e-12):
+    """One vector at a time: the sample loop the blocked evaluation of
+    ``garding_check`` must reproduce, with the same random vectors."""
+    rng = np.random.default_rng(seed)
+    A, M, D = sys.A, sys.M, sys.D
+    spec = sys.spec
+    canonical = bool(
+        not spec.mu_inv.is_matrix
+        and np.all(spec.mu_inv.values == 1.0)
+        and np.all(spec.eps.values == 1.0)
+    )
+    violations = 0
+    worst = math.inf
+    ident_err = 0.0
+    for _ in range(n_samples):
+        v = rng.standard_normal(sys.n) + 1j * rng.standard_normal(sys.n)
+        qa = complex(np.vdot(v, A @ v))
+        qm = float(np.vdot(v, M @ v).real)
+        qd = float(np.vdot(v, D @ v).real)
+        lhs = abs(qa + constants.c_g2 * qm)
+        rhs = constants.c_g1 * qd
+        margin = (lhs - rhs) / rhs if rhs > 0 else 0.0
+        worst = min(worst, margin)
+        if margin < -rtol:
+            violations += 1
+        if canonical:
+            ident_err = max(ident_err, abs(qa.real + 2.0 * qm - qd) / qd)
+    return GardingReport(
+        constants=constants,
+        n_samples=n_samples,
+        violations=violations,
+        worst_rel_margin=worst,
+        canonical=canonical,
+        identity_max_rel_err=ident_err if canonical else None,
+    )
+
+
+def _step_spec_2d():
+    """Unit square, mu^-1 in {0.5, 2} split in x, eps in {1, 3} split in y."""
+    mesh = build_rect_mesh(1, 1, 8, 8, IMP)
+    mu = piecewise_field(mesh, lambda p: 0.5 if p[0] < 0.5 else 2.0, Role.MU_INV)
+    eps = piecewise_field(mesh, lambda p: 1.0 if p[1] < 0.5 else 3.0, Role.EPS)
+    return ProblemSpec(10.0, mesh, mu, eps, 1.0)
+
+
+def _matrix_mu_spec_2d():
+    """Rotated anisotropic complex-symmetric mu^-1 on an 8x8 square."""
+    mesh = build_rect_mesh(1, 1, 8, 8, IMP)
+    theta = np.pi * mesh.element_centroids().sum(axis=1)
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    diag = np.zeros((mesh.n_elements, 2, 2))
+    diag[:, 0, 0], diag[:, 1, 1] = 1.0, 0.1
+    values = (rot @ diag @ np.swapaxes(rot, 1, 2)) * (1 + 0.2j)
+    values = 0.5 * (values + np.swapaxes(values, 1, 2))
+    mu = CoefficientField(mesh, values, Role.MU_INV)
+    return ProblemSpec(5.0, mesh, mu, constant_field(mesh, 1.0, Role.EPS), 1.0)
+
+
+@functools.cache
+def _garding_case(name):
+    """(system, constants) of one reference case."""
+    if name == "canonical_1d":
+        return canonical_1d(10.0, 60), CANONICAL_GARDING
+    if name == "canonical_2d":
+        return assemble_system(canonical_spec_2d(10.0, 10, 10)), CANONICAL_GARDING
+    if name == "false_constants":
+        return canonical_1d(10.0, 60), GardingConstants(10.0, 0.0)
+    spec = _step_spec_2d() if name == "step_mu" else _matrix_mu_spec_2d()
+    return assemble_system(spec), garding_constants_for(spec)
+
+
+B = _GARDING_BLOCK
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("n_samples", [1, B - 1, B, B + 1, 1000])
+@pytest.mark.parametrize("case", ["canonical_1d", "canonical_2d", "false_constants",
+                                  "step_mu", "matrix_mu"])
+def test_garding_blocks_match_reference(case, n_samples, seed):
+    """Blocked evaluation = the per-vector loop, up to summation order."""
+    sys, constants = _garding_case(case)
+    rep = garding_check(sys, constants, n_samples=n_samples, seed=seed)
+    ref = garding_reference(sys, constants, n_samples, seed)
+    assert (rep.n_samples, rep.violations, rep.canonical, rep.passed) == (
+        ref.n_samples, ref.violations, ref.canonical, ref.passed)
+    assert abs(rep.worst_rel_margin - ref.worst_rel_margin) <= 1e-12
+    if ref.canonical:
+        assert rep.identity_max_rel_err <= 1e-12
+    else:
+        assert rep.identity_max_rel_err is None
+    if case == "false_constants" and n_samples == 1000:
+        assert rep.violations > 0
+
+
+def _recording(sys):
+    """``sys`` with A, M and D recording each operand multiplied into them,
+    as (matrix name, operand copy), in call order."""
+    log = []
+
+    def recorder(name, X):
+        class Recorded(type(X)):
+            def __matmul__(self, other):
+                log.append((name, np.array(other, copy=True)))
+                return super().__matmul__(other)
+
+        return Recorded(X)
+
+    mats = {name: recorder(name, getattr(sys, name)) for name in ("A", "M", "D")}
+    return dataclasses.replace(sys, **mats), log
+
+
+@pytest.mark.parametrize("n_samples", [1, B - 1, B, B + 1, 2 * B + 3, 1000])
+def test_garding_sparse_products_per_block(n_samples):
+    """Three block products (A, M, D) per block of samples and no product
+    with a single vector: a per-sample loop fails here without timing."""
+    sys, log = _recording(canonical_1d(10.0, 60))
+    garding_check(sys, n_samples=n_samples)
+    blocks = math.ceil(n_samples / B)
+    assert len(log) == 3 * blocks
+    assert [name for name, _ in log] == ["A", "M", "D"] * blocks
+    assert all(op.ndim == 2 for _, op in log)
+    widths = [min(B, n_samples - i * B) for i in range(blocks)]
+    assert [op.shape[1] for name, op in log if name == "A"] == widths
+
+
+def test_garding_samples_are_the_sequential_draws():
+    """The j-th sample is the j-th standard_normal(n) + 1j*standard_normal(n)
+    of the seed's stream, across block boundaries."""
+    n_samples, seed = 2 * B + 3, 5
+    sys, log = _recording(canonical_1d(10.0, 60))
+    garding_check(sys, n_samples=n_samples, seed=seed)
+    drawn = np.hstack([op for name, op in log if name == "A"])
+    rng = np.random.default_rng(seed)
+    expected = np.column_stack([
+        rng.standard_normal(sys.n) + 1j * rng.standard_normal(sys.n)
+        for _ in range(n_samples)
+    ])
+    assert np.array_equal(drawn, expected)
+
+
+@pytest.mark.parametrize("name", ["A", "M", "D"])
+def test_garding_non_finite_form_is_a_violation(name):
+    """A NaN entry makes every sample's form with that matrix NaN: each
+    sample is a violation, the worst margin is -inf and the report fails."""
+    sys = canonical_1d(3.0, 10)
+    X = getattr(sys, name).copy()
+    X.data[0] = np.nan
+    rep = garding_check(dataclasses.replace(sys, **{name: X}), n_samples=B + 1)
+    assert rep.violations == B + 1
+    assert rep.worst_rel_margin == -math.inf
+    assert not rep.passed
+
+
+def test_garding_overflowing_form_is_a_violation():
+    """A finite system whose quadratic forms overflow (mu^-1 = 1e306 gives
+    stiffness entries near 2e307) cannot pass."""
+    spec = canonical_spec_1d(3.0, 100)
+    mu = constant_field(spec.mesh, 1e306, Role.MU_INV)
+    sys = assemble_system(ProblemSpec(spec.k, spec.mesh, mu, spec.eps, spec.theta))
+    assert np.all(np.isfinite(sys.A.data))
+    rep = garding_check(sys, n_samples=3)
+    assert rep.violations == 3
+    assert rep.worst_rel_margin == -math.inf
+    assert not rep.passed
 
 
 @pytest.mark.parametrize("n_samples", [0, -1])

@@ -119,10 +119,19 @@ PLANE = {"dimension": 2, "resolution": {"type": "elements", "n": 4}}
     ({"perturbation": "absorption"}, "perturbation"),
     ({"problem": 5}, "problem"),
     ({"output": {"dir": 5}}, "output.dir"),
+    ({"problem": {"resolution": {"type": "elements", "n": 4.7}}}, "problem.resolution.n"),
+    ({"problem": dict(PLANE, eps=_step(1.9))}, "problem.eps.axis"),
+    ({"sweep": {"ladder": {"refine": 2.5}}}, "sweep.ladder.refine"),
+    ({"solver": {"max_it": 20.5}}, "solver.max_it"),
+    ({"solver": {"garding_samples": 10.5}}, "solver.garding_samples"),
+    ({"solver": {"garding_samples": True}}, "solver.garding_samples"),
+    ({"seed": 2.5}, "seed"),
+    ({"seed": True}, "seed"),
 ], ids=["elements", "per_k", "k_power", "n", "step", "pml", "constant", "value", "k",
         "theta", "axis_3", "axis_negative", "axis_1d", "perturbation_axis", "ladder",
         "k_values", "k_values_text", "alpha_values", "boundary", "garding", "solver", "perturbation",
-        "problem", "output_dir"])
+        "problem", "output_dir", "n_fraction", "axis_fraction", "refine_fraction",
+        "max_it_fraction", "samples_fraction", "samples_bool", "seed_fraction", "seed_bool"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, extra, where):
     path = write_cfg(tmp_path, extra)
     with pytest.raises(ConfigError) as exc:
@@ -130,6 +139,16 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, extra, where):
     assert where in str(exc.value)
     assert main(["verify", "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("role,value", [("eps", [float("nan"), 0.0]),
+                                        ("eps", [1.0, float("inf")]),
+                                        ("mu_inv", [float("inf"), 0.0])])
+def test_non_finite_coefficient_is_an_error(tmp_path, capsys, role, value):
+    """Not a singular matrix and not a PASS: the coefficient is rejected."""
+    path = write_cfg(tmp_path, {"problem": {role: {"type": "constant", "value": value}}})
+    assert main(["verify", "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {role} values must be finite\n"
 
 
 def test_sweep_grid_rows_and_zero_alpha(tmp_path):

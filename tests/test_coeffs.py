@@ -39,6 +39,21 @@ def test_constant_field_rejects_nonpositive_mu(mesh4):
         constant_field(mesh4, 1j, Role.MU_INV)  # Re = 0 not admissible
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.inf),
+                                 complex(np.nan, 0.0)])
+@pytest.mark.parametrize("role", list(Role))
+def test_field_rejects_non_finite_values(mesh4, role, bad):
+    values = np.ones(mesh4.n_elements, dtype=complex)
+    values[2] = bad
+    with pytest.raises(InvalidCoefficientError, match="must be finite"):
+        CoefficientField(mesh4, values, role)
+    with pytest.raises(InvalidCoefficientError, match="must be finite"):
+        constant_field(mesh4, bad, role)
+    mesh = build_rect_mesh(1, 1, 2, 2, IMP)
+    with pytest.raises(InvalidCoefficientError, match="must be finite"):
+        constant_field(mesh, np.array([[1.0, bad], [bad, 1.0]]), role)
+
+
 def test_piecewise_step(mesh4):
     f = piecewise_field(mesh4, lambda x: 1.0 if x < 0.5 else 2.0, Role.EPS)
     assert np.allclose(f.values, [1, 1, 2, 2])

@@ -52,6 +52,15 @@ def test_config_roundtrip_identity():
     assert read_config(json.dumps(cfg.data)).data == cfg.data
 
 
+def test_integer_keys_take_integral_numbers():
+    """1e3 and 3.0 are integers; fractions and booleans are ConfigErrors
+    (test_cli's malformed-config cases)."""
+    cfg = read_config('{"problem": {"dimension": 1, "k": 1}, "seed": 3.0, '
+                      '"solver": {"garding_samples": 1e3}}')
+    assert cfg.seed == 3 and type(cfg.seed) is int
+    assert cfg.solver["garding_samples"] == 1000
+
+
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
         read_config('{"problem": {"dimension": 3, "k": 1}}')
