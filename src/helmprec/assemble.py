@@ -28,6 +28,7 @@ same D and M, checked by :func:`validate_external`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
@@ -73,8 +74,10 @@ class ProblemSpec:
     theta: float = 1.0
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise InvalidArgumentError(f"wavenumber must be positive, got {self.k}")
+        if not 0 < self.k < math.inf:
+            raise InvalidArgumentError(
+                f"wavenumber must be positive and finite, got {self.k}"
+            )
         if self.mu_inv.role != Role.MU_INV or self.eps.role != Role.EPS:
             raise InvalidArgumentError("coefficient roles do not match their slots")
         if self.mu_inv.mesh is not self.mesh or self.eps.mesh is not self.mesh:

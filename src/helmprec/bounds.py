@@ -74,16 +74,17 @@ class GardingConstants:
     """Constants (C_g1, C_g2) of the shifted-coercivity inequality.
 
     The theory needs both positive; C_g2 = 0 is admitted so that
-    deliberately wrong constants can be fed to the sampling check.
+    deliberately wrong constants can be fed to the sampling check. Both
+    must be finite: a NaN constant would make every margin 0, a PASS.
     """
 
     c_g1: float
     c_g2: float
 
     def __post_init__(self):
-        if self.c_g1 <= 0 or self.c_g2 < 0:
+        if not (0 < self.c_g1 < math.inf and 0 <= self.c_g2 < math.inf):
             raise InvalidArgumentError(
-                f"need C_g1 > 0 and C_g2 >= 0, got ({self.c_g1}, {self.c_g2})"
+                f"need finite C_g1 > 0 and C_g2 >= 0, got ({self.c_g1}, {self.c_g2})"
             )
 
 
@@ -216,6 +217,81 @@ def garding_constants_for(spec: ProblemSpec) -> GardingConstants:
     return GardingConstants(m, m + e_max)
 
 
+def _band_tables(A, M, D) -> list:
+    """The quadratic forms of A, M and D, read off their diagonals.
+
+    Grouping the entries of v*Kv by diagonal offset o >= 0 gives, for any
+    square K,
+
+        v*Kv = sum_o sum_i (K_{i,i+o} + K_{i+o,i}) p_{o,i}
+                           + i (K_{i,i+o} - K_{i+o,i}) q_{o,i},
+
+    with p + iq = conj(v_i) v_{i+o} and the main diagonal (o = 0, q = 0)
+    counted once. For v = x + iy, p = x_i x_{i+o} + y_i y_{i+o} and
+    q = x_i y_{i+o} - y_i x_{i+o}.
+
+    Returns one ``(o, sym, skew)`` per offset o >= 0 of the union pattern
+    of the three matrices. The columns of ``sym`` (n - o, 4) hold the sums
+    of Re A, Im A, M and D: weighted by p they give Re v*Av, Im v*Av and
+    the forms of the real M and D. The columns of ``skew`` (n - o, 2) hold
+    -Im and Re of the differences of A: weighted by q they give the rest
+    of Re v*Av and Im v*Av. ``skew`` is None on an offset where A is
+    exactly symmetric. No symmetry is assumed. The tables hold about
+    6 x offsets x n numbers: few for the package's banded systems.
+    """
+    n = A.shape[0]
+    a, m, d = (sp.coo_matrix(K) for K in (A, M, D))
+    dist = [np.abs(K.col.astype(np.int64) - K.row) for K in (a, m, d)]
+    present = np.zeros(n, dtype=bool)
+    for o in dist:
+        present[o] = True
+    offsets = np.flatnonzero(present)
+    # entry (i, i+o) or (i+o, i) adds to row i of offset o's diagonal
+    index = np.cumsum(present) - 1
+    slots = [index[o] * n + np.minimum(K.row, K.col) for K, o in zip((a, m, d), dist)]
+
+    def diagonals(slot, weights):
+        return np.bincount(slot, weights, len(offsets) * n).reshape(-1, n)
+
+    # shape (offsets, columns, n): each table below is a column-major view
+    sym = np.stack([diagonals(slots[0], a.data.real), diagonals(slots[0], a.data.imag),
+                    diagonals(slots[1], m.data), diagonals(slots[2], d.data)], axis=1)
+    upper = a.col > a.row
+    keep = upper | (a.col < a.row)  # the main diagonal has no skew part
+    signed = np.where(upper, a.data, -a.data)[keep]
+    skew = np.stack([-diagonals(slots[0][keep], signed.imag),
+                     diagonals(slots[0][keep], signed.real)], axis=1)
+    return [(o, s[:, : n - o].T, t[:, : n - o].T if np.any(t[:, : n - o]) else None)
+            for o, s, t in zip(offsets.tolist(), sym, skew)]
+
+
+def _band_forms(bands: list, x: np.ndarray) -> np.ndarray:
+    """Re v*Av, Im v*Av, v*Mv and v*Dv, one row per sample v = x[j, 0] +
+    1j * x[j, 1] of a block ``x`` of shape (b, 2, n), from
+    :func:`_band_tables`.
+
+    Per offset o, one elementwise shifted product of the 2b rows of ``x``
+    gives (x_i x_{i+o}, y_i y_{i+o}) of every sample, and one product
+    with the offset's table weights them for all four forms at once; the
+    two rows of a sample add up to p. On an offset where A is not
+    symmetric a second product, with the real and imaginary rows
+    swapped, gives q as the difference of a sample's two rows.
+    """
+    b, _, n = x.shape
+    rows = x.reshape(2 * b, n)
+    by_p = np.zeros((2 * b, 4))
+    by_q = np.zeros((2 * b, 2))
+    for o, sym, skew in bands:
+        m = n - o
+        by_p += (rows[:, :m] * rows[:, o:]) @ sym
+        if skew is not None:
+            by_q += (x[:, :, :m] * x[:, ::-1, o:]).reshape(2 * b, m) @ skew
+    forms = by_p.reshape(b, 2, 4).sum(axis=1)
+    by_q = by_q.reshape(b, 2, 2)
+    forms[:, :2] += by_q[:, 0] - by_q[:, 1]
+    return forms
+
+
 def garding_check(
     sys: GalerkinSystem,
     constants: GardingConstants = CANONICAL_GARDING,
@@ -236,42 +312,42 @@ def garding_check(
     The samples are evaluated in blocks of ``_GARDING_BLOCK``: one
     ``standard_normal`` call fills the block, whose j-th sample is still
     the j-th ``standard_normal(n) + 1j * standard_normal(n)`` of the
-    stream, so a seed draws the same vectors as one at a time. Each block
-    costs one sparse product each with A, M and D (the real M and D act
-    on the interleaved real and imaginary parts, so they are never
-    upcast), and its 3b quadratic forms are column sums. The block size
-    16 was the fastest measured: 1,000 samples at n = 6,561 on one core
-    of a 2-core Xeon took 0.53 s, against 0.57 s in blocks of 8, 0.55 s of 32, 0.69 s of
-    64 and 0.85 s one vector at a time. About half of that is drawing the
-    random numbers, which no evaluation order removes.
+    stream, so a seed draws the same vectors as one at a time. No product
+    with A, M or D is made: the diagonals of the three matrices are
+    tabulated once per call (:func:`_band_tables`), and a block of b
+    samples costs one elementwise shifted product of its b x 2 x n draws
+    per diagonal offset o >= 0 of their pattern, times that offset's
+    (n - o) x 4 table (:func:`_band_forms`): about offsets x b x n operations
+    for all 3b forms. A P1 system has 2 offsets in 1D and 4 in 2D (0, 1,
+    m and m + 1 for m free nodes per grid column); an offset where A is
+    not exactly symmetric, as with a matrix-valued mu^{-1}, costs a
+    second product. On one core of a 2-core Xeon, 1,000 samples at
+    n = 6,561 took 0.23 s in blocks of 16 (0.06 s of it the forms),
+    0.22 s in blocks of 8 and 0.25 s of 32 or 64; at n = 25,921 blocks
+    of 16 took 0.98 s, and 8, 32 or 64 0.95-1.01 s. Drawing the random
+    numbers takes 0.16 s (0.63 s at n = 25,921) of that, which no
+    evaluation order removes.
     """
     if n_samples < 1:
         raise InvalidArgumentError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
-    A, M, D = sys.A, sys.M, sys.D
     spec = sys.spec
     canonical = bool(
         not spec.mu_inv.is_matrix
         and np.all(spec.mu_inv.values == 1.0)
         and np.all(spec.eps.values == 1.0)
     )
-    n = sys.n
-    qa = np.empty(n_samples, dtype=complex)
-    qm = np.empty(n_samples)
-    qd = np.empty(n_samples)
-    draws = np.empty((_GARDING_BLOCK, 2, n))  # (sample, re/im, dof)
-    for start in range(0, n_samples, _GARDING_BLOCK):
-        b = min(_GARDING_BLOCK, n_samples - start)
-        rng.standard_normal(out=draws[:b])
-        V = np.empty((n, b), dtype=complex)
-        W = V.view(float)  # columns Re v_0, Im v_0, Re v_1, ...
-        W.reshape(n, b, 2)[:] = draws[:b].transpose(2, 0, 1)
-        block = slice(start, start + b)
-        qa[block] = np.einsum("ij,ij->j", V.conj(), A @ V)
-        qm[block] = np.einsum("ij,ij->j", W, M @ W).reshape(b, 2).sum(axis=1)
-        qd[block] = np.einsum("ij,ij->j", W, D @ W).reshape(b, 2).sum(axis=1)
-    ident_err = None
+    bands = _band_tables(sys.A, sys.M, sys.D)
+    forms = np.empty((n_samples, 4))
+    draws = np.empty((_GARDING_BLOCK, 2, sys.n))  # (sample, re/im, dof)
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite fails below
+        for start in range(0, n_samples, _GARDING_BLOCK):
+            b = min(_GARDING_BLOCK, n_samples - start)
+            rng.standard_normal(out=draws[:b])
+            forms[start:start + b] = _band_forms(bands, draws[:b])
+        qa = forms[:, 0] + 1j * forms[:, 1]
+        qm, qd = forms[:, 2], forms[:, 3]
+        ident_err = None
         lhs = np.abs(qa + constants.c_g2 * qm)
         rhs = constants.c_g1 * qd
         margin = np.divide(lhs - rhs, rhs, out=np.zeros(n_samples), where=rhs > 0)

@@ -30,6 +30,7 @@ import scipy.sparse as sp
 from .assemble import MatrixSystem, ProblemSpec
 from .bounds import (
     BoundReport,
+    GardingConstants,
     GardingReport,
     InfSupLadder,
     NormEquivalenceReport,
@@ -116,16 +117,20 @@ def _number(value, where: str, kind=float):
     """``kind(value)``, or a ConfigError naming the key when it fails.
 
     An integer key rejects a boolean or a non-integral number rather than
-    truncating it.
+    truncating it. A float key rejects a boolean and a non-finite number
+    (``NaN``, ``Infinity`` or a literal that overflows, such as 1e400).
     """
     if kind is int and (
         isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
     ):
         raise ConfigError(f"{where}: not an integer: {value!r}")
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: not a valid number: {value!r}") from exc
+    if kind is float and (isinstance(value, bool) or not math.isfinite(number)):
+        raise ConfigError(f"{where}: not a finite number: {value!r}")
+    return number
 
 
 def _object(value, where: str) -> dict:
@@ -244,6 +249,10 @@ def read_config(text: str) -> ExperimentConfig:
         if extra or not {"c_g1", "c_g2"} <= set(garding):
             raise ConfigError("problem.garding needs exactly the keys c_g1, c_g2")
         garding = {c: _number(garding[c], f"problem.garding.{c}") for c in ("c_g1", "c_g2")}
+        try:
+            GardingConstants(**garding)
+        except InvalidArgumentError as exc:
+            raise ConfigError(f"problem.garding: {exc}") from exc
 
     pert_in = _object(raw.get("perturbation", {}), "perturbation")
     mode = pert_in.get("mode", "absorption")

@@ -232,11 +232,8 @@ class GramFactor(LUFactor):
         x = self.superlu.solve(np.hstack([cols.real, cols.imag]))
         return (x[:, :k] + 1j * x[:, k:]).reshape(b.shape)
 
-    def inner(self, x: np.ndarray, y: np.ndarray) -> complex:
-        return complex(np.vdot(x, _real_product(self.A, y)))
-
     def norm(self, x: np.ndarray) -> float:
-        return math.sqrt(max(self.inner(x, x).real, 0.0))
+        return math.sqrt(max(np.vdot(x, self.apply(x)).real, 0.0))
 
 
 def gram_factor(D) -> GramFactor:

@@ -11,10 +11,13 @@ the polynomial (1-z)^n. The classical Elman-type envelope
 (2 sqrt(c) / (1+c)^2)^n is also reported for comparison; for c < 1 it
 is the weaker of the two.
 
-GMRES is full (non-restarted), with modified Gram-Schmidt
-orthogonalization in a caller-chosen inner product: Euclidean, or
-<u, v> = v* D u supplied through a Gram factor. Residual norms come
-from the Givens recurrence, hence are non-increasing by construction.
+GMRES is full (non-restarted) in a caller-chosen inner product:
+Euclidean, or <u, v> = v* D u supplied through a Gram factor. Each new
+vector is orthogonalized against the whole basis by classical
+Gram-Schmidt run twice (two block passes, each one product with D;
+"twice is enough", Giraud, Langou & Rozloznik 2005). Residual norms
+come from the Givens recurrence, hence are non-increasing by
+construction.
 """
 
 from __future__ import annotations
@@ -157,13 +160,10 @@ def gmres(
     if inner is not None and inner.n != n:
         raise InvalidArgumentError("inner-product dimension does not match b")
 
-    if inner is None:
-        ip = lambda u, v: complex(np.vdot(u, v))
-    else:
-        ip = inner.inner
+    apply_d = (lambda u: u) if inner is None else inner.apply
 
     def ip_norm(u):
-        return math.sqrt(max(ip(u, u).real, 0.0))
+        return math.sqrt(max(np.vdot(u, apply_d(u)).real, 0.0))
 
     r0 = b  # zero initial guess
     beta = ip_norm(r0)
@@ -193,9 +193,11 @@ def gmres(
 
     for j in range(max_it):
         w = apply_op(V[:, j])
-        for i in range(j + 1):  # modified Gram-Schmidt in the chosen inner product
-            H[i, j] = ip(V[:, i], w)
-            w = w - H[i, j] * V[:, i]
+        basis = V[:, : j + 1]
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            h = (apply_d(w).conj() @ basis).conj()  # basis* D w
+            w = w - basis @ h
+            H[: j + 1, j] += h
         hnext = ip_norm(w)
         H[j + 1, j] = hnext
         breakdown = hnext <= _BREAKDOWN * abs(H[: j + 2, j]).max()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -169,8 +171,9 @@ def test_spec_validation_errors():
     eps = constant_field(other, 1.0, Role.EPS)
     with pytest.raises(InvalidArgumentError):
         ProblemSpec(1.0, mesh, mu, eps)
-    with pytest.raises(InvalidArgumentError):
-        ProblemSpec(-1.0, mesh, mu, constant_field(mesh, 1.0, Role.EPS))
+    for k in (-1.0, math.inf, math.nan):  # k = inf would drop the stiffness
+        with pytest.raises(InvalidArgumentError, match="wavenumber"):
+            ProblemSpec(k, mesh, mu, constant_field(mesh, 1.0, Role.EPS))
     with pytest.raises(InvalidArgumentError):
         ProblemSpec(1.0, mesh, constant_field(mesh, 1.0, Role.EPS), eps)
 

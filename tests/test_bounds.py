@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import (
+    DIR,
     IMP,
     canonical_1d,
     canonical_spec_1d,
@@ -20,6 +22,8 @@ from conftest import (
 from helmprec.assemble import MatrixSystem, assemble_system
 from helmprec.bounds import (
     _GARDING_BLOCK,
+    _band_forms,
+    _band_tables,
     CANONICAL_GARDING,
     GardingConstants,
     GardingReport,
@@ -123,8 +127,9 @@ def _step_spec_2d():
 
 
 def _matrix_mu_spec_2d():
-    """Rotated anisotropic complex-symmetric mu^-1 on an 8x8 square."""
-    mesh = build_rect_mesh(1, 1, 8, 8, IMP)
+    """Rotated anisotropic complex-symmetric mu^-1 on a 12 x 17 square, whose
+    assembled A is symmetric only up to rounding."""
+    mesh = build_rect_mesh(1, 1, 12, 17, IMP)
     theta = np.pi * mesh.element_centroids().sum(axis=1)
     c, s = np.cos(theta), np.sin(theta)
     rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
@@ -191,26 +196,33 @@ def _recording(sys):
 
 @pytest.mark.parametrize("n_samples", [1, B - 1, B, B + 1, 2 * B + 3, 1000])
 def test_garding_sparse_products_per_block(n_samples):
-    """Three block products (A, M, D) per block of samples and no product
-    with a single vector: a per-sample loop fails here without timing."""
-    sys, log = _recording(canonical_1d(10.0, 60))
-    garding_check(sys, n_samples=n_samples)
-    blocks = math.ceil(n_samples / B)
-    assert len(log) == 3 * blocks
-    assert [name for name, _ in log] == ["A", "M", "D"] * blocks
-    assert all(op.ndim == 2 for _, op in log)
-    widths = [min(B, n_samples - i * B) for i in range(blocks)]
-    assert [op.shape[1] for name, op in log if name == "A"] == widths
+    """No product with A, M or D, neither per block nor per sample: the
+    forms are read off the diagonals, with or without a skew part."""
+    for case in ("canonical_1d", "matrix_mu"):
+        sys, log = _recording(_garding_case(case)[0])
+        garding_check(sys, n_samples=n_samples)
+        assert log == []
 
 
-def test_garding_samples_are_the_sequential_draws():
+def test_garding_samples_are_the_sequential_draws(monkeypatch):
     """The j-th sample is the j-th standard_normal(n) + 1j*standard_normal(n)
     of the seed's stream, across block boundaries."""
     n_samples, seed = 2 * B + 3, 5
-    sys, log = _recording(canonical_1d(10.0, 60))
+    sys = canonical_1d(10.0, 60)
+    log = []
+
+    class Recording(np.random.Generator):
+        def standard_normal(self, *args, **kwargs):
+            out = super().standard_normal(*args, **kwargs)
+            log.append(np.array(out, copy=True))
+            return out
+
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda s: Recording(np.random.PCG64(s)))
     garding_check(sys, n_samples=n_samples, seed=seed)
-    drawn = np.hstack([op for name, op in log if name == "A"])
-    rng = np.random.default_rng(seed)
+    block = np.concatenate(log)  # (sample, re/im, dof)
+    drawn = (block[:, 0] + 1j * block[:, 1]).T
+    rng = np.random.Generator(np.random.PCG64(seed))
     expected = np.column_stack([
         rng.standard_normal(sys.n) + 1j * rng.standard_normal(sys.n)
         for _ in range(n_samples)
@@ -218,17 +230,86 @@ def test_garding_samples_are_the_sequential_draws():
     assert np.array_equal(drawn, expected)
 
 
+def _dense_forms(A, M, D, x):
+    """v*Av, v*Mv and v*Dv of v = x[:, 0] + 1j * x[:, 1], with dense products."""
+    V = (x[:, 0] + 1j * x[:, 1]).T
+    return [np.einsum("ij,ij->j", V.conj(), K.toarray() @ V) for K in (A, M, D)]
+
+
+def assert_band_forms_exact(A, M, D, seed=0):
+    x = np.random.default_rng(seed).standard_normal((B + 3, 2, A.shape[0]))
+    forms = _band_forms(_band_tables(A, M, D), x)
+    qa, qm, qd = _dense_forms(A, M, D, x)
+    np.testing.assert_allclose(forms[:, 0] + 1j * forms[:, 1], qa, rtol=1e-13)
+    np.testing.assert_allclose(forms[:, 2], qm.real, rtol=1e-13)
+    np.testing.assert_allclose(forms[:, 3], qd.real, rtol=1e-13)
+
+
+def test_band_forms_of_a_non_symmetric_banded_matrix():
+    """Any complex A, with no symmetry: the skew part of each offset counts."""
+    rng = np.random.default_rng(3)
+    n, offsets = 40, [-7, -2, 0, 1, 5, 6]
+    A = sp.diags([rng.standard_normal(n - abs(o)) + 1j * rng.standard_normal(n - abs(o))
+                  for o in offsets], offsets, format="csr")
+    M = sp.diags([rng.standard_normal(n - abs(o)) for o in (-1, 0, 3)], [-1, 0, 3],
+                 format="csr")
+    D = sp.identity(n, format="csr")
+    assert (A - A.T).count_nonzero() > 0 and (M - M.T).count_nonzero() > 0
+    assert [o for o, _, _ in _band_tables(A, M, D)] == [0, 1, 2, 3, 5, 6, 7]
+    assert_band_forms_exact(A, M, D)
+
+
+def test_band_forms_of_a_matrix_mu_system():
+    """A matrix-valued mu^{-1} assembles an A that is symmetric only up to
+    rounding, so some offsets carry a skew table."""
+    sys = _garding_case("matrix_mu")[0]
+    assert (sys.A - sys.A.T).count_nonzero() > 0
+    assert any(skew is not None for _, _, skew in _band_tables(sys.A, sys.M, sys.D))
+    assert_band_forms_exact(sys.A, sys.M, sys.D)
+
+
+def test_band_forms_of_an_absorption_pair():
+    sys1 = assemble_system(canonical_spec_2d(10.0, 9, 7))
+    sys2 = assemble_system(sys1.spec.with_absorption(0.3))
+    for sys in (sys1, sys2):
+        assert_band_forms_exact(sys.A, sys.M, sys.D)
+
+
+SIDE_TAGS = [dict(zip(("left", "right", "bottom", "top"), tags))
+             for tags in itertools.product([IMP, DIR], repeat=4)]
+
+
+@pytest.mark.parametrize("tags", SIDE_TAGS,
+                         ids=["".join("D" if t == DIR else "I" for t in tags.values())
+                              for tags in SIDE_TAGS])
+def test_band_forms_for_every_dirichlet_subset(tags):
+    """At most 4 offsets >= 0 in 2D, with the forms exact whichever sides
+    are Dirichlet."""
+    sys = assemble_system(canonical_spec_2d(6.0, 9, 7, tags=tags))
+    assert len(_band_tables(sys.A, sys.M, sys.D)) <= 4
+    assert_band_forms_exact(sys.A, sys.M, sys.D)
+
+
+@pytest.mark.parametrize("left,right", [(IMP, IMP), (DIR, IMP), (IMP, DIR), (DIR, DIR)])
+def test_band_forms_1d(left, right):
+    sys = canonical_1d(6.0, 30, left=left, right=right)
+    assert [o for o, _, _ in _band_tables(sys.A, sys.M, sys.D)] == [0, 1]
+    assert_band_forms_exact(sys.A, sys.M, sys.D)
+
+
 @pytest.mark.parametrize("name", ["A", "M", "D"])
 def test_garding_non_finite_form_is_a_violation(name):
-    """A NaN entry makes every sample's form with that matrix NaN: each
-    sample is a violation, the worst margin is -inf and the report fails."""
+    """A NaN entry, on the diagonal or off it, makes every sample's form
+    with that matrix NaN: each sample is a violation, the worst margin is
+    -inf and the report fails."""
     sys = canonical_1d(3.0, 10)
-    X = getattr(sys, name).copy()
-    X.data[0] = np.nan
-    rep = garding_check(dataclasses.replace(sys, **{name: X}), n_samples=B + 1)
-    assert rep.violations == B + 1
-    assert rep.worst_rel_margin == -math.inf
-    assert not rep.passed
+    for diagonal in (True, False):
+        X = getattr(sys, name).tocoo()
+        X.data[np.flatnonzero((X.row == X.col) == diagonal)[3]] = np.nan
+        rep = garding_check(dataclasses.replace(sys, **{name: X.tocsr()}), n_samples=B + 1)
+        assert rep.violations == B + 1
+        assert rep.worst_rel_margin == -math.inf
+        assert not rep.passed
 
 
 def test_garding_overflowing_form_is_a_violation():
@@ -249,6 +330,15 @@ def test_garding_rejects_empty_sample(n_samples):
     """No samples would read as a PASS that tested nothing."""
     with pytest.raises(InvalidArgumentError):
         garding_check(canonical_1d(3.0, 10), n_samples=n_samples)
+
+
+@pytest.mark.parametrize("c_g1,c_g2", [(math.nan, 2.0), (1.0, math.nan), (math.inf, 2.0),
+                                       (1.0, math.inf), (0.0, 2.0), (1.0, -1.0)])
+def test_garding_constants_must_be_finite(c_g1, c_g2):
+    """A NaN constant would leave every margin at 0, a PASS; C_g2 = 0 stays."""
+    with pytest.raises(InvalidArgumentError):
+        GardingConstants(c_g1, c_g2)
+    assert GardingConstants(1.0, 0.0).c_g2 == 0.0
 
 
 def test_garding_constants_for_fields():

@@ -127,11 +127,23 @@ PLANE = {"dimension": 2, "resolution": {"type": "elements", "n": 4}}
     ({"solver": {"garding_samples": True}}, "solver.garding_samples"),
     ({"seed": 2.5}, "seed"),
     ({"seed": True}, "seed"),
+    ({"problem": {"k": float("inf")}}, "problem.k"),
+    ({"problem": {"k": float("nan")}}, "problem.k"),
+    ({"problem": {"k": 10 ** 400}}, "problem.k"),
+    ({"problem": {"k": True}}, "problem.k"),
+    ({"problem": {"theta": float("nan")}}, "problem.theta"),
+    ({"perturbation": {"alpha": True}}, "perturbation.alpha"),
+    ({"sweep": {"k_values": [4.0, float("inf")]}}, "sweep.k_values"),
+    ({"problem": {"garding": {"c_g1": float("nan"), "c_g2": 2.0}}}, "problem.garding"),
+    ({"problem": {"garding": {"c_g1": 1.0, "c_g2": float("inf")}}}, "problem.garding"),
+    ({"problem": {"garding": {"c_g1": 0.0, "c_g2": 2.0}}}, "problem.garding"),
 ], ids=["elements", "per_k", "k_power", "n", "step", "pml", "constant", "value", "k",
         "theta", "axis_3", "axis_negative", "axis_1d", "perturbation_axis", "ladder",
         "k_values", "k_values_text", "alpha_values", "boundary", "garding", "solver", "perturbation",
         "problem", "output_dir", "n_fraction", "axis_fraction", "refine_fraction",
-        "max_it_fraction", "samples_fraction", "samples_bool", "seed_fraction", "seed_bool"])
+        "max_it_fraction", "samples_fraction", "samples_bool", "seed_fraction", "seed_bool",
+        "k_infinity", "k_nan", "k_overflow", "k_bool", "theta_nan", "alpha_bool",
+        "k_values_infinity", "garding_nan", "garding_infinity", "garding_zero"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, extra, where):
     path = write_cfg(tmp_path, extra)
     with pytest.raises(ConfigError) as exc:

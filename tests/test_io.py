@@ -61,6 +61,14 @@ def test_integer_keys_take_integral_numbers():
     assert cfg.solver["garding_samples"] == 1000
 
 
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "NaN", "Infinity", "true"])
+def test_float_keys_take_finite_numbers(literal):
+    """An overflowing literal parses to inf and true to 1: both are
+    ConfigErrors rather than k = inf or k = 1 (test_cli has the other keys)."""
+    with pytest.raises(ConfigError, match="problem.k"):
+        read_config(f'{{"problem": {{"dimension": 1, "k": {literal}}}}}')
+
+
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
         read_config('{"problem": {"dimension": 3, "k": 1}}')
