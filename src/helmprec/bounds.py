@@ -44,6 +44,9 @@ computed, with that of the same problem on a nested refinement.
 from __future__ import annotations
 
 import math
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -265,7 +268,7 @@ def _band_tables(A, M, D) -> list:
             for o, s, t in zip(offsets.tolist(), sym, skew)]
 
 
-def _band_forms(bands: list, x: np.ndarray) -> np.ndarray:
+def _band_forms(bands: list, x: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Re v*Av, Im v*Av, v*Mv and v*Dv, one row per sample v = x[j, 0] +
     1j * x[j, 1] of a block ``x`` of shape (b, 2, n), from
     :func:`_band_tables`.
@@ -275,21 +278,35 @@ def _band_forms(bands: list, x: np.ndarray) -> np.ndarray:
     with the offset's table weights them for all four forms at once; the
     two rows of a sample add up to p. On an offset where A is not
     symmetric a second product, with the real and imaginary rows
-    swapped, gives q as the difference of a sample's two rows.
+    swapped, gives q as the difference of a sample's two rows. The
+    shifted products are written into ``work``, a C-contiguous array of
+    at least 2b rows of n, so a block allocates nothing of size n.
     """
     b, _, n = x.shape
     rows = x.reshape(2 * b, n)
+    prod = work[: 2 * b]
+    pairs = prod.reshape(b, 2, n)  # the same memory, row 2j + r = pairs[j, r]
     by_p = np.zeros((2 * b, 4))
     by_q = np.zeros((2 * b, 2))
     for o, sym, skew in bands:
         m = n - o
-        by_p += (rows[:, :m] * rows[:, o:]) @ sym
+        np.multiply(rows[:, :m], rows[:, o:], out=prod[:, :m])
+        by_p += prod[:, :m] @ sym
         if skew is not None:
-            by_q += (x[:, :, :m] * x[:, ::-1, o:]).reshape(2 * b, m) @ skew
+            np.multiply(x[:, :, :m], x[:, ::-1, o:], out=pairs[:, :, :m])
+            by_q += prod[:, :m] @ skew
     forms = by_p.reshape(b, 2, 4).sum(axis=1)
     by_q = by_q.reshape(b, 2, 2)
     forms[:, :2] += by_q[:, 0] - by_q[:, 1]
     return forms
+
+
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def garding_check(
@@ -309,28 +326,35 @@ def garding_check(
     whose quadratic forms or margin are not finite counts as a violation
     with margin -inf, so a check that computed nothing cannot pass.
 
-    The samples are evaluated in blocks of ``_GARDING_BLOCK``: one
-    ``standard_normal`` call fills the block, whose j-th sample is still
-    the j-th ``standard_normal(n) + 1j * standard_normal(n)`` of the
-    stream, so a seed draws the same vectors as one at a time. No product
-    with A, M or D is made: the diagonals of the three matrices are
-    tabulated once per call (:func:`_band_tables`), and a block of b
+    The samples are drawn and evaluated in blocks of ``_GARDING_BLOCK``.
+    Block i is filled by one ``standard_normal`` call of its own generator,
+    ``default_rng(SeedSequence(seed).spawn(n_blocks)[i])`` (NumPy's seeding
+    for parallel streams), so sample j is row j mod b of block j // b and
+    the report depends on the seed alone, never on how many threads drew
+    it or in which order. The blocks are mapped over a thread pool with one
+    worker per core the process may run on (``os.sched_getaffinity``, else
+    ``os.cpu_count()``), at most one per block: the normal fill, the
+    elementwise products and the small matrix products release the GIL.
+    The calling thread allocates one draw buffer and one product buffer
+    per worker up front, so no worker allocates arrays of size n.
+
+    No product with A, M or D is made: the diagonals of the three matrices
+    are tabulated once per call (:func:`_band_tables`), and a block of b
     samples costs one elementwise shifted product of its b x 2 x n draws
     per diagonal offset o >= 0 of their pattern, times that offset's
     (n - o) x 4 table (:func:`_band_forms`): about offsets x b x n operations
     for all 3b forms. A P1 system has 2 offsets in 1D and 4 in 2D (0, 1,
     m and m + 1 for m free nodes per grid column); an offset where A is
     not exactly symmetric, as with a matrix-valued mu^{-1}, costs a
-    second product. On one core of a 2-core Xeon, 1,000 samples at
-    n = 6,561 took 0.23 s in blocks of 16 (0.06 s of it the forms),
-    0.22 s in blocks of 8 and 0.25 s of 32 or 64; at n = 25,921 blocks
-    of 16 took 0.98 s, and 8, 32 or 64 0.95-1.01 s. Drawing the random
-    numbers takes 0.16 s (0.63 s at n = 25,921) of that, which no
-    evaluation order removes.
+    second product. With 2 workers on a 2-core Xeon, 1,000 samples at
+    n = 6,561 took 0.15-0.16 s in blocks of 16, 0.16-0.18 s in blocks of
+    32 or 64, and in blocks of 8 the same as 16 within the noise; at
+    n = 25,921 blocks of 16 took 0.73-0.79 s and of 8, 32 or 64
+    0.71-0.88 s. On one core the same sample took 0.23 s and 0.98-1.29 s,
+    most of it drawing the random numbers.
     """
     if n_samples < 1:
         raise InvalidArgumentError(f"n_samples must be >= 1, got {n_samples}")
-    rng = np.random.default_rng(seed)
     spec = sys.spec
     canonical = bool(
         not spec.mu_inv.is_matrix
@@ -338,13 +362,27 @@ def garding_check(
         and np.all(spec.eps.values == 1.0)
     )
     bands = _band_tables(sys.A, sys.M, sys.D)
-    forms = np.empty((n_samples, 4))
-    draws = np.empty((_GARDING_BLOCK, 2, sys.n))  # (sample, re/im, dof)
-    with np.errstate(invalid="ignore", over="ignore"):  # non-finite fails below
-        for start in range(0, n_samples, _GARDING_BLOCK):
-            b = min(_GARDING_BLOCK, n_samples - start)
-            rng.standard_normal(out=draws[:b])
-            forms[start:start + b] = _band_forms(bands, draws[:b])
+    n_blocks = -(-n_samples // _GARDING_BLOCK)
+    streams = np.random.SeedSequence(seed).spawn(n_blocks)
+    workers = min(_cores(), n_blocks)
+    buffers = queue.SimpleQueue()  # one (draws, products) pair per worker
+    for _ in range(workers):
+        buffers.put((np.empty((_GARDING_BLOCK, 2, sys.n)),  # (sample, re/im, dof)
+                     np.empty((2 * _GARDING_BLOCK, sys.n))))
+
+    def block(i):
+        b = min(_GARDING_BLOCK, n_samples - i * _GARDING_BLOCK)
+        draws, work = buffers.get()
+        try:
+            np.random.default_rng(streams[i]).standard_normal(out=draws[:b])
+            with np.errstate(invalid="ignore", over="ignore"):  # non-finite fails below
+                return _band_forms(bands, draws[:b], work)
+        finally:
+            buffers.put((draws, work))
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        forms = np.concatenate(list(pool.map(block, range(n_blocks))))
+    with np.errstate(invalid="ignore", over="ignore"):
         qa = forms[:, 0] + 1j * forms[:, 1]
         qm, qd = forms[:, 2], forms[:, 3]
         ident_err = None

@@ -33,7 +33,7 @@ from .bounds import (
     norm_equivalence_report,
 )
 from .coeffs import Role, field_diff_sup_norm
-from .errors import HelmprecError
+from .errors import HelmprecError, InvalidArgumentError
 from .solvers import fixed_point, gmres
 
 SWEEP_COLUMNS = hio.BOUND_COLUMNS + ("fp_iters", "gmres_iters", "error")
@@ -75,12 +75,25 @@ def _add_bound_report(result: ScenarioResult, rep, out: str):
         _add_report_checks(result, "bounds", rep.checks)
 
 
+def _slack(seed, tol_scale: float) -> float:
+    """The inequality slack of a run, once the seed and slack scale given on
+    the command line are checked. numpy's seeding takes non-negative seeds
+    only; an infinite scale would turn every FAIL into a PASS, and NaN or a
+    negative scale would fail correct checks."""
+    if seed is not None and seed < 0:
+        raise InvalidArgumentError(f"--seed must be >= 0, got {seed}")
+    if not 0 <= tol_scale < math.inf:
+        raise InvalidArgumentError(f"--tol-scale must be finite and >= 0, got {tol_scale}")
+    return DEFAULT_SLACK * tol_scale
+
+
 def _prologue(config_path: str, out_dir, seed, tol_scale: float):
     """(config, output directory, seed, slack) of a config command."""
+    slack = _slack(seed, tol_scale)
     cfg = hio.load_config(config_path)
     out = out_dir or cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    return cfg, out, cfg.seed if seed is None else seed, DEFAULT_SLACK * tol_scale
+    return cfg, out, cfg.seed if seed is None else seed, slack
 
 
 def _perturbed(cfg: hio.ExperimentConfig, sys1, alpha=None):
@@ -267,6 +280,7 @@ def cmd_import(
     Each coefficient-difference norm is the one given here, else the one
     in the pair's meta.json; without either the report cannot be made.
     """
+    slack = _slack(seed, tol_scale)
     a1 = os.path.join(matrix_dir, "A1.mtx")
     a2 = os.path.join(matrix_dir, "A2.mtx")
     d_path = d_path or os.path.join(matrix_dir, "D.mtx")
@@ -275,7 +289,6 @@ def cmd_import(
     validate_external(sys1, sys2)
     dmu = meta.get("dmu") if dmu is None else dmu
     deps = meta.get("deps") if deps is None else deps
-    slack = DEFAULT_SLACK * tol_scale
     rep = nearby_bound_report(sys1, sys2, dmu=dmu, deps=deps, slack=slack, seed=seed)
     out = out_dir or matrix_dir
     os.makedirs(out, exist_ok=True)

@@ -45,18 +45,15 @@ _TAGS = {t.value: t for t in BoundaryTag}
 
 
 def _as_complex(v) -> complex:
-    if isinstance(v, (list, tuple)):
-        if len(v) != 2:
-            raise ConfigError(f"complex value must be [re, im], got {v}")
-        return complex(v[0], v[1])
-    return complex(v)
+    """A validated coefficient value, a number or a [re, im] pair."""
+    return complex(*v) if isinstance(v, list) else complex(v)
 
 
 # The keys of each rule type besides 'type', with the conversion of their
 # values; all are required except those in _OPTIONAL_KEYS.
 _RULE_KEYS = {
-    "constant": {"value": _as_complex},
-    "step": {"axis": int, "threshold": float, "below": _as_complex, "above": _as_complex},
+    "constant": {"value": complex},
+    "step": {"axis": int, "threshold": float, "below": complex, "above": complex},
     "pml": {"start": float, "sigma0": float},
 }
 _RES_KEYS = {
@@ -114,21 +111,26 @@ def _check_rule(rule, where: str, table: dict):
 
 
 def _number(value, where: str, kind=float):
-    """``kind(value)``, or a ConfigError naming the key when it fails.
+    """``kind(value)`` of a JSON number, or a ConfigError naming the key.
 
-    An integer key rejects a boolean or a non-integral number rather than
-    truncating it. A float key rejects a boolean and a non-finite number
-    (``NaN``, ``Infinity`` or a literal that overflows, such as 1e400).
+    Only a JSON number is a number: a string or a boolean is rejected
+    rather than converted, and a complex key takes a number or a [re, im]
+    pair of numbers. An integer key rejects a non-integral number rather
+    than truncating it (3.0 and 1e3 are integers). A float key rejects a
+    non-finite number (``NaN``, ``Infinity`` or a literal that overflows,
+    such as 1e400).
     """
-    if kind is int and (
-        isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
-    ):
+    pair = kind is complex and isinstance(value, list) and len(value) == 2
+    parts = value if pair else [value]
+    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
+        raise ConfigError(f"{where}: not a number: {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{where}: not an integer: {value!r}")
     try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+        number = kind(*parts)
+    except OverflowError as exc:
         raise ConfigError(f"{where}: not a valid number: {value!r}") from exc
-    if kind is float and (isinstance(value, bool) or not math.isfinite(number)):
+    if kind is float and not math.isfinite(number):
         raise ConfigError(f"{where}: not a finite number: {value!r}")
     return number
 
@@ -199,7 +201,7 @@ def read_config(text: str) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
-    version = raw.get("schema_version", SCHEMA_VERSION)
+    version = _number(raw.get("schema_version", SCHEMA_VERSION), "schema_version", int)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unrecognized schema_version {version!r}")
 
@@ -212,7 +214,7 @@ def read_config(text: str) -> ExperimentConfig:
         raise ConfigError(
             "missing mandatory keys: " + ", ".join("problem." + m for m in missing)
         )
-    dim = prob["dimension"]
+    dim = _number(prob["dimension"], "problem.dimension", int)
     if dim not in (1, 2):
         raise ConfigError(f"problem.dimension must be 1 or 2, got {dim!r}")
     k = _number(prob["k"], "problem.k")
@@ -313,9 +315,13 @@ def read_config(text: str) -> ExperimentConfig:
     if not isinstance(out_dir, str):
         raise ConfigError(f"output.dir must be a string, got {out_dir!r}")
 
+    seed = _number(raw.get("seed", 0), "seed", int)
+    if seed < 0:  # numpy's seeding takes non-negative integers only
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
     data = {
         "schema_version": SCHEMA_VERSION,
-        "seed": _number(raw.get("seed", 0), "seed", int),
+        "seed": seed,
         "problem": {
             "dimension": dim,
             "domain": domain,

@@ -2,6 +2,10 @@ import dataclasses
 import functools
 import itertools
 import math
+import os
+import sys as sys_module
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from conftest import (
     working_rung,
 )
 
+from helmprec import bounds
 from helmprec.assemble import MatrixSystem, assemble_system
 from helmprec.bounds import (
     _GARDING_BLOCK,
@@ -81,10 +86,20 @@ def test_garding_false_constants_reported():
     assert rep.worst_rel_margin < 0
 
 
+B = _GARDING_BLOCK
+
+
+@functools.cache
+def block_draws(n, n_samples, seed, i):
+    """The (B, 2, n) draws of block i: a full block of child stream i of
+    the seed, of which a short last block uses the leading rows."""
+    stream = np.random.SeedSequence(seed).spawn(-(-n_samples // B))[i]
+    return np.random.default_rng(stream).standard_normal((B, 2, n))
+
+
 def garding_reference(sys, constants, n_samples, seed, rtol=1e-12):
     """One vector at a time: the sample loop the blocked evaluation of
     ``garding_check`` must reproduce, with the same random vectors."""
-    rng = np.random.default_rng(seed)
     A, M, D = sys.A, sys.M, sys.D
     spec = sys.spec
     canonical = bool(
@@ -95,8 +110,9 @@ def garding_reference(sys, constants, n_samples, seed, rtol=1e-12):
     violations = 0
     worst = math.inf
     ident_err = 0.0
-    for _ in range(n_samples):
-        v = rng.standard_normal(sys.n) + 1j * rng.standard_normal(sys.n)
+    for j in range(n_samples):
+        x = block_draws(sys.n, n_samples, seed, j // B)[j % B]
+        v = x[0] + 1j * x[1]
         qa = complex(np.vdot(v, A @ v))
         qm = float(np.vdot(v, M @ v).real)
         qd = float(np.vdot(v, D @ v).real)
@@ -143,18 +159,25 @@ def _matrix_mu_spec_2d():
 
 @functools.cache
 def _garding_case(name):
-    """(system, constants) of one reference case."""
+    """(system, constants) of one named Gårding case."""
     if name == "canonical_1d":
         return canonical_1d(10.0, 60), CANONICAL_GARDING
     if name == "canonical_2d":
         return assemble_system(canonical_spec_2d(10.0, 10, 10)), CANONICAL_GARDING
     if name == "false_constants":
         return canonical_1d(10.0, 60), GardingConstants(10.0, 0.0)
+    if name == "nan_entry":
+        sys = canonical_1d(3.0, 10)
+        A = sys.A.tocoo()
+        A.data[3] = np.nan
+        return dataclasses.replace(sys, A=A.tocsr()), CANONICAL_GARDING
+    if name == "overflow":  # mu^-1 = 1e306: finite entries whose forms overflow
+        spec = canonical_spec_1d(3.0, 100)
+        mu = constant_field(spec.mesh, 1e306, Role.MU_INV)
+        spec = ProblemSpec(spec.k, spec.mesh, mu, spec.eps, spec.theta)
+        return assemble_system(spec), CANONICAL_GARDING
     spec = _step_spec_2d() if name == "step_mu" else _matrix_mu_spec_2d()
     return assemble_system(spec), garding_constants_for(spec)
-
-
-B = _GARDING_BLOCK
 
 
 @pytest.mark.parametrize("seed", [0, 5])
@@ -204,9 +227,9 @@ def test_garding_sparse_products_per_block(n_samples):
         assert log == []
 
 
-def test_garding_samples_are_the_sequential_draws(monkeypatch):
-    """The j-th sample is the j-th standard_normal(n) + 1j*standard_normal(n)
-    of the seed's stream, across block boundaries."""
+def test_garding_samples_are_the_block_streams(monkeypatch):
+    """Sample j is row j mod B of block j // B, drawn by one standard_normal
+    fill from child stream j // B of the seed's SeedSequence."""
     n_samples, seed = 2 * B + 3, 5
     sys = canonical_1d(10.0, 60)
     log = []
@@ -214,20 +237,17 @@ def test_garding_samples_are_the_sequential_draws(monkeypatch):
     class Recording(np.random.Generator):
         def standard_normal(self, *args, **kwargs):
             out = super().standard_normal(*args, **kwargs)
-            log.append(np.array(out, copy=True))
+            log.append((self.bit_generator.seed_seq.spawn_key, np.array(out, copy=True)))
             return out
 
     monkeypatch.setattr(np.random, "default_rng",
                         lambda s: Recording(np.random.PCG64(s)))
     garding_check(sys, n_samples=n_samples, seed=seed)
-    block = np.concatenate(log)  # (sample, re/im, dof)
-    drawn = (block[:, 0] + 1j * block[:, 1]).T
-    rng = np.random.Generator(np.random.PCG64(seed))
-    expected = np.column_stack([
-        rng.standard_normal(sys.n) + 1j * rng.standard_normal(sys.n)
-        for _ in range(n_samples)
-    ])
-    assert np.array_equal(drawn, expected)
+    log.sort(key=lambda entry: entry[0])
+    assert [key for key, _ in log] == [(0,), (1,), (2,)]
+    drawn = np.concatenate([draws for _, draws in log])  # (sample, re/im, dof)
+    expected = [block_draws(sys.n, n_samples, seed, j // B)[j % B] for j in range(n_samples)]
+    assert np.array_equal(drawn, np.stack(expected))
 
 
 def _dense_forms(A, M, D, x):
@@ -238,7 +258,7 @@ def _dense_forms(A, M, D, x):
 
 def assert_band_forms_exact(A, M, D, seed=0):
     x = np.random.default_rng(seed).standard_normal((B + 3, 2, A.shape[0]))
-    forms = _band_forms(_band_tables(A, M, D), x)
+    forms = _band_forms(_band_tables(A, M, D), x, np.empty((2 * (B + 3), A.shape[0])))
     qa, qm, qd = _dense_forms(A, M, D, x)
     np.testing.assert_allclose(forms[:, 0] + 1j * forms[:, 1], qa, rtol=1e-13)
     np.testing.assert_allclose(forms[:, 2], qm.real, rtol=1e-13)
@@ -323,6 +343,57 @@ def test_garding_overflowing_form_is_a_violation():
     assert rep.violations == 3
     assert rep.worst_rel_margin == -math.inf
     assert not rep.passed
+
+
+@pytest.mark.parametrize("case", ["canonical_2d", "step_mu", "matrix_mu", "nan_entry",
+                                  "overflow"])
+def test_garding_report_does_not_depend_on_the_workers(monkeypatch, case):
+    """One worker, two or eight (the affinity lookup patched; more workers
+    than cores, switching threads every microsecond so that two workers
+    sharing a buffer would show): the same report field for field, and
+    every worker thread is gone when the check returns."""
+    sys, constants = _garding_case(case)
+    pools = []
+
+    class Pool(bounds.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(bounds, "ThreadPoolExecutor", Pool)
+    reports = []
+    interval = sys_module.getswitchinterval()
+    sys_module.setswitchinterval(1e-6)
+    try:
+        for cores in (1, 2, 8):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cores: set(range(c)))
+            threads = threading.active_count()
+            reports.append(garding_check(sys, constants, n_samples=1000, seed=7))
+            assert threading.active_count() == threads
+    finally:
+        sys_module.setswitchinterval(interval)
+    assert pools == [1, 2, 8]
+    for report in reports[1:]:
+        np.testing.assert_equal(dataclasses.asdict(report), dataclasses.asdict(reports[0]))
+    if case in ("nan_entry", "overflow"):
+        assert reports[0].worst_rel_margin == -math.inf and not reports[0].passed
+
+
+def test_band_forms_allocate_no_shifted_product():
+    """The shifted products go into the caller's work buffer: evaluating a
+    block allocates a small fraction of one (2B, n) product (numpy's
+    iterator may take a buffer of at most a few 8,192-element chunks)."""
+    sys = assemble_system(canonical_spec_2d(10.0, 80, 80))
+    bands = _band_tables(sys.A, sys.M, sys.D)
+    x = np.random.default_rng(0).standard_normal((B, 2, sys.n))
+    work = np.empty((2 * B, sys.n))
+    tracemalloc.start()
+    try:
+        _band_forms(bands, x, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < work.nbytes / 4
 
 
 @pytest.mark.parametrize("n_samples", [0, -1])

@@ -137,13 +137,25 @@ PLANE = {"dimension": 2, "resolution": {"type": "elements", "n": 4}}
     ({"problem": {"garding": {"c_g1": float("nan"), "c_g2": 2.0}}}, "problem.garding"),
     ({"problem": {"garding": {"c_g1": 1.0, "c_g2": float("inf")}}}, "problem.garding"),
     ({"problem": {"garding": {"c_g1": 0.0, "c_g2": 2.0}}}, "problem.garding"),
+    ({"seed": -1}, "seed"),
+    ({"problem": {"k": "8"}}, "problem.k"),
+    ({"solver": {"tol": "1e-3"}}, "solver.tol"),
+    ({"seed": "3"}, "seed"),
+    ({"problem": {"resolution": {"type": "elements", "n": "30"}}}, "problem.resolution.n"),
+    ({"problem": {"mu_inv": {"type": "constant", "value": True}}}, "problem.mu_inv.value"),
+    ({"problem": {"eps": {"type": "constant", "value": [True, False]}}}, "problem.eps.value"),
+    ({"problem": {"eps": {"type": "constant", "value": "2"}}}, "problem.eps.value"),
+    ({"problem": {"dimension": True}}, "problem.dimension"),
+    ({"schema_version": True}, "schema_version"),
 ], ids=["elements", "per_k", "k_power", "n", "step", "pml", "constant", "value", "k",
         "theta", "axis_3", "axis_negative", "axis_1d", "perturbation_axis", "ladder",
         "k_values", "k_values_text", "alpha_values", "boundary", "garding", "solver", "perturbation",
         "problem", "output_dir", "n_fraction", "axis_fraction", "refine_fraction",
         "max_it_fraction", "samples_fraction", "samples_bool", "seed_fraction", "seed_bool",
         "k_infinity", "k_nan", "k_overflow", "k_bool", "theta_nan", "alpha_bool",
-        "k_values_infinity", "garding_nan", "garding_infinity", "garding_zero"])
+        "k_values_infinity", "garding_nan", "garding_infinity", "garding_zero", "seed_negative",
+        "k_text", "tol_text", "seed_text", "n_text", "value_bool", "value_bool_pair",
+        "value_text", "dimension_bool", "schema_version_bool"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, extra, where):
     path = write_cfg(tmp_path, extra)
     with pytest.raises(ConfigError) as exc:
@@ -151,6 +163,46 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, extra, where):
     assert where in str(exc.value)
     assert main(["verify", "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+# C_g1 = 50 is far above the valid constant: three norm checks fail.
+WRONG_GARDING = {"problem": {"k": 6.0, "resolution": {"type": "elements", "n": 30},
+                             "garding": {"c_g1": 50.0, "c_g2": 0.0}}}
+WRONG_GARDING_FAILS = {"garding.sampled", "norms.chain1_upper", "norms.chain2_upper",
+                       "norms.infsup_lower"}
+
+
+def _command(name, path, tmp_path):
+    if name == "import":
+        return ["import", "--dir", str(tmp_path / "pair")]
+    return [name, "--config", path, "--out-dir", str(tmp_path / name)]
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep", "export", "import"])
+@pytest.mark.parametrize("scale", ["inf", "nan", "-1"])
+def test_tol_scale_must_be_finite_and_non_negative(tmp_path, capsys, command, scale):
+    """An infinite slack turned the failing norm checks into PASSes, and NaN
+    or a negative one failed correct checks: every command refuses them."""
+    path = write_cfg(tmp_path, WRONG_GARDING)
+    assert main(_command(command, path, tmp_path) + ["--tol-scale", scale]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --tol-scale must be finite and >= 0") and err.count("\n") == 1
+
+
+def test_tol_scale_one_keeps_its_verdicts(tmp_path):
+    res = cmd_verify(write_cfg(tmp_path, WRONG_GARDING), tol_scale=1.0)
+    assert res.exit_status == 1
+    assert {name for name, ok, _ in res.summaries if not ok} == WRONG_GARDING_FAILS
+    assert len(res.summaries) == 12
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep", "export", "import"])
+def test_negative_seed_flag_is_an_error(tmp_path, capsys, command):
+    """numpy's seeding rejects a negative seed with a ValueError; the flag
+    is refused before anything runs."""
+    path = write_cfg(tmp_path)
+    assert main(_command(command, path, tmp_path) + ["--seed", "-5"]) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -5\n"
 
 
 @pytest.mark.parametrize("role,value", [("eps", [float("nan"), 0.0]),

@@ -61,6 +61,17 @@ def test_integer_keys_take_integral_numbers():
     assert cfg.solver["garding_samples"] == 1000
 
 
+def test_coefficient_values_take_numbers_and_pairs():
+    """A coefficient value is a JSON number or a [re, im] pair of them;
+    strings and booleans are ConfigErrors (test_cli's malformed cases)."""
+    cfg = read_config('{"problem": {"dimension": 1, "k": 1, "mu_inv": {"type": "constant", '
+                      '"value": 2}, "eps": {"type": "constant", "value": [3, -0.5]}, '
+                      '"resolution": {"type": "elements", "n": 30.0}}}')
+    spec = build_problem(cfg)
+    assert spec.mesh.n_elements == 30
+    assert np.all(spec.mu_inv.values == 2) and np.all(spec.eps.values == 3 - 0.5j)
+
+
 @pytest.mark.parametrize("literal", ["1e400", "-1e400", "NaN", "Infinity", "true"])
 def test_float_keys_take_finite_numbers(literal):
     """An overflowing literal parses to inf and true to 1: both are
