@@ -87,12 +87,18 @@ def _slack(seed, tol_scale: float) -> float:
     return DEFAULT_SLACK * tol_scale
 
 
-def _prologue(config_path: str, out_dir, seed, tol_scale: float):
-    """(config, output directory, seed, slack) of a config command."""
-    slack = _slack(seed, tol_scale)
+def _load(config_path: str, out_dir):
+    """(config, output directory) of a config command; makes the directory."""
     cfg = hio.load_config(config_path)
     out = out_dir or cfg.output_dir
     os.makedirs(out, exist_ok=True)
+    return cfg, out
+
+
+def _prologue(config_path: str, out_dir, seed, tol_scale: float):
+    """(config, output directory, seed, slack) of a checking config command."""
+    slack = _slack(seed, tol_scale)
+    cfg, out = _load(config_path, out_dir)
     return cfg, out, cfg.seed if seed is None else seed, slack
 
 
@@ -122,7 +128,7 @@ def cmd_verify(
 
     sys1 = assemble_system(hio.build_problem(cfg))
     sys2, alpha = _perturbed(cfg, sys1)
-    if cfg.problem.get("garding") is not None:
+    if cfg.problem["garding"] is not None:
         constants = GardingConstants(**cfg.problem["garding"])
     else:
         constants = garding_constants_for(sys1.spec)
@@ -247,21 +253,16 @@ def cmd_sweep(
     return result
 
 
-def cmd_export(
-    config_path: str,
-    out_dir: str | None = None,
-    seed: int | None = None,
-    tol_scale: float = 1.0,
-) -> ScenarioResult:
-    """Assemble the config's pair and write it as matrix exchange files."""
-    cfg, out, _, _ = _prologue(config_path, out_dir, seed, tol_scale)
+def cmd_export(config_path: str, out_dir: str | None = None) -> ScenarioResult:
+    """Assemble the config's pair and write it as matrix exchange files; it
+    checks nothing, so its result holds only the written paths."""
+    cfg, out = _load(config_path, out_dir)
     sys1 = assemble_system(hio.build_problem(cfg))
     sys2, _ = _perturbed(cfg, sys1)
     dmu = field_diff_sup_norm(sys1.spec.mu_inv, sys2.spec.mu_inv)
     deps = field_diff_sup_norm(sys1.spec.eps, sys2.spec.eps)
     result = ScenarioResult()
     result.paths.update(hio.write_matrix_exchange(sys1, sys2, out, dmu=dmu, deps=deps))
-    result.add("export", True, 0.0)
     return result
 
 
@@ -298,54 +299,50 @@ def cmd_import(
 
 
 def _parser() -> argparse.ArgumentParser:
+    """The command line: each command declares only the flags it uses, each
+    under the name of its command function's parameter."""
     p = argparse.ArgumentParser(
         prog="helmprec",
         description="Assemble Helmholtz systems and verify preconditioner bounds",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--out-dir", default=None, help="override output directory")
-        sp.add_argument("--seed", type=int, default=None, help="override config seed")
-        sp.add_argument("--tol-scale", type=float, default=1.0,
-                        help="multiplier on the inequality slack")
-
-    for name, doc in (
-        ("verify", "run bound checks for one config"),
-        ("sweep", "evaluate the (k, alpha) grid of one config"),
-        ("export", "write the config's system pair as matrix files"),
+    config = ("--config", dict(dest="config_path", required=True, help="path to JSON config"))
+    out_dir = ("--out-dir", dict(default=None, help="override output directory"))
+    seed = ("--seed", dict(type=int, default=None, help="override config seed"))
+    tol_scale = ("--tol-scale", dict(type=float, default=1.0,
+                                     help="multiplier on the inequality slack"))
+    for name, doc, flags in (
+        ("verify", "run bound checks for one config", (config, out_dir, seed, tol_scale)),
+        ("sweep", "evaluate the (k, alpha) grid of one config",
+         (config, out_dir, seed, tol_scale)),
+        ("export", "write the config's system pair as matrix files", (config, out_dir)),
+        ("import", "run bound checks on external matrices", (
+            ("--dir", dict(dest="matrix_dir", required=True,
+                           help="directory with A1.mtx and A2.mtx")),
+            ("--d", dict(dest="d_path", default=None,
+                         help="path to D matrix (default dir/D.mtx)")),
+            ("--m", dict(dest="m_path", default=None,
+                         help="path to M matrix (default dir/M.mtx)")),
+            ("--dmu", dict(type=float, default=None,
+                           help="sup norm of the diffusion coefficient difference")),
+            ("--deps", dict(type=float, default=None,
+                            help="sup norm of the low-order coefficient difference")),
+            out_dir, ("--seed", dict(type=int, default=0, help="seed of the estimates")),
+            tol_scale,
+        )),
     ):
         sp = sub.add_parser(name, help=doc)
-        sp.add_argument("--config", required=True, help="path to JSON config")
-        common(sp)
-
-    sp = sub.add_parser("import", help="run bound checks on external matrices")
-    sp.add_argument("--dir", required=True, help="directory with A1.mtx and A2.mtx")
-    sp.add_argument("--d", default=None, help="path to D matrix (default dir/D.mtx)")
-    sp.add_argument("--m", default=None, help="path to M matrix (default dir/M.mtx)")
-    sp.add_argument("--dmu", type=float, default=None,
-                    help="sup norm of the diffusion coefficient difference")
-    sp.add_argument("--deps", type=float, default=None,
-                    help="sup norm of the low-order coefficient difference")
-    sp.add_argument("--out-dir", default=None)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol-scale", type=float, default=1.0)
+        for flag, options in flags:
+            sp.add_argument(flag, **options)
     return p
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = vars(_parser().parse_args(argv))
+    # looked up when called, so a rebinding of a cmd_* function is what runs
+    command = globals()["cmd_" + args.pop("command")]
     try:
-        if args.command == "verify":
-            result = cmd_verify(args.config, args.out_dir, args.seed, args.tol_scale)
-        elif args.command == "sweep":
-            result = cmd_sweep(args.config, args.out_dir, args.seed, args.tol_scale)
-        elif args.command == "export":
-            result = cmd_export(args.config, args.out_dir, args.seed, args.tol_scale)
-        else:
-            result = cmd_import(args.dir, args.d, args.m, args.out_dir,
-                                args.seed, args.tol_scale,
-                                args.dmu, args.deps)
+        result = command(**args)
     except (HelmprecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

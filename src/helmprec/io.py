@@ -1,11 +1,18 @@
 """Experiment configs, sparse-matrix exchange files, report serialization.
 
-Configs are JSON with three blocks (problem, perturbation, sweep) plus
-solver knobs and output paths; unknown keys, missing rule keys,
-non-numeric values, sections that are not objects, grids that are not
-lists and step axes that are not axes of the mesh are rejected by name,
-and defaults are materialized, so re-reading the JSON dump of a config's
-``data`` gives the same data.
+A JSON config is read against one key table, ``_CONFIG``: each key of
+each section maps to (kind, default, constraint). A kind is a nested
+section's table or a reader: finite float, integer, complex (a number
+or a [re, im] pair, kept as written), string, list or pair of numbers,
+the boundary sides of the mesh, or a rule (an object whose 'type' names
+the table of its other keys). A default is REQUIRED, a value, or a
+function of the config read so far (``sweep.k_values`` defaults to
+``[problem.k]``); a None default makes the key optional. A constraint
+is None or (test, text), and a value failing test(value, cfg) "must be
+<text>". The walker ``_section`` rejects unknown and missing keys,
+reads a default as it reads a written value, applies the constraint
+and names the key in every ``ConfigError``. Re-reading the JSON dump of
+a config's ``data`` gives the same data.
 
 Matrices travel in Matrix Market coordinate format with complex
 entries (real/imag pairs), 1-based indices, and symmetry 'general' or
@@ -28,13 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assemble import MatrixSystem, ProblemSpec
-from .bounds import (
-    BoundReport,
-    GardingConstants,
-    GardingReport,
-    InfSupLadder,
-    NormEquivalenceReport,
-)
+from .bounds import BoundReport, GardingReport, InfSupLadder, NormEquivalenceReport
 from .coeffs import CoefficientField, Role, constant_field, piecewise_field, pml_profile_1d
 from .errors import ConfigError, InvalidArgumentError, MatrixExchangeError
 from .mesh import SIDES, BoundaryTag, Mesh, build_interval_mesh, build_rect_mesh
@@ -47,67 +48,6 @@ _TAGS = {t.value: t for t in BoundaryTag}
 def _as_complex(v) -> complex:
     """A validated coefficient value, a number or a [re, im] pair."""
     return complex(*v) if isinstance(v, list) else complex(v)
-
-
-# The keys of each rule type besides 'type', with the conversion of their
-# values; all are required except those in _OPTIONAL_KEYS.
-_RULE_KEYS = {
-    "constant": {"value": complex},
-    "step": {"axis": int, "threshold": float, "below": complex, "above": complex},
-    "pml": {"start": float, "sigma0": float},
-}
-_RES_KEYS = {
-    "elements": {"n": int},
-    "per_k": {"factor": float},
-    "k_power": {"scale": float, "exponent": float},
-}
-_OPTIONAL_KEYS = {"axis", "scale"}
-
-_SCHEMA = {
-    "schema_version": None,
-    "seed": None,
-    "problem": {
-        "dimension": None,
-        "domain": None,
-        "boundary": None,
-        "k": None,
-        "theta": None,
-        "resolution": None,
-        "mu_inv": None,
-        "eps": None,
-        "garding": None,
-    },
-    "perturbation": {"mode": None, "alpha": None, "mu_inv": None, "eps": None},
-    "sweep": {"k_values": None, "alpha_values": None, "resolution": None, "ladder": None},
-    "solver": {"tol": None, "max_it": None, "garding_samples": None},
-    "output": {"dir": None},
-}
-
-
-def _check_unknown(data: dict, schema: dict, prefix: str, unknown: list):
-    for key, val in data.items():
-        if key not in schema:
-            unknown.append(prefix + key)
-        elif isinstance(schema[key], dict) and isinstance(val, dict):
-            _check_unknown(val, schema[key], prefix + key + ".", unknown)
-
-
-def _check_rule(rule, where: str, table: dict):
-    if not isinstance(rule, dict) or "type" not in rule:
-        raise ConfigError(f"{where}: expected an object with a 'type' key")
-    rtype = rule["type"]
-    if rtype not in table:
-        raise ConfigError(f"{where}: unknown type {rtype!r} (one of {sorted(table)})")
-    keys = table[rtype]
-    extra = set(rule) - set(keys) - {"type"}
-    if extra:
-        raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
-    missing = set(keys) - _OPTIONAL_KEYS - set(rule)
-    if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
-    for key, kind in keys.items():
-        if key in rule:
-            _number(rule[key], f"{where}.{key}", kind)
 
 
 def _number(value, where: str, kind=float):
@@ -135,25 +75,169 @@ def _number(value, where: str, kind=float):
     return number
 
 
-def _object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be an object, got {value!r}")
+# -- the config table (see the module docstring) ------------------------------
+# A reader of a written value is a function (value, where, cfg).
+
+REQUIRED = object()
+
+
+def _reader(kind):
+    """The reader of a JSON number of ``kind``, float or int."""
+    return lambda value, where, cfg: _number(value, where, kind)
+
+
+_float, _int = _reader(float), _reader(int)
+
+
+def _complex(value, where, cfg):
+    """A number or a [re, im] pair of numbers, kept as written."""
+    _number(value, where, complex)
+    return list(value) if isinstance(value, list) else value
+
+
+def _str(value, where, cfg):
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
     return value
 
 
-def _grid(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
+def _numbers(value, where, cfg):
+    if not (isinstance(value, list) and value):
+        raise ConfigError(f"{where} must be a non-empty list of numbers, got {value!r}")
     return [_number(x, where) for x in value]
 
 
-def _check_coefficient_rule(rule, where: str, dim: int):
-    """A coefficient rule, whose step ``axis`` must be an axis of the mesh."""
-    _check_rule(rule, where, _RULE_KEYS)
-    if rule["type"] == "step":
-        axis = _number(rule.get("axis", 0), f"{where}.axis", int)
-        if axis not in range(dim):
-            raise ConfigError(f"{where}.axis must be in range({dim}), got {rule['axis']!r}")
+def _pair(value, where, cfg):
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"{where} must be a pair of numbers, got {value!r}")
+    return [_number(x, where) for x in value]
+
+
+def _sides(value, where, cfg):
+    """One boundary tag per side of the mesh, impedance by default."""
+    tag = (_str, "impedance", _one_of(*_TAGS))
+    return _section({s: tag for s in SIDES[cfg["problem"]["dimension"]]}, value, where, cfg)
+
+
+def _rule(types: dict):
+    """The kind of a rule: an object whose 'type' key names the table of
+    its other keys."""
+    def read(value, where, cfg):
+        rtype = value.get("type") if isinstance(value, dict) else None
+        if not (isinstance(rtype, str) and rtype in types):
+            raise ConfigError(f"{where} must be an object whose 'type' is one of "
+                              f"{sorted(types)}, got {value!r}")
+        body = {key: v for key, v in value.items() if key != "type"}
+        return {"type": rtype, **_section(types[rtype], body, where, cfg)}
+    return read
+
+
+def _at_least(bound):
+    return (lambda x, cfg: x >= bound, f">= {bound}")
+
+
+def _one_of(*options):
+    return (lambda x, cfg: x in options, f"one of {list(options)}")
+
+
+_POSITIVE = (lambda x, cfg: x > 0, "> 0")
+_AXIS = (lambda axis, cfg: axis in range(cfg["problem"]["dimension"]),
+         "an axis of the mesh, in range(problem.dimension)")
+# 1D: the interval [a, b]; 2D: the sides of the rectangle [0, w] x [0, h]
+_DOMAIN = (lambda d, cfg: d[0] < d[1] if cfg["problem"]["dimension"] == 1 else min(d) > 0,
+           "[a, b] with a < b in 1D, or sides [w, h] > 0 in 2D")
+
+_COEFFICIENT = _rule({
+    "constant": {"value": (_complex, REQUIRED, None)},
+    "step": {
+        "axis": (_int, 0, _AXIS),
+        "threshold": (_float, REQUIRED, None),
+        "below": (_complex, REQUIRED, None),
+        "above": (_complex, REQUIRED, None),
+    },
+    "pml": {"start": (_float, REQUIRED, None), "sigma0": (_float, REQUIRED, _at_least(0))},
+})
+_RESOLUTION = _rule({
+    "elements": {"n": (_int, REQUIRED, _at_least(1))},
+    "per_k": {"factor": (_float, REQUIRED, _POSITIVE)},
+    "k_power": {"scale": (_float, 1.0, _POSITIVE), "exponent": (_float, REQUIRED, None)},
+})
+_CONSTANT_ONE = {"type": "constant", "value": [1.0, 0.0]}
+
+_CONFIG = {
+    "schema_version": (_int, SCHEMA_VERSION, _one_of(SCHEMA_VERSION)),
+    "seed": (_int, 0, _at_least(0)),  # numpy's seeding takes non-negative integers only
+    "problem": ({
+        "dimension": (_int, REQUIRED, _one_of(1, 2)),
+        "domain": (_pair, lambda cfg: [0.0, 1.0] if cfg["problem"]["dimension"] == 1
+                   else [1.0, 1.0], _DOMAIN),
+        "boundary": (_sides, {}, None),
+        "k": (_float, REQUIRED, _POSITIVE),
+        "theta": (_float, 1.0, _POSITIVE),
+        "resolution": (_RESOLUTION, {"type": "per_k", "factor": 10.0}, None),
+        "mu_inv": (_COEFFICIENT, _CONSTANT_ONE, None),
+        "eps": (_COEFFICIENT, _CONSTANT_ONE, None),
+        "garding": ({"c_g1": (_float, REQUIRED, _POSITIVE),
+                     "c_g2": (_float, REQUIRED, _at_least(0))}, None, None),
+    }, REQUIRED, None),
+    "perturbation": ({
+        "mode": (_str, "absorption", _one_of("absorption", "nearby")),
+        "alpha": (_float, 0.3, _at_least(0)),
+        "mu_inv": (_COEFFICIENT, None, None),
+        "eps": (_COEFFICIENT, None, None),
+    }, {}, (lambda p, cfg: p["mode"] == "absorption" or p["mu_inv"] or p["eps"],
+            "absorption, or nearby with a mu_inv and/or eps rule")),
+    "sweep": ({
+        "k_values": (_numbers, lambda cfg: [cfg["problem"]["k"]],
+                     (lambda ks, cfg: min(ks) > 0, "numbers > 0")),
+        "alpha_values": (_numbers, lambda cfg: [cfg["perturbation"]["alpha"]],
+                         (lambda alphas, cfg: min(alphas) >= 0, "numbers >= 0")),
+        "resolution": (_RESOLUTION, lambda cfg: cfg["problem"]["resolution"], None),
+        "ladder": ({"refine": (_int, 4, _at_least(2))}, None, None),
+    }, {}, None),
+    # zero samples or iterations would print PASS without checking anything
+    "solver": ({
+        "tol": (_float, 1e-8, _POSITIVE),
+        "max_it": (_int, 500, _at_least(1)),
+        "garding_samples": (_int, 1000, _at_least(1)),
+    }, {}, None),
+    "output": ({"dir": (_str, "out", None)}, {}, None),
+}
+
+
+def _section(table: dict, value, where: str, cfg: dict, out: Optional[dict] = None) -> dict:
+    """Read one JSON object against its key table into ``out``."""
+    out = {} if out is None else out
+    name = where or "config"
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object, got {value!r}")
+    path = {key: f"{where}.{key}" if where else key for key in {*table, *value}}
+    required = {key for key, (_, default, _) in table.items() if default is REQUIRED}
+    for problem, keys in (("unknown", set(value) - set(table)),
+                          ("missing", required - set(value))):
+        if keys:
+            paths = ", ".join(path[key] for key in sorted(keys))
+            raise ConfigError(f"{name}: {problem} keys {sorted(keys)} ({paths})")
+    for key, entry in table.items():
+        _value(entry, value, key, path[key], cfg, out)
+    return out
+
+
+def _value(entry: tuple, written: dict, key: str, where: str, cfg: dict, out: dict):
+    """Read one key of a section into ``out``: its written value, else its
+    default, read by its kind and checked by its constraint."""
+    kind, default, check = entry
+    value = written[key] if key in written else default(cfg) if callable(default) else default
+    if value is None and default is None:
+        out[key] = None
+        return
+    if isinstance(kind, dict):
+        out[key] = {}  # the keys of a section see its earlier keys
+        _section(kind, value, where, cfg, out[key])
+    else:
+        out[key] = kind(value, where, cfg)
+    if check is not None and not check[0](out[key], cfg):
+        raise ConfigError(f"{where} must be {check[1]}, got {out[key]!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,157 +272,13 @@ class ExperimentConfig:
 
 
 def read_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON experiment config; apply defaults."""
+    """Parse a JSON experiment config and read it against ``_CONFIG``."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-
-    unknown: list[str] = []
-    _check_unknown(raw, _SCHEMA, "", unknown)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
-    version = _number(raw.get("schema_version", SCHEMA_VERSION), "schema_version", int)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unrecognized schema_version {version!r}")
-
-    prob = raw.get("problem")
-    if prob is None:
-        raise ConfigError("missing mandatory key: problem")
-    _object(prob, "problem")
-    missing = [k for k in ("dimension", "k") if k not in prob]
-    if missing:
-        raise ConfigError(
-            "missing mandatory keys: " + ", ".join("problem." + m for m in missing)
-        )
-    dim = _number(prob["dimension"], "problem.dimension", int)
-    if dim not in (1, 2):
-        raise ConfigError(f"problem.dimension must be 1 or 2, got {dim!r}")
-    k = _number(prob["k"], "problem.k")
-    if k <= 0:
-        raise ConfigError("problem.k must be positive")
-
-    domain = prob.get("domain", [0.0, 1.0] if dim == 1 else [1.0, 1.0])
-    if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
-        raise ConfigError("problem.domain must be a pair of numbers")
-    domain = [_number(x, "problem.domain") for x in domain]
-
-    sides = SIDES[dim]
-    boundary = dict(_object(prob.get("boundary", {}), "problem.boundary"))
-    extra_sides = set(boundary) - set(sides)
-    if extra_sides:
-        raise ConfigError(f"unknown boundary sides: {sorted(extra_sides)}")
-    for s in sides:
-        boundary.setdefault(s, "impedance")
-        if boundary[s] not in _TAGS:
-            raise ConfigError(
-                f"boundary.{s} must be one of {sorted(_TAGS)}, got {boundary[s]!r}"
-            )
-    boundary = {s: boundary[s] for s in sides}
-
-    resolution = prob.get("resolution", {"type": "per_k", "factor": 10.0})
-    _check_rule(resolution, "problem.resolution", _RES_KEYS)
-    mu_rule = prob.get("mu_inv", {"type": "constant", "value": [1.0, 0.0]})
-    eps_rule = prob.get("eps", {"type": "constant", "value": [1.0, 0.0]})
-    for name, rule in (("problem.mu_inv", mu_rule), ("problem.eps", eps_rule)):
-        _check_coefficient_rule(rule, name, dim)
-    garding = prob.get("garding")
-    if garding is not None:
-        extra = set(_object(garding, "problem.garding")) - {"c_g1", "c_g2"}
-        if extra or not {"c_g1", "c_g2"} <= set(garding):
-            raise ConfigError("problem.garding needs exactly the keys c_g1, c_g2")
-        garding = {c: _number(garding[c], f"problem.garding.{c}") for c in ("c_g1", "c_g2")}
-        try:
-            GardingConstants(**garding)
-        except InvalidArgumentError as exc:
-            raise ConfigError(f"problem.garding: {exc}") from exc
-
-    pert_in = _object(raw.get("perturbation", {}), "perturbation")
-    mode = pert_in.get("mode", "absorption")
-    if mode not in ("absorption", "nearby"):
-        raise ConfigError(f"perturbation.mode must be absorption|nearby, got {mode!r}")
-    pert = {
-        "mode": mode,
-        "alpha": _number(pert_in.get("alpha", 0.3), "perturbation.alpha"),
-        "mu_inv": pert_in.get("mu_inv"),
-        "eps": pert_in.get("eps"),
-    }
-    for name in ("mu_inv", "eps"):
-        if pert[name] is not None:
-            _check_coefficient_rule(pert[name], f"perturbation.{name}", dim)
-    if pert["alpha"] < 0:
-        raise ConfigError("perturbation.alpha must be >= 0")
-    if mode == "nearby" and pert["mu_inv"] is None and pert["eps"] is None:
-        raise ConfigError("nearby perturbation needs mu_inv and/or eps rules")
-
-    sweep_in = _object(raw.get("sweep", {}), "sweep")
-    sweep = {
-        "k_values": _grid(sweep_in.get("k_values", [k]), "sweep.k_values"),
-        "alpha_values": _grid(sweep_in.get("alpha_values", [pert["alpha"]]),
-                              "sweep.alpha_values"),
-        "resolution": sweep_in.get("resolution", resolution),
-        "ladder": sweep_in.get("ladder"),
-    }
-    _check_rule(sweep["resolution"], "sweep.resolution", _RES_KEYS)
-    if not sweep["k_values"] or not sweep["alpha_values"]:
-        raise ConfigError("sweep grids must be non-empty")
-    if min(sweep["alpha_values"]) < 0:
-        raise ConfigError("sweep.alpha_values must be >= 0")
-    if sweep["ladder"] is not None:
-        if set(_object(sweep["ladder"], "sweep.ladder")) - {"refine"}:
-            raise ConfigError("sweep.ladder accepts only 'refine'")
-        sweep["ladder"] = {
-            "refine": _number(sweep["ladder"].get("refine", 4), "sweep.ladder.refine", int)
-        }
-        if sweep["ladder"]["refine"] < 2:
-            raise ConfigError("sweep.ladder.refine must be >= 2")
-
-    solver_in = _object(raw.get("solver", {}), "solver")
-    solver = {
-        "tol": _number(solver_in.get("tol", 1e-8), "solver.tol"),
-        "max_it": _number(solver_in.get("max_it", 500), "solver.max_it", int),
-        "garding_samples": _number(solver_in.get("garding_samples", 1000),
-                                   "solver.garding_samples", int),
-    }
-    # zero samples or iterations would print PASS without checking anything
-    if solver["garding_samples"] < 1:
-        raise ConfigError("solver.garding_samples must be >= 1")
-    if solver["max_it"] < 1:
-        raise ConfigError("solver.max_it must be >= 1")
-    if not solver["tol"] > 0:
-        raise ConfigError("solver.tol must be > 0")
-
-    out_dir = _object(raw.get("output", {}), "output").get("dir", "out")
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"output.dir must be a string, got {out_dir!r}")
-
-    seed = _number(raw.get("seed", 0), "seed", int)
-    if seed < 0:  # numpy's seeding takes non-negative integers only
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-
-    data = {
-        "schema_version": SCHEMA_VERSION,
-        "seed": seed,
-        "problem": {
-            "dimension": dim,
-            "domain": domain,
-            "boundary": boundary,
-            "k": k,
-            "theta": _number(prob.get("theta", 1.0), "problem.theta"),
-            "resolution": resolution,
-            "mu_inv": mu_rule,
-            "eps": eps_rule,
-            "garding": garding,
-        },
-        "perturbation": pert,
-        "sweep": sweep,
-        "solver": solver,
-        "output": {"dir": out_dir},
-    }
-    return ExperimentConfig(data)
+    data: dict = {}
+    return ExperimentConfig(_section(_CONFIG, raw, "", data, data))
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -353,18 +293,24 @@ def resolution_elements(rule: dict, k: float, length: float) -> int:
 
     ``elements`` is an explicit count per axis, whatever its length;
     ``per_k`` puts factor * k elements on each unit of length; ``k_power``
-    fits elements of diameter scale * k^{-exponent} into ``length``.
+    fits elements of diameter scale * k^{-exponent} into ``length``. A
+    count that is not a positive finite number (the rule's numbers
+    overflow or underflow at this k) is a ConfigError.
     """
     if rule["type"] == "elements":
-        n = int(rule["n"])
-    elif rule["type"] == "per_k":
-        n = math.ceil(float(rule["factor"]) * k * length)
-    else:  # k_power: target h = scale * k^{-exponent}
-        h = float(rule.get("scale", 1.0)) * k ** (-float(rule["exponent"]))
-        n = math.ceil(length / h)
-    if n < 1:
-        raise ConfigError(f"resolution rule yields {n} elements")
-    return n
+        return rule["n"]
+    try:
+        if rule["type"] == "per_k":
+            count = rule["factor"] * k * length
+        else:  # k_power: target h = scale * k^{-exponent}
+            count = length / (rule["scale"] * k ** (-rule["exponent"]))
+    except (OverflowError, ZeroDivisionError):
+        count = math.nan
+    if not 0 < count < math.inf:
+        raise ConfigError(
+            f"resolution rule {rule} at k = {k:g} gives no positive finite element count"
+        )
+    return math.ceil(count)
 
 
 def build_mesh(problem: dict, k: Optional[float] = None) -> Mesh:
@@ -387,25 +333,18 @@ def build_mesh(problem: dict, k: Optional[float] = None) -> Mesh:
 
 def field_from_rule(mesh: Mesh, rule: dict, role: Role, k: float) -> CoefficientField:
     """Materialize one coefficient rule on a mesh."""
-    rtype = rule["type"]
-    if rtype == "constant":
+    if rule["type"] == "constant":
         return constant_field(mesh, _as_complex(rule["value"]), role)
-    if rtype == "step":
-        axis = int(rule.get("axis", 0))
-        thr = float(rule["threshold"])
-        below = _as_complex(rule["below"])
-        above = _as_complex(rule["above"])
+    if rule["type"] == "step":
+        axis, thr = rule["axis"], rule["threshold"]
+        below, above = _as_complex(rule["below"]), _as_complex(rule["above"])
         if mesh.dimension == 1:
             f = lambda x: below if x < thr else above
         else:
             f = lambda p: below if p[axis] < thr else above
         return piecewise_field(mesh, f, role)
-    if rtype == "pml":
-        mu_inv, eps = pml_profile_1d(
-            mesh, k, float(rule["start"]), float(rule["sigma0"])
-        )
-        return mu_inv if role == Role.MU_INV else eps
-    raise ConfigError(f"unknown coefficient rule type {rtype!r}")
+    mu_inv, eps = pml_profile_1d(mesh, k, rule["start"], rule["sigma0"])
+    return mu_inv if role == Role.MU_INV else eps
 
 
 def build_problem(

@@ -1,12 +1,15 @@
+import argparse
 import csv
 import json
 import os
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helmprec.cli import cmd_export, cmd_import, cmd_sweep, cmd_verify, main
+from helmprec.cli import _parser, cmd_export, cmd_import, cmd_sweep, cmd_verify, main
 from helmprec.errors import ConfigError, InvalidCoefficientError, InvalidSystemError
 from helmprec.io import load_config
 
@@ -147,6 +150,21 @@ PLANE = {"dimension": 2, "resolution": {"type": "elements", "n": 4}}
     ({"problem": {"eps": {"type": "constant", "value": "2"}}}, "problem.eps.value"),
     ({"problem": {"dimension": True}}, "problem.dimension"),
     ({"schema_version": True}, "schema_version"),
+    ({"problem": {"theta": 0}}, "problem.theta"),
+    ({"problem": {"theta": -1.0}}, "problem.theta"),
+    ({"problem": {"resolution": {"type": "elements", "n": 0}}}, "problem.resolution.n"),
+    ({"problem": {"resolution": {"type": "elements", "n": -4}}}, "problem.resolution.n"),
+    ({"problem": {"resolution": {"type": "per_k", "factor": 0}}},
+     "problem.resolution.factor"),
+    ({"sweep": {"resolution": {"type": "per_k", "factor": -0.4}}}, "sweep.resolution.factor"),
+    ({"problem": {"resolution": {"type": "k_power", "scale": 0, "exponent": 1}}},
+     "problem.resolution.scale"),
+    ({"problem": {"eps": {"type": "pml", "start": 0.5, "sigma0": -1.0}}}, "problem.eps.sigma0"),
+    ({"sweep": {"k_values": [4.0, -8.0]}}, "sweep.k_values"),
+    ({"sweep": {"k_values": [0]}}, "sweep.k_values"),
+    ({"problem": {"domain": [1.0, 0.0]}}, "problem.domain"),
+    ({"problem": dict(PLANE, domain=[1.0, 0.0])}, "problem.domain"),
+    ({"problem": dict(PLANE, domain=[-1.0, 1.0])}, "problem.domain"),
 ], ids=["elements", "per_k", "k_power", "n", "step", "pml", "constant", "value", "k",
         "theta", "axis_3", "axis_negative", "axis_1d", "perturbation_axis", "ladder",
         "k_values", "k_values_text", "alpha_values", "boundary", "garding", "solver", "perturbation",
@@ -155,7 +173,10 @@ PLANE = {"dimension": 2, "resolution": {"type": "elements", "n": 4}}
         "k_infinity", "k_nan", "k_overflow", "k_bool", "theta_nan", "alpha_bool",
         "k_values_infinity", "garding_nan", "garding_infinity", "garding_zero", "seed_negative",
         "k_text", "tol_text", "seed_text", "n_text", "value_bool", "value_bool_pair",
-        "value_text", "dimension_bool", "schema_version_bool"])
+        "value_text", "dimension_bool", "schema_version_bool", "theta_zero", "theta_negative",
+        "n_zero", "n_negative", "factor_zero", "sweep_factor_negative", "scale_zero",
+        "sigma0_negative", "k_values_negative", "k_values_zero", "domain_reversed",
+        "domain_side_zero", "domain_side_negative"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, extra, where):
     path = write_cfg(tmp_path, extra)
     with pytest.raises(ConfigError) as exc:
@@ -163,6 +184,21 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, extra, where):
     assert where in str(exc.value)
     assert main(["verify", "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("resolution", [
+    {"type": "per_k", "factor": 1e308},
+    {"type": "k_power", "scale": 1e-300, "exponent": 10},
+    {"type": "k_power", "scale": 1e-300, "exponent": 30},
+    {"type": "k_power", "exponent": -400},
+], ids=["per_k_overflow", "k_power_overflow", "k_power_zero_diameter", "k_power_pow_overflow"])
+def test_resolution_without_a_finite_element_count_is_an_error(tmp_path, capsys, resolution):
+    """Valid numbers whose element count at k overflows (or whose element
+    diameter does) are an error line, not a traceback from math.ceil."""
+    path = write_cfg(tmp_path, {"problem": {"resolution": resolution}})
+    assert main(["verify", "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: resolution rule") and err.count("\n") == 1
 
 
 # C_g1 = 50 is far above the valid constant: three norm checks fail.
@@ -178,13 +214,25 @@ def _command(name, path, tmp_path):
     return [name, "--config", path, "--out-dir", str(tmp_path / name)]
 
 
+def _rejected_by_argparse(argv):
+    """True when argparse refuses the command line with exit status 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code == 2
+
+
 @pytest.mark.parametrize("command", ["verify", "sweep", "export", "import"])
 @pytest.mark.parametrize("scale", ["inf", "nan", "-1"])
 def test_tol_scale_must_be_finite_and_non_negative(tmp_path, capsys, command, scale):
     """An infinite slack turned the failing norm checks into PASSes, and NaN
-    or a negative one failed correct checks: every command refuses them."""
+    or a negative one failed correct checks: every command that takes the
+    flag refuses them."""
     path = write_cfg(tmp_path, WRONG_GARDING)
-    assert main(_command(command, path, tmp_path) + ["--tol-scale", scale]) == 1
+    argv = _command(command, path, tmp_path) + ["--tol-scale", scale]
+    if command == "export":  # checks nothing, so it takes no --tol-scale
+        assert _rejected_by_argparse(argv)
+        return
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --tol-scale must be finite and >= 0") and err.count("\n") == 1
 
@@ -199,9 +247,13 @@ def test_tol_scale_one_keeps_its_verdicts(tmp_path):
 @pytest.mark.parametrize("command", ["verify", "sweep", "export", "import"])
 def test_negative_seed_flag_is_an_error(tmp_path, capsys, command):
     """numpy's seeding rejects a negative seed with a ValueError; the flag
-    is refused before anything runs."""
+    is refused before anything runs, by every command that takes it."""
     path = write_cfg(tmp_path)
-    assert main(_command(command, path, tmp_path) + ["--seed", "-5"]) == 1
+    argv = _command(command, path, tmp_path) + ["--seed", "-5"]
+    if command == "export":  # draws nothing, so it takes no --seed
+        assert _rejected_by_argparse(argv)
+        return
+    assert main(argv) == 1
     assert capsys.readouterr().err == "error: --seed must be >= 0, got -5\n"
 
 
@@ -543,3 +595,21 @@ def test_sweep_first_system_failure_fills_each_row_of_its_k(tmp_path):
     lines = open(res.paths["sweep"]).read().splitlines()
     assert len(lines) == 1 + 2 * 2
     assert all(l.endswith("InvalidCoefficientError") for l in lines[1:])
+
+
+def test_readme_synopsis_lists_each_commands_flags():
+    """The README's command-line synopsis names, for every command, exactly
+    the flags its parser declares."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    documented = {}
+    for line in block.splitlines():
+        if line.startswith("helmprec "):
+            flags = documented.setdefault(line.split()[1], set())
+        flags.update(re.findall(r"--[a-z-]+", line))
+    commands = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        name: {flag for action in sp._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sp in commands.choices.items()
+    }
+    assert documented == declared

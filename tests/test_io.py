@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,9 +48,31 @@ def test_missing_mandatory_named():
         read_config("{}")
 
 
+# Every rule type but elements (the verify2d workload has it), and the keys
+# whose defaults are filled in. Read only: pml is a 1D rule.
+EVERY_RULE = json.dumps({
+    "problem": {"dimension": 2, "k": 6, "domain": [2, 1], "boundary": {"left": "dirichlet"},
+                "resolution": {"type": "k_power", "exponent": 1.5},
+                "mu_inv": {"type": "step", "axis": 1, "threshold": 0.5, "below": 1,
+                           "above": [2, 0.5]},
+                "garding": {"c_g1": 1, "c_g2": 2}},
+    "perturbation": {"mode": "nearby", "eps": {"type": "pml", "start": 0.5, "sigma0": 3}},
+    "sweep": {"resolution": {"type": "per_k", "factor": 3}, "ladder": {}},
+})
+
+
 def test_config_roundtrip_identity():
-    cfg = read_config(MINIMAL)
-    assert read_config(json.dumps(cfg.data)).data == cfg.data
+    """Re-reading the JSON dump of a config's data gives the same data: for
+    the minimal config, every rule type and the benchmark workloads."""
+    workloads = sorted(Path(__file__).parents[1].glob("bench/workloads/*.json"))
+    assert len(workloads) == 3
+    for text in [MINIMAL, EVERY_RULE] + [p.read_text() for p in workloads]:
+        cfg = read_config(text)
+        assert read_config(json.dumps(cfg.data)).data == cfg.data
+    every = read_config(EVERY_RULE).data
+    assert every["problem"]["resolution"]["scale"] == 1.0
+    assert every["perturbation"]["mu_inv"] is None
+    assert every["sweep"]["ladder"] == {"refine": 4}
 
 
 def test_integer_keys_take_integral_numbers():
