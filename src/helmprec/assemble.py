@@ -101,8 +101,8 @@ class MatrixSystem:
     A system owns the factors of its matrices, computed on first use, so
     every quantity computed from one system shares them, and they live as
     long as the system. The derived quantities are cached per seed: the
-    discrete inf-sup report of A (through the Gram factor of D) and the
-    mass-matrix extremes (through the Gram factor of M).
+    discrete inf-sup report of A (through the LU factors of A and products
+    with D) and the mass-matrix extremes (through the Gram factor of M).
     """
 
     A: sp.csr_matrix
@@ -139,14 +139,16 @@ class MatrixSystem:
 
     def inf_sup(self, seed: int = DEFAULT_SEED) -> InfSupReport:
         """Discrete inf-sup report of A (a singular matrix is reported, not
-        raised), cached per seed."""
+        raised), cached per seed. It takes products with D and never its
+        Gram factor, so a system used only for its inf-sup constant, such
+        as an inf-sup ladder's reference rung, factors A alone."""
         try:
             lu = self.lu
         except SingularSystemError:
             return SINGULAR_INF_SUP
         key = ("inf_sup", seed)
         if key not in self._derived:
-            self._derived[key] = discrete_inf_sup(lu, self.gram_d, seed=seed)
+            self._derived[key] = discrete_inf_sup(lu, self.D, seed=seed)
         return self._derived[key]
 
     def mass_extremes(self, seed: int = DEFAULT_SEED) -> MassExtremes:

@@ -573,7 +573,7 @@ def norm_equivalence_report(
     rep = sys.inf_sup(seed)
     if rep.singular:
         raise SingularSystemError("system matrix is singular")
-    duo = solution_operator_norms(sys.lu, sys.gram_d, sys.gram_m, seed=seed)
+    duo = solution_operator_norms(sys.lu, sys.D, sys.M, seed=seed)
     hstar_to_h = rep.c_dis
     cg1, cg2 = constants.c_g1, constants.c_g2
     upper1 = (1.0 / cg1) * (1.0 + cg2 * duo.h0_to_h)

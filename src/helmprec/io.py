@@ -146,6 +146,9 @@ _AXIS = (lambda axis, cfg: axis in range(cfg["problem"]["dimension"]),
 # 1D: the interval [a, b]; 2D: the sides of the rectangle [0, w] x [0, h]
 _DOMAIN = (lambda d, cfg: d[0] < d[1] if cfg["problem"]["dimension"] == 1 else min(d) > 0,
            "[a, b] with a < b in 1D, or sides [w, h] > 0 in 2D")
+_PML_START = (lambda start, cfg: cfg["problem"]["dimension"] == 1
+              and cfg["problem"]["domain"][0] <= start < cfg["problem"]["domain"][1],
+              "in [a, b) of a 1D problem's domain [a, b]")
 
 _COEFFICIENT = _rule({
     "constant": {"value": (_complex, REQUIRED, None)},
@@ -155,7 +158,8 @@ _COEFFICIENT = _rule({
         "below": (_complex, REQUIRED, None),
         "above": (_complex, REQUIRED, None),
     },
-    "pml": {"start": (_float, REQUIRED, None), "sigma0": (_float, REQUIRED, _at_least(0))},
+    "pml": {"start": (_float, REQUIRED, _PML_START),
+            "sigma0": (_float, REQUIRED, _at_least(0))},
 })
 _RESOLUTION = _rule({
     "elements": {"n": (_int, REQUIRED, _at_least(1))},

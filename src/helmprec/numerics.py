@@ -2,8 +2,7 @@
 
 Everything here reduces a functional-analytic quantity to a singular
 value of a conjugated matrix. With D = L L^T the Gram (energy-norm)
-matrix and M = R R^T the mass matrix, L and R their real Cholesky
-factors (below):
+matrix and M = R R^T the mass matrix (L, R real factors, never formed):
 
     ||C||_D            = sigma_max(L^T C L^{-T})    operator norm in the D norm
     ||C||_{D^{-1}}     = sigma_max(L^{-1} C L)
@@ -16,36 +15,29 @@ For real symmetric D, transposition keeps singular values, and
 L^{-1} C^T L = (L^T C L^{-T})^T, so ||C^T||_{D^{-1}} = ||C||_D; also
 ||C^T||_2 = ||C||_2. :mod:`helmprec.bounds` uses these twin identities
 to estimate one norm of each pair when both system matrices pass the
-symmetry test ||A - A^T|| <= 1e-14 ||A|| (largest entries). The systems
-of :mod:`helmprec.assemble` cache, per seed, the results of
-:func:`discrete_inf_sup` and :func:`mass_extremes` next to their factors.
+symmetry test ||A - A^T|| <= 1e-14 ||A|| (largest entries).
 
-Each sigma_max^2 is the top eigenvalue of a standard Hermitian PSD
-operator T^H T, T the conjugated matrix, applied as a product chain in
-the coordinates of the factor:
+Each sigma_max^2 is the top eigenvalue nu of W B, with W Hermitian PSD
+and B the norm matrix (B = I for the Euclidean quantities). W B is
+self-adjoint in <u, v>_B = v^H B u and similar to the normal operator of
+the conjugated matrix above:
 
-    C_dis^2            = lambda_max(L^T A^{-H} D A^{-1} L)
-    ||A^{-1}||_{0->H}^2 = lambda_max(R^T A^{-H} D A^{-1} R)
-    ||A^{-1}||_{0->0}^2 = lambda_max(R^T A^{-H} M A^{-1} R)
-    ||C||_{D^{-1}}^2   = lambda_max(L^T C^H D^{-1} C L)
-    ||C||_D^2          = ||C^H||_{D^{-1}}^2 = lambda_max(L^T C D^{-1} C^H L)
+    C_dis^2             = lambda_max(A^{-H} D A^{-1} . D)
+    ||A^{-1}||_{0->H}^2 = lambda_max(A^{-H} D A^{-1} . M)
+    ||A^{-1}||_{0->0}^2 = lambda_max(A^{-H} M A^{-1} . M)
+    ||C||_{D^{-1}}^2    = lambda_max(C^H D^{-1} C . D)
+    ||C||_D^2           = ||C^H||_{D^{-1}}^2 = lambda_max(C D^{-1} C^H . D)
 
-The factor turns each weighted norm into a Euclidean one, so there is no
-B-operator: Lanczos runs in standard mode and never solves with D or M
-to keep its basis B-orthogonal. The solution-operator norms take only
-products with L, R, D and M besides the two solves with A, and a D-weighted
-operator norm takes one D solve per application. The Ritz value comes
-with a computable residual bound |lambda - lambda_exact| <=
-||T^H T v - lambda v||_2 for a unit iterate v; the Euclidean norm in the
-factor's coordinates is the B norm of the corresponding generalized
-pencil, so the bound is the same one. Iterations stop on it (relative
-tolerance 1e-10 by default) and are capped; hitting the cap raises,
-carrying the last estimate as the quantity the function returns. Start
-vectors are seeded, so all reported numbers are reproducible. ARPACK's
-first application is to the start vector itself; an operator that maps
-that random vector to exactly zero is the zero operator, whose top
-eigenvalue 0 is returned after that one application, with no separate
-probe.
+Lanczos in the B inner product takes products with B only, neither a
+solve with B nor a factor of it; ARPACK runs it as its shift-invert mode
+at sigma = 0 with OPinv = W (:func:`_pencil_lambda_max`). So C_dis and
+the solution-operator norms take two solves with A per application and
+never factor D or M, and a D-weighted operator norm takes one D solve.
+The Ritz value comes with the residual bound |nu - nu_exact| <=
+||W B v - nu v||_B for the B-unit Ritz vector v. Iterations stop on it
+(relative tolerance 1e-10 by default) and are capped; hitting the cap
+raises, carrying the last estimate as the quantity the function returns.
+Start vectors are seeded, so all reported numbers are reproducible.
 
 The extremes m_-^2 <= m_+^2 of M (the norm-equivalence constant m_+/m_-)
 need care at the top, where the P1 mass spectrum clusters and Lanczos on
@@ -57,14 +49,13 @@ less separated than the top of M, so the value of sigma affects only the
 iteration count, never correctness. m_-^2 is 1/lambda_max(M^{-1})
 through the factor of M.
 
-Conjugations never form L^{-1} explicitly. Solves go through sparse
-factorizations under one fill-reducing ordering (minimum degree on the
-pattern of A^T + A): complex LU for A, and for D and M a Cholesky-type
-factorization P D P^T = L_0 U_0 of the symmetrically permuted matrix,
-with U_0 = diag(pivots) L_0^T, so L above stands for P^T L_0
-diag(sqrt(pivots)). Complex vectors against the real factors are
-handled as two real columns, and products with the real D, M, L and L^T
-as their real and imaginary parts, with no complex copy of the matrix.
+Solves go through SuperLU factorizations in symmetric mode under one
+fill-reducing ordering (minimum degree on the pattern of A^T + A):
+complex LU for A, and for D and M an LDL^T-type factorization
+P D P^T = L_0 U_0 certified SPD by its pivots (:func:`gram_factor`).
+Complex vectors against the real factors are solved as two real
+columns, and products with the real D and M take their real and
+imaginary parts, with no complex copy of the matrix.
 
 A Galerkin Helmholtz matrix is complex symmetric, A^T = A, and an LU
 factor tests that once, exactly (no entry of A - A^T is nonzero). Its
@@ -77,6 +68,7 @@ asked.
 
 from __future__ import annotations
 
+import gc
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -84,6 +76,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -105,6 +98,10 @@ _MODES = ("D", "D_inv", "euclid")
 # numbered 2D meshes the natural order fills the whole band: this ordering
 # cuts the factor fill of D, M and A there by more than half.
 _FILL_ORDERING = "MMD_AT_PLUS_A"
+# SuperLU's symmetric mode: at the default threshold a diagonal pivot is
+# taken only when it is the largest of its column, so partial pivoting is
+# kept, and the fill of a 2D Helmholtz A drops by 5-19% (n = 1,681-9,409).
+_SYMMETRIC_MODE = {"SymmetricMode": True}
 
 
 def _square_csc(X) -> sp.csc_matrix:
@@ -157,14 +154,16 @@ def lu_factor(A, dtype=complex, **options) -> LUFactor:
 
     The package's only call into SuperLU: A is cast to ``dtype`` (system
     solves take complex right-hand sides), its columns are ordered by
-    minimum degree on the pattern of A^T + A, and ``options`` pass through
-    to ``splu``. An exactly singular matrix raises SingularSystemError.
+    minimum degree on the pattern of A^T + A, SuperLU runs in symmetric
+    mode, and ``options`` pass through to ``splu``. An exactly singular
+    matrix raises SingularSystemError.
     """
     if isinstance(A, LUFactor):
         return A
     Ac = _square_csc(A).astype(dtype, copy=False)
     try:
-        return LUFactor(Ac, spla.splu(Ac, permc_spec=_FILL_ORDERING, **options))
+        return LUFactor(Ac, spla.splu(Ac, permc_spec=_FILL_ORDERING,
+                                      options=_SYMMETRIC_MODE, **options))
     except RuntimeError as exc:
         if "singular" in str(exc).lower():
             raise SingularSystemError("matrix is exactly singular") from exc
@@ -182,41 +181,15 @@ def _real_product(X, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GramFactor(LUFactor):
-    """Cholesky factorization D = L L^T of a real SPD matrix D = ``A``.
+    """Certified factorization of a real SPD matrix D = ``A``.
 
-    ``solve`` applies D^{-1} to real or complex vectors, ``factor_mul``
-    applies L or L^T, and ``norm`` evaluates the induced vector norm
-    sqrt(v* D v). L = P^T L_0 diag(sqrt(pivots)) comes from the SuperLU
-    factorization P D P^T = L_0 U_0 that :func:`gram_factor` certified
-    (rows permuted like columns, positive pivots), so L is lower
-    triangular up to the symmetric permutation P.
+    ``solve`` applies D^{-1} to real or complex vectors, ``apply`` applies
+    D, and ``norm`` evaluates the induced vector norm sqrt(v* D v).
     """
 
     @property
     def D(self) -> sp.csc_matrix:
         return self.A
-
-    @cached_property
-    def cholesky(self) -> sp.csc_matrix:
-        """The real factor L of D = L L^T, built once, on first use, from the
-        existing factorization: no new factorization, one stored copy."""
-        lu = self.superlu
-        root = np.sqrt(lu.U.diagonal().real)
-        L0 = lu.L  # a fresh copy on every access, so scaling it in place is safe
-        L0.data *= np.repeat(root, np.diff(L0.indptr))
-        # P^T moves row perm_c[i] of L_0 diag(sqrt(pivots)) to row i
-        rows = np.empty_like(lu.perm_c)
-        rows[lu.perm_c] = np.arange(self.n, dtype=rows.dtype)
-        return sp.csc_matrix((L0.data, rows[L0.indices], L0.indptr), shape=L0.shape)
-
-    @cached_property
-    def _cholesky_T(self) -> sp.csr_matrix:
-        # L^T as the CSR view of L: it shares L's arrays, so no second copy
-        return self.cholesky.T
-
-    def factor_mul(self, x: np.ndarray, trans: str = "N") -> np.ndarray:
-        """L x, or L^T x for ``trans="T"``."""
-        return _real_product(self.cholesky if trans == "N" else self._cholesky_T, x)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return _real_product(self.A, x)
@@ -237,16 +210,15 @@ class GramFactor(LUFactor):
 
 
 def gram_factor(D) -> GramFactor:
-    """Factor a real symmetric positive definite matrix as D = L L^T.
+    """Factor a real symmetric positive definite matrix, certifying it SPD.
 
     P is the fill-reducing symmetric permutation of :func:`lu_factor`.
-    SuperLU runs in symmetric mode with diagonal pivots only, so rows
-    are permuted like columns unless a diagonal pivot is exactly zero;
-    for SPD input the result P D P^T = L_0 U_0 is the Cholesky
-    factorization of P D P^T once L_0 is scaled by the square root of
-    each pivot (:attr:`GramFactor.cholesky`). Non-SPD input surfaces
-    as a row interchange that differs from the column permutation or as
-    a non-positive pivot. An existing Gram factor is returned unchanged.
+    SuperLU takes diagonal pivots only, so rows are permuted like columns
+    unless a diagonal pivot is exactly zero; for SPD input the result
+    P D P^T = L_0 U_0 is an LDL^T factorization with positive pivots.
+    Non-SPD input surfaces as a row interchange that differs from the
+    column permutation or as a non-positive pivot. An existing Gram
+    factor is returned unchanged.
     """
     if isinstance(D, GramFactor):
         return D
@@ -259,8 +231,7 @@ def gram_factor(D) -> GramFactor:
     if not nearly_equal(Dc, Dc.T, 1e-12):
         raise InvalidArgumentError("gram_factor needs a symmetric matrix")
     try:
-        f = lu_factor(Dc, dtype=float, diag_pivot_thresh=0.0,
-                      options={"SymmetricMode": True})
+        f = lu_factor(Dc, dtype=float, diag_pivot_thresh=0.0)
     except SingularSystemError as exc:
         raise NotPositiveDefiniteError(f"factorization failed: {exc}") from exc
     lu = f.superlu
@@ -335,69 +306,86 @@ _NCV = 15
 
 
 class _ZeroOperator(Exception):
-    """The operator annihilated ARPACK's start vector."""
+    """The operator annihilated the first vector ARPACK gave it."""
+
+
+def _never_applied(x):
+    raise AssertionError("shift-invert mode never applies A")
 
 
 def _pencil_lambda_max(
-    apply_x: Callable[[np.ndarray], np.ndarray],
+    apply_w: Callable[[np.ndarray], np.ndarray],
     n: int,
     tol: float,
     max_it: int,
     seed: int,
     dtype=complex,
+    b=None,
 ) -> tuple[float, int, float]:
-    """Top eigenvalue of the Hermitian PSD operator X applied by ``apply_x``.
+    """Top eigenvalue nu of W B, for the Hermitian PSD operator W applied by
+    ``apply_w`` and the Hermitian PD matrix ``b`` (None for B = I).
 
-    ARPACK Lanczos in standard mode from a seeded start vector; plain
-    power iteration cannot be used here because the extreme eigenvalues
-    of finite-element mass and Gram matrices cluster, which stalls
-    single-vector iterations. Weighted problems reach this function
-    already conjugated by a Cholesky factor, so there is no B-operator.
-    ``dtype=float`` runs a real symmetric X from a real start vector.
-    Returns (lambda, operator applications, residual ||X v - lambda v||_2
-    of the unit Ritz vector v). Hitting the cap raises, carrying the last
-    Ritz value of X itself; callers convert it with :func:`_estimate_as`.
+    ARPACK's shift-invert mode at sigma = 0, given OPinv = W and M = B,
+    runs Lanczos on W B in the B inner product from a seeded start vector
+    (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998, mode 3),
+    never applies its A, and reports 1/nu. Power iteration would stall on
+    the clustered extremes of finite-element mass and Gram matrices.
+    ``dtype=float`` runs a real symmetric W from a real start vector.
+    Returns (nu, applications of W, residual ||W B v - nu v||_B of the
+    B-unit Ritz vector v). Hitting the cap raises, carrying the last Ritz
+    value nu; callers convert it with :func:`_estimate_as`.
 
-    ARPACK's first application is to the seeded start vector itself; when
-    it returns exactly zero, X annihilates a random vector, so the PSD
+    When W maps the first vector it is given (the start vector, or B
+    times it) to exactly zero, it annihilates a random vector, so the PSD
     operator's top is zero and (0.0, 1, 0.0) is returned at once. Other
-    runs take ARPACK's applications plus one for the residual.
+    runs take ARPACK's applications of W plus one for the residual.
 
     The basis size ncv is also the restart length: ARPACK tests
-    convergence only once it has built ncv vectors (Lehoucq, Sorensen &
-    Yang, ARPACK Users' Guide, SIAM 1998), so a run ends only at the end
-    of a restart cycle (at ncv = 20, most runs took 21 or 31
-    applications), and a larger basis can overshoot convergence. ncv =
-    15 gave the fewest LU solves over the three benchmark workloads
-    (verify2d, sweep2d, sweep1d, seed 0) among ncv = 12..20: 3,643 in all
-    (375 / 1,193 / 2,075), against 3,682 at 14, 3,686 at 16 and 3,844 at 20.
+    convergence only once it has built ncv vectors, so a run ends only at
+    the end of a restart cycle, and a larger basis can overshoot
+    convergence. ncv = 15 gave the fewest LU solves over the three
+    benchmark workloads among ncv = 12..20 (seed 0, measured when the
+    eigensolves ran in standard mode): 3,643 in all, against 3,682 at 14,
+    3,686 at 16 and 3,844 at 20.
     """
     if n <= _DENSE_PENCIL_N:
         eye = np.eye(n, dtype=dtype)
-        X = np.column_stack([apply_x(eye[:, j]) for j in range(n)])
-        vals = np.linalg.eigvalsh(0.5 * (X + X.conj().T))
+        W = np.column_stack([apply_w(eye[:, j]) for j in range(n)])
+        W = 0.5 * (W + W.conj().T)
+        B = np.eye(n) if b is None else sp.csr_matrix(b).toarray()
+        vals = sla.eigh(B @ W @ B, B, eigvals_only=True)
         return max(float(vals[-1]), 0.0), n, 0.0
 
-    counter = {"n": 0}
+    count = 0
 
-    def counted_x(v):
-        counter["n"] += 1
-        y = apply_x(v)
-        if counter["n"] == 1 and not np.any(y):
+    def counted_w(v):
+        nonlocal count
+        count += 1
+        y = apply_w(v)
+        if count == 1 and not np.any(y):
             raise _ZeroOperator
         return y
+
+    def apply_b(x):
+        return x if b is None else _real_product(b, x)
 
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
     if np.dtype(dtype).kind == "c":
         v0 = v0 + 1j * rng.standard_normal(n)
     ncv = min(n, _NCV)
-    x_op = spla.LinearOperator((n, n), matvec=counted_x, dtype=dtype)
+
+    def operator(matvec):
+        return spla.LinearOperator((n, n), matvec=matvec, dtype=dtype)
+
     try:
         vals, vecs = spla.eigsh(
-            x_op,
+            operator(_never_applied),
             k=1,
-            which="LA",
+            sigma=0.0,
+            OPinv=operator(counted_w),
+            M=None if b is None else operator(apply_b),
+            which="LM",
             v0=v0,
             ncv=ncv,
             tol=tol,
@@ -408,14 +396,23 @@ def _pencil_lambda_max(
     except spla.ArpackNoConvergence as exc:
         raise NoConvergenceError(
             f"eigensolver did not reach tolerance {tol:g} within the "
-            f"iteration cap ({counter['n']} operator applications)",
-            estimate=float(exc.eigenvalues[-1]) if len(exc.eigenvalues) else None,
-            iterations=counter["n"],
+            f"iteration cap ({count} operator applications)",
+            estimate=1.0 / float(exc.eigenvalues[-1]) if len(exc.eigenvalues) else None,
+            iterations=count,
         ) from exc
-    lam = max(float(vals[0]), 0.0)
-    v = vecs[:, 0]  # unit norm
-    res = float(np.linalg.norm(apply_x(v) - lam * v))
-    return lam, counter["n"], res
+    finally:
+        # SciPy's complex ARPACK driver keeps its workspace in a reference
+        # cycle when it has a B-operator (its OP is a lambda that holds the
+        # driver itself). Without this collection of the young generations
+        # (0.7 MiB per run at n = 2,401) each workspace waits for a full
+        # collection, and the 2D benchmark sweep peaked 6-16 MiB higher.
+        gc.collect(1)
+    nu = max(1.0 / float(vals[0]), 0.0)
+    v = vecs[:, 0]
+    bv = apply_b(v)
+    r = apply_w(bv) - nu * v  # the residual of v, scaled below to a B-unit v
+    res = math.sqrt(max(np.vdot(r, apply_b(r)).real, 0.0) / np.vdot(v, bv).real)
+    return nu, count, res
 
 
 @contextmanager
@@ -431,17 +428,27 @@ def _estimate_as(convert: Callable[[float], Optional[float]]):
 
 
 def _sigma_max(
-    apply_normal: Callable[[np.ndarray], np.ndarray],
+    apply_w: Callable[[np.ndarray], np.ndarray],
     n: int,
     tol: float,
     max_it: int,
     seed: int,
+    b=None,
 ) -> tuple[float, int, float]:
-    """Largest singular value of T from its normal operator T^H T:
-    (sigma, operator applications, eigenvalue residual)."""
-    with _estimate_as(lambda lam: math.sqrt(max(lam, 0.0))):
-        lam, it, res = _pencil_lambda_max(apply_normal, n, tol, max_it, seed)
-    return math.sqrt(lam), it, res
+    """Largest singular value sigma of an operator whose sigma^2 is the top
+    eigenvalue of W B (see :func:`_pencil_lambda_max`): (sigma, operator
+    applications, eigenvalue residual)."""
+    with _estimate_as(lambda nu: math.sqrt(max(nu, 0.0))):
+        nu, it, res = _pencil_lambda_max(apply_w, n, tol, max_it, seed, b=b)
+    return math.sqrt(nu), it, res
+
+
+def _norm_matrix(X, n: int) -> sp.spmatrix:
+    """The n x n matrix of a norm, given as a matrix or its :class:`GramFactor`."""
+    X = X.D if isinstance(X, GramFactor) else sp.csr_matrix(X)
+    if X.shape != (n, n):
+        raise InvalidArgumentError(f"norm matrix of shape {X.shape}, expected {(n, n)}")
+    return X
 
 
 def weighted_operator_norm(
@@ -458,63 +465,55 @@ def weighted_operator_norm(
     ``matvec`` and ``rmatvec`` (the adjoint is required: the norm is a
     largest singular value, computed through the normal operator).
     ``mode`` selects 'D', 'D_inv', or 'euclid'; the Gram factor is
-    ignored for 'euclid'. The weighted modes make one D solve per
-    operator application.
+    ignored for 'euclid'. The weighted modes make one D solve and one
+    product with D per operator application.
     """
     if mode not in _MODES:
         raise InvalidArgumentError(f"mode must be one of {_MODES}, got {mode!r}")
     op = spla.aslinearoperator(op)
     mv, rmv, n = op.matvec, op.rmatvec, op.shape[0]
     if mode == "euclid":
-        apply_normal = lambda v: rmv(mv(v))
-    elif gram is None:
+        return _sigma_max(lambda v: rmv(mv(v)), n, tol, max_it, seed)[0]
+    if gram is None:
         raise InvalidArgumentError(f"mode {mode!r} requires a Gram factor")
-    elif gram.n != n:
+    if gram.n != n:
         raise InvalidArgumentError(f"operator dim {n} != Gram factor dim {gram.n}")
-    else:
-        # ||C||_{D^{-1}}^2 = lambda_max(L^T C^H D^{-1} C L), and
-        # ||C||_D = ||C^H||_{D^{-1}}: lambda_max(L^T C D^{-1} C^H L)
-        first, then = (rmv, mv) if mode == "D" else (mv, rmv)
-        apply_normal = lambda v: gram.factor_mul(
-            then(gram.solve(first(gram.factor_mul(v)))), "T"
-        )
-    return _sigma_max(apply_normal, n, tol, max_it, seed)[0]
+    # ||C||_{D^{-1}}^2 = lambda_max(C^H D^{-1} C D), and ||C||_D = ||C^H||_{D^{-1}}:
+    # lambda_max(C D^{-1} C^H D)
+    first, then = (rmv, mv) if mode == "D" else (mv, rmv)
+    apply_w = lambda v: then(gram.solve(first(v)))
+    return _sigma_max(apply_w, n, tol, max_it, seed, b=gram.D)[0]
 
 
-def _solution_normal(lu: LUFactor, right: GramFactor, mid: Callable):
-    """The normal operator R^T A^{-H} W A^{-1} R of W^{1/2} A^{-1} R, for
-    the factor R of ``right`` and W applied by ``mid``."""
-    return lambda v: right.factor_mul(
-        lu.solve(mid(lu.solve(right.factor_mul(v))), trans="H"), "T"
-    )
+def _solution_normal(lu: LUFactor, mid) -> Callable[[np.ndarray], np.ndarray]:
+    """W = A^{-H} X A^{-1} for the norm matrix X = ``mid``."""
+    return lambda v: lu.solve(_real_product(mid, lu.solve(v)), trans="H")
 
 
 def discrete_inf_sup(
     A,
-    gram: GramFactor,
+    D,
     tol: float = DEFAULT_TOL,
     max_it: int = DEFAULT_MAXIT,
     seed: int = DEFAULT_SEED,
 ) -> InfSupReport:
     """Discrete inf-sup constant sigma_min(L^{-1} A L^{-T}) of a system.
 
-    Computed as the reciprocal of C_dis = ||L^T A^{-1} L||_2 through the
-    LU factors of A (``A`` may be a matrix or its :class:`LUFactor`) and
-    products with L and D; an exactly singular A yields gamma = 0 (a
-    legitimate outcome near discrete eigenvalues), not an exception. A
-    NoConvergenceError carries the estimate of C_dis.
+    Computed as the reciprocal of C_dis = ||L^T A^{-1} L||_2, the square
+    root of the top eigenvalue of A^{-H} D A^{-1} D in the D inner
+    product, through the LU factors of A (``A`` may be a matrix or its
+    :class:`LUFactor`) and products with D (a matrix or its
+    :class:`GramFactor`; D is never factored here). An exactly singular A
+    yields gamma = 0 (a legitimate outcome near discrete eigenvalues), not
+    an exception. A NoConvergenceError carries the estimate of C_dis.
     """
     try:
         lu = lu_factor(A)
     except SingularSystemError:
         return SINGULAR_INF_SUP
     n = lu.n
-    if gram.n != n:
-        raise InvalidArgumentError("A and Gram factor dimensions disagree")
-    # C_dis^2 = lambda_max(L^T A^{-H} D A^{-1} L)
-    c_dis, it, res = _sigma_max(
-        _solution_normal(lu, gram, gram.apply), n, tol, max_it, seed
-    )
+    D = _norm_matrix(D, n)
+    c_dis, it, res = _sigma_max(_solution_normal(lu, D), n, tol, max_it, seed, b=D)
     if c_dis == 0.0:
         return InfSupReport(
             gamma=0.0, c_dis=math.inf, iterations=it, residual=res, singular=True
@@ -545,8 +544,8 @@ def mass_extremes(
     fails the certificate means sigma I - M is singular to working
     precision, so sigma is itself the top eigenvalue (as when every row
     sum is equal). lambda_min is 1/lambda_max(M^{-1}) through the factor
-    of M. Both eigensolves are real standard-mode Lanczos runs; the
-    shifted factor is not kept. A NoConvergenceError carries the estimate
+    of M. Both eigensolves are real Lanczos runs with B = I; the shifted
+    factor is not kept. A NoConvergenceError carries the estimate
     of m_+^2 or of m_-^2, whichever eigensolve stopped.
     """
     g = gram_factor(M)  # also certifies SPD
@@ -571,30 +570,24 @@ def mass_extremes(
 
 def solution_operator_norms(
     A,
-    gram_d: GramFactor,
-    gram_m: GramFactor,
+    D,
+    M,
     tol: float = DEFAULT_TOL,
     max_it: int = DEFAULT_MAXIT,
     seed: int = DEFAULT_SEED,
 ) -> SolutionOperatorNorms:
     """The two M-weighted discrete solution-operator norms of A^{-1}.
 
-    ||L^T A^{-1} R||_2 and ||R^T A^{-1} R||_2 for D = L L^T and M = R R^T;
-    ``A`` may be a matrix or its :class:`LUFactor`. Each takes solves with
-    A and products with R, D or M only. The third norm of the chain,
-    ||L^T A^{-1} L||_2, is C_dis of :func:`discrete_inf_sup`. Raises on
-    singular A.
+    ||L^T A^{-1} R||_2 and ||R^T A^{-1} R||_2 for D = L L^T and M = R R^T:
+    the roots of the top eigenvalues of A^{-H} D A^{-1} M and A^{-H} M
+    A^{-1} M, through solves with A (a matrix or its :class:`LUFactor`)
+    and products with D and M (matrices or their :class:`GramFactor`).
+    The third norm of the chain, ||L^T A^{-1} L||_2, is C_dis of
+    :func:`discrete_inf_sup`. Raises on singular A.
     """
     lu = lu_factor(A)
     n = lu.n
-    if gram_d.n != n or gram_m.n != n:
-        raise InvalidArgumentError("Gram factor dimensions disagree with A")
-    # ||L^T A^{-1} R||^2 = lambda_max(R^T A^{-H} D A^{-1} R)
-    h0_to_h, _, _ = _sigma_max(
-        _solution_normal(lu, gram_m, gram_d.apply), n, tol, max_it, seed
-    )
-    # ||R^T A^{-1} R||^2 = lambda_max(R^T A^{-H} M A^{-1} R)
-    h0_to_h0, _, _ = _sigma_max(
-        _solution_normal(lu, gram_m, gram_m.apply), n, tol, max_it, seed
-    )
+    D, M = _norm_matrix(D, n), _norm_matrix(M, n)
+    h0_to_h, _, _ = _sigma_max(_solution_normal(lu, D), n, tol, max_it, seed, b=M)
+    h0_to_h0, _, _ = _sigma_max(_solution_normal(lu, M), n, tol, max_it, seed, b=M)
     return SolutionOperatorNorms(h0_to_h=h0_to_h, h0_to_h0=h0_to_h0)

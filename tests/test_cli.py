@@ -90,6 +90,10 @@ def _step(axis):
     return {"type": "step", "axis": axis, "threshold": 0.5, "below": 1, "above": 2}
 
 
+def _pml(start):
+    return {"type": "pml", "start": start, "sigma0": 3}
+
+
 PLANE = {"dimension": 2, "resolution": {"type": "elements", "n": 4}}
 
 
@@ -165,6 +169,13 @@ PLANE = {"dimension": 2, "resolution": {"type": "elements", "n": 4}}
     ({"problem": {"domain": [1.0, 0.0]}}, "problem.domain"),
     ({"problem": dict(PLANE, domain=[1.0, 0.0])}, "problem.domain"),
     ({"problem": dict(PLANE, domain=[-1.0, 1.0])}, "problem.domain"),
+    ({"problem": dict(PLANE, eps=_pml(0.5))}, "problem.eps.start"),
+    ({"problem": {"mu_inv": _pml(3.0)}}, "problem.mu_inv.start"),
+    ({"problem": {"eps": _pml(1.0)}}, "problem.eps.start"),
+    ({"problem": {"eps": _pml(-0.5)}}, "problem.eps.start"),
+    ({"perturbation": {"mode": "nearby", "eps": _pml(1.5)}}, "perturbation.eps.start"),
+    ({"problem": PLANE, "perturbation": {"mode": "nearby", "mu_inv": _pml(0.5)}},
+     "perturbation.mu_inv.start"),
 ], ids=["elements", "per_k", "k_power", "n", "step", "pml", "constant", "value", "k",
         "theta", "axis_3", "axis_negative", "axis_1d", "perturbation_axis", "ladder",
         "k_values", "k_values_text", "alpha_values", "boundary", "garding", "solver", "perturbation",
@@ -176,7 +187,9 @@ PLANE = {"dimension": 2, "resolution": {"type": "elements", "n": 4}}
         "value_text", "dimension_bool", "schema_version_bool", "theta_zero", "theta_negative",
         "n_zero", "n_negative", "factor_zero", "sweep_factor_negative", "scale_zero",
         "sigma0_negative", "k_values_negative", "k_values_zero", "domain_reversed",
-        "domain_side_zero", "domain_side_negative"])
+        "domain_side_zero", "domain_side_negative", "pml_2d", "pml_start_beyond",
+        "pml_start_at_end", "pml_start_before", "perturbation_pml_start",
+        "perturbation_pml_2d"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, extra, where):
     path = write_cfg(tmp_path, extra)
     with pytest.raises(ConfigError) as exc:
@@ -302,8 +315,9 @@ def test_each_matrix_factored_once(tmp_path, splu_calls):
     """verify factors D, M, A1 and A2 once each, plus the transient shifted
     mass matrix sigma I - M of ``mass_extremes``; a sweep factors the first
     four of them once per k and only A2 per (k, alpha) point, and its ladder
-    factors only each k's reference rung (D and A): the working rung is the
-    sweep's own system."""
+    factors only the A of each k's reference rung: the working rung is the
+    sweep's own system, and an inf-sup constant takes products with D, not
+    its factor."""
     path = write_cfg(tmp_path, LADDER)
     assert cmd_verify(path, out_dir=str(tmp_path / "v")).exit_status == 0
     assert len(splu_calls) == 5
@@ -311,8 +325,8 @@ def test_each_matrix_factored_once(tmp_path, splu_calls):
     splu_calls.clear()
     res = cmd_sweep(path, out_dir=str(tmp_path / "s"))
     assert len(res.summaries) == 6 + 2  # 2 k-values x 3 alphas, 2 ladder rungs
-    assert len(splu_calls) == 2 * (4 + 3) + 2 * 2
-    assert _factor_kinds(splu_calls) == {"f": 2 * 3 + 2, "c": 2 * (1 + 3) + 2}
+    assert len(splu_calls) == 2 * (4 + 3) + 2 * 1
+    assert _factor_kinds(splu_calls) == {"f": 2 * 3, "c": 2 * (1 + 3) + 2}
 
 
 def test_eigensolves_per_command(tmp_path, pencil_calls):
@@ -331,34 +345,48 @@ def test_eigensolves_per_command(tmp_path, pencil_calls):
     assert pencil_calls[-2:] == [121, 121]
 
 
-def test_eigensolves_run_in_standard_mode(tmp_path, monkeypatch):
-    """No eigsh call takes a B-operator (M, Minv) or a shift: the inf-sup
-    constant and the solution-operator norms make no Gram-factor solve,
-    and a D-weighted operator norm makes one per operator application."""
+def test_eigensolves_run_in_shift_invert_mode(tmp_path, monkeypatch):
+    """Every eigsh call is ARPACK's shift-invert mode at sigma = 0 with
+    OPinv = W, and its M is the norm matrix B exactly when the eigensolve
+    has one: always for the inf-sup constant and the solution-operator
+    norms, which make no Gram-factor solve, never for the mass extremes. A
+    D-weighted operator norm makes one Gram-factor solve per application."""
+    import inspect
+
     from conftest import rebind_everywhere
 
     from helmprec import numerics
 
-    eigsh_kwargs, scope = [], []
+    eigsh_calls, scope, weighted = [], [], []
     solves, applies = Counter(), Counter()
     eigsh = numerics.spla.eigsh
     gram_solve = numerics.GramFactor.solve
     pencil = numerics._pencil_lambda_max
+    signature = inspect.signature(pencil)
 
     def recording_eigsh(*args, **kwargs):
-        assert len(args) == 1  # the operator; k, M, sigma, ... not positionally
-        eigsh_kwargs.append(kwargs)
+        assert len(args) == 1  # the unused A; k, M, sigma, ... not positionally
+        eigsh_calls.append((scope[-1], weighted[-1], kwargs))
         return eigsh(*args, **kwargs)
 
     def counting_solve(self, *args, **kwargs):
         solves[scope[-1] if scope else None] += 1
         return gram_solve(self, *args, **kwargs)
 
-    def counting_pencil(apply_x, *args, **kwargs):
+    def counting_pencil(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs).arguments
+        key = (scope[-1], bound.get("b") is not None)
+        apply_w = bound.pop("apply_w")
+
         def counted(v):
-            applies[scope[-1] if scope else None] += 1
-            return apply_x(v)
-        return pencil(counted, *args, **kwargs)
+            applies[key] += 1
+            return apply_w(v)
+
+        weighted.append(key[1])
+        try:
+            return pencil(counted, **bound)
+        finally:
+            weighted.pop()
 
     def scoped(fn):
         def run(*args, **kwargs):
@@ -373,7 +401,7 @@ def test_eigensolves_run_in_standard_mode(tmp_path, monkeypatch):
     monkeypatch.setattr(numerics.GramFactor, "solve", counting_solve)
     rebind_everywhere(monkeypatch, pencil, counting_pencil)
     for fn in (numerics.discrete_inf_sup, numerics.solution_operator_norms,
-               numerics.weighted_operator_norm):
+               numerics.weighted_operator_norm, numerics.mass_extremes):
         rebind_everywhere(monkeypatch, fn, scoped(fn))
 
     path = write_cfg(tmp_path, {
@@ -383,12 +411,19 @@ def test_eigensolves_run_in_standard_mode(tmp_path, monkeypatch):
     })
     assert cmd_verify(path, out_dir=str(tmp_path / "v")).exit_status == 0
     assert cmd_sweep(path, out_dir=str(tmp_path / "s")).exit_status == 0
-    assert eigsh_kwargs
-    for kwargs in eigsh_kwargs:
-        assert not {"M", "Minv", "sigma", "OPinv"} & set(kwargs), sorted(kwargs)
+    assert {name for name, _, _ in eigsh_calls} == {
+        "discrete_inf_sup", "solution_operator_norms", "weighted_operator_norm",
+        "mass_extremes"}
+    for name, has_b, kwargs in eigsh_calls:
+        assert kwargs["sigma"] == 0.0 and kwargs["which"] == "LM", name
+        assert kwargs["OPinv"] is not None and "Minv" not in kwargs, name
+        assert (kwargs.get("M") is not None) == has_b, name
     for name in ("discrete_inf_sup", "solution_operator_norms"):
-        assert applies[name] > 0 and solves[name] == 0, name
-    assert 0 < solves["weighted_operator_norm"] <= applies["weighted_operator_norm"]
+        assert applies[name, True] > 0 and applies[name, False] == 0, name
+        assert solves[name] == 0, name
+    assert applies["mass_extremes", True] == 0
+    assert applies["weighted_operator_norm", False] > 0  # the Euclidean norms
+    assert solves["weighted_operator_norm"] == applies["weighted_operator_norm", True] > 0
 
 
 def test_import_factors_each_matrix_once(tmp_path, splu_calls):

@@ -48,16 +48,20 @@ def test_missing_mandatory_named():
         read_config("{}")
 
 
-# Every rule type but elements (the verify2d workload has it), and the keys
-# whose defaults are filled in. Read only: pml is a 1D rule.
+# Every rule type but elements (the verify2d workload has it) and pml (a 1D
+# rule, in PML_RULE), and the keys whose defaults are filled in.
 EVERY_RULE = json.dumps({
     "problem": {"dimension": 2, "k": 6, "domain": [2, 1], "boundary": {"left": "dirichlet"},
                 "resolution": {"type": "k_power", "exponent": 1.5},
                 "mu_inv": {"type": "step", "axis": 1, "threshold": 0.5, "below": 1,
                            "above": [2, 0.5]},
                 "garding": {"c_g1": 1, "c_g2": 2}},
-    "perturbation": {"mode": "nearby", "eps": {"type": "pml", "start": 0.5, "sigma0": 3}},
+    "perturbation": {"mode": "nearby", "eps": {"type": "constant", "value": 3}},
     "sweep": {"resolution": {"type": "per_k", "factor": 3}, "ladder": {}},
+})
+PML_RULE = json.dumps({
+    "problem": {"dimension": 1, "k": 6, "domain": [-1, 1]},
+    "perturbation": {"mode": "nearby", "eps": {"type": "pml", "start": 0.5, "sigma0": 3}},
 })
 
 
@@ -66,7 +70,7 @@ def test_config_roundtrip_identity():
     the minimal config, every rule type and the benchmark workloads."""
     workloads = sorted(Path(__file__).parents[1].glob("bench/workloads/*.json"))
     assert len(workloads) == 3
-    for text in [MINIMAL, EVERY_RULE] + [p.read_text() for p in workloads]:
+    for text in [MINIMAL, EVERY_RULE, PML_RULE] + [p.read_text() for p in workloads]:
         cfg = read_config(text)
         assert read_config(json.dumps(cfg.data)).data == cfg.data
     every = read_config(EVERY_RULE).data
