@@ -1,34 +1,42 @@
 """Galerkin assembly for continuous piecewise-linear elements.
 
 For a problem with wavenumber k, coefficients (mu^{-1}, eps), and
-impedance weight theta, the assembled complex matrices are
+impedance weight theta, the assembled complex system matrix is
 
+    A = S + B - M_eps,
     S      weighted stiffness,   S_ij = k^{-2} (mu^{-1} grad phi_j, grad phi_i),
     B      impedance boundary,   B_ij = -i k^{-1} (theta phi_j, phi_i)_boundary,
     M_eps  weighted mass,        (M_eps)_ij = (eps phi_j, phi_i),
-    A      = S + B - M_eps,
 
-together with the real SPD pair
+with the real SPD pair D = k^{-2} K + M (K the unweighted stiffness, M
+the plain mass): the squared energy norm ||k^{-1} grad v||^2 + ||v||^2
+of a finite-element function is V* D V for its coefficient vector V.
+Element integrals are closed-form. Dirichlet rows and columns are never
+assembled, which keeps D and M SPD on the free set.
 
-    D = k^{-2} K + M   (K the unweighted stiffness, M the plain mass),
-
-so that the squared energy norm ||k^{-1} grad v||^2 + ||v||^2 of a
-finite-element function equals V* D V for its coefficient vector V.
-All element integrals are closed-form (exact for affine elements and
-piecewise-constant coefficients). Dirichlet dofs are eliminated by
-symmetric row/column deletion, which keeps D and M SPD on the free set.
+A mesh is its grid, so its elements have at most two orientations: in
+1D a segment of length h, in 2D a cell's lower-right triangle (even
+element index) and upper-left one (odd), right triangles with legs dx
+and dy. The local matrices are computed per orientation. A mesh's first
+assembly builds its free-dof CSR pattern, with the data slot of every
+element entry, K, M and the impedance boundary mass, which live as long
+as the mesh. A is then one scatter of the element entries of S - M_eps
+plus the boundary term, and D is arithmetic on data arrays. A, D and M
+share the pattern's index arrays, and the systems on one mesh and k
+share D and M, so a pair's perturbed system stores only its A.
 
 Every system is a :class:`MatrixSystem`: one system matrix A with the
 norm matrices D and M, owning their factors and the quantities derived
-from them. An assembled :class:`GalerkinSystem` adds the parts of A and
-the problem it came from; a pair supplied as matrices (e.g. Maxwell
-edge-element matrices from another code) is two matrix systems on the
-same D and M, checked by :func:`validate_external`.
+from them. A :class:`GalerkinSystem` adds the problem it came from; a
+pair supplied as matrices (e.g. Maxwell edge-element matrices from
+another code) is two matrix systems on the same D and M, checked by
+:func:`validate_external`.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
@@ -165,10 +173,6 @@ class MatrixSystem:
 class GalerkinSystem(MatrixSystem):
     """Assembled matrices of one problem, restricted to free dofs."""
 
-    S: sp.csr_matrix
-    B: sp.csr_matrix
-    M_eps: sp.csr_matrix
-    free_nodes: np.ndarray
     spec: ProblemSpec
 
 
@@ -178,127 +182,135 @@ def _free_nodes(mesh: Mesh) -> np.ndarray:
     return np.flatnonzero(free)
 
 
-def _stiffness_entries(mesh: Mesh, mu: CoefficientField):
-    """COO pattern (rows, cols) and per-element values of the stiffness.
+def _orientations(mesh: Mesh) -> tuple[np.ndarray, float]:
+    """Barycentric gradients of the mesh's element orientations, shape
+    (orientations, nodes, dim), and the element measure. Element e has
+    orientation e % orientations."""
+    step = np.subtract(mesh.hi, mesh.lo) / mesh.cells
+    if mesh.dimension == 1:
+        (h,) = step
+        return np.array([[[-1 / h], [1 / h]]]), h
+    dx, dy = step
+    # the lower-right (ll, lr, ur) and the upper-left (ll, ur, ul) triangle
+    grads = np.array([[[-1 / dx, 0], [1 / dx, -1 / dy], [0, 1 / dy]],
+                      [[0, -1 / dy], [1 / dx, 0], [-1 / dx, 1 / dy]]])
+    return grads, dx * dy / 2
 
-    Returns the values of the unweighted stiffness K and of the
-    mu^{-1}-weighted one, each of shape (n_elements, nodes_per_el**2) so
-    they sum into matrices sharing one pattern.
+
+@dataclass(frozen=True, eq=False)
+class _GridPattern:
+    """The free-dof CSR pattern of one mesh and its coefficient-free matrices.
+
+    Entry (i, j) of element e, at flat position e * p^2 + i * p + j for p
+    nodes per element, adds to the data slot ``slots`` holds there; an
+    entry in a Dirichlet row or column goes to slot nnz, one past the end.
+    ``stiffness`` and ``mass`` are the local matrices per orientation,
+    flattened to (orientations, p^2); ``K`` is the data of the unweighted
+    stiffness and ``boundary`` the (slots, values) of the impedance
+    boundary mass with theta = 1.
     """
-    elems = mesh.elements
-    if mesh.dimension == 1:
-        h = mesh.element_measures()
-        local = np.array([1.0, -1.0, -1.0, 1.0])
-        rows = elems[:, [0, 0, 1, 1]]
-        cols = elems[:, [0, 1, 0, 1]]
-        kvals = local[None, :] / h[:, None]
-        wvals = (mu.values / h)[:, None] * local[None, :]
-        return rows.ravel(), cols.ravel(), kvals, wvals
-    pts = mesh.coords[elems]
-    area = mesh.element_measures()
-    # grad of barycentric i: ([y_{i+1}-y_{i+2}, x_{i+2}-x_{i+1}]) / (2 * signed area)
-    x, y = pts[:, :, 0], pts[:, :, 1]
-    sgn_area2 = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (
-        y[:, 1] - y[:, 0]
-    )
-    grads = np.empty((elems.shape[0], 3, 2))
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        grads[:, i, 0] = (y[:, j] - y[:, k]) / sgn_area2
-        grads[:, i, 1] = (x[:, k] - x[:, j]) / sgn_area2
-    kvals = np.einsum("eia,eja->eij", grads, grads) * area[:, None, None]
-    wvals = np.einsum("eia,eab,ejb->eij", grads, mu.as_matrix(), grads)
-    wvals *= area[:, None, None]
-    idx = np.arange(3)
-    rows = elems[:, np.repeat(idx, 3)]
-    cols = elems[:, np.tile(idx, 3)]
-    ne = len(elems)
-    return rows.ravel(), cols.ravel(), kvals.reshape(ne, 9), wvals.reshape(ne, 9)
+
+    grads: np.ndarray
+    measure: float
+    stiffness: np.ndarray
+    mass: np.ndarray
+    slots: np.ndarray
+    K: np.ndarray
+    M: sp.csr_matrix
+    boundary: tuple[np.ndarray, np.ndarray]
+    _d_at_k: dict
+
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+        """The matrix with these data on the pattern, sharing its index arrays."""
+        return sp.csr_matrix((data, self.M.indices, self.M.indptr), shape=self.M.shape)
+
+    def D(self, k: float) -> sp.csr_matrix:
+        """D = k^{-2} K + M, kept for the last k asked for."""
+        if k not in self._d_at_k:
+            self._d_at_k.clear()
+            self._d_at_k[k] = self.csr(k ** -2 * self.K + self.M.data)
+        return self._d_at_k[k]
 
 
-def _mass_entries(mesh: Mesh):
-    elems = mesh.elements
-    meas = mesh.element_measures()
-    if mesh.dimension == 1:
-        local = np.array([2.0, 1.0, 1.0, 2.0]) / 6.0
-        rows = elems[:, [0, 0, 1, 1]]
-        cols = elems[:, [0, 1, 0, 1]]
-    else:
-        local = np.array([2, 1, 1, 1, 2, 1, 1, 1, 2], dtype=float) / 12.0
-        idx = np.arange(3)
-        rows = elems[:, np.repeat(idx, 3)]
-        cols = elems[:, np.tile(idx, 3)]
-    vals = meas[:, None] * local[None, :]
-    return rows.ravel(), cols.ravel(), vals
+def _scatter(slots: np.ndarray, values: np.ndarray, nnz: int) -> np.ndarray:
+    """Data of the matrix whose element entries, in element order, are
+    ``values``: one bincount per real and imaginary part."""
+    if np.iscomplexobj(values):
+        data = np.empty(nnz, dtype=complex)
+        data.real = _scatter(slots, values.real, nnz)
+        data.imag = _scatter(slots, values.imag, nnz)
+        return data
+    return np.bincount(slots, values.ravel(), nnz + 1)[:nnz]
 
 
-def _boundary_entries(spec: ProblemSpec):
-    """COO entries of the theta-weighted boundary mass on impedance facets."""
-    mesh = spec.mesh
-    rows, cols, vals = [], [], []
-    theta = spec.theta
-    for f in mesh.facets:
-        if f.tag != BoundaryTag.IMPEDANCE:
-            continue
-        if mesh.dimension == 1:
-            (j,) = f.nodes
-            rows.append(j)
-            cols.append(j)
-            vals.append(theta)
-        else:
-            a, b = f.nodes
-            length = float(np.linalg.norm(mesh.coords[b] - mesh.coords[a]))
-            for (r, c, w) in (
-                (a, a, 2.0),
-                (a, b, 1.0),
-                (b, a, 1.0),
-                (b, b, 2.0),
-            ):
-                rows.append(r)
-                cols.append(c)
-                vals.append(theta * length * w / 6.0)
-    return np.array(rows, dtype=int), np.array(cols, dtype=int), np.array(vals)
+def _build_pattern(mesh: Mesh) -> _GridPattern:
+    free = _free_nodes(mesh)
+    nf = free.size
+    if nf == 0:
+        raise DegenerateSystemError("all dofs eliminated by Dirichlet conditions")
+    grads, measure = _orientations(mesh)
+    p = mesh.dimension + 1
+    stiffness = measure * np.einsum("oia,oja->oij", grads, grads).reshape(len(grads), -1)
+    # the P1 mass of a d-simplex T: |T| (1 + delta_ij) / ((d + 1)(d + 2))
+    mass = (measure / (p * (p + 1)) * (1 + np.eye(p))).reshape(1, -1)
+    dof = np.full(mesh.n_nodes, nf)  # nf marks a Dirichlet node
+    dof[free] = np.arange(nf)
+
+    def keys(nodes):  # row-major key of each entry (i, j), nf^2 if eliminated
+        rows, cols = np.repeat(nodes, nodes.shape[1], axis=1), np.tile(nodes, nodes.shape[1])
+        return np.where((rows < nf) & (cols < nf), rows * nf + cols, nf * nf).ravel()
+
+    pattern, slots = np.unique(keys(dof[mesh.elements]), return_inverse=True)
+    pattern = pattern[pattern < nf * nf]  # the eliminated key, if any, is last
+    shape = (mesh.n_elements // len(grads),) + stiffness.shape  # (cells, orientations, p^2)
+    K = _scatter(slots, np.broadcast_to(stiffness, shape), pattern.size)
+    M = _scatter(slots, np.broadcast_to(mass, shape), pattern.size)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(pattern // nf, minlength=nf))])
+    M = sp.csr_matrix((M, pattern % nf, indptr), shape=(nf, nf))
+
+    # impedance facets: the P1 mass of a (d-1)-simplex F, |F| (1 + delta_ij) / (d (d + 1))
+    d = mesh.dimension
+    facets = np.array([f.nodes for f in mesh.facets if f.tag == BoundaryTag.IMPEDANCE],
+                      dtype=int).reshape(-1, d)
+    size = np.ones(len(facets)) if d == 1 else np.linalg.norm(
+        mesh.coords[facets[:, 1]] - mesh.coords[facets[:, 0]], axis=1)
+    values = (size[:, None] * ((1 + np.eye(d)) / (d * (d + 1))).reshape(1, -1)).ravel()
+    key = keys(dof[facets])
+    kept = key < nf * nf
+    bslots, merged = np.unique(np.searchsorted(pattern, key[kept]), return_inverse=True)
+    boundary = (bslots, np.bincount(merged, values[kept], bslots.size))
+    return _GridPattern(grads, measure, stiffness, mass, slots, K, M, boundary, {})
 
 
-def _tocsr(rows, cols, vals, n, dtype):
-    return sp.coo_matrix(
-        (np.asarray(vals, dtype=dtype).ravel(), (rows, cols)), shape=(n, n)
-    ).tocsr()
+# One pattern per live mesh, freed with the mesh.
+_PATTERNS: "weakref.WeakKeyDictionary[Mesh, _GridPattern]" = weakref.WeakKeyDictionary()
+
+
+def _grid_pattern(mesh: Mesh) -> _GridPattern:
+    pattern = _PATTERNS.get(mesh)
+    if pattern is None:
+        pattern = _PATTERNS[mesh] = _build_pattern(mesh)
+    return pattern
 
 
 def assemble_system(spec: ProblemSpec) -> GalerkinSystem:
-    """Assemble all matrices of the problem and eliminate Dirichlet dofs."""
-    mesh = spec.mesh
-    nn = mesh.n_nodes
+    """Assemble A, D and M of the problem on its mesh's free dofs."""
+    pattern = _grid_pattern(spec.mesh)
     k2 = spec.k ** -2
-
-    rows_k, cols_k, kvals, wvals = _stiffness_entries(mesh, spec.mu_inv)
-    rows_m, cols_m, mvals = _mass_entries(mesh)
-
-    K = _tocsr(rows_k, cols_k, kvals, nn, float)
-    M = _tocsr(rows_m, cols_m, mvals, nn, float)
-    S = _tocsr(rows_k, cols_k, k2 * wvals, nn, complex)
-    M_eps = _tocsr(rows_m, cols_m, spec.eps.values[:, None] * mvals, nn, complex)
-
-    rows_b, cols_b, bvals = _boundary_entries(spec)
-    if rows_b.size:
-        B = _tocsr(rows_b, cols_b, (-1j / spec.k) * bvals.astype(complex), nn, complex)
+    no, p2 = pattern.stiffness.shape
+    mu = spec.mu_inv.values
+    # the element entries of S - M_eps, shape (cells, orientations, p^2)
+    if spec.mu_inv.is_matrix:
+        g = pattern.grads
+        values = np.einsum("oia,coab,ojb->coij", g, mu.reshape(-1, no, 2, 2), g)
+        values = values.reshape(-1, no, p2) * (k2 * pattern.measure)
     else:
-        B = sp.csr_matrix((nn, nn), dtype=complex)
-
-    free = _free_nodes(mesh)
-    if free.size == 0:
-        raise DegenerateSystemError("all dofs eliminated by Dirichlet conditions")
-
-    def cut(X):
-        return X[free][:, free].tocsr()
-
-    S, B, M_eps, M = cut(S), cut(B), cut(M_eps), cut(M)
-    D = (k2 * cut(K) + M).tocsr()
-    A = (S + B - M_eps).tocsr()
-    return GalerkinSystem(
-        A=A, D=D, M=M, S=S, B=B, M_eps=M_eps, free_nodes=free, spec=spec
-    )
+        values = (k2 * mu).reshape(-1, no, 1) * pattern.stiffness
+    values -= spec.eps.values.reshape(-1, no, 1) * pattern.mass
+    data = _scatter(pattern.slots, values, pattern.M.nnz)
+    bslots, bvalues = pattern.boundary
+    data[bslots] += (-1j * spec.theta / spec.k) * bvalues
+    return GalerkinSystem(A=pattern.csr(data), D=pattern.D(spec.k), M=pattern.M, spec=spec)
 
 
 def assemble_load(spec: ProblemSpec, f) -> np.ndarray:
@@ -311,9 +323,8 @@ def assemble_load(spec: ProblemSpec, f) -> np.ndarray:
         raise InvalidArgumentError(
             f"load needs one value per element ({mesh.n_elements}), got {f.shape}"
         )
-    meas = mesh.element_measures()
     npe = mesh.dimension + 1
-    contrib = (f * meas / npe)[:, None].repeat(npe, axis=1)
+    contrib = (f * _orientations(mesh)[1] / npe)[:, None].repeat(npe, axis=1)
     F = np.zeros(mesh.n_nodes, dtype=complex)
     np.add.at(F, mesh.elements.ravel(), contrib.ravel())
     return F[_free_nodes(mesh)]

@@ -87,13 +87,6 @@ class CoefficientField:
     def is_matrix(self) -> bool:
         return self.values.ndim == 3
 
-    def as_matrix(self) -> np.ndarray:
-        """Values promoted to (n, 2, 2); only meaningful on 2D meshes."""
-        if self.is_matrix:
-            return self.values
-        eye = np.eye(2)
-        return self.values[:, None, None] * eye[None, :, :]
-
 
 def constant_field(mesh: Mesh, value, role: Role) -> CoefficientField:
     """Field with the same (scalar or 2x2) value on every element."""

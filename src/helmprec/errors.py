@@ -32,8 +32,9 @@ class SingularSystemError(HelmprecError):
 class NoConvergenceError(HelmprecError):
     """An iterative estimator hit its iteration cap.
 
-    Carries the last estimate, as the quantity the raising function
-    returns, so callers can decide whether it is usable.
+    ``estimate`` is the last estimate, as the quantity the raising function
+    returns, or None: a capped ARPACK run with k = 1 has none.
+    ``iterations`` counts the operator applications.
     """
 
     def __init__(self, msg, estimate=None, iterations=None):

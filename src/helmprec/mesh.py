@@ -94,15 +94,6 @@ class Mesh:
             raise InvalidArgumentError(f"refinement factor must be >= 1, got {r}")
         return Mesh(self.lo, self.hi, tuple(r * c for c in self.cells), self.tags)
 
-    def element_measures(self) -> np.ndarray:
-        """Lengths (1D) or areas (2D) of all elements."""
-        pts = self.coords[self.elements]
-        if self.dimension == 1:
-            return np.abs(pts[:, 1, 0] - pts[:, 0, 0])
-        d1 = pts[:, 1] - pts[:, 0]
-        d2 = pts[:, 2] - pts[:, 0]
-        return 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
     def element_centroids(self) -> np.ndarray:
         return self.coords[self.elements].mean(axis=1)
 

@@ -36,7 +36,7 @@ never factor D or M, and a D-weighted operator norm takes one D solve.
 The Ritz value comes with the residual bound |nu - nu_exact| <=
 ||W B v - nu v||_B for the B-unit Ritz vector v. Iterations stop on it
 (relative tolerance 1e-10 by default) and are capped; hitting the cap
-raises, carrying the last estimate as the quantity the function returns.
+raises, with no estimate (a capped ARPACK run has no Ritz value).
 Start vectors are seeded, so all reported numbers are reproducible.
 
 The extremes m_-^2 <= m_+^2 of M (the norm-equivalence constant m_+/m_-)
@@ -332,8 +332,9 @@ def _pencil_lambda_max(
     the clustered extremes of finite-element mass and Gram matrices.
     ``dtype=float`` runs a real symmetric W from a real start vector.
     Returns (nu, applications of W, residual ||W B v - nu v||_B of the
-    B-unit Ritz vector v). Hitting the cap raises, carrying the last Ritz
-    value nu; callers convert it with :func:`_estimate_as`.
+    B-unit Ritz vector v). Hitting the cap raises with the applications of
+    W; its estimate, ARPACK's last converged Ritz value (:func:`_estimate_as`
+    converts it), is None, as a capped run with k = 1 has none.
 
     When W maps the first vector it is given (the start vector, or B
     times it) to exactly zero, it annihilates a random vector, so the PSD
@@ -344,9 +345,9 @@ def _pencil_lambda_max(
     convergence only once it has built ncv vectors, so a run ends only at
     the end of a restart cycle, and a larger basis can overshoot
     convergence. ncv = 15 gave the fewest LU solves over the three
-    benchmark workloads among ncv = 12..20 (seed 0, measured when the
-    eigensolves ran in standard mode): 3,643 in all, against 3,682 at 14,
-    3,686 at 16 and 3,844 at 20.
+    benchmark workloads among ncv = 12..20 in shift-invert mode: 3,603 in
+    all at seed 0 (3,635 at seed 1), against 3,682 (3,682) at 14, 3,702
+    (3,686) at 16, 3,698 (3,710) at 12 and 3,824 (3,824) at 20.
     """
     if n <= _DENSE_PENCIL_N:
         eye = np.eye(n, dtype=dtype)
@@ -505,7 +506,8 @@ def discrete_inf_sup(
     :class:`LUFactor`) and products with D (a matrix or its
     :class:`GramFactor`; D is never factored here). An exactly singular A
     yields gamma = 0 (a legitimate outcome near discrete eigenvalues), not
-    an exception. A NoConvergenceError carries the estimate of C_dis.
+    an exception. A NoConvergenceError carries the estimate of C_dis, or
+    None after a capped ARPACK run.
     """
     try:
         lu = lu_factor(A)
@@ -545,8 +547,8 @@ def mass_extremes(
     precision, so sigma is itself the top eigenvalue (as when every row
     sum is equal). lambda_min is 1/lambda_max(M^{-1}) through the factor
     of M. Both eigensolves are real Lanczos runs with B = I; the shifted
-    factor is not kept. A NoConvergenceError carries the estimate
-    of m_+^2 or of m_-^2, whichever eigensolve stopped.
+    factor is not kept. A NoConvergenceError carries the estimate of m_+^2
+    or m_-^2, whichever eigensolve stopped, or None after a capped ARPACK run.
     """
     g = gram_factor(M)  # also certifies SPD
     n = g.n

