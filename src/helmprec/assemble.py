@@ -138,13 +138,6 @@ class MatrixSystem:
     def _derived(self) -> dict:
         return {}
 
-    def share_norm_factors(self, other: "MatrixSystem") -> None:
-        """Use the Gram factors of ``other``, whose D and M the caller has
-        checked to equal this system's; factors already owned are kept."""
-        if other is not self:
-            self.__dict__.setdefault("gram_d", other.gram_d)
-            self.__dict__.setdefault("gram_m", other.gram_m)
-
     def inf_sup(self, seed: int = DEFAULT_SEED) -> InfSupReport:
         """Discrete inf-sup report of A (a singular matrix is reported, not
         raised), cached per seed. It takes products with D and never its

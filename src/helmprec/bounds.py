@@ -15,14 +15,16 @@ constant) of the perturbed system. Under the smallness condition
 (dmu + deps) * C_dis_1 <= 1/2 the perturbed constant obeys
 C_dis_2 <= 2 C_dis_1, turning the right-hand sides into quantities of
 the unperturbed problem only. Reports evaluate both sides of every
-inequality with a multiplicative slack absorbing the norm-estimation
-tolerance and carry pass/fail margins.
+inequality and carry pass/fail margins. A check passes when
+lhs <= (1 + SLACK) rhs, with the fixed relative slack SLACK = 1e-9
+absorbing the eigensolvers' relative tolerance of 1e-10.
 
 Each system of a pair is a :class:`~helmprec.assemble.MatrixSystem`,
 assembled or imported alike. A system owns its factors and caches, per
 seed, its discrete inf-sup report and its mass-matrix extremes, so each
-command computes C_dis_1, C_dis_2 and m+/m- once; the second system of a
-pair shares the first's Gram factors of D and M. Only the
+command computes C_dis_1, C_dis_2 and m+/m- once. The norms of a pair and
+its mass extremes use the first system's Gram factors of D and M, and C_dis_2
+takes products with D only, so the second system factors only its A. Only the
 coefficient-difference norms depend on the kind of system: they come
 from the problems' fields for two Galerkin systems and are supplied
 otherwise.
@@ -48,6 +50,7 @@ import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -66,8 +69,8 @@ from .numerics import (
     weighted_operator_norm,
 )
 
-DEFAULT_SLACK = 1e-9
-_IDENTITY_RTOL = 1e-12
+SLACK = 1e-9
+IDENTITY_RTOL = 1e-12
 
 # Samples per block of garding_check, chosen by measurement; see there.
 _GARDING_BLOCK = 16
@@ -96,7 +99,7 @@ CANONICAL_GARDING = GardingConstants(1.0, 2.0)
 
 @dataclass(frozen=True)
 class Check:
-    """One inequality: lhs <= rhs up to slack, with margin = rhs - lhs."""
+    """One inequality: lhs <= rhs up to SLACK, with margin = rhs - lhs."""
 
     name: str
     lhs: float
@@ -105,13 +108,13 @@ class Check:
     margin: float
 
 
-def _make_check(name: str, lhs: float, rhs: float, slack: float) -> Check:
-    return Check(name, lhs, rhs, lhs <= rhs * (1.0 + slack), rhs - lhs)
+def _make_check(name: str, lhs: float, rhs: float) -> Check:
+    return Check(name, lhs, rhs, lhs <= rhs * (1.0 + SLACK), rhs - lhs)
 
 
-def _make_lower_check(name: str, value: float, lower: float, slack: float) -> Check:
-    """value >= lower up to slack (stored as lhs=lower, rhs=value)."""
-    return Check(name, lower, value, value >= lower * (1.0 - slack), value - lower)
+def _make_lower_check(name: str, value: float, lower: float) -> Check:
+    """value >= lower up to SLACK (stored as lhs=lower, rhs=value)."""
+    return Check(name, lower, value, value >= lower * (1.0 - SLACK), value - lower)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +132,7 @@ class GardingReport:
     def passed(self) -> bool:
         ok = self.violations == 0
         if self.identity_max_rel_err is not None:
-            ok = ok and self.identity_max_rel_err <= _IDENTITY_RTOL
+            ok = ok and self.identity_max_rel_err <= IDENTITY_RTOL
         return ok
 
 
@@ -314,17 +317,18 @@ def garding_check(
     constants: GardingConstants = CANONICAL_GARDING,
     n_samples: int = 1000,
     seed: int = 0,
-    rtol: float = _IDENTITY_RTOL,
 ) -> GardingReport:
     """Sample random coefficient vectors against the shifted-coercivity bound.
 
     For the canonical homogeneous impedance problem (mu^{-1} = eps = 1,
     real theta) the inequality with constants (1, 2) follows from the
     exact identity Re(v*Av) + 2 v*Mv = v*Dv, which is then asserted at
-    relative tolerance ``rtol``. At least one sample is required: an empty
-    sample would report no violation without testing anything. A sample
-    whose quadratic forms or margin are not finite counts as a violation
-    with margin -inf, so a check that computed nothing cannot pass.
+    relative tolerance ``IDENTITY_RTOL``; a sample violates the bound when
+    its relative margin is below -``IDENTITY_RTOL``. At least one sample is
+    required: an empty sample would report no violation without testing
+    anything. A sample whose quadratic forms or margin are not finite
+    counts as a violation with margin -inf, so a check that computed
+    nothing cannot pass.
 
     The samples are drawn and evaluated in blocks of ``_GARDING_BLOCK``.
     Block i is filled by one ``standard_normal`` call of its own generator,
@@ -396,7 +400,7 @@ def garding_check(
     return GardingReport(
         constants=constants,
         n_samples=n_samples,
-        violations=int(np.count_nonzero(margin < -rtol)),
+        violations=int(np.count_nonzero(margin < -IDENTITY_RTOL)),
         worst_rel_margin=float(margin.min()),
         canonical=canonical,
         identity_max_rel_err=ident_err,
@@ -446,7 +450,6 @@ def nearby_bound_report(
     sys2: MatrixSystem,
     dmu: Optional[float] = None,
     deps: Optional[float] = None,
-    slack: float = DEFAULT_SLACK,
     seed: int = 0,
     k: Optional[float] = None,
     h: Optional[float] = None,
@@ -457,7 +460,8 @@ def nearby_bound_report(
     The systems are assembled or supplied as matrices alike. The
     coefficient-difference norms are taken from the two problems' fields
     when both systems are Galerkin systems and can be overridden; for
-    matrix systems they must be supplied.
+    matrix systems they must be supplied. Either way they must be finite
+    numbers >= 0, or InvalidArgumentError is raised.
     """
     A1, A2 = sys1.A, sys2.A
     if A1.shape != A2.shape:
@@ -475,6 +479,14 @@ def nearby_bound_report(
         raise InvalidArgumentError(
             "coefficient-difference norms unavailable; pass dmu and deps"
         )
+    for name, value in (("dmu", dmu), ("deps", deps)):
+        # an infinite norm would pass the nearby checks, a negative one
+        # would emit the small-cond checks; a non-number would not compute
+        number = isinstance(value, Real) and not isinstance(value, bool)
+        if not (number and 0 <= value < math.inf):
+            raise InvalidArgumentError(
+                f"{name} must be a finite number >= 0, got {value!r}"
+            )
 
     n = sys1.n
     if isinstance(sys1, GalerkinSystem):
@@ -483,7 +495,6 @@ def nearby_bound_report(
         if h is None:
             h = sys1.spec.mesh.h
 
-    sys2.share_norm_factors(sys1)
     G = sys1.gram_d
     # before A2 is factored: the transient shifted-mass factor inside
     # mass_extremes is then freed before A2's complex LU factors exist
@@ -517,19 +528,17 @@ def nearby_bound_report(
     cond = (dmu + deps) * inf1.c_dis
 
     checks = [
-        _make_check("nearby_D", lhs_D, rhs_lemma, slack),
-        _make_check("nearby_Dinv", lhs_Dinv, rhs_lemma, slack),
+        _make_check("nearby_D", lhs_D, rhs_lemma),
+        _make_check("nearby_Dinv", lhs_Dinv, rhs_lemma),
     ]
     if rhs_lemma2 is not None:
-        checks.append(_make_check("euclid_left", lhs_2, rhs_lemma2, slack))
-        checks.append(_make_check("euclid_right", lhs_2p, rhs_lemma2, slack))
+        checks.append(_make_check("euclid_left", lhs_2, rhs_lemma2))
+        checks.append(_make_check("euclid_right", lhs_2p, rhs_lemma2))
     if cond <= 0.5:
-        checks.append(
-            _make_check("perturbed_factor2", inf2.c_dis, 2.0 * inf1.c_dis, slack)
-        )
+        checks.append(_make_check("perturbed_factor2", inf2.c_dis, 2.0 * inf1.c_dis))
         rhs_small = 2.0 * (dmu + deps) * inf1.c_dis
-        checks.append(_make_check("small_cond_D", lhs_D, rhs_small, slack))
-        checks.append(_make_check("small_cond_Dinv", lhs_Dinv, rhs_small, slack))
+        checks.append(_make_check("small_cond_D", lhs_D, rhs_small))
+        checks.append(_make_check("small_cond_Dinv", lhs_Dinv, rhs_small))
 
     return BoundReport(
         n=n, dmu=float(dmu), deps=float(deps),
@@ -543,19 +552,17 @@ def nearby_bound_report(
 def absorption_report(
     sys1: GalerkinSystem,
     alpha: AbsorptionSpec | float,
-    slack: float = DEFAULT_SLACK,
     seed: int = 0,
 ) -> BoundReport:
     """Bound report for the absorption perturbation eps -> (1 + i*alpha) eps."""
     a = alpha.alpha if isinstance(alpha, AbsorptionSpec) else float(alpha)
     sys2 = assemble_system(sys1.spec.with_absorption(a))
-    return nearby_bound_report(sys1, sys2, slack=slack, seed=seed, alpha=a)
+    return nearby_bound_report(sys1, sys2, seed=seed, alpha=a)
 
 
 def norm_equivalence_report(
     sys: MatrixSystem,
     constants: GardingConstants = CANONICAL_GARDING,
-    slack: float = DEFAULT_SLACK,
     seed: int = 0,
 ) -> NormEquivalenceReport:
     """Check the norm-equivalence chains of the discrete solution operator.
@@ -581,12 +588,12 @@ def norm_equivalence_report(
     upper2 = duo.h0_to_h0 * math.sqrt(cg2 + 1.0 / duo.h0_to_h0) / math.sqrt(cg1)
     gamma_lower = 1.0 / upper1
     checks = (
-        _make_check("chain1_lower", duo.h0_to_h, hstar_to_h, slack),
-        _make_check("chain1_upper", hstar_to_h, upper1, slack),
-        _make_check("chain2_lower", duo.h0_to_h0, duo.h0_to_h, slack),
-        _make_check("chain2_upper", duo.h0_to_h, upper2, slack),
-        _make_lower_check("infsup_lower", rep.gamma, gamma_lower, slack),
-        _make_check("two_routes", 0.0, 1e-8 * hstar_to_h, 0.0),
+        _make_check("chain1_lower", duo.h0_to_h, hstar_to_h),
+        _make_check("chain1_upper", hstar_to_h, upper1),
+        _make_check("chain2_lower", duo.h0_to_h0, duo.h0_to_h),
+        _make_check("chain2_upper", duo.h0_to_h, upper2),
+        _make_lower_check("infsup_lower", rep.gamma, gamma_lower),
+        _make_check("two_routes", 0.0, 1e-8 * hstar_to_h),
     )
     return NormEquivalenceReport(
         constants=constants,

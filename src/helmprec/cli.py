@@ -24,7 +24,7 @@ from .assemble import (
     validate_external,
 )
 from .bounds import (
-    DEFAULT_SLACK,
+    IDENTITY_RTOL,
     GardingConstants,
     garding_check,
     garding_constants_for,
@@ -75,16 +75,10 @@ def _add_bound_report(result: ScenarioResult, rep, out: str):
         _add_report_checks(result, "bounds", rep.checks)
 
 
-def _slack(seed, tol_scale: float) -> float:
-    """The inequality slack of a run, once the seed and slack scale given on
-    the command line are checked. numpy's seeding takes non-negative seeds
-    only; an infinite scale would turn every FAIL into a PASS, and NaN or a
-    negative scale would fail correct checks."""
+def _check_seed(seed):
+    """numpy's seeding takes non-negative seeds only."""
     if seed is not None and seed < 0:
         raise InvalidArgumentError(f"--seed must be >= 0, got {seed}")
-    if not 0 <= tol_scale < math.inf:
-        raise InvalidArgumentError(f"--tol-scale must be finite and >= 0, got {tol_scale}")
-    return DEFAULT_SLACK * tol_scale
 
 
 def _load(config_path: str, out_dir):
@@ -95,11 +89,11 @@ def _load(config_path: str, out_dir):
     return cfg, out
 
 
-def _prologue(config_path: str, out_dir, seed, tol_scale: float):
-    """(config, output directory, seed, slack) of a checking config command."""
-    slack = _slack(seed, tol_scale)
+def _prologue(config_path: str, out_dir, seed):
+    """(config, output directory, seed) of a checking config command."""
+    _check_seed(seed)
     cfg, out = _load(config_path, out_dir)
-    return cfg, out, cfg.seed if seed is None else seed, slack
+    return cfg, out, cfg.seed if seed is None else seed
 
 
 def _perturbed(cfg: hio.ExperimentConfig, sys1, alpha=None):
@@ -120,10 +114,9 @@ def cmd_verify(
     config_path: str,
     out_dir: str | None = None,
     seed: int | None = None,
-    tol_scale: float = 1.0,
 ) -> ScenarioResult:
     """Run the full bound-verification scenario of one config."""
-    cfg, out, seed, slack = _prologue(config_path, out_dir, seed, tol_scale)
+    cfg, out, seed = _prologue(config_path, out_dir, seed)
     result = ScenarioResult()
 
     sys1 = assemble_system(hio.build_problem(cfg))
@@ -143,22 +136,22 @@ def cmd_verify(
     if grep.identity_max_rel_err is not None:
         result.add(
             "garding.identity",
-            grep.identity_max_rel_err <= 1e-12,
-            1e-12 - grep.identity_max_rel_err,
+            grep.identity_max_rel_err <= IDENTITY_RTOL,
+            IDENTITY_RTOL - grep.identity_max_rel_err,
         )
 
-    nrep = norm_equivalence_report(sys1, constants, slack=slack, seed=seed)
+    nrep = norm_equivalence_report(sys1, constants, seed=seed)
     result.paths["norm_equivalence"] = hio.write_report(
         nrep, os.path.join(out, "norm_equivalence.json"), "json"
     )
     _add_report_checks(result, "norms", nrep.checks)
 
-    brep = nearby_bound_report(sys1, sys2, slack=slack, seed=seed, alpha=alpha)
+    brep = nearby_bound_report(sys1, sys2, seed=seed, alpha=alpha)
     _add_bound_report(result, brep, out)
     return result
 
 
-def _sweep_point(cfg, sys1, k, alpha, slack, seed):
+def _sweep_point(cfg, sys1, k, alpha, seed):
     """One (k, alpha) row; ``sys1`` is k's system or the error building it raised."""
     row = {c: None for c in SWEEP_COLUMNS}
     row.update({"k": k, "alpha": alpha, "error": ""})
@@ -166,7 +159,7 @@ def _sweep_point(cfg, sys1, k, alpha, slack, seed):
         if isinstance(sys1, HelmprecError):
             raise sys1
         sys2, alpha = _perturbed(cfg, sys1, alpha)
-        rep = nearby_bound_report(sys1, sys2, slack=slack, seed=seed, alpha=alpha)
+        rep = nearby_bound_report(sys1, sys2, seed=seed, alpha=alpha)
         row.update(hio.bound_report_row(rep))
         if rep.singular:
             return row
@@ -202,12 +195,11 @@ def cmd_sweep(
     config_path: str,
     out_dir: str | None = None,
     seed: int | None = None,
-    tol_scale: float = 1.0,
 ) -> ScenarioResult:
     """Evaluate the config's (k, alpha) grid; one CSV row per point. Each k's
     first system, with its factors, C_dis and mass extremes, serves every alpha
     and is the working rung of the inf-sup ladder."""
-    cfg, out, seed, slack = _prologue(config_path, out_dir, seed, tol_scale)
+    cfg, out, seed = _prologue(config_path, out_dir, seed)
     result = ScenarioResult()
 
     problem = dict(cfg.problem, resolution=cfg.sweep["resolution"])
@@ -220,7 +212,7 @@ def cmd_sweep(
             sys1 = assemble_system(hio.build_problem(cfg, k=k, mesh=mesh))
         except HelmprecError as exc:
             sys1 = exc
-        rows += [_sweep_point(cfg, sys1, k, a, slack, seed) for a in alphas]
+        rows += [_sweep_point(cfg, sys1, k, a, seed) for a in alphas]
         if cfg.sweep["ladder"] is not None:
             rungs.append(_ladder_rung(sys1, seed))
     del sys1  # the last k's factors must not stay alive through the ladder
@@ -272,7 +264,6 @@ def cmd_import(
     m_path: str | None = None,
     out_dir: str | None = None,
     seed: int = 0,
-    tol_scale: float = 1.0,
     dmu: float | None = None,
     deps: float | None = None,
 ) -> ScenarioResult:
@@ -281,7 +272,7 @@ def cmd_import(
     Each coefficient-difference norm is the one given here, else the one
     in the pair's meta.json; without either the report cannot be made.
     """
-    slack = _slack(seed, tol_scale)
+    _check_seed(seed)
     a1 = os.path.join(matrix_dir, "A1.mtx")
     a2 = os.path.join(matrix_dir, "A2.mtx")
     d_path = d_path or os.path.join(matrix_dir, "D.mtx")
@@ -290,7 +281,7 @@ def cmd_import(
     validate_external(sys1, sys2)
     dmu = meta.get("dmu") if dmu is None else dmu
     deps = meta.get("deps") if deps is None else deps
-    rep = nearby_bound_report(sys1, sys2, dmu=dmu, deps=deps, slack=slack, seed=seed)
+    rep = nearby_bound_report(sys1, sys2, dmu=dmu, deps=deps, seed=seed)
     out = out_dir or matrix_dir
     os.makedirs(out, exist_ok=True)
     result = ScenarioResult()
@@ -309,12 +300,9 @@ def _parser() -> argparse.ArgumentParser:
     config = ("--config", dict(dest="config_path", required=True, help="path to JSON config"))
     out_dir = ("--out-dir", dict(default=None, help="override output directory"))
     seed = ("--seed", dict(type=int, default=None, help="override config seed"))
-    tol_scale = ("--tol-scale", dict(type=float, default=1.0,
-                                     help="multiplier on the inequality slack"))
     for name, doc, flags in (
-        ("verify", "run bound checks for one config", (config, out_dir, seed, tol_scale)),
-        ("sweep", "evaluate the (k, alpha) grid of one config",
-         (config, out_dir, seed, tol_scale)),
+        ("verify", "run bound checks for one config", (config, out_dir, seed)),
+        ("sweep", "evaluate the (k, alpha) grid of one config", (config, out_dir, seed)),
         ("export", "write the config's system pair as matrix files", (config, out_dir)),
         ("import", "run bound checks on external matrices", (
             ("--dir", dict(dest="matrix_dir", required=True,
@@ -328,7 +316,6 @@ def _parser() -> argparse.ArgumentParser:
             ("--deps", dict(type=float, default=None,
                             help="sup norm of the low-order coefficient difference")),
             out_dir, ("--seed", dict(type=int, default=0, help="seed of the estimates")),
-            tol_scale,
         )),
     ):
         sp = sub.add_parser(name, help=doc)

@@ -423,6 +423,8 @@ def read_matrix_mm(path: str) -> sp.csr_matrix:
         n, m, nnz = (int(p) for p in parts)
     except ValueError:
         raise MatrixExchangeError("size line must contain integers", line=ln)
+    if min(n, m, nnz) < 0:
+        raise MatrixExchangeError("size line must not be negative", line=ln)
 
     rows, cols, vals = [], [], []
     entry_ln = ln
@@ -509,7 +511,8 @@ def read_matrix_exchange(
     Returns ``(sys1, sys2, meta)``: the systems of A1 and A2, both on the
     same D and M objects, and the parsed ``meta.json`` next to the A1 file
     (the coefficient-difference norms of an exported pair), or ``{}``
-    when there is none.
+    when there is none. A meta.json that is not a JSON object raises
+    MatrixExchangeError.
     """
     mats = {}
     for name, path in (
@@ -522,7 +525,12 @@ def read_matrix_exchange(
     meta_path = os.path.join(os.path.dirname(os.path.abspath(a1_path)), "meta.json")
     if os.path.exists(meta_path):
         with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
+            try:
+                meta = json.load(fh)
+            except ValueError as exc:  # also a file that is not UTF-8
+                raise MatrixExchangeError(f"{meta_path}: {exc}") from None
+        if not isinstance(meta, dict):
+            raise MatrixExchangeError(f"{meta_path} is not a JSON object")
     D, M = mats["D"], mats["M"]
     return MatrixSystem(mats["A1"], D, M), MatrixSystem(mats["A2"], D, M), meta
 

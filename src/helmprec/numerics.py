@@ -35,8 +35,9 @@ the solution-operator norms take two solves with A per application and
 never factor D or M, and a D-weighted operator norm takes one D solve.
 The Ritz value comes with the residual bound |nu - nu_exact| <=
 ||W B v - nu v||_B for the B-unit Ritz vector v. Iterations stop on it
-(relative tolerance 1e-10 by default) and are capped; hitting the cap
-raises, with no estimate (a capped ARPACK run has no Ritz value).
+at the fixed relative tolerance ``DEFAULT_TOL`` = 1e-10 and are capped
+(``DEFAULT_MAXIT``); hitting the cap raises, with no estimate (a capped
+ARPACK run has no Ritz value).
 Start vectors are seeded, so all reported numbers are reproducible.
 
 The extremes m_-^2 <= m_+^2 of M (the norm-equivalence constant m_+/m_-)
@@ -429,18 +430,13 @@ def _estimate_as(convert: Callable[[float], Optional[float]]):
 
 
 def _sigma_max(
-    apply_w: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    tol: float,
-    max_it: int,
-    seed: int,
-    b=None,
+    apply_w: Callable[[np.ndarray], np.ndarray], n: int, seed: int, b=None
 ) -> tuple[float, int, float]:
     """Largest singular value sigma of an operator whose sigma^2 is the top
     eigenvalue of W B (see :func:`_pencil_lambda_max`): (sigma, operator
     applications, eigenvalue residual)."""
     with _estimate_as(lambda nu: math.sqrt(max(nu, 0.0))):
-        nu, it, res = _pencil_lambda_max(apply_w, n, tol, max_it, seed, b=b)
+        nu, it, res = _pencil_lambda_max(apply_w, n, DEFAULT_TOL, DEFAULT_MAXIT, seed, b=b)
     return math.sqrt(nu), it, res
 
 
@@ -453,12 +449,7 @@ def _norm_matrix(X, n: int) -> sp.spmatrix:
 
 
 def weighted_operator_norm(
-    op,
-    gram: Optional[GramFactor],
-    mode: str,
-    tol: float = DEFAULT_TOL,
-    max_it: int = DEFAULT_MAXIT,
-    seed: int = DEFAULT_SEED,
+    op, gram: Optional[GramFactor], mode: str, seed: int = DEFAULT_SEED
 ) -> float:
     """Operator norm of ``op`` in the D norm, the D^{-1} norm, or Euclidean.
 
@@ -474,7 +465,7 @@ def weighted_operator_norm(
     op = spla.aslinearoperator(op)
     mv, rmv, n = op.matvec, op.rmatvec, op.shape[0]
     if mode == "euclid":
-        return _sigma_max(lambda v: rmv(mv(v)), n, tol, max_it, seed)[0]
+        return _sigma_max(lambda v: rmv(mv(v)), n, seed)[0]
     if gram is None:
         raise InvalidArgumentError(f"mode {mode!r} requires a Gram factor")
     if gram.n != n:
@@ -483,7 +474,7 @@ def weighted_operator_norm(
     # lambda_max(C D^{-1} C^H D)
     first, then = (rmv, mv) if mode == "D" else (mv, rmv)
     apply_w = lambda v: then(gram.solve(first(v)))
-    return _sigma_max(apply_w, n, tol, max_it, seed, b=gram.D)[0]
+    return _sigma_max(apply_w, n, seed, b=gram.D)[0]
 
 
 def _solution_normal(lu: LUFactor, mid) -> Callable[[np.ndarray], np.ndarray]:
@@ -491,13 +482,7 @@ def _solution_normal(lu: LUFactor, mid) -> Callable[[np.ndarray], np.ndarray]:
     return lambda v: lu.solve(_real_product(mid, lu.solve(v)), trans="H")
 
 
-def discrete_inf_sup(
-    A,
-    D,
-    tol: float = DEFAULT_TOL,
-    max_it: int = DEFAULT_MAXIT,
-    seed: int = DEFAULT_SEED,
-) -> InfSupReport:
+def discrete_inf_sup(A, D, seed: int = DEFAULT_SEED) -> InfSupReport:
     """Discrete inf-sup constant sigma_min(L^{-1} A L^{-T}) of a system.
 
     Computed as the reciprocal of C_dis = ||L^T A^{-1} L||_2, the square
@@ -515,7 +500,7 @@ def discrete_inf_sup(
         return SINGULAR_INF_SUP
     n = lu.n
     D = _norm_matrix(D, n)
-    c_dis, it, res = _sigma_max(_solution_normal(lu, D), n, tol, max_it, seed, b=D)
+    c_dis, it, res = _sigma_max(_solution_normal(lu, D), n, seed, b=D)
     if c_dis == 0.0:
         return InfSupReport(
             gamma=0.0, c_dis=math.inf, iterations=it, residual=res, singular=True
@@ -523,12 +508,7 @@ def discrete_inf_sup(
     return InfSupReport(gamma=1.0 / c_dis, c_dis=c_dis, iterations=it, residual=res)
 
 
-def mass_extremes(
-    M,
-    tol: float = DEFAULT_TOL,
-    max_it: int = DEFAULT_MAXIT,
-    seed: int = DEFAULT_SEED,
-) -> MassExtremes:
+def mass_extremes(M, seed: int = DEFAULT_SEED) -> MassExtremes:
     """Extreme eigenvalues of a real SPD mass matrix (or its Gram factor).
 
     The top of a P1 mass spectrum is clustered (relative gap 6e-7 between
@@ -560,24 +540,19 @@ def mass_extremes(
     else:
         with _estimate_as(lambda tau: sigma - 1.0 / tau if tau > 0 else None):
             tau, _, _ = _pencil_lambda_max(
-                shifted.solve, n, tol, max_it, seed, dtype=float
+                shifted.solve, n, DEFAULT_TOL, DEFAULT_MAXIT, seed, dtype=float
             )
         lam_max = sigma - 1.0 / tau
     with _estimate_as(lambda inv: 1.0 / inv if inv > 0 else None):
-        inv_max, _, _ = _pencil_lambda_max(g.solve, n, tol, max_it, seed, dtype=float)
+        inv_max, _, _ = _pencil_lambda_max(
+            g.solve, n, DEFAULT_TOL, DEFAULT_MAXIT, seed, dtype=float
+        )
     if inv_max <= 0:
         raise NotPositiveDefiniteError("mass matrix has non-positive spectrum")
     return MassExtremes(m_minus_sq=1.0 / inv_max, m_plus_sq=lam_max)
 
 
-def solution_operator_norms(
-    A,
-    D,
-    M,
-    tol: float = DEFAULT_TOL,
-    max_it: int = DEFAULT_MAXIT,
-    seed: int = DEFAULT_SEED,
-) -> SolutionOperatorNorms:
+def solution_operator_norms(A, D, M, seed: int = DEFAULT_SEED) -> SolutionOperatorNorms:
     """The two M-weighted discrete solution-operator norms of A^{-1}.
 
     ||L^T A^{-1} R||_2 and ||R^T A^{-1} R||_2 for D = L L^T and M = R R^T:
@@ -590,6 +565,6 @@ def solution_operator_norms(
     lu = lu_factor(A)
     n = lu.n
     D, M = _norm_matrix(D, n), _norm_matrix(M, n)
-    h0_to_h, _, _ = _sigma_max(_solution_normal(lu, D), n, tol, max_it, seed, b=M)
-    h0_to_h0, _, _ = _sigma_max(_solution_normal(lu, M), n, tol, max_it, seed, b=M)
+    h0_to_h, _, _ = _sigma_max(_solution_normal(lu, D), n, seed, b=M)
+    h0_to_h0, _, _ = _sigma_max(_solution_normal(lu, M), n, seed, b=M)
     return SolutionOperatorNorms(h0_to_h=h0_to_h, h0_to_h0=h0_to_h0)

@@ -81,14 +81,14 @@ def suite():
         s1 = canonical_1d(k, n)
         for alpha in ALPHAS:
             s2 = assemble_system(s1.spec.with_eps(absorption_shift(s1.spec.eps, alpha)))
-            rep = nearby_bound_report(s1, s2, slack=SLACK, alpha=alpha)
+            rep = nearby_bound_report(s1, s2, alpha=alpha)
             cases.append(Case(f"k={k:g},n={n},alpha={alpha}", k, n, s1, s2, rep))
         for delta in DELTAS:
             eps2 = piecewise_field(
                 s1.spec.mesh, lambda x: 1.0 + delta if x < 0.5 else 1.0, Role.EPS
             )
             s2 = assemble_system(s1.spec.with_eps(eps2))
-            rep = nearby_bound_report(s1, s2, slack=SLACK)
+            rep = nearby_bound_report(s1, s2)
             cases.append(Case(f"k={k:g},n={n},delta={delta}", k, n, s1, s2, rep))
     return cases
 
@@ -174,7 +174,7 @@ def test_norm_chains_and_infsup_lower_bound(suite):
             if key in seen:
                 continue
             seen.add(key)
-            rep = norm_equivalence_report(case.sys1, slack=SLACK)
+            rep = norm_equivalence_report(case.sys1)
             for c in rep.checks:
                 assert c.passed, (case.label, c.name, c.lhs, c.rhs)
             lower = 1.0 / (1.0 + 2.0 * rep.h0_to_h)
@@ -278,7 +278,7 @@ def test_2d_smoke_suite():
             s1 = canonical_2d(k, nx, nx)
             assert s1.n <= 20_000
             s2 = assemble_system(s1.spec.with_eps(absorption_shift(s1.spec.eps, 0.3)))
-            rep = nearby_bound_report(s1, s2, slack=SLACK, alpha=0.3)
+            rep = nearby_bound_report(s1, s2, alpha=0.3)
             assert rep.lhs_D <= rep.rhs_lemma * (1 + SLACK)
             assert rep.lhs_Dinv <= rep.rhs_lemma * (1 + SLACK)
             rhs2 = rep.mass_ratio * rep.deps * rep.c_dis2

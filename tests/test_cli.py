@@ -235,23 +235,17 @@ def _rejected_by_argparse(argv):
 
 
 @pytest.mark.parametrize("command", ["verify", "sweep", "export", "import"])
-@pytest.mark.parametrize("scale", ["inf", "nan", "-1"])
-def test_tol_scale_must_be_finite_and_non_negative(tmp_path, capsys, command, scale):
-    """An infinite slack turned the failing norm checks into PASSes, and NaN
-    or a negative one failed correct checks: every command that takes the
-    flag refuses them."""
+@pytest.mark.parametrize("scale", ["inf", "nan", "-1", "1"])
+def test_tol_scale_must_be_finite_and_non_negative(tmp_path, command, scale):
+    """A scaled slack turned the failing norm checks into PASSes (an
+    infinite one always, a scale of 1e12 for the three norm chains): no
+    command takes a slack scale, whatever its value."""
     path = write_cfg(tmp_path, WRONG_GARDING)
-    argv = _command(command, path, tmp_path) + ["--tol-scale", scale]
-    if command == "export":  # checks nothing, so it takes no --tol-scale
-        assert _rejected_by_argparse(argv)
-        return
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: --tol-scale must be finite and >= 0") and err.count("\n") == 1
+    assert _rejected_by_argparse(_command(command, path, tmp_path) + ["--tol-scale", scale])
 
 
 def test_tol_scale_one_keeps_its_verdicts(tmp_path):
-    res = cmd_verify(write_cfg(tmp_path, WRONG_GARDING), tol_scale=1.0)
+    res = cmd_verify(write_cfg(tmp_path, WRONG_GARDING))
     assert res.exit_status == 1
     assert {name for name, ok, _ in res.summaries if not ok} == WRONG_GARDING_FAILS
     assert len(res.summaries) == 12
@@ -615,6 +609,36 @@ def test_import_norms_flags_over_meta(tmp_path):
     flags = ["--dmu", repr(meta["dmu"]), "--deps", repr(meta["deps"])]
     assert main(["import", "--dir", exch, "--out-dir", out] + flags) == 0
     assert bounds(out)["rhs_lemma"] == from_meta["rhs_lemma"]
+
+
+@pytest.mark.parametrize("flags,meta,message", [
+    (["--dmu", "inf"], None, "dmu must be a finite number >= 0, got inf"),
+    (["--dmu", "-5"], None, "dmu must be a finite number >= 0, got -5.0"),
+    (["--deps", "nan"], None, "deps must be a finite number >= 0, got nan"),
+    ([], '{"dmu": Infinity, "deps": 0.2}', "dmu must be a finite number >= 0, got inf"),
+    ([], '{"dmu": "0", "deps": 0.2}', "dmu must be a finite number >= 0, got '0'"),
+    ([], '{"dmu": true, "deps": 0.2}', "dmu must be a finite number >= 0, got True"),
+    ([], '{"dmu": 0.0, "deps": ', "meta.json: Expecting value"),
+    ([], "[0.0, 0.2]", "meta.json is not a JSON object"),
+], ids=["flag_inf", "flag_negative", "flag_nan", "meta_inf", "meta_string", "meta_bool",
+        "meta_not_json", "meta_list"])
+def test_import_rejects_a_bad_norm(tmp_path, capsys, flags, meta, message):
+    """An infinite coefficient-difference norm passed the nearby checks, a
+    negative one emitted the small-cond checks, and a malformed meta.json
+    ended in a traceback: each is one error line and exit status 1."""
+    exch = str(tmp_path / "exch")
+    cmd_export(write_cfg(tmp_path), out_dir=exch)
+    if meta is not None:
+        with open(os.path.join(exch, "meta.json"), "w") as fh:
+            fh.write(meta)
+    capsys.readouterr()
+    out = str(tmp_path / "i")
+    assert main(["import", "--dir", exch, "--out-dir", out] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert not os.path.exists(os.path.join(out, "bounds.json"))
 
 
 def test_sweep_first_system_failure_fills_each_row_of_its_k(tmp_path):

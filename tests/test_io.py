@@ -234,6 +234,9 @@ def test_matrix_mm_parse_errors(tmp_path):
     p.write_text("garbage\n")
     with pytest.raises(MatrixExchangeError, match="line 1"):
         read_matrix_mm(str(p))
+    p.write_text("%%MatrixMarket matrix coordinate complex general\n-2 -2 0\n")
+    with pytest.raises(MatrixExchangeError, match="line 2: size line must not be negative"):
+        read_matrix_mm(str(p))
 
 
 def test_matrix_exchange_dir_roundtrip(tmp_path):
