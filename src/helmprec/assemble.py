@@ -106,11 +106,11 @@ class ProblemSpec:
 class MatrixSystem:
     """A system matrix ``A`` with the norm matrices ``D`` and ``M`` of its space.
 
-    A system owns the factors of its matrices, computed on first use, so
-    every quantity computed from one system shares them, and they live as
-    long as the system. The derived quantities are cached per seed: the
-    discrete inf-sup report of A (through the LU factors of A and products
-    with D) and the mass-matrix extremes (through the Gram factor of M).
+    A system keeps the LU factors of A and the Gram factor of D, made on
+    first use and alive as long as the system, so every quantity computed
+    from it shares them. It caches per seed the discrete inf-sup report of
+    A (LU solves and products with D) and the mass-matrix extremes, which
+    factor sigma I - M and then M, one at a time, and keep neither factor.
     """
 
     A: sp.csr_matrix
@@ -131,10 +131,6 @@ class MatrixSystem:
         return gram_factor(self.D)
 
     @cached_property
-    def gram_m(self) -> GramFactor:
-        return gram_factor(self.M)
-
-    @cached_property
     def _derived(self) -> dict:
         return {}
 
@@ -153,12 +149,12 @@ class MatrixSystem:
         return self._derived[key]
 
     def mass_extremes(self, seed: int = DEFAULT_SEED) -> MassExtremes:
-        """Extreme eigenvalues of M, through this system's Gram factor of M."""
+        """Extreme eigenvalues of M, cached per seed; no factor is kept."""
         key = ("mass_extremes", seed)
         if key not in self._derived:
             # the numerics function: the method's name shadows it only as
             # an attribute, and the module-level name is looked up per call
-            self._derived[key] = mass_extremes(self.gram_m, seed=seed)
+            self._derived[key] = mass_extremes(self.M, seed=seed)
         return self._derived[key]
 
 
@@ -329,11 +325,13 @@ def _check_hermitian(X, name: str):
 
 
 def validate_external(sys1: MatrixSystem, sys2: MatrixSystem) -> None:
-    """Check an imported pair: consistent dimensions, D and M Hermitian PD.
+    """Check an imported pair: consistent nonzero dimensions, D and M Hermitian PD.
 
     D and M are those of ``sys1``; the bound report checks that ``sys2``
     has the same ones and shares their factors.
     """
+    if sys1.n == 0:
+        raise InvalidSystemError("matrix A1 is empty (0 x 0)")
     mats = {"A1": sys1.A, "A2": sys2.A, "D": sys1.D, "M": sys1.M}
     for name, X in mats.items():
         if X.shape[0] != X.shape[1]:
@@ -348,8 +346,8 @@ def validate_external(sys1: MatrixSystem, sys2: MatrixSystem) -> None:
         if X.nnz and abs(X.imag).max() > 0:
             raise InvalidSystemError(f"matrix {name} must be real symmetric")
         try:
-            # the system's own factor: the certificate is the factorization
-            # every later norm of this pair solves with
-            getattr(sys1, "gram_" + name.lower())
+            # certified by what a report reuses: D's Gram factor, and M's
+            # factor inside the mass extremes at the default seed
+            sys1.gram_d if name == "D" else sys1.mass_extremes()
         except NotPositiveDefiniteError as exc:
             raise InvalidSystemError(f"matrix {name} is not positive definite") from exc

@@ -22,9 +22,9 @@ absorbing the eigensolvers' relative tolerance of 1e-10.
 Each system of a pair is a :class:`~helmprec.assemble.MatrixSystem`,
 assembled or imported alike. A system owns its factors and caches, per
 seed, its discrete inf-sup report and its mass-matrix extremes, so each
-command computes C_dis_1, C_dis_2 and m+/m- once. The norms of a pair and
-its mass extremes use the first system's Gram factors of D and M, and C_dis_2
-takes products with D only, so the second system factors only its A. Only the
+command computes C_dis_1, C_dis_2 and m+/m- once. The norms of a pair use
+the first system's Gram factor of D, the mass extremes keep no factor, and
+C_dis_2 takes products with D only: the second system factors only its A. Only the
 coefficient-difference norms depend on the kind of system: they come
 from the problems' fields for two Galerkin systems and are supplied
 otherwise.
@@ -495,10 +495,10 @@ def nearby_bound_report(
         if h is None:
             h = sys1.spec.mesh.h
 
-    G = sys1.gram_d
-    # before A2 is factored: the transient shifted-mass factor inside
-    # mass_extremes is then freed before A2's complex LU factors exist
+    # first, so its factors of sigma I - M and M are freed before D's Gram
+    # factor and A2's complex LU factors exist
     me = sys1.mass_extremes(seed)
+    G = sys1.gram_d
     inf2 = sys2.inf_sup(seed)
     nan = math.nan
     if inf2.singular:
@@ -620,6 +620,13 @@ def remesh_problem(spec: ProblemSpec, mesh: Mesh) -> ProblemSpec:
     return ProblemSpec(spec.k, mesh, mu, eps, spec.theta)
 
 
+def _reference_rung(spec: ProblemSpec, refine: int, seed: int) -> tuple[int, float, float]:
+    """(n_ref, h_ref, gamma_ref) of ``spec`` on its mesh refined ``refine``
+    times; the reference system and its LU factors die on return."""
+    ref = assemble_system(remesh_problem(spec, spec.mesh.refined(refine)))
+    return ref.n, ref.spec.mesh.h, ref.inf_sup(seed).gamma
+
+
 def infsup_ladder(
     rungs: Sequence[tuple[ProblemSpec, int, InfSupReport]],
     refine: int,
@@ -639,13 +646,13 @@ def infsup_ladder(
     """
     entries = []
     for spec, n, rep in rungs:
-        ref = assemble_system(remesh_problem(spec, spec.mesh.refined(refine)))
-        gamma, gamma_ref = rep.gamma, ref.inf_sup(seed).gamma
+        n_ref, h_ref, gamma_ref = _reference_rung(spec, refine, seed)
+        gamma = rep.gamma
         # singular reports carry gamma = 0
         singular = gamma == 0.0 or gamma_ref == 0.0
         entries.append(
             LadderEntry(
-                k=float(spec.k), h=spec.mesh.h, h_ref=ref.spec.mesh.h, n=n, n_ref=ref.n,
+                k=float(spec.k), h=spec.mesh.h, h_ref=h_ref, n=n, n_ref=n_ref,
                 gamma=gamma, gamma_ref=gamma_ref,
                 # C_dis(h) / C_dis(h_ref) = gamma(h_ref) / gamma(h)
                 ratio=math.nan if singular else gamma_ref / gamma, singular=singular,

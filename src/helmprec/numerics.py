@@ -48,7 +48,7 @@ sigma >= lambda_max(M) for any matrix, so sigma I - M is PSD and its
 factor is certified like D and M. The top of (sigma I - M)^{-1} is never
 less separated than the top of M, so the value of sigma affects only the
 iteration count, never correctness. m_-^2 is 1/lambda_max(M^{-1})
-through the factor of M.
+through the factor of M, made once the shifted one is freed.
 
 Solves go through SuperLU factorizations in symmetric mode under one
 fill-reducing ordering (minimum degree on the pattern of A^T + A):
@@ -516,7 +516,7 @@ def mass_extremes(M, seed: int = DEFAULT_SEED) -> MassExtremes:
     M itself. lambda_max is therefore taken by shift-invert at the
     Gershgorin bound sigma = max_i sum_j |M_ij| (the largest lumped mass).
     sigma >= lambda_max for every matrix, so sigma I - M is PSD; it is
-    factored once, under the SPD certificate of :func:`gram_factor`, and
+    factored under the SPD certificate of :func:`gram_factor`, and
     lambda_max = sigma - 1/tau for the top eigenvalue tau of
     (sigma I - M)^{-1}. With lambda_1 >= ... >= lambda_n the spectrum of
     M and g = lambda_1 - lambda_2, the top gap ratio of that inverse,
@@ -526,15 +526,16 @@ def mass_extremes(M, seed: int = DEFAULT_SEED) -> MassExtremes:
     fails the certificate means sigma I - M is singular to working
     precision, so sigma is itself the top eigenvalue (as when every row
     sum is equal). lambda_min is 1/lambda_max(M^{-1}) through the factor
-    of M. Both eigensolves are real Lanczos runs with B = I; the shifted
-    factor is not kept. A NoConvergenceError carries the estimate of m_+^2
-    or m_-^2, whichever eigensolve stopped, or None after a capped ARPACK run.
+    of M, which certifies M SPD. Both eigensolves are real Lanczos runs
+    with B = I, and the shifted factor is freed before M is factored. A
+    NoConvergenceError carries the estimate of m_+^2 or m_-^2, whichever
+    eigensolve stopped, or None after a capped ARPACK run.
     """
-    g = gram_factor(M)  # also certifies SPD
-    n = g.n
-    sigma = float(abs(g.D).sum(axis=1).max())
+    X = M.D if isinstance(M, GramFactor) else _square_csc(M)
+    n = X.shape[0]
+    sigma = float(abs(X).sum(axis=1).max())
     try:
-        shifted = gram_factor(sigma * sp.identity(n, format="csc") - g.D)
+        shifted = gram_factor(sigma * sp.identity(n, format="csc") - X)
     except NotPositiveDefiniteError:
         lam_max = sigma
     else:
@@ -542,7 +543,9 @@ def mass_extremes(M, seed: int = DEFAULT_SEED) -> MassExtremes:
             tau, _, _ = _pencil_lambda_max(
                 shifted.solve, n, DEFAULT_TOL, DEFAULT_MAXIT, seed, dtype=float
             )
+        del shifted
         lam_max = sigma - 1.0 / tau
+    g = gram_factor(M)  # certifies SPD
     with _estimate_as(lambda inv: 1.0 / inv if inv > 0 else None):
         inv_max, _, _ = _pencil_lambda_max(
             g.solve, n, DEFAULT_TOL, DEFAULT_MAXIT, seed, dtype=float

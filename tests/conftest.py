@@ -8,6 +8,7 @@ import importlib.util
 import inspect
 import os
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -137,6 +138,34 @@ def splu_calls(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     return calls
+
+
+@pytest.fixture
+def live_factors(monkeypatch):
+    """At every ``spla.splu`` call, in call order, how many of the
+    ``LUFactor`` and ``GramFactor`` objects made earlier in the test are
+    still alive. The objects are held by weak references only, and no
+    collection is forced, so a factor kept alive by a reference cycle
+    counts as alive, as its memory does."""
+    from helmprec import numerics
+
+    made, alive = [], []
+    splu = spla.splu
+
+    def tracking(init):
+        def __init__(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(weakref.ref(self))
+        return __init__
+
+    def counting_splu(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in made))
+        return splu(*args, **kwargs)
+
+    for cls in (numerics.LUFactor, numerics.GramFactor):
+        monkeypatch.setattr(cls, "__init__", tracking(cls.__init__))
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    return alive
 
 
 def rebind_everywhere(monkeypatch, original, replacement):

@@ -36,7 +36,7 @@ from helmprec.errors import (
 )
 from helmprec.io import field_from_rule
 from helmprec.mesh import SIDES, Mesh, build_interval_mesh
-from helmprec.numerics import gram_factor
+from helmprec.numerics import LUFactor, gram_factor
 
 # relative agreement with the element-by-element oracle, in the largest entry
 ORACLE_RTOL = 1e-14
@@ -238,6 +238,16 @@ def test_validate_external_roundtrip_and_errors():
     small = canonical_1d(4.0, 5)
     with pytest.raises(InvalidSystemError, match="M"):
         validate_external(*pair(s1.D, small.M))
+
+
+def test_system_keeps_only_the_factors_of_a_and_d():
+    """A system keeps A's LU factors and D's Gram factor; its mass extremes
+    are cached without a factor of M or of sigma I - M."""
+    s = canonical_1d(4.0, 10)
+    s.inf_sup(), s.mass_extremes(), s.gram_d
+    assert not hasattr(MatrixSystem, "gram_m")
+    kept = {name for name, value in vars(s).items() if isinstance(value, LUFactor)}
+    assert kept == {"lu", "gram_d"}
 
 
 # (lo, hi, cells): unit and shifted domains, square and non-square cells

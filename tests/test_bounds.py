@@ -6,6 +6,7 @@ import os
 import sys as sys_module
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -669,6 +670,25 @@ def test_ladder_fixed_points_per_wavelength_recorded():
         assert math.isfinite(e.ratio)
 
 
+def test_ladder_frees_each_reference_rung_before_the_next(monkeypatch, live_factors):
+    """A reference system, with its LU factors, is dead before the next
+    rung's reference is assembled, so the ladder holds one rung at a time."""
+    systems, dead_at_assembly = [], []
+    assemble = bounds.assemble_system
+
+    def recording_assemble(spec):
+        dead_at_assembly.append([ref() is None for ref in systems])
+        system = assemble(spec)
+        systems.append(weakref.ref(system))
+        return system
+
+    monkeypatch.setattr(bounds, "assemble_system", recording_assemble)
+    ladder = _interval_ladder([10.0, 20.0, 40.0], lambda k: int(2 * k), refine=2)
+    assert len(ladder.entries) == 3
+    assert dead_at_assembly == [[], [True], [True, True]]
+    assert live_factors == [0] * 6  # three working and three reference LUs
+
+
 def test_remesh_preserves_structure():
     """The nested transfer of a step field is exact: the fine problem sees
     the coefficient function of the coarse one, at the same k and theta."""
@@ -748,13 +768,15 @@ def test_non_symmetric_pair_estimates_all_four_norms(pencil_calls):
 
 
 def test_pair_shares_factors_and_caches_derived(splu_calls, pencil_calls):
-    """The second system builds no Gram factor (C_dis_2 takes products with
-    D, the norms use sys1's factor of D), and C_dis, the mass extremes and
-    every factor are computed once per system and seed."""
+    """The mass extremes come first, factoring sigma I - M and then M; then
+    sys1's Gram factor of D, which the norms use, and the LU factors of A2
+    and A1. The second system builds no Gram factor (C_dis_2 takes products
+    with D), and C_dis, the mass extremes and every kept factor are
+    computed once per system and seed."""
     s1, s2 = _absorption_pair(canonical_spec_1d(8.0, 60), 0.2)
     rep = nearby_bound_report(s1, s2)
-    assert "gram_d" not in vars(s2) and "gram_m" not in vars(s2)
-    # D, M, sigma I - M, A2, A1
+    assert "gram_d" not in vars(s2)
+    # sigma I - M, M, D, A2, A1
     assert [dtype.kind for _, dtype in splu_calls] == ["f", "f", "f", "c", "c"]
     assert len(pencil_calls) == 2 + 2 + 2
     splu_calls.clear()

@@ -11,7 +11,7 @@ import pytest
 
 from helmprec.cli import _parser, cmd_export, cmd_import, cmd_sweep, cmd_verify, main
 from helmprec.errors import ConfigError, InvalidCoefficientError, InvalidSystemError
-from helmprec.io import load_config
+from helmprec.io import load_config, read_matrix_mm
 
 
 def write_cfg(tmp_path, extra=None, name="cfg.json"):
@@ -323,6 +323,14 @@ def test_each_matrix_factored_once(tmp_path, splu_calls):
     assert _factor_kinds(splu_calls) == {"f": 2 * 3, "c": 2 * (1 + 3) + 2}
 
 
+def test_verify_factors_beside_at_most_two_live_factors(tmp_path, live_factors):
+    """verify factors A1 for the norm chains, then sigma I - M and M one at
+    a time for the mass extremes, then D and A2: no factorization runs
+    beside more than A1's LU and D's Gram factor."""
+    assert cmd_verify(write_cfg(tmp_path), out_dir=str(tmp_path / "v")).exit_status == 0
+    assert live_factors == [0, 1, 1, 1, 2]
+
+
 def test_eigensolves_per_command(tmp_path, pencil_calls):
     """verify: 2 M-weighted solution norms, 1 C_dis per matrix, 2 mass
     extremes and 2 norm estimates (one per symmetric twin pair). A sweep
@@ -579,6 +587,37 @@ def test_import_errors(tmp_path):
     write_matrix_mm(os.path.join(exch, "D.mtx"), bad, "hermitian")
     with pytest.raises(InvalidSystemError, match="D"):
         cmd_import(exch)
+
+
+def test_import_refuses_an_indefinite_m_before_factoring_a(tmp_path, splu_calls):
+    """An indefinite M is refused by the factor of M that the mass
+    extremes make after sigma I - M's, before A1 or A2 is factored."""
+    from helmprec.io import write_matrix_mm
+
+    exch = str(tmp_path / "exch")
+    cmd_export(write_cfg(tmp_path), out_dir=exch)
+    M = read_matrix_mm(os.path.join(exch, "M.mtx")).tolil()
+    M[0, 0] = -M[0, 0]  # e_0^T M e_0 < 0 < e_1^T M e_1
+    write_matrix_mm(os.path.join(exch, "M.mtx"), M, "hermitian")
+    splu_calls.clear()
+    with pytest.raises(InvalidSystemError, match="matrix M is not positive definite"):
+        cmd_import(exch, out_dir=str(tmp_path / "i"))
+    assert _factor_kinds(splu_calls) == {"f": 3}  # D, sigma I - M, M
+    assert not os.path.exists(os.path.join(tmp_path, "i", "bounds.json"))
+
+
+def test_import_of_an_empty_pair_is_an_error(tmp_path, capsys):
+    """Four 0 x 0 matrices are refused with one error line, not a traceback."""
+    exch = tmp_path / "exch"
+    exch.mkdir()
+    for name in ("A1", "A2", "D", "M"):
+        (exch / f"{name}.mtx").write_text(
+            "%%MatrixMarket matrix coordinate complex general\n0 0 0\n")
+    (exch / "meta.json").write_text('{"dmu": 0.0, "deps": 0.2}')
+    assert main(["import", "--dir", str(exch)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix A1 is empty (0 x 0)\n"
 
 
 def test_import_norms_flags_over_meta(tmp_path):

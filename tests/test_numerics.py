@@ -516,6 +516,26 @@ def test_mass_extremes_loose_gershgorin_shift(rng):
     _assert_extremes(mass_extremes(M), ev[0], ev[-1])
 
 
+def test_mass_extremes_holds_one_factor_at_a_time(monkeypatch, live_factors):
+    """sigma I - M is factored first and freed before M is factored, and
+    neither factor outlives the call: a second call finds none alive."""
+    M = canonical_2d(1.0, 12, 12).M
+    factored = []
+    splu = spla.splu
+
+    def recording_splu(A, *args, **kwargs):
+        factored.append(A.copy())
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    me = mass_extremes(M)
+    assert mass_extremes(M) == me
+    assert live_factors == [0, 0, 0, 0]
+    sigma = abs(M).sum(axis=1).max()
+    assert abs(factored[0] + M - sigma * sp.identity(M.shape[0])).max() <= 1e-15 * sigma
+    assert abs(factored[1] - M).max() == 0
+
+
 def test_mass_extremes_factors_only_the_shifted_matrix(splu_calls):
     M = canonical_2d(1.0, 12, 12).M
     g = gram_factor(M)
