@@ -324,7 +324,8 @@ def _check_hermitian(X, name: str):
         raise InvalidSystemError(f"matrix {name} is not Hermitian")
 
 
-def validate_external(sys1: MatrixSystem, sys2: MatrixSystem) -> None:
+def validate_external(sys1: MatrixSystem, sys2: MatrixSystem,
+                      seed: int = DEFAULT_SEED) -> None:
     """Check an imported pair: consistent nonzero dimensions, D and M Hermitian PD.
 
     D and M are those of ``sys1``; the bound report checks that ``sys2``
@@ -346,8 +347,8 @@ def validate_external(sys1: MatrixSystem, sys2: MatrixSystem) -> None:
         if X.nnz and abs(X.imag).max() > 0:
             raise InvalidSystemError(f"matrix {name} must be real symmetric")
         try:
-            # certified by what a report reuses: D's Gram factor, and M's
-            # factor inside the mass extremes at the default seed
-            sys1.gram_d if name == "D" else sys1.mass_extremes()
+            # certified by what a report at ``seed`` reuses: D's Gram
+            # factor, and M's factor inside the mass extremes
+            sys1.gram_d if name == "D" else sys1.mass_extremes(seed)
         except NotPositiveDefiniteError as exc:
             raise InvalidSystemError(f"matrix {name} is not positive definite") from exc

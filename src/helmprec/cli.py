@@ -278,7 +278,7 @@ def cmd_import(
     d_path = d_path or os.path.join(matrix_dir, "D.mtx")
     m_path = m_path or os.path.join(matrix_dir, "M.mtx")
     sys1, sys2, meta = hio.read_matrix_exchange(a1, a2, d_path, m_path)
-    validate_external(sys1, sys2)
+    validate_external(sys1, sys2, seed)
     dmu = meta.get("dmu") if dmu is None else dmu
     deps = meta.get("deps") if deps is None else deps
     rep = nearby_bound_report(sys1, sys2, dmu=dmu, deps=deps, seed=seed)

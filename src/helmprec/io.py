@@ -509,10 +509,11 @@ def read_matrix_exchange(
     """Read a system pair from four coordinate-format files.
 
     Returns ``(sys1, sys2, meta)``: the systems of A1 and A2, both on the
-    same D and M objects, and the parsed ``meta.json`` next to the A1 file
-    (the coefficient-difference norms of an exported pair), or ``{}``
-    when there is none. A meta.json that is not a JSON object raises
-    MatrixExchangeError.
+    same D and M objects (float64 when their entries are real; a complex
+    one is left for :func:`validate_external` to refuse), and the
+    parsed ``meta.json`` next to the A1 file (the coefficient-difference
+    norms of an exported pair), or ``{}`` when there is none. A meta.json
+    that is not a JSON object raises MatrixExchangeError.
     """
     mats = {}
     for name, path in (
@@ -531,7 +532,8 @@ def read_matrix_exchange(
                 raise MatrixExchangeError(f"{meta_path}: {exc}") from None
         if not isinstance(meta, dict):
             raise MatrixExchangeError(f"{meta_path} is not a JSON object")
-    D, M = mats["D"], mats["M"]
+    D, M = (X if X.imag.count_nonzero() else X.real.astype(float)
+            for X in (mats["D"], mats["M"]))
     return MatrixSystem(mats["A1"], D, M), MatrixSystem(mats["A2"], D, M), meta
 
 

@@ -30,9 +30,11 @@ the conjugated matrix above:
 
 Lanczos in the B inner product takes products with B only, neither a
 solve with B nor a factor of it; ARPACK runs it as its shift-invert mode
-at sigma = 0 with OPinv = W (:func:`_pencil_lambda_max`). So C_dis and
-the solution-operator norms take two solves with A per application and
-never factor D or M, and a D-weighted operator norm takes one D solve.
+at sigma = 0 with OPinv = W (:func:`_pencil_lambda_max`), in real
+arithmetic on the float64 view of complex vectors, where the Hermitian
+W is real symmetric. So C_dis and the solution-operator norms take two
+solves with A per application and never factor D or M, and a
+D-weighted operator norm takes one D solve.
 The Ritz value comes with the residual bound |nu - nu_exact| <=
 ||W B v - nu v||_B for the B-unit Ritz vector v. Iterations stop on it
 at the fixed relative tolerance ``DEFAULT_TOL`` = 1e-10 and are capped
@@ -55,8 +57,8 @@ fill-reducing ordering (minimum degree on the pattern of A^T + A):
 complex LU for A, and for D and M an LDL^T-type factorization
 P D P^T = L_0 U_0 certified SPD by its pivots (:func:`gram_factor`).
 Complex vectors against the real factors are solved as two real
-columns, and products with the real D and M take their real and
-imaginary parts, with no complex copy of the matrix.
+columns, and products of the real D and M with complex vectors are one
+pass over the matrix with their float64 view, with no complex copy.
 
 A Galerkin Helmholtz matrix is complex symmetric, A^T = A, and an LU
 factor tests that once, exactly (no entry of A - A^T is nonzero). Its
@@ -69,7 +71,6 @@ asked.
 
 from __future__ import annotations
 
-import gc
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -172,12 +173,14 @@ def lu_factor(A, dtype=complex, **options) -> LUFactor:
 
 
 def _real_product(X, x: np.ndarray) -> np.ndarray:
-    """X @ x for a real sparse X; a complex x is multiplied as its real and
-    imaginary parts, which is exact and avoids the complex copy of X that
-    ``X @ x`` would make on every call."""
+    """X @ x for a real sparse X; a complex x is multiplied as the (n, 2k)
+    float64 view of its real and imaginary parts, in one pass over X and
+    with no complex copy of X, bit for bit the product of each part."""
     if not np.iscomplexobj(x):
         return X @ x
-    return X @ x.real + 1j * (X @ x.imag)
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    y = X @ x.view(np.float64).reshape(x.shape[0], -1)
+    return y.view(np.complex128).reshape(x.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,6 +334,10 @@ def _pencil_lambda_max(
     (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998, mode 3),
     never applies its A, and reports 1/nu. Power iteration would stall on
     the clustered extremes of finite-element mass and Gram matrices.
+    ARPACK sees float64 vectors only, so it takes its symmetric driver: a
+    complex W (the default ``dtype``) acts on the interleaved float view of
+    complex n-vectors and B on its (n, 2) view, where W B is B-symmetric on
+    R^{2n} with every eigenvalue doubled; the complex start vector is viewed alike.
     ``dtype=float`` runs a real symmetric W from a real start vector.
     Returns (nu, applications of W, residual ||W B v - nu v||_B of the
     B-unit Ritz vector v). Hitting the cap raises with the applications of
@@ -345,10 +352,11 @@ def _pencil_lambda_max(
     The basis size ncv is also the restart length: ARPACK tests
     convergence only once it has built ncv vectors, so a run ends only at
     the end of a restart cycle, and a larger basis can overshoot
-    convergence. ncv = 15 gave the fewest LU solves over the three
-    benchmark workloads among ncv = 12..20 in shift-invert mode: 3,603 in
-    all at seed 0 (3,635 at seed 1), against 3,682 (3,682) at 14, 3,702
-    (3,686) at 16, 3,698 (3,710) at 12 and 3,824 (3,824) at 20.
+    convergence. ncv = 15 gave the fewest solves with A over the three
+    benchmark workloads among ncv = 8..20 under the symmetric driver:
+    3,068 at seed 0 (3,100 at seed 1; 3,603 and 3,635 LU solves in all),
+    against 3,132 (3,132) at 14, 3,148 (3,160) at 12, 3,156 at 19, 3,160
+    (3,128) at 16 and 3,208 (3,208) at 20.
     """
     if n <= _DENSE_PENCIL_N:
         eye = np.eye(n, dtype=dtype)
@@ -358,27 +366,31 @@ def _pencil_lambda_max(
         vals = sla.eigh(B @ W @ B, B, eigvals_only=True)
         return max(float(vals[-1]), 0.0), n, 0.0
 
+    def real_w(x):
+        return np.ascontiguousarray(apply_w(x.view(dtype)), dtype=dtype).view(np.float64)
+
     count = 0
 
-    def counted_w(v):
+    def counted_w(x):
         nonlocal count
         count += 1
-        y = apply_w(v)
+        y = real_w(x)
         if count == 1 and not np.any(y):
             raise _ZeroOperator
         return y
 
     def apply_b(x):
-        return x if b is None else _real_product(b, x)
+        return x if b is None else (b @ x.reshape(n, -1)).reshape(x.shape)
 
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
     if np.dtype(dtype).kind == "c":
         v0 = v0 + 1j * rng.standard_normal(n)
+    x0 = v0.view(np.float64)
     ncv = min(n, _NCV)
 
     def operator(matvec):
-        return spla.LinearOperator((n, n), matvec=matvec, dtype=dtype)
+        return spla.LinearOperator((x0.size,) * 2, matvec=matvec, dtype=np.float64)
 
     try:
         vals, vecs = spla.eigsh(
@@ -388,7 +400,7 @@ def _pencil_lambda_max(
             OPinv=operator(counted_w),
             M=None if b is None else operator(apply_b),
             which="LM",
-            v0=v0,
+            v0=x0,
             ncv=ncv,
             tol=tol,
             maxiter=max(100, max_it // ncv),
@@ -402,18 +414,11 @@ def _pencil_lambda_max(
             estimate=1.0 / float(exc.eigenvalues[-1]) if len(exc.eigenvalues) else None,
             iterations=count,
         ) from exc
-    finally:
-        # SciPy's complex ARPACK driver keeps its workspace in a reference
-        # cycle when it has a B-operator (its OP is a lambda that holds the
-        # driver itself). Without this collection of the young generations
-        # (0.7 MiB per run at n = 2,401) each workspace waits for a full
-        # collection, and the 2D benchmark sweep peaked 6-16 MiB higher.
-        gc.collect(1)
     nu = max(1.0 / float(vals[0]), 0.0)
     v = vecs[:, 0]
     bv = apply_b(v)
-    r = apply_w(bv) - nu * v  # the residual of v, scaled below to a B-unit v
-    res = math.sqrt(max(np.vdot(r, apply_b(r)).real, 0.0) / np.vdot(v, bv).real)
+    r = real_w(bv) - nu * v  # the residual of v, scaled below to a B-unit v
+    res = math.sqrt(max(r @ apply_b(r), 0.0) / (v @ bv))
     return nu, count, res
 
 
@@ -445,6 +450,8 @@ def _norm_matrix(X, n: int) -> sp.spmatrix:
     X = X.D if isinstance(X, GramFactor) else sp.csr_matrix(X)
     if X.shape != (n, n):
         raise InvalidArgumentError(f"norm matrix of shape {X.shape}, expected {(n, n)}")
+    if np.iscomplexobj(X):  # products with it run on float64 views
+        raise InvalidArgumentError("norm matrix must be real")
     return X
 
 

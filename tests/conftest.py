@@ -194,3 +194,22 @@ def pencil_calls(monkeypatch):
 
     rebind_everywhere(monkeypatch, pencil, counting_pencil)
     return calls
+
+
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """Every ``spla.eigsh`` call, in call order, as a dict: its keyword
+    arguments (``kwargs``; a positional argument after the operator fails
+    the call), the dtype and shape of its operator (``dtype``, ``shape``)
+    and, once it returns, its eigenvectors (``vecs``)."""
+    calls = []
+    eigsh = spla.eigsh
+
+    def recording_eigsh(A, **kwargs):
+        call = {"kwargs": kwargs, "dtype": A.dtype, "shape": A.shape}
+        calls.append(call)
+        vals, call["vecs"] = eigsh(A, **kwargs)
+        return vals, call["vecs"]
+
+    monkeypatch.setattr(spla, "eigsh", recording_eigsh)
+    return calls

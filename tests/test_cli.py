@@ -347,29 +347,26 @@ def test_eigensolves_per_command(tmp_path, pencil_calls):
     assert pencil_calls[-2:] == [121, 121]
 
 
-def test_eigensolves_run_in_shift_invert_mode(tmp_path, monkeypatch):
+def test_eigensolves_run_in_shift_invert_mode(tmp_path, monkeypatch, eigsh_calls):
     """Every eigsh call is ARPACK's shift-invert mode at sigma = 0 with
     OPinv = W, and its M is the norm matrix B exactly when the eigensolve
     has one: always for the inf-sup constant and the solution-operator
     norms, which make no Gram-factor solve, never for the mass extremes. A
-    D-weighted operator norm makes one Gram-factor solve per application."""
+    D-weighted operator norm makes one Gram-factor solve per application.
+    Every operator is float64, so eigsh runs its symmetric driver: of size
+    2n for a complex W (the interleaved view of complex n-vectors), and of
+    size n for the real W of the mass extremes."""
     import inspect
 
     from conftest import rebind_everywhere
 
     from helmprec import numerics
 
-    eigsh_calls, scope, weighted = [], [], []
+    scope, pencils = [], []
     solves, applies = Counter(), Counter()
-    eigsh = numerics.spla.eigsh
     gram_solve = numerics.GramFactor.solve
     pencil = numerics._pencil_lambda_max
     signature = inspect.signature(pencil)
-
-    def recording_eigsh(*args, **kwargs):
-        assert len(args) == 1  # the unused A; k, M, sigma, ... not positionally
-        eigsh_calls.append((scope[-1], weighted[-1], kwargs))
-        return eigsh(*args, **kwargs)
 
     def counting_solve(self, *args, **kwargs):
         solves[scope[-1] if scope else None] += 1
@@ -384,11 +381,11 @@ def test_eigensolves_run_in_shift_invert_mode(tmp_path, monkeypatch):
             applies[key] += 1
             return apply_w(v)
 
-        weighted.append(key[1])
+        first = len(eigsh_calls)
         try:
             return pencil(counted, **bound)
         finally:
-            weighted.pop()
+            pencils.extend([(*key, bound["n"])] * (len(eigsh_calls) - first))
 
     def scoped(fn):
         def run(*args, **kwargs):
@@ -399,7 +396,6 @@ def test_eigensolves_run_in_shift_invert_mode(tmp_path, monkeypatch):
                 scope.pop()
         return run
 
-    monkeypatch.setattr(numerics.spla, "eigsh", recording_eigsh)
     monkeypatch.setattr(numerics.GramFactor, "solve", counting_solve)
     rebind_everywhere(monkeypatch, pencil, counting_pencil)
     for fn in (numerics.discrete_inf_sup, numerics.solution_operator_norms,
@@ -413,13 +409,21 @@ def test_eigensolves_run_in_shift_invert_mode(tmp_path, monkeypatch):
     })
     assert cmd_verify(path, out_dir=str(tmp_path / "v")).exit_status == 0
     assert cmd_sweep(path, out_dir=str(tmp_path / "s")).exit_status == 0
-    assert {name for name, _, _ in eigsh_calls} == {
+    assert len(pencils) == len(eigsh_calls)
+    assert {name for name, _, _ in pencils} == {
         "discrete_inf_sup", "solution_operator_norms", "weighted_operator_norm",
         "mass_extremes"}
-    for name, has_b, kwargs in eigsh_calls:
+    for (name, has_b, n), call in zip(pencils, eigsh_calls):
+        kwargs = call["kwargs"]
         assert kwargs["sigma"] == 0.0 and kwargs["which"] == "LM", name
         assert kwargs["OPinv"] is not None and "Minv" not in kwargs, name
         assert (kwargs.get("M") is not None) == has_b, name
+        size = n if name == "mass_extremes" else 2 * n
+        assert call["dtype"] == kwargs["OPinv"].dtype == np.float64, name
+        assert call["shape"] == kwargs["OPinv"].shape == (size, size), name
+        if has_b:
+            assert kwargs["M"].dtype == np.float64, name
+            assert kwargs["M"].shape == (size, size), name
     for name in ("discrete_inf_sup", "solution_operator_norms"):
         assert applies[name, True] > 0 and applies[name, False] == 0, name
         assert solves[name] == 0, name
@@ -429,13 +433,17 @@ def test_eigensolves_run_in_shift_invert_mode(tmp_path, monkeypatch):
 
 
 def test_import_factors_each_matrix_once(tmp_path, splu_calls):
-    """import certifies D and M SPD with the factors its report solves with."""
+    """import certifies D and M SPD with the factors its report solves
+    with, at every seed: M's inside the mass extremes at the command's seed,
+    which the report reuses."""
     exch = str(tmp_path / "exch")
     assert cmd_export(write_cfg(tmp_path), out_dir=exch).exit_status == 0
-    splu_calls.clear()
-    assert cmd_import(exch, out_dir=str(tmp_path / "i")).exit_status == 0
-    assert len(splu_calls) == 5
-    assert _factor_kinds(splu_calls) == {"f": 3, "c": 2}
+    for seed in (0, 1):
+        splu_calls.clear()
+        out = str(tmp_path / f"i{seed}")
+        assert cmd_import(exch, out_dir=out, seed=seed).exit_status == 0
+        assert len(splu_calls) == 5, seed
+        assert _factor_kinds(splu_calls) == {"f": 3, "c": 2}, seed
 
 
 def test_sweep_with_ladder(tmp_path):
@@ -586,6 +594,15 @@ def test_import_errors(tmp_path):
     bad = sp.diags([-1.0] * 61).tocsr().astype(complex)
     write_matrix_mm(os.path.join(exch, "D.mtx"), bad, "hermitian")
     with pytest.raises(InvalidSystemError, match="D"):
+        cmd_import(exch)
+
+    # D is read as a real matrix only when it is one: a Hermitian D with a
+    # nonzero imaginary part is refused
+    cmd_export(cfg_path, out_dir=exch)
+    D = read_matrix_mm(os.path.join(exch, "D.mtx"))
+    D = D + 1e-15j * (sp.triu(D, 1) - sp.tril(D, -1))
+    write_matrix_mm(os.path.join(exch, "D.mtx"), D, "hermitian")
+    with pytest.raises(InvalidSystemError, match="matrix D must be real symmetric"):
         cmd_import(exch)
 
 

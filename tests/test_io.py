@@ -253,6 +253,7 @@ def test_matrix_exchange_dir_roundtrip(tmp_path):
     assert (abs(b2.A - s2.A)).max() == 0.0
     assert (abs(b1.D - s1.D)).max() == 0.0
     assert b2.D is b1.D and b2.M is b1.M
+    assert b1.D.dtype == b1.M.dtype == np.float64  # read as the real matrices they are
     assert meta == {"dmu": 0.0, "deps": 0.25}
     with pytest.raises(MatrixExchangeError, match="D"):
         read_matrix_exchange(paths["A1.mtx"], paths["A2.mtx"],
