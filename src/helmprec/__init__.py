@@ -12,7 +12,6 @@ from .bounds import (
     BoundReport,
     GardingConstants,
     InfSupLadder,
-    absorption_report,
     garding_check,
     garding_constants_for,
     infsup_ladder,
@@ -20,7 +19,6 @@ from .bounds import (
     norm_equivalence_report,
 )
 from .coeffs import (
-    AbsorptionSpec,
     CoefficientField,
     Role,
     absorption_shift,
@@ -42,7 +40,7 @@ from .numerics import (
     solution_operator_norms,
     weighted_operator_norm,
 )
-from .solvers import IterationTrace, direct_solve, envelopes, fixed_point, gmres
+from .solvers import IterationTrace, fixed_point, gmres
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

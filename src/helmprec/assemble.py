@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .coeffs import AbsorptionSpec, CoefficientField, Role, absorption_shift
+from .coeffs import CoefficientField, Role, absorption_shift
 from .errors import (
     DegenerateSystemError,
     InvalidArgumentError,
@@ -97,7 +97,7 @@ class ProblemSpec:
     def with_eps(self, eps: CoefficientField) -> "ProblemSpec":
         return ProblemSpec(self.k, self.mesh, self.mu_inv, eps, self.theta)
 
-    def with_absorption(self, alpha: AbsorptionSpec | float) -> "ProblemSpec":
+    def with_absorption(self, alpha: float) -> "ProblemSpec":
         """The absorption perturbation eps -> (1 + i*alpha) eps."""
         return self.with_eps(absorption_shift(self.eps, alpha))
 

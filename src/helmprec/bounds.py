@@ -58,7 +58,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assemble import GalerkinSystem, MatrixSystem, ProblemSpec, assemble_system
-from .coeffs import AbsorptionSpec, field_diff_sup_norm, resample_field
+from .coeffs import field_diff_sup_norm, resample_field
 from .errors import InvalidArgumentError, InvalidPairError, SingularSystemError
 from .mesh import Mesh
 from .numerics import (
@@ -547,17 +547,6 @@ def nearby_bound_report(
         rhs_lemma=rhs_lemma, rhs_lemma2=rhs_lemma2, cond=cond,
         checks=tuple(checks), k=k, h=h, alpha=alpha,
     )
-
-
-def absorption_report(
-    sys1: GalerkinSystem,
-    alpha: AbsorptionSpec | float,
-    seed: int = 0,
-) -> BoundReport:
-    """Bound report for the absorption perturbation eps -> (1 + i*alpha) eps."""
-    a = alpha.alpha if isinstance(alpha, AbsorptionSpec) else float(alpha)
-    sys2 = assemble_system(sys1.spec.with_absorption(a))
-    return nearby_bound_report(sys1, sys2, seed=seed, alpha=a)
 
 
 def norm_equivalence_report(

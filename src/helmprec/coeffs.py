@@ -16,8 +16,10 @@ exact maxima and all element integrals in the assembly stay closed-form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -29,17 +31,6 @@ from .mesh import Mesh
 class Role(Enum):
     MU_INV = "mu_inv"
     EPS = "eps"
-
-
-@dataclass(frozen=True)
-class AbsorptionSpec:
-    """Absorption parameter: the perturbation eps -> (1 + i*alpha)*eps."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise InvalidArgumentError(f"alpha must be >= 0, got {self.alpha}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,15 +110,17 @@ def piecewise_field(
     return CoefficientField(mesh, np.stack(vals), role)
 
 
-def absorption_shift(
-    eps: CoefficientField, alpha: AbsorptionSpec | float
-) -> CoefficientField:
-    """The absorption perturbation: multiply an EPS field by (1 + i*alpha)."""
+def absorption_shift(eps: CoefficientField, alpha: float) -> CoefficientField:
+    """The absorption perturbation: multiply an EPS field by (1 + i*alpha).
+
+    ``alpha`` must be a finite real number >= 0 (a bool is not one).
+    """
     if eps.role != Role.EPS:
         raise InvalidArgumentError("absorption_shift applies to EPS fields only")
-    if not isinstance(alpha, AbsorptionSpec):
-        alpha = AbsorptionSpec(float(alpha))
-    return CoefficientField(eps.mesh, (1.0 + 1j * alpha.alpha) * eps.values, eps.role)
+    number = isinstance(alpha, Real) and not isinstance(alpha, bool)
+    if not (number and 0 <= alpha < math.inf):
+        raise InvalidArgumentError(f"alpha must be a finite number >= 0, got {alpha!r}")
+    return CoefficientField(eps.mesh, (1.0 + 1j * float(alpha)) * eps.values, eps.role)
 
 
 def pml_profile_1d(

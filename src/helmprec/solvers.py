@@ -1,15 +1,15 @@
 """Direct solves, preconditioned fixed-point iteration, and GMRES.
 
-The iterative solvers exist to exercise convergence envelopes: when the
-contraction factor c = ||I - A2^{-1} A1||_D is below one,
+The iterative solvers feed the sweep's iteration counts (``fp_iters``,
+``gmres_iters``). When the contraction factor c = ||I - A2^{-1} A1||_D
+is below one, both obey an exact envelope:
 
     fixed point   ||x - x^n||_D  <=  c^n ||x - x^0||_D,
     GMRES in D    ||r^n||_D      <=  c^n ||r^0||_D,
 
 where the GMRES bound follows from the minimal-residual property with
-the polynomial (1-z)^n. The classical Elman-type envelope
-(2 sqrt(c) / (1+c)^2)^n is also reported for comparison; for c < 1 it
-is the weaker of the two.
+the polynomial (1-z)^n. Both inequalities are exact, so the observed
+rates are certified lower bounds on c that a check may gate on.
 
 GMRES is full (non-restarted) in a caller-chosen inner product:
 Euclidean, or <u, v> = v* D u supplied through a Gram factor. Each new
@@ -23,7 +23,7 @@ construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,45 +39,19 @@ _BREAKDOWN = 1e-14
 class IterationTrace:
     """Per-iteration norms of one solver run.
 
-    ``norms[j]`` is the error norm (fixed point) or residual norm
-    (GMRES) after j iterations; envelopes are attached with
-    :meth:`with_envelopes` once a contraction factor is known.
+    ``norms[j]`` is the error norm in D (fixed point) or the residual norm
+    in the chosen inner product (GMRES) after j iterations. For the
+    sweep's runs, fixed point and D-GMRES on A2^{-1} A1, both are at most
+    c^j ``norms[0]`` (see the module docstring).
     """
 
-    kind: str
     norms: np.ndarray
     converged: bool
-    final_relative: float
-    inner: str = "euclid"
-    solution: Optional[np.ndarray] = None
-    c: Optional[float] = None
-    envelope_c: Optional[np.ndarray] = None
-    envelope_elman: Optional[np.ndarray] = None
+    solution: np.ndarray
 
     @property
     def iterations(self) -> int:
         return len(self.norms) - 1
-
-    def with_envelopes(self, c: float) -> "IterationTrace":
-        env_c, env_elman = envelopes(c, self.iterations)
-        initial = float(self.norms[0])
-        return replace(
-            self, c=c, envelope_c=env_c * initial, envelope_elman=env_elman * initial
-        )
-
-
-def envelopes(c: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Envelope sequences (c^n) and ((2 sqrt(c)/(1+c)^2)^n) for n = 0..n_max.
-
-    Both sequences start at 1; the second is the Elman-type GMRES rate.
-    """
-    if c < 0:
-        raise InvalidArgumentError(f"contraction factor must be >= 0, got {c}")
-    n = np.arange(n_max + 1)
-    env_c = np.where(n == 0, 1.0, float(c) ** n)
-    elman_rate = 2.0 * math.sqrt(c) / (1.0 + c) ** 2
-    env_elman = np.where(n == 0, 1.0, elman_rate ** n)
-    return env_c, env_elman
 
 
 def direct_solve(A, b: np.ndarray) -> np.ndarray:
@@ -131,15 +105,7 @@ def fixed_point(
         norms.append(err)
         if err <= tol * err0:
             converged = True
-    final_rel = norms[-1] / err0 if err0 > 0 else 0.0
-    return IterationTrace(
-        kind="fixed_point",
-        norms=np.array(norms),
-        converged=converged,
-        final_relative=final_rel,
-        inner="D",
-        solution=x,
-    )
+    return IterationTrace(np.array(norms), converged, x)
 
 
 def gmres(
@@ -168,14 +134,7 @@ def gmres(
     r0 = b  # zero initial guess
     beta = ip_norm(r0)
     if beta == 0.0:
-        return IterationTrace(
-            kind="gmres",
-            norms=np.array([0.0]),
-            converged=True,
-            final_relative=0.0,
-            inner="euclid" if inner is None else "D",
-            solution=np.zeros(n, dtype=complex),
-        )
+        return IterationTrace(np.array([0.0]), True, np.zeros(n, dtype=complex))
 
     max_it = min(max_it, n)
     # column-major, so each basis vector is contiguous and the columns not
@@ -228,11 +187,4 @@ def gmres(
 
     y = np.linalg.solve(H[:j_done, :j_done], g[:j_done]) if j_done else np.array([])
     x = V[:, :j_done] @ y if j_done else np.zeros(n, dtype=complex)
-    return IterationTrace(
-        kind="gmres",
-        norms=np.array(res_norms),
-        converged=converged,
-        final_relative=res_norms[-1] / beta,
-        inner="euclid" if inner is None else "D",
-        solution=x,
-    )
+    return IterationTrace(np.array(res_norms), converged, x)

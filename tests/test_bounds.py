@@ -33,7 +33,6 @@ from helmprec.bounds import (
     CANONICAL_GARDING,
     GardingConstants,
     GardingReport,
-    absorption_report,
     garding_check,
     garding_constants_for,
     infsup_ladder,
@@ -510,22 +509,9 @@ def test_nearby_bounds_mu_perturbation():
     assert rep.passed
 
 
-def test_absorption_report_matches_nearby_field_by_field():
-    s1 = canonical_1d(20.0, 200)
-    alpha = 0.3
-    rep_a = absorption_report(s1, alpha)
-    s2 = assemble_system(s1.spec.with_eps(absorption_shift(s1.spec.eps, alpha)))
-    rep_n = nearby_bound_report(s1, s2)
-    for field in ("dmu", "deps", "c_dis1", "c_dis2", "mass_ratio", "lhs_D",
-                  "lhs_Dinv", "lhs_2", "lhs_2p", "rhs_lemma", "rhs_lemma2", "cond"):
-        assert getattr(rep_a, field) == getattr(rep_n, field), field
-    assert rep_a.alpha == alpha
-    assert rep_a.deps == pytest.approx(alpha, rel=1e-14)  # eps = 1
-    assert rep_a.passed
-
-
 def test_absorption_zero_alpha_is_identity():
-    rep = absorption_report(canonical_1d(5.0, 20), 0.0)
+    s1 = canonical_1d(5.0, 20)
+    rep = nearby_bound_report(s1, assemble_system(s1.spec.with_absorption(0.0)), alpha=0.0)
     assert rep.lhs_D == 0.0 and rep.rhs_lemma == 0.0 and rep.passed
 
 
@@ -582,7 +568,7 @@ def test_adjoint_symmetry_of_right_norm():
 
 def test_factor_two_under_smallness():
     s1 = canonical_1d(10.0, 100)
-    rep = absorption_report(s1, 0.05)
+    rep = nearby_bound_report(s1, assemble_system(s1.spec.with_absorption(0.05)), alpha=0.05)
     assert rep.cond <= 0.5
     assert rep.c_dis2 <= 2 * rep.c_dis1 * (1 + 1e-9)
     names = [c.name for c in rep.checks]

@@ -728,3 +728,14 @@ def test_readme_synopsis_lists_each_commands_flags():
         for name, sp in commands.choices.items()
     }
     assert documented == declared
+
+
+def test_readme_library_sketch_runs(capsys):
+    """The README's library sketch runs as written against the package."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    code = re.search(r"## Library sketch\n\n```python\n(.*?)```", readme, re.S).group(1)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["report"].passed
+    assert namespace["trace"].converged
+    assert capsys.readouterr().out.startswith(f"{namespace['report'].contraction} True\n")

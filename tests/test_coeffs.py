@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helmprec.coeffs import (
-    AbsorptionSpec,
     CoefficientField,
     Role,
     absorption_shift,
@@ -80,15 +79,18 @@ def test_absorption_shift_arithmetic(mesh4):
     assert np.all(absorption_shift(eps, 0.5).values == 1 + 0.5j)
     assert np.array_equal(absorption_shift(eps, 0.0).values, eps.values)
     eps2 = constant_field(mesh4, 2.0, Role.EPS)
-    assert np.all(absorption_shift(eps2, AbsorptionSpec(1.0)).values == 2 + 2j)
+    for alpha in (1, 1.0, np.float64(1.0)):
+        assert np.all(absorption_shift(eps2, alpha).values == 2 + 2j)
 
 
 def test_absorption_shift_role_and_alpha(mesh4):
     mu = constant_field(mesh4, 1.0, Role.MU_INV)
     with pytest.raises(InvalidArgumentError):
         absorption_shift(mu, 0.5)
-    with pytest.raises(InvalidArgumentError):
-        AbsorptionSpec(-0.1)
+    eps = constant_field(mesh4, 1.0, Role.EPS)
+    for alpha in (-0.1, np.nan, np.inf, -np.inf, True, False, "0.3", None):
+        with pytest.raises(InvalidArgumentError, match="alpha"):
+            absorption_shift(eps, alpha)
 
 
 def test_pml_profile_values():

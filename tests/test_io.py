@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from conftest import canonical_1d, canonical_spec_1d, working_rung
 
 from helmprec.assemble import assemble_system
-from helmprec.bounds import absorption_report, garding_check, infsup_ladder, InfSupLadder
+from helmprec.bounds import garding_check, infsup_ladder, InfSupLadder, nearby_bound_report
 from helmprec.coeffs import absorption_shift
 from helmprec.errors import ConfigError, InvalidArgumentError, MatrixExchangeError
 from helmprec.io import (
@@ -261,7 +261,8 @@ def test_matrix_exchange_dir_roundtrip(tmp_path):
 
 
 def test_bound_report_serialization(tmp_path):
-    rep = absorption_report(canonical_1d(5.0, 30), 0.2)
+    s1 = canonical_1d(5.0, 30)
+    rep = nearby_bound_report(s1, assemble_system(s1.spec.with_absorption(0.2)), alpha=0.2)
     jpath = write_report(rep, str(tmp_path / "r.json"), "json")
     data = json.loads(open(jpath).read())
     assert data["alpha"] == 0.2
