@@ -65,8 +65,6 @@ from .numerics import (
     nearly_equal,
 )
 
-_HERMITIAN_RTOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
@@ -292,6 +290,9 @@ def assemble_system(spec: ProblemSpec) -> GalerkinSystem:
     if spec.mu_inv.is_matrix:
         g = pattern.grads
         values = np.einsum("oia,coab,ojb->coij", g, mu.reshape(-1, no, 2, 2), g)
+        # the einsum rounds entries (i, j) and (j, i) differently; their
+        # exact mean keeps A exactly symmetric, as in the scalar case
+        values = 0.5 * (values + np.swapaxes(values, -1, -2))
         values = values.reshape(-1, no, p2) * (k2 * pattern.measure)
     else:
         values = (k2 * mu).reshape(-1, no, 1) * pattern.stiffness
@@ -320,7 +321,7 @@ def assemble_load(spec: ProblemSpec, f) -> np.ndarray:
 
 
 def _check_hermitian(X, name: str):
-    if not nearly_equal(X, X.getH(), _HERMITIAN_RTOL):
+    if not nearly_equal(X, X.getH()):
         raise InvalidSystemError(f"matrix {name} is not Hermitian")
 
 

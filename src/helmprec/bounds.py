@@ -30,7 +30,7 @@ from the problems' fields for two Galerkin systems and are supplied
 otherwise.
 
 Helmholtz Galerkin matrices are complex symmetric, and when A1 and A2
-both are (||A - A^T|| <= 1e-14 ||A|| in the largest entry) the
+both are, exactly (:func:`~helmprec.numerics.is_symmetric`), the
 right-hand operator I - A1 A2^{-1} is the transpose of the left-hand
 one, so by the twin identities of :mod:`helmprec.numerics`
 ||I - A1 A2^{-1}||_{D^{-1}} = ||I - A2^{-1} A1||_D and the two Euclidean
@@ -64,6 +64,7 @@ from .mesh import Mesh
 from .numerics import (
     InfSupReport,
     LUFactor,
+    is_symmetric,
     nearly_equal,
     solution_operator_norms,
     weighted_operator_norm,
@@ -409,12 +410,7 @@ def garding_check(
 
 def _matrices_match(X, Y) -> bool:
     # the D and M of two systems on one mesh and k are one object each
-    return X is Y or (X.shape == Y.shape and nearly_equal(X, Y, 1e-12))
-
-
-def _symmetric(A) -> bool:
-    """A^T = A up to 1e-14 relative in the largest entry."""
-    return nearly_equal(A, A.T, 1e-14)
+    return X is Y or (X.shape == Y.shape and nearly_equal(X, Y))
 
 
 def _difference_operators(A1, A2, lu2: LUFactor):
@@ -451,8 +447,6 @@ def nearby_bound_report(
     dmu: Optional[float] = None,
     deps: Optional[float] = None,
     seed: int = 0,
-    k: Optional[float] = None,
-    h: Optional[float] = None,
     alpha: Optional[float] = None,
 ) -> BoundReport:
     """Evaluate every nearby-preconditioner inequality for a system pair.
@@ -489,11 +483,9 @@ def nearby_bound_report(
             )
 
     n = sys1.n
+    k = h = None
     if isinstance(sys1, GalerkinSystem):
-        if k is None:
-            k = sys1.spec.k
-        if h is None:
-            h = sys1.spec.mesh.h
+        k, h = sys1.spec.k, sys1.spec.mesh.h
 
     # first, so its factors of sigma I - M and M are freed before D's Gram
     # factor and A2's complex LU factors exist
@@ -516,7 +508,8 @@ def nearby_bound_report(
     else:
         lhs_D = weighted_operator_norm(op_left, G, "D", seed=seed)
         lhs_2 = weighted_operator_norm(op_left, None, "euclid", seed=seed)
-        if _symmetric(A1) and _symmetric(A2):
+        # A2's factor has tested A2 once already; a singular A1 has none
+        if is_symmetric(A1) and sys2.lu.symmetric:
             # op_right is the transpose of op_left: the twin identities
             lhs_Dinv, lhs_2p = lhs_D, lhs_2
         else:

@@ -14,8 +14,8 @@ matrix and M = R R^T the mass matrix (L, R real factors, never formed):
 For real symmetric D, transposition keeps singular values, and
 L^{-1} C^T L = (L^T C L^{-T})^T, so ||C^T||_{D^{-1}} = ||C||_D; also
 ||C^T||_2 = ||C||_2. :mod:`helmprec.bounds` uses these twin identities
-to estimate one norm of each pair when both system matrices pass the
-symmetry test ||A - A^T|| <= 1e-14 ||A|| (largest entries).
+to estimate one norm of each pair when both system matrices are exactly
+symmetric (:func:`is_symmetric`).
 
 Each sigma_max^2 is the top eigenvalue nu of W B, with W Hermitian PSD
 and B the norm matrix (B = I for the Euclidean quantities). W B is
@@ -61,7 +61,7 @@ columns, and products of the real D and M with complex vectors are one
 pass over the matrix with their float64 view, with no complex copy.
 
 A Galerkin Helmholtz matrix is complex symmetric, A^T = A, and an LU
-factor tests that once, exactly (no entry of A - A^T is nonzero). Its
+factor tests that once, exactly (:func:`is_symmetric`). Its
 solves then run SuperLU's transposed sweep, which was about 25% faster
 per column than the plain one at n = 1,681-9,409: A^{-1} b is the
 solution of A^T x = b, and A^{-H} b = conj(A^{-1} conj(b)). A matrix
@@ -113,14 +113,19 @@ def _square_csc(X) -> sp.csc_matrix:
     return Xc
 
 
-def nearly_equal(X, Y, rtol: float) -> bool:
-    """max |X - Y| <= rtol times the largest entry of X or Y, for sparse X and
-    Y; an exactly zero difference passes, so two zero matrices are equal."""
+def nearly_equal(X, Y) -> bool:
+    """max |X - Y| <= 1e-12 times the largest entry of X or Y, for sparse X
+    and Y; an exactly zero difference passes, so two zero matrices are equal."""
     diff = abs(X - Y)
     if diff.nnz == 0:
         return True
     scale = max(abs(X).max(), abs(Y).max(), 1e-300)
-    return diff.max() <= rtol * scale
+    return diff.max() <= 1e-12 * scale
+
+
+def is_symmetric(A) -> bool:
+    """A^T = A exactly, for a sparse A: no entry of A - A^T is nonzero."""
+    return (A != A.T).nnz == 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +142,8 @@ class LUFactor:
 
     @cached_property
     def symmetric(self) -> bool:
-        """A^T = A exactly (no entry of A - A^T is nonzero), tested once."""
-        return (self.A != self.A.T).nnz == 0
+        """A^T = A exactly (:func:`is_symmetric`), tested once."""
+        return is_symmetric(self.A)
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         if not self.symmetric:
@@ -152,7 +157,7 @@ class LUFactor:
 
 
 def lu_factor(A, dtype=complex, **options) -> LUFactor:
-    """Factor a square matrix once; an existing factor is returned unchanged.
+    """Factor a square matrix.
 
     The package's only call into SuperLU: A is cast to ``dtype`` (system
     solves take complex right-hand sides), its columns are ordered by
@@ -160,8 +165,6 @@ def lu_factor(A, dtype=complex, **options) -> LUFactor:
     mode, and ``options`` pass through to ``splu``. An exactly singular
     matrix raises SingularSystemError.
     """
-    if isinstance(A, LUFactor):
-        return A
     Ac = _square_csc(A).astype(dtype, copy=False)
     try:
         return LUFactor(Ac, spla.splu(Ac, permc_spec=_FILL_ORDERING,
@@ -221,18 +224,15 @@ def gram_factor(D) -> GramFactor:
     unless a diagonal pivot is exactly zero; for SPD input the result
     P D P^T = L_0 U_0 is an LDL^T factorization with positive pivots.
     Non-SPD input surfaces as a row interchange that differs from the
-    column permutation or as a non-positive pivot. An existing Gram
-    factor is returned unchanged.
+    column permutation or as a non-positive pivot.
     """
-    if isinstance(D, GramFactor):
-        return D
     Dc = _square_csc(D)
     if np.iscomplexobj(Dc):
         if Dc.nnz and abs(Dc.imag).max() > 0:
             raise InvalidArgumentError("gram_factor needs a real matrix")
         Dc = Dc.real.tocsc()
         Dc.data = np.ascontiguousarray(Dc.data)  # .real is a strided view
-    if not nearly_equal(Dc, Dc.T, 1e-12):
+    if not nearly_equal(Dc, Dc.T):
         raise InvalidArgumentError("gram_factor needs a symmetric matrix")
     try:
         f = lu_factor(Dc, dtype=float, diag_pivot_thresh=0.0)
@@ -320,8 +320,6 @@ def _never_applied(x):
 def _pencil_lambda_max(
     apply_w: Callable[[np.ndarray], np.ndarray],
     n: int,
-    tol: float,
-    max_it: int,
     seed: int,
     dtype=complex,
     b=None,
@@ -339,6 +337,8 @@ def _pencil_lambda_max(
     complex n-vectors and B on its (n, 2) view, where W B is B-symmetric on
     R^{2n} with every eigenvalue doubled; the complex start vector is viewed alike.
     ``dtype=float`` runs a real symmetric W from a real start vector.
+    Iterations stop at the relative tolerance ``DEFAULT_TOL`` and are
+    capped by ``DEFAULT_MAXIT`` applications, both read per call.
     Returns (nu, applications of W, residual ||W B v - nu v||_B of the
     B-unit Ritz vector v). Hitting the cap raises with the applications of
     W; its estimate, ARPACK's last converged Ritz value (:func:`_estimate_as`
@@ -388,6 +388,7 @@ def _pencil_lambda_max(
         v0 = v0 + 1j * rng.standard_normal(n)
     x0 = v0.view(np.float64)
     ncv = min(n, _NCV)
+    tol = DEFAULT_TOL
 
     def operator(matvec):
         return spla.LinearOperator((x0.size,) * 2, matvec=matvec, dtype=np.float64)
@@ -403,7 +404,7 @@ def _pencil_lambda_max(
             v0=x0,
             ncv=ncv,
             tol=tol,
-            maxiter=max(100, max_it // ncv),
+            maxiter=max(100, DEFAULT_MAXIT // ncv),
         )
     except _ZeroOperator:
         return 0.0, 1, 0.0
@@ -441,13 +442,13 @@ def _sigma_max(
     eigenvalue of W B (see :func:`_pencil_lambda_max`): (sigma, operator
     applications, eigenvalue residual)."""
     with _estimate_as(lambda nu: math.sqrt(max(nu, 0.0))):
-        nu, it, res = _pencil_lambda_max(apply_w, n, DEFAULT_TOL, DEFAULT_MAXIT, seed, b=b)
+        nu, it, res = _pencil_lambda_max(apply_w, n, seed, b=b)
     return math.sqrt(nu), it, res
 
 
 def _norm_matrix(X, n: int) -> sp.spmatrix:
-    """The n x n matrix of a norm, given as a matrix or its :class:`GramFactor`."""
-    X = X.D if isinstance(X, GramFactor) else sp.csr_matrix(X)
+    """The n x n real matrix of a norm."""
+    X = sp.csr_matrix(X)
     if X.shape != (n, n):
         raise InvalidArgumentError(f"norm matrix of shape {X.shape}, expected {(n, n)}")
     if np.iscomplexobj(X):  # products with it run on float64 views
@@ -489,22 +490,15 @@ def _solution_normal(lu: LUFactor, mid) -> Callable[[np.ndarray], np.ndarray]:
     return lambda v: lu.solve(_real_product(mid, lu.solve(v)), trans="H")
 
 
-def discrete_inf_sup(A, D, seed: int = DEFAULT_SEED) -> InfSupReport:
+def discrete_inf_sup(lu: LUFactor, D, seed: int = DEFAULT_SEED) -> InfSupReport:
     """Discrete inf-sup constant sigma_min(L^{-1} A L^{-T}) of a system.
 
     Computed as the reciprocal of C_dis = ||L^T A^{-1} L||_2, the square
     root of the top eigenvalue of A^{-H} D A^{-1} D in the D inner
-    product, through the LU factors of A (``A`` may be a matrix or its
-    :class:`LUFactor`) and products with D (a matrix or its
-    :class:`GramFactor`; D is never factored here). An exactly singular A
-    yields gamma = 0 (a legitimate outcome near discrete eigenvalues), not
-    an exception. A NoConvergenceError carries the estimate of C_dis, or
-    None after a capped ARPACK run.
+    product, through the LU factors ``lu`` of A and products with the
+    matrix D, which is never factored here. A NoConvergenceError carries
+    the estimate of C_dis, or None after a capped ARPACK run.
     """
-    try:
-        lu = lu_factor(A)
-    except SingularSystemError:
-        return SINGULAR_INF_SUP
     n = lu.n
     D = _norm_matrix(D, n)
     c_dis, it, res = _sigma_max(_solution_normal(lu, D), n, seed, b=D)
@@ -516,7 +510,7 @@ def discrete_inf_sup(A, D, seed: int = DEFAULT_SEED) -> InfSupReport:
 
 
 def mass_extremes(M, seed: int = DEFAULT_SEED) -> MassExtremes:
-    """Extreme eigenvalues of a real SPD mass matrix (or its Gram factor).
+    """Extreme eigenvalues of a real SPD mass matrix.
 
     The top of a P1 mass spectrum is clustered (relative gap 6e-7 between
     the top two eigenvalues at n = 2,830 in 1D), which stalls Lanczos on
@@ -538,7 +532,7 @@ def mass_extremes(M, seed: int = DEFAULT_SEED) -> MassExtremes:
     NoConvergenceError carries the estimate of m_+^2 or m_-^2, whichever
     eigensolve stopped, or None after a capped ARPACK run.
     """
-    X = M.D if isinstance(M, GramFactor) else _square_csc(M)
+    X = _square_csc(M)
     n = X.shape[0]
     sigma = float(abs(X).sum(axis=1).max())
     try:
@@ -547,32 +541,28 @@ def mass_extremes(M, seed: int = DEFAULT_SEED) -> MassExtremes:
         lam_max = sigma
     else:
         with _estimate_as(lambda tau: sigma - 1.0 / tau if tau > 0 else None):
-            tau, _, _ = _pencil_lambda_max(
-                shifted.solve, n, DEFAULT_TOL, DEFAULT_MAXIT, seed, dtype=float
-            )
+            tau, _, _ = _pencil_lambda_max(shifted.solve, n, seed, dtype=float)
         del shifted
         lam_max = sigma - 1.0 / tau
-    g = gram_factor(M)  # certifies SPD
+    g = gram_factor(X)  # certifies SPD
     with _estimate_as(lambda inv: 1.0 / inv if inv > 0 else None):
-        inv_max, _, _ = _pencil_lambda_max(
-            g.solve, n, DEFAULT_TOL, DEFAULT_MAXIT, seed, dtype=float
-        )
+        inv_max, _, _ = _pencil_lambda_max(g.solve, n, seed, dtype=float)
     if inv_max <= 0:
         raise NotPositiveDefiniteError("mass matrix has non-positive spectrum")
     return MassExtremes(m_minus_sq=1.0 / inv_max, m_plus_sq=lam_max)
 
 
-def solution_operator_norms(A, D, M, seed: int = DEFAULT_SEED) -> SolutionOperatorNorms:
+def solution_operator_norms(
+    lu: LUFactor, D, M, seed: int = DEFAULT_SEED
+) -> SolutionOperatorNorms:
     """The two M-weighted discrete solution-operator norms of A^{-1}.
 
     ||L^T A^{-1} R||_2 and ||R^T A^{-1} R||_2 for D = L L^T and M = R R^T:
     the roots of the top eigenvalues of A^{-H} D A^{-1} M and A^{-H} M
-    A^{-1} M, through solves with A (a matrix or its :class:`LUFactor`)
-    and products with D and M (matrices or their :class:`GramFactor`).
-    The third norm of the chain, ||L^T A^{-1} L||_2, is C_dis of
-    :func:`discrete_inf_sup`. Raises on singular A.
+    A^{-1} M, through the LU factors ``lu`` of A and products with the
+    matrices D and M. The third norm of the chain, ||L^T A^{-1} L||_2, is
+    C_dis of :func:`discrete_inf_sup`.
     """
-    lu = lu_factor(A)
     n = lu.n
     D, M = _norm_matrix(D, n), _norm_matrix(M, n)
     h0_to_h, _, _ = _sigma_max(_solution_normal(lu, D), n, seed, b=M)

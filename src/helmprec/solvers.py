@@ -30,7 +30,7 @@ import numpy as np
 
 from .assemble import GalerkinSystem
 from .errors import InvalidArgumentError, SingularSystemError
-from .numerics import GramFactor, lu_factor
+from .numerics import GramFactor, LUFactor
 
 _BREAKDOWN = 1e-14
 
@@ -54,13 +54,10 @@ class IterationTrace:
         return len(self.norms) - 1
 
 
-def direct_solve(A, b: np.ndarray) -> np.ndarray:
-    """LU-based reference solve with a backward-error check.
-
-    ``A`` may be a matrix or its :class:`LUFactor`.
-    """
+def direct_solve(lu: LUFactor, b: np.ndarray) -> np.ndarray:
+    """Reference solve through the LU factors ``lu`` of A, with a
+    backward-error check."""
     b = np.asarray(b, dtype=complex)
-    lu = lu_factor(A)
     if lu.n != b.shape[0]:
         raise InvalidArgumentError(f"shape mismatch: A {lu.A.shape}, b {b.shape}")
     x = lu.solve(b)

@@ -250,6 +250,16 @@ def test_system_keeps_only_the_factors_of_a_and_d():
     assert kept == {"lu", "gram_d"}
 
 
+def test_singular_system_inf_sup_is_report_not_exception():
+    s = canonical_1d(5.0, 20)
+    bad = s.A.tolil()
+    bad[3, :] = 0
+    rep = MatrixSystem(bad.tocsr(), s.D, s.M).inf_sup()
+    assert rep.singular
+    assert rep.gamma == 0.0
+    assert rep.c_dis == np.inf
+
+
 # (lo, hi, cells): unit and shifted domains, square and non-square cells
 ORACLE_MESHES = {
     "1d_unit": ((0.0,), (1.0,), (5,)),
@@ -307,6 +317,29 @@ def test_matches_element_oracle(mesh_name, kind):
             assert _rel_err(X, Y) <= ORACLE_RTOL, (tags, name)
             Y.eliminate_zeros()
             assert X.nnz == Y.nnz, (tags, name)
+
+
+# the oracle meshes, and a 12 x 10 grid of the unit square, on which the
+# element integrals of a matrix-valued mu^{-1} round (i, j) and (j, i) apart
+SYMMETRY_MESHES = dict(ORACLE_MESHES, grid_12x10=((0.0, 0.0), (1.0, 1.0), (12, 10)))
+
+
+@pytest.mark.parametrize("mesh_name, kind", [
+    (name, kind) for name, (_, _, cells) in SYMMETRY_MESHES.items()
+    for kind in ORACLE_COEFFICIENTS[len(cells)]
+])
+def test_every_galerkin_matrix_is_exactly_symmetric(mesh_name, kind):
+    """A^T = A bit for bit, matrix-valued mu^{-1} included, for every
+    Dirichlet/Neumann/impedance mix of the sides, so the LU factors of
+    every system solve on the transposed sweep."""
+    lo, hi, cells = SYMMETRY_MESHES[mesh_name]
+    rng = np.random.default_rng(7)
+    k, theta = 3.0, 1.7
+    for tags in itertools.product((DIR, NEU, IMP), repeat=len(SIDES[len(cells)])):
+        mesh = Mesh(lo, hi, cells, tags)
+        s = assemble_system(ProblemSpec(k, mesh, *_coefficients(mesh, kind, k, rng), theta))
+        assert (s.A != s.A.T).nnz == 0, tags
+        assert s.lu.symmetric, tags
 
 
 def test_sweep_builds_each_pattern_once(tmp_path, monkeypatch):

@@ -48,7 +48,12 @@ from helmprec.coeffs import (
     piecewise_field,
     pml_profile_1d,
 )
-from helmprec.errors import InvalidArgumentError, InvalidCoefficientError, InvalidPairError
+from helmprec.errors import (
+    InvalidArgumentError,
+    InvalidCoefficientError,
+    InvalidPairError,
+    SingularSystemError,
+)
 from helmprec.mesh import build_interval_mesh, build_rect_mesh
 from helmprec.numerics import gram_factor, weighted_operator_norm
 from helmprec.assemble import ProblemSpec
@@ -143,8 +148,7 @@ def _step_spec_2d():
 
 
 def _matrix_mu_spec_2d():
-    """Rotated anisotropic complex-symmetric mu^-1 on a 12 x 17 square, whose
-    assembled A is symmetric only up to rounding."""
+    """Rotated anisotropic complex-symmetric mu^-1 on a 12 x 17 square."""
     mesh = build_rect_mesh(1, 1, 12, 17, IMP)
     theta = np.pi * mesh.element_centroids().sum(axis=1)
     c, s = np.cos(theta), np.sin(theta)
@@ -280,11 +284,11 @@ def test_band_forms_of_a_non_symmetric_banded_matrix():
 
 
 def test_band_forms_of_a_matrix_mu_system():
-    """A matrix-valued mu^{-1} assembles an A that is symmetric only up to
-    rounding, so some offsets carry a skew table."""
+    """A matrix-valued mu^{-1} assembles an exactly symmetric A, so no offset
+    carries a skew table, and the forms still match dense products."""
     sys = _garding_case("matrix_mu")[0]
-    assert (sys.A - sys.A.T).count_nonzero() > 0
-    assert any(skew is not None for _, _, skew in _band_tables(sys.A, sys.M, sys.D))
+    assert (sys.A != sys.A.T).nnz == 0
+    assert all(skew is None for _, _, skew in _band_tables(sys.A, sys.M, sys.D))
     assert_band_forms_exact(sys.A, sys.M, sys.D)
 
 
@@ -461,6 +465,14 @@ def test_singular_pair_report():
     for v in (rep.c_dis1, rep.mass_ratio, rep.lhs_D, rep.lhs_Dinv,
               rep.lhs_2, rep.lhs_2p, rep.cond):
         assert math.isnan(v)
+
+
+def test_norm_equivalence_report_singular_raises():
+    s = canonical_1d(5.0, 10)
+    bad = s.A.tolil()
+    bad[0, :] = 0
+    with pytest.raises(SingularSystemError):
+        norm_equivalence_report(MatrixSystem(bad.tocsr(), s.D, s.M))
 
 
 def test_identity_pair_zero_report():
@@ -751,6 +763,24 @@ def test_non_symmetric_pair_estimates_all_four_norms(pencil_calls):
                            (rep.lhs_2, left, "euclid"), (rep.lhs_2p, right, "euclid")):
         assert value == pytest.approx(oracle_weighted_norm(C, s1.D, mode), rel=1e-8)
     assert rep.lhs_Dinv != rep.lhs_D
+
+
+def test_pair_symmetric_to_rounding_estimates_all_four_norms(pencil_calls):
+    """A1 with one off-diagonal entry scaled by 1 + 2^-52 is not exactly
+    symmetric: no twin identity, four norm eigensolves, and the right-hand
+    norms, estimated on their own, agree with the left-hand ones to 1e-10."""
+    s1, s2 = _absorption_pair(canonical_spec_1d(8.0, 40), 0.2)
+    A1 = s1.A.tolil()
+    A1[3, 4] *= 1 + 2.0 ** -52
+    A1 = A1.tocsr()
+    assert (A1 != A1.T).nnz == 2
+    rep = nearby_bound_report(MatrixSystem(A1, s1.D, s1.M), MatrixSystem(s2.A, s1.D, s1.M),
+                              dmu=0.0, deps=0.2)
+    # 2 mass extremes, C_dis of A2 and of A1, 4 norm estimates
+    assert len(pencil_calls) == 2 + 2 + 4
+    assert rep.lhs_Dinv == pytest.approx(rep.lhs_D, rel=1e-10)
+    assert rep.lhs_2p == pytest.approx(rep.lhs_2, rel=1e-10)
+    assert rep.passed
 
 
 def test_pair_shares_factors_and_caches_derived(splu_calls, pencil_calls):

@@ -31,7 +31,6 @@ from helmprec.errors import (
     InvalidArgumentError,
     NoConvergenceError,
     NotPositiveDefiniteError,
-    SingularSystemError,
 )
 from helmprec.numerics import (
     _DENSE_PENCIL_N,
@@ -44,6 +43,7 @@ from helmprec.numerics import (
     solution_operator_norms,
     weighted_operator_norm,
 )
+from helmprec.solvers import direct_solve
 
 
 def test_gram_factor_trivials():
@@ -176,10 +176,10 @@ def test_lanczos_estimates_match_dense_oracles(case):
     and the three operator-norm modes, D_inv on a non-symmetric pair."""
     s = FACTOR_CASES[case]()
     assert s.n > _DENSE_PENCIL_N
-    g, r = gram_factor(s.D), gram_factor(s.M)
+    g = gram_factor(s.D)
     hstar, h0_to_h, h0_to_h0 = oracle_solution_norms(s.A, s.D, s.M)
-    assert discrete_inf_sup(s.A, g).c_dis == pytest.approx(hstar, rel=1e-9)
-    duo = solution_operator_norms(s.A, g, r)
+    assert discrete_inf_sup(s.lu, s.D).c_dis == pytest.approx(hstar, rel=1e-9)
+    duo = solution_operator_norms(s.lu, s.D, s.M)
     assert duo.h0_to_h == pytest.approx(h0_to_h, rel=1e-9)
     assert duo.h0_to_h0 == pytest.approx(h0_to_h0, rel=1e-9)
     A1 = s.A.tolil()
@@ -249,7 +249,9 @@ def _random_pencil(rng, n, dtype):
 
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("n", [_DENSE_PENCIL_N, 40])
-def test_b_inner_product_eigensolve_matches_dense_pencil(n, dtype, rng, eigsh_calls):
+def test_b_inner_product_eigensolve_matches_dense_pencil(
+    n, dtype, rng, eigsh_calls, monkeypatch
+):
     """nu = lambda_max(W B) is the top of the dense generalised problem
     B W B x = nu B x to 1e-10, on the dense path and through ARPACK, where
     the reported residual is the B-norm residual ||W B v - nu v||_B of the
@@ -260,8 +262,9 @@ def test_b_inner_product_eigensolve_matches_dense_pencil(n, dtype, rng, eigsh_ca
     top = sla.eigh(B @ W @ B, B, eigvals_only=True)[-1]
     for tol in (1e-10, 1e-6):
         eigsh_calls.clear()
+        monkeypatch.setattr(numerics, "DEFAULT_TOL", tol)
         nu, it, res = _pencil_lambda_max(
-            lambda v: W @ v, n, tol, 10_000, 0, dtype=dtype, b=sp.csr_matrix(B))
+            lambda v: W @ v, n, 0, dtype=dtype, b=sp.csr_matrix(B))
         assert nu == pytest.approx(top, rel=1e-10)
         if n <= _DENSE_PENCIL_N:
             assert eigsh_calls == [] and (it, res) == (n, 0.0)
@@ -285,7 +288,7 @@ def test_small_complex_pencils_match_dense_eigh(n, rng):
     for b, want in ((None, sla.eigvalsh(W)[-1]),
                     (B, sla.eigh(B @ W @ B, B, eigvals_only=True)[-1])):
         nu, _, _ = _pencil_lambda_max(
-            lambda v: W @ v, n, 1e-10, 10_000, 0, b=None if b is None else sp.csr_matrix(b))
+            lambda v: W @ v, n, 0, b=None if b is None else sp.csr_matrix(b))
         assert nu == pytest.approx(want, rel=1e-10)
 
 
@@ -304,19 +307,18 @@ def test_capped_eigensolve_carries_the_estimate_of_nu(dtype, rng, monkeypatch):
 
     monkeypatch.setattr(numerics.spla, "eigsh", capped_eigsh)
     with pytest.raises(NoConvergenceError) as info:
-        _pencil_lambda_max(
-            lambda v: W @ v, n, 1e-10, 10_000, 0, dtype=dtype, b=sp.csr_matrix(B))
+        _pencil_lambda_max(lambda v: W @ v, n, 0, dtype=dtype, b=sp.csr_matrix(B))
     assert info.value.estimate == pytest.approx(top, rel=1e-10)
 
 
-def test_capped_arpack_run_carries_no_estimate():
+def test_capped_arpack_run_carries_no_estimate(monkeypatch):
     """Unstubbed: Lanczos on the 1D mass matrix itself (n = 2,830) stalls on
-    its clustered top, and at max_it = 100 ARPACK stops with no converged
+    its clustered top, and at a cap of 100 ARPACK stops with no converged
     Ritz value, so the error carries no estimate, only the applications."""
+    monkeypatch.setattr(numerics, "DEFAULT_MAXIT", 100)
     M = canonical_1d(1.0, 2829).M
     with pytest.raises(NoConvergenceError) as info:
-        _pencil_lambda_max(lambda v: M @ v, M.shape[0], numerics.DEFAULT_TOL, 100, 0,
-                           dtype=float)
+        _pencil_lambda_max(lambda v: M @ v, M.shape[0], 0, dtype=float)
     assert info.value.estimate is None
     assert info.value.iterations > 0
 
@@ -354,7 +356,7 @@ def test_eigensolve_application_count(dtype, rng):
             calls.append(v)
             return op @ v
 
-        lam, it, res = _pencil_lambda_max(apply_x, n, 1e-10, 10_000, 0, dtype=dtype)
+        lam, it, res = _pencil_lambda_max(apply_x, n, 0, dtype=dtype)
         assert lam == pytest.approx(top, rel=1e-9)
         if top == 0.0:
             assert (lam, it, res) == (0.0, 1, 0.0) and len(calls) == 1
@@ -387,8 +389,8 @@ def test_no_convergence_estimate_is_the_returned_quantity(monkeypatch):
     g = gram_factor(s.D)
     calls = [lambda mode=mode: weighted_operator_norm(np.eye(s.n), g, mode)
              for mode in ("D", "D_inv", "euclid")]
-    calls += [lambda: discrete_inf_sup(s.A, g),
-              lambda: solution_operator_norms(s.A, g, gram_factor(s.M))]
+    calls += [lambda: discrete_inf_sup(s.lu, s.D),
+              lambda: solution_operator_norms(s.lu, s.D, s.M)]
     for call in calls:
         with pytest.raises(NoConvergenceError) as info:
             call()
@@ -440,32 +442,20 @@ def test_weighted_norm_mode_validation(rng):
 
 def test_discrete_inf_sup_trivials():
     s = canonical_1d(5.0, 30)
-    g = gram_factor(s.D)
-    rep = discrete_inf_sup(s.D.astype(complex), g)
+    rep = discrete_inf_sup(lu_factor(s.D), s.D)
     assert rep.gamma == pytest.approx(1.0, rel=1e-10)
-    rep2 = discrete_inf_sup((2 * s.D).astype(complex), g)
+    rep2 = discrete_inf_sup(lu_factor(2 * s.D), s.D)
     assert rep2.gamma == pytest.approx(2.0, rel=1e-10)
     assert rep2.gamma * rep2.c_dis == pytest.approx(1.0, rel=1e-12)
 
 
 def test_discrete_inf_sup_vs_dense_oracle():
     s = canonical_1d(1.0, 1)
-    g = gram_factor(s.D)
-    rep = discrete_inf_sup(s.A, g)
+    rep = discrete_inf_sup(s.lu, s.D)
     assert rep.gamma == pytest.approx(oracle_infsup(s.A, s.D), rel=1e-10)
     s2 = canonical_1d(8.0, 60)
-    rep2 = discrete_inf_sup(s2.A, gram_factor(s2.D))
+    rep2 = discrete_inf_sup(s2.lu, s2.D)
     assert rep2.gamma == pytest.approx(oracle_infsup(s2.A, s2.D), rel=1e-8)
-
-
-def test_discrete_inf_sup_singular_is_report_not_exception():
-    s = canonical_1d(5.0, 20)
-    bad = s.A.tolil()
-    bad[3, :] = 0
-    rep = discrete_inf_sup(bad.tocsr(), gram_factor(s.D))
-    assert rep.singular
-    assert rep.gamma == 0.0
-    assert rep.c_dis == np.inf
 
 
 def test_mass_extremes_identity_and_scaling():
@@ -563,51 +553,47 @@ def test_mass_extremes_holds_one_factor_at_a_time(monkeypatch, live_factors):
     assert abs(factored[1] - M).max() == 0
 
 
-def test_mass_extremes_factors_only_the_shifted_matrix(splu_calls):
-    M = canonical_2d(1.0, 12, 12).M
-    g = gram_factor(M)
+def test_numerics_never_factors_what_it_is_handed(splu_calls):
+    """Given the LU factors of A and the Gram factor of D, the inf-sup
+    constant, the solution-operator norms, the weighted operator norms and
+    the direct solve make no factorization of their own."""
+    s = canonical_1d(8.0, 40)
+    lu, g = lu_factor(s.A), gram_factor(s.D)
     splu_calls.clear()
-    mass_extremes(g)
-    assert splu_calls == [(M.shape, np.dtype(float))]
+    discrete_inf_sup(lu, s.D)
+    solution_operator_norms(lu, s.D, s.M)
+    for mode in ("D", "euclid"):
+        weighted_operator_norm(s.A, g, mode)
+    direct_solve(lu, np.ones(s.n))
+    assert splu_calls == []
 
 
 def test_solution_operator_norms_closed_forms():
     s = canonical_1d(5.0, 25)
-    g = gram_factor(s.D)
-    same = solution_operator_norms(s.D.astype(complex), g, g)
-    hstar = discrete_inf_sup(s.D.astype(complex), g).c_dis
+    lu = lu_factor(s.D)
+    same = solution_operator_norms(lu, s.D, s.D)
+    hstar = discrete_inf_sup(lu, s.D).c_dis
     for v in (hstar, same.h0_to_h, same.h0_to_h0):
         assert v == pytest.approx(1.0, rel=1e-10)
-    quarter = gram_factor((s.D / 4).tocsr())
-    scaled = solution_operator_norms(s.D.astype(complex), g, quarter)
+    scaled = solution_operator_norms(lu, s.D, s.D / 4)
     assert scaled.h0_to_h == pytest.approx(0.5, rel=1e-10)
     assert scaled.h0_to_h0 == pytest.approx(0.25, rel=1e-10)
 
 
 def test_solution_operator_norms_vs_dense():
     s = canonical_1d(5.0, 50)
-    g = gram_factor(s.D)
-    duo = solution_operator_norms(s.A, g, gram_factor(s.M))
+    duo = solution_operator_norms(s.lu, s.D, s.M)
     o1, o2, o3 = oracle_solution_norms(s.A, s.D, s.M)
-    assert discrete_inf_sup(s.A, g).c_dis == pytest.approx(o1, rel=1e-8)
+    assert discrete_inf_sup(s.lu, s.D).c_dis == pytest.approx(o1, rel=1e-8)
     assert duo.h0_to_h == pytest.approx(o2, rel=1e-8)
     assert duo.h0_to_h0 == pytest.approx(o3, rel=1e-8)
-
-
-def test_solution_operator_norms_singular_raises():
-    s = canonical_1d(5.0, 10)
-    bad = s.A.tolil()
-    bad[0, :] = 0
-    with pytest.raises(SingularSystemError):
-        solution_operator_norms(bad.tocsr(), gram_factor(s.D), gram_factor(s.M))
 
 
 @pytest.mark.parametrize("k,n", [(5, 50), (20, 400)])
 def test_norm_chains_and_route_agreement(k, n):
     s = canonical_1d(float(k), n)
-    g, r = gram_factor(s.D), gram_factor(s.M)
-    duo = solution_operator_norms(s.A, g, r)
-    hstar = discrete_inf_sup(s.A, g).c_dis
+    duo = solution_operator_norms(s.lu, s.D, s.M)
+    hstar = discrete_inf_sup(s.lu, s.D).c_dis
     slack = 1e-10 * hstar
     assert duo.h0_to_h <= hstar + slack
     assert hstar <= 1 + 2 * duo.h0_to_h + slack
