@@ -26,10 +26,11 @@ share the pattern's index arrays, and the systems on one mesh and k
 share D and M, so a pair's perturbed system stores only its A.
 
 Every system is a :class:`MatrixSystem`: one system matrix A with the
-norm matrices D and M, owning their factors and the quantities derived
-from them. A :class:`GalerkinSystem` adds the problem it came from; a
-pair supplied as matrices (e.g. Maxwell edge-element matrices from
-another code) is two matrix systems on the same D and M, checked by
+norm matrices D and M, owning the LU factor of A, the certified LU
+factor of D (its Gram factor) and the quantities derived from them. A
+:class:`GalerkinSystem` adds the problem it came from; a pair supplied
+as matrices (e.g. Maxwell edge-element matrices from another code) is
+two matrix systems on the same D and M, checked by
 :func:`validate_external`.
 """
 
@@ -54,7 +55,6 @@ from .mesh import BoundaryTag, Mesh
 from .numerics import (
     DEFAULT_SEED,
     SINGULAR_INF_SUP,
-    GramFactor,
     InfSupReport,
     LUFactor,
     MassExtremes,
@@ -125,7 +125,7 @@ class MatrixSystem:
         return lu_factor(self.A)
 
     @cached_property
-    def gram_d(self) -> GramFactor:
+    def gram_d(self) -> LUFactor:
         return gram_factor(self.D)
 
     @cached_property

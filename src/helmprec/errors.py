@@ -33,8 +33,8 @@ class NoConvergenceError(HelmprecError):
     """An iterative estimator hit its iteration cap.
 
     ``estimate`` is the last estimate, as the quantity the raising function
-    returns, or None: a capped ARPACK run with k = 1 has none.
-    ``iterations`` counts the operator applications.
+    returns, or None: a run stopped at its cap of operator applications,
+    mid-cycle, has none. ``iterations`` counts the operator applications.
     """
 
     def __init__(self, msg, estimate=None, iterations=None):

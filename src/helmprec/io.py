@@ -199,10 +199,8 @@ _CONFIG = {
         "resolution": (_RESOLUTION, lambda cfg: cfg["problem"]["resolution"], None),
         "ladder": ({"refine": (_int, 4, _at_least(2))}, None, None),
     }, {}, None),
-    # zero samples or iterations would print PASS without checking anything
+    # zero samples would print PASS without checking anything
     "solver": ({
-        "tol": (_float, 1e-8, _POSITIVE),
-        "max_it": (_int, 500, _at_least(1)),
         "garding_samples": (_int, 1000, _at_least(1)),
     }, {}, None),
     "output": ({"dir": (_str, "out", None)}, {}, None),

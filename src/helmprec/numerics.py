@@ -38,8 +38,8 @@ D-weighted operator norm takes one D solve.
 The Ritz value comes with the residual bound |nu - nu_exact| <=
 ||W B v - nu v||_B for the B-unit Ritz vector v. Iterations stop on it
 at the fixed relative tolerance ``DEFAULT_TOL`` = 1e-10 and are capped
-(``DEFAULT_MAXIT``); hitting the cap raises, with no estimate (a capped
-ARPACK run has no Ritz value).
+at ``DEFAULT_MAXIT`` applications of W; hitting the cap raises, with no
+estimate (ARPACK holds no converged Ritz value mid-cycle).
 Start vectors are seeded, so all reported numbers are reproducible.
 
 The extremes m_-^2 <= m_+^2 of M (the norm-equivalence constant m_+/m_-)
@@ -56,23 +56,23 @@ Solves go through SuperLU factorizations in symmetric mode under one
 fill-reducing ordering (minimum degree on the pattern of A^T + A):
 complex LU for A, and for D and M an LDL^T-type factorization
 P D P^T = L_0 U_0 certified SPD by its pivots (:func:`gram_factor`).
-Complex vectors against the real factors are solved as two real
-columns, and products of the real D and M with complex vectors are one
-pass over the matrix with their float64 view, with no complex copy.
+Both are one :class:`LUFactor` type. A real factor solves a complex
+vector as one plain solve on two real columns, and products of the real
+D and M with complex vectors are one pass over the matrix with their
+float64 view (:func:`real_product`), with no complex copy.
 
-A Galerkin Helmholtz matrix is complex symmetric, A^T = A, and an LU
-factor tests that once, exactly (:func:`is_symmetric`). Its
-solves then run SuperLU's transposed sweep, which was about 25% faster
-per column than the plain one at n = 1,681-9,409: A^{-1} b is the
-solution of A^T x = b, and A^{-H} b = conj(A^{-1} conj(b)). A matrix
-that is not exactly symmetric, such as an imported one, is solved as
-asked.
+A Galerkin Helmholtz matrix is complex symmetric, A^T = A, and D and M
+are real symmetric; a factor tests that once, exactly
+(:func:`is_symmetric`). Its other solves then run SuperLU's transposed
+sweep, which was about 25% faster per column than the plain one for A
+at n = 1,681-9,409: A^{-1} b is the solution of A^T x = b, and
+A^{-H} b = conj(A^{-1} conj(b)). A matrix that is not exactly
+symmetric, such as an imported one, is solved as asked.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -146,6 +146,16 @@ class LUFactor:
         return is_symmetric(self.A)
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        if self.A.dtype.kind == "f" and np.iscomplexobj(b):
+            # a real factor solves a complex right-hand side as one plain
+            # solve with its real and imaginary parts as columns: SuperLU
+            # blocks the plain sweep over columns but not the transposed
+            # one, which was 7-28% slower on two columns at n = 701-6,561
+            b = np.asarray(b)
+            cols = b.reshape(b.shape[0], -1)
+            k = cols.shape[1]
+            x = self.superlu.solve(np.hstack([cols.real, cols.imag]), trans=trans)
+            return (x[:, :k] + 1j * x[:, k:]).reshape(b.shape)
         if not self.symmetric:
             return self.superlu.solve(b, trans=trans)
         # SuperLU's transposed sweep is the faster one (about 25% per
@@ -175,7 +185,7 @@ def lu_factor(A, dtype=complex, **options) -> LUFactor:
         raise
 
 
-def _real_product(X, x: np.ndarray) -> np.ndarray:
+def real_product(X, x: np.ndarray) -> np.ndarray:
     """X @ x for a real sparse X; a complex x is multiplied as the (n, 2k)
     float64 view of its real and imaginary parts, in one pass over X and
     with no complex copy of X, bit for bit the product of each part."""
@@ -186,37 +196,7 @@ def _real_product(X, x: np.ndarray) -> np.ndarray:
     return y.view(np.complex128).reshape(x.shape)
 
 
-@dataclass(frozen=True, eq=False)
-class GramFactor(LUFactor):
-    """Certified factorization of a real SPD matrix D = ``A``.
-
-    ``solve`` applies D^{-1} to real or complex vectors, ``apply`` applies
-    D, and ``norm`` evaluates the induced vector norm sqrt(v* D v).
-    """
-
-    @property
-    def D(self) -> sp.csc_matrix:
-        return self.A
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return _real_product(self.A, x)
-
-    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        # the factorization is real and symmetric: a complex right-hand side
-        # is solved as one real solve with its real and imaginary parts as columns
-        b = np.asarray(b)
-        if not np.iscomplexobj(b):
-            return self.superlu.solve(b)
-        cols = b.reshape(b.shape[0], -1)
-        k = cols.shape[1]
-        x = self.superlu.solve(np.hstack([cols.real, cols.imag]))
-        return (x[:, :k] + 1j * x[:, k:]).reshape(b.shape)
-
-    def norm(self, x: np.ndarray) -> float:
-        return math.sqrt(max(np.vdot(x, self.apply(x)).real, 0.0))
-
-
-def gram_factor(D) -> GramFactor:
+def gram_factor(D) -> LUFactor:
     """Factor a real symmetric positive definite matrix, certifying it SPD.
 
     P is the fill-reducing symmetric permutation of :func:`lu_factor`.
@@ -224,7 +204,8 @@ def gram_factor(D) -> GramFactor:
     unless a diagonal pivot is exactly zero; for SPD input the result
     P D P^T = L_0 U_0 is an LDL^T factorization with positive pivots.
     Non-SPD input surfaces as a row interchange that differs from the
-    column permutation or as a non-positive pivot.
+    column permutation or as a non-positive pivot. Returns the certified
+    real :class:`LUFactor` of D, its Gram factor.
     """
     Dc = _square_csc(D)
     if np.iscomplexobj(Dc):
@@ -249,7 +230,7 @@ def gram_factor(D) -> GramFactor:
         raise NotPositiveDefiniteError(
             f"non-positive pivot encountered (min {piv.min():g})"
         )
-    return GramFactor(f.A, lu)
+    return f
 
 
 @dataclass(frozen=True)
@@ -338,11 +319,11 @@ def _pencil_lambda_max(
     R^{2n} with every eigenvalue doubled; the complex start vector is viewed alike.
     ``dtype=float`` runs a real symmetric W from a real start vector.
     Iterations stop at the relative tolerance ``DEFAULT_TOL`` and are
-    capped by ``DEFAULT_MAXIT`` applications, both read per call.
+    capped at ``DEFAULT_MAXIT`` applications of W, both read per call.
     Returns (nu, applications of W, residual ||W B v - nu v||_B of the
-    B-unit Ritz vector v). Hitting the cap raises with the applications of
-    W; its estimate, ARPACK's last converged Ritz value (:func:`_estimate_as`
-    converts it), is None, as a capped run with k = 1 has none.
+    B-unit Ritz vector v). Asking for application ``DEFAULT_MAXIT`` + 1
+    raises with ``DEFAULT_MAXIT`` applications and no estimate: ARPACK
+    holds no converged Ritz value mid-cycle.
 
     When W maps the first vector it is given (the start vector, or B
     times it) to exactly zero, it annihilates a random vector, so the PSD
@@ -373,6 +354,10 @@ def _pencil_lambda_max(
 
     def counted_w(x):
         nonlocal count
+        if count == DEFAULT_MAXIT:
+            raise NoConvergenceError(
+                f"eigensolver did not reach tolerance {DEFAULT_TOL:g} within "
+                f"{count} operator applications", iterations=count)
         count += 1
         y = real_w(x)
         if count == 1 and not np.any(y):
@@ -388,7 +373,6 @@ def _pencil_lambda_max(
         v0 = v0 + 1j * rng.standard_normal(n)
     x0 = v0.view(np.float64)
     ncv = min(n, _NCV)
-    tol = DEFAULT_TOL
 
     def operator(matvec):
         return spla.LinearOperator((x0.size,) * 2, matvec=matvec, dtype=np.float64)
@@ -403,18 +387,13 @@ def _pencil_lambda_max(
             which="LM",
             v0=x0,
             ncv=ncv,
-            tol=tol,
-            maxiter=max(100, DEFAULT_MAXIT // ncv),
+            tol=DEFAULT_TOL,
+            # each restart cycle applies W at least once, so this cap on
+            # cycles never binds before the cap on applications
+            maxiter=DEFAULT_MAXIT + 1,
         )
     except _ZeroOperator:
         return 0.0, 1, 0.0
-    except spla.ArpackNoConvergence as exc:
-        raise NoConvergenceError(
-            f"eigensolver did not reach tolerance {tol:g} within the "
-            f"iteration cap ({count} operator applications)",
-            estimate=1.0 / float(exc.eigenvalues[-1]) if len(exc.eigenvalues) else None,
-            iterations=count,
-        ) from exc
     nu = max(1.0 / float(vals[0]), 0.0)
     v = vecs[:, 0]
     bv = apply_b(v)
@@ -423,26 +402,13 @@ def _pencil_lambda_max(
     return nu, count, res
 
 
-@contextmanager
-def _estimate_as(convert: Callable[[float], Optional[float]]):
-    """Re-express the raw Ritz value that a NoConvergenceError from
-    :func:`_pencil_lambda_max` carries as the quantity the caller returns."""
-    try:
-        yield
-    except NoConvergenceError as exc:
-        if exc.estimate is not None:
-            exc.estimate = convert(exc.estimate)
-        raise
-
-
 def _sigma_max(
     apply_w: Callable[[np.ndarray], np.ndarray], n: int, seed: int, b=None
 ) -> tuple[float, int, float]:
     """Largest singular value sigma of an operator whose sigma^2 is the top
     eigenvalue of W B (see :func:`_pencil_lambda_max`): (sigma, operator
     applications, eigenvalue residual)."""
-    with _estimate_as(lambda nu: math.sqrt(max(nu, 0.0))):
-        nu, it, res = _pencil_lambda_max(apply_w, n, seed, b=b)
+    nu, it, res = _pencil_lambda_max(apply_w, n, seed, b=b)
     return math.sqrt(nu), it, res
 
 
@@ -457,7 +423,7 @@ def _norm_matrix(X, n: int) -> sp.spmatrix:
 
 
 def weighted_operator_norm(
-    op, gram: Optional[GramFactor], mode: str, seed: int = DEFAULT_SEED
+    op, gram: Optional[LUFactor], mode: str, seed: int = DEFAULT_SEED
 ) -> float:
     """Operator norm of ``op`` in the D norm, the D^{-1} norm, or Euclidean.
 
@@ -482,12 +448,12 @@ def weighted_operator_norm(
     # lambda_max(C D^{-1} C^H D)
     first, then = (rmv, mv) if mode == "D" else (mv, rmv)
     apply_w = lambda v: then(gram.solve(first(v)))
-    return _sigma_max(apply_w, n, seed, b=gram.D)[0]
+    return _sigma_max(apply_w, n, seed, b=gram.A)[0]
 
 
 def _solution_normal(lu: LUFactor, mid) -> Callable[[np.ndarray], np.ndarray]:
     """W = A^{-H} X A^{-1} for the norm matrix X = ``mid``."""
-    return lambda v: lu.solve(_real_product(mid, lu.solve(v)), trans="H")
+    return lambda v: lu.solve(real_product(mid, lu.solve(v)), trans="H")
 
 
 def discrete_inf_sup(lu: LUFactor, D, seed: int = DEFAULT_SEED) -> InfSupReport:
@@ -496,8 +462,7 @@ def discrete_inf_sup(lu: LUFactor, D, seed: int = DEFAULT_SEED) -> InfSupReport:
     Computed as the reciprocal of C_dis = ||L^T A^{-1} L||_2, the square
     root of the top eigenvalue of A^{-H} D A^{-1} D in the D inner
     product, through the LU factors ``lu`` of A and products with the
-    matrix D, which is never factored here. A NoConvergenceError carries
-    the estimate of C_dis, or None after a capped ARPACK run.
+    matrix D, which is never factored here.
     """
     n = lu.n
     D = _norm_matrix(D, n)
@@ -528,9 +493,7 @@ def mass_extremes(M, seed: int = DEFAULT_SEED) -> MassExtremes:
     precision, so sigma is itself the top eigenvalue (as when every row
     sum is equal). lambda_min is 1/lambda_max(M^{-1}) through the factor
     of M, which certifies M SPD. Both eigensolves are real Lanczos runs
-    with B = I, and the shifted factor is freed before M is factored. A
-    NoConvergenceError carries the estimate of m_+^2 or m_-^2, whichever
-    eigensolve stopped, or None after a capped ARPACK run.
+    with B = I, and the shifted factor is freed before M is factored.
     """
     X = _square_csc(M)
     n = X.shape[0]
@@ -540,13 +503,11 @@ def mass_extremes(M, seed: int = DEFAULT_SEED) -> MassExtremes:
     except NotPositiveDefiniteError:
         lam_max = sigma
     else:
-        with _estimate_as(lambda tau: sigma - 1.0 / tau if tau > 0 else None):
-            tau, _, _ = _pencil_lambda_max(shifted.solve, n, seed, dtype=float)
+        tau, _, _ = _pencil_lambda_max(shifted.solve, n, seed, dtype=float)
         del shifted
         lam_max = sigma - 1.0 / tau
     g = gram_factor(X)  # certifies SPD
-    with _estimate_as(lambda inv: 1.0 / inv if inv > 0 else None):
-        inv_max, _, _ = _pencil_lambda_max(g.solve, n, seed, dtype=float)
+    inv_max, _, _ = _pencil_lambda_max(g.solve, n, seed, dtype=float)
     if inv_max <= 0:
         raise NotPositiveDefiniteError("mass matrix has non-positive spectrum")
     return MassExtremes(m_minus_sq=1.0 / inv_max, m_plus_sq=lam_max)

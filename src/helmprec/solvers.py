@@ -11,38 +11,45 @@ where the GMRES bound follows from the minimal-residual property with
 the polynomial (1-z)^n. Both inequalities are exact, so the observed
 rates are certified lower bounds on c that a check may gate on.
 
-GMRES is full (non-restarted) in a caller-chosen inner product:
-Euclidean, or <u, v> = v* D u supplied through a Gram factor. Each new
-vector is orthogonalized against the whole basis by classical
-Gram-Schmidt run twice (two block passes, each one product with D;
-"twice is enough", Giraud, Langou & Rozloznik 2005). Residual norms
-come from the Givens recurrence, hence are non-increasing by
-construction.
+Both solvers measure in the D inner product <u, v> = v* D u through
+products with the real matrix D, never a factor of it. GMRES is full
+(non-restarted): each new vector is orthogonalized against the whole
+basis by classical Gram-Schmidt run twice (two block passes, each one
+product with D; "twice is enough", Giraud, Langou & Rozloznik 2005).
+Residual norms come from the Givens recurrence, hence are
+non-increasing by construction. Both stop at the fixed relative
+tolerance ``TOL`` or after ``MAX_IT`` steps, read per call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .assemble import GalerkinSystem
 from .errors import InvalidArgumentError, SingularSystemError
-from .numerics import GramFactor, LUFactor
+from .numerics import LUFactor, real_product
 
+TOL = 1e-8
+MAX_IT = 500
 _BREAKDOWN = 1e-14
+
+
+def _d_norm(D, u: np.ndarray) -> float:
+    return math.sqrt(max(np.vdot(u, real_product(D, u)).real, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
     """Per-iteration norms of one solver run.
 
-    ``norms[j]`` is the error norm in D (fixed point) or the residual norm
-    in the chosen inner product (GMRES) after j iterations. For the
-    sweep's runs, fixed point and D-GMRES on A2^{-1} A1, both are at most
-    c^j ``norms[0]`` (see the module docstring).
+    ``norms[j]`` is the D norm of the error (fixed point) or of the
+    residual (GMRES) after j iterations. For the sweep's runs, fixed point
+    and D-GMRES on A2^{-1} A1, both are at most c^j ``norms[0]`` (see the
+    module docstring).
     """
 
     norms: np.ndarray
@@ -77,63 +84,51 @@ def fixed_point(
     sys2: GalerkinSystem,
     b: np.ndarray,
     x0: np.ndarray,
-    max_it: int = 200,
-    tol: float = 1e-10,
 ) -> IterationTrace:
     """Preconditioned fixed-point iteration x <- x + A2^{-1} (b - A1 x).
 
     Error norms are measured in the D norm against a direct reference
     solve of A1 x = b, so the trace matches the contraction estimate
-    exactly. Stops at relative error ``tol`` or after ``max_it`` steps.
-    Uses the factors the two systems own.
+    exactly. Stops at relative error ``TOL`` or after ``MAX_IT`` steps.
+    Uses the LU factors the two systems own and products with ``sys1.D``.
     """
-    A1, gram = sys1.A, sys1.gram_d
+    A1, D = sys1.A, sys1.D
     x_ref = direct_solve(sys1.lu, b)
     lu2 = sys2.lu
     x = np.asarray(x0, dtype=complex).copy()
-    err0 = gram.norm(x_ref - x)
+    err0 = _d_norm(D, x_ref - x)
     norms = [err0]
     converged = err0 == 0.0
-    for _ in range(max_it):
+    for _ in range(MAX_IT):
         if converged:
             break
         x = x + lu2.solve(b - A1 @ x)
-        err = gram.norm(x_ref - x)
+        err = _d_norm(D, x_ref - x)
         norms.append(err)
-        if err <= tol * err0:
+        if err <= TOL * err0:
             converged = True
     return IterationTrace(np.array(norms), converged, x)
 
 
 def gmres(
-    apply_op: Callable[[np.ndarray], np.ndarray],
-    b: np.ndarray,
-    inner: Optional[GramFactor] = None,
-    max_it: int = 200,
-    tol: float = 1e-10,
+    apply_op: Callable[[np.ndarray], np.ndarray], b: np.ndarray, D
 ) -> IterationTrace:
-    """Full GMRES from a zero start in the chosen inner product.
+    """Full GMRES from a zero start in the inner product of the real SPD D.
 
-    ``inner=None`` means Euclidean; a Gram factor selects <u, v> = v* D u.
     Happy breakdown returns a converged trace; hitting the iteration cap
     returns a non-converged trace rather than raising.
     """
     b = np.asarray(b, dtype=complex)
     n = b.shape[0]
-    if inner is not None and inner.n != n:
+    if D.shape != (n, n):
         raise InvalidArgumentError("inner-product dimension does not match b")
 
-    apply_d = (lambda u: u) if inner is None else inner.apply
-
-    def ip_norm(u):
-        return math.sqrt(max(np.vdot(u, apply_d(u)).real, 0.0))
-
     r0 = b  # zero initial guess
-    beta = ip_norm(r0)
+    beta = _d_norm(D, r0)
     if beta == 0.0:
         return IterationTrace(np.array([0.0]), True, np.zeros(n, dtype=complex))
 
-    max_it = min(max_it, n)
+    max_it = min(MAX_IT, n)
     # column-major, so each basis vector is contiguous and the columns not
     # yet written stay untouched (np.zeros memory is mapped on first write)
     V = np.zeros((n, max_it + 1), dtype=complex, order="F")
@@ -151,10 +146,10 @@ def gmres(
         w = apply_op(V[:, j])
         basis = V[:, : j + 1]
         for _ in range(2):  # classical Gram-Schmidt, twice
-            h = (apply_d(w).conj() @ basis).conj()  # basis* D w
+            h = (real_product(D, w).conj() @ basis).conj()  # basis* D w
             w = w - basis @ h
             H[: j + 1, j] += h
-        hnext = ip_norm(w)
+        hnext = _d_norm(D, w)
         H[j + 1, j] = hnext
         breakdown = hnext <= _BREAKDOWN * abs(H[: j + 2, j]).max()
         if not breakdown:
@@ -178,7 +173,7 @@ def gmres(
 
         res_norms.append(abs(g[j + 1]))
         j_done = j + 1
-        if res_norms[-1] <= tol * beta or breakdown:
+        if res_norms[-1] <= TOL * beta or breakdown:
             converged = True
             break
 

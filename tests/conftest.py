@@ -143,27 +143,24 @@ def splu_calls(monkeypatch):
 @pytest.fixture
 def live_factors(monkeypatch):
     """At every ``spla.splu`` call, in call order, how many of the
-    ``LUFactor`` and ``GramFactor`` objects made earlier in the test are
-    still alive. The objects are held by weak references only, and no
-    collection is forced, so a factor kept alive by a reference cycle
-    counts as alive, as its memory does."""
+    ``LUFactor`` objects made earlier in the test are still alive. The
+    objects are held by weak references only, and no collection is forced,
+    so a factor kept alive by a reference cycle counts as alive, as its
+    memory does."""
     from helmprec import numerics
 
     made, alive = [], []
-    splu = spla.splu
+    splu, init = spla.splu, numerics.LUFactor.__init__
 
-    def tracking(init):
-        def __init__(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            made.append(weakref.ref(self))
-        return __init__
+    def tracking_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
 
     def counting_splu(*args, **kwargs):
         alive.append(sum(ref() is not None for ref in made))
         return splu(*args, **kwargs)
 
-    for cls in (numerics.LUFactor, numerics.GramFactor):
-        monkeypatch.setattr(cls, "__init__", tracking(cls.__init__))
+    monkeypatch.setattr(numerics.LUFactor, "__init__", tracking_init)
     monkeypatch.setattr(spla, "splu", counting_splu)
     return alive
 

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import re
 from collections import Counter
@@ -351,8 +352,9 @@ def test_eigensolves_run_in_shift_invert_mode(tmp_path, monkeypatch, eigsh_calls
     """Every eigsh call is ARPACK's shift-invert mode at sigma = 0 with
     OPinv = W, and its M is the norm matrix B exactly when the eigensolve
     has one: always for the inf-sup constant and the solution-operator
-    norms, which make no Gram-factor solve, never for the mass extremes. A
-    D-weighted operator norm makes one Gram-factor solve per application.
+    norms, which make no Gram-factor solve (a solve with a real factor),
+    never for the mass extremes. A D-weighted operator norm makes one
+    Gram-factor solve per application.
     Every operator is float64, so eigsh runs its symmetric driver: of size
     2n for a complex W (the interleaved view of complex n-vectors), and of
     size n for the real W of the mass extremes."""
@@ -364,13 +366,14 @@ def test_eigensolves_run_in_shift_invert_mode(tmp_path, monkeypatch, eigsh_calls
 
     scope, pencils = [], []
     solves, applies = Counter(), Counter()
-    gram_solve = numerics.GramFactor.solve
+    lu_solve = numerics.LUFactor.solve
     pencil = numerics._pencil_lambda_max
     signature = inspect.signature(pencil)
 
     def counting_solve(self, *args, **kwargs):
-        solves[scope[-1] if scope else None] += 1
-        return gram_solve(self, *args, **kwargs)
+        if not np.iscomplexobj(self.A):
+            solves[scope[-1] if scope else None] += 1
+        return lu_solve(self, *args, **kwargs)
 
     def counting_pencil(*args, **kwargs):
         bound = signature.bind(*args, **kwargs).arguments
@@ -396,7 +399,7 @@ def test_eigensolves_run_in_shift_invert_mode(tmp_path, monkeypatch, eigsh_calls
                 scope.pop()
         return run
 
-    monkeypatch.setattr(numerics.GramFactor, "solve", counting_solve)
+    monkeypatch.setattr(numerics.LUFactor, "solve", counting_solve)
     rebind_everywhere(monkeypatch, pencil, counting_pencil)
     for fn in (numerics.discrete_inf_sup, numerics.solution_operator_norms,
                numerics.weighted_operator_norm, numerics.mass_extremes):
@@ -562,6 +565,28 @@ def test_sweep_continues_past_per_point_failures(tmp_path):
     lines = open(res.paths["sweep"]).read().splitlines()
     assert len(lines) == 3  # run continued through both grid points
     assert all("InvalidCoefficientError" in l for l in lines[1:])
+
+
+def test_singular_sweep_row_is_a_failure(tmp_path, capsys, monkeypatch):
+    """A point whose perturbed system is singular fails, as it does in
+    verify (``bounds.nonsingular``): the row prints FAIL and the exit
+    status is 1."""
+    from helmprec import cli
+    from helmprec.bounds import BoundReport
+
+    def singular_report(sys1, sys2, seed, alpha):
+        nan = math.nan
+        return BoundReport(
+            n=sys1.n, dmu=0.0, deps=0.0, c_dis1=nan, c_dis2=math.inf, mass_ratio=nan,
+            lhs_D=nan, lhs_Dinv=nan, lhs_2=nan, lhs_2p=nan, rhs_lemma=math.inf,
+            rhs_lemma2=None, cond=nan, checks=(), singular=True, k=sys1.spec.k,
+            alpha=alpha)
+
+    monkeypatch.setattr(cli, "nearby_bound_report", singular_report)
+    path = write_cfg(tmp_path, {"sweep": {"k_values": [4.0], "alpha_values": [0.1]}})
+    assert main(["sweep", "--config", path, "--out-dir", str(tmp_path / "s")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "FAIL sweep[k=4,alpha=0.1].nonsingular: margin=nan" in out
 
 
 def test_export_import_roundtrip_matches(tmp_path):
