@@ -418,7 +418,8 @@ def _difference_operators(A1, A2, lu2: LUFactor):
 
     Written as A2^{-1} (A2 - A1) and (A2 - A1) A2^{-1} over the LU
     factors ``lu2`` of A2: applying the difference matrix first makes an
-    identical pair give exactly zero. Both operators come with adjoints
+    identical pair give exactly zero, which the eigensolve reports as a
+    zero norm after one application. Both operators come with adjoints
     (rmatvec) through the conjugate-transpose solve, as norm estimation
     requires.
     """
@@ -437,8 +438,7 @@ def _difference_operators(A1, A2, lu2: LUFactor):
         rmatvec=lambda y: lu2.solve(Eh @ y, trans="H"),
         dtype=complex,
     )
-    zero = E.nnz == 0 or abs(E).max() == 0.0
-    return left, right, zero
+    return left, right
 
 
 def nearby_bound_report(
@@ -501,20 +501,16 @@ def nearby_bound_report(
             singular=True, k=k, h=h, alpha=alpha,
         )
     inf1 = sys1.inf_sup(seed)
-    op_left, op_right, zero_pair = _difference_operators(A1, A2, sys2.lu)
-
-    if zero_pair:
-        lhs_D = lhs_Dinv = lhs_2 = lhs_2p = 0.0
+    op_left, op_right = _difference_operators(A1, A2, sys2.lu)
+    lhs_D = weighted_operator_norm(op_left, G, "D", seed=seed)
+    lhs_2 = weighted_operator_norm(op_left, None, "euclid", seed=seed)
+    # A2's factor has tested A2 once already; a singular A1 has none
+    if is_symmetric(A1) and sys2.lu.symmetric:
+        # op_right is the transpose of op_left: the twin identities
+        lhs_Dinv, lhs_2p = lhs_D, lhs_2
     else:
-        lhs_D = weighted_operator_norm(op_left, G, "D", seed=seed)
-        lhs_2 = weighted_operator_norm(op_left, None, "euclid", seed=seed)
-        # A2's factor has tested A2 once already; a singular A1 has none
-        if is_symmetric(A1) and sys2.lu.symmetric:
-            # op_right is the transpose of op_left: the twin identities
-            lhs_Dinv, lhs_2p = lhs_D, lhs_2
-        else:
-            lhs_Dinv = weighted_operator_norm(op_right, G, "D_inv", seed=seed)
-            lhs_2p = weighted_operator_norm(op_right, None, "euclid", seed=seed)
+        lhs_Dinv = weighted_operator_norm(op_right, G, "D_inv", seed=seed)
+        lhs_2p = weighted_operator_norm(op_right, None, "euclid", seed=seed)
 
     rhs_lemma = (dmu + deps) * inf2.c_dis
     rhs_lemma2 = me.ratio * deps * inf2.c_dis if dmu == 0.0 else None
@@ -592,13 +588,16 @@ def remesh_problem(spec: ProblemSpec, mesh: Mesh) -> ProblemSpec:
     """The problem ``spec`` on another mesh of its domain, at the same k and
     theta.
 
-    The coefficient fields are transferred with :func:`resample_field`,
-    which is exact when ``mesh`` refines ``spec.mesh`` (as
-    ``spec.mesh.refined(r)`` does): both problems then see the same
-    coefficient function. The boundary tags are the new mesh's own.
+    The centroids of ``mesh`` are located in ``spec.mesh`` once, and both
+    coefficient fields are transferred along that parent map with
+    :func:`resample_field`, which is exact when ``mesh`` refines
+    ``spec.mesh`` (as ``spec.mesh.refined(r)`` does): both problems then
+    see the same coefficient function. The boundary tags are the new
+    mesh's own.
     """
-    mu = resample_field(spec.mu_inv, mesh)
-    eps = resample_field(spec.eps, mesh)
+    parent = spec.mesh.locate_elements(mesh.element_centroids())
+    mu = resample_field(spec.mu_inv, mesh, parent)
+    eps = resample_field(spec.eps, mesh, parent)
     return ProblemSpec(spec.k, mesh, mu, eps, spec.theta)
 
 

@@ -173,13 +173,19 @@ def field_diff_sup_norm(f1: CoefficientField, f2: CoefficientField) -> float:
     return float(np.abs(diff).max()) if diff.size else 0.0
 
 
-def resample_field(field: CoefficientField, new_mesh: Mesh) -> CoefficientField:
+def resample_field(
+    field: CoefficientField, new_mesh: Mesh, parent: np.ndarray
+) -> CoefficientField:
     """Transfer a piecewise-constant field onto another mesh of the domain.
 
-    Each new element takes the value of the old element containing its
-    centroid; exact for nested refinements of piecewise-constant data.
+    New element i takes the value of old element ``parent[i]``, the
+    element of ``field.mesh`` containing its centroid, which the caller
+    locates once for all the fields it transfers
+    (``field.mesh.locate_elements(new_mesh.element_centroids())``); exact
+    for nested refinements of piecewise-constant data. The result is
+    validated as any field is, so ``parent`` must have one entry per new
+    element.
     """
     if new_mesh.dimension != field.mesh.dimension:
         raise InvalidArgumentError("meshes have different dimensions")
-    idx = field.mesh.locate_elements(new_mesh.element_centroids())
-    return CoefficientField(new_mesh, field.values[idx], field.role)
+    return CoefficientField(new_mesh, field.values[parent], field.role)

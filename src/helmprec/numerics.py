@@ -57,9 +57,12 @@ fill-reducing ordering (minimum degree on the pattern of A^T + A):
 complex LU for A, and for D and M an LDL^T-type factorization
 P D P^T = L_0 U_0 certified SPD by its pivots (:func:`gram_factor`).
 Both are one :class:`LUFactor` type. A real factor solves a complex
-vector as one plain solve on two real columns, and products of the real
-D and M with complex vectors are one pass over the matrix with their
-float64 view (:func:`real_product`), with no complex copy.
+vector as one plain solve on two real columns. Products of the real D
+and M with complex vectors go through a complex twin of the matrix
+(:func:`complex_twin`): its entries as complex numbers on its own index
+arrays, so each product is one complex pass over the matrix. The
+function that runs an eigensolve or a solver builds the twins it needs
+once, and they are dropped when it returns.
 
 A Galerkin Helmholtz matrix is complex symmetric, A^T = A, and D and M
 are real symmetric; a factor tests that once, exactly
@@ -185,15 +188,17 @@ def lu_factor(A, dtype=complex, **options) -> LUFactor:
         raise
 
 
-def real_product(X, x: np.ndarray) -> np.ndarray:
-    """X @ x for a real sparse X; a complex x is multiplied as the (n, 2k)
-    float64 view of its real and imaginary parts, in one pass over X and
-    with no complex copy of X, bit for bit the product of each part."""
-    if not np.iscomplexobj(x):
-        return X @ x
-    x = np.ascontiguousarray(x, dtype=np.complex128)
-    y = X @ x.view(np.float64).reshape(x.shape[0], -1)
-    return y.view(np.complex128).reshape(x.shape)
+def complex_twin(X) -> sp.spmatrix:
+    """The CSR or CSC matrix X with complex data on X's own index arrays.
+
+    For a real X, a product of the twin with a complex vector is one pass
+    over the matrix, bit for bit the products of X with the vector's real
+    and imaginary parts. The twin costs one complex copy of the entries,
+    so callers build it once per eigensolve or solver run, not per product.
+    """
+    if not (sp.issparse(X) and X.format in ("csr", "csc")):
+        X = sp.csr_matrix(X)
+    return type(X)((X.data.astype(complex), X.indices, X.indptr), shape=X.shape)
 
 
 def gram_factor(D) -> LUFactor:
@@ -314,10 +319,12 @@ def _pencil_lambda_max(
     never applies its A, and reports 1/nu. Power iteration would stall on
     the clustered extremes of finite-element mass and Gram matrices.
     ARPACK sees float64 vectors only, so it takes its symmetric driver: a
-    complex W (the default ``dtype``) acts on the interleaved float view of
-    complex n-vectors and B on its (n, 2) view, where W B is B-symmetric on
-    R^{2n} with every eigenvalue doubled; the complex start vector is viewed alike.
-    ``dtype=float`` runs a real symmetric W from a real start vector.
+    complex W (the default ``dtype``) and B act on the interleaved float
+    view of complex n-vectors, where W B is B-symmetric on R^{2n} with
+    every eigenvalue doubled; the complex start vector is viewed alike.
+    Callers pass B as its :func:`complex_twin`, so each product with B is
+    one complex pass. ``dtype=float`` runs a real symmetric W from a real
+    start vector.
     Iterations stop at the relative tolerance ``DEFAULT_TOL`` and are
     capped at ``DEFAULT_MAXIT`` applications of W, both read per call.
     Returns (nu, applications of W, residual ||W B v - nu v||_B of the
@@ -365,7 +372,7 @@ def _pencil_lambda_max(
         return y
 
     def apply_b(x):
-        return x if b is None else (b @ x.reshape(n, -1)).reshape(x.shape)
+        return x if b is None else (b @ x.view(dtype)).view(np.float64)
 
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
@@ -417,7 +424,7 @@ def _norm_matrix(X, n: int) -> sp.spmatrix:
     X = sp.csr_matrix(X)
     if X.shape != (n, n):
         raise InvalidArgumentError(f"norm matrix of shape {X.shape}, expected {(n, n)}")
-    if np.iscomplexobj(X):  # products with it run on float64 views
+    if np.iscomplexobj(X):  # a norm matrix is real symmetric PD
         raise InvalidArgumentError("norm matrix must be real")
     return X
 
@@ -448,12 +455,12 @@ def weighted_operator_norm(
     # lambda_max(C D^{-1} C^H D)
     first, then = (rmv, mv) if mode == "D" else (mv, rmv)
     apply_w = lambda v: then(gram.solve(first(v)))
-    return _sigma_max(apply_w, n, seed, b=gram.A)[0]
+    return _sigma_max(apply_w, n, seed, b=complex_twin(gram.A))[0]
 
 
 def _solution_normal(lu: LUFactor, mid) -> Callable[[np.ndarray], np.ndarray]:
-    """W = A^{-H} X A^{-1} for the norm matrix X = ``mid``."""
-    return lambda v: lu.solve(real_product(mid, lu.solve(v)), trans="H")
+    """W = A^{-H} X A^{-1} for the complex twin ``mid`` of the norm matrix X."""
+    return lambda v: lu.solve(mid @ lu.solve(v), trans="H")
 
 
 def discrete_inf_sup(lu: LUFactor, D, seed: int = DEFAULT_SEED) -> InfSupReport:
@@ -465,7 +472,7 @@ def discrete_inf_sup(lu: LUFactor, D, seed: int = DEFAULT_SEED) -> InfSupReport:
     matrix D, which is never factored here.
     """
     n = lu.n
-    D = _norm_matrix(D, n)
+    D = complex_twin(_norm_matrix(D, n))  # one twin for W and B
     c_dis, it, res = _sigma_max(_solution_normal(lu, D), n, seed, b=D)
     if c_dis == 0.0:
         return InfSupReport(
@@ -525,7 +532,7 @@ def solution_operator_norms(
     C_dis of :func:`discrete_inf_sup`.
     """
     n = lu.n
-    D, M = _norm_matrix(D, n), _norm_matrix(M, n)
-    h0_to_h, _, _ = _sigma_max(_solution_normal(lu, D), n, seed, b=M)
+    D, M = _norm_matrix(D, n), complex_twin(_norm_matrix(M, n))  # B of both runs
+    h0_to_h, _, _ = _sigma_max(_solution_normal(lu, complex_twin(D)), n, seed, b=M)
     h0_to_h0, _, _ = _sigma_max(_solution_normal(lu, M), n, seed, b=M)
     return SolutionOperatorNorms(h0_to_h=h0_to_h, h0_to_h0=h0_to_h0)

@@ -12,13 +12,18 @@ the polynomial (1-z)^n. Both inequalities are exact, so the observed
 rates are certified lower bounds on c that a check may gate on.
 
 Both solvers measure in the D inner product <u, v> = v* D u through
-products with the real matrix D, never a factor of it. GMRES is full
-(non-restarted): each new vector is orthogonalized against the whole
-basis by classical Gram-Schmidt run twice (two block passes, each one
-product with D; "twice is enough", Giraud, Langou & Rozloznik 2005).
-Residual norms come from the Givens recurrence, hence are
-non-increasing by construction. Both stop at the fixed relative
-tolerance ``TOL`` or after ``MAX_IT`` steps, read per call.
+products with the real matrix D, never a factor of it: each run builds
+D's complex twin (:func:`~helmprec.numerics.complex_twin`) once, so a
+product is one complex pass over D. GMRES is full (non-restarted): each
+new vector is orthogonalized against the whole basis by classical
+Gram-Schmidt run twice (two block passes, each one product with D;
+"twice is enough", Giraud, Langou & Rozloznik 2005). Its basis and
+Hessenberg matrix start with room for ``_START_STEPS`` steps and double
+when full, so a run holds storage for at most twice the steps it took,
+never for all ``MAX_IT``. Residual norms come from the Givens
+recurrence, hence are non-increasing by construction. Both stop at the
+fixed relative tolerance ``TOL`` or after ``MAX_IT`` steps, read per
+call.
 """
 
 from __future__ import annotations
@@ -31,15 +36,26 @@ import numpy as np
 
 from .assemble import GalerkinSystem
 from .errors import InvalidArgumentError, SingularSystemError
-from .numerics import LUFactor, real_product
+from .numerics import LUFactor, complex_twin
 
 TOL = 1e-8
 MAX_IT = 500
 _BREAKDOWN = 1e-14
+# GMRES steps the first basis has room for; see the module docstring.
+_START_STEPS = 4
 
 
-def _d_norm(D, u: np.ndarray) -> float:
-    return math.sqrt(max(np.vdot(u, real_product(D, u)).real, 0.0))
+def _d_norm(Dc, u: np.ndarray) -> float:
+    """||u||_D through the complex twin ``Dc`` of D."""
+    return math.sqrt(max(np.vdot(u, Dc @ u).real, 0.0))
+
+
+def _enlarged(X: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """X in the leading corner of a zero array of ``shape``, in X's memory
+    order."""
+    Y = np.zeros(shape, dtype=X.dtype, order="F" if X.flags.f_contiguous else "C")
+    Y[: X.shape[0], : X.shape[1]] = X
+    return Y
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +108,7 @@ def fixed_point(
     exactly. Stops at relative error ``TOL`` or after ``MAX_IT`` steps.
     Uses the LU factors the two systems own and products with ``sys1.D``.
     """
-    A1, D = sys1.A, sys1.D
+    A1, D = sys1.A, complex_twin(sys1.D)
     x_ref = direct_solve(sys1.lu, b)
     lu2 = sys2.lu
     x = np.asarray(x0, dtype=complex).copy()
@@ -122,6 +138,7 @@ def gmres(
     n = b.shape[0]
     if D.shape != (n, n):
         raise InvalidArgumentError("inner-product dimension does not match b")
+    D = complex_twin(D)
 
     r0 = b  # zero initial guess
     beta = _d_norm(D, r0)
@@ -129,10 +146,10 @@ def gmres(
         return IterationTrace(np.array([0.0]), True, np.zeros(n, dtype=complex))
 
     max_it = min(MAX_IT, n)
-    # column-major, so each basis vector is contiguous and the columns not
-    # yet written stay untouched (np.zeros memory is mapped on first write)
-    V = np.zeros((n, max_it + 1), dtype=complex, order="F")
-    H = np.zeros((max_it + 1, max_it), dtype=complex)
+    steps = min(_START_STEPS, max_it)  # the steps V and H have room for
+    # column-major, so each basis vector is contiguous
+    V = np.zeros((n, steps + 1), dtype=complex, order="F")
+    H = np.zeros((steps + 1, steps), dtype=complex)
     cs = np.zeros(max_it, dtype=complex)
     sn = np.zeros(max_it, dtype=complex)
     g = np.zeros(max_it + 1, dtype=complex)
@@ -143,10 +160,13 @@ def gmres(
     j_done = 0
 
     for j in range(max_it):
+        if j == steps:  # full: double the room
+            steps = min(2 * steps, max_it)
+            V, H = _enlarged(V, (n, steps + 1)), _enlarged(H, (steps + 1, steps))
         w = apply_op(V[:, j])
         basis = V[:, : j + 1]
         for _ in range(2):  # classical Gram-Schmidt, twice
-            h = (real_product(D, w).conj() @ basis).conj()  # basis* D w
+            h = ((D @ w).conj() @ basis).conj()  # basis* D w
             w = w - basis @ h
             H[: j + 1, j] += h
         hnext = _d_norm(D, w)

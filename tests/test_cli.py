@@ -332,6 +332,29 @@ def test_verify_factors_beside_at_most_two_live_factors(tmp_path, live_factors):
     assert live_factors == [0, 1, 1, 1, 2]
 
 
+def test_sweep_locates_each_reference_mesh_once(tmp_path, monkeypatch):
+    """A 2D sweep with a ladder locates points once per k: the centroids of
+    the reference mesh (6 x 6 cells refined twice, 288 triangles) in the
+    working mesh, once for both coefficient fields."""
+    from helmprec.mesh import Mesh
+
+    located = []
+    locate = Mesh.locate_elements
+
+    def counting_locate(self, points):
+        located.append(len(points))
+        return locate(self, points)
+
+    monkeypatch.setattr(Mesh, "locate_elements", counting_locate)
+    path = write_cfg(tmp_path, {
+        "problem": {"dimension": 2, "k": 4.0, "resolution": {"type": "elements", "n": 6}},
+        "sweep": {"k_values": [4.0, 6.0], "alpha_values": [0.2],
+                  "resolution": {"type": "elements", "n": 6}, "ladder": {"refine": 2}},
+    })
+    assert cmd_sweep(path, out_dir=str(tmp_path / "s")).exit_status == 0
+    assert located == [288, 288]
+
+
 def test_eigensolves_per_command(tmp_path, pencil_calls):
     """verify: 2 M-weighted solution norms, 1 C_dis per matrix, 2 mass
     extremes and 2 norm estimates (one per symmetric twin pair). A sweep

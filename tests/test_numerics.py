@@ -116,21 +116,24 @@ def test_factor_fill_below_half_of_natural_order():
 
 
 @pytest.mark.parametrize("fmt", ["csr", "csc"])
-def test_real_product_is_bitwise_the_product_of_each_part(fmt, rng):
-    """A complex x, 1-D or (n, k) and in either memory order, is multiplied
-    by a real sparse X in one pass over its float64 view, bit for bit equal
-    to the products with its real and imaginary parts; a real x takes the
-    plain product."""
-    X = canonical_2d(4.0, 8, 8).D.asformat(fmt)
-    n = X.shape[0]
-    re, im = rng.standard_normal((2, n, 3))
-    for x in (re[:, 0] + 1j * im[:, 0], re + 1j * im, np.asfortranarray(re + 1j * im)):
-        got = numerics.real_product(X, x)
-        assert got.shape == x.shape and got.dtype == np.complex128
-        assert np.array_equal(got, X @ x.real + 1j * (X @ x.imag))
-    for x in (re[:, 0], re):
-        got = numerics.real_product(X, x)
-        assert got.dtype == np.float64 and np.array_equal(got, X @ x)
+def test_complex_twin_is_bitwise_the_product_of_each_part(fmt, rng):
+    """The complex twin of D or M keeps the matrix's format and index
+    arrays, and its product with a complex x, 1-D or (n, k) and in either
+    memory order, is bit for bit the products of the real matrix with the
+    real and imaginary parts of x."""
+    s = canonical_2d(4.0, 8, 8)
+    for X in (s.D.asformat(fmt), s.M.asformat(fmt)):
+        twin = numerics.complex_twin(X)
+        assert twin.format == fmt and twin.dtype == np.complex128
+        assert np.shares_memory(twin.indices, X.indices)
+        assert np.shares_memory(twin.indptr, X.indptr)
+        re, im = rng.standard_normal((2, X.shape[0], 3))
+        for x in (re[:, 0] + 1j * im[:, 0], re + 1j * im,
+                  np.asfortranarray(re + 1j * im)):
+            got = twin @ x
+            want = X @ x.real + 1j * (X @ x.imag)
+            assert got.shape == x.shape and got.dtype == np.complex128
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 def test_gram_factor_complex_solve_is_real_imag_split(rng):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,3 +165,45 @@ def test_gmres_zero_rhs_and_cap(settings):
     tr2 = gmres(lambda x: A @ x, b.astype(complex), _eye(40))
     assert not tr2.converged
     assert tr2.iterations == 3  # trace length respects the cap
+
+
+def test_gmres_storage_grows_with_the_steps_taken(rng, settings):
+    """At n = 20,000, a run of 3 steps (an operator with 3 distinct
+    eigenvalues) peaks below the size of 16 basis vectors, although the
+    cap allows 500 steps: the basis is not allocated for the cap."""
+    n = 20_000
+    d = np.array([1.0, 2.0, 3.0])[np.arange(n) % 3]
+    D = canonical_1d(10.0, n - 1).D
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    settings(500, 1e-13)
+    tracemalloc.start()
+    try:
+        tr = gmres(lambda x: d * x, b, D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.converged and tr.iterations <= 3
+    assert peak < 16 * n * np.dtype(complex).itemsize
+
+
+def test_gmres_storage_growth_is_bitwise_invisible(absorption_pair, rng, settings,
+                                                  monkeypatch):
+    """Runs whose basis doubles on the way (from room for 4 steps) give bit
+    for bit the trace of a basis with room for every step from the start."""
+    s1, s2, _ = absorption_pair
+    lu2 = s2.lu
+    n = 30
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 5 * np.eye(n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    runs = ((lambda x: lu2.solve(s1.A @ x), lu2.solve(assemble_load(s1.spec, 1.0)), s1.D),
+            (lambda x: A @ x, b, _eye(n)))
+    settings(100, 1e-12)
+    start = solvers._START_STEPS
+    traces = []
+    for room in (start, solvers.MAX_IT):
+        monkeypatch.setattr(solvers, "_START_STEPS", room)
+        traces.append([gmres(*run) for run in runs])
+    for grown, whole in zip(*traces):
+        assert grown.iterations == whole.iterations > start
+        assert grown.norms.tobytes() == whole.norms.tobytes()
+        assert grown.solution.tobytes() == whole.solution.tobytes()
