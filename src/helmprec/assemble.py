@@ -80,9 +80,13 @@ class ProblemSpec:
     theta: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.k < math.inf:
+        try:  # k^{-2} scales the stiffness, so it must be a finite float too
+            valid = 0 < self.k < math.inf and float(self.k) ** -2 < math.inf
+        except OverflowError:
+            valid = False
+        if not valid:
             raise InvalidArgumentError(
-                f"wavenumber must be positive and finite, got {self.k}"
+                f"wavenumber must be positive and finite, with k^-2 finite, got {self.k}"
             )
         if self.mu_inv.role != Role.MU_INV or self.eps.role != Role.EPS:
             raise InvalidArgumentError("coefficient roles do not match their slots")

@@ -36,6 +36,10 @@ one, so by the twin identities of :mod:`helmprec.numerics`
 ||I - A1 A2^{-1}||_{D^{-1}} = ||I - A2^{-1} A1||_D and the two Euclidean
 norms agree: only the left-hand side is estimated.
 
+The shifted-coercivity (Gårding) inequality these bounds rest on is
+sampled by :func:`garding_check`, on the calling thread, with a fixed
+``GARDING_SAMPLES`` random vectors from one generator of the run's seed.
+
 Note the smallness-condition checks use the measured discrete constant
 C_dis_1 as a stand-in for its continuous counterpart; the refinement
 ladder (:func:`infsup_ladder`) is the empirical instrument for that
@@ -46,9 +50,6 @@ computed, with that of the same problem on a nested refinement.
 from __future__ import annotations
 
 import math
-import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from numbers import Real
 from typing import Optional, Sequence
@@ -73,7 +74,9 @@ from .numerics import (
 SLACK = 1e-9
 IDENTITY_RTOL = 1e-12
 
-# Samples per block of garding_check, chosen by measurement; see there.
+# The fixed sample count of garding_check, and its block size, chosen by
+# measurement (see there).
+GARDING_SAMPLES = 1000
 _GARDING_BLOCK = 16
 
 @dataclass(frozen=True)
@@ -305,18 +308,9 @@ def _band_forms(bands: list, x: np.ndarray, work: np.ndarray) -> np.ndarray:
     return forms
 
 
-def _cores() -> int:
-    """The number of cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def garding_check(
     sys: GalerkinSystem,
     constants: GardingConstants = CANONICAL_GARDING,
-    n_samples: int = 1000,
     seed: int = 0,
 ) -> GardingReport:
     """Sample random coefficient vectors against the shifted-coercivity bound.
@@ -325,23 +319,18 @@ def garding_check(
     real theta) the inequality with constants (1, 2) follows from the
     exact identity Re(v*Av) + 2 v*Mv = v*Dv, which is then asserted at
     relative tolerance ``IDENTITY_RTOL``; a sample violates the bound when
-    its relative margin is below -``IDENTITY_RTOL``. At least one sample is
-    required: an empty sample would report no violation without testing
-    anything. A sample whose quadratic forms or margin are not finite
-    counts as a violation with margin -inf, so a check that computed
-    nothing cannot pass.
+    its relative margin is below -``IDENTITY_RTOL``. A sample whose
+    quadratic forms or margin are not finite counts as a violation with
+    margin -inf, so a check that computed nothing cannot pass.
 
-    The samples are drawn and evaluated in blocks of ``_GARDING_BLOCK``.
-    Block i is filled by one ``standard_normal`` call of its own generator,
-    ``default_rng(SeedSequence(seed).spawn(n_blocks)[i])`` (NumPy's seeding
-    for parallel streams), so sample j is row j mod b of block j // b and
-    the report depends on the seed alone, never on how many threads drew
-    it or in which order. The blocks are mapped over a thread pool with one
-    worker per core the process may run on (``os.sched_getaffinity``, else
-    ``os.cpu_count()``), at most one per block: the normal fill, the
-    elementwise products and the small matrix products release the GIL.
-    The calling thread allocates one draw buffer and one product buffer
-    per worker up front, so no worker allocates arrays of size n.
+    The ``GARDING_SAMPLES`` samples come from one generator,
+    ``default_rng(seed)``, on the calling thread: sample j is row j of
+    ``default_rng(seed).random((GARDING_SAMPLES, 2, n)) - 0.5``, real and
+    imaginary parts. These centred uniforms have zero mean and a
+    covariance proportional to I, like normals, at a fifth of the cost to
+    draw, and each margin is a ratio of forms of degree 2, so their scale
+    does not matter. They are drawn and evaluated in blocks of
+    ``_GARDING_BLOCK`` into two buffers allocated once per call.
 
     No product with A, M or D is made: the diagonals of the three matrices
     are tabulated once per call (:func:`_band_tables`), and a block of b
@@ -351,15 +340,11 @@ def garding_check(
     for all 3b forms. A P1 system has 2 offsets in 1D and 4 in 2D (0, 1,
     m and m + 1 for m free nodes per grid column); an offset where A is
     not exactly symmetric, as with a matrix-valued mu^{-1}, costs a
-    second product. With 2 workers on a 2-core Xeon, 1,000 samples at
-    n = 6,561 took 0.15-0.16 s in blocks of 16, 0.16-0.18 s in blocks of
-    32 or 64, and in blocks of 8 the same as 16 within the noise; at
-    n = 25,921 blocks of 16 took 0.73-0.79 s and of 8, 32 or 64
-    0.71-0.88 s. On one core the same sample took 0.23 s and 0.98-1.29 s,
-    most of it drawing the random numbers.
+    second product. With one BLAS thread on a 2-core Xeon, the whole check
+    took 0.072 s at n = 6,561 and 0.344 s at n = 25,921, wall and CPU time
+    alike. Blocks of 8 were 13% faster than blocks of 16 at n = 6,561 and
+    7% slower at n = 25,921; blocks of 32 were slower at both.
     """
-    if n_samples < 1:
-        raise InvalidArgumentError(f"n_samples must be >= 1, got {n_samples}")
     spec = sys.spec
     canonical = bool(
         not spec.mu_inv.is_matrix
@@ -367,40 +352,29 @@ def garding_check(
         and np.all(spec.eps.values == 1.0)
     )
     bands = _band_tables(sys.A, sys.M, sys.D)
-    n_blocks = -(-n_samples // _GARDING_BLOCK)
-    streams = np.random.SeedSequence(seed).spawn(n_blocks)
-    workers = min(_cores(), n_blocks)
-    buffers = queue.SimpleQueue()  # one (draws, products) pair per worker
-    for _ in range(workers):
-        buffers.put((np.empty((_GARDING_BLOCK, 2, sys.n)),  # (sample, re/im, dof)
-                     np.empty((2 * _GARDING_BLOCK, sys.n))))
-
-    def block(i):
-        b = min(_GARDING_BLOCK, n_samples - i * _GARDING_BLOCK)
-        draws, work = buffers.get()
-        try:
-            np.random.default_rng(streams[i]).standard_normal(out=draws[:b])
-            with np.errstate(invalid="ignore", over="ignore"):  # non-finite fails below
-                return _band_forms(bands, draws[:b], work)
-        finally:
-            buffers.put((draws, work))
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        forms = np.concatenate(list(pool.map(block, range(n_blocks))))
-    with np.errstate(invalid="ignore", over="ignore"):
+    rng = np.random.default_rng(seed)
+    draws = np.empty((_GARDING_BLOCK, 2, sys.n))  # (sample, re/im, dof)
+    work = np.empty((2 * _GARDING_BLOCK, sys.n))
+    forms = np.empty((GARDING_SAMPLES, 4))
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite fails below
+        for start in range(0, GARDING_SAMPLES, _GARDING_BLOCK):
+            x = draws[: GARDING_SAMPLES - start]
+            rng.random(out=x)
+            x -= 0.5
+            forms[start : start + len(x)] = _band_forms(bands, x, work)
         qa = forms[:, 0] + 1j * forms[:, 1]
         qm, qd = forms[:, 2], forms[:, 3]
         ident_err = None
         lhs = np.abs(qa + constants.c_g2 * qm)
         rhs = constants.c_g1 * qd
-        margin = np.divide(lhs - rhs, rhs, out=np.zeros(n_samples), where=rhs > 0)
+        margin = np.divide(lhs - rhs, rhs, out=np.zeros(GARDING_SAMPLES), where=rhs > 0)
         if canonical:
             ident_err = float(np.max(np.abs(qa.real + 2.0 * qm - qd) / qd))
     finite = np.isfinite(qa) & np.isfinite(qm) & np.isfinite(qd) & np.isfinite(margin)
     margin[~finite] = -np.inf
     return GardingReport(
         constants=constants,
-        n_samples=n_samples,
+        n_samples=GARDING_SAMPLES,
         violations=int(np.count_nonzero(margin < -IDENTITY_RTOL)),
         worst_rel_margin=float(margin.min()),
         canonical=canonical,

@@ -126,9 +126,7 @@ def cmd_verify(
     else:
         constants = garding_constants_for(sys1.spec)
 
-    grep = garding_check(
-        sys1, constants, n_samples=cfg.solver["garding_samples"], seed=seed
-    )
+    grep = garding_check(sys1, constants, seed=seed)
     result.paths["garding"] = hio.write_report(
         grep, os.path.join(out, "garding.json"), "json"
     )

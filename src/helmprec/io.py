@@ -12,7 +12,9 @@ is None or (test, text), and a value failing test(value, cfg) "must be
 <text>". The walker ``_section`` rejects unknown and missing keys,
 reads a default as it reads a written value, applies the constraint
 and names the key in every ``ConfigError``. Re-reading the JSON dump of
-a config's ``data`` gives the same data.
+a config's ``data`` gives the same data. A config that is not UTF-8 text
+is a ``ConfigError`` too; a matrix file that is not is a
+``MatrixExchangeError``.
 
 Matrices travel in Matrix Market coordinate format with complex
 entries (real/imag pairs), 1-based indices, and symmetry 'general' or
@@ -20,7 +22,8 @@ entries (real/imag pairs), 1-based indices, and symmetry 'general' or
 round-trip exactly. Reports serialize with a fixed field order, so
 identical inputs give byte-identical files: a bound report to JSON or
 CSV, a Gårding or norm-equivalence report to JSON, and an inf-sup ladder
-to CSV.
+to CSV. A numpy scalar in a JSON report is written as the Python number
+it holds.
 """
 
 from __future__ import annotations
@@ -199,10 +202,6 @@ _CONFIG = {
         "resolution": (_RESOLUTION, lambda cfg: cfg["problem"]["resolution"], None),
         "ladder": ({"refine": (_int, 4, _at_least(2))}, None, None),
     }, {}, None),
-    # zero samples would print PASS without checking anything
-    "solver": ({
-        "garding_samples": (_int, 1000, _at_least(1)),
-    }, {}, None),
     "output": ({"dir": (_str, "out", None)}, {}, None),
 }
 
@@ -261,10 +260,6 @@ class ExperimentConfig:
         return self.data["sweep"]
 
     @property
-    def solver(self) -> dict:
-        return self.data["solver"]
-
-    @property
     def seed(self) -> int:
         return self.data["seed"]
 
@@ -284,8 +279,12 @@ def read_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
+    return read_config(text)
 
 
 # -- config -> problem objects ------------------------------------------------
@@ -390,8 +389,11 @@ def write_matrix_mm(path: str, X, symmetry: str = "general"):
 
 def read_matrix_mm(path: str) -> sp.csr_matrix:
     """Read one coordinate-format complex matrix; errors carry line numbers."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise MatrixExchangeError(f"{path} is not UTF-8 text: {exc}") from None
     if not lines:
         raise MatrixExchangeError("empty file", line=1)
     banner = lines[0].split()
@@ -537,21 +539,6 @@ def read_matrix_exchange(
 
 # -- report serialization -----------------------------------------------------
 
-def _jsonify(obj):
-    """Recursively convert numpy scalars so json.dump accepts the payload."""
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
-
-
 def _f(x) -> str:
     """Deterministic CSV float formatting (shortest round-trip repr)."""
     if x is None:
@@ -664,7 +651,8 @@ def write_report(report, path: str, fmt: str = "json") -> str:
         raise InvalidArgumentError(f"cannot write {type(report).__name__} as {fmt}")
     if fmt == "json":
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(_jsonify(forms[type(report)](report)), fh, indent=2)
+            # np.float64 is a float; np.bool_ and np.integer need their item()
+            json.dump(forms[type(report)](report), fh, indent=2, default=lambda o: o.item())
             fh.write("\n")
     else:
         columns, rows = forms[type(report)]

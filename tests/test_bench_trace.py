@@ -23,7 +23,6 @@ CONFIGS = {
     "verify2d": {
         "problem": PROBLEM,
         "perturbation": {"mode": "absorption", "alpha": 0.3},
-        "solver": {"garding_samples": 20},
     },
     "sweep1d": {
         "problem": PROBLEM,

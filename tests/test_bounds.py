@@ -2,8 +2,6 @@ import dataclasses
 import functools
 import itertools
 import math
-import os
-import sys as sys_module
 import threading
 import tracemalloc
 import weakref
@@ -28,6 +26,7 @@ from helmprec import bounds
 from helmprec.assemble import MatrixSystem, assemble_system
 from helmprec.bounds import (
     _GARDING_BLOCK,
+    GARDING_SAMPLES,
     _band_forms,
     _band_tables,
     CANONICAL_GARDING,
@@ -67,7 +66,7 @@ def eps_perturbed(spec, delta):
 
 
 def test_garding_canonical_identity_holds():
-    rep = garding_check(canonical_1d(10.0, 60), CANONICAL_GARDING, n_samples=200)
+    rep = garding_check(canonical_1d(10.0, 60), CANONICAL_GARDING)
     assert rep.canonical
     assert rep.violations == 0
     assert rep.identity_max_rel_err <= 1e-12
@@ -84,8 +83,7 @@ def test_garding_zero_vector_is_degenerate_pass():
 
 
 def test_garding_false_constants_reported():
-    rep = garding_check(canonical_1d(10.0, 60), GardingConstants(10.0, 0.0),
-                        n_samples=200)
+    rep = garding_check(canonical_1d(10.0, 60), GardingConstants(10.0, 0.0))
     assert rep.violations > 0
     assert not rep.passed
     assert rep.worst_rel_margin < 0
@@ -95,11 +93,10 @@ B = _GARDING_BLOCK
 
 
 @functools.cache
-def block_draws(n, n_samples, seed, i):
-    """The (B, 2, n) draws of block i: a full block of child stream i of
-    the seed, of which a short last block uses the leading rows."""
-    stream = np.random.SeedSequence(seed).spawn(-(-n_samples // B))[i]
-    return np.random.default_rng(stream).standard_normal((B, 2, n))
+def sample_draws(n, seed):
+    """The (GARDING_SAMPLES, 2, n) centred uniform draws of a seed: sample j
+    is row j, whatever the sample count, as one generator draws in turn."""
+    return np.random.default_rng(seed).random((GARDING_SAMPLES, 2, n)) - 0.5
 
 
 def garding_reference(sys, constants, n_samples, seed, rtol=1e-12):
@@ -116,7 +113,7 @@ def garding_reference(sys, constants, n_samples, seed, rtol=1e-12):
     worst = math.inf
     ident_err = 0.0
     for j in range(n_samples):
-        x = block_draws(sys.n, n_samples, seed, j // B)[j % B]
+        x = sample_draws(sys.n, seed)[j]
         v = x[0] + 1j * x[1]
         qa = complex(np.vdot(v, A @ v))
         qm = float(np.vdot(v, M @ v).real)
@@ -188,10 +185,12 @@ def _garding_case(name):
 @pytest.mark.parametrize("n_samples", [1, B - 1, B, B + 1, 1000])
 @pytest.mark.parametrize("case", ["canonical_1d", "canonical_2d", "false_constants",
                                   "step_mu", "matrix_mu"])
-def test_garding_blocks_match_reference(case, n_samples, seed):
-    """Blocked evaluation = the per-vector loop, up to summation order."""
+def test_garding_blocks_match_reference(monkeypatch, case, n_samples, seed):
+    """Blocked evaluation = the per-vector loop, up to summation order; the
+    sample count is patched to reach short and single blocks."""
+    monkeypatch.setattr(bounds, "GARDING_SAMPLES", n_samples)
     sys, constants = _garding_case(case)
-    rep = garding_check(sys, constants, n_samples=n_samples, seed=seed)
+    rep = garding_check(sys, constants, seed=seed)
     ref = garding_reference(sys, constants, n_samples, seed)
     assert (rep.n_samples, rep.violations, rep.canonical, rep.passed) == (
         ref.n_samples, ref.violations, ref.canonical, ref.passed)
@@ -222,36 +221,40 @@ def _recording(sys):
 
 
 @pytest.mark.parametrize("n_samples", [1, B - 1, B, B + 1, 2 * B + 3, 1000])
-def test_garding_sparse_products_per_block(n_samples):
+def test_garding_sparse_products_per_block(monkeypatch, n_samples):
     """No product with A, M or D, neither per block nor per sample: the
     forms are read off the diagonals, with or without a skew part."""
+    monkeypatch.setattr(bounds, "GARDING_SAMPLES", n_samples)
     for case in ("canonical_1d", "matrix_mu"):
         sys, log = _recording(_garding_case(case)[0])
-        garding_check(sys, n_samples=n_samples)
+        garding_check(sys)
         assert log == []
 
 
-def test_garding_samples_are_the_block_streams(monkeypatch):
-    """Sample j is row j mod B of block j // B, drawn by one standard_normal
-    fill from child stream j // B of the seed's SeedSequence."""
+def test_garding_samples_are_the_sequential_draws(monkeypatch):
+    """One generator, default_rng(seed), fills the blocks in turn with one
+    uniform fill each: sample j is row j of its draws."""
     n_samples, seed = 2 * B + 3, 5
     sys = canonical_1d(10.0, 60)
-    log = []
+    expected = np.random.default_rng(seed).random((n_samples, 2, sys.n))
+    seeds, log = [], []
 
     class Recording(np.random.Generator):
-        def standard_normal(self, *args, **kwargs):
-            out = super().standard_normal(*args, **kwargs)
-            log.append((self.bit_generator.seed_seq.spawn_key, np.array(out, copy=True)))
+        def random(self, *args, **kwargs):
+            out = super().random(*args, **kwargs)
+            log.append(np.array(out, copy=True))
             return out
 
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda s: Recording(np.random.PCG64(s)))
-    garding_check(sys, n_samples=n_samples, seed=seed)
-    log.sort(key=lambda entry: entry[0])
-    assert [key for key, _ in log] == [(0,), (1,), (2,)]
-    drawn = np.concatenate([draws for _, draws in log])  # (sample, re/im, dof)
-    expected = [block_draws(sys.n, n_samples, seed, j // B)[j % B] for j in range(n_samples)]
-    assert np.array_equal(drawn, np.stack(expected))
+    def default_rng(s):
+        seeds.append(s)
+        return Recording(np.random.PCG64(s))
+
+    monkeypatch.setattr(bounds, "GARDING_SAMPLES", n_samples)
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    garding_check(sys, seed=seed)
+    assert seeds == [seed]
+    assert [len(draws) for draws in log] == [B, B, 3]
+    assert np.array_equal(np.concatenate(log), expected)  # (sample, re/im, dof)
 
 
 def _dense_forms(A, M, D, x):
@@ -330,8 +333,8 @@ def test_garding_non_finite_form_is_a_violation(name):
     for diagonal in (True, False):
         X = getattr(sys, name).tocoo()
         X.data[np.flatnonzero((X.row == X.col) == diagonal)[3]] = np.nan
-        rep = garding_check(dataclasses.replace(sys, **{name: X.tocsr()}), n_samples=B + 1)
-        assert rep.violations == B + 1
+        rep = garding_check(dataclasses.replace(sys, **{name: X.tocsr()}))
+        assert rep.violations == GARDING_SAMPLES
         assert rep.worst_rel_margin == -math.inf
         assert not rep.passed
 
@@ -343,42 +346,25 @@ def test_garding_overflowing_form_is_a_violation():
     mu = constant_field(spec.mesh, 1e306, Role.MU_INV)
     sys = assemble_system(ProblemSpec(spec.k, spec.mesh, mu, spec.eps, spec.theta))
     assert np.all(np.isfinite(sys.A.data))
-    rep = garding_check(sys, n_samples=3)
-    assert rep.violations == 3
+    rep = garding_check(sys)
+    assert rep.violations == GARDING_SAMPLES
     assert rep.worst_rel_margin == -math.inf
     assert not rep.passed
 
 
 @pytest.mark.parametrize("case", ["canonical_2d", "step_mu", "matrix_mu", "nan_entry",
                                   "overflow"])
-def test_garding_report_does_not_depend_on_the_workers(monkeypatch, case):
-    """One worker, two or eight (the affinity lookup patched; more workers
-    than cores, switching threads every microsecond so that two workers
-    sharing a buffer would show): the same report field for field, and
-    every worker thread is gone when the check returns."""
+def test_garding_starts_no_thread(monkeypatch, case):
+    """The check runs on the calling thread alone, and one seed gives one
+    report, field for field."""
     sys, constants = _garding_case(case)
-    pools = []
 
-    class Pool(bounds.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
+    def start(thread):
+        raise AssertionError(f"garding_check started the thread {thread.name}")
 
-    monkeypatch.setattr(bounds, "ThreadPoolExecutor", Pool)
-    reports = []
-    interval = sys_module.getswitchinterval()
-    sys_module.setswitchinterval(1e-6)
-    try:
-        for cores in (1, 2, 8):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cores: set(range(c)))
-            threads = threading.active_count()
-            reports.append(garding_check(sys, constants, n_samples=1000, seed=7))
-            assert threading.active_count() == threads
-    finally:
-        sys_module.setswitchinterval(interval)
-    assert pools == [1, 2, 8]
-    for report in reports[1:]:
-        np.testing.assert_equal(dataclasses.asdict(report), dataclasses.asdict(reports[0]))
+    monkeypatch.setattr(threading.Thread, "start", start)
+    reports = [garding_check(sys, constants, seed=7) for _ in range(2)]
+    np.testing.assert_equal(dataclasses.asdict(reports[1]), dataclasses.asdict(reports[0]))
     if case in ("nan_entry", "overflow"):
         assert reports[0].worst_rel_margin == -math.inf and not reports[0].passed
 
@@ -398,13 +384,6 @@ def test_band_forms_allocate_no_shifted_product():
     finally:
         tracemalloc.stop()
     assert peak < work.nbytes / 4
-
-
-@pytest.mark.parametrize("n_samples", [0, -1])
-def test_garding_rejects_empty_sample(n_samples):
-    """No samples would read as a PASS that tested nothing."""
-    with pytest.raises(InvalidArgumentError):
-        garding_check(canonical_1d(3.0, 10), n_samples=n_samples)
 
 
 @pytest.mark.parametrize("c_g1,c_g2", [(math.nan, 2.0), (1.0, math.nan), (math.inf, 2.0),
@@ -427,7 +406,7 @@ def test_garding_constants_for_fields():
     )
     g2 = garding_constants_for(spec2)
     assert (g2.c_g1, g2.c_g2) == (2.0, 5.0)
-    rep = garding_check(assemble_system(spec2), g2, n_samples=300)
+    rep = garding_check(assemble_system(spec2), g2)
     assert rep.violations == 0
 
 

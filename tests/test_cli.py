@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from helmprec.cli import _parser, cmd_export, cmd_import, cmd_sweep, cmd_verify, main
-from helmprec.errors import ConfigError, InvalidCoefficientError, InvalidSystemError
+from helmprec.errors import (
+    ConfigError,
+    InvalidCoefficientError,
+    InvalidSystemError,
+    MatrixExchangeError,
+)
 from helmprec.io import load_config, read_matrix_mm
 
 
@@ -24,7 +29,6 @@ def write_cfg(tmp_path, extra=None, name="cfg.json"):
         },
         "perturbation": {"mode": "absorption", "alpha": 0.2},
         "sweep": {"k_values": [4.0, 8.0], "alpha_values": [0.1, 0.2, 0.4]},
-        "solver": {"garding_samples": 100},
         "output": {"dir": str(tmp_path / "out")},
     }
     if extra:
@@ -130,9 +134,9 @@ PLANE = {"dimension": 2, "resolution": {"type": "elements", "n": 4}}
     ({"problem": {"resolution": {"type": "elements", "n": 4.7}}}, "problem.resolution.n"),
     ({"problem": dict(PLANE, eps=_step(1.9))}, "problem.eps.axis"),
     ({"sweep": {"ladder": {"refine": 2.5}}}, "sweep.ladder.refine"),
-    ({"solver": {"max_it": 20.5}}, "solver.max_it"),
-    ({"solver": {"garding_samples": 10.5}}, "solver.garding_samples"),
-    ({"solver": {"garding_samples": True}}, "solver.garding_samples"),
+    ({"solver": {"max_it": 20.5}}, "unknown keys ['solver']"),
+    ({"solver": {"garding_samples": 10.5}}, "unknown keys ['solver']"),
+    ({"solver": {"garding_samples": True}}, "unknown keys ['solver']"),
     ({"seed": 2.5}, "seed"),
     ({"seed": True}, "seed"),
     ({"problem": {"k": float("inf")}}, "problem.k"),
@@ -147,7 +151,7 @@ PLANE = {"dimension": 2, "resolution": {"type": "elements", "n": 4}}
     ({"problem": {"garding": {"c_g1": 0.0, "c_g2": 2.0}}}, "problem.garding"),
     ({"seed": -1}, "seed"),
     ({"problem": {"k": "8"}}, "problem.k"),
-    ({"solver": {"tol": "1e-3"}}, "solver.tol"),
+    ({"solver": {"tol": "1e-3"}}, "unknown keys ['solver']"),
     ({"seed": "3"}, "seed"),
     ({"problem": {"resolution": {"type": "elements", "n": "30"}}}, "problem.resolution.n"),
     ({"problem": {"mu_inv": {"type": "constant", "value": True}}}, "problem.mu_inv.value"),
@@ -198,6 +202,34 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, extra, where):
     assert where in str(exc.value)
     assert main(["verify", "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_config_that_is_not_utf8_is_an_error(tmp_path, capsys):
+    """A config holding a byte that is not UTF-8 is one error line, not a
+    traceback."""
+    path = Path(write_cfg(tmp_path))
+    path.write_bytes(path.read_bytes() + b"\xff")
+    with pytest.raises(ConfigError, match="is not UTF-8 text"):
+        load_config(str(path))
+    assert main(["verify", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config") and err.count("\n") == 1
+
+
+def test_wavenumber_without_a_finite_inverse_square_is_an_error(tmp_path, capsys):
+    """k = 1e-160 is positive, but k^-2 overflows: verify prints one error
+    line naming the wavenumber, and a sweep records the error in that k's
+    row and goes on with the next k."""
+    path = write_cfg(tmp_path, {"problem": {"k": 1e-160},
+                                "sweep": {"k_values": [1e-160, 4.0], "alpha_values": [0.2]}})
+    assert main(["verify", "--config", path, "--out-dir", str(tmp_path / "v")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: wavenumber") and "1e-160" in err and err.count("\n") == 1
+    res = cmd_sweep(path, out_dir=str(tmp_path / "s"))
+    assert res.exit_status == 1
+    rows = list(csv.DictReader(open(res.paths["sweep"])))
+    assert [(row["error"], row["passed"]) for row in rows] == [
+        ("InvalidArgumentError", ""), ("", "true")]
 
 
 @pytest.mark.parametrize("resolution", [
@@ -683,6 +715,21 @@ def test_import_of_an_empty_pair_is_an_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: matrix A1 is empty (0 x 0)\n"
+
+
+def test_import_of_a_matrix_file_that_is_not_utf8_is_an_error(tmp_path, capsys):
+    """An exported A2.mtx with a trailing byte that is not UTF-8 is one
+    error line, not a traceback."""
+    exch = tmp_path / "exch"
+    cmd_export(write_cfg(tmp_path), out_dir=str(exch))
+    a2 = exch / "A2.mtx"
+    a2.write_bytes(a2.read_bytes() + b"\xff")
+    with pytest.raises(MatrixExchangeError, match="A2.mtx is not UTF-8 text"):
+        read_matrix_mm(str(a2))
+    assert main(["import", "--dir", str(exch)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_import_norms_flags_over_meta(tmp_path):

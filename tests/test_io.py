@@ -32,7 +32,7 @@ def test_minimal_config_defaults():
     assert cfg.problem["theta"] == 1.0
     assert cfg.perturbation["mode"] == "absorption"
     assert cfg.sweep["k_values"] == [10.0]
-    assert cfg.solver == {"garding_samples": 1000}
+    assert "solver" not in cfg.data
     assert cfg.seed == 0
 
 
@@ -82,10 +82,11 @@ def test_config_roundtrip_identity():
 def test_integer_keys_take_integral_numbers():
     """1e3 and 3.0 are integers; fractions and booleans are ConfigErrors
     (test_cli's malformed-config cases)."""
-    cfg = read_config('{"problem": {"dimension": 1, "k": 1}, "seed": 3.0, '
-                      '"solver": {"garding_samples": 1e3}}')
+    cfg = read_config('{"problem": {"dimension": 1, "k": 1, "resolution": '
+                      '{"type": "elements", "n": 1e3}}, "seed": 3.0}')
     assert cfg.seed == 3 and type(cfg.seed) is int
-    assert cfg.solver["garding_samples"] == 1000
+    n = cfg.problem["resolution"]["n"]
+    assert n == 1000 and type(n) is int
 
 
 def test_coefficient_values_take_numbers_and_pairs():
@@ -120,13 +121,10 @@ def test_config_validation_errors():
         read_config('{"problem": {"dimension": 1, "k": 1}, "perturbation": {"mode": "nearby"}}')
     with pytest.raises(ConfigError, match="alpha_values"):
         read_config('{"problem": {"dimension": 1, "k": 1}, "sweep": {"alpha_values": [0.1, -0.3]}}')
-    for key, value in (("garding_samples", 0), ("garding_samples", -5)):
-        with pytest.raises(ConfigError, match=f"solver.{key}"):
-            read_config('{"problem": {"dimension": 1, "k": 1}, '
-                        f'"solver": {{"{key}": {json.dumps(value)}}}}}')
-    # the iterative solvers' settings are fixed: naming them is an error
-    for key, value in (("tol", 1e-8), ("max_it", 500)):
-        with pytest.raises(ConfigError, match=rf"unknown keys \['{key}'\] \(solver.{key}\)"):
+    # the Gårding sample count and the iterative solvers' settings are
+    # fixed: the solver section that named them is an error
+    for key, value in (("garding_samples", 1000), ("tol", 1e-8), ("max_it", 500)):
+        with pytest.raises(ConfigError, match=r"unknown keys \['solver'\] \(solver\)"):
             read_config('{"problem": {"dimension": 1, "k": 1}, '
                         f'"solver": {{"{key}": {value}}}}}')
     with pytest.raises(ConfigError):
@@ -297,11 +295,11 @@ def test_trace_and_ladder_serialization(tmp_path):
 
 
 def test_report_determinism(tmp_path):
-    rep = garding_check(canonical_1d(4.0, 12), n_samples=50, seed=5)
+    rep = garding_check(canonical_1d(4.0, 12), seed=5)
     p1 = write_report(rep, str(tmp_path / "a.json"), "json")
     p2 = write_report(rep, str(tmp_path / "b.json"), "json")
     assert open(p1, "rb").read() == open(p2, "rb").read()
-    rep2 = garding_check(canonical_1d(4.0, 12), n_samples=50, seed=5)
+    rep2 = garding_check(canonical_1d(4.0, 12), seed=5)
     p3 = write_report(rep2, str(tmp_path / "c.json"), "json")
     assert open(p1, "rb").read() == open(p3, "rb").read()
 
@@ -309,7 +307,7 @@ def test_report_determinism(tmp_path):
 def test_write_report_rejects_unknown(tmp_path):
     with pytest.raises(InvalidArgumentError):
         write_report(object(), str(tmp_path / "x.json"), "json")
-    rep = garding_check(canonical_1d(4.0, 12), n_samples=10)
+    rep = garding_check(canonical_1d(4.0, 12))
     with pytest.raises(InvalidArgumentError):
         write_report(rep, str(tmp_path / "x.yaml"), "yaml")
     # only the forms a command writes
