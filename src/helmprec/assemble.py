@@ -11,8 +11,11 @@ impedance weight theta, the assembled complex system matrix is
 with the real SPD pair D = k^{-2} K + M (K the unweighted stiffness, M
 the plain mass): the squared energy norm ||k^{-1} grad v||^2 + ||v||^2
 of a finite-element function is V* D V for its coefficient vector V.
-Element integrals are closed-form. Dirichlet rows and columns are never
-assembled, which keeps D and M SPD on the free set.
+Element integrals are closed-form. The boundary enters through the
+facets of the tagged sides of the mesh's grid
+(:meth:`~helmprec.mesh.Mesh.facets_with_tag`): B is the P1 mass of the
+impedance facets, and the rows and columns of the nodes of Dirichlet
+facets are never assembled, which keeps D and M SPD on the free set.
 
 A mesh is its grid, so its elements have at most two orientations: in
 1D a segment of length h, in 2D a cell's lower-right triangle (even
@@ -169,7 +172,7 @@ class GalerkinSystem(MatrixSystem):
 
 def _free_nodes(mesh: Mesh) -> np.ndarray:
     free = np.ones(mesh.n_nodes, dtype=bool)
-    free[mesh.nodes_with_tag(BoundaryTag.DIRICHLET)] = False
+    free[mesh.facets_with_tag(BoundaryTag.DIRICHLET)] = False
     return np.flatnonzero(free)
 
 
@@ -261,8 +264,7 @@ def _build_pattern(mesh: Mesh) -> _GridPattern:
 
     # impedance facets: the P1 mass of a (d-1)-simplex F, |F| (1 + delta_ij) / (d (d + 1))
     d = mesh.dimension
-    facets = np.array([f.nodes for f in mesh.facets if f.tag == BoundaryTag.IMPEDANCE],
-                      dtype=int).reshape(-1, d)
+    facets = mesh.facets_with_tag(BoundaryTag.IMPEDANCE)
     size = np.ones(len(facets)) if d == 1 else np.linalg.norm(
         mesh.coords[facets[:, 1]] - mesh.coords[facets[:, 0]], axis=1)
     values = (size[:, None] * ((1 + np.eye(d)) / (d * (d + 1))).reshape(1, -1)).ravel()
@@ -285,26 +287,38 @@ def _grid_pattern(mesh: Mesh) -> _GridPattern:
 
 
 def assemble_system(spec: ProblemSpec) -> GalerkinSystem:
-    """Assemble A, D and M of the problem on its mesh's free dofs."""
+    """Assemble A, D and M of the problem on its mesh's free dofs.
+
+    Raises ``InvalidArgumentError`` naming the wavenumber when an element
+    entry of k^{-2} (mu^{-1} grad phi_j, grad phi_i) or an entry of D is
+    not finite, as for a k whose k^{-2} is finite but overflows times the
+    stiffness.
+    """
     pattern = _grid_pattern(spec.mesh)
     k2 = spec.k ** -2
     no, p2 = pattern.stiffness.shape
     mu = spec.mu_inv.values
     # the element entries of S - M_eps, shape (cells, orientations, p^2)
-    if spec.mu_inv.is_matrix:
-        g = pattern.grads
-        values = np.einsum("oia,coab,ojb->coij", g, mu.reshape(-1, no, 2, 2), g)
-        # the einsum rounds entries (i, j) and (j, i) differently; their
-        # exact mean keeps A exactly symmetric, as in the scalar case
-        values = 0.5 * (values + np.swapaxes(values, -1, -2))
-        values = values.reshape(-1, no, p2) * (k2 * pattern.measure)
-    else:
-        values = (k2 * mu).reshape(-1, no, 1) * pattern.stiffness
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite is raised below
+        if spec.mu_inv.is_matrix:
+            g = pattern.grads
+            values = np.einsum("oia,coab,ojb->coij", g, mu.reshape(-1, no, 2, 2), g)
+            # the einsum rounds entries (i, j) and (j, i) differently; their
+            # exact mean keeps A exactly symmetric, as in the scalar case
+            values = 0.5 * (values + np.swapaxes(values, -1, -2))
+            values = values.reshape(-1, no, p2) * (k2 * pattern.measure)
+        else:
+            values = (k2 * mu).reshape(-1, no, 1) * pattern.stiffness
+        D = pattern.D(spec.k)
+    if not (np.isfinite(values).all() and np.isfinite(D.data).all()):
+        raise InvalidArgumentError(
+            f"wavenumber {spec.k} makes k^-2 times the stiffness, or D, not finite"
+        )
     values -= spec.eps.values.reshape(-1, no, 1) * pattern.mass
     data = _scatter(pattern.slots, values, pattern.M.nnz)
     bslots, bvalues = pattern.boundary
     data[bslots] += (-1j * spec.theta / spec.k) * bvalues
-    return GalerkinSystem(A=pattern.csr(data), D=pattern.D(spec.k), M=pattern.M, spec=spec)
+    return GalerkinSystem(A=pattern.csr(data), D=D, M=pattern.M, spec=spec)
 
 
 def assemble_load(spec: ProblemSpec, f) -> np.ndarray:

@@ -317,11 +317,13 @@ def garding_check(
 
     For the canonical homogeneous impedance problem (mu^{-1} = eps = 1,
     real theta) the inequality with constants (1, 2) follows from the
-    exact identity Re(v*Av) + 2 v*Mv = v*Dv, which is then asserted at
-    relative tolerance ``IDENTITY_RTOL``; a sample violates the bound when
-    its relative margin is below -``IDENTITY_RTOL``. A sample whose
-    quadratic forms or margin are not finite counts as a violation with
-    margin -inf, so a check that computed nothing cannot pass.
+    exact identity Re A + 2M = D, which is then checked once, as a matrix
+    identity: ``identity_max_rel_err`` = max |Re A + 2M - D| / max |D|
+    over the entries must not exceed ``IDENTITY_RTOL``. A sample
+    violates the bound when its relative margin is below
+    -``IDENTITY_RTOL``. A sample whose quadratic forms or margin are not
+    finite counts as a violation with margin -inf, so a check that
+    computed nothing cannot pass.
 
     The ``GARDING_SAMPLES`` samples come from one generator,
     ``default_rng(seed)``, on the calling thread: sample j is row j of
@@ -364,12 +366,12 @@ def garding_check(
             forms[start : start + len(x)] = _band_forms(bands, x, work)
         qa = forms[:, 0] + 1j * forms[:, 1]
         qm, qd = forms[:, 2], forms[:, 3]
-        ident_err = None
         lhs = np.abs(qa + constants.c_g2 * qm)
         rhs = constants.c_g1 * qd
         margin = np.divide(lhs - rhs, rhs, out=np.zeros(GARDING_SAMPLES), where=rhs > 0)
+        ident_err = None
         if canonical:
-            ident_err = float(np.max(np.abs(qa.real + 2.0 * qm - qd) / qd))
+            ident_err = float(abs(sys.A.real + 2.0 * sys.M - sys.D).max() / abs(sys.D).max())
     finite = np.isfinite(qa) & np.isfinite(qm) & np.isfinite(qd) & np.isfinite(margin)
     margin[~finite] = -np.inf
     return GardingReport(

@@ -3,8 +3,9 @@
 A mesh is its grid: the box corners ``lo`` and ``hi``, the number of
 cells per axis and one boundary tag per side. In 1D the cells are the
 elements; in 2D each rectangular cell is split into two right triangles.
-Boundary facets (endpoints in 1D, edges in 2D) carry the tag of their
-side, which decides the boundary treatment during assembly:
+The boundary facets (end points in 1D, edges in 2D) are the sides of the
+node grid, and the tag of its side decides a facet's treatment during
+assembly (:meth:`Mesh.facets_with_tag`):
 
 * DIRICHLET  - dof eliminated,
 * IMPEDANCE  - lower-order boundary term assembled,
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError
 
@@ -37,15 +39,6 @@ class BoundaryTag(Enum):
 SIDES = {1: ("left", "right"), 2: ("left", "right", "bottom", "top")}
 
 
-@dataclass(frozen=True)
-class Facet:
-    """One boundary facet: its node indices, owning element, and tag."""
-
-    nodes: tuple[int, ...]
-    element: int
-    tag: BoundaryTag
-
-
 @dataclass(frozen=True, eq=False)
 class Mesh:
     """Immutable simplicial mesh of the box ``[lo, hi]`` with ``cells`` cells
@@ -53,8 +46,8 @@ class Mesh:
 
     ``tags`` holds one boundary tag per side, in the order of ``SIDES``.
     The arrays are derived when the mesh is built: ``coords`` has shape
-    (n_nodes, dim), ``elements`` shape (n_elements, dim + 1), ``facets``
-    lists the boundary facets and ``h`` is the maximum element diameter.
+    (n_nodes, dim), ``elements`` shape (n_elements, dim + 1) and ``h`` is
+    the maximum element diameter.
     """
 
     lo: tuple[float, ...]
@@ -63,15 +56,14 @@ class Mesh:
     tags: tuple[BoundaryTag, ...]
     coords: np.ndarray = field(init=False, repr=False)
     elements: np.ndarray = field(init=False, repr=False)
-    facets: tuple[Facet, ...] = field(init=False, repr=False)
     h: float = field(init=False)
 
     def __post_init__(self):
         if self.dimension == 1:
-            derived = _interval_arrays(self.lo[0], self.hi[0], self.cells[0], *self.tags)
+            derived = _interval_arrays(self.lo[0], self.hi[0], self.cells[0])
         else:
-            derived = _rect_arrays(self.lo, self.hi, *self.cells, dict(zip(SIDES[2], self.tags)))
-        for name, value in zip(("coords", "elements", "facets", "h"), derived):
+            derived = _rect_arrays(self.lo, self.hi, *self.cells)
+        for name, value in zip(("coords", "elements", "h"), derived):
             object.__setattr__(self, name, value)
         self.coords.setflags(write=False)
         self.elements.setflags(write=False)
@@ -97,10 +89,19 @@ class Mesh:
     def element_centroids(self) -> np.ndarray:
         return self.coords[self.elements].mean(axis=1)
 
-    def nodes_with_tag(self, tag: BoundaryTag) -> np.ndarray:
-        """Sorted indices of all nodes lying on facets with the given tag."""
-        nodes = [n for f in self.facets if f.tag == tag for n in f.nodes]
-        return np.unique(np.array(nodes, dtype=int))
+    def facets_with_tag(self, tag: BoundaryTag) -> np.ndarray:
+        """Node indices of the boundary facets on the sides tagged ``tag``,
+        shape (facets, dimension), side by side in the order of ``SIDES``.
+
+        The sides are those of the node grid: left and right are its first
+        and last row, bottom and top its first and last column, and in 1D
+        they are its two end points.
+        """
+        d = self.dimension
+        grid = np.arange(self.n_nodes).reshape([c + 1 for c in self.cells])
+        sides = (grid[:1], grid[-1:]) if d == 1 else (grid[0], grid[-1], grid[:, 0], grid[:, -1])
+        facets = [sliding_window_view(s, d) for s, t in zip(sides, self.tags) if t == tag]
+        return np.concatenate([np.empty((0, d), dtype=int), *facets])
 
     def locate_elements(self, points: np.ndarray) -> np.ndarray:
         """Element index containing each query point (ties broken low).
@@ -154,53 +155,29 @@ class Mesh:
         return found
 
 
-def _interval_arrays(a: float, b: float, n: int, left_tag, right_tag):
-    """Coordinates, elements, facets and h of the uniform mesh of [a, b]."""
+def _interval_arrays(a: float, b: float, n: int):
+    """Coordinates, elements and h of the uniform mesh of [a, b]."""
     coords = np.linspace(a, b, n + 1).reshape(-1, 1)
     elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    facets = (
-        Facet(nodes=(0,), element=0, tag=left_tag),
-        Facet(nodes=(n,), element=n - 1, tag=right_tag),
-    )
-    return coords, elements, facets, (b - a) / n
+    return coords, elements, (b - a) / n
 
 
-def _rect_arrays(lo, hi, nx: int, ny: int, side_tags: dict):
-    """Coordinates, elements, facets and h of the triangulated box."""
+def _rect_arrays(lo, hi, nx: int, ny: int):
+    """Coordinates, elements and h of the triangulated box, with node
+    (ix, iy) at index ix * (ny + 1) + iy, lexicographic by (x, y)."""
     dx, dy = (hi[0] - lo[0]) / nx, (hi[1] - lo[1]) / ny
-
-    # Lexicographic by (x, y): node (ix, iy) -> ix*(ny+1) + iy.
-    def nid(ix, iy):
-        return ix * (ny + 1) + iy
-
     xs = np.repeat(lo[0] + np.arange(nx + 1) * dx, ny + 1)
     ys = np.tile(lo[1] + np.arange(ny + 1) * dy, nx + 1)
     coords = np.column_stack([xs, ys])
 
     # Per cell (ix, iy), in lexicographic order: the lower-right triangle
     # (ll, lr, ur), then the upper-left one (ll, ur, ul), both CCW.
-    ll = nid(*np.divmod(np.arange(nx * ny), ny))
+    ll = np.arange((nx + 1) * (ny + 1)).reshape(nx + 1, ny + 1)[:-1, :-1].ravel()
     lr, ul = ll + ny + 1, ll + 1
     ur = lr + 1
     elements = np.column_stack([ll, lr, ur, ll, ur, ul]).reshape(-1, 3)
 
-    facets = []
-    for ix in range(nx):
-        rows = range(ny) if ix in (0, nx - 1) else sorted({0, ny - 1})
-        for iy in rows:
-            ll, lr = nid(ix, iy), nid(ix + 1, iy)
-            ul, ur = nid(ix, iy + 1), nid(ix + 1, iy + 1)
-            lower = 2 * (ix * ny + iy)
-            upper = lower + 1
-            if iy == 0:
-                facets.append(Facet((ll, lr), lower, side_tags["bottom"]))
-            if ix == nx - 1:
-                facets.append(Facet((lr, ur), lower, side_tags["right"]))
-            if iy == ny - 1:
-                facets.append(Facet((ur, ul), upper, side_tags["top"]))
-            if ix == 0:
-                facets.append(Facet((ul, ll), upper, side_tags["left"]))
-    return coords, elements, tuple(facets), math.hypot(dx, dy)
+    return coords, elements, math.hypot(dx, dy)
 
 
 def build_interval_mesh(

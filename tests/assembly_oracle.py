@@ -1,10 +1,12 @@
 """Element-by-element reference assembler for the P1 Galerkin matrices.
 
 Every element's stiffness and mass come from its own vertex coordinates,
-the entries go through COO to CSR, and Dirichlet dofs are deleted from
-the full matrices by row and column selection. It shares no code with
-``helmprec.assemble``, which builds the same matrices from the grid
-spacing on one pattern per mesh, and it keeps the parts of A:
+the boundary facets are found from the coordinates of the element edges
+on the box sides, the entries go through COO to CSR, and Dirichlet dofs
+are deleted from the full matrices by row and column selection. It shares
+no code with ``helmprec.assemble`` or ``helmprec.mesh``, which build the
+same matrices from the grid spacing on one pattern per mesh and read the
+facets off the sides of the node grid, and it keeps the parts of A:
 
     A = S + B - M_eps,   D = k^{-2} K + M.
 """
@@ -15,7 +17,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from helmprec.errors import DegenerateSystemError
-from helmprec.mesh import BoundaryTag
 
 
 @dataclass(frozen=True)
@@ -90,21 +91,39 @@ def _mass_entries(mesh):
     return rows.ravel(), cols.ravel(), vals
 
 
+def side_facets(mesh, tag: str) -> np.ndarray:
+    """Boundary facets on the box sides tagged ``tag`` (e.g. "impedance"),
+    shape (facets, dimension), found from coordinates: a facet is a node
+    (1D) or an element edge (2D) whose nodes all lie on one tagged side,
+    where a side is the least or greatest coordinate along an axis, in the
+    order left, right (axis 0), bottom, top (axis 1)."""
+    d = mesh.dimension
+    if d == 1:
+        candidates = np.arange(mesh.n_nodes)[:, None]
+    else:
+        candidates = mesh.elements[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
+    x = mesh.coords[candidates]  # (candidates, dimension, axes)
+    on_tagged_side = np.zeros(len(candidates), dtype=bool)
+    sides = [(axis, end) for axis in range(d) for end in (np.min, np.max)]
+    for (axis, end), side_tag in zip(sides, mesh.tags):
+        if side_tag.value == tag:
+            on_tagged_side |= np.all(x[:, :, axis] == end(mesh.coords[:, axis]), axis=1)
+    return candidates[on_tagged_side]
+
+
 def _boundary_entries(spec):
     """COO entries of the theta-weighted boundary mass on impedance facets."""
     mesh = spec.mesh
     rows, cols, vals = [], [], []
     theta = spec.theta
-    for f in mesh.facets:
-        if f.tag != BoundaryTag.IMPEDANCE:
-            continue
+    for nodes in side_facets(mesh, "impedance"):
         if mesh.dimension == 1:
-            (j,) = f.nodes
+            (j,) = nodes
             rows.append(j)
             cols.append(j)
             vals.append(theta)
         else:
-            a, b = f.nodes
+            a, b = nodes
             length = float(np.linalg.norm(mesh.coords[b] - mesh.coords[a]))
             for (r, c, w) in ((a, a, 2.0), (a, b, 1.0), (b, a, 1.0), (b, b, 2.0)):
                 rows.append(r)
@@ -140,7 +159,7 @@ def oracle_system(spec) -> OracleSystem:
         B = sp.csr_matrix((nn, nn), dtype=complex)
 
     free = np.ones(nn, dtype=bool)
-    free[mesh.nodes_with_tag(BoundaryTag.DIRICHLET)] = False
+    free[side_facets(mesh, "dirichlet")] = False
     free = np.flatnonzero(free)
     if free.size == 0:
         raise DegenerateSystemError("all dofs eliminated by Dirichlet conditions")

@@ -73,6 +73,20 @@ def test_garding_canonical_identity_holds():
     assert rep.passed
 
 
+def test_garding_identity_is_checked_on_the_matrices():
+    """Re A + 2M = D is checked entry by entry: one diagonal entry of D off
+    by a relative 1e-10 fails it, where random samples, which spread the
+    error over n = 1,681 terms, read it as about 2e-13."""
+    sys = assemble_system(canonical_spec_2d(10.0, 40, 40))
+    D = sys.D.copy()
+    i = int(np.argmax(D.diagonal()))
+    D[i, i] *= 1 + 1e-10
+    rep = garding_check(dataclasses.replace(sys, D=D))
+    assert rep.canonical and rep.violations == 0
+    assert rep.identity_max_rel_err == pytest.approx(1e-10, rel=1e-3)
+    assert not rep.passed
+
+
 def test_garding_zero_vector_is_degenerate_pass():
     s = canonical_1d(3.0, 10)
     v = np.zeros(s.n, dtype=complex)
@@ -111,7 +125,6 @@ def garding_reference(sys, constants, n_samples, seed, rtol=1e-12):
     )
     violations = 0
     worst = math.inf
-    ident_err = 0.0
     for j in range(n_samples):
         x = sample_draws(sys.n, seed)[j]
         v = x[0] + 1j * x[1]
@@ -124,15 +137,17 @@ def garding_reference(sys, constants, n_samples, seed, rtol=1e-12):
         worst = min(worst, margin)
         if margin < -rtol:
             violations += 1
-        if canonical:
-            ident_err = max(ident_err, abs(qa.real + 2.0 * qm - qd) / qd)
+    ident_err = None
+    if canonical:
+        Dd = D.toarray()
+        ident_err = np.abs(A.toarray().real + 2.0 * M.toarray() - Dd).max() / np.abs(Dd).max()
     return GardingReport(
         constants=constants,
         n_samples=n_samples,
         violations=violations,
         worst_rel_margin=worst,
         canonical=canonical,
-        identity_max_rel_err=ident_err if canonical else None,
+        identity_max_rel_err=ident_err,
     )
 
 

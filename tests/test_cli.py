@@ -9,7 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
+from helmprec.assemble import assemble_system
 from helmprec.cli import _parser, cmd_export, cmd_import, cmd_sweep, cmd_verify, main
 from helmprec.errors import (
     ConfigError,
@@ -17,7 +19,7 @@ from helmprec.errors import (
     InvalidSystemError,
     MatrixExchangeError,
 )
-from helmprec.io import load_config, read_matrix_mm
+from helmprec.io import build_problem, load_config, read_matrix_mm
 
 
 def write_cfg(tmp_path, extra=None, name="cfg.json"):
@@ -50,7 +52,6 @@ def test_verify_passes_with_positive_margins(tmp_path):
         assert check["margin"] > 0, check
     # full run vs dense oracle: rebuild the config's pair independently
     from conftest import canonical_1d, oracle_weighted_norm
-    from helmprec.assemble import assemble_system
     from helmprec.coeffs import absorption_shift
 
     s1 = canonical_1d(8.0, 60)
@@ -70,6 +71,29 @@ def test_verify_identity_perturbation_zero_margins(tmp_path):
     for check in data["checks"]:
         if check["name"].startswith(("nearby", "euclid", "small_cond")):
             assert check["margin"] == 0.0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: the sampled Garding check passes constants that the dense "
+    "pencil refutes; certifying them with one factorization makes this a FAIL"))
+def test_verify_garding_refutes_too_large_c_g1(tmp_path, capsys):
+    """Step mu^-1 in {0.5, 2} and eps in {1, 3} on a 10 x 10 unit square:
+    lambda_min(Re A + 3.5 M, D) is 0.5, so C_g1 = 1.0 is false, and the
+    garding.sampled line must not be a PASS."""
+    step = {"type": "step", "threshold": 0.5}
+    path = write_cfg(tmp_path, {"problem": {
+        "dimension": 2, "k": 10.0, "resolution": {"type": "elements", "n": 10},
+        "mu_inv": dict(step, axis=0, below=0.5, above=2.0),
+        "eps": dict(step, axis=1, below=1.0, above=3.0),
+        "garding": {"c_g1": 1.0, "c_g2": 3.5}}})
+    sys = assemble_system(build_problem(load_config(path)))
+    assert sys.n == 121
+    lam = eigh((sys.A.real + 3.5 * sys.M).toarray(), sys.D.toarray(), eigvals_only=True)
+    assert lam.min() < 1.0
+    main(["verify", "--config", path, "--out-dir", str(tmp_path / "v")])
+    lines = capsys.readouterr().out.splitlines()
+    (sampled,) = [line for line in lines if " garding.sampled:" in line]
+    assert not sampled.startswith("PASS")
 
 
 def test_verify_false_garding_fails(tmp_path):
@@ -228,6 +252,23 @@ def test_wavenumber_without_a_finite_inverse_square_is_an_error(tmp_path, capsys
     res = cmd_sweep(path, out_dir=str(tmp_path / "s"))
     assert res.exit_status == 1
     rows = list(csv.DictReader(open(res.paths["sweep"])))
+    assert [(row["error"], row["passed"]) for row in rows] == [
+        ("InvalidArgumentError", ""), ("", "true")]
+
+
+@pytest.mark.parametrize("k", [1e-154, 7.5e-155])
+def test_wavenumber_whose_scaled_stiffness_overflows_is_an_error(tmp_path, capsys, k):
+    """k^-2 is finite, but k^-2 times the stiffness of 60 elements is not:
+    verify prints one error line naming the wavenumber, with no overflow
+    warning, and a sweep records the error in that k's row."""
+    path = write_cfg(tmp_path, {"problem": {"k": k},
+                                "sweep": {"k_values": [k, 4.0], "alpha_values": [0.2]}})
+    assert main(["verify", "--config", path, "--out-dir", str(tmp_path / "v")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: wavenumber {k} ") and err.count("\n") == 1
+    assert main(["sweep", "--config", path, "--out-dir", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err == ""
+    rows = list(csv.DictReader(open(tmp_path / "s" / "sweep.csv")))
     assert [(row["error"], row["passed"]) for row in rows] == [
         ("InvalidArgumentError", ""), ("", "true")]
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assembly_oracle import element_measures
+from assembly_oracle import element_measures, side_facets
 
 from helmprec.errors import InvalidArgumentError
 from helmprec.io import build_mesh
@@ -13,6 +13,11 @@ from helmprec.mesh import BoundaryTag, build_interval_mesh, build_rect_mesh
 
 IMP = BoundaryTag.IMPEDANCE
 DIR = BoundaryTag.DIRICHLET
+NEU = BoundaryTag.NEUMANN
+
+
+def n_facets(mesh):
+    return sum(len(mesh.facets_with_tag(tag)) for tag in BoundaryTag)
 
 
 def test_interval_single_element():
@@ -27,10 +32,9 @@ def test_interval_uniform_subdivision():
     m = build_interval_mesh(0, 1, 4, DIR, IMP)
     assert m.n_nodes == 5
     assert m.h == 0.25
-    left = [f for f in m.facets if 0 in f.nodes][0]
-    assert left.tag == DIR
-    right = [f for f in m.facets if 4 in f.nodes][0]
-    assert right.tag == IMP
+    assert m.facets_with_tag(DIR).tolist() == [[0]]
+    assert m.facets_with_tag(IMP).tolist() == [[4]]
+    assert m.facets_with_tag(NEU).shape == (0, 1)
 
 
 def test_interval_h_arithmetic():
@@ -56,7 +60,7 @@ def test_rect_counting():
     m = build_rect_mesh(1, 1, 2, 2, IMP)
     assert m.n_nodes == 9
     assert m.n_elements == 8
-    assert len(m.facets) == 2 * (2 + 2)
+    assert n_facets(m) == len(m.facets_with_tag(IMP)) == 2 * (2 + 2)
 
 
 def test_rect_h_recomputed_from_coords():
@@ -86,7 +90,7 @@ def test_interval_measure_sum(a, b, n):
     m = build_interval_mesh(a, b, n, IMP, IMP)
     assert element_measures(m).sum() == pytest.approx(b - a, rel=1e-12)
     assert np.all(element_measures(m) > 0)
-    assert len(m.facets) == 2
+    assert n_facets(m) == 2
 
 
 @pytest.mark.parametrize("w,h,nx,ny", [(1, 1, 3, 5), (2.5, 0.5, 4, 2)])
@@ -94,28 +98,39 @@ def test_rect_measure_sum_and_facets(w, h, nx, ny):
     m = build_rect_mesh(w, h, nx, ny, IMP)
     assert element_measures(m).sum() == pytest.approx(w * h, rel=1e-12)
     assert np.all(element_measures(m) > 0)
-    assert len(m.facets) == 2 * (nx + ny)
+    assert n_facets(m) == 2 * (nx + ny)
     pts = m.coords[m.elements]
     diam = max(np.linalg.norm(pts[:, i] - pts[:, j], axis=1).max()
                for i, j in ((0, 1), (1, 2), (2, 0)))
     assert m.h == pytest.approx(diam, rel=1e-15)
 
 
-def test_facet_belongs_to_its_element():
-    for m in (build_interval_mesh(0, 1, 5, IMP, DIR), build_rect_mesh(1, 2, 3, 4, IMP)):
-        for f in m.facets:
-            assert set(f.nodes) <= set(m.elements[f.element].tolist())
+def test_facet_is_an_edge_of_exactly_one_element():
+    """A facet is a face of exactly one element: in 1D an end point of one
+    segment, in 2D an edge of one triangle."""
+    for m in (build_interval_mesh(0, 1, 5, IMP, DIR), build_interval_mesh(0, 1, 1, IMP, IMP),
+              build_rect_mesh(1, 2, 3, 4, IMP), build_rect_mesh(1, 1, 1, 1, IMP)):
+        facets = np.concatenate([m.facets_with_tag(tag) for tag in BoundaryTag])
+        assert len(facets) == n_facets(m)
+        for f in facets:
+            owners = [e for e in m.elements.tolist() if set(f.tolist()) <= set(e)]
+            assert len(owners) == 1, f
 
 
 def test_rect_per_side_tags():
-    tags = {"left": DIR, "right": IMP, "bottom": BoundaryTag.NEUMANN, "top": IMP}
-    m = build_rect_mesh(1, 1, 2, 3, tags)
-    for f in m.facets:
-        pts = m.coords[list(f.nodes)]
-        if np.all(pts[:, 0] == 0):
-            assert f.tag == DIR
-        elif np.all(pts[:, 1] == 0):
-            assert f.tag == BoundaryTag.NEUMANN
+    """Each tag's facets are those that the coordinates of the element edges
+    put on the sides with that tag."""
+    for m in (
+        build_interval_mesh(-1, 2, 7, DIR, IMP),
+        build_interval_mesh(0, 1, 3, NEU, NEU),
+        build_rect_mesh(1, 1, 2, 3, {"left": DIR, "right": IMP, "bottom": NEU, "top": IMP}),
+        build_rect_mesh(2.5, 0.7, 5, 3, {"left": IMP, "right": NEU, "bottom": DIR, "top": DIR}),
+    ):
+        for tag in BoundaryTag:
+            facets = m.facets_with_tag(tag)
+            assert facets.shape[1] == m.dimension and facets.dtype == int
+            expected = side_facets(m, tag.value)
+            assert sorted(map(sorted, facets.tolist())) == sorted(map(sorted, expected.tolist()))
 
 
 def test_locate_elements_roundtrip():
@@ -129,24 +144,21 @@ def test_locate_elements_roundtrip():
 
 
 def test_rect_layout_listing():
-    """Elements, facets and tags of a 3x3 grid, listed explicitly."""
-    NEU = BoundaryTag.NEUMANN
+    """Elements and the facets of each tag of a 3x3 grid, listed explicitly:
+    the sides left, right, bottom and top in turn, each along its axis."""
     m = build_rect_mesh(1, 1, 3, 3, {"left": DIR, "right": IMP, "bottom": NEU, "top": IMP})
     assert m.elements.tolist() == [
         [0, 4, 5], [0, 5, 1], [1, 5, 6], [1, 6, 2], [2, 6, 7], [2, 7, 3],
         [4, 8, 9], [4, 9, 5], [5, 9, 10], [5, 10, 6], [6, 10, 11], [6, 11, 7],
         [8, 12, 13], [8, 13, 9], [9, 13, 14], [9, 14, 10], [10, 14, 15], [10, 15, 11],
     ]
-    assert [(f.nodes, f.element, f.tag) for f in m.facets] == [
-        ((0, 4), 0, NEU), ((1, 0), 1, DIR), ((2, 1), 3, DIR), ((7, 3), 5, IMP),
-        ((3, 2), 5, DIR), ((4, 8), 6, NEU), ((11, 7), 11, IMP), ((8, 12), 12, NEU),
-        ((12, 13), 12, IMP), ((13, 14), 14, IMP), ((14, 15), 16, IMP), ((15, 11), 17, IMP),
-    ]
-    assert m.nodes_with_tag(DIR).tolist() == [0, 1, 2, 3]
-    assert m.nodes_with_tag(NEU).tolist() == [0, 4, 8, 12]
-    assert m.nodes_with_tag(IMP).tolist() == [3, 7, 11, 12, 13, 14, 15]
-    empty = build_rect_mesh(1, 1, 2, 2, IMP).nodes_with_tag(DIR)
-    assert empty.size == 0 and empty.dtype == int
+    assert m.facets_with_tag(DIR).tolist() == [[0, 1], [1, 2], [2, 3]]
+    assert m.facets_with_tag(NEU).tolist() == [[0, 4], [4, 8], [8, 12]]
+    assert m.facets_with_tag(IMP).tolist() == [
+        [12, 13], [13, 14], [14, 15], [3, 7], [7, 11], [11, 15]]
+    assert np.unique(m.facets_with_tag(IMP)).tolist() == [3, 7, 11, 12, 13, 14, 15]
+    empty = build_rect_mesh(1, 1, 2, 2, IMP).facets_with_tag(DIR)
+    assert empty.shape == (0, 2) and empty.dtype == int
 
 
 def locate_reference(mesh, points):
@@ -294,7 +306,8 @@ def test_refined_is_the_nested_mesh(problem, r):
     assert fine.cells == tuple(r * c for c in coarse.cells) == expected.cells
     assert np.array_equal(fine.coords, expected.coords)
     assert np.array_equal(fine.elements, expected.elements)
-    assert fine.facets == expected.facets
+    for tag in BoundaryTag:
+        assert np.array_equal(fine.facets_with_tag(tag), expected.facets_with_tag(tag))
     assert fine.h == expected.h
 
     e = np.arange(fine.n_elements)
