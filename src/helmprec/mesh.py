@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -48,6 +49,10 @@ class Mesh:
     The arrays are derived when the mesh is built: ``coords`` has shape
     (n_nodes, dim), ``elements`` shape (n_elements, dim + 1) and ``h`` is
     the maximum element diameter.
+
+    Raises ``InvalidArgumentError`` unless the mesh has 1 or 2 axes, each
+    with finite ``lo < hi`` and a cell count that is an integer >= 1, and
+    one tag per side.
     """
 
     lo: tuple[float, ...]
@@ -59,7 +64,18 @@ class Mesh:
     h: float = field(init=False)
 
     def __post_init__(self):
-        if self.dimension == 1:
+        d = self.dimension
+        if d not in SIDES or not len(self.lo) == len(self.hi) == d or len(self.tags) != 2 * d:
+            raise InvalidArgumentError(
+                f"need 1 or 2 axes with lo, hi, cells per axis and a tag per side, got "
+                f"lo={self.lo}, hi={self.hi}, cells={self.cells}, {len(self.tags)} tags"
+            )
+        if not all(math.isfinite(a) and math.isfinite(b) and a < b
+                   for a, b in zip(self.lo, self.hi)):
+            raise InvalidArgumentError(f"need finite lo < hi, got lo={self.lo}, hi={self.hi}")
+        if not all(_is_count(c) for c in self.cells):
+            raise InvalidArgumentError(f"cell counts must be integers >= 1, got {self.cells}")
+        if d == 1:
             derived = _interval_arrays(self.lo[0], self.hi[0], self.cells[0])
         else:
             derived = _rect_arrays(self.lo, self.hi, *self.cells)
@@ -82,8 +98,8 @@ class Mesh:
 
     def refined(self, r: int) -> "Mesh":
         """The nested refinement: every cell split into r cells per axis."""
-        if r < 1:
-            raise InvalidArgumentError(f"refinement factor must be >= 1, got {r}")
+        if not _is_count(r):
+            raise InvalidArgumentError(f"refinement factor must be an integer >= 1, got {r}")
         return Mesh(self.lo, self.hi, tuple(r * c for c in self.cells), self.tags)
 
     def element_centroids(self) -> np.ndarray:
@@ -106,25 +122,74 @@ class Mesh:
     def locate_elements(self, points: np.ndarray) -> np.ndarray:
         """Element index containing each query point (ties broken low).
 
-        Used to re-sample piecewise-constant data onto a refined mesh. A
-        point belongs to an element when it lies in it up to the tolerance
+        Used to re-sample piecewise-constant data onto a refined mesh.
+        ``points`` has shape (P, dimension); a flat array is P points on a
+        1D mesh and one point on a 2D mesh. Any other shape raises
+        ``InvalidArgumentError``.
+
+        A point belongs to an element when it lies in it up to the tolerance
         ``tol = 1e-12 * max(h, 1)``: in 1D within ``tol`` of its end
         points, in 2D with barycentric coordinates ``l1, l2 >= -tol`` and
         ``l1 + l2 <= 1 + tol``. A point in several elements (on a shared
         node or edge) gets the lowest of their indices.
 
-        Only the elements of two candidate cells per axis are tested: the
-        point's own cell and its neighbour across the nearer cell edge.
-        Every element that can hold the point lies in one of them, as
-        ``tol`` is far below half a cell width.
+        Cell arithmetic places each point: its cell is
+        ``floor((p - lo) * cells / (hi - lo))``, and in 2D the side of the
+        cell's diagonal picks the triangle. That element is the answer when
+        the point's offset in its cell keeps a margin from the cell's edges
+        and diagonal: four times ``tol`` (in cell widths) plus a bound on
+        the rounding of both the offset and the containment test, so no
+        other element can hold the point. Only the rest (points near a
+        cell edge or the diagonal, or outside the mesh) have candidate
+        elements tested one by one (:meth:`_search`).
 
         Raises ``InvalidArgumentError`` for a point that no element
         contains (also a non-finite one).
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        d = self.dimension
+        points = np.asarray(points, dtype=float)
+        if points.ndim == 1 and (d == 1 or points.size == d):
+            points = points.reshape(-1, d)
+        if points.ndim != 2 or points.shape[1] != d:
+            raise InvalidArgumentError(
+                f"points on a {d}D mesh must have shape (P, {d}), got {points.shape}"
+            )
         if not np.all(np.isfinite(points)):
             raise InvalidArgumentError("point outside mesh in locate_elements")
         tol = 1e-12 * max(self.h, 1.0)
+        lo, hi, cells = np.array(self.lo), np.array(self.hi), np.array(self.cells)
+        f = (points - lo) * (cells / (hi - lo))
+        cell = np.clip(np.floor(f), 0, cells - 1)
+        f -= cell  # the offset in the cell, in cell widths
+        # tol is a length in 1D and barycentric (in cell widths) in 2D; the
+        # offset and the containment test each err by a few ulps of the
+        # coordinates, which are up to cells * (|lo| + |hi|) / (hi - lo) cell widths
+        cell_tol = tol / self.h if d == 1 else tol
+        rounding = 1e-13 * np.max(cells * (1 + (np.abs(lo) + np.abs(hi)) / (hi - lo)))
+        margin = 4 * cell_tol + rounding
+        sure = np.all((f > margin) & (f < 1 - margin), axis=1)
+        cell = cell.astype(int)
+        if d == 1:
+            found = cell[:, 0]
+        else:
+            # the lower-right triangle (2 * cell) below the diagonal, the
+            # upper-left one (2 * cell + 1) above it
+            above = f[:, 1] - f[:, 0]
+            sure &= np.abs(above) > margin
+            found = 2 * (cell[:, 0] * self.cells[1] + cell[:, 1]) + (above > 0)
+        rest = np.flatnonzero(~sure)
+        if rest.size:
+            found[rest] = self._search(points[rest], tol)
+        return found
+
+    def _search(self, points: np.ndarray, tol: float) -> np.ndarray:
+        """Lowest-index element containing each point up to ``tol``.
+
+        Only the elements of two candidate cells per axis are tested: the
+        point's own cell and its neighbour across the nearer cell edge.
+        Every element that can hold the point lies in one of them, as
+        ``tol`` is far below half a cell width.
+        """
         cells = np.array(self.cells)
         u = (points - self.lo) * cells / np.subtract(self.hi, self.lo)
         near = np.clip(np.floor(u - 0.5), -1, cells - 1).astype(int)
@@ -140,12 +205,9 @@ class Mesh:
             # Barycentric coordinates with the operations, in order, of the
             # element-by-element reference loop in tests/test_mesh.py, so l1
             # and l2 are bit-equal to it.
-            pts = self.coords[self.elements]
-            ab = pts[:, 1] - pts[:, 0]
-            ac = pts[:, 2] - pts[:, 0]
-            det = (ab[:, 0] * ac[:, 1] - ac[:, 0] * ab[:, 1])[e]
-            ab, ac = ab[e], ac[e]
-            rel = points - pts[e, 0]
+            a, b, c = np.moveaxis(self.coords[self.elements[e]], -2, 0)  # (8, points, 2) each
+            ab, ac, rel = b - a, c - a, points - a
+            det = ab[..., 0] * ac[..., 1] - ac[..., 0] * ab[..., 1]
             l1 = (ac[..., 1] * rel[..., 0] - ac[..., 0] * rel[..., 1]) / det
             l2 = (-ab[..., 1] * rel[..., 0] + ab[..., 0] * rel[..., 1]) / det
             inside = (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1 + tol)
@@ -153,6 +215,11 @@ class Mesh:
         if np.any(found == self.n_elements):
             raise InvalidArgumentError("point outside mesh in locate_elements")
         return found
+
+
+def _is_count(n) -> bool:
+    """An integer >= 1 (not a bool)."""
+    return isinstance(n, Integral) and not isinstance(n, bool) and n >= 1
 
 
 def _interval_arrays(a: float, b: float, n: int):
@@ -188,10 +255,6 @@ def build_interval_mesh(
     right_tag: BoundaryTag,
 ) -> Mesh:
     """Uniform mesh of [a, b] with n elements and tagged endpoints."""
-    if n < 1:
-        raise InvalidArgumentError(f"element count must be >= 1, got {n}")
-    if not a < b:
-        raise InvalidArgumentError(f"need a < b, got a={a}, b={b}")
     return Mesh((a,), (b,), (n,), (left_tag, right_tag))
 
 
@@ -207,10 +270,6 @@ def build_rect_mesh(
     ``tags`` is a single tag for all four sides or a dict with keys
     'left', 'right', 'bottom', 'top'.
     """
-    if width <= 0 or height <= 0:
-        raise InvalidArgumentError("width and height must be positive")
-    if nx < 1 or ny < 1:
-        raise InvalidArgumentError("nx and ny must be >= 1")
     if isinstance(tags, BoundaryTag):
         tags = dict.fromkeys(SIDES[2], tags)
     missing = set(SIDES[2]) - set(tags)

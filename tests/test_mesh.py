@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from assembly_oracle import element_measures, side_facets
 
 from helmprec.errors import InvalidArgumentError
 from helmprec.io import build_mesh
-from helmprec.mesh import BoundaryTag, build_interval_mesh, build_rect_mesh
+from helmprec.mesh import BoundaryTag, Mesh, build_interval_mesh, build_rect_mesh
 
 IMP = BoundaryTag.IMPEDANCE
 DIR = BoundaryTag.DIRICHLET
@@ -85,6 +86,39 @@ def test_rect_errors():
         build_rect_mesh(1, 1, 2, 2, {"left": IMP})
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_rect_mesh(math.nan, 1, 3, 3, IMP),
+    lambda: build_rect_mesh(1, math.inf, 3, 3, IMP),
+    lambda: build_rect_mesh(-1, 1, 3, 3, IMP),
+    lambda: build_rect_mesh(1, 1, 3, 2.5, IMP),
+    lambda: build_rect_mesh(1, 1, True, 3, IMP),
+    lambda: build_interval_mesh(0, math.inf, 4, IMP, IMP),
+    lambda: build_interval_mesh(-math.inf, 0, 4, IMP, IMP),
+    lambda: build_interval_mesh(math.nan, 1, 4, IMP, IMP),
+    lambda: build_interval_mesh(1, 0, 4, IMP, IMP),
+    lambda: build_interval_mesh(0, 1, 4.0, IMP, IMP),
+    lambda: Mesh((0.0,), (1.0,), (0,), (IMP, IMP)),
+    lambda: Mesh((0.0,), (1.0,), (4,), (IMP,)),
+    lambda: Mesh((0.0, 0.0), (1.0,), (4, 4), (IMP,) * 4),
+    lambda: Mesh((0.0,) * 3, (1.0,) * 3, (2, 2, 2), (IMP,) * 6),
+], ids=["nan_width", "inf_height", "negative_width", "float_cells", "bool_cells", "inf_hi",
+        "inf_lo", "nan_lo", "lo_above_hi", "float_count", "zero_cells", "one_tag_1d",
+        "short_hi", "three_axes"])
+def test_mesh_rejects_a_box_that_is_not_finite_or_a_bad_grid(build):
+    with pytest.raises(InvalidArgumentError):
+        build()
+
+
+@pytest.mark.parametrize("r", [0, -1, 2.0, True, False, None])
+def test_refined_rejects_a_non_integer_factor(r):
+    with pytest.raises(InvalidArgumentError):
+        build_rect_mesh(1, 1, 2, 2, IMP).refined(r)
+
+
+def test_refined_accepts_a_numpy_integer():
+    assert build_rect_mesh(1, 1, 2, 3, IMP).refined(np.int64(2)).cells == (4, 6)
+
+
 @pytest.mark.parametrize("a,b,n", [(0, 1, 7), (-2, 3.5, 13), (0.25, 0.75, 2)])
 def test_interval_measure_sum(a, b, n):
     m = build_interval_mesh(a, b, n, IMP, IMP)
@@ -141,6 +175,35 @@ def test_locate_elements_roundtrip():
     assert np.array_equal(
         m2.locate_elements(m2.element_centroids()), np.arange(m2.n_elements)
     )
+
+
+def test_locate_flat_points():
+    """A flat array is P points on a 1D mesh and one point on a 2D mesh."""
+    line = build_interval_mesh(0, 1, 4, IMP, IMP)
+    assert line.locate_elements([0.3, 0.6]).tolist() == [1, 2]
+    assert line.locate_elements([0.3]).tolist() == [1]
+    square = build_rect_mesh(1, 1, 2, 2, IMP)
+    assert square.locate_elements([0.3, 0.6]).tolist() == [2]
+    assert square.locate_elements(np.empty((0, 2))).shape == (0,)
+
+
+@pytest.mark.parametrize("dimension,points", [
+    (2, [0.5]),
+    (2, [[0.5]]),
+    (2, [0.2, 0.3, 0.4]),
+    (2, [[0.2, 0.3, 0.4]]),
+    (2, [0.2, 0.3, 0.4, 0.5]),
+    (2, 0.5),
+    (2, [[[0.2, 0.3]]]),
+    (1, [[0.3, 0.6]]),
+    (1, 0.5),
+], ids=["2d_one_coord", "2d_one_coord_row", "2d_three_coords", "2d_three_coords_row",
+        "2d_two_flat_points", "2d_scalar", "2d_3d_array", "1d_two_coords_row", "1d_scalar"])
+def test_locate_points_of_the_wrong_shape_raise(dimension, points):
+    mesh = (build_interval_mesh(0, 1, 4, IMP, IMP) if dimension == 1
+            else build_rect_mesh(1, 1, 4, 4, IMP))
+    with pytest.raises(InvalidArgumentError, match="shape"):
+        mesh.locate_elements(points)
 
 
 def test_rect_layout_listing():
@@ -271,6 +334,29 @@ def test_locate_tolerance_band_at_interior_grid_lines(n):
         assert located.tolist() == list(range(n - 1))
 
 
+def test_locate_near_grid_lines_far_from_the_origin():
+    """Far from the origin the rounding of coordinates exceeds the tolerance:
+    points a few ulps from an interior node or grid line locate as the
+    element-by-element tests do."""
+    line = build_interval_mesh(3e5, 3e5 + 0.7, 7, IMP, IMP)
+    tol = 1e-12 * max(line.h, 1.0)
+    nodes = line.coords[:, 0]
+    ulps = np.arange(-64, 65) * np.spacing(3e5)
+    x = (nodes[1:-1, None] + ulps).ravel()
+    expected = [min(e for e in range(7) if nodes[e] <= xi + tol and xi <= nodes[e + 1] + tol)
+                for xi in x]
+    assert line.locate_elements(x[:, None]).tolist() == expected
+
+    box = Mesh((1e5, -3e5), (1e5 + 0.7, -3e5 + 0.3), (7, 3), (IMP,) * 4)
+    xs, ys = np.unique(box.coords[:, 0])[1:-1], np.unique(box.coords[:, 1])[1:-1]
+    ulps = np.arange(-64, 65, 4) * np.spacing(3e5)
+    points = np.vstack(
+        [np.column_stack([x + ulps, np.full(len(ulps), ys[0] + 0.02)]) for x in xs]
+        + [np.column_stack([np.full(len(ulps), xs[2] + 0.06), y + ulps]) for y in ys]
+    )
+    assert_locates_as_reference(box, points)
+
+
 @pytest.mark.parametrize("point", [[np.nan, 0.5], [np.inf, 0.5]])
 def test_locate_non_finite_point_raises(point):
     with pytest.raises(InvalidArgumentError):
@@ -298,8 +384,7 @@ def test_locate_interval_ties_low_and_outside_raises():
      "boundary": dict.fromkeys(("left", "right", "bottom", "top"), "impedance")},
 ], ids=["1d", "square", "non-square"])
 def test_refined_is_the_nested_mesh(problem, r):
-    """``refined(r)`` is the mesh of r times the cell counts, and each fine
-    element lies in the coarse element its cell and diagonal side give."""
+    """``refined(r)`` is the mesh of r times the cell counts."""
     coarse = build_mesh(dict(problem, resolution={"type": "per_k", "factor": 1.0}))
     fine = coarse.refined(r)
     expected = build_mesh(dict(problem, resolution={"type": "per_k", "factor": float(r)}))
@@ -310,17 +395,69 @@ def test_refined_is_the_nested_mesh(problem, r):
         assert np.array_equal(fine.facets_with_tag(tag), expected.facets_with_tag(tag))
     assert fine.h == expected.h
 
-    e = np.arange(fine.n_elements)
+
+def nested_parent(coarse, r):
+    """The coarse element holding each element of ``coarse.refined(r)``, by
+    index arithmetic: in 1D element i lies in i // r; in 2D the element of
+    fine cell (ix, iy) lies in coarse cell (ix // r, iy // r), in the
+    triangle on its centroid's side of that cell's diagonal."""
+    e = np.arange(r ** coarse.dimension * coarse.n_elements)
     if coarse.dimension == 1:
-        parent = e // r
-    else:
-        ny = fine.cells[1]
-        ix, iy = np.divmod(e // 2, ny)
-        cell = (ix // r) * coarse.cells[1] + iy // r
-        # in thirds of a fine cell, the centroid's offset from the coarse
-        # cell's corner: the lower-right triangle's is (2, 1), the other's (1, 2)
-        lower = e % 2 == 0
-        x3 = 3 * (ix % r) + np.where(lower, 2, 1)
-        y3 = 3 * (iy % r) + np.where(lower, 1, 2)
-        parent = 2 * cell + (y3 > x3)
-    assert np.array_equal(coarse.locate_elements(fine.element_centroids()), parent)
+        return e // r
+    ix, iy = np.divmod(e // 2, r * coarse.cells[1])
+    cell = (ix // r) * coarse.cells[1] + iy // r
+    # in thirds of a fine cell, the centroid's offset from the coarse
+    # cell's corner: the lower-right triangle's is (2, 1), the other's (1, 2)
+    lower = e % 2 == 0
+    x3 = 3 * (ix % r) + np.where(lower, 2, 1)
+    y3 = 3 * (iy % r) + np.where(lower, 1, 2)
+    return 2 * cell + (y3 > x3)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("coarse", [
+    build_interval_mesh(-1, 2, 7, DIR, IMP),
+    build_rect_mesh(1, 1, 4, 4, IMP),
+    build_rect_mesh(2, 1, 5, 3, IMP),
+], ids=["1d", "square", "non-square"])
+def test_locate_refined_centroids_gives_the_nested_parent(coarse, r):
+    """Locating the centroids of the nested refinement gives each fine
+    element's arithmetic parent."""
+    fine = coarse.refined(r)
+    assert np.array_equal(coarse.locate_elements(fine.element_centroids()),
+                          nested_parent(coarse, r))
+
+
+def test_locate_allocates_little_per_point():
+    """Cell arithmetic places the 18,432 centroids of a 48 x 48 mesh refined
+    twice in a few arrays of one or two values per point; testing 8
+    candidate triangles per point takes over 800 bytes per point."""
+    coarse = build_rect_mesh(1, 1, 48, 48, IMP)
+    points = coarse.refined(2).element_centroids()
+    tracemalloc.start()
+    try:
+        found = coarse.locate_elements(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(found, nested_parent(coarse, 2))
+    assert peak / len(points) < 256
+
+
+def test_locate_tolerance_band_on_a_wide_mesh():
+    """On a mesh with h >> 1 the tolerance 1e-12 * h is far above any fixed
+    margin: points within it of an interior grid line or a diagonal, and
+    points just beyond it, locate as the element-by-element reference."""
+    m = build_rect_mesh(1e6, 4e5, 4, 5, IMP)  # cells 2.5e5 x 8e4
+    tol = 1e-12 * m.h  # in barycentric coordinates, i.e. in cell widths
+    dx, dy = 1e6 / 4, 4e5 / 5
+    s = np.array([0.3, 0.55, 0.8])
+    points = []
+    for d in (-2 * tol, -0.5 * tol, 0.5 * tol, 2 * tol):
+        for i in (1, 2, 3):  # interior vertical lines
+            points.append(np.column_stack([np.full(3, (i + d) * dx), (1 + s) * dy]))
+        for j in (1, 2, 4):  # interior horizontal lines
+            points.append(np.column_stack([(2 + s) * dx, np.full(3, (j + d) * dy)]))
+        for i, j in ((0, 0), (1, 3), (3, 2)):  # diagonals
+            points.append(np.column_stack([(i + s) * dx, (j + s + d) * dy]))
+    assert_locates_as_reference(m, np.vstack(points))
