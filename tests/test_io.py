@@ -241,6 +241,62 @@ def test_matrix_mm_parse_errors(tmp_path):
         read_matrix_mm(str(p))
 
 
+GENERAL = "%%MatrixMarket matrix coordinate complex general\n"
+HERMITIAN = "%%MatrixMarket matrix coordinate complex hermitian\n"
+
+
+# One defect per file: the text, the line that the error names and a part
+# of its message.
+@pytest.mark.parametrize("text,line,message", [
+    ("", 1, "empty file"),
+    ("%%MatrixMarket matrix coordinate complex\n2 2 0\n", 1, "malformed header banner"),
+    ("%%MatrixMarket matrix array complex general\n2 2\n", 1,
+     "unsupported object/format matrix/array"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n", 1,
+     "field must be 'complex', got 'real'"),
+    ("%%MatrixMarket matrix coordinate complex symmetric\n2 2 0\n", 1,
+     "unsupported symmetry 'symmetric'"),
+    (GENERAL + "% no size line follows\n\n", 3, "missing size line"),
+    (GENERAL + "2 2\n", 2, "size line must be 'rows cols nnz'"),
+    (GENERAL + "2 2 1.0\n1 1 1 0\n", 2, "size line must contain integers"),
+    (GENERAL + "2 -2 0\n", 2, "size line must not be negative"),
+    (GENERAL + "2 2 1\n1 1 1\n", 3, "entry must be 'i j re im'"),
+    (GENERAL + "2 2 1\n1 1 1 0 0\n", 3, "entry must be 'i j re im'"),
+    (GENERAL + "2 2 1\n1 1 x 0\n", 3, "unparseable entry"),
+    (GENERAL + "2 2 1\n1.0 1 1 0\n", 3, "unparseable entry"),
+    (GENERAL + "2 2 2\n1 1 1 0\n1 0 1 0\n", 4, "index (1, 0) violates the 1-based convention"),
+    (GENERAL + "2 3 2\n1 1 1 0\n3 1 1 0\n", 4, "index (3, 1) out of range for 2x3"),
+    (GENERAL + "3 2 2\n1 1 1 0\n1 3 1 0\n", 4, "index (1, 3) out of range for 3x2"),
+    (HERMITIAN + "2 2 2\n1 1 1 0\n1 2 1 0\n", 4, "hermitian files store the lower triangle only"),
+    (GENERAL + "2 2 2\n1 1 1 0\n", 3, "expected 2 entries, found 1"),
+    (GENERAL + "2 2 1\n1 1 1 0\n2 2 1 0\n", 4, "expected 1 entries, found 2"),
+    (GENERAL + "% c\n\n2 2 2\n\n% c\n1 1 1 0\n%\n\n2 3 1 0\n", 10,
+     "index (2, 3) out of range for 2x2"),
+], ids=["empty", "banner", "array", "real", "symmetric", "no_size_line", "size_2_tokens",
+        "size_not_integer", "size_negative", "entry_3_tokens", "entry_5_tokens",
+        "value_not_a_number", "index_not_an_integer", "index_0_based", "row_out_of_range",
+        "column_out_of_range", "above_diagonal", "too_few", "too_many", "after_comments"])
+def test_matrix_mm_reader_names_the_line_of_each_defect(tmp_path, text, line, message):
+    path = tmp_path / "bad.mtx"
+    path.write_text(text)
+    with pytest.raises(MatrixExchangeError) as exc:
+        read_matrix_mm(str(path))
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"line {line}: ")
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("symmetry", ["general", "hermitian"])
+@pytest.mark.parametrize("n", [3, 0])
+def test_matrix_mm_roundtrip_of_a_matrix_without_entries(tmp_path, symmetry, n):
+    path = tmp_path / "zero.mtx"
+    write_matrix_mm(str(path), sp.csr_matrix((n, n), dtype=complex), symmetry)
+    assert path.read_text().splitlines()[0] == (
+        f"%%MatrixMarket matrix coordinate complex {symmetry}")
+    Y = read_matrix_mm(str(path))
+    assert Y.shape == (n, n) and Y.nnz == 0
+
+
 def test_matrix_exchange_dir_roundtrip(tmp_path):
     spec = canonical_spec_1d(6.0, 15)
     s1 = assemble_system(spec)
