@@ -289,17 +289,17 @@ def _grid_pattern(mesh: Mesh) -> _GridPattern:
 def assemble_system(spec: ProblemSpec) -> GalerkinSystem:
     """Assemble A, D and M of the problem on its mesh's free dofs.
 
-    Raises ``InvalidArgumentError`` naming the wavenumber when an element
-    entry of k^{-2} (mu^{-1} grad phi_j, grad phi_i) or an entry of D is
-    not finite, as for a k whose k^{-2} is finite but overflows times the
-    stiffness.
+    Raises ``InvalidArgumentError`` naming the wavenumber and the mesh size
+    h when an entry of A or D is not finite: a k whose k^{-2} is finite
+    but overflows times the stiffness, or cells so small or so large that
+    their element matrices overflow.
     """
-    pattern = _grid_pattern(spec.mesh)
-    k2 = spec.k ** -2
-    no, p2 = pattern.stiffness.shape
-    mu = spec.mu_inv.values
-    # the element entries of S - M_eps, shape (cells, orientations, p^2)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite is raised below
+    with np.errstate(all="ignore"):  # a non-finite A or D is raised below
+        pattern = _grid_pattern(spec.mesh)
+        k2 = spec.k ** -2
+        no, p2 = pattern.stiffness.shape
+        mu = spec.mu_inv.values
+        # the element entries of S - M_eps, shape (cells, orientations, p^2)
         if spec.mu_inv.is_matrix:
             g = pattern.grads
             values = np.einsum("oia,coab,ojb->coij", g, mu.reshape(-1, no, 2, 2), g)
@@ -309,15 +309,15 @@ def assemble_system(spec: ProblemSpec) -> GalerkinSystem:
             values = values.reshape(-1, no, p2) * (k2 * pattern.measure)
         else:
             values = (k2 * mu).reshape(-1, no, 1) * pattern.stiffness
+        values -= spec.eps.values.reshape(-1, no, 1) * pattern.mass
+        data = _scatter(pattern.slots, values, pattern.M.nnz)
+        bslots, bvalues = pattern.boundary
+        data[bslots] += (-1j * spec.theta / spec.k) * bvalues
         D = pattern.D(spec.k)
-    if not (np.isfinite(values).all() and np.isfinite(D.data).all()):
+    if not (np.isfinite(data).all() and np.isfinite(D.data).all()):
         raise InvalidArgumentError(
-            f"wavenumber {spec.k} makes k^-2 times the stiffness, or D, not finite"
+            f"wavenumber {spec.k} on a mesh with h = {spec.mesh.h:g} makes A or D not finite"
         )
-    values -= spec.eps.values.reshape(-1, no, 1) * pattern.mass
-    data = _scatter(pattern.slots, values, pattern.M.nnz)
-    bslots, bvalues = pattern.boundary
-    data[bslots] += (-1j * spec.theta / spec.k) * bvalues
     return GalerkinSystem(A=pattern.csr(data), D=D, M=pattern.M, spec=spec)
 
 

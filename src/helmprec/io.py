@@ -18,12 +18,12 @@ is a ``ConfigError`` too; a matrix file that is not is a
 
 Matrices travel in Matrix Market coordinate format with complex
 entries (real/imag pairs), 1-based indices, and symmetry 'general' or
-'hermitian'; values are written with 17 significant digits so doubles
-round-trip exactly. Reports serialize with a fixed field order, so
-identical inputs give byte-identical files: a bound report to JSON or
-CSV, a Gårding or norm-equivalence report to JSON, and an inf-sup ladder
-to CSV. A numpy scalar in a JSON report is written as the Python number
-it holds.
+'hermitian', written by ``scipy.io.mmwrite`` in shortest round-trip
+digits so doubles round-trip exactly. Reports serialize with a fixed
+field order, so identical inputs give byte-identical files: a bound
+report to JSON or CSV, a Gårding or norm-equivalence report to JSON,
+and an inf-sup ladder to CSV. A numpy scalar in a JSON report is
+written as the Python number it holds.
 """
 
 from __future__ import annotations
@@ -363,32 +363,37 @@ def build_problem(
 
 # -- matrix exchange ----------------------------------------------------------
 
-def write_matrix_mm(path: str, X, symmetry: str = "general"):
-    """Write one sparse complex matrix in coordinate format.
+# One entry line of a coordinate file: i j re im.
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("re", float), ("im", float)])
 
-    ``symmetry='hermitian'`` stores the lower triangle only. Values are
-    written with 17 significant digits (lossless for doubles).
+
+def write_matrix_mm(path: str, X, symmetry: str = "general"):
+    """Write one sparse complex matrix in coordinate format with
+    ``scipy.io.mmwrite``, values in shortest round-trip digits (lossless
+    for doubles). ``symmetry='hermitian'`` stores the lower triangle only.
     """
     if symmetry not in ("general", "hermitian"):
         raise InvalidArgumentError(f"unsupported symmetry {symmetry!r}")
     coo = sp.coo_matrix(X, dtype=complex)
-    n, m = coo.shape
-    rows, cols, vals = coo.row, coo.col, coo.data
     if symmetry == "hermitian":
-        keep = rows >= cols
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    lines = [f"%%MatrixMarket matrix coordinate complex {symmetry}"]
-    lines.append(f"{n} {m} {len(vals)}")
-    for i, j, v in zip(rows, cols, vals):
-        lines.append(f"{i + 1} {j + 1} {v.real:.16e} {v.imag:.16e}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        coo = sp.tril(coo, format="coo")
+    with open(path, "wb") as fh:  # mmwrite adds .mtx to a path without it
+        if coo.nnz == 0:  # mmwrite would label it 'real'
+            n, m = coo.shape
+            fh.write(f"%%MatrixMarket matrix coordinate complex {symmetry}\n{n} {m} 0\n".encode())
+            return
+        import scipy.io  # here: at module level it slows every command's start-up
+
+        scipy.io.mmwrite(fh, coo, field="complex", symmetry=symmetry)
 
 
 def read_matrix_mm(path: str) -> sp.csr_matrix:
-    """Read one coordinate-format complex matrix; errors carry line numbers."""
+    """Read one coordinate-format complex matrix; errors carry line numbers.
+
+    Comment and blank lines may stand anywhere after the banner. One
+    ``np.loadtxt`` call parses the entry lines; array masks check their
+    indices and values, and each reports its first hit.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -407,16 +412,13 @@ def read_matrix_mm(path: str) -> sp.csr_matrix:
     if symmetry not in ("general", "hermitian"):
         raise MatrixExchangeError(f"unsupported symmetry {symmetry!r}", line=1)
 
-    ln = 1
-    size_line = None
-    for ln, text in enumerate(lines[1:], start=2):
-        if text.startswith("%") or not text.strip():
-            continue
-        size_line = text
-        break
-    if size_line is None:
+    # the numbers of the lines after the banner that are not comments or blank
+    numbers = [ln for ln, text in enumerate(lines[1:], start=2)
+               if not text.startswith("%") and text.strip()]
+    if not numbers:
         raise MatrixExchangeError("missing size line", line=len(lines))
-    parts = size_line.split()
+    ln, numbers = numbers[0], numbers[1:]
+    parts = lines[ln - 1].split()
     if len(parts) != 3:
         raise MatrixExchangeError("size line must be 'rows cols nnz'", line=ln)
     try:
@@ -426,44 +428,42 @@ def read_matrix_mm(path: str) -> sp.csr_matrix:
     if min(n, m, nnz) < 0:
         raise MatrixExchangeError("size line must not be negative", line=ln)
 
-    rows, cols, vals = [], [], []
-    entry_ln = ln
-    for entry_ln, text in enumerate(lines[ln:], start=ln + 1):
-        if text.startswith("%") or not text.strip():
-            continue
-        parts = text.split()
-        if len(parts) != 4:
-            raise MatrixExchangeError(
-                "entry must be 'i j re im' (complex real/imag pair)", line=entry_ln
-            )
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            re, im = float(parts[2]), float(parts[3])
-        except ValueError:
-            raise MatrixExchangeError("unparseable entry", line=entry_ln)
-        if i < 1 or j < 1:
-            raise MatrixExchangeError(
-                f"index ({i}, {j}) violates the 1-based convention", line=entry_ln
-            )
-        if i > n or j > m:
-            raise MatrixExchangeError(
-                f"index ({i}, {j}) out of range for {n}x{m}", line=entry_ln
-            )
-        if symmetry == "hermitian" and j > i:
-            raise MatrixExchangeError(
-                "hermitian files store the lower triangle only", line=entry_ln
-            )
-        rows.append(i - 1)
-        cols.append(j - 1)
-        vals.append(complex(re, im))
-    if len(vals) != nnz:
+    texts = [lines[k - 1] for k in numbers]
+    entries = np.empty(0, _ENTRY)
+    try:
+        if texts:  # np.loadtxt warns on empty input
+            entries = np.loadtxt(texts, dtype=_ENTRY, comments=None, ndmin=1)
+    except ValueError:
+        for ln, text in zip(numbers, texts):  # name the first line that fails alone
+            try:
+                np.loadtxt([text], dtype=_ENTRY, comments=None)
+            except ValueError:
+                problem = ("unparseable entry" if len(text.split()) == 4
+                           else "entry must be 'i j re im' (complex real/imag pair)")
+                raise MatrixExchangeError(problem, line=ln) from None
+        raise
+    i, j = entries["i"], entries["j"]
+    vals = np.empty(len(entries), dtype=complex)
+    # not re + 1j * im, which makes the real part nan where im is infinite
+    vals.real, vals.imag = entries["re"], entries["im"]
+    for bad, problem in (
+        ((i < 1) | (j < 1), "violates the 1-based convention"),
+        ((i > n) | (j > m), f"out of range for {n}x{m}"),
+        ((j > i) & (symmetry == "hermitian"),
+         "is above the diagonal: hermitian files store the lower triangle only"),
+        (~np.isfinite(vals), "has a value that is not finite"),
+    ):
+        if bad.any():
+            first = np.argmax(bad)
+            raise MatrixExchangeError(f"index ({i[first]}, {j[first]}) {problem}",
+                                      line=numbers[first])
+    if len(entries) != nnz:
         raise MatrixExchangeError(
-            f"expected {nnz} entries, found {len(vals)}", line=entry_ln
+            f"expected {nnz} entries, found {len(entries)}", line=len(lines)
         )
-    X = sp.coo_matrix((vals, (rows, cols)), shape=(n, m)).tocsr()
+    X = sp.coo_matrix((vals, (i - 1, j - 1)), shape=(n, m)).tocsr()
     if symmetry == "hermitian":
-        strict_lower = sp.tril(X, k=-1)
-        X = (X + strict_lower.getH()).tocsr()
+        X = (X + sp.tril(X, k=-1).getH()).tocsr()
     return X
 
 
@@ -475,9 +475,10 @@ def write_matrix_exchange(
     deps: Optional[float] = None,
 ) -> dict[str, str]:
     """Write a system pair to a directory: A1.mtx and A2.mtx, the system
-    matrices; D.mtx and M.mtx, the norm matrices of ``sys1``; and, when
-    either coefficient-difference norm is given, meta.json with the given
-    ones. Returns the written paths by file name."""
+    matrices; D.mtx and M.mtx, the norm matrices of ``sys1``; and
+    meta.json with the coefficient-difference norms given, ``{}`` when
+    none is, so no norms of an earlier pair stay. Returns the written
+    paths by file name."""
     os.makedirs(directory, exist_ok=True)
     paths = {}
     for name, X, symmetry in (
@@ -486,20 +487,13 @@ def write_matrix_exchange(
         ("D.mtx", sys1.D, "hermitian"),
         ("M.mtx", sys1.M, "hermitian"),
     ):
-        path = os.path.join(directory, name)
-        write_matrix_mm(path, X, symmetry)
-        paths[name] = path
-    meta = {}
-    if dmu is not None:
-        meta["dmu"] = dmu
-    if deps is not None:
-        meta["deps"] = deps
-    if meta:
-        meta_path = os.path.join(directory, "meta.json")
-        with open(meta_path, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2)
-            fh.write("\n")
-        paths["meta.json"] = meta_path
+        paths[name] = os.path.join(directory, name)
+        write_matrix_mm(paths[name], X, symmetry)
+    meta = {name: norm for name, norm in (("dmu", dmu), ("deps", deps)) if norm is not None}
+    paths["meta.json"] = os.path.join(directory, "meta.json")
+    with open(paths["meta.json"], "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, indent=2)
+        fh.write("\n")
     return paths
 
 

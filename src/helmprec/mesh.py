@@ -51,8 +51,8 @@ class Mesh:
     the maximum element diameter.
 
     Raises ``InvalidArgumentError`` unless the mesh has 1 or 2 axes, each
-    with finite ``lo < hi`` and a cell count that is an integer >= 1, and
-    one tag per side.
+    with ``lo < hi``, a finite width ``hi - lo`` and a cell count that is
+    an integer >= 1, and one tag per side.
     """
 
     lo: tuple[float, ...]
@@ -70,9 +70,11 @@ class Mesh:
                 f"need 1 or 2 axes with lo, hi, cells per axis and a tag per side, got "
                 f"lo={self.lo}, hi={self.hi}, cells={self.cells}, {len(self.tags)} tags"
             )
-        if not all(math.isfinite(a) and math.isfinite(b) and a < b
+        # float() first: a numpy difference that overflows warns
+        if not all(a < b and math.isfinite(float(b) - float(a))
                    for a, b in zip(self.lo, self.hi)):
-            raise InvalidArgumentError(f"need finite lo < hi, got lo={self.lo}, hi={self.hi}")
+            raise InvalidArgumentError(
+                f"need lo < hi with a finite width hi - lo, got lo={self.lo}, hi={self.hi}")
         if not all(_is_count(c) for c in self.cells):
             raise InvalidArgumentError(f"cell counts must be integers >= 1, got {self.cells}")
         if d == 1:
@@ -119,6 +121,9 @@ class Mesh:
         facets = [sliding_window_view(s, d) for s, t in zip(sides, self.tags) if t == tag]
         return np.concatenate([np.empty((0, d), dtype=int), *facets])
 
+    # a point far outside the box overflows the cell arithmetic to inf or
+    # nan, which no containment test accepts
+    @np.errstate(over="ignore", invalid="ignore")
     def locate_elements(self, points: np.ndarray) -> np.ndarray:
         """Element index containing each query point (ties broken low).
 
@@ -144,7 +149,8 @@ class Mesh:
         elements tested one by one (:meth:`_search`).
 
         Raises ``InvalidArgumentError`` for a point that no element
-        contains (also a non-finite one).
+        contains (also a non-finite one, or one so far out that the cell
+        arithmetic overflows).
         """
         d = self.dimension
         points = np.asarray(points, dtype=float)

@@ -9,6 +9,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,6 +315,6 @@ def test_sweep_determinism(tmp_path):
         r2 = cmd_sweep(str(path), out_dir=str(tmp_path / "b"))
         assert r1.exit_status == 0 and r2.exit_status == 0
         for name in ("sweep", "ladder"):
-            b1 = open(r1.paths[name], "rb").read()
-            b2 = open(r2.paths[name], "rb").read()
+            b1 = Path(r1.paths[name]).read_bytes()
+            b2 = Path(r2.paths[name]).read_bytes()
             assert b1 == b2, name

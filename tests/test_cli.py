@@ -47,7 +47,7 @@ def test_verify_passes_with_positive_margins(tmp_path):
     assert all(ok for _, ok, _ in res.summaries)
     for key in ("garding", "norm_equivalence", "bounds", "bounds_csv"):
         assert os.path.exists(res.paths[key])
-    data = json.loads(open(res.paths["bounds"]).read())
+    data = json.loads(Path(res.paths["bounds"]).read_text())
     for check in data["checks"]:
         assert check["margin"] > 0, check
     # full run vs dense oracle: rebuild the config's pair independently
@@ -66,7 +66,7 @@ def test_verify_identity_perturbation_zero_margins(tmp_path):
     path = write_cfg(tmp_path, {"perturbation": {"alpha": 0.0}})
     res = cmd_verify(path, out_dir=str(tmp_path / "oz"))
     assert res.exit_status == 0
-    data = json.loads(open(res.paths["bounds"]).read())
+    data = json.loads(Path(res.paths["bounds"]).read_text())
     assert data["lhs_D"] == 0.0 and data["rhs_lemma"] == 0.0
     for check in data["checks"]:
         if check["name"].startswith(("nearby", "euclid", "small_cond")):
@@ -251,7 +251,7 @@ def test_wavenumber_without_a_finite_inverse_square_is_an_error(tmp_path, capsys
     assert err.startswith("error: wavenumber") and "1e-160" in err and err.count("\n") == 1
     res = cmd_sweep(path, out_dir=str(tmp_path / "s"))
     assert res.exit_status == 1
-    rows = list(csv.DictReader(open(res.paths["sweep"])))
+    rows = list(csv.DictReader(Path(res.paths["sweep"]).read_text().splitlines()))
     assert [(row["error"], row["passed"]) for row in rows] == [
         ("InvalidArgumentError", ""), ("", "true")]
 
@@ -268,9 +268,27 @@ def test_wavenumber_whose_scaled_stiffness_overflows_is_an_error(tmp_path, capsy
     assert err.startswith(f"error: wavenumber {k} ") and err.count("\n") == 1
     assert main(["sweep", "--config", path, "--out-dir", str(tmp_path / "s")]) == 1
     assert capsys.readouterr().err == ""
-    rows = list(csv.DictReader(open(tmp_path / "s" / "sweep.csv")))
+    rows = list(csv.DictReader((tmp_path / "s" / "sweep.csv").read_text().splitlines()))
     assert [(row["error"], row["passed"]) for row in rows] == [
         ("InvalidArgumentError", ""), ("", "true")]
+
+
+@pytest.mark.parametrize("dimension,domain,n,message", [
+    (1, [0, 1e-320], 50, "wavenumber 10.0 on a mesh with h = 1.97626e-322 makes A or D not finite"),
+    (1, [-1e308, 1e308], 50, "need lo < hi with a finite width hi - lo"),
+    (2, [1e308, 1.0], 10, "wavenumber 10.0 on a mesh with h = 1e+307 makes A or D not finite"),
+], ids=["subnormal_cells", "width_overflows", "long_cells"])
+def test_domain_whose_arithmetic_overflows_is_an_error(tmp_path, capsys, dimension, domain, n,
+                                                       message):
+    """Extreme boxes printed RuntimeWarnings and then an error that blamed
+    the wavenumber alone: verify prints one error line, which names the
+    mesh size when the assembly fails."""
+    path = write_cfg(tmp_path, {"problem": {"dimension": dimension, "k": 10.0, "domain": domain,
+                                            "resolution": {"type": "elements", "n": n}}})
+    assert main(["verify", "--config", path, "--out-dir", str(tmp_path / "v")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("resolution", [
@@ -350,12 +368,12 @@ def test_non_finite_coefficient_is_an_error(tmp_path, capsys, role, value):
 
 def test_sweep_grid_rows_and_zero_alpha(tmp_path):
     path = write_cfg(tmp_path)
-    cfg = json.loads(open(path).read())
+    cfg = json.loads(Path(path).read_text())
     cfg["sweep"]["alpha_values"] = [0.0, 0.1, 0.3]
-    open(path, "w").write(json.dumps(cfg))
+    Path(path).write_text(json.dumps(cfg))
     res = cmd_sweep(path, out_dir=str(tmp_path / "s"))
     assert res.exit_status == 0
-    lines = open(res.paths["sweep"]).read().splitlines()
+    lines = Path(res.paths["sweep"]).read_text().splitlines()
     assert len(lines) == 1 + 2 * 3  # header + 2 k-values x 3 alphas
     header = lines[0].split(",")
     first = dict(zip(header, lines[1].split(",")))
@@ -368,7 +386,7 @@ def test_sweep_deterministic(tmp_path):
     path = write_cfg(tmp_path)
     r1 = cmd_sweep(path, out_dir=str(tmp_path / "s1"))
     r2 = cmd_sweep(path, out_dir=str(tmp_path / "s2"))
-    assert open(r1.paths["sweep"], "rb").read() == open(r2.paths["sweep"], "rb").read()
+    assert Path(r1.paths["sweep"]).read_bytes() == Path(r2.paths["sweep"]).read_bytes()
 
 
 def _factor_kinds(splu_calls):
@@ -553,7 +571,7 @@ def test_sweep_with_ladder(tmp_path):
     })
     res = cmd_sweep(path, out_dir=str(tmp_path / "sl"))
     assert res.exit_status == 0
-    lines = open(res.paths["ladder"]).read().splitlines()
+    lines = Path(res.paths["ladder"]).read_text().splitlines()
     assert len(lines) == 3
     ratios = [float(l.split(",")[7]) for l in lines[1:]]
     assert all(1 / 3 <= r <= 3 for r in ratios)
@@ -629,7 +647,7 @@ def test_sweep_alpha_growth_and_small_alpha_linearity(tmp_path):
                   "resolution": {"type": "k_power", "scale": 1.0, "exponent": 1.5}},
     })
     res = cmd_sweep(path, out_dir=str(tmp_path / "sg"))
-    lines = open(res.paths["sweep"]).read().splitlines()
+    lines = Path(res.paths["sweep"]).read_text().splitlines()
     header = lines[0].split(",")
     rows = [dict(zip(header, l.split(","))) for l in lines[1:]]
     for k in ("10.0", "20.0"):
@@ -658,7 +676,7 @@ def test_sweep_continues_past_per_point_failures(tmp_path):
     path.write_text(json.dumps(cfg))
     res = cmd_sweep(str(path), out_dir=str(tmp_path / "sf"))
     assert res.exit_status == 1  # failures reported
-    lines = open(res.paths["sweep"]).read().splitlines()
+    lines = Path(res.paths["sweep"]).read_text().splitlines()
     assert len(lines) == 3  # run continued through both grid points
     assert all("InvalidCoefficientError" in l for l in lines[1:])
 
@@ -693,8 +711,8 @@ def test_export_import_roundtrip_matches(tmp_path):
     res_v = cmd_verify(cfg_path, out_dir=str(tmp_path / "v"))
     res_i = cmd_import(exch, out_dir=str(tmp_path / "i"))
     assert res_i.exit_status == 0
-    a = json.loads(open(res_v.paths["bounds"]).read())
-    b = json.loads(open(res_i.paths["bounds"]).read())
+    a = json.loads(Path(res_v.paths["bounds"]).read_text())
+    b = json.loads(Path(res_i.paths["bounds"]).read_text())
     for key in ("dmu", "deps", "cdis1", "cdis2", "lhs_D", "lhs_2", "rhs_lemma"):
         assert a[key] == b[key], key
 
@@ -711,7 +729,7 @@ def test_import_errors(tmp_path):
     from helmprec.io import write_matrix_mm
     import scipy.sparse as sp
 
-    n = json.loads(open(os.path.join(exch, "meta.json")).read()) and 60
+    n = json.loads(Path(os.path.join(exch, "meta.json")).read_text()) and 60
     bad = sp.diags([-1.0] * 61).tocsr().astype(complex)
     write_matrix_mm(os.path.join(exch, "D.mtx"), bad, "hermitian")
     with pytest.raises(InvalidSystemError, match="D"):
@@ -773,17 +791,45 @@ def test_import_of_a_matrix_file_that_is_not_utf8_is_an_error(tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name,entry,value", [
+    ("A1", (5, 6), math.nan), ("A1", (5, 6), math.inf), ("A2", (5, 5), math.inf),
+    ("A2", (5, 5), math.nan), ("D", (6, 5), math.nan),
+])
+def test_import_of_a_non_finite_entry_is_an_error(tmp_path, capsys, name, entry, value):
+    """A non-finite entry ended in an ARPACK traceback, a FAIL line or a
+    'not Hermitian' error: the reader refuses it at its line."""
+    from helmprec.io import write_matrix_mm
+
+    exch = tmp_path / "exch"
+    cmd_export(write_cfg(tmp_path, {"problem": {"k": 10.0}, "perturbation": {"alpha": 0.3}}),
+               out_dir=str(exch))
+    path = exch / f"{name}.mtx"
+    X = read_matrix_mm(str(path)).tolil()
+    X[entry] = value
+    write_matrix_mm(str(path), X, "hermitian" if name == "D" else "general")
+    capsys.readouterr()
+    assert main(["import", "--dir", str(exch), "--out-dir", str(tmp_path / "i")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    i, j = entry[0] + 1, entry[1] + 1
+    match = re.fullmatch(rf"error: line (\d+): index \({i}, {j}\) has a value that is "
+                         r"not finite\n", captured.err)
+    assert match, captured.err
+    line = path.read_text().splitlines()[int(match.group(1)) - 1]
+    assert line.startswith(f"{i} {j} ")
+
+
 def test_import_norms_flags_over_meta(tmp_path):
     """import takes each coefficient-difference norm from its flag, else from
     the pair's meta.json, and fails without either."""
     exch = str(tmp_path / "exch")
     cmd_export(write_cfg(tmp_path), out_dir=exch)
     meta_path = os.path.join(exch, "meta.json")
-    meta = json.loads(open(meta_path).read())
+    meta = json.loads(Path(meta_path).read_text())
     assert meta == {"dmu": 0.0, "deps": pytest.approx(0.2, rel=1e-15)}
 
     def bounds(directory):
-        return json.loads(open(os.path.join(directory, "bounds.json")).read())
+        return json.loads(Path(os.path.join(directory, "bounds.json")).read_text())
 
     cmd_import(exch, out_dir=str(tmp_path / "m"))
     from_meta = bounds(tmp_path / "m")
@@ -843,7 +889,7 @@ def test_sweep_first_system_failure_fills_each_row_of_its_k(tmp_path):
     })
     res = cmd_sweep(path, out_dir=str(tmp_path / "sf"))
     assert res.exit_status == 1
-    lines = open(res.paths["sweep"]).read().splitlines()
+    lines = Path(res.paths["sweep"]).read_text().splitlines()
     assert len(lines) == 1 + 2 * 2
     assert all(l.endswith("InvalidCoefficientError") for l in lines[1:])
 

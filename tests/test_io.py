@@ -318,16 +318,32 @@ def test_matrix_exchange_dir_roundtrip(tmp_path):
                              str(tmp_path / "missing.mtx"), paths["M.mtx"])
 
 
+def test_matrix_exchange_without_norms_leaves_no_earlier_norms(tmp_path):
+    """A pair written without norms into the directory of an exported pair
+    reads back with no norms, not with the earlier pair's."""
+    spec = canonical_spec_1d(6.0, 15)
+    s1 = assemble_system(spec)
+    d = str(tmp_path / "exch")
+    write_matrix_exchange(s1, assemble_system(spec.with_absorption(0.3)), d, dmu=0.0, deps=0.5)
+    s3 = assemble_system(spec.with_absorption(0.1))
+    paths = write_matrix_exchange(s1, s3, d)
+    _, b2, meta = read_matrix_exchange(
+        paths["A1.mtx"], paths["A2.mtx"], paths["D.mtx"], paths["M.mtx"]
+    )
+    assert (abs(b2.A - s3.A)).max() == 0.0
+    assert meta == {}
+
+
 def test_bound_report_serialization(tmp_path):
     s1 = canonical_1d(5.0, 30)
     rep = nearby_bound_report(s1, assemble_system(s1.spec.with_absorption(0.2)), alpha=0.2)
     jpath = write_report(rep, str(tmp_path / "r.json"), "json")
-    data = json.loads(open(jpath).read())
+    data = json.loads(Path(jpath).read_text())
     assert data["alpha"] == 0.2
     assert data["passed"] is True
     assert {c["name"] for c in data["checks"]} >= {"nearby_D", "nearby_Dinv"}
     cpath = write_report(rep, str(tmp_path / "r.csv"), "csv")
-    lines = open(cpath).read().splitlines()
+    lines = Path(cpath).read_text().splitlines()
     assert lines[0].startswith("k,h,alpha,n,dmu,deps")
     assert len(lines) == 2
     row = dict(zip(lines[0].split(","), lines[1].split(",")))
@@ -339,13 +355,13 @@ def test_trace_and_ladder_serialization(tmp_path):
     rung = working_rung(canonical_spec_1d(10.0, 10))
     ladder = infsup_ladder([rung], 4)
     lpath = write_report(ladder, str(tmp_path / "l.csv"), "csv")
-    lines = open(lpath).read().splitlines()
+    lines = Path(lpath).read_text().splitlines()
     assert lines[0].startswith("k,h,h_ref")
     assert len(lines) == 2
 
     empty = InfSupLadder(())
     epath = write_report(empty, str(tmp_path / "e.csv"), "csv")
-    assert open(epath).read().splitlines() == [
+    assert Path(epath).read_text().splitlines() == [
         "k,h,h_ref,n,n_ref,gamma,gamma_ref,ratio,singular"
     ]
 
@@ -354,10 +370,10 @@ def test_report_determinism(tmp_path):
     rep = garding_check(canonical_1d(4.0, 12), seed=5)
     p1 = write_report(rep, str(tmp_path / "a.json"), "json")
     p2 = write_report(rep, str(tmp_path / "b.json"), "json")
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
     rep2 = garding_check(canonical_1d(4.0, 12), seed=5)
     p3 = write_report(rep2, str(tmp_path / "c.json"), "json")
-    assert open(p1, "rb").read() == open(p3, "rb").read()
+    assert Path(p1).read_bytes() == Path(p3).read_bytes()
 
 
 def test_write_report_rejects_unknown(tmp_path):

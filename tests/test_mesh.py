@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -101,9 +102,11 @@ def test_rect_errors():
     lambda: Mesh((0.0,), (1.0,), (4,), (IMP,)),
     lambda: Mesh((0.0, 0.0), (1.0,), (4, 4), (IMP,) * 4),
     lambda: Mesh((0.0,) * 3, (1.0,) * 3, (2, 2, 2), (IMP,) * 6),
+    lambda: Mesh((-1e308,), (1e308,), (2,), (IMP, IMP)),
+    lambda: Mesh((0.0, -1e308), (1.0, 1e308), (2, 2), (IMP,) * 4),
 ], ids=["nan_width", "inf_height", "negative_width", "float_cells", "bool_cells", "inf_hi",
         "inf_lo", "nan_lo", "lo_above_hi", "float_count", "zero_cells", "one_tag_1d",
-        "short_hi", "three_axes"])
+        "short_hi", "three_axes", "width_overflows", "height_overflows"])
 def test_mesh_rejects_a_box_that_is_not_finite_or_a_bad_grid(build):
     with pytest.raises(InvalidArgumentError):
         build()
@@ -361,6 +364,22 @@ def test_locate_near_grid_lines_far_from_the_origin():
 def test_locate_non_finite_point_raises(point):
     with pytest.raises(InvalidArgumentError):
         build_rect_mesh(1, 1, 3, 3, IMP).locate_elements(point)
+
+
+@pytest.mark.parametrize("dimension,point", [
+    (2, [1e308, 0.5]), (2, [-1e308, -1e308]), (2, [0.5, 1.7e308]), (1, [1e308]), (1, [-1e308]),
+])
+def test_locate_a_point_far_outside_raises_without_a_warning(dimension, point):
+    """The cell arithmetic of a point this far out overflows; that is the
+    error, not a RuntimeWarning."""
+    if dimension == 1:
+        mesh = build_interval_mesh(0, 1, 30, IMP, IMP)
+    else:
+        mesh = build_rect_mesh(1, 1, 30, 30, IMP)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match="point outside mesh"):
+            mesh.locate_elements([point])
 
 
 def test_locate_interval_ties_low_and_outside_raises():
