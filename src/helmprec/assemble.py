@@ -179,15 +179,18 @@ def _free_nodes(mesh: Mesh) -> np.ndarray:
 def _orientations(mesh: Mesh) -> tuple[np.ndarray, float]:
     """Barycentric gradients of the mesh's element orientations, shape
     (orientations, nodes, dim), and the element measure. Element e has
-    orientation e % orientations."""
+    orientation e % orientations. The 1 / h of a subnormal cell overflows
+    without a warning: the load uses the measure alone, and
+    :func:`assemble_system` checks the matrices that the gradients make."""
     step = np.subtract(mesh.hi, mesh.lo) / mesh.cells
+    with np.errstate(over="ignore"):
+        inv = 1 / step
     if mesh.dimension == 1:
-        (h,) = step
-        return np.array([[[-1 / h], [1 / h]]]), h
-    dx, dy = step
+        return np.array([[[-inv[0]], [inv[0]]]]), step[0]
+    (ix, iy), (dx, dy) = inv, step
     # the lower-right (ll, lr, ur) and the upper-left (ll, ur, ul) triangle
-    grads = np.array([[[-1 / dx, 0], [1 / dx, -1 / dy], [0, 1 / dy]],
-                      [[0, -1 / dy], [1 / dx, 0], [-1 / dx, 1 / dy]]])
+    grads = np.array([[[-ix, 0], [ix, -iy], [0, iy]],
+                      [[0, -iy], [ix, 0], [-ix, iy]]])
     return grads, dx * dy / 2
 
 

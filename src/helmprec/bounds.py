@@ -341,10 +341,9 @@ def garding_check(
     (n - o) x 4 table (:func:`_band_forms`): about offsets x b x n operations
     for all 3b forms. A P1 system has 2 offsets in 1D and 4 in 2D (0, 1,
     m and m + 1 for m free nodes per grid column); an offset where A is
-    not exactly symmetric, as with a matrix-valued mu^{-1}, costs a
-    second product. With one BLAS thread on a 2-core Xeon, the whole check
-    took 0.072 s at n = 6,561 and 0.344 s at n = 25,921, wall and CPU time
-    alike. Blocks of 8 were 13% faster than blocks of 16 at n = 6,561 and
+    not exactly symmetric would cost a second product. With one BLAS
+    thread on a 2-core Xeon, the whole check took 0.072 s at n = 6,561
+    and 0.344 s at n = 25,921, wall and CPU time alike. Blocks of 8 were 13% faster than blocks of 16 at n = 6,561 and
     7% slower at n = 25,921; blocks of 32 were slower at both.
     """
     spec = sys.spec

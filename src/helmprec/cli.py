@@ -1,9 +1,10 @@
 """Batch command-line interface: verify, sweep, import, export.
 
-Every command reads a config (or matrix files), runs its checks, writes
-report files into the output directory, prints one summary line per
-check, and exits nonzero iff an asserted inequality failed or an error
-occurred. Runs are deterministic for a fixed config and seed.
+Every command reads its input in one call, a config (a dict) or an
+exchange directory, runs its checks, writes report files into the output
+directory, prints one summary line per check, and exits nonzero iff an
+asserted inequality failed or an error occurred. Runs are deterministic
+for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -52,11 +53,10 @@ class ScenarioResult:
         if not passed:
             self.exit_status = 1
 
-    def print_summary(self, out=None):
-        out = sys.stdout if out is None else out
+    def print_summary(self):
         for name, passed, margin in self.summaries:
             flag = "PASS" if passed else "FAIL"
-            print(f"{flag} {name}: margin={margin:.6e}", file=out)
+            print(f"{flag} {name}: margin={margin:.6e}")
 
 
 def _add_report_checks(result: ScenarioResult, prefix: str, checks):
@@ -84,7 +84,7 @@ def _check_seed(seed):
 def _load(config_path: str, out_dir):
     """(config, output directory) of a config command; makes the directory."""
     cfg = hio.load_config(config_path)
-    out = out_dir or cfg.output_dir
+    out = out_dir or cfg["output"]["dir"]
     os.makedirs(out, exist_ok=True)
     return cfg, out
 
@@ -93,12 +93,12 @@ def _prologue(config_path: str, out_dir, seed):
     """(config, output directory, seed) of a checking config command."""
     _check_seed(seed)
     cfg, out = _load(config_path, out_dir)
-    return cfg, out, cfg.seed if seed is None else seed
+    return cfg, out, cfg["seed"] if seed is None else seed
 
 
-def _perturbed(cfg: hio.ExperimentConfig, sys1, alpha=None):
+def _perturbed(cfg: dict, sys1, alpha=None):
     """(sys2, absorption or None): the perturbed system of the config's pair."""
-    pert, spec1 = cfg.perturbation, sys1.spec
+    pert, spec1 = cfg["perturbation"], sys1.spec
     if pert["mode"] == "absorption":
         a = pert["alpha"] if alpha is None else alpha
         return assemble_system(spec1.with_absorption(a)), a
@@ -119,10 +119,10 @@ def cmd_verify(
     cfg, out, seed = _prologue(config_path, out_dir, seed)
     result = ScenarioResult()
 
-    sys1 = assemble_system(hio.build_problem(cfg))
+    sys1 = assemble_system(hio.build_problem(cfg["problem"]))
     sys2, alpha = _perturbed(cfg, sys1)
-    if cfg.problem["garding"] is not None:
-        constants = GardingConstants(**cfg.problem["garding"])
+    if cfg["problem"]["garding"] is not None:
+        constants = GardingConstants(**cfg["problem"]["garding"])
     else:
         constants = garding_constants_for(sys1.spec)
 
@@ -194,25 +194,25 @@ def cmd_sweep(
     cfg, out, seed = _prologue(config_path, out_dir, seed)
     result = ScenarioResult()
 
-    problem = dict(cfg.problem, resolution=cfg.sweep["resolution"])
-    alphas = cfg.sweep["alpha_values"] if cfg.perturbation["mode"] == "absorption" else [None]
-    grid = [(k, a) for k in cfg.sweep["k_values"] for a in alphas]
+    sweep = cfg["sweep"]
+    problem = dict(cfg["problem"], resolution=sweep["resolution"])
+    alphas = sweep["alpha_values"] if cfg["perturbation"]["mode"] == "absorption" else [None]
     rows, rungs = [], []
-    for k in cfg.sweep["k_values"]:
+    for k in sweep["k_values"]:
         try:
-            mesh = hio.build_mesh(problem, k)
-            sys1 = assemble_system(hio.build_problem(cfg, k=k, mesh=mesh))
+            sys1 = assemble_system(hio.build_problem(problem, k))
         except HelmprecError as exc:
             sys1 = exc
         rows += [_sweep_point(cfg, sys1, k, a, seed) for a in alphas]
-        if cfg.sweep["ladder"] is not None:
+        if sweep["ladder"] is not None:
             rungs.append(_ladder_rung(sys1, seed))
     del sys1  # the last k's factors must not stay alive through the ladder
 
     sweep_path = os.path.join(out, "sweep.csv")
     hio.write_csv(sweep_path, SWEEP_COLUMNS, rows)
     result.paths["sweep"] = sweep_path
-    for row, (k, a) in zip(rows, grid):
+    for row in rows:
+        k, a = row["k"], row["alpha"]
         name = f"sweep[k={k:g}" + (f",alpha={a:g}]" if a is not None else "]")
         if row["error"]:
             result.add(name, False, math.nan)
@@ -221,11 +221,11 @@ def cmd_sweep(
         else:
             result.add(name, bool(row["passed"]), 0.0)
 
-    if cfg.sweep["ladder"] is not None:
+    if sweep["ladder"] is not None:
         for rung in rungs:
             if isinstance(rung, HelmprecError):
                 raise rung
-        ladder = infsup_ladder(rungs, cfg.sweep["ladder"]["refine"], seed=seed)
+        ladder = infsup_ladder(rungs, sweep["ladder"]["refine"], seed=seed)
         ladder_path = os.path.join(out, "ladder.csv")
         hio.write_report(ladder, ladder_path, "csv")
         result.paths["ladder"] = ladder_path
@@ -241,7 +241,7 @@ def cmd_export(config_path: str, out_dir: str | None = None) -> ScenarioResult:
     """Assemble the config's pair and write it as matrix exchange files; it
     checks nothing, so its result holds only the written paths."""
     cfg, out = _load(config_path, out_dir)
-    sys1 = assemble_system(hio.build_problem(cfg))
+    sys1 = assemble_system(hio.build_problem(cfg["problem"]))
     sys2, _ = _perturbed(cfg, sys1)
     dmu = field_diff_sup_norm(sys1.spec.mu_inv, sys2.spec.mu_inv)
     deps = field_diff_sup_norm(sys1.spec.eps, sys2.spec.eps)
@@ -252,8 +252,6 @@ def cmd_export(config_path: str, out_dir: str | None = None) -> ScenarioResult:
 
 def cmd_import(
     matrix_dir: str,
-    d_path: str | None = None,
-    m_path: str | None = None,
     out_dir: str | None = None,
     seed: int = 0,
     dmu: float | None = None,
@@ -265,11 +263,7 @@ def cmd_import(
     in the pair's meta.json; without either the report cannot be made.
     """
     _check_seed(seed)
-    a1 = os.path.join(matrix_dir, "A1.mtx")
-    a2 = os.path.join(matrix_dir, "A2.mtx")
-    d_path = d_path or os.path.join(matrix_dir, "D.mtx")
-    m_path = m_path or os.path.join(matrix_dir, "M.mtx")
-    sys1, sys2, meta = hio.read_matrix_exchange(a1, a2, d_path, m_path)
+    sys1, sys2, meta = hio.read_matrix_exchange(matrix_dir)
     validate_external(sys1, sys2, seed)
     dmu = meta.get("dmu") if dmu is None else dmu
     deps = meta.get("deps") if deps is None else deps
@@ -298,11 +292,7 @@ def _parser() -> argparse.ArgumentParser:
         ("export", "write the config's system pair as matrix files", (config, out_dir)),
         ("import", "run bound checks on external matrices", (
             ("--dir", dict(dest="matrix_dir", required=True,
-                           help="directory with A1.mtx and A2.mtx")),
-            ("--d", dict(dest="d_path", default=None,
-                         help="path to D matrix (default dir/D.mtx)")),
-            ("--m", dict(dest="m_path", default=None,
-                         help="path to M matrix (default dir/M.mtx)")),
+                           help="directory with A1.mtx, A2.mtx, D.mtx, M.mtx and meta.json")),
             ("--dmu", dict(type=float, default=None,
                            help="sup norm of the diffusion coefficient difference")),
             ("--deps", dict(type=float, default=None,

@@ -6,7 +6,7 @@ two roles mirror the two coefficients of the operator
 ``-k^{-2} div(mu^{-1} grad) - eps``:
 
 * MU_INV fields must have positive-definite real part elementwise,
-* EPS fields are unconstrained bounded multipliers.
+* EPS fields are scalar, otherwise unconstrained, bounded multipliers.
 
 Every value of either role must be finite.
 
@@ -38,7 +38,8 @@ class CoefficientField:
     """Per-element coefficient values tied to a mesh.
 
     ``values`` has shape (n_elements,) for scalar fields or
-    (n_elements, 2, 2) for matrix-valued diffusion coefficients in 2D.
+    (n_elements, 2, 2) for matrix-valued diffusion coefficients (MU_INV)
+    in 2D.
     """
 
     mesh: Mesh
@@ -56,6 +57,8 @@ class CoefficientField:
         if not np.all(np.isfinite(values)):
             raise InvalidCoefficientError(f"{self.role.value} values must be finite")
         if values.ndim == 3:
+            if self.role == Role.EPS:  # eps multiplies the scalar u
+                raise InvalidCoefficientError("eps values must be scalars")
             if self.mesh.dimension != 2 or values.shape[1:] != (2, 2):
                 raise InvalidArgumentError(
                     "matrix-valued fields must be (n, 2, 2) on a 2D mesh"

@@ -29,6 +29,10 @@ class SingularSystemError(HelmprecError):
     """A matrix required to be invertible is (numerically) singular."""
 
 
+class UnderflowError(HelmprecError):
+    """A nonzero quantity underflowed to zero, so it cannot be estimated."""
+
+
 class NoConvergenceError(HelmprecError):
     """An iterative estimator hit its iteration cap.
 

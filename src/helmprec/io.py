@@ -11,19 +11,21 @@ function of the config read so far (``sweep.k_values`` defaults to
 is None or (test, text), and a value failing test(value, cfg) "must be
 <text>". The walker ``_section`` rejects unknown and missing keys,
 reads a default as it reads a written value, applies the constraint
-and names the key in every ``ConfigError``. Re-reading the JSON dump of
-a config's ``data`` gives the same data. A config that is not UTF-8 text
-is a ``ConfigError`` too; a matrix file that is not is a
+and names the key in every ``ConfigError``. A read config is the plain
+dict of its sections, every default filled in, and re-reading its JSON
+dump gives the same dict. A config that is not UTF-8 text is a
+``ConfigError`` too; a matrix file that is not is a
 ``MatrixExchangeError``.
 
 Matrices travel in Matrix Market coordinate format with complex
 entries (real/imag pairs), 1-based indices, and symmetry 'general' or
 'hermitian', written by ``scipy.io.mmwrite`` in shortest round-trip
-digits so doubles round-trip exactly. Reports serialize with a fixed
-field order, so identical inputs give byte-identical files: a bound
-report to JSON or CSV, a Gårding or norm-equivalence report to JSON,
-and an inf-sup ladder to CSV. A numpy scalar in a JSON report is
-written as the Python number it holds.
+digits so doubles round-trip exactly. An exchange directory holds
+A1.mtx, A2.mtx, D.mtx, M.mtx and meta.json, and is read and written
+whole. Reports serialize with a fixed field order, so identical inputs
+give byte-identical files: a bound report to JSON or CSV, a Gårding or
+norm-equivalence report to JSON, and an inf-sup ladder to CSV. A numpy
+scalar in a JSON report is written as the Python number it holds.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -241,44 +242,17 @@ def _value(entry: tuple, written: dict, key: str, where: str, cfg: dict, out: di
         raise ConfigError(f"{where} must be {check[1]}, got {out[key]!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class ExperimentConfig:
-    """A validated experiment description with all defaults applied."""
-
-    data: dict
-
-    @property
-    def problem(self) -> dict:
-        return self.data["problem"]
-
-    @property
-    def perturbation(self) -> dict:
-        return self.data["perturbation"]
-
-    @property
-    def sweep(self) -> dict:
-        return self.data["sweep"]
-
-    @property
-    def seed(self) -> int:
-        return self.data["seed"]
-
-    @property
-    def output_dir(self) -> str:
-        return self.data["output"]["dir"]
-
-
-def read_config(text: str) -> ExperimentConfig:
+def read_config(text: str) -> dict:
     """Parse a JSON experiment config and read it against ``_CONFIG``."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    data: dict = {}
-    return ExperimentConfig(_section(_CONFIG, raw, "", data, data))
+    cfg: dict = {}
+    return _section(_CONFIG, raw, "", cfg, cfg)
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -348,23 +322,22 @@ def field_from_rule(mesh: Mesh, rule: dict, role: Role, k: float) -> Coefficient
     return mu_inv if role == Role.MU_INV else eps
 
 
-def build_problem(
-    cfg: ExperimentConfig, k: Optional[float] = None, mesh: Optional[Mesh] = None
-) -> ProblemSpec:
-    """ProblemSpec for the config's primary problem, optionally at another k."""
-    prob = cfg.problem
-    k = prob["k"] if k is None else k
-    if mesh is None:
-        mesh = build_mesh(prob, k)
-    mu = field_from_rule(mesh, prob["mu_inv"], Role.MU_INV, k)
-    eps = field_from_rule(mesh, prob["eps"], Role.EPS, k)
-    return ProblemSpec(k, mesh, mu, eps, prob["theta"])
+def build_problem(problem: dict, k: Optional[float] = None) -> ProblemSpec:
+    """ProblemSpec of a config's problem section on its own mesh,
+    optionally at another k."""
+    k = problem["k"] if k is None else k
+    mesh = build_mesh(problem, k)
+    mu = field_from_rule(mesh, problem["mu_inv"], Role.MU_INV, k)
+    eps = field_from_rule(mesh, problem["eps"], Role.EPS, k)
+    return ProblemSpec(k, mesh, mu, eps, problem["theta"])
 
 
 # -- matrix exchange ----------------------------------------------------------
 
 # One entry line of a coordinate file: i j re im.
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("re", float), ("im", float)])
+# SuperLU indexes a matrix with C ints: scipy's splu casts its indices to them
+_MAX_INDEX = np.iinfo(np.intc).max
 
 
 def write_matrix_mm(path: str, X, symmetry: str = "general"):
@@ -427,6 +400,9 @@ def read_matrix_mm(path: str) -> sp.csr_matrix:
         raise MatrixExchangeError("size line must contain integers", line=ln)
     if min(n, m, nnz) < 0:
         raise MatrixExchangeError("size line must not be negative", line=ln)
+    if max(n, m) > _MAX_INDEX:
+        raise MatrixExchangeError(
+            f"size line must give at most {_MAX_INDEX} rows and columns", line=ln)
 
     texts = [lines[k - 1] for k in numbers]
     entries = np.empty(0, _ENTRY)
@@ -497,27 +473,25 @@ def write_matrix_exchange(
     return paths
 
 
-def read_matrix_exchange(
-    a1_path: str, a2_path: str, d_path: str, m_path: str
-) -> tuple[MatrixSystem, MatrixSystem, dict]:
-    """Read a system pair from four coordinate-format files.
+def read_matrix_exchange(directory: str) -> tuple[MatrixSystem, MatrixSystem, dict]:
+    """Read a system pair from the directory :func:`write_matrix_exchange`
+    writes: A1.mtx, A2.mtx, D.mtx and M.mtx, and meta.json if it is there.
 
     Returns ``(sys1, sys2, meta)``: the systems of A1 and A2, both on the
     same D and M objects (float64 when their entries are real; a complex
-    one is left for :func:`validate_external` to refuse), and the
-    parsed ``meta.json`` next to the A1 file (the coefficient-difference
-    norms of an exported pair), or ``{}`` when there is none. A meta.json
-    that is not a JSON object raises MatrixExchangeError.
+    one is left for :func:`validate_external` to refuse), and the parsed
+    meta.json (the coefficient-difference norms of an exported pair), or
+    ``{}`` when there is none. A meta.json that is not a JSON object
+    raises MatrixExchangeError.
     """
     mats = {}
-    for name, path in (
-        ("A1", a1_path), ("A2", a2_path), ("D", d_path), ("M", m_path)
-    ):
+    for name in ("A1", "A2", "D", "M"):
+        path = os.path.join(directory, f"{name}.mtx")
         if not os.path.exists(path):
             raise MatrixExchangeError(f"matrix file for {name} not found: {path}")
         mats[name] = read_matrix_mm(path)
     meta = {}
-    meta_path = os.path.join(os.path.dirname(os.path.abspath(a1_path)), "meta.json")
+    meta_path = os.path.join(directory, "meta.json")
     if os.path.exists(meta_path):
         with open(meta_path, "r", encoding="utf-8") as fh:
             try:

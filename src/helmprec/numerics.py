@@ -90,6 +90,7 @@ from .errors import (
     NoConvergenceError,
     NotPositiveDefiniteError,
     SingularSystemError,
+    UnderflowError,
 )
 
 DEFAULT_TOL = 1e-10
@@ -295,10 +296,6 @@ _DENSE_PENCIL_N = 8
 _NCV = 15
 
 
-class _ZeroOperator(Exception):
-    """The operator annihilated the first vector ARPACK gave it."""
-
-
 def _never_applied(x):
     raise AssertionError("shift-invert mode never applies A")
 
@@ -332,9 +329,11 @@ def _pencil_lambda_max(
     raises with ``DEFAULT_MAXIT`` applications and no estimate: ARPACK
     holds no converged Ritz value mid-cycle.
 
-    When W maps the first vector it is given (the start vector, or B
-    times it) to exactly zero, it annihilates a random vector, so the PSD
-    operator's top is zero and (0.0, 1, 0.0) is returned at once. Other
+    ARPACK stops after one application of W when W maps the first vector
+    it is given (the start vector, or B times it) to a vector of B-norm
+    0. When that image is exactly zero, W annihilates a random vector, so
+    the PSD operator's top is zero and (0.0, 1, 0.0) is returned; when it
+    is not, its B-norm underflowed, and UnderflowError is raised. Other
     runs take ARPACK's applications of W plus one for the residual.
 
     The basis size ncv is also the restart length: ARPACK tests
@@ -357,18 +356,18 @@ def _pencil_lambda_max(
     def real_w(x):
         return np.ascontiguousarray(apply_w(x.view(dtype)), dtype=dtype).view(np.float64)
 
-    count = 0
+    count, first = 0, None
 
     def counted_w(x):
-        nonlocal count
+        nonlocal count, first
         if count == DEFAULT_MAXIT:
             raise NoConvergenceError(
                 f"eigensolver did not reach tolerance {DEFAULT_TOL:g} within "
                 f"{count} operator applications", iterations=count)
         count += 1
         y = real_w(x)
-        if count == 1 and not np.any(y):
-            raise _ZeroOperator
+        if count == 1:
+            first = y
         return y
 
     def apply_b(x):
@@ -399,7 +398,14 @@ def _pencil_lambda_max(
             # cycles never binds before the cap on applications
             maxiter=DEFAULT_MAXIT + 1,
         )
-    except _ZeroOperator:
+    except spla.ArpackError:
+        # ArpackError keeps no error code: test for the cause of its error -9
+        if count != 1 or first @ apply_b(first) != 0:
+            raise
+        if np.any(first):
+            raise UnderflowError(
+                "eigensolve underflows: the B-norm of the operator's first image is 0"
+            ) from None
         return 0.0, 1, 0.0
     nu = max(1.0 / float(vals[0]), 0.0)
     v = vecs[:, 0]
@@ -469,15 +475,19 @@ def discrete_inf_sup(lu: LUFactor, D, seed: int = DEFAULT_SEED) -> InfSupReport:
     Computed as the reciprocal of C_dis = ||L^T A^{-1} L||_2, the square
     root of the top eigenvalue of A^{-H} D A^{-1} D in the D inner
     product, through the LU factors ``lu`` of A and products with the
-    matrix D, which is never factored here.
+    matrix D, which is never factored here. D is SPD and A^{-1} injective,
+    so C_dis is positive, and a C_dis of 0 (or a first Lanczos image of
+    B-norm 0) is an underflow: UnderflowError. A singular A has no LU
+    factors; :meth:`MatrixSystem.inf_sup` reports it as singular.
     """
     n = lu.n
     D = complex_twin(_norm_matrix(D, n))  # one twin for W and B
-    c_dis, it, res = _sigma_max(_solution_normal(lu, D), n, seed, b=D)
+    try:
+        c_dis, it, res = _sigma_max(_solution_normal(lu, D), n, seed, b=D)
+    except UnderflowError:
+        c_dis = 0.0
     if c_dis == 0.0:
-        return InfSupReport(
-            gamma=0.0, c_dis=math.inf, iterations=it, residual=res, singular=True
-        )
+        raise UnderflowError("C_dis underflows to 0: A is too large for the norm of D")
     return InfSupReport(gamma=1.0 / c_dis, c_dis=c_dis, iterations=it, residual=res)
 
 

@@ -117,6 +117,17 @@ def test_load_size_mismatch():
         assemble_load(spec, np.ones(3))
 
 
+def test_load_on_subnormal_cells_is_finite_without_a_warning():
+    """The load needs the element measure alone: on cells of width about
+    2e-322 the gradients' 1 / h overflowed with a RuntimeWarning."""
+    mesh = build_interval_mesh(0.0, 1e-320, 50, IMP, IMP)
+    spec = ProblemSpec(10.0, mesh, constant_field(mesh, 1.0, Role.MU_INV),
+                       constant_field(mesh, 1.0, Role.EPS), 1.0)
+    F = assemble_load(spec, 1.0)
+    assert F.shape == (51,) and np.all(np.isfinite(F))
+    assert np.all(F.real > 0) and np.all(F.imag == 0)
+
+
 def test_garding_identity_random_vectors():
     rng = np.random.default_rng(0)
     for s in (canonical_1d(9.0, 40), canonical_2d(4.0, 5, 5)):

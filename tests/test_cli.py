@@ -1,5 +1,6 @@
 import argparse
 import csv
+import inspect
 import json
 import math
 import os
@@ -86,7 +87,7 @@ def test_verify_garding_refutes_too_large_c_g1(tmp_path, capsys):
         "mu_inv": dict(step, axis=0, below=0.5, above=2.0),
         "eps": dict(step, axis=1, below=1.0, above=3.0),
         "garding": {"c_g1": 1.0, "c_g2": 3.5}}})
-    sys = assemble_system(build_problem(load_config(path)))
+    sys = assemble_system(build_problem(load_config(path)["problem"]))
     assert sys.n == 121
     lam = eigh((sys.A.real + 3.5 * sys.M).toarray(), sys.D.toarray(), eigvals_only=True)
     assert lam.min() < 1.0
@@ -681,6 +682,34 @@ def test_sweep_continues_past_per_point_failures(tmp_path):
     assert all("InvalidCoefficientError" in l for l in lines[1:])
 
 
+UNDERFLOW = {"problem": {"k": 3.0, "resolution": {"type": "elements", "n": 10}}}
+
+
+@pytest.mark.parametrize("alpha", [1e100, 1e300])
+def test_verify_of_an_underflowing_c_dis_is_an_error(tmp_path, capsys, alpha):
+    """A huge absorption makes C_dis of A2 underflow: at alpha = 1e100 the
+    B-norm of W's first image is 0 and ARPACK stopped with a traceback, at
+    1e300 the image itself is 0 and verify printed FAIL bounds.nonsingular
+    although A2 factors. Either is one error line and exit status 1."""
+    path = write_cfg(tmp_path, dict(UNDERFLOW, perturbation={"alpha": alpha}))
+    assert main(["verify", "--config", path, "--out-dir", str(tmp_path / "v")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: [^\n]*underflow[^\n]*\n", captured.err), captured.err
+
+
+def test_sweep_records_an_underflowing_c_dis_in_its_row(tmp_path, capsys):
+    path = write_cfg(tmp_path, dict(UNDERFLOW, sweep={"k_values": [3.0],
+                                                      "alpha_values": [0.1, 1e300]}))
+    assert main(["sweep", "--config", path, "--out-dir", str(tmp_path / "s")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "PASS sweep[k=3,alpha=0.1]: margin=0.000000e+00" in out
+    assert "FAIL sweep[k=3,alpha=1e+300]: margin=nan" in out
+    with open(tmp_path / "s" / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["error"] for row in rows] == ["", "UnderflowError"]
+
+
 def test_singular_sweep_row_is_a_failure(tmp_path, capsys, monkeypatch):
     """A point whose perturbed system is singular fails, as it does in
     verify (``bounds.nonsingular``): the row prints FAIL and the exit
@@ -910,6 +939,18 @@ def test_readme_synopsis_lists_each_commands_flags():
         for name, sp in commands.choices.items()
     }
     assert documented == declared
+
+
+def test_each_commands_flags_are_its_functions_parameters():
+    """main calls cmd_<command>(**args): each command's flags are exactly
+    the parameters of its function, so no parameter is out of the command
+    line's reach."""
+    from helmprec import cli
+
+    commands = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in commands.choices.items():
+        flags = {action.dest for action in sub._actions} - {"help"}
+        assert flags == set(inspect.signature(getattr(cli, f"cmd_{name}")).parameters), name
 
 
 def test_readme_library_sketch_runs(capsys):

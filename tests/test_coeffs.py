@@ -158,13 +158,20 @@ def test_matrix_valued_fields():
     val = np.array([[2.0, 0.5], [0.5, 1.0]])
     f = constant_field(mesh, val, Role.MU_INV)
     assert f.is_matrix
-    zero = constant_field(mesh, np.zeros((2, 2)), Role.EPS)
-    assert field_diff_sup_norm(constant_field(mesh, val, Role.EPS), zero) == pytest.approx(
-        np.linalg.norm(val, 2), rel=1e-14)
     with pytest.raises(InvalidCoefficientError):
         constant_field(mesh, np.array([[1.0, 2.0], [0.0, 1.0]]), Role.MU_INV)
     with pytest.raises(InvalidCoefficientError):
         constant_field(mesh, np.array([[-1.0, 0.0], [0.0, 1.0]]), Role.MU_INV)
+
+
+def test_eps_values_must_be_scalars():
+    """eps multiplies the scalar u: a 2x2 eps value passed validation and
+    then broke the assembly's broadcast."""
+    mesh = build_rect_mesh(1, 1, 4, 4, IMP)
+    with pytest.raises(InvalidCoefficientError, match="eps values must be scalars"):
+        constant_field(mesh, np.eye(2), Role.EPS)
+    with pytest.raises(InvalidCoefficientError, match="eps values must be scalars"):
+        piecewise_field(mesh, lambda p: np.eye(2) * (1 + p[0]), Role.EPS)
 
 
 def test_field_diff_matrix_case():
