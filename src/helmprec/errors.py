@@ -30,15 +30,17 @@ class SingularSystemError(HelmprecError):
 
 
 class UnderflowError(HelmprecError):
-    """A nonzero quantity underflowed to zero, so it cannot be estimated."""
+    """A nonzero quantity underflowed below the normal floats, so it cannot be estimated."""
 
 
 class NoConvergenceError(HelmprecError):
-    """An iterative estimator hit its iteration cap.
+    """An iterative estimator hit its iteration cap, or ended without an
+    estimate: its eigensolver failed, or gave a Ritz value that is 0, not
+    finite or beyond the float range.
 
     ``estimate`` is the last estimate, as the quantity the raising function
-    returns, or None: a run stopped at its cap of operator applications,
-    mid-cycle, has none. ``iterations`` counts the operator applications.
+    returns, or None: a run stopped mid-cycle at its cap, or ended without
+    one, has none. ``iterations`` counts the operator applications.
     """
 
     def __init__(self, msg, estimate=None, iterations=None):

@@ -35,12 +35,14 @@ arithmetic on the float64 view of complex vectors, where the Hermitian
 W is real symmetric. So C_dis and the solution-operator norms take two
 solves with A per application and never factor D or M, and a
 D-weighted operator norm takes one D solve.
-The Ritz value comes with the residual bound |nu - nu_exact| <=
-||W B v - nu v||_B for the B-unit Ritz vector v. Iterations stop on it
-at the fixed relative tolerance ``DEFAULT_TOL`` = 1e-10 and are capped
-at ``DEFAULT_MAXIT`` applications of W; hitting the cap raises, with no
-estimate (ARPACK holds no converged Ritz value mid-cycle).
-Start vectors are seeded, so all reported numbers are reproducible.
+One path serves every n. ARPACK runs on W divided by a power of 2 taken
+from its first image, so each nu that is a normal float is estimated as
+at scale 1, with the residual bound |nu - nu_exact| <= ||W B v - nu v||_B
+for the B-unit Ritz vector v. Iterations stop on it at the relative
+tolerance ``DEFAULT_TOL`` = 1e-10 and are capped at ``DEFAULT_MAXIT``
+applications of W. A run that ends without an estimate (at the cap, on
+an ARPACK failure, or on a nu outside the normal floats) raises a typed
+error. Start vectors are seeded, so all reported numbers are reproducible.
 
 The extremes m_-^2 <= m_+^2 of M (the norm-equivalence constant m_+/m_-)
 need care at the top, where the P1 mass spectrum clusters and Lanczos on
@@ -81,7 +83,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -289,8 +290,6 @@ class SolutionOperatorNorms:
     h0_to_h0: float
 
 
-_DENSE_PENCIL_N = 8
-
 # ARPACK's Lanczos basis size (ncv), chosen by measurement; see
 # _pencil_lambda_max.
 _NCV = 15
@@ -321,20 +320,25 @@ def _pencil_lambda_max(
     every eigenvalue doubled; the complex start vector is viewed alike.
     Callers pass B as its :func:`complex_twin`, so each product with B is
     one complex pass. ``dtype=float`` runs a real symmetric W from a real
-    start vector.
+    start vector. One path serves every n: the basis holds
+    min(real dimension, ``_NCV``) vectors, and a real 1 x 1 pencil, too
+    small for ARPACK, is its one entry W B.
     Iterations stop at the relative tolerance ``DEFAULT_TOL`` and are
     capped at ``DEFAULT_MAXIT`` applications of W, both read per call.
     Returns (nu, applications of W, residual ||W B v - nu v||_B of the
-    B-unit Ritz vector v). Asking for application ``DEFAULT_MAXIT`` + 1
-    raises with ``DEFAULT_MAXIT`` applications and no estimate: ARPACK
-    holds no converged Ritz value mid-cycle.
+    B-unit Ritz vector v).
 
-    ARPACK stops after one application of W when W maps the first vector
-    it is given (the start vector, or B times it) to a vector of B-norm
-    0. When that image is exactly zero, W annihilates a random vector, so
-    the PSD operator's top is zero and (0.0, 1, 0.0) is returned; when it
-    is not, its B-norm underflowed, and UnderflowError is raised. Other
-    runs take ARPACK's applications of W plus one for the residual.
+    ARPACK runs on W / 2^e, with 2^(e-1) <= max|y| < 2^e for W's first
+    image y, and nu and the residual are scaled back by 2^e, exactly
+    while they are normal floats. A first image that is exactly zero
+    means that W annihilates a random vector, so the PSD W's top is zero:
+    (0.0, 1, 0.0) is returned. Other runs take ARPACK's applications of W
+    plus one for the residual, or raise with no estimate: NoConvergenceError
+    (with the applications made) when ARPACK asks for application
+    ``DEFAULT_MAXIT`` + 1 (it holds no converged Ritz value mid-cycle) or
+    fails in any other way, or when its Ritz value is 0 or not finite or
+    nu overflows; UnderflowError when a positive nu is below the normal
+    floats, or when the first image is not zero but its B-norm is.
 
     The basis size ncv is also the restart length: ARPACK tests
     convergence only once it has built ncv vectors, so a run ends only at
@@ -345,30 +349,8 @@ def _pencil_lambda_max(
     against 3,132 (3,132) at 14, 3,148 (3,160) at 12, 3,156 at 19, 3,160
     (3,128) at 16 and 3,208 (3,208) at 20.
     """
-    if n <= _DENSE_PENCIL_N:
-        eye = np.eye(n, dtype=dtype)
-        W = np.column_stack([apply_w(eye[:, j]) for j in range(n)])
-        W = 0.5 * (W + W.conj().T)
-        B = np.eye(n) if b is None else sp.csr_matrix(b).toarray()
-        vals = sla.eigh(B @ W @ B, B, eigvals_only=True)
-        return max(float(vals[-1]), 0.0), n, 0.0
-
     def real_w(x):
         return np.ascontiguousarray(apply_w(x.view(dtype)), dtype=dtype).view(np.float64)
-
-    count, first = 0, None
-
-    def counted_w(x):
-        nonlocal count, first
-        if count == DEFAULT_MAXIT:
-            raise NoConvergenceError(
-                f"eigensolver did not reach tolerance {DEFAULT_TOL:g} within "
-                f"{count} operator applications", iterations=count)
-        count += 1
-        y = real_w(x)
-        if count == 1:
-            first = y
-        return y
 
     def apply_b(x):
         return x if b is None else (b @ x.view(dtype)).view(np.float64)
@@ -378,7 +360,23 @@ def _pencil_lambda_max(
     if np.dtype(dtype).kind == "c":
         v0 = v0 + 1j * rng.standard_normal(n)
     x0 = v0.view(np.float64)
-    ncv = min(n, _NCV)
+    if x0.size == 1:
+        return max(float(real_w(apply_b(np.ones(1)))[0]), 0.0), 1, 0.0
+
+    count, e, last = 0, 0, None
+
+    def counted_w(x):
+        nonlocal count, e, last
+        if count == DEFAULT_MAXIT:
+            raise NoConvergenceError(
+                f"eigensolver did not reach tolerance {DEFAULT_TOL:g} within "
+                f"{count} operator applications", iterations=count)
+        count += 1
+        y = real_w(x)
+        if count == 1:  # 2^(e-1) <= max|y| < 2^e
+            e = int(np.frexp(np.abs(y).max())[1])
+        last = np.ldexp(y, -e)
+        return last
 
     def operator(matvec):
         return spla.LinearOperator((x0.size,) * 2, matvec=matvec, dtype=np.float64)
@@ -392,37 +390,34 @@ def _pencil_lambda_max(
             M=None if b is None else operator(apply_b),
             which="LM",
             v0=x0,
-            ncv=ncv,
+            ncv=min(x0.size, _NCV),
             tol=DEFAULT_TOL,
             # each restart cycle applies W at least once, so this cap on
             # cycles never binds before the cap on applications
             maxiter=DEFAULT_MAXIT + 1,
         )
-    except spla.ArpackError:
-        # ArpackError keeps no error code: test for the cause of its error -9
-        if count != 1 or first @ apply_b(first) != 0:
-            raise
-        if np.any(first):
-            raise UnderflowError(
-                "eigensolve underflows: the B-norm of the operator's first image is 0"
-            ) from None
+    except spla.ArpackError as exc:
+        # ArpackError keeps no error code; its error -9 is a first image of B-norm 0
+        if count != 1 or last @ apply_b(last) != 0:
+            raise NoConvergenceError(f"eigensolver failed: {exc}", iterations=count) from None
+        if np.any(last):
+            raise UnderflowError("eigensolve underflows: a first image of B-norm 0") from None
         return 0.0, 1, 0.0
-    nu = max(1.0 / float(vals[0]), 0.0)
-    v = vecs[:, 0]
+    lam, v = float(vals[0]), vecs[:, 0]  # 1/nu of W / 2^e, and its Ritz vector
     bv = apply_b(v)
-    r = real_w(bv) - nu * v  # the residual of v, scaled below to a B-unit v
-    res = math.sqrt(max(r @ apply_b(r), 0.0) / (v @ bv))
+    vbv = float(v @ bv)
+    if not (lam != 0.0 and math.isfinite(lam) and 0.0 < vbv < math.inf):
+        raise NoConvergenceError(f"eigensolver ended on the Ritz value 1/{lam:g} with "
+                                 f"a vector of B-norm^2 {vbv:g}", iterations=count)
+    nu = max(1.0 / lam, 0.0)
+    r = np.ldexp(real_w(bv), -e) - nu * v  # the residual of v, scaled below to a B-unit v
+    res = math.sqrt(max(r @ apply_b(r), 0.0) / vbv)
+    if math.frexp(max(nu, res))[1] + e > 1024:  # scaled back, it overflows
+        raise NoConvergenceError(f"eigensolve overflows: {nu:g} * 2^{e}", iterations=count)
+    nu, res = math.ldexp(nu, e), math.ldexp(res, e)
+    if 0.0 < nu < np.finfo(float).tiny:
+        raise UnderflowError(f"eigensolve underflows: nu = {nu:g} is below the normal floats")
     return nu, count, res
-
-
-def _sigma_max(
-    apply_w: Callable[[np.ndarray], np.ndarray], n: int, seed: int, b=None
-) -> tuple[float, int, float]:
-    """Largest singular value sigma of an operator whose sigma^2 is the top
-    eigenvalue of W B (see :func:`_pencil_lambda_max`): (sigma, operator
-    applications, eigenvalue residual)."""
-    nu, it, res = _pencil_lambda_max(apply_w, n, seed, b=b)
-    return math.sqrt(nu), it, res
 
 
 def _norm_matrix(X, n: int) -> sp.spmatrix:
@@ -452,7 +447,7 @@ def weighted_operator_norm(
     op = spla.aslinearoperator(op)
     mv, rmv, n = op.matvec, op.rmatvec, op.shape[0]
     if mode == "euclid":
-        return _sigma_max(lambda v: rmv(mv(v)), n, seed)[0]
+        return math.sqrt(_pencil_lambda_max(lambda v: rmv(mv(v)), n, seed)[0])
     if gram is None:
         raise InvalidArgumentError(f"mode {mode!r} requires a Gram factor")
     if gram.n != n:
@@ -461,7 +456,7 @@ def weighted_operator_norm(
     # lambda_max(C D^{-1} C^H D)
     first, then = (rmv, mv) if mode == "D" else (mv, rmv)
     apply_w = lambda v: then(gram.solve(first(v)))
-    return _sigma_max(apply_w, n, seed, b=complex_twin(gram.A))[0]
+    return math.sqrt(_pencil_lambda_max(apply_w, n, seed, b=complex_twin(gram.A))[0])
 
 
 def _solution_normal(lu: LUFactor, mid) -> Callable[[np.ndarray], np.ndarray]:
@@ -476,18 +471,19 @@ def discrete_inf_sup(lu: LUFactor, D, seed: int = DEFAULT_SEED) -> InfSupReport:
     root of the top eigenvalue of A^{-H} D A^{-1} D in the D inner
     product, through the LU factors ``lu`` of A and products with the
     matrix D, which is never factored here. D is SPD and A^{-1} injective,
-    so C_dis is positive, and a C_dis of 0 (or a first Lanczos image of
-    B-norm 0) is an underflow: UnderflowError. A singular A has no LU
-    factors; :meth:`MatrixSystem.inf_sup` reports it as singular.
+    so C_dis is positive, and a C_dis^2 of 0 or below the normal floats
+    is an underflow: UnderflowError. A singular A has no LU factors;
+    :meth:`MatrixSystem.inf_sup` reports it as singular.
     """
     n = lu.n
     D = complex_twin(_norm_matrix(D, n))  # one twin for W and B
     try:
-        c_dis, it, res = _sigma_max(_solution_normal(lu, D), n, seed, b=D)
+        nu, it, res = _pencil_lambda_max(_solution_normal(lu, D), n, seed, b=D)
     except UnderflowError:
-        c_dis = 0.0
-    if c_dis == 0.0:
-        raise UnderflowError("C_dis underflows to 0: A is too large for the norm of D")
+        nu = 0.0
+    if nu == 0.0:
+        raise UnderflowError("C_dis underflows: A is too large for the norm of D")
+    c_dis = math.sqrt(nu)
     return InfSupReport(gamma=1.0 / c_dis, c_dis=c_dis, iterations=it, residual=res)
 
 
@@ -543,6 +539,6 @@ def solution_operator_norms(
     """
     n = lu.n
     D, M = _norm_matrix(D, n), complex_twin(_norm_matrix(M, n))  # B of both runs
-    h0_to_h, _, _ = _sigma_max(_solution_normal(lu, complex_twin(D)), n, seed, b=M)
-    h0_to_h0, _, _ = _sigma_max(_solution_normal(lu, M), n, seed, b=M)
-    return SolutionOperatorNorms(h0_to_h=h0_to_h, h0_to_h0=h0_to_h0)
+    h0_to_h = _pencil_lambda_max(_solution_normal(lu, complex_twin(D)), n, seed, b=M)[0]
+    h0_to_h0 = _pencil_lambda_max(_solution_normal(lu, M), n, seed, b=M)[0]
+    return SolutionOperatorNorms(h0_to_h=math.sqrt(h0_to_h), h0_to_h0=math.sqrt(h0_to_h0))

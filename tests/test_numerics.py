@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -31,9 +32,9 @@ from helmprec.errors import (
     InvalidArgumentError,
     NoConvergenceError,
     NotPositiveDefiniteError,
+    UnderflowError,
 )
 from helmprec.numerics import (
-    _DENSE_PENCIL_N,
     LUFactor,
     _pencil_lambda_max,
     discrete_inf_sup,
@@ -176,10 +177,9 @@ FACTOR_CASES = {
 
 @pytest.mark.parametrize("case", ["2d", "matrix_mu", "dirichlet"])
 def test_lanczos_estimates_match_dense_oracles(case):
-    """Above the dense cutoff, so ARPACK runs: C_dis, both solution norms
-    and the three operator-norm modes, D_inv on a non-symmetric pair."""
+    """C_dis, both solution norms and the three operator-norm modes, D_inv
+    on a non-symmetric pair."""
     s = FACTOR_CASES[case]()
-    assert s.n > _DENSE_PENCIL_N
     g = gram_factor(s.D)
     hstar, h0_to_h, h0_to_h0 = oracle_solution_norms(s.A, s.D, s.M)
     assert discrete_inf_sup(s.lu, s.D).c_dis == pytest.approx(hstar, rel=1e-9)
@@ -252,16 +252,15 @@ def _random_pencil(rng, n, dtype):
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("n", [_DENSE_PENCIL_N, 40])
+@pytest.mark.parametrize("n", [8, 40])
 def test_b_inner_product_eigensolve_matches_dense_pencil(
     n, dtype, rng, eigsh_calls, monkeypatch
 ):
     """nu = lambda_max(W B) is the top of the dense generalised problem
-    B W B x = nu B x to 1e-10, on the dense path and through ARPACK, where
-    the reported residual is the B-norm residual ||W B v - nu v||_B of the
-    B-unit multiple v of the Ritz vector ARPACK returned (checked where it
-    is well above rounding, at tolerance 1e-6), read through its complex
-    view for a complex W."""
+    B W B x = nu B x to 1e-10, and the reported residual is the B-norm
+    residual ||W B v - nu v||_B of the B-unit multiple v of the Ritz vector
+    ARPACK returned (checked where it is well above rounding, at tolerance
+    1e-6), read through its complex view for a complex W."""
     W, B = _random_pencil(rng, n, dtype)
     top = sla.eigh(B @ W @ B, B, eigvals_only=True)[-1]
     for tol in (1e-10, 1e-6):
@@ -270,9 +269,6 @@ def test_b_inner_product_eigensolve_matches_dense_pencil(
         nu, it, res = _pencil_lambda_max(
             lambda v: W @ v, n, 0, dtype=dtype, b=sp.csr_matrix(B))
         assert nu == pytest.approx(top, rel=1e-10)
-        if n <= _DENSE_PENCIL_N:
-            assert eigsh_calls == [] and (it, res) == (n, 0.0)
-            continue
         (call,) = eigsh_calls
         v = call["vecs"][:, 0].view(dtype)
         v = v / np.sqrt(np.vdot(v, B @ v).real)
@@ -282,18 +278,55 @@ def test_b_inner_product_eigensolve_matches_dense_pencil(
         assert res <= 10 * tol * top
 
 
-@pytest.mark.parametrize("n", range(_DENSE_PENCIL_N + 1, 17))
+@pytest.mark.parametrize("n", range(1, 17))
 def test_small_complex_pencils_match_dense_eigh(n, rng):
-    """Just above the dense cutoff ARPACK's basis holds ncv = n vectors of
-    R^{2n}, where each eigenvalue of a complex Hermitian W B is double, so
-    the real Krylov space (dimension at most n) runs out: the top still
-    agrees with a dense eigh to 1e-10, with and without a norm matrix."""
-    W, B = _random_pencil(rng, n, complex)
-    for b, want in ((None, sla.eigvalsh(W)[-1]),
-                    (B, sla.eigh(B @ W @ B, B, eigvals_only=True)[-1])):
-        nu, _, _ = _pencil_lambda_max(
-            lambda v: W @ v, n, 0, b=None if b is None else sp.csr_matrix(b))
-        assert nu == pytest.approx(want, rel=1e-10)
+    """At every small n the one eigensolve path agrees with a dense eigh to
+    1e-10, for a real and a complex W, with and without a norm matrix, at
+    magnitudes drawn from 3^+-50 (W) and 5^+-20 (B), which are not powers of 2.
+    ARPACK's basis holds min(real dimension, 15) vectors, and each
+    eigenvalue of a complex Hermitian W B is double on R^{2n}, so its real
+    Krylov space (dimension at most n) runs out; a complex n = 1 is a 2 x 2
+    real pencil, and a real n = 1 is its one entry W B, never scaled."""
+    for dtype in (float, complex):
+        W, B = _random_pencil(rng, n, dtype)
+        W, B = 3.0 ** rng.integers(-50, 50) * W, 5.0 ** rng.integers(-20, 20) * B
+        for b, want in ((None, sla.eigvalsh(W)[-1]),
+                        (B, sla.eigh(B @ W @ B, B, eigvals_only=True)[-1])):
+            nu, _, _ = _pencil_lambda_max(
+                lambda v: W @ v, n, 0, dtype=dtype,
+                b=None if b is None else sp.csr_matrix(b))
+            assert nu == pytest.approx(want, rel=1e-10), (dtype, b is None)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_eigensolve_scales_exactly_by_powers_of_2(dtype, rng):
+    """ARPACK runs on W / 2^e, e from W's first image, so 2^j W gives the
+    eigenvalue and residual of W times 2^j bit for bit, with the same
+    applications, with and without B, out to j = +-1000, where the squared
+    B-norms of W's images leave the float range."""
+    n = 12
+    W, B = _random_pencil(rng, n, dtype)
+    for b in (None, sp.csr_matrix(B)):
+        nu, it, res = _pencil_lambda_max(lambda v: W @ v, n, 0, dtype=dtype, b=b)
+        for j in (-1000, -500, 500, 1000):
+            Wj = W * 2.0 ** j
+            got = _pencil_lambda_max(lambda v: Wj @ v, n, 0, dtype=dtype, b=b)
+            assert got == (math.ldexp(nu, j), it, math.ldexp(res, j)), (j, b is None)
+
+
+def test_an_eigenvalue_beyond_the_normal_floats_is_a_typed_error():
+    """nu = 1.2 * 1.6e308 overflows, although no image of W does (the start
+    vector's top entry is 0.126 at seed 0, and every later vector is B-unit):
+    NoConvergenceError with no estimate. nu = 1e-320 is below the normal
+    floats: UnderflowError."""
+    n, eye = 30, sp.identity(30, format="csr")
+    W = np.r_[1.6e308, np.linspace(1e306, 1e307, n - 1)]
+    with pytest.raises(NoConvergenceError, match="overflows") as info:
+        _pencil_lambda_max(lambda v: W * v, n, 0, dtype=float, b=1.2 * eye)
+    assert info.value.estimate is None
+    W = np.r_[1e-300, np.linspace(1e-302, 1e-301, n - 1)]
+    with pytest.raises(UnderflowError, match="underflows"):
+        _pencil_lambda_max(lambda v: W * v, n, 0, dtype=float, b=1e-20 * eye)
 
 
 def test_capped_arpack_run_carries_no_estimate(monkeypatch):
