@@ -477,15 +477,15 @@ def nearby_bound_report(
         )
     inf1 = sys1.inf_sup(seed)
     op_left, op_right = _difference_operators(A1, A2, sys2.lu)
-    lhs_D = weighted_operator_norm(op_left, G, "D", seed=seed)
-    lhs_2 = weighted_operator_norm(op_left, None, "euclid", seed=seed)
+    lhs_D = weighted_operator_norm(op_left, G, seed=seed)
+    lhs_2 = weighted_operator_norm(op_left, None, seed=seed)
     # A2's factor has tested A2 once already; a singular A1 has none
     if is_symmetric(A1) and sys2.lu.symmetric:
         # op_right is the transpose of op_left: the twin identities
         lhs_Dinv, lhs_2p = lhs_D, lhs_2
-    else:
-        lhs_Dinv = weighted_operator_norm(op_right, G, "D_inv", seed=seed)
-        lhs_2p = weighted_operator_norm(op_right, None, "euclid", seed=seed)
+    else:  # ||C||_{D^{-1}} = ||C^H||_D
+        lhs_Dinv = weighted_operator_norm(op_right.H, G, seed=seed)
+        lhs_2p = weighted_operator_norm(op_right, None, seed=seed)
 
     rhs_lemma = (dmu + deps) * inf2.c_dis
     rhs_lemma2 = me.ratio * deps * inf2.c_dis if dmu == 0.0 else None

@@ -66,34 +66,27 @@ def _add_report_checks(result: ScenarioResult, prefix: str, checks):
 
 def _add_bound_report(result: ScenarioResult, rep, out: str):
     """Write a bound report as bounds.json and bounds.csv and add its checks."""
-    for key, name, fmt in (("bounds", "bounds.json", "json"),
-                           ("bounds_csv", "bounds.csv", "csv")):
-        result.paths[key] = hio.write_report(rep, os.path.join(out, name), fmt)
+    for key, name in (("bounds", "bounds.json"), ("bounds_csv", "bounds.csv")):
+        result.paths[key] = hio.write_report(rep, os.path.join(out, name))
     if rep.singular:
         result.add("bounds.nonsingular", False, math.nan)
     else:
         _add_report_checks(result, "bounds", rep.checks)
 
 
-def _check_seed(seed):
+def _check_seed(seed: int):
     """numpy's seeding takes non-negative seeds only."""
-    if seed is not None and seed < 0:
+    if seed < 0:
         raise InvalidArgumentError(f"--seed must be >= 0, got {seed}")
 
 
-def _load(config_path: str, out_dir):
-    """(config, output directory) of a config command; makes the directory."""
-    cfg = hio.load_config(config_path)
-    out = out_dir or cfg["output"]["dir"]
-    os.makedirs(out, exist_ok=True)
-    return cfg, out
-
-
-def _prologue(config_path: str, out_dir, seed):
-    """(config, output directory, seed) of a checking config command."""
+def _load(config_path: str, out_dir: str, seed: int = 0) -> dict:
+    """The config of a config command, after checking its seed; makes the
+    output directory."""
     _check_seed(seed)
-    cfg, out = _load(config_path, out_dir)
-    return cfg, out, cfg["seed"] if seed is None else seed
+    cfg = hio.load_config(config_path)
+    os.makedirs(out_dir, exist_ok=True)
+    return cfg
 
 
 def _perturbed(cfg: dict, sys1, alpha=None):
@@ -110,13 +103,9 @@ def _perturbed(cfg: dict, sys1, alpha=None):
     return assemble_system(ProblemSpec(spec1.k, spec1.mesh, *fields, spec1.theta)), None
 
 
-def cmd_verify(
-    config_path: str,
-    out_dir: str | None = None,
-    seed: int | None = None,
-) -> ScenarioResult:
+def cmd_verify(config_path: str, out_dir: str = "out", seed: int = 0) -> ScenarioResult:
     """Run the full bound-verification scenario of one config."""
-    cfg, out, seed = _prologue(config_path, out_dir, seed)
+    cfg = _load(config_path, out_dir, seed)
     result = ScenarioResult()
 
     sys1 = assemble_system(hio.build_problem(cfg["problem"]))
@@ -127,9 +116,7 @@ def cmd_verify(
         constants = garding_constants_for(sys1.spec)
 
     grep = garding_check(sys1, constants, seed=seed)
-    result.paths["garding"] = hio.write_report(
-        grep, os.path.join(out, "garding.json"), "json"
-    )
+    result.paths["garding"] = hio.write_report(grep, os.path.join(out_dir, "garding.json"))
     result.add("garding.sampled", grep.violations == 0, grep.worst_rel_margin)
     if grep.identity_max_rel_err is not None:
         result.add(
@@ -140,12 +127,11 @@ def cmd_verify(
 
     nrep = norm_equivalence_report(sys1, constants, seed=seed)
     result.paths["norm_equivalence"] = hio.write_report(
-        nrep, os.path.join(out, "norm_equivalence.json"), "json"
-    )
+        nrep, os.path.join(out_dir, "norm_equivalence.json"))
     _add_report_checks(result, "norms", nrep.checks)
 
     brep = nearby_bound_report(sys1, sys2, seed=seed, alpha=alpha)
-    _add_bound_report(result, brep, out)
+    _add_bound_report(result, brep, out_dir)
     return result
 
 
@@ -183,15 +169,11 @@ def _ladder_rung(sys1, seed):
         return exc
 
 
-def cmd_sweep(
-    config_path: str,
-    out_dir: str | None = None,
-    seed: int | None = None,
-) -> ScenarioResult:
+def cmd_sweep(config_path: str, out_dir: str = "out", seed: int = 0) -> ScenarioResult:
     """Evaluate the config's (k, alpha) grid; one CSV row per point. Each k's
     first system, with its factors, C_dis and mass extremes, serves every alpha
     and is the working rung of the inf-sup ladder."""
-    cfg, out, seed = _prologue(config_path, out_dir, seed)
+    cfg = _load(config_path, out_dir, seed)
     result = ScenarioResult()
 
     sweep = cfg["sweep"]
@@ -208,7 +190,7 @@ def cmd_sweep(
             rungs.append(_ladder_rung(sys1, seed))
     del sys1  # the last k's factors must not stay alive through the ladder
 
-    sweep_path = os.path.join(out, "sweep.csv")
+    sweep_path = os.path.join(out_dir, "sweep.csv")
     hio.write_csv(sweep_path, SWEEP_COLUMNS, rows)
     result.paths["sweep"] = sweep_path
     for row in rows:
@@ -226,8 +208,8 @@ def cmd_sweep(
             if isinstance(rung, HelmprecError):
                 raise rung
         ladder = infsup_ladder(rungs, sweep["ladder"]["refine"], seed=seed)
-        ladder_path = os.path.join(out, "ladder.csv")
-        hio.write_report(ladder, ladder_path, "csv")
+        ladder_path = os.path.join(out_dir, "ladder.csv")
+        hio.write_report(ladder, ladder_path)
         result.paths["ladder"] = ladder_path
         for e in ladder.entries:
             result.add(
@@ -237,16 +219,16 @@ def cmd_sweep(
     return result
 
 
-def cmd_export(config_path: str, out_dir: str | None = None) -> ScenarioResult:
+def cmd_export(config_path: str, out_dir: str = "out") -> ScenarioResult:
     """Assemble the config's pair and write it as matrix exchange files; it
     checks nothing, so its result holds only the written paths."""
-    cfg, out = _load(config_path, out_dir)
+    cfg = _load(config_path, out_dir)
     sys1 = assemble_system(hio.build_problem(cfg["problem"]))
     sys2, _ = _perturbed(cfg, sys1)
     dmu = field_diff_sup_norm(sys1.spec.mu_inv, sys2.spec.mu_inv)
     deps = field_diff_sup_norm(sys1.spec.eps, sys2.spec.eps)
     result = ScenarioResult()
-    result.paths.update(hio.write_matrix_exchange(sys1, sys2, out, dmu=dmu, deps=deps))
+    result.paths.update(hio.write_matrix_exchange(sys1, sys2, out_dir, dmu=dmu, deps=deps))
     return result
 
 
@@ -284,8 +266,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
     config = ("--config", dict(dest="config_path", required=True, help="path to JSON config"))
-    out_dir = ("--out-dir", dict(default=None, help="override output directory"))
-    seed = ("--seed", dict(type=int, default=None, help="override config seed"))
+    out_dir = ("--out-dir", dict(default="out", help="output directory (default: out)"))
+    seed = ("--seed", dict(type=int, default=0, help="seed of the estimates (default: 0)"))
     for name, doc, flags in (
         ("verify", "run bound checks for one config", (config, out_dir, seed)),
         ("sweep", "evaluate the (k, alpha) grid of one config", (config, out_dir, seed)),
@@ -297,7 +279,7 @@ def _parser() -> argparse.ArgumentParser:
                            help="sup norm of the diffusion coefficient difference")),
             ("--deps", dict(type=float, default=None,
                             help="sup norm of the low-order coefficient difference")),
-            out_dir, ("--seed", dict(type=int, default=0, help="seed of the estimates")),
+            ("--out-dir", dict(default=None, help="output directory (default: --dir)")), seed,
         )),
     ):
         sp = sub.add_parser(name, help=doc)

@@ -36,16 +36,12 @@ class UnderflowError(HelmprecError):
 class NoConvergenceError(HelmprecError):
     """An iterative estimator hit its iteration cap, or ended without an
     estimate: its eigensolver failed, or gave a Ritz value that is 0, not
-    finite or beyond the float range.
-
-    ``estimate`` is the last estimate, as the quantity the raising function
-    returns, or None: a run stopped mid-cycle at its cap, or ended without
-    one, has none. ``iterations`` counts the operator applications.
+    finite or beyond the float range. It carries no estimate;
+    ``iterations`` counts the operator applications made.
     """
 
-    def __init__(self, msg, estimate=None, iterations=None):
+    def __init__(self, msg, iterations=None):
         super().__init__(msg)
-        self.estimate = estimate
         self.iterations = iterations
 
 

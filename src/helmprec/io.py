@@ -24,8 +24,13 @@ digits so doubles round-trip exactly. An exchange directory holds
 A1.mtx, A2.mtx, D.mtx, M.mtx and meta.json, and is read and written
 whole. Reports serialize with a fixed field order, so identical inputs
 give byte-identical files: a bound report to JSON or CSV, a Gårding or
-norm-equivalence report to JSON, and an inf-sup ladder to CSV. A numpy
-scalar in a JSON report is written as the Python number it holds.
+norm-equivalence report to JSON, and an inf-sup ladder to CSV, in the
+form that the file's suffix names. A numpy scalar in a JSON report is
+written as the Python number it holds.
+
+A config describes a problem only: a run's seed and output directory
+are the command line's ``--seed`` and ``--out-dir``, and a config with a
+``seed`` or ``output`` key is a ``ConfigError`` that names the key.
 """
 
 from __future__ import annotations
@@ -174,7 +179,6 @@ _CONSTANT_ONE = {"type": "constant", "value": [1.0, 0.0]}
 
 _CONFIG = {
     "schema_version": (_int, SCHEMA_VERSION, _one_of(SCHEMA_VERSION)),
-    "seed": (_int, 0, _at_least(0)),  # numpy's seeding takes non-negative integers only
     "problem": ({
         "dimension": (_int, REQUIRED, _one_of(1, 2)),
         "domain": (_pair, lambda cfg: [0.0, 1.0] if cfg["problem"]["dimension"] == 1
@@ -203,7 +207,6 @@ _CONFIG = {
         "resolution": (_RESOLUTION, lambda cfg: cfg["problem"]["resolution"], None),
         "ladder": ({"refine": (_int, 4, _at_least(2))}, None, None),
     }, {}, None),
-    "output": ({"dir": (_str, "out", None)}, {}, None),
 }
 
 
@@ -610,14 +613,16 @@ _CSV_FORMS = {
 }
 
 
-def write_report(report, path: str, fmt: str = "json") -> str:
-    """Serialize a report to JSON or CSV with deterministic field order."""
-    forms = {"json": _JSON_FORMS, "csv": _CSV_FORMS}.get(fmt)
+def write_report(report, path: str) -> str:
+    """Serialize a report with deterministic field order, to JSON or CSV as
+    the suffix of ``path`` says, ``.json`` or ``.csv``."""
+    fmt = os.path.splitext(path)[1]
+    forms = {".json": _JSON_FORMS, ".csv": _CSV_FORMS}.get(fmt)
     if forms is None:
-        raise InvalidArgumentError(f"format must be json or csv, got {fmt!r}")
+        raise InvalidArgumentError(f"report path {path!r} does not end in .json or .csv")
     if type(report) not in forms:
         raise InvalidArgumentError(f"cannot write {type(report).__name__} as {fmt}")
-    if fmt == "json":
+    if fmt == ".json":
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             # np.float64 is a float; np.bool_ and np.integer need their item()
             json.dump(forms[type(report)](report), fh, indent=2, default=lambda o: o.item())

@@ -42,7 +42,8 @@ for the B-unit Ritz vector v. Iterations stop on it at the relative
 tolerance ``DEFAULT_TOL`` = 1e-10 and are capped at ``DEFAULT_MAXIT``
 applications of W. A run that ends without an estimate (at the cap, on
 an ARPACK failure, or on a nu outside the normal floats) raises a typed
-error. Start vectors are seeded, so all reported numbers are reproducible.
+error. Start and restart vectors are drawn from one generator of the
+seed, so all reported numbers are reproducible.
 
 The extremes m_-^2 <= m_+^2 of M (the norm-equivalence constant m_+/m_-)
 need care at the top, where the P1 mass spectrum clusters and Lanczos on
@@ -97,8 +98,6 @@ from .errors import (
 DEFAULT_TOL = 1e-10
 DEFAULT_MAXIT = 50_000
 DEFAULT_SEED = 0
-
-_MODES = ("D", "D_inv", "euclid")
 
 # Minimum-degree ordering of A^T + A (Liu, ACM TOMS 1985). The system and
 # norm matrices are structurally symmetric, and on lexicographically
@@ -171,16 +170,17 @@ class LUFactor:
         return self.superlu.solve(b, trans="T")
 
 
-def lu_factor(A, dtype=complex, **options) -> LUFactor:
+def lu_factor(A, **options) -> LUFactor:
     """Factor a square matrix.
 
-    The package's only call into SuperLU: A is cast to ``dtype`` (system
-    solves take complex right-hand sides), its columns are ordered by
-    minimum degree on the pattern of A^T + A, SuperLU runs in symmetric
-    mode, and ``options`` pass through to ``splu``. An exactly singular
-    matrix raises SingularSystemError.
+    The package's only call into SuperLU: A is factored in its own kind,
+    a complex A in complex128 and any other in float64, its columns are
+    ordered by minimum degree on the pattern of A^T + A, SuperLU runs in
+    symmetric mode, and ``options`` pass through to ``splu``. An exactly
+    singular matrix raises SingularSystemError.
     """
-    Ac = _square_csc(A).astype(dtype, copy=False)
+    Ac = _square_csc(A)
+    Ac = Ac.astype(complex if np.iscomplexobj(Ac) else float, copy=False)
     try:
         return LUFactor(Ac, spla.splu(Ac, permc_spec=_FILL_ORDERING,
                                       options=_SYMMETRIC_MODE, **options))
@@ -223,7 +223,7 @@ def gram_factor(D) -> LUFactor:
     if not nearly_equal(Dc, Dc.T):
         raise InvalidArgumentError("gram_factor needs a symmetric matrix")
     try:
-        f = lu_factor(Dc, dtype=float, diag_pivot_thresh=0.0)
+        f = lu_factor(Dc, diag_pivot_thresh=0.0)
     except SingularSystemError as exc:
         raise NotPositiveDefiniteError(f"factorization failed: {exc}") from exc
     lu = f.superlu
@@ -310,9 +310,10 @@ def _pencil_lambda_max(
     ``apply_w`` and the Hermitian PD matrix ``b`` (None for B = I).
 
     ARPACK's shift-invert mode at sigma = 0, given OPinv = W and M = B,
-    runs Lanczos on W B in the B inner product from a seeded start vector
-    (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998, mode 3),
-    never applies its A, and reports 1/nu. Power iteration would stall on
+    runs Lanczos on W B in the B inner product (Lehoucq, Sorensen & Yang,
+    ARPACK Users' Guide, SIAM 1998, mode 3), never applies its A, and
+    reports 1/nu. One generator of ``seed`` draws its start vector and any
+    restart vector that ARPACK asks for. Power iteration would stall on
     the clustered extremes of finite-element mass and Gram matrices.
     ARPACK sees float64 vectors only, so it takes its symmetric driver: a
     complex W (the default ``dtype``) and B act on the interleaved float
@@ -395,6 +396,7 @@ def _pencil_lambda_max(
             # each restart cycle applies W at least once, so this cap on
             # cycles never binds before the cap on applications
             maxiter=DEFAULT_MAXIT + 1,
+            rng=rng,  # draws the restart vectors that ARPACK asks for
         )
     except spla.ArpackError as exc:
         # ArpackError keeps no error code; its error -9 is a first image of B-norm 0
@@ -430,32 +432,26 @@ def _norm_matrix(X, n: int) -> sp.spmatrix:
     return X
 
 
-def weighted_operator_norm(
-    op, gram: Optional[LUFactor], mode: str, seed: int = DEFAULT_SEED
-) -> float:
-    """Operator norm of ``op`` in the D norm, the D^{-1} norm, or Euclidean.
+def weighted_operator_norm(op, gram: Optional[LUFactor], seed: int = DEFAULT_SEED) -> float:
+    """Operator norm ||op||_D of ``op``, for D = ``gram.A`` of the Gram
+    factor ``gram``, or its Euclidean norm when ``gram`` is None.
 
     ``op`` may be an ndarray, a sparse matrix, or a LinearOperator with
     ``matvec`` and ``rmatvec`` (the adjoint is required: the norm is a
-    largest singular value, computed through the normal operator).
-    ``mode`` selects 'D', 'D_inv', or 'euclid'; the Gram factor is
-    ignored for 'euclid'. The weighted modes make one D solve and one
-    product with D per operator application.
+    largest singular value, computed through the normal operator). The
+    D^{-1} norm of an operator C is the D norm of its adjoint,
+    ||C||_{D^{-1}} = ||C^H||_D, which a LinearOperator gives as ``C.H``.
+    The D norm makes one D solve and one product with D per operator
+    application.
     """
-    if mode not in _MODES:
-        raise InvalidArgumentError(f"mode must be one of {_MODES}, got {mode!r}")
     op = spla.aslinearoperator(op)
     mv, rmv, n = op.matvec, op.rmatvec, op.shape[0]
-    if mode == "euclid":
-        return math.sqrt(_pencil_lambda_max(lambda v: rmv(mv(v)), n, seed)[0])
     if gram is None:
-        raise InvalidArgumentError(f"mode {mode!r} requires a Gram factor")
+        return math.sqrt(_pencil_lambda_max(lambda v: rmv(mv(v)), n, seed)[0])
     if gram.n != n:
         raise InvalidArgumentError(f"operator dim {n} != Gram factor dim {gram.n}")
-    # ||C||_{D^{-1}}^2 = lambda_max(C^H D^{-1} C D), and ||C||_D = ||C^H||_{D^{-1}}:
-    # lambda_max(C D^{-1} C^H D)
-    first, then = (rmv, mv) if mode == "D" else (mv, rmv)
-    apply_w = lambda v: then(gram.solve(first(v)))
+    # ||C||_D^2 = ||C^H||_{D^{-1}}^2 = lambda_max(C D^{-1} C^H D)
+    apply_w = lambda v: mv(gram.solve(rmv(v)))
     return math.sqrt(_pencil_lambda_max(apply_w, n, seed, b=complex_twin(gram.A))[0])
 
 

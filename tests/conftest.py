@@ -1,7 +1,8 @@
 """Shared fixtures: canonical test problems and dense oracles.
 
 The oracle helpers use dense scipy.linalg factorizations only, so they
-stay independent of the package's sparse/iterative code paths.
+stay independent of the package's sparse/iterative code paths;
+``estimated_norm`` is the package's estimate of an oracle's mode.
 """
 
 import importlib.util
@@ -24,6 +25,7 @@ from helmprec import (
     constant_field,
 )
 from helmprec.mesh import BoundaryTag
+from helmprec.numerics import weighted_operator_norm
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
@@ -95,6 +97,14 @@ def oracle_weighted_norm(C, D, mode):
     else:
         T = sla.inv(L) @ C @ L
     return sla.svdvals(T)[0]
+
+
+def estimated_norm(C, gram, mode):
+    """The package's estimate of an oracle mode: ||C||_D for 'D', the D
+    norm of the adjoint for 'D_inv', and the Euclidean norm for 'euclid'."""
+    op = spla.aslinearoperator(C)
+    return weighted_operator_norm(op.H if mode == "D_inv" else op,
+                                  None if mode == "euclid" else gram)
 
 
 def oracle_infsup(A, D):

@@ -17,6 +17,7 @@ from helmprec.cli import _parser, cmd_export, cmd_import, cmd_sweep, cmd_verify,
 from helmprec.errors import (
     ConfigError,
     HelmprecError,
+    InvalidArgumentError,
     InvalidCoefficientError,
     InvalidSystemError,
     MatrixExchangeError,
@@ -33,7 +34,6 @@ def write_cfg(tmp_path, extra=None, name="cfg.json"):
         },
         "perturbation": {"mode": "absorption", "alpha": 0.2},
         "sweep": {"k_values": [4.0, 8.0], "alpha_values": [0.1, 0.2, 0.4]},
-        "output": {"dir": str(tmp_path / "out")},
     }
     if extra:
         for key, val in extra.items():
@@ -44,7 +44,7 @@ def write_cfg(tmp_path, extra=None, name="cfg.json"):
 
 
 def test_verify_passes_with_positive_margins(tmp_path):
-    res = cmd_verify(write_cfg(tmp_path))
+    res = cmd_verify(write_cfg(tmp_path), out_dir=str(tmp_path / "out"))
     assert res.exit_status == 0
     assert all(ok for _, ok, _ in res.summaries)
     for key in ("garding", "norm_equivalence", "bounds", "bounds_csv"):
@@ -100,7 +100,7 @@ def test_verify_garding_refutes_too_large_c_g1(tmp_path, capsys):
 
 def test_verify_false_garding_fails(tmp_path):
     path = write_cfg(tmp_path, {"problem": {"garding": {"c_g1": 10.0, "c_g2": 0.0}}})
-    res = cmd_verify(path)
+    res = cmd_verify(path, out_dir=str(tmp_path / "out"))
     assert res.exit_status == 1
     failed = [name for name, ok, _ in res.summaries if not ok]
     assert any("garding" in name for name in failed)
@@ -156,15 +156,15 @@ PLANE = {"dimension": 2, "resolution": {"type": "elements", "n": 4}}
     ({"solver": [1]}, "solver"),
     ({"perturbation": "absorption"}, "perturbation"),
     ({"problem": 5}, "problem"),
-    ({"output": {"dir": 5}}, "output.dir"),
+    ({"output": {"dir": 5}}, "unknown keys ['output'] (output)"),
     ({"problem": {"resolution": {"type": "elements", "n": 4.7}}}, "problem.resolution.n"),
     ({"problem": dict(PLANE, eps=_step(1.9))}, "problem.eps.axis"),
     ({"sweep": {"ladder": {"refine": 2.5}}}, "sweep.ladder.refine"),
     ({"solver": {"max_it": 20.5}}, "unknown keys ['solver']"),
     ({"solver": {"garding_samples": 10.5}}, "unknown keys ['solver']"),
     ({"solver": {"garding_samples": True}}, "unknown keys ['solver']"),
-    ({"seed": 2.5}, "seed"),
-    ({"seed": True}, "seed"),
+    ({"seed": 2.5}, "unknown keys ['seed'] (seed)"),
+    ({"seed": True}, "unknown keys ['seed'] (seed)"),
     ({"problem": {"k": float("inf")}}, "problem.k"),
     ({"problem": {"k": float("nan")}}, "problem.k"),
     ({"problem": {"k": 10 ** 400}}, "problem.k"),
@@ -175,10 +175,10 @@ PLANE = {"dimension": 2, "resolution": {"type": "elements", "n": 4}}
     ({"problem": {"garding": {"c_g1": float("nan"), "c_g2": 2.0}}}, "problem.garding"),
     ({"problem": {"garding": {"c_g1": 1.0, "c_g2": float("inf")}}}, "problem.garding"),
     ({"problem": {"garding": {"c_g1": 0.0, "c_g2": 2.0}}}, "problem.garding"),
-    ({"seed": -1}, "seed"),
+    ({"seed": -1}, "unknown keys ['seed'] (seed)"),
     ({"problem": {"k": "8"}}, "problem.k"),
     ({"solver": {"tol": "1e-3"}}, "unknown keys ['solver']"),
-    ({"seed": "3"}, "seed"),
+    ({"seed": "3"}, "unknown keys ['seed'] (seed)"),
     ({"problem": {"resolution": {"type": "elements", "n": "30"}}}, "problem.resolution.n"),
     ({"problem": {"mu_inv": {"type": "constant", "value": True}}}, "problem.mu_inv.value"),
     ({"problem": {"eps": {"type": "constant", "value": [True, False]}}}, "problem.eps.value"),
@@ -207,6 +207,7 @@ PLANE = {"dimension": 2, "resolution": {"type": "elements", "n": 4}}
     ({"perturbation": {"mode": "nearby", "eps": _pml(1.5)}}, "perturbation.eps.start"),
     ({"problem": PLANE, "perturbation": {"mode": "nearby", "mu_inv": _pml(0.5)}},
      "perturbation.mu_inv.start"),
+    ({"seed": 0}, "unknown keys ['seed'] (seed)"),
 ], ids=["elements", "per_k", "k_power", "n", "step", "pml", "constant", "value", "k",
         "theta", "axis_3", "axis_negative", "axis_1d", "perturbation_axis", "ladder",
         "k_values", "k_values_text", "alpha_values", "boundary", "garding", "solver", "perturbation",
@@ -220,7 +221,7 @@ PLANE = {"dimension": 2, "resolution": {"type": "elements", "n": 4}}
         "sigma0_negative", "k_values_negative", "k_values_zero", "domain_reversed",
         "domain_side_zero", "domain_side_negative", "pml_2d", "pml_start_beyond",
         "pml_start_at_end", "pml_start_before", "perturbation_pml_start",
-        "perturbation_pml_2d"])
+        "perturbation_pml_2d", "seed"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, extra, where):
     path = write_cfg(tmp_path, extra)
     with pytest.raises(ConfigError) as exc:
@@ -339,7 +340,7 @@ def test_tol_scale_must_be_finite_and_non_negative(tmp_path, command, scale):
 
 
 def test_tol_scale_one_keeps_its_verdicts(tmp_path):
-    res = cmd_verify(write_cfg(tmp_path, WRONG_GARDING))
+    res = cmd_verify(write_cfg(tmp_path, WRONG_GARDING), out_dir=str(tmp_path / "out"))
     assert res.exit_status == 1
     assert {name for name, ok, _ in res.summaries if not ok} == WRONG_GARDING_FAILS
     assert len(res.summaries) == 12
@@ -781,6 +782,52 @@ def test_verify_is_covariant_under_coefficient_scaling(tmp_path, dimension, j):
         assert math.ldexp(bounds[key], j) == bounds0[key], key
     for key in ("h0_to_h", "h0_to_h0"):
         assert math.ldexp(norms[key], j) == norms0[key], key
+    assert bounds["dmu"] == bounds0["dmu"] == 0.0
+    assert math.ldexp(bounds["deps"], -j) == bounds0["deps"]
+    # C_dis_2 <= 2 C_dis_1 scales with C_dis; the other checks do not move
+    names = [c["name"] for c in bounds["checks"]]
+    assert ("perturbed_factor2" in names) == (dimension == 2)
+    for c, c0 in zip(bounds["checks"], bounds0["checks"]):
+        scale = j if c["name"] == "perturbed_factor2" else 0
+        for key in ("lhs", "rhs", "margin"):
+            assert math.ldexp(c[key], scale) == c0[key], (c["name"], key)
+
+
+def _domain_scaled_verify(tmp_path, dimension, j):
+    """bounds.json without k and h, and norm_equivalence.json, of verify on
+    the box times L = 2^j at k = 3/L, with a step mu^-1 0.5 | 2 whose
+    threshold is 0.5 L and the element counts kept (absorption 0.3)."""
+    L = 2.0 ** j
+    step = {"type": "step", "axis": 0, "threshold": 0.5 * L, "below": 0.5, "above": 2.0}
+    path = write_cfg(tmp_path, {"problem": {
+        "dimension": dimension, "k": 3.0 / L,
+        "domain": [0.0, L] if dimension == 1 else [L, L],
+        "resolution": {"type": "elements", "n": 12 if dimension == 1 else 6},
+        "mu_inv": step},
+        "perturbation": {"alpha": 0.3}}, name=f"box{dimension}_{j}.json")
+    out = tmp_path / f"box{dimension}_{j}"
+    cmd_verify(path, out_dir=str(out))
+    bounds, norms = (json.loads((out / name).read_text())
+                     for name in ("bounds.json", "norm_equivalence.json"))
+    return {key: v for key, v in bounds.items() if key not in ("k", "h")}, norms
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("j", [-300, -100, -10, 10, 100, 300])
+def test_verify_is_invariant_under_domain_scaling(tmp_path, dimension, j):
+    """Multiplying the box by L = 2^j and dividing k by L keeps kh and every
+    coefficient, so the bound and norm-equivalence reports, but for k and
+    h, are bit-identical to those at j = 0."""
+    assert _domain_scaled_verify(tmp_path, dimension, j) == _domain_scaled_verify(
+        tmp_path, dimension, 0)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("j", [-600, 600])
+def test_a_domain_scaled_out_of_range_is_an_error(tmp_path, dimension, j):
+    """At L = 2^600, k^-2 overflows; at L = 2^-600, A or D is not finite."""
+    with pytest.raises(InvalidArgumentError, match="wavenumber"):
+        _domain_scaled_verify(tmp_path, dimension, j)
 
 
 _SIDES = ("impedance", "dirichlet", "neumann")
@@ -809,18 +856,25 @@ def test_a_seeded_scan_of_tiny_configs_raises_only_typed_errors(tmp_path, capsys
     ends in exit status 0 or 1, or in one error line, and never raises
     outside HelmprecError or warns (tier-1 turns warnings into errors). At
     this seed the dense eigh that served n <= 8 raised LinAlgError on 5
-    draws. ARPACK draws its restart vectors from an unseeded generator, so
-    which typed outcome a draw gets may vary from run to run; its class
-    may not."""
+    draws. Two passes over the draws end each draw alike: ARPACK's restart
+    vectors come from the seeded generator of its start vector."""
     rng = np.random.default_rng(27)
+    cfgs = [_tiny_config(rng) for _ in range(100)]
     path, out = tmp_path / "cfg.json", str(tmp_path / "v")
-    for draw in range(100):
-        cfg = _tiny_config(rng)
-        path.write_text(json.dumps(cfg))
-        status = main(["verify", "--config", str(path), "--out-dir", out])
-        err = capsys.readouterr().err
-        assert status in (0, 1), (draw, cfg)
-        assert err == "" or (status == 1 and re.fullmatch(r"error: [^\n]*\n", err)), (draw, err)
+    passes = []
+    for _ in range(2):
+        outcomes = []
+        for draw, cfg in enumerate(cfgs):
+            path.write_text(json.dumps(cfg))
+            status = main(["verify", "--config", str(path), "--out-dir", out])
+            err = capsys.readouterr().err
+            assert status in (0, 1), (draw, cfg)
+            assert err == "" or (status == 1 and re.fullmatch(r"error: [^\n]*\n", err)), (
+                draw, err)
+            outcomes.append((status, err))
+        passes.append(outcomes)
+    for draw, (first, second) in enumerate(zip(*passes)):
+        assert first == second, (draw, cfgs[draw])
 
 
 def test_sweep_records_an_underflowing_c_dis_in_its_row(tmp_path, capsys):
@@ -869,6 +923,42 @@ def test_export_import_roundtrip_matches(tmp_path):
     b = json.loads(Path(res_i.paths["bounds"]).read_text())
     for key in ("dmu", "deps", "cdis1", "cdis2", "lhs_D", "lhs_2", "rhs_lemma"):
         assert a[key] == b[key], key
+
+
+@pytest.mark.parametrize("perm_seed", [1, 2, 3])
+def test_import_is_invariant_under_a_permutation_of_the_unknowns(tmp_path, perm_seed):
+    """P A1 P^T, P A2 P^T, P D P^T and P M P^T for one random permutation P
+    have the norms of the exported pair: every float of the imported
+    bounds.json agrees to 1e-15 relative, and every verdict is the same
+    (2D, 20 x 20 cells, step mu^-1, n = 441)."""
+    from helmprec.assemble import MatrixSystem
+    from helmprec.io import read_matrix_exchange, write_matrix_exchange
+
+    cfg_path = write_cfg(tmp_path, {
+        "problem": dict(PLANE, resolution={"type": "elements", "n": 20}, mu_inv=_step(0)),
+        "perturbation": {"alpha": 0.3}})
+    exch, perm_exch = str(tmp_path / "exch"), str(tmp_path / "perm")
+    cmd_export(cfg_path, out_dir=exch)
+    sys1, sys2, meta = read_matrix_exchange(exch)
+    assert sys1.n == 441
+    p = np.random.default_rng(perm_seed).permutation(sys1.n)
+    D, M = (X[p][:, p] for X in (sys1.D, sys1.M))
+    write_matrix_exchange(MatrixSystem(sys1.A[p][:, p], D, M),
+                          MatrixSystem(sys2.A[p][:, p], D, M), perm_exch, **meta)
+    reports = [json.loads(Path(cmd_import(d, out_dir=d + "_i").paths["bounds"]).read_text())
+               for d in (exch, perm_exch)]
+    base, permuted = reports
+    assert base.keys() == permuted.keys()
+    for key, value in base.items():
+        if isinstance(value, float):
+            assert permuted[key] == pytest.approx(value, rel=1e-15, abs=0), key
+        elif key == "checks":
+            for c, c0 in zip(permuted[key], value):
+                assert c["name"] == c0["name"] and c["passed"] == c0["passed"]
+                for field in ("lhs", "rhs"):
+                    assert c[field] == pytest.approx(c0[field], rel=1e-15, abs=0), c["name"]
+        else:
+            assert permuted[key] == value, key
 
 
 def test_import_errors(tmp_path):
@@ -1076,6 +1166,18 @@ def test_each_commands_flags_are_its_functions_parameters():
     for name, sub in commands.choices.items():
         flags = {action.dest for action in sub._actions} - {"help"}
         assert flags == set(inspect.signature(getattr(cli, f"cmd_{name}")).parameters), name
+
+
+def test_readme_config_example_reads():
+    """The README's example config is read as written, every key it sets
+    kept as set."""
+    from helmprec.io import read_config
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    text = re.search(r"A minimal config\..*?```json\n(.*?)```", readme, re.S).group(1)
+    cfg, written = read_config(text), json.loads(text)
+    for section, keys in written.items():
+        assert {key: cfg[section][key] for key in keys} == keys, section
 
 
 def test_readme_library_sketch_runs(capsys):

@@ -32,8 +32,7 @@ def test_minimal_config_defaults():
     assert cfg["problem"]["theta"] == 1.0
     assert cfg["perturbation"]["mode"] == "absorption"
     assert cfg["sweep"]["k_values"] == [10.0]
-    assert "solver" not in cfg
-    assert cfg["seed"] == 0
+    assert set(cfg) == {"schema_version", "problem", "perturbation", "sweep"}
 
 
 def test_unknown_key_named():
@@ -83,8 +82,8 @@ def test_integer_keys_take_integral_numbers():
     """1e3 and 3.0 are integers; fractions and booleans are ConfigErrors
     (test_cli's malformed-config cases)."""
     cfg = read_config('{"problem": {"dimension": 1, "k": 1, "resolution": '
-                      '{"type": "elements", "n": 1e3}}, "seed": 3.0}')
-    assert cfg["seed"] == 3 and type(cfg["seed"]) is int
+                      '{"type": "elements", "n": 1e3}}, "schema_version": 1.0}')
+    assert cfg["schema_version"] == 1 and type(cfg["schema_version"]) is int
     n = cfg["problem"]["resolution"]["n"]
     assert n == 1000 and type(n) is int
 
@@ -337,12 +336,12 @@ def test_matrix_exchange_without_norms_leaves_no_earlier_norms(tmp_path):
 def test_bound_report_serialization(tmp_path):
     s1 = canonical_1d(5.0, 30)
     rep = nearby_bound_report(s1, assemble_system(s1.spec.with_absorption(0.2)), alpha=0.2)
-    jpath = write_report(rep, str(tmp_path / "r.json"), "json")
+    jpath = write_report(rep, str(tmp_path / "r.json"))
     data = json.loads(Path(jpath).read_text())
     assert data["alpha"] == 0.2
     assert data["passed"] is True
     assert {c["name"] for c in data["checks"]} >= {"nearby_D", "nearby_Dinv"}
-    cpath = write_report(rep, str(tmp_path / "r.csv"), "csv")
+    cpath = write_report(rep, str(tmp_path / "r.csv"))
     lines = Path(cpath).read_text().splitlines()
     assert lines[0].startswith("k,h,alpha,n,dmu,deps")
     assert len(lines) == 2
@@ -354,13 +353,13 @@ def test_bound_report_serialization(tmp_path):
 def test_trace_and_ladder_serialization(tmp_path):
     rung = working_rung(canonical_spec_1d(10.0, 10))
     ladder = infsup_ladder([rung], 4)
-    lpath = write_report(ladder, str(tmp_path / "l.csv"), "csv")
+    lpath = write_report(ladder, str(tmp_path / "l.csv"))
     lines = Path(lpath).read_text().splitlines()
     assert lines[0].startswith("k,h,h_ref")
     assert len(lines) == 2
 
     empty = InfSupLadder(())
-    epath = write_report(empty, str(tmp_path / "e.csv"), "csv")
+    epath = write_report(empty, str(tmp_path / "e.csv"))
     assert Path(epath).read_text().splitlines() == [
         "k,h,h_ref,n,n_ref,gamma,gamma_ref,ratio,singular"
     ]
@@ -368,22 +367,23 @@ def test_trace_and_ladder_serialization(tmp_path):
 
 def test_report_determinism(tmp_path):
     rep = garding_check(canonical_1d(4.0, 12), seed=5)
-    p1 = write_report(rep, str(tmp_path / "a.json"), "json")
-    p2 = write_report(rep, str(tmp_path / "b.json"), "json")
+    p1 = write_report(rep, str(tmp_path / "a.json"))
+    p2 = write_report(rep, str(tmp_path / "b.json"))
     assert Path(p1).read_bytes() == Path(p2).read_bytes()
     rep2 = garding_check(canonical_1d(4.0, 12), seed=5)
-    p3 = write_report(rep2, str(tmp_path / "c.json"), "json")
+    p3 = write_report(rep2, str(tmp_path / "c.json"))
     assert Path(p1).read_bytes() == Path(p3).read_bytes()
 
 
 def test_write_report_rejects_unknown(tmp_path):
     with pytest.raises(InvalidArgumentError):
-        write_report(object(), str(tmp_path / "x.json"), "json")
+        write_report(object(), str(tmp_path / "x.json"))
     rep = garding_check(canonical_1d(4.0, 12))
-    with pytest.raises(InvalidArgumentError):
-        write_report(rep, str(tmp_path / "x.yaml"), "yaml")
+    for name in ("x.yaml", "x.JSON", "json"):
+        with pytest.raises(InvalidArgumentError, match=r"does not end in \.json or \.csv"):
+            write_report(rep, str(tmp_path / name))
     # only the forms a command writes
     with pytest.raises(InvalidArgumentError):
-        write_report(rep, str(tmp_path / "x.csv"), "csv")
+        write_report(rep, str(tmp_path / "x.csv"))
     with pytest.raises(InvalidArgumentError):
-        write_report(InfSupLadder(()), str(tmp_path / "x.json"), "json")
+        write_report(InfSupLadder(()), str(tmp_path / "x.json"))
