@@ -563,14 +563,13 @@ def remesh_problem(spec: ProblemSpec, mesh: Mesh) -> ProblemSpec:
     """The problem ``spec`` on another mesh of its domain, at the same k and
     theta.
 
-    The centroids of ``mesh`` are located in ``spec.mesh`` once, and both
-    coefficient fields are transferred along that parent map with
-    :func:`resample_field`, which is exact when ``mesh`` refines
-    ``spec.mesh`` (as ``spec.mesh.refined(r)`` does): both problems then
-    see the same coefficient function. The boundary tags are the new
-    mesh's own.
+    ``mesh`` must be a nested refinement ``spec.mesh.refined(r)``, whose
+    parent map (:meth:`Mesh.locate_elements`) carries both coefficient
+    fields over with :func:`resample_field`, so both problems see the same
+    coefficient function; any other mesh is an ``InvalidArgumentError``.
+    The boundary tags are the new mesh's own.
     """
-    parent = spec.mesh.locate_elements(mesh.element_centroids())
+    parent = spec.mesh.locate_elements(mesh)
     mu = resample_field(spec.mu_inv, mesh, parent)
     eps = resample_field(spec.eps, mesh, parent)
     return ProblemSpec(spec.k, mesh, mu, eps, spec.theta)

@@ -179,15 +179,14 @@ def field_diff_sup_norm(f1: CoefficientField, f2: CoefficientField) -> float:
 def resample_field(
     field: CoefficientField, new_mesh: Mesh, parent: np.ndarray
 ) -> CoefficientField:
-    """Transfer a piecewise-constant field onto another mesh of the domain.
+    """Transfer a piecewise-constant field onto a nested refinement.
 
     New element i takes the value of old element ``parent[i]``, the
-    element of ``field.mesh`` containing its centroid, which the caller
-    locates once for all the fields it transfers
-    (``field.mesh.locate_elements(new_mesh.element_centroids())``); exact
-    for nested refinements of piecewise-constant data. The result is
-    validated as any field is, so ``parent`` must have one entry per new
-    element.
+    element of ``field.mesh`` that holds it, which the caller computes
+    once for all the fields it transfers
+    (``field.mesh.locate_elements(new_mesh)``); the transfer is exact. The
+    result is validated as any field is, so ``parent`` must have one entry
+    per new element.
     """
     if new_mesh.dimension != field.mesh.dimension:
         raise InvalidArgumentError("meshes have different dimensions")

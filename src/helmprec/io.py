@@ -47,7 +47,7 @@ from .assemble import MatrixSystem, ProblemSpec
 from .bounds import BoundReport, GardingReport, InfSupLadder, NormEquivalenceReport
 from .coeffs import CoefficientField, Role, constant_field, piecewise_field, pml_profile_1d
 from .errors import ConfigError, InvalidArgumentError, MatrixExchangeError
-from .mesh import SIDES, BoundaryTag, Mesh, build_interval_mesh, build_rect_mesh
+from .mesh import MAX_INDEX, SIDES, BoundaryTag, Mesh, build_interval_mesh, build_rect_mesh
 
 SCHEMA_VERSION = 1
 
@@ -339,8 +339,6 @@ def build_problem(problem: dict, k: Optional[float] = None) -> ProblemSpec:
 
 # One entry line of a coordinate file: i j re im.
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("re", float), ("im", float)])
-# SuperLU indexes a matrix with C ints: scipy's splu casts its indices to them
-_MAX_INDEX = np.iinfo(np.intc).max
 
 
 def write_matrix_mm(path: str, X, symmetry: str = "general"):
@@ -403,9 +401,9 @@ def read_matrix_mm(path: str) -> sp.csr_matrix:
         raise MatrixExchangeError("size line must contain integers", line=ln)
     if min(n, m, nnz) < 0:
         raise MatrixExchangeError("size line must not be negative", line=ln)
-    if max(n, m) > _MAX_INDEX:
+    if max(n, m) > MAX_INDEX:
         raise MatrixExchangeError(
-            f"size line must give at most {_MAX_INDEX} rows and columns", line=ln)
+            f"size line must give at most {MAX_INDEX} rows and columns", line=ln)
 
     texts = [lines[k - 1] for k in numbers]
     entries = np.empty(0, _ENTRY)

@@ -13,8 +13,9 @@ assembly (:meth:`Mesh.facets_with_tag`):
 
 Node ordering is lexicographic by coordinate, so mesh construction is
 deterministic and suitable for golden tests. Refining every cell r times
-per axis gives the nested mesh :meth:`Mesh.refined`, and point location
-is cell arithmetic on the grid.
+per axis gives the nested mesh :meth:`Mesh.refined`, and the element that
+holds each of its elements (:meth:`Mesh.locate_elements`) is index
+arithmetic on the two grids.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ class BoundaryTag(Enum):
 
 # The sides of the box in the order of ``Mesh.tags``, per dimension.
 SIDES = {1: ("left", "right"), 2: ("left", "right", "bottom", "top")}
+# SuperLU indexes a matrix with C ints: scipy's splu casts its indices to them
+MAX_INDEX = np.iinfo(np.intc).max
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +55,7 @@ class Mesh:
 
     Raises ``InvalidArgumentError`` unless the mesh has 1 or 2 axes, each
     with ``lo < hi``, a finite width ``hi - lo`` and a cell count that is
-    an integer >= 1, and one tag per side.
+    an integer >= 1, one tag per side, and at most ``MAX_INDEX`` nodes.
     """
 
     lo: tuple[float, ...]
@@ -77,6 +80,13 @@ class Mesh:
                 f"need lo < hi with a finite width hi - lo, got lo={self.lo}, hi={self.hi}")
         if not all(_is_count(c) for c in self.cells):
             raise InvalidArgumentError(f"cell counts must be integers >= 1, got {self.cells}")
+        nodes = math.prod(int(c) + 1 for c in self.cells)
+        if nodes > MAX_INDEX:
+            # imported here: Decimal formats an int of any size, and importing
+            # it costs every run about 0.3 MiB of resident memory
+            from decimal import Decimal
+            raise InvalidArgumentError(
+                f"a mesh of {Decimal(nodes):.3g} nodes exceeds SuperLU's limit of {MAX_INDEX}")
         if d == 1:
             derived = _interval_arrays(self.lo[0], self.hi[0], self.cells[0])
         else:
@@ -121,106 +131,33 @@ class Mesh:
         facets = [sliding_window_view(s, d) for s, t in zip(sides, self.tags) if t == tag]
         return np.concatenate([np.empty((0, d), dtype=int), *facets])
 
-    # a point far outside the box overflows the cell arithmetic to inf or
-    # nan, which no containment test accepts
-    @np.errstate(over="ignore", invalid="ignore")
-    def locate_elements(self, points: np.ndarray) -> np.ndarray:
-        """Element index containing each query point (ties broken low).
+    def locate_elements(self, fine: "Mesh") -> np.ndarray:
+        """The element of this mesh that holds each element of ``fine``,
+        its nested refinement ``self.refined(r)``: the parent map along
+        which piecewise-constant data transfers exactly.
 
-        Used to re-sample piecewise-constant data onto a refined mesh.
-        ``points`` has shape (P, dimension); a flat array is P points on a
-        1D mesh and one point on a 2D mesh. Any other shape raises
-        ``InvalidArgumentError``.
+        In 1D fine element i lies in element i // r. In 2D fine element e
+        lies in cell (ix // r) * ny + iy // r, where (ix, iy) =
+        divmod(e // 2, r * ny) is its fine cell, and in that cell's
+        upper-left triangle when iy % r - ix % r + e % 2 > 0: the fine cell
+        lies above the diagonal, or on it and e is itself an upper-left
+        triangle (odd).
 
-        A point belongs to an element when it lies in it up to the tolerance
-        ``tol = 1e-12 * max(h, 1)``: in 1D within ``tol`` of its end
-        points, in 2D with barycentric coordinates ``l1, l2 >= -tol`` and
-        ``l1 + l2 <= 1 + tol``. A point in several elements (on a shared
-        node or edge) gets the lowest of their indices.
-
-        Cell arithmetic places each point: its cell is
-        ``floor((p - lo) * cells / (hi - lo))``, and in 2D the side of the
-        cell's diagonal picks the triangle. That element is the answer when
-        the point's offset in its cell keeps a margin from the cell's edges
-        and diagonal: four times ``tol`` (in cell widths) plus a bound on
-        the rounding of both the offset and the containment test, so no
-        other element can hold the point. Only the rest (points near a
-        cell edge or the diagonal, or outside the mesh) have candidate
-        elements tested one by one (:meth:`_search`).
-
-        Raises ``InvalidArgumentError`` for a point that no element
-        contains (also a non-finite one, or one so far out that the cell
-        arithmetic overflows).
+        Raises ``InvalidArgumentError`` unless ``fine`` has this mesh's
+        ``lo`` and ``hi`` and r times its cells on every axis, for one
+        integer r >= 1; its tags do not matter.
         """
-        d = self.dimension
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1 and (d == 1 or points.size == d):
-            points = points.reshape(-1, d)
-        if points.ndim != 2 or points.shape[1] != d:
+        r = fine.cells[0] // self.cells[0]
+        if (fine.lo, fine.hi, fine.cells) != (self.lo, self.hi, tuple(r * c for c in self.cells)):
             raise InvalidArgumentError(
-                f"points on a {d}D mesh must have shape (P, {d}), got {points.shape}"
-            )
-        if not np.all(np.isfinite(points)):
-            raise InvalidArgumentError("point outside mesh in locate_elements")
-        tol = 1e-12 * max(self.h, 1.0)
-        lo, hi, cells = np.array(self.lo), np.array(self.hi), np.array(self.cells)
-        f = (points - lo) * (cells / (hi - lo))
-        cell = np.clip(np.floor(f), 0, cells - 1)
-        f -= cell  # the offset in the cell, in cell widths
-        # tol is a length in 1D and barycentric (in cell widths) in 2D; the
-        # offset and the containment test each err by a few ulps of the
-        # coordinates, which are up to cells * (|lo| + |hi|) / (hi - lo) cell widths
-        cell_tol = tol / self.h if d == 1 else tol
-        rounding = 1e-13 * np.max(cells * (1 + (np.abs(lo) + np.abs(hi)) / (hi - lo)))
-        margin = 4 * cell_tol + rounding
-        sure = np.all((f > margin) & (f < 1 - margin), axis=1)
-        cell = cell.astype(int)
-        if d == 1:
-            found = cell[:, 0]
-        else:
-            # the lower-right triangle (2 * cell) below the diagonal, the
-            # upper-left one (2 * cell + 1) above it
-            above = f[:, 1] - f[:, 0]
-            sure &= np.abs(above) > margin
-            found = 2 * (cell[:, 0] * self.cells[1] + cell[:, 1]) + (above > 0)
-        rest = np.flatnonzero(~sure)
-        if rest.size:
-            found[rest] = self._search(points[rest], tol)
-        return found
-
-    def _search(self, points: np.ndarray, tol: float) -> np.ndarray:
-        """Lowest-index element containing each point up to ``tol``.
-
-        Only the elements of two candidate cells per axis are tested: the
-        point's own cell and its neighbour across the nearer cell edge.
-        Every element that can hold the point lies in one of them, as
-        ``tol`` is far below half a cell width.
-        """
-        cells = np.array(self.cells)
-        u = (points - self.lo) * cells / np.subtract(self.hi, self.lo)
-        near = np.clip(np.floor(u - 0.5), -1, cells - 1).astype(int)
-        cand = np.clip(np.stack([near, near + 1]), 0, cells - 1)  # (2, points, dim)
+                f"locate_elements needs a nested refinement of {self.cells} cells on "
+                f"[{self.lo}, {self.hi}], got {fine.cells} cells on [{fine.lo}, {fine.hi}]")
+        e = np.arange(fine.n_elements)
         if self.dimension == 1:
-            e = cand[..., 0]
-            x, nodes = points[:, 0], self.coords[:, 0]
-            inside = (nodes[e] <= x + tol) & (x <= nodes[e + 1] + tol)
-        else:
-            cell = cand[:, None, :, 0] * self.cells[1] + cand[None, :, :, 1]
-            # the lower-right (2 * cell) and upper-left (2 * cell + 1) triangle
-            e = (2 * cell[:, :, None] + np.arange(2)[:, None]).reshape(8, -1)
-            # Barycentric coordinates with the operations, in order, of the
-            # element-by-element reference loop in tests/test_mesh.py, so l1
-            # and l2 are bit-equal to it.
-            a, b, c = np.moveaxis(self.coords[self.elements[e]], -2, 0)  # (8, points, 2) each
-            ab, ac, rel = b - a, c - a, points - a
-            det = ab[..., 0] * ac[..., 1] - ac[..., 0] * ab[..., 1]
-            l1 = (ac[..., 1] * rel[..., 0] - ac[..., 0] * rel[..., 1]) / det
-            l2 = (-ab[..., 1] * rel[..., 0] + ab[..., 0] * rel[..., 1]) / det
-            inside = (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1 + tol)
-        found = np.where(inside, e, self.n_elements).min(axis=0)
-        if np.any(found == self.n_elements):
-            raise InvalidArgumentError("point outside mesh in locate_elements")
-        return found
+            return e // r
+        ny = self.cells[1]
+        ix, iy = np.divmod(e // 2, r * ny)
+        return 2 * ((ix // r) * ny + iy // r) + (iy % r - ix % r + e % 2 > 0)
 
 
 def _is_count(n) -> bool:

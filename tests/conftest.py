@@ -220,3 +220,21 @@ def eigsh_calls(monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", recording_eigsh)
     return calls
+
+
+def nested_parent(coarse, r):
+    """The coarse element holding each element of ``coarse.refined(r)``, by
+    index arithmetic: in 1D element i lies in i // r; in 2D the element of
+    fine cell (ix, iy) lies in coarse cell (ix // r, iy // r), in the
+    triangle on its centroid's side of that cell's diagonal."""
+    e = np.arange(r ** coarse.dimension * coarse.n_elements)
+    if coarse.dimension == 1:
+        return e // r
+    ix, iy = np.divmod(e // 2, r * coarse.cells[1])
+    cell = (ix // r) * coarse.cells[1] + iy // r
+    # in thirds of a fine cell, the centroid's offset from the coarse
+    # cell's corner: the lower-right triangle's is (2, 1), the other's (1, 2)
+    lower = e % 2 == 0
+    x3 = 3 * (ix % r) + np.where(lower, 2, 1)
+    y3 = 3 * (iy % r) + np.where(lower, 1, 2)
+    return 2 * cell + (y3 > x3)

@@ -2,7 +2,7 @@
 
 Runs the benchmark's measured process, ``bench/child.py --trace``, on tiny
 1D ``verify`` and ``sweep`` configs and a tiny 2D ``sweep``, whose ladder
-transfers its coefficients through the 2D point location. Every span name
+transfers its coefficients along the 2D parent map. Every span name
 the benchmark requires of that command (``WORKLOADS[...]["spans"]`` in
 ``bench/run.py``) must be recorded, and every tracer wrapper must have
 been bound to at least one module attribute. A refactor that renames a

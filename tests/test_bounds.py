@@ -18,6 +18,7 @@ from conftest import (
     canonical_spec_1d,
     canonical_spec_2d,
     estimated_norm,
+    nested_parent,
     oracle_infsup,
     oracle_weighted_norm,
     working_rung,
@@ -706,6 +707,26 @@ def test_remesh_preserves_structure():
     refined = build_rect_mesh(2.0, 1.0, 12, 12, IMP)
     fine2 = remesh_problem(spec2, refined)
     assert np.array_equal(fine2.eps.values, piecewise_field(refined, step, Role.EPS).values)
+
+
+def test_remesh_onto_a_mesh_that_is_not_nested_raises():
+    spec = _step_spec_2d()
+    nx, ny = spec.mesh.cells
+    for mesh in (build_rect_mesh(1, 1, nx + 1, ny, IMP), build_rect_mesh(2, 1, 2 * nx, 2 * ny, IMP)):
+        with pytest.raises(InvalidArgumentError, match="nested refinement"):
+            remesh_problem(spec, mesh)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_remesh_carries_a_matrix_mu_to_each_child(r):
+    """The (n, 2, 2) values of an anisotropic mu^-1 reach each fine element
+    from its parent bit for bit."""
+    spec = _matrix_mu_spec_2d()
+    fine = remesh_problem(spec, spec.mesh.refined(r))
+    parent = nested_parent(spec.mesh, r)
+    assert fine.mu_inv.values.shape == (fine.mesh.n_elements, 2, 2)
+    assert np.array_equal(fine.mu_inv.values, spec.mu_inv.values[parent])
+    assert np.array_equal(fine.eps.values, spec.eps.values[parent])
 
 
 def _absorption_pair(spec, alpha):

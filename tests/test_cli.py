@@ -309,6 +309,27 @@ def test_resolution_without_a_finite_element_count_is_an_error(tmp_path, capsys,
     assert err.startswith("error: resolution rule") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command,extra,nodes", [
+    ("verify", {"problem": {"resolution": {"type": "elements", "n": 1e15}}}, "1.00e+15"),
+    ("sweep", {"sweep": {"k_values": [8.0], "alpha_values": [0.2], "ladder": {"refine": 1e14}}},
+     "6.00e+15"),
+    ("verify", {"problem": {"resolution": {"type": "per_k", "factor": 1e300}}}, "8.00e+300"),
+    ("verify", {"problem": {"resolution": {"type": "elements", "n": 1e300}}}, "1.00e+300"),
+    ("verify", {"problem": {"dimension": 2, "resolution": {"type": "elements", "n": 3e6}}},
+     "9.00e+12"),
+], ids=["1d_elements", "1d_ladder_refine", "1d_per_k", "1d_elements_huge", "2d_elements"])
+def test_mesh_beyond_the_superlu_index_limit_is_an_error(tmp_path, capsys, command, extra, nodes):
+    """A resolution that the grammar accepts but that gives more nodes than
+    SuperLU can index ended in a memory or size traceback: it is one error
+    line that gives the count in short form."""
+    path = write_cfg(tmp_path, extra)
+    assert main([command, "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: a mesh of {nodes} nodes exceeds SuperLU's limit of 2147483647\n")
+
+
 # C_g1 = 50 is far above the valid constant: three norm checks fail.
 WRONG_GARDING = {"problem": {"k": 6.0, "resolution": {"type": "elements", "n": 30},
                              "garding": {"c_g1": 50.0, "c_g2": 0.0}}}
@@ -427,17 +448,17 @@ def test_verify_factors_beside_at_most_two_live_factors(tmp_path, live_factors):
 
 
 def test_sweep_locates_each_reference_mesh_once(tmp_path, monkeypatch):
-    """A 2D sweep with a ladder locates points once per k: the centroids of
-    the reference mesh (6 x 6 cells refined twice, 288 triangles) in the
-    working mesh, once for both coefficient fields."""
+    """A 2D sweep with a ladder locates the reference mesh (6 x 6 cells
+    refined twice, 288 triangles) in the working mesh once per k, for both
+    coefficient fields."""
     from helmprec.mesh import Mesh
 
     located = []
     locate = Mesh.locate_elements
 
-    def counting_locate(self, points):
-        located.append(len(points))
-        return locate(self, points)
+    def counting_locate(self, fine):
+        located.append(fine.n_elements)
+        return locate(self, fine)
 
     monkeypatch.setattr(Mesh, "locate_elements", counting_locate)
     path = write_cfg(tmp_path, {
@@ -828,6 +849,58 @@ def test_a_domain_scaled_out_of_range_is_an_error(tmp_path, dimension, j):
     """At L = 2^600, k^-2 overflows; at L = 2^-600, A or D is not finite."""
     with pytest.raises(InvalidArgumentError, match="wavenumber"):
         _domain_scaled_verify(tmp_path, dimension, j)
+
+
+def _mirrored_verify(tmp_path, n, sides, alpha, mirror):
+    """(exit status, bounds.json, norm_equivalence.json) of verify in 1D on
+    [0, 2] at k = 3, with mu^-1 0.5 | 2 at 0.5 and eps [1, 0.2] | 3 at 1.5,
+    or of its mirror image x -> 2 - x: the side tags swapped, and each step
+    reflected to 2 - threshold with its values swapped."""
+    mu, eps = (0.5, 0.5, 2.0), (1.5, [1.0, 0.2], 3.0)
+    if mirror:
+        sides = sides[::-1]
+        mu, eps = ((2 - thr, above, below) for thr, below, above in (mu, eps))
+    step = lambda thr, below, above: {
+        "type": "step", "axis": 0, "threshold": thr, "below": below, "above": above}
+    path = write_cfg(tmp_path, {"problem": {
+        "k": 3.0, "domain": [0.0, 2.0], "resolution": {"type": "elements", "n": n},
+        "boundary": dict(zip(("left", "right"), sides)), "mu_inv": step(*mu), "eps": step(*eps)},
+        "perturbation": {"alpha": alpha}}, name=f"mirror{int(mirror)}.json")
+    out = tmp_path / f"mirror{int(mirror)}"
+    status = cmd_verify(path, out_dir=str(out)).exit_status
+    return status, *(json.loads((out / name).read_text())
+                     for name in ("bounds.json", "norm_equivalence.json"))
+
+
+@pytest.mark.parametrize("n,sides,alpha", [
+    (12, ("dirichlet", "impedance"), 0.3),
+    (13, ("impedance", "neumann"), 0.1),
+    (40, ("dirichlet", "impedance"), 1.0),
+])
+def test_verify_is_invariant_under_mirroring_a_1d_problem(tmp_path, n, sides, alpha):
+    """Mirroring x -> 2 - x with the coefficients and tags reverses the order
+    of the unknowns: the exit status and every verdict are the same, and
+    every float of the bound and norm-equivalence reports, and every
+    check's lhs and rhs, agree to 1e-15 relative. A margin rhs - lhs
+    carries their error: within 1e-15 (|lhs| + |rhs|), which is up to
+    4.5e-15 of the margin."""
+    status, *reports = _mirrored_verify(tmp_path, n, sides, alpha, False)
+    status_m, *mirrored = _mirrored_verify(tmp_path, n, sides, alpha, True)
+    assert status_m == status
+    for report, report_m in zip(reports, mirrored):
+        assert report.keys() == report_m.keys()
+        for key, value in report.items():
+            if isinstance(value, float):
+                assert report_m[key] == pytest.approx(value, rel=1e-15, abs=0), key
+            elif key == "checks":
+                for c, c_m in zip(value, report_m[key], strict=True):
+                    assert (c_m["name"], c_m["passed"]) == (c["name"], c["passed"])
+                    for field in ("lhs", "rhs"):
+                        assert c_m[field] == pytest.approx(c[field], rel=1e-15, abs=0), c
+                    scale = abs(c["lhs"]) + abs(c["rhs"])
+                    assert abs(c_m["margin"] - c["margin"]) <= 1e-15 * scale, c
+            else:
+                assert report_m[key] == value, key
 
 
 _SIDES = ("impedance", "dirichlet", "neumann")

@@ -244,7 +244,7 @@ def test_resample_nested_refinement():
     coarse = build_interval_mesh(0, 1, 4, IMP, IMP)
     fine = build_interval_mesh(0, 1, 16, IMP, IMP)
     f = piecewise_field(coarse, lambda x: 1.0 if x < 0.5 else 2.0, Role.EPS)
-    g = resample_field(f, fine, coarse.locate_elements(fine.element_centroids()))
+    g = resample_field(f, fine, coarse.locate_elements(fine))
     expected = np.where(fine.element_centroids()[:, 0] < 0.5, 1.0, 2.0)
     assert np.array_equal(g.values, expected)
 
@@ -253,6 +253,6 @@ def test_resample_2d():
     coarse = build_rect_mesh(1, 1, 2, 2, IMP)
     fine = build_rect_mesh(1, 1, 4, 4, IMP)
     f = piecewise_field(coarse, lambda p: 1.0 if p[0] < 0.5 else 3.0, Role.EPS)
-    g = resample_field(f, fine, coarse.locate_elements(fine.element_centroids()))
+    g = resample_field(f, fine, coarse.locate_elements(fine))
     expected = np.where(fine.element_centroids()[:, 0] < 0.5, 1.0, 3.0)
     assert np.array_equal(g.values, expected)
