@@ -103,7 +103,9 @@ CANONICAL_GARDING = GardingConstants(1.0, 2.0)
 
 @dataclass(frozen=True)
 class Check:
-    """One inequality: lhs <= rhs up to SLACK, with margin = rhs - lhs."""
+    """One inequality: lhs <= rhs up to SLACK, with margin = rhs - lhs. The
+    Gårding ``sampled`` check counts violating samples (lhs) against 0, and
+    its margin is the worst relative margin of a sample."""
 
     name: str
     lhs: float
@@ -125,30 +127,46 @@ def _make_lower_check(name: str, value: float, lower: float) -> Check:
 class GardingReport:
     """Sampled verification of |v*Av + C_g2 v*Mv| >= C_g1 v*Dv."""
 
-    constants: GardingConstants
+    c_g1: float
+    c_g2: float
     n_samples: int
     violations: int
     worst_rel_margin: float
     canonical: bool
     identity_max_rel_err: Optional[float]
 
+    JSON_KEYS = ("c_g1", "c_g2", "n_samples", "violations", "worst_rel_margin",
+                 "canonical", "identity_max_rel_err", "passed")
+
+    @property
+    def checks(self) -> tuple[Check, ...]:
+        """``sampled`` and, for a canonical problem, ``identity`` (garding_check)."""
+        sampled = Check("sampled", self.violations, 0, self.violations == 0,
+                        self.worst_rel_margin)
+        err = self.identity_max_rel_err
+        if err is None:
+            return (sampled,)
+        return sampled, Check("identity", err, IDENTITY_RTOL, err <= IDENTITY_RTOL,
+                              IDENTITY_RTOL - err)
+
     @property
     def passed(self) -> bool:
-        ok = self.violations == 0
-        if self.identity_max_rel_err is not None:
-            ok = ok and self.identity_max_rel_err <= IDENTITY_RTOL
-        return ok
+        return all(c.passed for c in self.checks)
 
 
 @dataclass(frozen=True, eq=False)
 class BoundReport:
-    """Both sides of every inequality for one pair of systems."""
+    """Both sides of every inequality for one pair of systems; k, h and
+    alpha are None for an imported pair."""
 
+    k: Optional[float]
+    h: Optional[float]
+    alpha: Optional[float]
     n: int
     dmu: float
     deps: float
-    c_dis1: float
-    c_dis2: float
+    cdis1: float
+    cdis2: float
     mass_ratio: float
     lhs_D: float
     lhs_Dinv: float
@@ -159,9 +177,13 @@ class BoundReport:
     cond: float
     checks: tuple[Check, ...]
     singular: bool = False
-    k: Optional[float] = None
-    h: Optional[float] = None
-    alpha: Optional[float] = None
+
+    CSV_COLUMNS = ("k", "h", "alpha", "n", "dmu", "deps", "cdis1", "cdis2", "mass_ratio",
+                   "lhs_D", "lhs_Dinv", "lhs_2", "lhs_2p", "rhs_lemma", "rhs_lemma2",
+                   "cond", "contraction", "singular", "passed")
+    JSON_KEYS = CSV_COLUMNS + ("checks", "notes")
+    notes = ("cond and the small_cond checks use the measured discrete constant of "
+             "system 1 as a proxy for the continuous solution-operator norm",)
 
     @property
     def contraction(self) -> float:
@@ -177,13 +199,17 @@ class BoundReport:
 class NormEquivalenceReport:
     """Solution-operator norm chains and the inf-sup lower bound."""
 
-    constants: GardingConstants
+    c_g1: float
+    c_g2: float
     hstar_to_h: float
     h0_to_h: float
     h0_to_h0: float
     gamma: float
     c_dis: float
     checks: tuple[Check, ...]
+
+    JSON_KEYS = ("c_g1", "c_g2", "hstar_to_h", "h0_to_h", "h0_to_h0", "gamma", "c_dis",
+                 "checks", "passed")
 
     @property
     def passed(self) -> bool:
@@ -208,6 +234,8 @@ class InfSupLadder:
     """(k, h, inf-sup) triples at a working and a reference resolution."""
 
     entries: tuple[LadderEntry, ...]
+
+    CSV_COLUMNS = ("k", "h", "h_ref", "n", "n_ref", "gamma", "gamma_ref", "ratio", "singular")
 
 
 def garding_constants_for(spec: ProblemSpec) -> GardingConstants:
@@ -374,7 +402,8 @@ def garding_check(
     finite = np.isfinite(qa) & np.isfinite(qm) & np.isfinite(qd) & np.isfinite(margin)
     margin[~finite] = -np.inf
     return GardingReport(
-        constants=constants,
+        c_g1=constants.c_g1,
+        c_g2=constants.c_g2,
         n_samples=GARDING_SAMPLES,
         violations=int(np.count_nonzero(margin < -IDENTITY_RTOL)),
         worst_rel_margin=float(margin.min()),
@@ -416,6 +445,13 @@ def _difference_operators(A1, A2, lu2: LUFactor):
     return left, right
 
 
+def coefficient_differences(spec1: ProblemSpec, spec2: ProblemSpec) -> tuple[float, float]:
+    """(dmu, deps): the sup norms of the differences of two problems'
+    mu^{-1} and eps fields."""
+    return (field_diff_sup_norm(spec1.mu_inv, spec2.mu_inv),
+            field_diff_sup_norm(spec1.eps, spec2.eps))
+
+
 def nearby_bound_report(
     sys1: MatrixSystem,
     sys2: MatrixSystem,
@@ -438,12 +474,11 @@ def nearby_bound_report(
     if not (_matrices_match(sys1.D, sys2.D) and _matrices_match(sys1.M, sys2.M)):
         raise InvalidPairError("systems do not share the same D and M")
 
-    if isinstance(sys1, GalerkinSystem) and isinstance(sys2, GalerkinSystem):
-        spec1, spec2 = sys1.spec, sys2.spec
-        if dmu is None:
-            dmu = field_diff_sup_norm(spec1.mu_inv, spec2.mu_inv)
-        if deps is None:
-            deps = field_diff_sup_norm(spec1.eps, spec2.eps)
+    galerkin = isinstance(sys1, GalerkinSystem) and isinstance(sys2, GalerkinSystem)
+    if galerkin and (dmu is None or deps is None):
+        mu_norm, eps_norm = coefficient_differences(sys1.spec, sys2.spec)
+        dmu = mu_norm if dmu is None else dmu
+        deps = eps_norm if deps is None else deps
     if dmu is None or deps is None:
         raise InvalidArgumentError(
             "coefficient-difference norms unavailable; pass dmu and deps"
@@ -456,6 +491,7 @@ def nearby_bound_report(
             raise InvalidArgumentError(
                 f"{name} must be a finite number >= 0, got {value!r}"
             )
+    dmu, deps = float(dmu), float(deps)
 
     n = sys1.n
     k = h = None
@@ -470,10 +506,9 @@ def nearby_bound_report(
     nan = math.nan
     if inf2.singular:
         return BoundReport(
-            n=n, dmu=dmu, deps=deps, c_dis1=nan, c_dis2=math.inf, mass_ratio=nan,
-            lhs_D=nan, lhs_Dinv=nan, lhs_2=nan, lhs_2p=nan,
-            rhs_lemma=math.inf, rhs_lemma2=None, cond=nan, checks=(),
-            singular=True, k=k, h=h, alpha=alpha,
+            k=k, h=h, alpha=alpha, n=n, dmu=dmu, deps=deps, cdis1=nan, cdis2=math.inf,
+            mass_ratio=nan, lhs_D=nan, lhs_Dinv=nan, lhs_2=nan, lhs_2p=nan,
+            rhs_lemma=math.inf, rhs_lemma2=None, cond=nan, checks=(), singular=True,
         )
     inf1 = sys1.inf_sup(seed)
     op_left, op_right = _difference_operators(A1, A2, sys2.lu)
@@ -505,11 +540,10 @@ def nearby_bound_report(
         checks.append(_make_check("small_cond_Dinv", lhs_Dinv, rhs_small))
 
     return BoundReport(
-        n=n, dmu=float(dmu), deps=float(deps),
-        c_dis1=inf1.c_dis, c_dis2=inf2.c_dis, mass_ratio=me.ratio,
+        k=k, h=h, alpha=alpha, n=n, dmu=dmu, deps=deps,
+        cdis1=inf1.c_dis, cdis2=inf2.c_dis, mass_ratio=me.ratio,
         lhs_D=lhs_D, lhs_Dinv=lhs_Dinv, lhs_2=lhs_2, lhs_2p=lhs_2p,
-        rhs_lemma=rhs_lemma, rhs_lemma2=rhs_lemma2, cond=cond,
-        checks=tuple(checks), k=k, h=h, alpha=alpha,
+        rhs_lemma=rhs_lemma, rhs_lemma2=rhs_lemma2, cond=cond, checks=tuple(checks),
     )
 
 
@@ -549,7 +583,8 @@ def norm_equivalence_report(
         _make_check("two_routes", 0.0, 1e-8 * hstar_to_h),
     )
     return NormEquivalenceReport(
-        constants=constants,
+        c_g1=cg1,
+        c_g2=cg2,
         hstar_to_h=hstar_to_h,
         h0_to_h=duo.h0_to_h,
         h0_to_h0=duo.h0_to_h0,
@@ -575,11 +610,11 @@ def remesh_problem(spec: ProblemSpec, mesh: Mesh) -> ProblemSpec:
     return ProblemSpec(spec.k, mesh, mu, eps, spec.theta)
 
 
-def _reference_rung(spec: ProblemSpec, refine: int, seed: int) -> tuple[int, float, float]:
-    """(n_ref, h_ref, gamma_ref) of ``spec`` on its mesh refined ``refine``
-    times; the reference system and its LU factors die on return."""
+def _reference_rung(spec: ProblemSpec, refine: int, seed: int) -> tuple[int, float, InfSupReport]:
+    """(n_ref, h_ref, inf-sup report) of ``spec`` on its mesh refined
+    ``refine`` times; the reference system and its LU factors die on return."""
     ref = assemble_system(remesh_problem(spec, spec.mesh.refined(refine)))
-    return ref.n, ref.spec.mesh.h, ref.inf_sup(seed).gamma
+    return ref.n, ref.spec.mesh.h, ref.inf_sup(seed)
 
 
 def infsup_ladder(
@@ -601,16 +636,14 @@ def infsup_ladder(
     """
     entries = []
     for spec, n, rep in rungs:
-        n_ref, h_ref, gamma_ref = _reference_rung(spec, refine, seed)
-        gamma = rep.gamma
-        # singular reports carry gamma = 0
-        singular = gamma == 0.0 or gamma_ref == 0.0
+        n_ref, h_ref, ref = _reference_rung(spec, refine, seed)
+        singular = rep.singular or ref.singular
         entries.append(
             LadderEntry(
                 k=float(spec.k), h=spec.mesh.h, h_ref=h_ref, n=n, n_ref=n_ref,
-                gamma=gamma, gamma_ref=gamma_ref,
+                gamma=rep.gamma, gamma_ref=ref.gamma,
                 # C_dis(h) / C_dis(h_ref) = gamma(h_ref) / gamma(h)
-                ratio=math.nan if singular else gamma_ref / gamma, singular=singular,
+                ratio=math.nan if singular else ref.gamma / rep.gamma, singular=singular,
             )
         )
     return InfSupLadder(tuple(entries))

@@ -25,19 +25,20 @@ from .assemble import (
     validate_external,
 )
 from .bounds import (
-    IDENTITY_RTOL,
+    BoundReport,
     GardingConstants,
+    coefficient_differences,
     garding_check,
     garding_constants_for,
     infsup_ladder,
     nearby_bound_report,
     norm_equivalence_report,
 )
-from .coeffs import Role, field_diff_sup_norm
+from .coeffs import Role
 from .errors import HelmprecError, InvalidArgumentError
 from .solvers import fixed_point, gmres
 
-SWEEP_COLUMNS = hio.BOUND_COLUMNS + ("fp_iters", "gmres_iters", "error")
+SWEEP_COLUMNS = BoundReport.CSV_COLUMNS + ("fp_iters", "gmres_iters", "error")
 
 
 @dataclass
@@ -117,13 +118,7 @@ def cmd_verify(config_path: str, out_dir: str = "out", seed: int = 0) -> Scenari
 
     grep = garding_check(sys1, constants, seed=seed)
     result.paths["garding"] = hio.write_report(grep, os.path.join(out_dir, "garding.json"))
-    result.add("garding.sampled", grep.violations == 0, grep.worst_rel_margin)
-    if grep.identity_max_rel_err is not None:
-        result.add(
-            "garding.identity",
-            grep.identity_max_rel_err <= IDENTITY_RTOL,
-            IDENTITY_RTOL - grep.identity_max_rel_err,
-        )
+    _add_report_checks(result, "garding", grep.checks)
 
     nrep = norm_equivalence_report(sys1, constants, seed=seed)
     result.paths["norm_equivalence"] = hio.write_report(
@@ -144,7 +139,7 @@ def _sweep_point(cfg, sys1, k, alpha, seed):
             raise sys1
         sys2, alpha = _perturbed(cfg, sys1, alpha)
         rep = nearby_bound_report(sys1, sys2, seed=seed, alpha=alpha)
-        row.update(hio.bound_report_row(rep))
+        row.update({c: getattr(rep, c) for c in BoundReport.CSV_COLUMNS})
         if rep.singular:
             return row
         b = assemble_load(sys1.spec, 1.0)
@@ -179,6 +174,11 @@ def cmd_sweep(config_path: str, out_dir: str = "out", seed: int = 0) -> Scenario
     sweep = cfg["sweep"]
     problem = dict(cfg["problem"], resolution=sweep["resolution"])
     alphas = sweep["alpha_values"] if cfg["perturbation"]["mode"] == "absorption" else [None]
+    if sweep["ladder"] is not None:
+        # the ladder needs every k's reference mesh: one that cannot be built
+        # is an error before any point is solved
+        for k in sweep["k_values"]:
+            hio.build_mesh(problem, k).refined(sweep["ladder"]["refine"])
     rows, rungs = [], []
     for k in sweep["k_values"]:
         try:
@@ -208,14 +208,9 @@ def cmd_sweep(config_path: str, out_dir: str = "out", seed: int = 0) -> Scenario
             if isinstance(rung, HelmprecError):
                 raise rung
         ladder = infsup_ladder(rungs, sweep["ladder"]["refine"], seed=seed)
-        ladder_path = os.path.join(out_dir, "ladder.csv")
-        hio.write_report(ladder, ladder_path)
-        result.paths["ladder"] = ladder_path
-        for e in ladder.entries:
-            result.add(
-                f"ladder[k={e.k:g}]", not e.singular,
-                e.ratio if not e.singular else math.nan,
-            )
+        result.paths["ladder"] = hio.write_report(ladder, os.path.join(out_dir, "ladder.csv"))
+        for e in ladder.entries:  # a singular entry's ratio is nan
+            result.add(f"ladder[k={e.k:g}]", not e.singular, e.ratio)
     return result
 
 
@@ -225,8 +220,7 @@ def cmd_export(config_path: str, out_dir: str = "out") -> ScenarioResult:
     cfg = _load(config_path, out_dir)
     sys1 = assemble_system(hio.build_problem(cfg["problem"]))
     sys2, _ = _perturbed(cfg, sys1)
-    dmu = field_diff_sup_norm(sys1.spec.mu_inv, sys2.spec.mu_inv)
-    deps = field_diff_sup_norm(sys1.spec.eps, sys2.spec.eps)
+    dmu, deps = coefficient_differences(sys1.spec, sys2.spec)
     result = ScenarioResult()
     result.paths.update(hio.write_matrix_exchange(sys1, sys2, out_dir, dmu=dmu, deps=deps))
     return result

@@ -22,11 +22,14 @@ entries (real/imag pairs), 1-based indices, and symmetry 'general' or
 'hermitian', written by ``scipy.io.mmwrite`` in shortest round-trip
 digits so doubles round-trip exactly. An exchange directory holds
 A1.mtx, A2.mtx, D.mtx, M.mtx and meta.json, and is read and written
-whole. Reports serialize with a fixed field order, so identical inputs
-give byte-identical files: a bound report to JSON or CSV, a Gårding or
-norm-equivalence report to JSON, and an inf-sup ladder to CSV, in the
-form that the file's suffix names. A numpy scalar in a JSON report is
-written as the Python number it holds.
+whole. Each report class declares its file forms, as the ordered names
+of the attributes they hold: ``JSON_KEYS`` for a JSON object, and
+``CSV_COLUMNS`` for CSV rows, one per entry of a ladder, else one for
+the report. ``write_report`` writes either form, as the file's suffix
+names, from that declaration alone, so identical inputs give
+byte-identical files; a form the class does not declare is refused. In
+JSON a check is the object of its fields, and a numpy scalar the Python
+number it holds.
 
 A config describes a problem only: a run's seed and output directory
 are the command line's ``--seed`` and ``--out-dir``, and a config with a
@@ -35,6 +38,7 @@ are the command line's ``--seed`` and ``--out-dir``, and a config with a
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -44,7 +48,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assemble import MatrixSystem, ProblemSpec
-from .bounds import BoundReport, GardingReport, InfSupLadder, NormEquivalenceReport
 from .coeffs import CoefficientField, Role, constant_field, piecewise_field, pml_profile_1d
 from .errors import ConfigError, InvalidArgumentError, MatrixExchangeError
 from .mesh import MAX_INDEX, SIDES, BoundaryTag, Mesh, build_interval_mesh, build_rect_mesh
@@ -521,71 +524,6 @@ def _f(x) -> str:
     return repr(float(x))
 
 
-BOUND_COLUMNS = (
-    "k", "h", "alpha", "n", "dmu", "deps", "cdis1", "cdis2", "mass_ratio",
-    "lhs_D", "lhs_Dinv", "lhs_2", "lhs_2p", "rhs_lemma", "rhs_lemma2",
-    "cond", "contraction", "singular", "passed",
-)
-
-
-def bound_report_row(rep: BoundReport) -> dict:
-    return {
-        "k": rep.k, "h": rep.h, "alpha": rep.alpha, "n": rep.n,
-        "dmu": rep.dmu, "deps": rep.deps, "cdis1": rep.c_dis1,
-        "cdis2": rep.c_dis2, "mass_ratio": rep.mass_ratio,
-        "lhs_D": rep.lhs_D, "lhs_Dinv": rep.lhs_Dinv, "lhs_2": rep.lhs_2,
-        "lhs_2p": rep.lhs_2p, "rhs_lemma": rep.rhs_lemma,
-        "rhs_lemma2": rep.rhs_lemma2, "cond": rep.cond,
-        "contraction": rep.lhs_D, "singular": rep.singular, "passed": rep.passed,
-    }
-
-
-def _bound_report_json(rep: BoundReport) -> dict:
-    out = bound_report_row(rep)
-    out["checks"] = [
-        {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "passed": c.passed,
-         "margin": c.margin}
-        for c in rep.checks
-    ]
-    out["notes"] = [
-        "cond and the small_cond checks use the measured discrete constant of "
-        "system 1 as a proxy for the continuous solution-operator norm"
-    ]
-    return out
-
-
-def _garding_json(rep: GardingReport) -> dict:
-    return {
-        "c_g1": rep.constants.c_g1, "c_g2": rep.constants.c_g2,
-        "n_samples": rep.n_samples, "violations": rep.violations,
-        "worst_rel_margin": rep.worst_rel_margin, "canonical": rep.canonical,
-        "identity_max_rel_err": rep.identity_max_rel_err, "passed": rep.passed,
-    }
-
-
-def _norm_equiv_json(rep: NormEquivalenceReport) -> dict:
-    return {
-        "c_g1": rep.constants.c_g1, "c_g2": rep.constants.c_g2,
-        "hstar_to_h": rep.hstar_to_h, "h0_to_h": rep.h0_to_h,
-        "h0_to_h0": rep.h0_to_h0, "gamma": rep.gamma, "c_dis": rep.c_dis,
-        "checks": [
-            {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "passed": c.passed,
-             "margin": c.margin}
-            for c in rep.checks
-        ],
-        "passed": rep.passed,
-    }
-
-
-def _ladder_rows(ladder: InfSupLadder):
-    return [
-        {"k": e.k, "h": e.h, "h_ref": e.h_ref, "n": e.n, "n_ref": e.n_ref,
-         "gamma": e.gamma, "gamma_ref": e.gamma_ref, "ratio": e.ratio,
-         "singular": e.singular}
-        for e in ladder.entries
-    ]
-
-
 def write_csv(path: str, columns, rows):
     """Write rows (dicts) under a documented header; deterministic output."""
     lines = [",".join(columns)]
@@ -595,37 +533,26 @@ def write_csv(path: str, columns, rows):
         fh.write("\n".join(lines) + "\n")
 
 
-LADDER_COLUMNS = ("k", "h", "h_ref", "n", "n_ref", "gamma", "gamma_ref",
-                  "ratio", "singular")
-
-# The forms each report type is written in: its JSON payload, or its CSV
-# columns and rows.
-_JSON_FORMS = {
-    BoundReport: _bound_report_json,
-    GardingReport: _garding_json,
-    NormEquivalenceReport: _norm_equiv_json,
-}
-_CSV_FORMS = {
-    BoundReport: (BOUND_COLUMNS, lambda rep: [bound_report_row(rep)]),
-    InfSupLadder: (LADDER_COLUMNS, _ladder_rows),
-}
-
-
 def write_report(report, path: str) -> str:
-    """Serialize a report with deterministic field order, to JSON or CSV as
-    the suffix of ``path`` says, ``.json`` or ``.csv``."""
+    """Serialize a report in the form its class declares, to JSON or CSV as
+    the suffix of ``path`` says, ``.json`` or ``.csv``: the object of its
+    ``JSON_KEYS``, or one row of its ``CSV_COLUMNS`` per entry of a ladder,
+    else of the report itself."""
     fmt = os.path.splitext(path)[1]
-    forms = {".json": _JSON_FORMS, ".csv": _CSV_FORMS}.get(fmt)
-    if forms is None:
+    if fmt not in (".json", ".csv"):
         raise InvalidArgumentError(f"report path {path!r} does not end in .json or .csv")
-    if type(report) not in forms:
+    keys = getattr(report, "JSON_KEYS" if fmt == ".json" else "CSV_COLUMNS", None)
+    if keys is None:
         raise InvalidArgumentError(f"cannot write {type(report).__name__} as {fmt}")
-    if fmt == ".json":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            # np.float64 is a float; np.bool_ and np.integer need their item()
-            json.dump(forms[type(report)](report), fh, indent=2, default=lambda o: o.item())
-            fh.write("\n")
-    else:
-        columns, rows = forms[type(report)]
-        write_csv(path, columns, rows(report))
+    if fmt == ".csv":
+        rows = getattr(report, "entries", (report,))
+        write_csv(path, keys, [{key: getattr(row, key) for key in keys} for row in rows])
+        return path
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        # a check is the object of its fields; np.float64 is a float, but
+        # np.bool_ and np.integer need their item()
+        json.dump({key: getattr(report, key) for key in keys}, fh, indent=2,
+                  default=lambda o: dataclasses.asdict(o) if dataclasses.is_dataclass(o)
+                  else o.item())
+        fh.write("\n")
     return path

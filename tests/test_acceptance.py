@@ -144,7 +144,7 @@ def test_lemma_main_suite(suite):
             assert rep.lhs_Dinv <= rep.rhs_lemma * (1 + SLACK), case.label
             # mu is fixed in every suite case: Euclidean bound applies
             assert rep.dmu == 0.0
-            rhs2 = rep.mass_ratio * rep.deps * rep.c_dis2
+            rhs2 = rep.mass_ratio * rep.deps * rep.cdis2
             assert rep.lhs_2 <= rhs2 * (1 + SLACK), case.label
             assert rep.lhs_2p <= rhs2 * (1 + SLACK), case.label
             assert rep.passed, case.label
@@ -156,7 +156,7 @@ def test_lemma_main_suite(suite):
                 lhs_dense = oracle_weighted_norm(C, case.sys1.D, "D")
                 assert rep.lhs_D == pytest.approx(lhs_dense, rel=1e-8), case.label
                 cdis2_dense = 1.0 / oracle_infsup(case.sys2.A, case.sys1.D)
-                assert rep.c_dis2 == pytest.approx(cdis2_dense, rel=1e-8), case.label
+                assert rep.cdis2 == pytest.approx(cdis2_dense, rel=1e-8), case.label
         elapsed = time.monotonic() - t0
         assert elapsed < 300.0, f"took {elapsed:.1f}s"
 
@@ -166,7 +166,7 @@ def test_perturbation_factor_two(suite):
         small = [c for c in suite if c.rep.cond <= 0.5]
         assert small, "no suite case satisfies the smallness condition"
         for case in small:
-            assert case.rep.c_dis2 <= 2.0 * case.rep.c_dis1 * (1 + SLACK), case.label
+            assert case.rep.cdis2 <= 2.0 * case.rep.cdis1 * (1 + SLACK), case.label
 
 
 def test_norm_chains_and_infsup_lower_bound(suite):
@@ -284,7 +284,7 @@ def test_2d_smoke_suite():
             rep = nearby_bound_report(s1, s2, alpha=0.3)
             assert rep.lhs_D <= rep.rhs_lemma * (1 + SLACK)
             assert rep.lhs_Dinv <= rep.rhs_lemma * (1 + SLACK)
-            rhs2 = rep.mass_ratio * rep.deps * rep.c_dis2
+            rhs2 = rep.mass_ratio * rep.deps * rep.cdis2
             assert rep.lhs_2 <= rhs2 * (1 + SLACK)
             assert rep.lhs_2p <= rhs2 * (1 + SLACK)
             assert rep.passed

@@ -144,7 +144,8 @@ def garding_reference(sys, constants, n_samples, seed, rtol=1e-12):
         Dd = D.toarray()
         ident_err = np.abs(A.toarray().real + 2.0 * M.toarray() - Dd).max() / np.abs(Dd).max()
     return GardingReport(
-        constants=constants,
+        c_g1=constants.c_g1,
+        c_g2=constants.c_g2,
         n_samples=n_samples,
         violations=violations,
         worst_rel_margin=worst,
@@ -456,9 +457,9 @@ def test_singular_pair_report():
     bad[0, :] = 0
     rep = nearby_bound_report(s1, dataclasses.replace(s1, A=bad.tocsr()))
     assert rep.singular and not rep.passed
-    assert rep.c_dis2 == math.inf and rep.rhs_lemma == math.inf
+    assert rep.cdis2 == math.inf and rep.rhs_lemma == math.inf
     assert rep.checks == () and rep.rhs_lemma2 is None
-    for v in (rep.c_dis1, rep.mass_ratio, rep.lhs_D, rep.lhs_Dinv,
+    for v in (rep.cdis1, rep.mass_ratio, rep.lhs_D, rep.lhs_Dinv,
               rep.lhs_2, rep.lhs_2p, rep.cond):
         assert math.isnan(v)
 
@@ -495,11 +496,11 @@ def test_nearby_bounds_dense_oracle_eps_perturbation():
     lhs_dense = oracle_weighted_norm(C, s1.D, "D")
     cdis2_dense = 1.0 / oracle_infsup(s2.A, s1.D)
     assert rep.lhs_D == pytest.approx(lhs_dense, rel=1e-8)
-    assert rep.c_dis2 == pytest.approx(cdis2_dense, rel=1e-8)
+    assert rep.cdis2 == pytest.approx(cdis2_dense, rel=1e-8)
     assert lhs_dense <= 0.1 * cdis2_dense
     assert rep.lhs_D <= rep.rhs_lemma
     assert rep.rhs_lemma - rep.lhs_D > 0  # strictly positive margin
-    assert rep.lhs_2 <= rep.mass_ratio * 0.1 * rep.c_dis2 * (1 + 1e-9)
+    assert rep.lhs_2 <= rep.mass_ratio * 0.1 * rep.cdis2 * (1 + 1e-9)
     assert rep.passed
 
 
@@ -578,7 +579,7 @@ def test_factor_two_under_smallness():
     s1 = canonical_1d(10.0, 100)
     rep = nearby_bound_report(s1, assemble_system(s1.spec.with_absorption(0.05)), alpha=0.05)
     assert rep.cond <= 0.5
-    assert rep.c_dis2 <= 2 * rep.c_dis1 * (1 + 1e-9)
+    assert rep.cdis2 <= 2 * rep.cdis1 * (1 + 1e-9)
     names = [c.name for c in rep.checks]
     assert "perturbed_factor2" in names and "small_cond_D" in names
     assert rep.passed
@@ -813,11 +814,11 @@ def test_pair_shares_factors_and_caches_derived(splu_calls, pencil_calls):
     pencil_calls.clear()
     again = nearby_bound_report(s1, s2)
     assert splu_calls == [] and len(pencil_calls) == 2  # the norm estimates only
-    for field in ("c_dis1", "c_dis2", "mass_ratio", "lhs_D", "lhs_Dinv", "lhs_2"):
+    for field in ("cdis1", "cdis2", "mass_ratio", "lhs_D", "lhs_Dinv", "lhs_2"):
         assert getattr(again, field) == getattr(rep, field), field
     nrep = norm_equivalence_report(s1)
     assert splu_calls == [] and len(pencil_calls) == 2 + 2  # two M-weighted norms
-    assert nrep.hstar_to_h == nrep.c_dis == rep.c_dis1
+    assert nrep.hstar_to_h == nrep.c_dis == rep.cdis1
     assert s1.inf_sup(0) is s1.inf_sup(0)
     assert s1.inf_sup(1) is not s1.inf_sup(0)  # another seed: computed again
-    assert s1.inf_sup(1).c_dis == pytest.approx(rep.c_dis1, rel=1e-9)
+    assert s1.inf_sup(1).c_dis == pytest.approx(rep.cdis1, rel=1e-9)

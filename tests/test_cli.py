@@ -330,6 +330,28 @@ def test_mesh_beyond_the_superlu_index_limit_is_an_error(tmp_path, capsys, comma
         f"error: a mesh of {nodes} nodes exceeds SuperLU's limit of 2147483647\n")
 
 
+@pytest.mark.parametrize("sweep", [
+    {"ladder": {"refine": 1e14}},
+    {"k_values": [4.0, 1e300], "resolution": {"type": "per_k", "factor": 10},
+     "ladder": {"refine": 2}},
+], ids=["reference_mesh", "working_mesh"])
+def test_sweep_builds_its_reference_meshes_before_any_point(tmp_path, capsys, splu_calls,
+                                                            sweep):
+    """A ladder whose reference mesh cannot be built (10 elements refined
+    1e14 times, or a k whose own mesh has 1e301 nodes) ended the sweep only
+    after every point was solved and sweep.csv written, a file no line
+    announced: it is one error line before any factorization, and no file."""
+    path = write_cfg(tmp_path, {"problem": {"resolution": {"type": "elements", "n": 10}},
+                                "sweep": sweep})
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", path, "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a mesh of ") and captured.err.count("\n") == 1
+    assert not (out / "sweep.csv").exists()
+    assert splu_calls == []
+
+
 # C_g1 = 50 is far above the valid constant: three norm checks fail.
 WRONG_GARDING = {"problem": {"k": 6.0, "resolution": {"type": "elements", "n": 30},
                              "garding": {"c_g1": 50.0, "c_g2": 0.0}}}
@@ -665,6 +687,23 @@ def test_sweep_ladder_raises_when_a_system_failed(tmp_path):
     assert not (out / "ladder.csv").exists()
 
 
+def test_sweep_ladder_records_a_singular_working_rung(tmp_path, capsys, monkeypatch):
+    """A working rung whose C_dis report is singular is a ladder entry with
+    singular true and ratio nan, and a FAIL line."""
+    from helmprec import cli
+    from helmprec.numerics import SINGULAR_INF_SUP
+
+    monkeypatch.setattr(cli, "_ladder_rung",
+                        lambda sys1, seed: (sys1.spec, sys1.n, SINGULAR_INF_SUP))
+    path = write_cfg(tmp_path, {"sweep": {"k_values": [4.0], "alpha_values": [0.1],
+                                          "ladder": {"refine": 2}}})
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", path, "--out-dir", str(out)]) == 1
+    assert "FAIL ladder[k=4]: margin=nan" in capsys.readouterr().out.splitlines()
+    (entry,) = _csv_rows(out / "ladder.csv")
+    assert (entry["singular"], entry["ratio"]) == ("true", "nan")
+
+
 def test_sweep_alpha_growth_and_small_alpha_linearity(tmp_path):
     path = write_cfg(tmp_path, {
         "sweep": {"k_values": [10.0, 20.0], "alpha_values": [0.05, 0.1, 0.3, 1.0],
@@ -972,10 +1011,10 @@ def test_singular_sweep_row_is_a_failure(tmp_path, capsys, monkeypatch):
     def singular_report(sys1, sys2, seed, alpha):
         nan = math.nan
         return BoundReport(
-            n=sys1.n, dmu=0.0, deps=0.0, c_dis1=nan, c_dis2=math.inf, mass_ratio=nan,
-            lhs_D=nan, lhs_Dinv=nan, lhs_2=nan, lhs_2p=nan, rhs_lemma=math.inf,
-            rhs_lemma2=None, cond=nan, checks=(), singular=True, k=sys1.spec.k,
-            alpha=alpha)
+            k=sys1.spec.k, h=sys1.spec.mesh.h, alpha=alpha, n=sys1.n, dmu=0.0, deps=0.0,
+            cdis1=nan, cdis2=math.inf, mass_ratio=nan, lhs_D=nan, lhs_Dinv=nan, lhs_2=nan,
+            lhs_2p=nan, rhs_lemma=math.inf, rhs_lemma2=None, cond=nan, checks=(),
+            singular=True)
 
     monkeypatch.setattr(cli, "nearby_bound_report", singular_report)
     path = write_cfg(tmp_path, {"sweep": {"k_values": [4.0], "alpha_values": [0.1]}})
@@ -996,6 +1035,50 @@ def test_export_import_roundtrip_matches(tmp_path):
     b = json.loads(Path(res_i.paths["bounds"]).read_text())
     for key in ("dmu", "deps", "cdis1", "cdis2", "lhs_D", "lhs_2", "rhs_lemma"):
         assert a[key] == b[key], key
+
+
+def test_singular_import_writes_its_norms_as_floats(tmp_path, capsys):
+    """An imported pair whose A2 is singular writes the integer norms of its
+    meta.json, 0 and 1, as 0.0 and 1.0, as a nonsingular pair does."""
+    from helmprec.io import write_matrix_mm
+
+    pair = tmp_path / "pair"
+    assert cmd_export(write_cfg(tmp_path), out_dir=str(pair)).exit_status == 0
+    A2 = read_matrix_mm(str(pair / "A2.mtx")).tolil()
+    A2[0, :] = 0
+    write_matrix_mm(str(pair / "A2.mtx"), A2.tocsr())
+    (pair / "meta.json").write_text('{"dmu": 0, "deps": 1}')
+    assert main(["import", "--dir", str(pair)]) == 1
+    assert "FAIL bounds.nonsingular: margin=nan" in capsys.readouterr().out.splitlines()
+    report = json.loads((pair / "bounds.json").read_text())
+    assert [(report[key], type(report[key])) for key in ("dmu", "deps")] == [
+        (0.0, float), (1.0, float)]
+    (row,) = _csv_rows(pair / "bounds.csv")
+    assert (row["dmu"], row["deps"]) == ("0.0", "1.0")
+
+
+def test_report_layout_is_the_bench_references(tmp_path):
+    """verify's report files have the key order of the committed benchmark
+    references, every check included, and verify's and sweep's CSV files
+    their headers; the benchmark compares key sets only."""
+    from conftest import BENCH
+
+    ref = Path(BENCH, "reference")
+    path = write_cfg(tmp_path, {"sweep": {"k_values": [4.0], "alpha_values": [0.2],
+                                          "ladder": {"refine": 2}}})
+    cmd_verify(path, out_dir=str(tmp_path / "verify2d"))
+    cmd_sweep(path, out_dir=str(tmp_path / "sweep2d"))
+    for name in ("bounds.json", "garding.json", "norm_equivalence.json"):
+        ours = json.loads((tmp_path / "verify2d" / name).read_text())
+        theirs = json.loads((ref / "verify2d" / name).read_text())
+        assert list(ours) == list(theirs), name
+        for check in ours.get("checks", []):
+            assert list(check) == list(theirs["checks"][0]), name
+    for workload, name in (("verify2d", "bounds.csv"), ("sweep2d", "sweep.csv"),
+                           ("sweep2d", "ladder.csv")):
+        header = [(d / workload / name).read_text().split("\n")[0]
+                  for d in (tmp_path, ref)]
+        assert header[0] == header[1], name
 
 
 @pytest.mark.parametrize("perm_seed", [1, 2, 3])
