@@ -30,7 +30,6 @@ from .coeffs import (
 )
 from .mesh import BoundaryTag, Mesh, build_interval_mesh, build_rect_mesh
 from .numerics import (
-    InfSupReport,
     MassExtremes,
     SolutionOperatorNorms,
     discrete_inf_sup,

@@ -57,8 +57,6 @@ from .errors import (
 from .mesh import BoundaryTag, Mesh
 from .numerics import (
     DEFAULT_SEED,
-    SINGULAR_INF_SUP,
-    InfSupReport,
     LUFactor,
     MassExtremes,
     discrete_inf_sup,
@@ -113,9 +111,9 @@ class MatrixSystem:
 
     A system keeps the LU factors of A and the Gram factor of D, made on
     first use and alive as long as the system, so every quantity computed
-    from it shares them. It caches per seed the discrete inf-sup report of
-    A (LU solves and products with D) and the mass-matrix extremes, which
-    factor sigma I - M and then M, one at a time, and keep neither factor.
+    from it shares them. It caches per seed the float C_dis of A (LU solves
+    and products with D; inf for a singular A) and the mass-matrix extremes,
+    which factor sigma I - M and then M, one at a time, and keep neither.
     """
 
     A: sp.csr_matrix
@@ -139,16 +137,16 @@ class MatrixSystem:
     def _derived(self) -> dict:
         return {}
 
-    def inf_sup(self, seed: int = DEFAULT_SEED) -> InfSupReport:
-        """Discrete inf-sup report of A (a singular matrix is reported, not
-        raised), cached per seed. It takes products with D and never its
-        Gram factor, so a system used only for its inf-sup constant, such
+    def c_dis(self, seed: int = DEFAULT_SEED) -> float:
+        """C_dis of A (:func:`discrete_inf_sup`), cached per seed; a singular
+        A has no LU factors and C_dis = inf. It takes products with D and
+        never its Gram factor, so a system used only for its C_dis, such
         as an inf-sup ladder's reference rung, factors A alone."""
         try:
             lu = self.lu
         except SingularSystemError:
-            return SINGULAR_INF_SUP
-        key = ("inf_sup", seed)
+            return math.inf
+        key = ("c_dis", seed)
         if key not in self._derived:
             self._derived[key] = discrete_inf_sup(lu, self.D, seed=seed)
         return self._derived[key]
@@ -295,7 +293,9 @@ def assemble_system(spec: ProblemSpec) -> GalerkinSystem:
     Raises ``InvalidArgumentError`` naming the wavenumber and the mesh size
     h when an entry of A or D is not finite: a k whose k^{-2} is finite
     but overflows times the stiffness, or cells so small or so large that
-    their element matrices overflow.
+    their element matrices overflow. So it does when D = k^{-2} K + M has
+    lost M: some entry with M != 0 rounds to k^{-2} K, as when (kh)^2 is
+    below the unit roundoff, and D no longer bounds M.
     """
     with np.errstate(all="ignore"):  # a non-finite A or D is raised below
         pattern = _grid_pattern(spec.mesh)
@@ -317,10 +317,11 @@ def assemble_system(spec: ProblemSpec) -> GalerkinSystem:
         bslots, bvalues = pattern.boundary
         data[bslots] += (-1j * spec.theta / spec.k) * bvalues
         D = pattern.D(spec.k)
+    where = f"wavenumber {spec.k} on a mesh with h = {spec.mesh.h:g}"
     if not (np.isfinite(data).all() and np.isfinite(D.data).all()):
-        raise InvalidArgumentError(
-            f"wavenumber {spec.k} on a mesh with h = {spec.mesh.h:g} makes A or D not finite"
-        )
+        raise InvalidArgumentError(f"{where} makes A or D not finite")
+    if np.any((D.data == k2 * pattern.K) & (pattern.M.data != 0)):
+        raise InvalidArgumentError(f"{where} rounds M out of D = k^-2 K + M")
     return GalerkinSystem(A=pattern.csr(data), D=D, M=pattern.M, spec=spec)
 
 

@@ -21,7 +21,7 @@ absorbing the eigensolvers' relative tolerance of 1e-10.
 
 Each system of a pair is a :class:`~helmprec.assemble.MatrixSystem`,
 assembled or imported alike. A system owns its factors and caches, per
-seed, its discrete inf-sup report and its mass-matrix extremes, so each
+seed, its C_dis and its mass-matrix extremes, so each
 command computes C_dis_1, C_dis_2 and m+/m- once. The norms of a pair use
 the first system's Gram factor of D, the mass extremes keep no factor, and
 C_dis_2 takes products with D only: the second system factors only its A. Only the
@@ -63,7 +63,6 @@ from .coeffs import field_diff_sup_norm, resample_field
 from .errors import InvalidArgumentError, InvalidPairError, SingularSystemError
 from .mesh import Mesh
 from .numerics import (
-    InfSupReport,
     LUFactor,
     is_symmetric,
     nearly_equal,
@@ -502,15 +501,15 @@ def nearby_bound_report(
     # factor and A2's complex LU factors exist
     me = sys1.mass_extremes(seed)
     G = sys1.gram_d
-    inf2 = sys2.inf_sup(seed)
+    cdis2 = sys2.c_dis(seed)
     nan = math.nan
-    if inf2.singular:
+    if cdis2 == math.inf:
         return BoundReport(
             k=k, h=h, alpha=alpha, n=n, dmu=dmu, deps=deps, cdis1=nan, cdis2=math.inf,
             mass_ratio=nan, lhs_D=nan, lhs_Dinv=nan, lhs_2=nan, lhs_2p=nan,
             rhs_lemma=math.inf, rhs_lemma2=None, cond=nan, checks=(), singular=True,
         )
-    inf1 = sys1.inf_sup(seed)
+    cdis1 = sys1.c_dis(seed)
     op_left, op_right = _difference_operators(A1, A2, sys2.lu)
     lhs_D = weighted_operator_norm(op_left, G, seed=seed)
     lhs_2 = weighted_operator_norm(op_left, None, seed=seed)
@@ -522,9 +521,9 @@ def nearby_bound_report(
         lhs_Dinv = weighted_operator_norm(op_right.H, G, seed=seed)
         lhs_2p = weighted_operator_norm(op_right, None, seed=seed)
 
-    rhs_lemma = (dmu + deps) * inf2.c_dis
-    rhs_lemma2 = me.ratio * deps * inf2.c_dis if dmu == 0.0 else None
-    cond = (dmu + deps) * inf1.c_dis
+    rhs_lemma = (dmu + deps) * cdis2
+    rhs_lemma2 = me.ratio * deps * cdis2 if dmu == 0.0 else None
+    cond = (dmu + deps) * cdis1
 
     checks = [
         _make_check("nearby_D", lhs_D, rhs_lemma),
@@ -534,14 +533,14 @@ def nearby_bound_report(
         checks.append(_make_check("euclid_left", lhs_2, rhs_lemma2))
         checks.append(_make_check("euclid_right", lhs_2p, rhs_lemma2))
     if cond <= 0.5:
-        checks.append(_make_check("perturbed_factor2", inf2.c_dis, 2.0 * inf1.c_dis))
-        rhs_small = 2.0 * (dmu + deps) * inf1.c_dis
+        checks.append(_make_check("perturbed_factor2", cdis2, 2.0 * cdis1))
+        rhs_small = 2.0 * (dmu + deps) * cdis1
         checks.append(_make_check("small_cond_D", lhs_D, rhs_small))
         checks.append(_make_check("small_cond_Dinv", lhs_Dinv, rhs_small))
 
     return BoundReport(
         k=k, h=h, alpha=alpha, n=n, dmu=dmu, deps=deps,
-        cdis1=inf1.c_dis, cdis2=inf2.c_dis, mass_ratio=me.ratio,
+        cdis1=cdis1, cdis2=cdis2, mass_ratio=me.ratio,
         lhs_D=lhs_D, lhs_Dinv=lhs_Dinv, lhs_2=lhs_2, lhs_2p=lhs_2p,
         rhs_lemma=rhs_lemma, rhs_lemma2=rhs_lemma2, cond=cond, checks=tuple(checks),
     )
@@ -565,11 +564,11 @@ def norm_equivalence_report(
     their difference, is zero by construction; it is kept for the
     report's format.
     """
-    rep = sys.inf_sup(seed)
-    if rep.singular:
+    hstar_to_h = sys.c_dis(seed)
+    if hstar_to_h == math.inf:
         raise SingularSystemError("system matrix is singular")
     duo = solution_operator_norms(sys.lu, sys.D, sys.M, seed=seed)
-    hstar_to_h = rep.c_dis
+    gamma = 1.0 / hstar_to_h
     cg1, cg2 = constants.c_g1, constants.c_g2
     upper1 = (1.0 / cg1) * (1.0 + cg2 * duo.h0_to_h)
     upper2 = duo.h0_to_h0 * math.sqrt(cg2 + 1.0 / duo.h0_to_h0) / math.sqrt(cg1)
@@ -579,7 +578,7 @@ def norm_equivalence_report(
         _make_check("chain1_upper", hstar_to_h, upper1),
         _make_check("chain2_lower", duo.h0_to_h0, duo.h0_to_h),
         _make_check("chain2_upper", duo.h0_to_h, upper2),
-        _make_lower_check("infsup_lower", rep.gamma, gamma_lower),
+        _make_lower_check("infsup_lower", gamma, gamma_lower),
         _make_check("two_routes", 0.0, 1e-8 * hstar_to_h),
     )
     return NormEquivalenceReport(
@@ -588,8 +587,8 @@ def norm_equivalence_report(
         hstar_to_h=hstar_to_h,
         h0_to_h=duo.h0_to_h,
         h0_to_h0=duo.h0_to_h0,
-        gamma=rep.gamma,
-        c_dis=rep.c_dis,
+        gamma=gamma,
+        c_dis=hstar_to_h,
         checks=checks,
     )
 
@@ -610,40 +609,41 @@ def remesh_problem(spec: ProblemSpec, mesh: Mesh) -> ProblemSpec:
     return ProblemSpec(spec.k, mesh, mu, eps, spec.theta)
 
 
-def _reference_rung(spec: ProblemSpec, refine: int, seed: int) -> tuple[int, float, InfSupReport]:
-    """(n_ref, h_ref, inf-sup report) of ``spec`` on its mesh refined
-    ``refine`` times; the reference system and its LU factors die on return."""
+def _reference_rung(spec: ProblemSpec, refine: int, seed: int) -> tuple[int, float, float]:
+    """(n_ref, h_ref, C_dis) of ``spec`` on its mesh refined ``refine``
+    times; the reference system and its LU factors die on return."""
     ref = assemble_system(remesh_problem(spec, spec.mesh.refined(refine)))
-    return ref.n, ref.spec.mesh.h, ref.inf_sup(seed)
+    return ref.n, ref.spec.mesh.h, ref.c_dis(seed)
 
 
 def infsup_ladder(
-    rungs: Sequence[tuple[ProblemSpec, int, InfSupReport]],
+    rungs: Sequence[tuple[ProblemSpec, int, float]],
     refine: int,
     seed: int = 0,
 ) -> InfSupLadder:
     """Discrete inf-sup constants along a refinement ladder in k.
 
     Each rung is a working system, given as its problem, its number of
-    dofs and its inf-sup report under ``seed``; its reference is the same
-    problem (:func:`remesh_problem`) on ``spec.mesh.refined(refine)``, the
-    working mesh with every cell split ``refine`` times per axis, so the
+    dofs and its C_dis under ``seed`` (inf when singular); its reference is
+    the same problem (:func:`remesh_problem`) on ``spec.mesh.refined(refine)``,
+    the working mesh with every cell split ``refine`` times per axis, so the
     recorded ratio C_dis(h)/C_dis(h_ref) measures discretization error
     only: it is the empirical stability constant of the working
     resolution. Only the reference rung is assembled, factored and solved
-    for here. Singular systems are recorded in the ladder rather than
-    raised.
+    for here. Each gamma is written as 1/C_dis, so a singular system is
+    recorded in the ladder with gamma 0 rather than raised.
     """
     entries = []
-    for spec, n, rep in rungs:
-        n_ref, h_ref, ref = _reference_rung(spec, refine, seed)
-        singular = rep.singular or ref.singular
+    for spec, n, c_dis in rungs:
+        n_ref, h_ref, c_dis_ref = _reference_rung(spec, refine, seed)
+        gamma, gamma_ref = 1.0 / c_dis, 1.0 / c_dis_ref
+        singular = math.inf in (c_dis, c_dis_ref)
         entries.append(
             LadderEntry(
                 k=float(spec.k), h=spec.mesh.h, h_ref=h_ref, n=n, n_ref=n_ref,
-                gamma=rep.gamma, gamma_ref=ref.gamma,
+                gamma=gamma, gamma_ref=gamma_ref,
                 # C_dis(h) / C_dis(h_ref) = gamma(h_ref) / gamma(h)
-                ratio=math.nan if singular else ref.gamma / rep.gamma, singular=singular,
+                ratio=math.nan if singular else gamma_ref / gamma, singular=singular,
             )
         )
     return InfSupLadder(tuple(entries))

@@ -154,14 +154,12 @@ def _sweep_point(cfg, sys1, k, alpha, seed):
 
 
 def _ladder_rung(sys1, seed):
-    """k's working ladder rung, (spec, n, C_dis report) of its sweep system,
-    or the error that building the system or its C_dis raised."""
-    if isinstance(sys1, HelmprecError):
-        return sys1
+    """k's working ladder rung, (spec, n, C_dis) of its sweep system, or None
+    when building the system or its C_dis raised."""
     try:
-        return sys1.spec, sys1.n, sys1.inf_sup(seed)
-    except HelmprecError as exc:
-        return exc
+        return None if isinstance(sys1, HelmprecError) else (sys1.spec, sys1.n, sys1.c_dis(seed))
+    except HelmprecError:
+        return None
 
 
 def cmd_sweep(config_path: str, out_dir: str = "out", seed: int = 0) -> ScenarioResult:
@@ -204,13 +202,16 @@ def cmd_sweep(config_path: str, out_dir: str = "out", seed: int = 0) -> Scenario
             result.add(name, bool(row["passed"]), 0.0)
 
     if sweep["ladder"] is not None:
-        for rung in rungs:
-            if isinstance(rung, HelmprecError):
-                raise rung
-        ladder = infsup_ladder(rungs, sweep["ladder"]["refine"], seed=seed)
+        ladder = infsup_ladder([r for r in rungs if r is not None], sweep["ladder"]["refine"],
+                               seed=seed)
         result.paths["ladder"] = hio.write_report(ladder, os.path.join(out_dir, "ladder.csv"))
-        for e in ladder.entries:  # a singular entry's ratio is nan
-            result.add(f"ladder[k={e.k:g}]", not e.singular, e.ratio)
+        entries = iter(ladder.entries)
+        for k, rung in zip(sweep["k_values"], rungs):
+            if rung is None:  # k's system or its C_dis failed: it has no entry
+                result.add(f"ladder[k={k:g}]", False, math.nan)
+            else:  # a singular entry's ratio is nan
+                e = next(entries)
+                result.add(f"ladder[k={k:g}]", not e.singular, e.ratio)
     return result
 
 

@@ -1,4 +1,4 @@
-"""Weighted matrix norms, inf-sup constants, and mass-matrix extremes.
+"""Weighted matrix norms, the solution-operator norm C_dis, mass extremes.
 
 Everything here reduces a functional-analytic quantity to a singular
 value of a conjugated matrix. With D = L L^T the Gram (energy-norm)
@@ -10,6 +10,9 @@ matrix and M = R R^T the mass matrix (L, R real factors, never formed):
     C_dis = 1/gamma    = ||L^T A^{-1} L||_2         discrete solution-operator norm
     ||A^{-1}||_{0->H}  = ||L^T A^{-1} R||_2
     ||A^{-1}||_{0->0}  = ||R^T A^{-1} R||_2
+
+C_dis is passed as one float, and gamma_dis as 1/C_dis; a singular A,
+which has no LU factors, has C_dis = inf (gamma_dis = 0).
 
 For real symmetric D, transposition keeps singular values, and
 L^{-1} C^T L = (L^T C L^{-T})^T, so ||C^T||_{D^{-1}} = ||C||_D; also
@@ -253,38 +256,14 @@ class MassExtremes:
     m_plus_sq: float
 
     @property
-    def m_minus(self) -> float:
-        return math.sqrt(self.m_minus_sq)
-
-    @property
-    def m_plus(self) -> float:
-        return math.sqrt(self.m_plus_sq)
-
-    @property
     def ratio(self) -> float:
-        return self.m_plus / self.m_minus
-
-
-@dataclass(frozen=True)
-class InfSupReport:
-    """Discrete inf-sup constant gamma_dis and its reciprocal C_dis."""
-
-    gamma: float
-    c_dis: float
-    iterations: int
-    residual: float
-    singular: bool = False
-
-
-SINGULAR_INF_SUP = InfSupReport(
-    gamma=0.0, c_dis=math.inf, iterations=0, residual=0.0, singular=True
-)
+        return math.sqrt(self.m_plus_sq) / math.sqrt(self.m_minus_sq)
 
 
 @dataclass(frozen=True)
 class SolutionOperatorNorms:
     """The M-weighted solution-operator norms (L2->H, L2->L2); the third,
-    dual->H, is the C_dis of :class:`InfSupReport`."""
+    dual->H, is the C_dis of :func:`discrete_inf_sup`."""
 
     h0_to_h: float
     h0_to_h0: float
@@ -460,27 +439,27 @@ def _solution_normal(lu: LUFactor, mid) -> Callable[[np.ndarray], np.ndarray]:
     return lambda v: lu.solve(mid @ lu.solve(v), trans="H")
 
 
-def discrete_inf_sup(lu: LUFactor, D, seed: int = DEFAULT_SEED) -> InfSupReport:
-    """Discrete inf-sup constant sigma_min(L^{-1} A L^{-T}) of a system.
+def discrete_inf_sup(lu: LUFactor, D, seed: int = DEFAULT_SEED) -> float:
+    """C_dis = ||L^T A^{-1} L||_2 of a system, the reciprocal of its discrete
+    inf-sup constant gamma_dis = sigma_min(L^{-1} A L^{-T}).
 
-    Computed as the reciprocal of C_dis = ||L^T A^{-1} L||_2, the square
-    root of the top eigenvalue of A^{-H} D A^{-1} D in the D inner
-    product, through the LU factors ``lu`` of A and products with the
-    matrix D, which is never factored here. D is SPD and A^{-1} injective,
-    so C_dis is positive, and a C_dis^2 of 0 or below the normal floats
-    is an underflow: UnderflowError. A singular A has no LU factors;
-    :meth:`MatrixSystem.inf_sup` reports it as singular.
+    C_dis is the square root of the top eigenvalue of A^{-H} D A^{-1} D in
+    the D inner product, through the LU factors ``lu`` of A and products
+    with the matrix D, which is never factored here. D is SPD and A^{-1}
+    injective, so C_dis is positive, and a C_dis^2 of 0 or below the
+    normal floats is an underflow: UnderflowError. A singular A has no LU
+    factors: its C_dis is infinite (gamma_dis = 0), which
+    :meth:`MatrixSystem.c_dis` returns as ``math.inf``.
     """
     n = lu.n
     D = complex_twin(_norm_matrix(D, n))  # one twin for W and B
     try:
-        nu, it, res = _pencil_lambda_max(_solution_normal(lu, D), n, seed, b=D)
+        nu = _pencil_lambda_max(_solution_normal(lu, D), n, seed, b=D)[0]
     except UnderflowError:
         nu = 0.0
     if nu == 0.0:
         raise UnderflowError("C_dis underflows: A is too large for the norm of D")
-    c_dis = math.sqrt(nu)
-    return InfSupReport(gamma=1.0 / c_dis, c_dis=c_dis, iterations=it, residual=res)
+    return math.sqrt(nu)
 
 
 def mass_extremes(M, seed: int = DEFAULT_SEED) -> MassExtremes:

@@ -62,9 +62,9 @@ def canonical_1d(k, n, **kw):
 
 
 def working_rung(spec, seed=0):
-    """An inf-sup ladder's working rung: (spec, n, inf-sup report) of ``spec``'s system."""
+    """An inf-sup ladder's working rung: (spec, n, C_dis) of ``spec``'s system."""
     system = assemble_system(spec)
-    return spec, system.n, system.inf_sup(seed)
+    return spec, system.n, system.c_dis(seed)
 
 
 def canonical_spec_2d(k, nx, ny, tags=IMP, theta=1.0):

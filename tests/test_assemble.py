@@ -255,7 +255,7 @@ def test_system_keeps_only_the_factors_of_a_and_d():
     """A system keeps A's LU factors and D's Gram factor; its mass extremes
     are cached without a factor of M or of sigma I - M."""
     s = canonical_1d(4.0, 10)
-    s.inf_sup(), s.mass_extremes(), s.gram_d
+    s.c_dis(), s.mass_extremes(), s.gram_d
     assert not hasattr(MatrixSystem, "gram_m")
     kept = {name for name, value in vars(s).items() if isinstance(value, LUFactor)}
     assert kept == {"lu", "gram_d"}
@@ -265,10 +265,9 @@ def test_singular_system_inf_sup_is_report_not_exception():
     s = canonical_1d(5.0, 20)
     bad = s.A.tolil()
     bad[3, :] = 0
-    rep = MatrixSystem(bad.tocsr(), s.D, s.M).inf_sup()
-    assert rep.singular
-    assert rep.gamma == 0.0
-    assert rep.c_dis == np.inf
+    c_dis = MatrixSystem(bad.tocsr(), s.D, s.M).c_dis()
+    assert c_dis == np.inf
+    assert 1.0 / c_dis == 0.0  # the gamma that reports write
 
 
 # (lo, hi, cells): unit and shifted domains, square and non-square cells

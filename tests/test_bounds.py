@@ -819,6 +819,6 @@ def test_pair_shares_factors_and_caches_derived(splu_calls, pencil_calls):
     nrep = norm_equivalence_report(s1)
     assert splu_calls == [] and len(pencil_calls) == 2 + 2  # two M-weighted norms
     assert nrep.hstar_to_h == nrep.c_dis == rep.cdis1
-    assert s1.inf_sup(0) is s1.inf_sup(0)
-    assert s1.inf_sup(1) is not s1.inf_sup(0)  # another seed: computed again
-    assert s1.inf_sup(1).c_dis == pytest.approx(rep.cdis1, rel=1e-9)
+    assert s1.c_dis(0) is s1.c_dis(0)
+    assert s1.c_dis(1) is not s1.c_dis(0)  # another seed: computed again
+    assert s1.c_dis(1) == pytest.approx(rep.cdis1, rel=1e-9)

@@ -671,30 +671,56 @@ def test_sweep_ladder_working_rung_is_the_sweep_mesh_non_square(tmp_path):
         assert float(rung["h_ref"]) == pytest.approx(float(rung["h"]) / 2, rel=1e-15)
 
 
-def test_sweep_ladder_raises_when_a_system_failed(tmp_path):
-    """A k whose sweep system could not be built stops the ladder; the
-    sweep's error rows are written first."""
+def test_sweep_ladder_fails_the_k_whose_system_failed(tmp_path):
+    """A k whose sweep system could not be built is an error row and a
+    failed ladder line with no ladder entry; the sweep still writes both
+    files."""
     path = write_cfg(tmp_path, {
         "problem": {"mu_inv": {"type": "step", "axis": 0, "threshold": 0.5,
                                "below": [-1.0, 0.0], "above": [1.0, 0.0]}},
         "sweep": {"alpha_values": [0.1], "ladder": {"refine": 2}},
     })
     out = tmp_path / "sf"
-    with pytest.raises(InvalidCoefficientError):
-        cmd_sweep(path, out_dir=str(out))
+    res = cmd_sweep(path, out_dir=str(out))
+    assert res.exit_status == 1
     assert all(r["error"] == "InvalidCoefficientError"
                for r in _csv_rows(out / "sweep.csv"))
-    assert not (out / "ladder.csv").exists()
+    assert _csv_rows(out / "ladder.csv") == []
+    assert [s for s in res.summaries if s[0].startswith("ladder")] == [
+        ("ladder[k=4]", False, pytest.approx(math.nan, nan_ok=True)),
+        ("ladder[k=8]", False, pytest.approx(math.nan, nan_ok=True)),
+    ]
+
+
+def test_sweep_keeps_the_healthy_k_next_to_a_failed_one(tmp_path, capsys):
+    """k = 1e-160 has no system (k^-2 overflows); k = 5 keeps its PASS
+    lines and its ladder entry, and both files are written and announced."""
+    path = write_cfg(tmp_path, {
+        "problem": {"k": 5.0, "resolution": {"type": "elements", "n": 20}},
+        "sweep": {"k_values": [1e-160, 5.0], "alpha_values": [0.1],
+                  "ladder": {"refine": 2}},
+    })
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", path, "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == [
+        "FAIL sweep[k=1e-160,alpha=0.1]", "PASS sweep[k=5,alpha=0.1]",
+        "FAIL ladder[k=1e-160]", "PASS ladder[k=5]", "wrote sweep", "wrote ladder",
+    ]
+    assert "FAIL ladder[k=1e-160]: margin=nan" in captured.out.splitlines()
+    assert [r["error"] for r in _csv_rows(out / "sweep.csv")] == ["InvalidArgumentError", ""]
+    (entry,) = _csv_rows(out / "ladder.csv")
+    assert (float(entry["k"]), entry["singular"]) == (5.0, "false")
 
 
 def test_sweep_ladder_records_a_singular_working_rung(tmp_path, capsys, monkeypatch):
-    """A working rung whose C_dis report is singular is a ladder entry with
-    singular true and ratio nan, and a FAIL line."""
+    """A working rung whose C_dis is infinite (a singular system) is a
+    ladder entry with singular true and ratio nan, and a FAIL line."""
     from helmprec import cli
-    from helmprec.numerics import SINGULAR_INF_SUP
 
     monkeypatch.setattr(cli, "_ladder_rung",
-                        lambda sys1, seed: (sys1.spec, sys1.n, SINGULAR_INF_SUP))
+                        lambda sys1, seed: (sys1.spec, sys1.n, math.inf))
     path = write_cfg(tmp_path, {"sweep": {"k_values": [4.0], "alpha_values": [0.1],
                                           "ladder": {"refine": 2}}})
     out = tmp_path / "s"
@@ -758,6 +784,31 @@ def test_verify_of_an_underflowing_c_dis_is_an_error(tmp_path, capsys, alpha):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(r"error: [^\n]*underflow[^\n]*\n", captured.err), captured.err
+
+
+def test_a_d_that_rounded_m_away_is_an_error(tmp_path, capsys):
+    """On [0, 1e-6] with 40 elements at k = 0.1, (kh)^2 = 6e-18 is below the
+    unit roundoff, and every entry of D = k^-2 K + M rounded to k^-2 K:
+    verify printed three FAIL norm lines, and PASSed bounds on a C_dis of
+    4.89 where a 60-digit eigensolve of the same matrices gives 1.0. It is
+    one error line; a sweep records that k as an error row and solves the
+    next. On [0, 1e-5] with 20 elements D keeps M, and verify passes."""
+    path = write_cfg(tmp_path, {
+        "problem": {"k": 0.1, "domain": [0.0, 1e-6], "resolution": {"type": "elements", "n": 40}},
+        "sweep": {"k_values": [0.1, 5.0], "alpha_values": [0.1]}})
+    assert main(["verify", "--config", path, "--out-dir", str(tmp_path / "v")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: wavenumber 0.1 on a mesh with h = 2.5e-08 rounds M out of D = k^-2 K + M\n")
+    assert main(["sweep", "--config", path, "--out-dir", str(tmp_path / "s")]) == 1
+    rows = _csv_rows(tmp_path / "s" / "sweep.csv")
+    assert [(row["error"], row["passed"]) for row in rows] == [
+        ("InvalidArgumentError", ""), ("", "true")]
+    kept = write_cfg(tmp_path, {"problem": {
+        "k": 0.1, "domain": [0.0, 1e-5], "resolution": {"type": "elements", "n": 20}}},
+        name="kept.json")
+    assert main(["verify", "--config", kept, "--out-dir", str(tmp_path / "k")]) == 0
 
 
 def test_verify_estimates_a_tiny_c_dis(tmp_path, capsys):
@@ -890,25 +941,51 @@ def test_a_domain_scaled_out_of_range_is_an_error(tmp_path, dimension, j):
         _domain_scaled_verify(tmp_path, dimension, j)
 
 
-def _mirrored_verify(tmp_path, n, sides, alpha, mirror):
+def _mirrored_verify(tmp_path, n, sides, alpha, mirror, domain=(0.0, 2.0)):
     """(exit status, bounds.json, norm_equivalence.json) of verify in 1D on
-    [0, 2] at k = 3, with mu^-1 0.5 | 2 at 0.5 and eps [1, 0.2] | 3 at 1.5,
-    or of its mirror image x -> 2 - x: the side tags swapped, and each step
-    reflected to 2 - threshold with its values swapped."""
-    mu, eps = (0.5, 0.5, 2.0), (1.5, [1.0, 0.2], 3.0)
+    [a, b] = ``domain`` at k = 3, with mu^-1 0.5 | 2 at a + (b - a) / 4 and
+    eps [1, 0.2] | 3 at a + 3 (b - a) / 4, or of its mirror image
+    x -> a + b - x: the side tags swapped, and each step reflected to
+    a + b - threshold with its values swapped."""
+    a, b = domain
+    mu, eps = (a + 0.25 * (b - a), 0.5, 2.0), (a + 0.75 * (b - a), [1.0, 0.2], 3.0)
     if mirror:
         sides = sides[::-1]
-        mu, eps = ((2 - thr, above, below) for thr, below, above in (mu, eps))
+        mu, eps = ((a + b - thr, above, below) for thr, below, above in (mu, eps))
     step = lambda thr, below, above: {
         "type": "step", "axis": 0, "threshold": thr, "below": below, "above": above}
     path = write_cfg(tmp_path, {"problem": {
-        "k": 3.0, "domain": [0.0, 2.0], "resolution": {"type": "elements", "n": n},
+        "k": 3.0, "domain": [a, b], "resolution": {"type": "elements", "n": n},
         "boundary": dict(zip(("left", "right"), sides)), "mu_inv": step(*mu), "eps": step(*eps)},
         "perturbation": {"alpha": alpha}}, name=f"mirror{int(mirror)}.json")
     out = tmp_path / f"mirror{int(mirror)}"
     status = cmd_verify(path, out_dir=str(out)).exit_status
     return status, *(json.loads((out / name).read_text())
                      for name in ("bounds.json", "norm_equivalence.json"))
+
+
+def _assert_mirror_invariant(tmp_path, n, sides, alpha, rtol, domain=(0.0, 2.0)):
+    """The exit status, every verdict and every non-float are equal; every
+    float of the two reports, and every check's lhs and rhs, agree to
+    ``rtol`` relative, and each margin within ``rtol`` (|lhs| + |rhs|)."""
+    status, *reports = _mirrored_verify(tmp_path, n, sides, alpha, False, domain)
+    status_m, *mirrored = _mirrored_verify(tmp_path, n, sides, alpha, True, domain)
+    assert status_m == status
+    for report, report_m in zip(reports, mirrored):
+        assert report.keys() == report_m.keys()
+        for key, value in report.items():
+            if isinstance(value, float):
+                assert report_m[key] == pytest.approx(value, rel=rtol, abs=0), key
+            elif key == "checks":
+                for c, c_m in zip(value, report_m[key], strict=True):
+                    assert (c_m["name"], c_m["passed"]) == (c["name"], c["passed"])
+                    for field in ("lhs", "rhs"):
+                        assert c_m[field] == pytest.approx(c[field], rel=rtol, abs=0), c
+                    scale = abs(c["lhs"]) + abs(c["rhs"])
+                    assert abs(c_m["margin"] - c["margin"]) <= rtol * scale, c
+            else:
+                assert report_m[key] == value, key
+    return reports[0], mirrored[0]
 
 
 @pytest.mark.parametrize("n,sides,alpha", [
@@ -923,23 +1000,22 @@ def test_verify_is_invariant_under_mirroring_a_1d_problem(tmp_path, n, sides, al
     check's lhs and rhs, agree to 1e-15 relative. A margin rhs - lhs
     carries their error: within 1e-15 (|lhs| + |rhs|), which is up to
     4.5e-15 of the margin."""
-    status, *reports = _mirrored_verify(tmp_path, n, sides, alpha, False)
-    status_m, *mirrored = _mirrored_verify(tmp_path, n, sides, alpha, True)
-    assert status_m == status
-    for report, report_m in zip(reports, mirrored):
-        assert report.keys() == report_m.keys()
-        for key, value in report.items():
-            if isinstance(value, float):
-                assert report_m[key] == pytest.approx(value, rel=1e-15, abs=0), key
-            elif key == "checks":
-                for c, c_m in zip(value, report_m[key], strict=True):
-                    assert (c_m["name"], c_m["passed"]) == (c["name"], c["passed"])
-                    for field in ("lhs", "rhs"):
-                        assert c_m[field] == pytest.approx(c[field], rel=1e-15, abs=0), c
-                    scale = abs(c["lhs"]) + abs(c["rhs"])
-                    assert abs(c_m["margin"] - c["margin"]) <= 1e-15 * scale, c
-            else:
-                assert report_m[key] == value, key
+    _assert_mirror_invariant(tmp_path, n, sides, alpha, 1e-15)
+
+
+@pytest.mark.parametrize("n,sides", [
+    (16, ("impedance", "impedance")), (32, ("dirichlet", "impedance")),
+    (37, ("impedance", "neumann")), (40, ("neumann", "impedance")),
+    (53, ("impedance", "dirichlet")), (64, ("dirichlet", "neumann")),
+    (128, ("impedance", "impedance")),
+])
+def test_verify_is_invariant_under_mirroring_an_interval_off_the_origin(tmp_path, n, sides):
+    """On [-1, 2] the mirror is x -> 1 - x, and each step moves to 1 minus its
+    threshold. The coefficient differences dmu and deps are bit-equal, and
+    the reports agree as above to 1e-14 relative (measured at most 2.2e-15):
+    the mirror solves in the reversed basis, so the invariance is not exact."""
+    bounds, bounds_m = _assert_mirror_invariant(tmp_path, n, sides, 0.3, 1e-14, (-1.0, 2.0))
+    assert (bounds_m["dmu"], bounds_m["deps"]) == (bounds["dmu"], bounds["deps"])
 
 
 _SIDES = ("impedance", "dirichlet", "neumann")

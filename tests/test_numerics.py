@@ -183,7 +183,7 @@ def test_lanczos_estimates_match_dense_oracles(case):
     s = FACTOR_CASES[case]()
     g = gram_factor(s.D)
     hstar, h0_to_h, h0_to_h0 = oracle_solution_norms(s.A, s.D, s.M)
-    assert discrete_inf_sup(s.lu, s.D).c_dis == pytest.approx(hstar, rel=1e-9)
+    assert discrete_inf_sup(s.lu, s.D) == pytest.approx(hstar, rel=1e-9)
     duo = solution_operator_norms(s.lu, s.D, s.M)
     assert duo.h0_to_h == pytest.approx(h0_to_h, rel=1e-9)
     assert duo.h0_to_h0 == pytest.approx(h0_to_h0, rel=1e-9)
@@ -466,20 +466,34 @@ def test_weighted_norm_validation(rng):
 
 def test_discrete_inf_sup_trivials():
     s = canonical_1d(5.0, 30)
-    rep = discrete_inf_sup(lu_factor(s.D), s.D)
-    assert rep.gamma == pytest.approx(1.0, rel=1e-10)
-    rep2 = discrete_inf_sup(lu_factor(2 * s.D), s.D)
-    assert rep2.gamma == pytest.approx(2.0, rel=1e-10)
-    assert rep2.gamma * rep2.c_dis == pytest.approx(1.0, rel=1e-12)
+    assert discrete_inf_sup(lu_factor(s.D), s.D) == pytest.approx(1.0, rel=1e-10)
+    assert discrete_inf_sup(lu_factor(2 * s.D), s.D) == pytest.approx(0.5, rel=1e-10)
+
+
+def test_norm_matrices_and_square_matrices_are_checked():
+    """A norm matrix of the wrong shape or of complex type, and a
+    non-square matrix, are InvalidArgumentErrors that say which."""
+    s = canonical_1d(5.0, 3)
+    assert s.n == 4
+    for call, message in [
+        (lambda: discrete_inf_sup(s.lu, s.D[:3, :3]),
+         r"norm matrix of shape \(3, 3\), expected \(4, 4\)"),
+        (lambda: discrete_inf_sup(s.lu, s.D.astype(complex)), "norm matrix must be real"),
+        (lambda: solution_operator_norms(s.lu, s.D, sp.identity(5, format="csr")),
+         r"norm matrix of shape \(5, 5\), expected \(4, 4\)"),
+        (lambda: mass_extremes(np.ones((2, 3))), r"matrix must be square, got \(2, 3\)"),
+    ]:
+        with pytest.raises(InvalidArgumentError, match=message):
+            call()
 
 
 def test_discrete_inf_sup_vs_dense_oracle():
     s = canonical_1d(1.0, 1)
-    rep = discrete_inf_sup(s.lu, s.D)
-    assert rep.gamma == pytest.approx(oracle_infsup(s.A, s.D), rel=1e-10)
+    gamma = 1.0 / discrete_inf_sup(s.lu, s.D)
+    assert gamma == pytest.approx(oracle_infsup(s.A, s.D), rel=1e-10)
     s2 = canonical_1d(8.0, 60)
-    rep2 = discrete_inf_sup(s2.lu, s2.D)
-    assert rep2.gamma == pytest.approx(oracle_infsup(s2.A, s2.D), rel=1e-8)
+    gamma2 = 1.0 / discrete_inf_sup(s2.lu, s2.D)
+    assert gamma2 == pytest.approx(oracle_infsup(s2.A, s2.D), rel=1e-8)
 
 
 def test_mass_extremes_identity_and_scaling():
@@ -596,7 +610,7 @@ def test_solution_operator_norms_closed_forms():
     s = canonical_1d(5.0, 25)
     lu = lu_factor(s.D)
     same = solution_operator_norms(lu, s.D, s.D)
-    hstar = discrete_inf_sup(lu, s.D).c_dis
+    hstar = discrete_inf_sup(lu, s.D)
     for v in (hstar, same.h0_to_h, same.h0_to_h0):
         assert v == pytest.approx(1.0, rel=1e-10)
     scaled = solution_operator_norms(lu, s.D, s.D / 4)
@@ -608,7 +622,7 @@ def test_solution_operator_norms_vs_dense():
     s = canonical_1d(5.0, 50)
     duo = solution_operator_norms(s.lu, s.D, s.M)
     o1, o2, o3 = oracle_solution_norms(s.A, s.D, s.M)
-    assert discrete_inf_sup(s.lu, s.D).c_dis == pytest.approx(o1, rel=1e-8)
+    assert discrete_inf_sup(s.lu, s.D) == pytest.approx(o1, rel=1e-8)
     assert duo.h0_to_h == pytest.approx(o2, rel=1e-8)
     assert duo.h0_to_h0 == pytest.approx(o3, rel=1e-8)
 
@@ -617,7 +631,7 @@ def test_solution_operator_norms_vs_dense():
 def test_norm_chains_and_route_agreement(k, n):
     s = canonical_1d(float(k), n)
     duo = solution_operator_norms(s.lu, s.D, s.M)
-    hstar = discrete_inf_sup(s.lu, s.D).c_dis
+    hstar = discrete_inf_sup(s.lu, s.D)
     slack = 1e-10 * hstar
     assert duo.h0_to_h <= hstar + slack
     assert hstar <= 1 + 2 * duo.h0_to_h + slack
