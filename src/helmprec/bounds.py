@@ -60,7 +60,7 @@ import scipy.sparse.linalg as spla
 
 from .assemble import GalerkinSystem, MatrixSystem, ProblemSpec, assemble_system
 from .coeffs import field_diff_sup_norm, resample_field
-from .errors import InvalidArgumentError, InvalidPairError, SingularSystemError
+from .errors import HelmprecError, InvalidArgumentError, InvalidPairError, SingularSystemError
 from .mesh import Mesh
 from .numerics import (
     LUFactor,
@@ -417,16 +417,24 @@ def _matrices_match(X, Y) -> bool:
 
 
 def _difference_operators(A1, A2, lu2: LUFactor):
-    """Actions of I - A2^{-1} A1 (left) and I - A1 A2^{-1} (right).
+    """(left, right, s): the actions of 2^s (I - A2^{-1} A1) (left) and
+    2^s (I - A1 A2^{-1}) (right); ``math.ldexp(norm, -s)`` scales a norm of
+    either back exactly.
 
-    Written as A2^{-1} (A2 - A1) and (A2 - A1) A2^{-1} over the LU
-    factors ``lu2`` of A2: applying the difference matrix first makes an
-    identical pair give exactly zero, which the eigensolve reports as a
-    zero norm after one application. Both operators come with adjoints
-    (rmatvec) through the conjugate-transpose solve, as norm estimation
-    requires.
+    Written as A2^{-1} E and E A2^{-1} for E = A2 - A1 over the LU factors
+    ``lu2`` of A2: applying the difference matrix first makes an identical
+    pair give exactly zero, which the eigensolve reports as a zero norm
+    after one application. E is scaled by 2^s to the binary exponent of
+    max|A2| (s = 0 for E = 0), so a tiny perturbation's products, E twice
+    in each normal operator, stay in the float range. Both operators come
+    with adjoints (rmatvec) through the conjugate-transpose solve, as norm
+    estimation requires.
     """
-    E = (sp.csr_matrix(A2, dtype=complex) - sp.csr_matrix(A1, dtype=complex)).tocsr()
+    A2 = sp.csr_matrix(A2, dtype=complex)
+    E = (A2 - sp.csr_matrix(A1, dtype=complex)).tocsr()
+    a_max, e_max = (np.abs(X.data).max(initial=0.0) for X in (A2, E))
+    s = math.frexp(a_max)[1] - math.frexp(e_max)[1] if e_max else 0
+    E.data = np.ldexp(E.data.real, s) + 1j * np.ldexp(E.data.imag, s)
     Eh = E.getH().tocsr()
     n = E.shape[0]
     left = spla.LinearOperator(
@@ -441,7 +449,7 @@ def _difference_operators(A1, A2, lu2: LUFactor):
         rmatvec=lambda y: lu2.solve(Eh @ y, trans="H"),
         dtype=complex,
     )
-    return left, right
+    return left, right, s
 
 
 def coefficient_differences(spec1: ProblemSpec, spec2: ProblemSpec) -> tuple[float, float]:
@@ -510,16 +518,16 @@ def nearby_bound_report(
             rhs_lemma=math.inf, rhs_lemma2=None, cond=nan, checks=(), singular=True,
         )
     cdis1 = sys1.c_dis(seed)
-    op_left, op_right = _difference_operators(A1, A2, sys2.lu)
-    lhs_D = weighted_operator_norm(op_left, G, seed=seed)
-    lhs_2 = weighted_operator_norm(op_left, None, seed=seed)
+    op_left, op_right, s = _difference_operators(A1, A2, sys2.lu)
+    lhs_D = math.ldexp(weighted_operator_norm(op_left, G, seed=seed), -s)
+    lhs_2 = math.ldexp(weighted_operator_norm(op_left, None, seed=seed), -s)
     # A2's factor has tested A2 once already; a singular A1 has none
     if is_symmetric(A1) and sys2.lu.symmetric:
         # op_right is the transpose of op_left: the twin identities
         lhs_Dinv, lhs_2p = lhs_D, lhs_2
     else:  # ||C||_{D^{-1}} = ||C^H||_D
-        lhs_Dinv = weighted_operator_norm(op_right.H, G, seed=seed)
-        lhs_2p = weighted_operator_norm(op_right, None, seed=seed)
+        lhs_Dinv = math.ldexp(weighted_operator_norm(op_right.H, G, seed=seed), -s)
+        lhs_2p = math.ldexp(weighted_operator_norm(op_right, None, seed=seed), -s)
 
     rhs_lemma = (dmu + deps) * cdis2
     rhs_lemma2 = me.ratio * deps * cdis2 if dmu == 0.0 else None
@@ -631,11 +639,16 @@ def infsup_ladder(
     only: it is the empirical stability constant of the working
     resolution. Only the reference rung is assembled, factored and solved
     for here. Each gamma is written as 1/C_dis, so a singular system is
-    recorded in the ladder with gamma 0 rather than raised.
+    recorded in the ladder with gamma 0 rather than raised. A rung whose
+    reference mesh, system or C_dis raises a HelmprecError has no entry, as
+    a working rung that failed is never passed in.
     """
     entries = []
     for spec, n, c_dis in rungs:
-        n_ref, h_ref, c_dis_ref = _reference_rung(spec, refine, seed)
+        try:
+            n_ref, h_ref, c_dis_ref = _reference_rung(spec, refine, seed)
+        except HelmprecError:
+            continue
         gamma, gamma_ref = 1.0 / c_dis, 1.0 / c_dis_ref
         singular = math.inf in (c_dis, c_dis_ref)
         entries.append(

@@ -130,10 +130,13 @@ def cmd_verify(config_path: str, out_dir: str = "out", seed: int = 0) -> Scenari
     return result
 
 
-def _sweep_point(cfg, sys1, k, alpha, seed):
-    """One (k, alpha) row; ``sys1`` is k's system or the error building it raised."""
+def _sweep_point(cfg, sys1, k, alpha, seed, result: ScenarioResult):
+    """One (k, alpha) row, whose summary line it adds to ``result``: FAIL with
+    margin nan on an error, FAIL ``.nonsingular`` for a singular A2, else the
+    report's verdict. ``sys1`` is k's system or the error building it raised."""
     row = {c: None for c in SWEEP_COLUMNS}
     row.update({"k": k, "alpha": alpha, "error": ""})
+    name = f"sweep[k={k:g}" + (f",alpha={alpha:g}]" if alpha is not None else "]")
     try:
         if isinstance(sys1, HelmprecError):
             raise sys1
@@ -141,6 +144,7 @@ def _sweep_point(cfg, sys1, k, alpha, seed):
         rep = nearby_bound_report(sys1, sys2, seed=seed, alpha=alpha)
         row.update({c: getattr(rep, c) for c in BoundReport.CSV_COLUMNS})
         if rep.singular:
+            result.add(name + ".nonsingular", False, math.nan)
             return row
         b = assemble_load(sys1.spec, 1.0)
         fp = fixed_point(sys1, sys2, b, np.zeros(sys1.n, dtype=complex))
@@ -150,22 +154,19 @@ def _sweep_point(cfg, sys1, k, alpha, seed):
         row["gmres_iters"] = gm.iterations
     except HelmprecError as exc:
         row["error"] = type(exc).__name__
+        result.add(name, False, math.nan)
+        return row
+    result.add(name, rep.passed, 0.0)
     return row
 
 
-def _ladder_rung(sys1, seed):
-    """k's working ladder rung, (spec, n, C_dis) of its sweep system, or None
-    when building the system or its C_dis raised."""
-    try:
-        return None if isinstance(sys1, HelmprecError) else (sys1.spec, sys1.n, sys1.c_dis(seed))
-    except HelmprecError:
-        return None
-
-
 def cmd_sweep(config_path: str, out_dir: str = "out", seed: int = 0) -> ScenarioResult:
-    """Evaluate the config's (k, alpha) grid; one CSV row per point. Each k's
-    first system, with its factors, C_dis and mass extremes, serves every alpha
-    and is the working rung of the inf-sup ladder."""
+    """Evaluate the config's (k, alpha) grid; one CSV row and one summary line
+    per point. Each k's first system, with its factors, C_dis and mass
+    extremes, serves every alpha and is the working rung of the inf-sup
+    ladder; it is freed before the next k is assembled. A k whose system,
+    C_dis or reference rung fails has no ladder entry and a FAIL ladder line
+    with margin nan; the other k keep theirs."""
     cfg = _load(config_path, out_dir, seed)
     result = ScenarioResult()
 
@@ -183,34 +184,27 @@ def cmd_sweep(config_path: str, out_dir: str = "out", seed: int = 0) -> Scenario
             sys1 = assemble_system(hio.build_problem(problem, k))
         except HelmprecError as exc:
             sys1 = exc
-        rows += [_sweep_point(cfg, sys1, k, a, seed) for a in alphas]
-        if sweep["ladder"] is not None:
-            rungs.append(_ladder_rung(sys1, seed))
-    del sys1  # the last k's factors must not stay alive through the ladder
+        rows += [_sweep_point(cfg, sys1, k, a, seed, result) for a in alphas]
+        if sweep["ladder"] is not None and not isinstance(sys1, HelmprecError):
+            try:
+                rungs.append((sys1.spec, sys1.n, sys1.c_dis(seed)))
+            except HelmprecError:
+                pass  # no working rung: k's ladder line fails below
+        sys1 = None  # k's factors must not stay alive beside the next k's
 
     sweep_path = os.path.join(out_dir, "sweep.csv")
     hio.write_csv(sweep_path, SWEEP_COLUMNS, rows)
     result.paths["sweep"] = sweep_path
-    for row in rows:
-        k, a = row["k"], row["alpha"]
-        name = f"sweep[k={k:g}" + (f",alpha={a:g}]" if a is not None else "]")
-        if row["error"]:
-            result.add(name, False, math.nan)
-        elif row["singular"]:
-            result.add(name + ".nonsingular", False, math.nan)
-        else:
-            result.add(name, bool(row["passed"]), 0.0)
 
     if sweep["ladder"] is not None:
-        ladder = infsup_ladder([r for r in rungs if r is not None], sweep["ladder"]["refine"],
-                               seed=seed)
+        ladder = infsup_ladder(rungs, sweep["ladder"]["refine"], seed=seed)
         result.paths["ladder"] = hio.write_report(ladder, os.path.join(out_dir, "ladder.csv"))
-        entries = iter(ladder.entries)
-        for k, rung in zip(sweep["k_values"], rungs):
-            if rung is None:  # k's system or its C_dis failed: it has no entry
+        entries = {e.k: e for e in ladder.entries}
+        for k in sweep["k_values"]:
+            e = entries.get(k)
+            if e is None:  # k's system, its C_dis or its reference rung failed
                 result.add(f"ladder[k={k:g}]", False, math.nan)
             else:  # a singular entry's ratio is nan
-                e = next(entries)
                 result.add(f"ladder[k={k:g}]", not e.singular, e.ratio)
     return result
 

@@ -116,14 +116,22 @@ def piecewise_field(
 def absorption_shift(eps: CoefficientField, alpha: float) -> CoefficientField:
     """The absorption perturbation: multiply an EPS field by (1 + i*alpha).
 
-    ``alpha`` must be a finite real number >= 0 (a bool is not one).
+    ``alpha`` must be a finite real number >= 0 (a bool is not one). A
+    product that leaves the float range is an InvalidCoefficientError
+    naming alpha and max|eps|, raised without a warning.
     """
     if eps.role != Role.EPS:
         raise InvalidArgumentError("absorption_shift applies to EPS fields only")
     number = isinstance(alpha, Real) and not isinstance(alpha, bool)
     if not (number and 0 <= alpha < math.inf):
         raise InvalidArgumentError(f"alpha must be a finite number >= 0, got {alpha!r}")
-    return CoefficientField(eps.mesh, (1.0 + 1j * float(alpha)) * eps.values, eps.role)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (1.0 + 1j * float(alpha)) * eps.values
+    if not np.all(np.isfinite(values)):
+        raise InvalidCoefficientError(
+            f"(1 + i alpha) eps overflows: alpha = {float(alpha):g}, "
+            f"max|eps| = {np.abs(eps.values).max():g}")
+    return CoefficientField(eps.mesh, values, eps.role)
 
 
 def pml_profile_1d(

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -718,9 +719,17 @@ def test_sweep_ladder_records_a_singular_working_rung(tmp_path, capsys, monkeypa
     """A working rung whose C_dis is infinite (a singular system) is a
     ladder entry with singular true and ratio nan, and a FAIL line."""
     from helmprec import cli
+    from helmprec.assemble import MatrixSystem
 
-    monkeypatch.setattr(cli, "_ladder_rung",
-                        lambda sys1, seed: (sys1.spec, sys1.n, math.inf))
+    assemble, c_dis, made = cli.assemble_system, MatrixSystem.c_dis, []
+
+    def recording_assemble(spec):  # the first system a sweep makes is k's own
+        made.append(assemble(spec))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "assemble_system", recording_assemble)
+    monkeypatch.setattr(MatrixSystem, "c_dis",
+                        lambda self, seed=0: math.inf if self is made[0] else c_dis(self, seed))
     path = write_cfg(tmp_path, {"sweep": {"k_values": [4.0], "alpha_values": [0.1],
                                           "ladder": {"refine": 2}}})
     out = tmp_path / "s"
@@ -728,6 +737,129 @@ def test_sweep_ladder_records_a_singular_working_rung(tmp_path, capsys, monkeypa
     assert "FAIL ladder[k=4]: margin=nan" in capsys.readouterr().out.splitlines()
     (entry,) = _csv_rows(out / "ladder.csv")
     assert (entry["singular"], entry["ratio"]) == ("true", "nan")
+
+
+def test_sweep_fails_only_the_k_whose_reference_rung_failed(tmp_path, capsys):
+    """On [0, 1e-5] with 20 elements, k = 0.1's reference mesh (refined 8
+    times, h = 6.25e-8) rounds M out of D. That rung raised inside the
+    ladder and ended the sweep with one error line, after sweep.csv was
+    written, a file no line announced. It fails k = 0.1's ladder line only."""
+    path = write_cfg(tmp_path, {
+        "problem": {"k": 5.0, "domain": [0.0, 1e-5], "resolution": {"type": "elements", "n": 20}},
+        "sweep": {"k_values": [0.1, 5.0], "alpha_values": [0.1], "ladder": {"refine": 8}},
+    })
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", path, "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "PASS sweep[k=0.1,alpha=0.1]", "PASS sweep[k=5,alpha=0.1]",
+        "FAIL ladder[k=0.1]", "PASS ladder[k=5]", "wrote sweep", "wrote ladder",
+    ]
+    assert "FAIL ladder[k=0.1]: margin=nan" in lines
+    assert [float(r["k"]) for r in _csv_rows(out / "ladder.csv")] == [5.0]
+
+
+# Where a sweep stage is made to fail, on the k it fails: (module whose
+# assemble_system is wrapped, which of that k's calls, what fails). The cli
+# assembles k's system first, then each point's A2; bounds assembles each
+# reference rung. "raise" fails the assembly, "c_dis" the system's C_dis.
+SWEEP_FAULTS = {
+    "system": ("cli", 1, "raise"),
+    "c_dis": ("cli", 1, "c_dis"),
+    "A2": ("cli", 2, "raise"),
+    "reference": ("bounds", 1, "raise"),
+    "reference_c_dis": ("bounds", 1, "c_dis"),
+}
+
+
+def _inject_sweep_fault(monkeypatch, stage, bad_k):
+    from helmprec import bounds, cli
+    from helmprec.assemble import MatrixSystem
+
+    name, call, what = SWEEP_FAULTS[stage]
+    module = {"cli": cli, "bounds": bounds}[name]
+    assemble, c_dis = module.assemble_system, MatrixSystem.c_dis
+    calls, failing = Counter(), weakref.WeakSet()
+
+    def faulty_assemble(spec):
+        calls[spec.k] += 1
+        hit = spec.k == bad_k and calls[spec.k] == call
+        if hit and what == "raise":
+            raise HelmprecError(f"injected at {stage}")
+        system = assemble(spec)
+        if hit:
+            failing.add(system)
+        return system
+
+    def faulty_c_dis(self, seed=0):
+        if self in failing:
+            raise HelmprecError(f"injected at {stage}")
+        return c_dis(self, seed)
+
+    monkeypatch.setattr(module, "assemble_system", faulty_assemble)
+    monkeypatch.setattr(MatrixSystem, "c_dis", faulty_c_dis)
+
+
+@pytest.mark.parametrize("bad_k", [4.0, 8.0])
+def test_a_sweep_never_leaves_an_unannounced_file(tmp_path, capsys, monkeypatch, bad_k):
+    """Whichever stage of one k fails (its system, its C_dis, a point's A2,
+    its reference assembly or its reference C_dis), every file the sweep
+    writes has a wrote line, each k has one ladder line, and the other k's
+    lines and ladder.csv row are those of a run without the failure."""
+    path = write_cfg(tmp_path, {"sweep": {
+        "k_values": [4.0, 8.0], "alpha_values": [0.1, 0.2],
+        "resolution": {"type": "elements", "n": 20}, "ladder": {"refine": 2}}})
+    good = 12.0 - bad_k
+
+    def run(name):
+        out = tmp_path / name
+        status = main(["sweep", "--config", path, "--out-dir", str(out)])
+        captured = capsys.readouterr()
+        assert captured.err == "", (name, captured.err)
+        ladder = [r for r in _csv_rows(out / "ladder.csv") if float(r["k"]) == good]
+        lines = captured.out.splitlines()
+        return status, lines, out, [line for line in lines if f"[k={good:g}" in line], ladder
+
+    status, _, _, clean_lines, clean_ladder = run("clean")
+    assert status == 0 and len(clean_lines) == 3 and len(clean_ladder) == 1
+    for stage in SWEEP_FAULTS:
+        with monkeypatch.context() as m:
+            _inject_sweep_fault(m, stage, bad_k)
+            status, lines, out, good_lines, good_ladder = run(stage)
+        assert status == 1, stage
+        wrote = {line.split(": ", 1)[1] for line in lines if line.startswith("wrote ")}
+        assert wrote == {str(f) for f in out.iterdir()}, stage
+        for k in (4.0, 8.0):
+            rungs = [line for line in lines if line[5:].startswith(f"ladder[k={k:g}]")]
+            assert len(rungs) == 1, (stage, k, lines)
+        assert (good_lines, good_ladder) == (clean_lines, clean_ladder), stage
+
+
+def test_sweep_frees_each_k_system_before_the_next(tmp_path, monkeypatch):
+    """k's system, with its factors, is dead before the next k's system is
+    assembled: at each assembly, only the current k's system may be alive."""
+    from helmprec import bounds, cli
+
+    made, alive = [], []
+
+    def recording(assemble):
+        def recording_assemble(spec):
+            alive.append(sum(ref() is not None for ref in made))
+            system = assemble(spec)
+            made.append(weakref.ref(system))
+            return system
+        return recording_assemble
+
+    for module in (cli, bounds):
+        monkeypatch.setattr(module, "assemble_system", recording(module.assemble_system))
+    path = write_cfg(tmp_path, {"sweep": {
+        "k_values": [4.0, 8.0], "alpha_values": [0.1, 0.2],
+        "resolution": {"type": "elements", "n": 20}, "ladder": {"refine": 2}}})
+    assert cmd_sweep(path, out_dir=str(tmp_path / "s")).exit_status == 0
+    # per k: its system, then each point's A2 beside it; then two reference rungs
+    assert alive == [0, 1, 1, 0, 1, 1, 0, 0]
 
 
 def test_sweep_alpha_growth_and_small_alpha_linearity(tmp_path):
@@ -830,14 +962,33 @@ def test_verify_estimates_a_tiny_c_dis(tmp_path, capsys):
 def test_verify_estimates_a_tiny_perturbation(tmp_path):
     """lhs_D / alpha at alpha = 1e-150, where lhs_D^2 ~ 1.8e-300 is a
     normal float but the B-norm^2 of W's images is not, agrees with its
-    value at alpha = 1e-20 to 1e-9."""
+    value at alpha = 1e-20 to 1e-9. At 1e-200 and 1e-300 W applies E twice,
+    and its first image underflowed to exactly 0: lhs_D and lhs_2 read 0.
+    With E scaled to A2's exponent, lhs_D / alpha and lhs_2 / alpha equal
+    their values at 1e-150 to 1e-12."""
     ratios = []
-    for alpha in (1e-20, 1e-150):
+    for alpha in (1e-20, 1e-150, 1e-200, 1e-300):
         path = write_cfg(tmp_path, dict(UNDERFLOW, perturbation={"alpha": alpha}))
         out = tmp_path / f"v{alpha:g}"
         assert cmd_verify(path, out_dir=str(out)).exit_status == 0
-        ratios.append(json.loads((out / "bounds.json").read_text())["lhs_D"] / alpha)
-    assert ratios[1] == pytest.approx(ratios[0], rel=1e-9)
+        report = json.loads((out / "bounds.json").read_text())
+        ratios.append((report["lhs_D"] / alpha, report["lhs_2"] / alpha))
+    assert ratios[1][0] == pytest.approx(ratios[0][0], rel=1e-9)
+    for lhs_D, lhs_2 in ratios[2:]:
+        assert lhs_D == pytest.approx(ratios[1][0], rel=1e-12)
+        assert lhs_2 == pytest.approx(ratios[1][1], rel=1e-12)
+
+
+def test_verify_of_an_overflowing_absorption_is_an_error(tmp_path, capsys):
+    """(1 + i alpha) eps with eps = 1e10 and alpha = 1e300 overflows: verify
+    wrote a RuntimeWarning to stderr, then "eps values must be finite". It
+    is one error line naming alpha and max|eps|, and no warning."""
+    big = {"type": "constant", "value": [1e10, 0.0]}
+    path = write_cfg(tmp_path, {"problem": dict(UNDERFLOW["problem"], eps=big),
+                                "perturbation": {"alpha": 1e300}})
+    assert main(["verify", "--config", path, "--out-dir", str(tmp_path / "v")]) == 1
+    assert capsys.readouterr().err == (
+        "error: (1 + i alpha) eps overflows: alpha = 1e+300, max|eps| = 1e+10\n")
 
 
 def test_verify_of_tiny_coefficients_writes_its_report(tmp_path, capsys):
