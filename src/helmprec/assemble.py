@@ -109,11 +109,14 @@ class ProblemSpec:
 class MatrixSystem:
     """A system matrix ``A`` with the norm matrices ``D`` and ``M`` of its space.
 
-    A system keeps the LU factors of A and the Gram factor of D, made on
-    first use and alive as long as the system, so every quantity computed
-    from it shares them. It caches per seed the float C_dis of A (LU solves
-    and products with D; inf for a singular A) and the mass-matrix extremes,
-    which factor sigma I - M and then M, one at a time, and keep neither.
+    A system keeps the Gram factor of D and the LU factors of A, each made
+    on first use, so every quantity computed from it shares them. D's
+    factor lives as long as the system; A's lives until :meth:`drop_lu`,
+    which ``verify`` calls on A1 after the norm-equivalence report and
+    ``import`` after A1's C_dis, before A2 is factored. It caches per seed
+    the float C_dis of A (LU solves and products with D; inf for a singular
+    A) and the mass-matrix extremes, which factor sigma I - M and then M,
+    one at a time, and keep neither.
     """
 
     A: sp.csr_matrix
@@ -129,6 +132,11 @@ class MatrixSystem:
         """LU factors of A, computed on first use."""
         return lu_factor(self.A)
 
+    def drop_lu(self) -> None:
+        """Free A's LU factors, if made; the next use of ``lu`` factors A
+        again, and the cached C_dis values stay."""
+        vars(self).pop("lu", None)
+
     @cached_property
     def gram_d(self) -> LUFactor:
         return gram_factor(self.D)
@@ -138,18 +146,25 @@ class MatrixSystem:
         return {}
 
     def c_dis(self, seed: int = DEFAULT_SEED) -> float:
-        """C_dis of A (:func:`discrete_inf_sup`), cached per seed; a singular
-        A has no LU factors and C_dis = inf. It takes products with D and
-        never its Gram factor, so a system used only for its C_dis, such
-        as an inf-sup ladder's reference rung, factors A alone."""
-        try:
-            lu = self.lu
-        except SingularSystemError:
-            return math.inf
+        """C_dis of A (:func:`discrete_inf_sup`), cached per seed and read
+        from the cache before A's LU factors are touched, so a cached value
+        needs no factor, even after :meth:`drop_lu`. A singular A has no LU
+        factors and C_dis = inf at every seed: the verdict is cached once,
+        so A is factored once. It takes products with D and never its Gram
+        factor, so a system used only for its C_dis, such as an inf-sup
+        ladder's reference rung, factors A alone."""
+        derived = self._derived
         key = ("c_dis", seed)
-        if key not in self._derived:
-            self._derived[key] = discrete_inf_sup(lu, self.D, seed=seed)
-        return self._derived[key]
+        if "singular" in derived:
+            return math.inf
+        if key not in derived:
+            try:
+                lu = self.lu
+            except SingularSystemError:
+                derived["singular"] = True
+                return math.inf
+            derived[key] = discrete_inf_sup(lu, self.D, seed=seed)
+        return derived[key]
 
     def mass_extremes(self, seed: int = DEFAULT_SEED) -> MassExtremes:
         """Extreme eigenvalues of M, cached per seed; no factor is kept."""

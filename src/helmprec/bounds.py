@@ -24,7 +24,11 @@ assembled or imported alike. A system owns its factors and caches, per
 seed, its C_dis and its mass-matrix extremes, so each
 command computes C_dis_1, C_dis_2 and m+/m- once. The norms of a pair use
 the first system's Gram factor of D, the mass extremes keep no factor, and
-C_dis_2 takes products with D only: the second system factors only its A. Only the
+C_dis_2 takes products with D only: the second system factors only its A.
+A report reads C_dis_1 from its system's cache before that system's LU
+factors, so the commands drop A1's LU once C_dis_1 is made: ``verify``
+after the norm-equivalence report, ``import`` before the nearby report,
+and A2 is factored beside D's Gram factor alone. Only the
 coefficient-difference norms depend on the kind of system: they come
 from the problems' fields for two Galerkin systems and are supplied
 otherwise.
@@ -459,6 +463,24 @@ def coefficient_differences(spec1: ProblemSpec, spec2: ProblemSpec) -> tuple[flo
             field_diff_sup_norm(spec1.eps, spec2.eps))
 
 
+def checked_norms(dmu, deps) -> tuple[float, float]:
+    """The coefficient-difference norms (dmu, deps) as floats; each must be
+    given, as a finite number >= 0, or InvalidArgumentError is raised."""
+    if dmu is None or deps is None:
+        raise InvalidArgumentError(
+            "coefficient-difference norms unavailable; pass dmu and deps"
+        )
+    for name, value in (("dmu", dmu), ("deps", deps)):
+        # an infinite norm would pass the nearby checks, a negative one
+        # would emit the small-cond checks; a non-number would not compute
+        number = isinstance(value, Real) and not isinstance(value, bool)
+        if not (number and 0 <= value < math.inf):
+            raise InvalidArgumentError(
+                f"{name} must be a finite number >= 0, got {value!r}"
+            )
+    return float(dmu), float(deps)
+
+
 def nearby_bound_report(
     sys1: MatrixSystem,
     sys2: MatrixSystem,
@@ -472,8 +494,8 @@ def nearby_bound_report(
     The systems are assembled or supplied as matrices alike. The
     coefficient-difference norms are taken from the two problems' fields
     when both systems are Galerkin systems and can be overridden; for
-    matrix systems they must be supplied. Either way they must be finite
-    numbers >= 0, or InvalidArgumentError is raised.
+    matrix systems they must be supplied. Either way :func:`checked_norms`
+    checks them.
     """
     A1, A2 = sys1.A, sys2.A
     if A1.shape != A2.shape:
@@ -486,19 +508,7 @@ def nearby_bound_report(
         mu_norm, eps_norm = coefficient_differences(sys1.spec, sys2.spec)
         dmu = mu_norm if dmu is None else dmu
         deps = eps_norm if deps is None else deps
-    if dmu is None or deps is None:
-        raise InvalidArgumentError(
-            "coefficient-difference norms unavailable; pass dmu and deps"
-        )
-    for name, value in (("dmu", dmu), ("deps", deps)):
-        # an infinite norm would pass the nearby checks, a negative one
-        # would emit the small-cond checks; a non-number would not compute
-        number = isinstance(value, Real) and not isinstance(value, bool)
-        if not (number and 0 <= value < math.inf):
-            raise InvalidArgumentError(
-                f"{name} must be a finite number >= 0, got {value!r}"
-            )
-    dmu, deps = float(dmu), float(deps)
+    dmu, deps = checked_norms(dmu, deps)
 
     n = sys1.n
     k = h = None

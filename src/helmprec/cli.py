@@ -27,6 +27,7 @@ from .assemble import (
 from .bounds import (
     BoundReport,
     GardingConstants,
+    checked_norms,
     coefficient_differences,
     garding_check,
     garding_constants_for,
@@ -105,7 +106,12 @@ def _perturbed(cfg: dict, sys1, alpha=None):
 
 
 def cmd_verify(config_path: str, out_dir: str = "out", seed: int = 0) -> ScenarioResult:
-    """Run the full bound-verification scenario of one config."""
+    """Run the full bound-verification scenario of one config.
+
+    A1's LU factors serve the norm-equivalence report, which makes A1's
+    C_dis, and are dropped right after it: the nearby report reads that
+    C_dis from the cache, so A2's factors are made and used beside D's
+    Gram factor only."""
     cfg = _load(config_path, out_dir, seed)
     result = ScenarioResult()
 
@@ -124,6 +130,7 @@ def cmd_verify(config_path: str, out_dir: str = "out", seed: int = 0) -> Scenari
     result.paths["norm_equivalence"] = hio.write_report(
         nrep, os.path.join(out_dir, "norm_equivalence.json"))
     _add_report_checks(result, "norms", nrep.checks)
+    sys1.drop_lu()
 
     brep = nearby_bound_report(sys1, sys2, seed=seed, alpha=alpha)
     _add_bound_report(result, brep, out_dir)
@@ -137,9 +144,17 @@ def _sweep_point(cfg, sys1, k, alpha, seed, result: ScenarioResult):
     row = {c: None for c in SWEEP_COLUMNS}
     row.update({"k": k, "alpha": alpha, "error": ""})
     name = f"sweep[k={k:g}" + (f",alpha={alpha:g}]" if alpha is not None else "]")
+
+    def failed(exc: HelmprecError) -> dict:
+        row["error"] = type(exc).__name__
+        result.add(name, False, math.nan)
+        return row
+
+    if isinstance(sys1, HelmprecError):
+        # recorded, not raised: a raise would add a frame to its traceback
+        # at every alpha
+        return failed(sys1)
     try:
-        if isinstance(sys1, HelmprecError):
-            raise sys1
         sys2, alpha = _perturbed(cfg, sys1, alpha)
         rep = nearby_bound_report(sys1, sys2, seed=seed, alpha=alpha)
         row.update({c: getattr(rep, c) for c in BoundReport.CSV_COLUMNS})
@@ -153,9 +168,7 @@ def _sweep_point(cfg, sys1, k, alpha, seed, result: ScenarioResult):
         row["fp_iters"] = fp.iterations
         row["gmres_iters"] = gm.iterations
     except HelmprecError as exc:
-        row["error"] = type(exc).__name__
-        result.add(name, False, math.nan)
-        return row
+        return failed(exc)
     result.add(name, rep.passed, 0.0)
     return row
 
@@ -232,12 +245,17 @@ def cmd_import(
 
     Each coefficient-difference norm is the one given here, else the one
     in the pair's meta.json; without either the report cannot be made.
+    Once the pair and the norms are checked, A1's C_dis is made and its
+    LU factors are dropped, so A2's factors are made and used beside D's
+    Gram factor only.
     """
     _check_seed(seed)
     sys1, sys2, meta = hio.read_matrix_exchange(matrix_dir)
     validate_external(sys1, sys2, seed)
-    dmu = meta.get("dmu") if dmu is None else dmu
-    deps = meta.get("deps") if deps is None else deps
+    dmu, deps = checked_norms(meta.get("dmu") if dmu is None else dmu,
+                              meta.get("deps") if deps is None else deps)
+    sys1.c_dis(seed)
+    sys1.drop_lu()
     rep = nearby_bound_report(sys1, sys2, dmu=dmu, deps=deps, seed=seed)
     out = out_dir or matrix_dir
     os.makedirs(out, exist_ok=True)

@@ -270,6 +270,17 @@ def test_singular_system_inf_sup_is_report_not_exception():
     assert 1.0 / c_dis == 0.0  # the gamma that reports write
 
 
+def test_singular_verdict_is_cached_across_seeds(splu_calls):
+    """A singular A is factored once: its C_dis = inf holds at every seed."""
+    s = canonical_1d(5.0, 4)
+    bad = s.A.tolil()
+    bad[3, :] = 0
+    system = MatrixSystem(bad.tocsr(), s.D, s.M)
+    splu_calls.clear()
+    assert [system.c_dis(seed) for seed in (0, 0, 1, 1)] == [np.inf] * 4
+    assert len(splu_calls) == 1
+
+
 # (lo, hi, cells): unit and shifted domains, square and non-square cells
 ORACLE_MESHES = {
     "1d_unit": ((0.0,), (1.0,), (5,)),

@@ -798,6 +798,23 @@ def test_pair_symmetric_to_rounding_estimates_all_four_norms(pencil_calls):
     assert rep.passed
 
 
+def test_dropped_lu_is_not_made_again_by_c_dis_or_the_nearby_report(splu_calls):
+    """Once A1's C_dis is made and its LU dropped, as verify and import
+    do, neither that C_dis nor the nearby report factors A1 again: the
+    report factors sigma I - M, M, D and A2 only."""
+    s1, s2 = _absorption_pair(canonical_spec_1d(8.0, 60), 0.2)
+    cdis1 = s1.c_dis(0)
+    lu = weakref.ref(s1.lu)
+    s1.drop_lu()
+    assert lu() is None
+    splu_calls.clear()
+    assert s1.c_dis(0) is cdis1
+    assert splu_calls == []
+    rep = nearby_bound_report(s1, s2)
+    assert [dtype.kind for _, dtype in splu_calls] == ["f", "f", "f", "c"]
+    assert rep.cdis1 is cdis1 and "lu" not in vars(s1)
+
+
 def test_pair_shares_factors_and_caches_derived(splu_calls, pencil_calls):
     """The mass extremes come first, factoring sigma I - M and then M; then
     sys1's Gram factor of D, which the norms use, and the LU factors of A2

@@ -462,12 +462,37 @@ def test_each_matrix_factored_once(tmp_path, splu_calls):
     assert _factor_kinds(splu_calls) == {"f": 2 * 3, "c": 2 * (1 + 3) + 2}
 
 
-def test_verify_factors_beside_at_most_two_live_factors(tmp_path, live_factors):
-    """verify factors A1 for the norm chains, then sigma I - M and M one at
-    a time for the mass extremes, then D and A2: no factorization runs
-    beside more than A1's LU and D's Gram factor."""
+def test_verify_factors_beside_at_most_one_live_factor(tmp_path, live_factors):
+    """verify factors A1 for the norm chains and drops it after them, then
+    factors sigma I - M and M one at a time for the mass extremes, then D
+    and A2: only A2's factorization runs beside another factor, D's Gram
+    factor."""
     assert cmd_verify(write_cfg(tmp_path), out_dir=str(tmp_path / "v")).exit_status == 0
-    assert live_factors == [0, 1, 1, 1, 2]
+    assert live_factors == [0, 0, 0, 0, 1]
+
+
+def test_import_factors_a1_before_a2_beside_one_live_factor(tmp_path, monkeypatch,
+                                                            live_factors):
+    """import certifies D and M (D's Gram factor, then sigma I - M and M),
+    makes A1's C_dis and drops A1's factors, then factors A2: each
+    factorization after D's runs beside D's Gram factor alone."""
+    import scipy.sparse.linalg as spla
+
+    exch = str(tmp_path / "exch")
+    assert cmd_export(write_cfg(tmp_path), out_dir=exch).exit_status == 0
+    factored = []
+    splu = spla.splu
+
+    def recording_splu(A, *args, **kwargs):
+        factored.append(A)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    live_factors.clear()
+    assert cmd_import(exch, out_dir=str(tmp_path / "i")).exit_status == 0
+    assert live_factors == [0, 1, 1, 1, 1]
+    A1, A2 = (read_matrix_mm(os.path.join(exch, f"{name}.mtx")) for name in ("A1", "A2"))
+    assert [abs(X - A).max() for X, A in zip(factored[3:], (A1, A2))] == [0, 0]
 
 
 def test_sweep_locates_each_reference_mesh_once(tmp_path, monkeypatch):
@@ -1389,6 +1414,17 @@ def test_import_refuses_an_indefinite_m_before_factoring_a(tmp_path, splu_calls)
     assert not os.path.exists(os.path.join(tmp_path, "i", "bounds.json"))
 
 
+def test_import_refuses_a_bad_norm_before_factoring_a(tmp_path, splu_calls):
+    """A bad coefficient-difference norm is refused after D and M are
+    certified and before A1 or A2 is factored."""
+    exch = str(tmp_path / "exch")
+    cmd_export(write_cfg(tmp_path), out_dir=exch)
+    splu_calls.clear()
+    with pytest.raises(InvalidArgumentError, match="dmu must be a finite number"):
+        cmd_import(exch, out_dir=str(tmp_path / "i"), dmu=math.inf)
+    assert _factor_kinds(splu_calls) == {"f": 3}  # D, sigma I - M, M
+
+
 def test_import_of_an_empty_pair_is_an_error(tmp_path, capsys):
     """Four 0 x 0 matrices are refused with one error line, not a traceback."""
     exch = tmp_path / "exch"
@@ -1504,6 +1540,25 @@ def test_import_rejects_a_bad_norm(tmp_path, capsys, flags, meta, message):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
     assert not os.path.exists(os.path.join(out, "bounds.json"))
+
+
+def test_sweep_point_records_a_failed_k_without_growing_its_traceback(tmp_path):
+    """The error that k's system build raised is recorded in each alpha's
+    row as it is: its traceback gains no frame per alpha."""
+    import traceback
+
+    from helmprec.cli import ScenarioResult, _sweep_point
+
+    try:
+        raise InvalidArgumentError("k's system")
+    except InvalidArgumentError as exc:
+        error = exc
+    cfg = load_config(write_cfg(tmp_path))
+    result = ScenarioResult()
+    rows = [_sweep_point(cfg, error, 8.0, alpha, 0, result) for alpha in (0.1, 0.2, 0.4)]
+    assert len(traceback.extract_tb(error.__traceback__)) == 1  # its own raise only
+    assert [row["error"] for row in rows] == ["InvalidArgumentError"] * 3
+    assert [passed for _, passed, _ in result.summaries] == [False] * 3
 
 
 def test_sweep_first_system_failure_fills_each_row_of_its_k(tmp_path):
