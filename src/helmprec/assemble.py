@@ -340,20 +340,12 @@ def assemble_system(spec: ProblemSpec) -> GalerkinSystem:
     return GalerkinSystem(A=pattern.csr(data), D=D, M=pattern.M, spec=spec)
 
 
-def assemble_load(spec: ProblemSpec, f) -> np.ndarray:
-    """Load vector F_i = (f, phi_i) for per-element data f, on free dofs."""
+def assemble_load(spec: ProblemSpec) -> np.ndarray:
+    """Load vector F_i = (1, phi_i) of the unit load, on free dofs: each
+    element adds the share 1 / (d + 1) of its measure to each of its nodes."""
     mesh = spec.mesh
-    f = np.asarray(f, dtype=complex)
-    if f.ndim == 0:
-        f = np.full(mesh.n_elements, complex(f))
-    if f.shape != (mesh.n_elements,):
-        raise InvalidArgumentError(
-            f"load needs one value per element ({mesh.n_elements}), got {f.shape}"
-        )
-    npe = mesh.dimension + 1
-    contrib = (f * _orientations(mesh)[1] / npe)[:, None].repeat(npe, axis=1)
     F = np.zeros(mesh.n_nodes, dtype=complex)
-    np.add.at(F, mesh.elements.ravel(), contrib.ravel())
+    np.add.at(F, mesh.elements.ravel(), _orientations(mesh)[1] * (1 / (mesh.dimension + 1)))
     return F[_free_nodes(mesh)]
 
 

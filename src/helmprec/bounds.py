@@ -101,8 +101,6 @@ class GardingConstants:
             )
 
 
-CANONICAL_GARDING = GardingConstants(1.0, 2.0)
-
 
 @dataclass(frozen=True)
 class Check:
@@ -179,7 +177,6 @@ class BoundReport:
     rhs_lemma2: Optional[float]
     cond: float
     checks: tuple[Check, ...]
-    singular: bool = False
 
     CSV_COLUMNS = ("k", "h", "alpha", "n", "dmu", "deps", "cdis1", "cdis2", "mass_ratio",
                    "lhs_D", "lhs_Dinv", "lhs_2", "lhs_2p", "rhs_lemma", "rhs_lemma2",
@@ -192,6 +189,11 @@ class BoundReport:
     def contraction(self) -> float:
         """Fixed-point/GMRES contraction factor c = ||I - A2^{-1} A1||_D."""
         return self.lhs_D
+
+    @property
+    def singular(self) -> bool:
+        """A2 is singular: C_dis_2 = inf, and no norm was estimated."""
+        return self.cdis2 == math.inf
 
     @property
     def passed(self) -> bool:
@@ -261,24 +263,22 @@ def garding_constants_for(spec: ProblemSpec) -> GardingConstants:
 def _band_tables(A, M, D) -> list:
     """The quadratic forms of A, M and D, read off their diagonals.
 
-    Grouping the entries of v*Kv by diagonal offset o >= 0 gives, for any
-    square K,
+    Grouping the entries of v*Kv by diagonal offset o >= 0 gives, for a
+    symmetric K (K^T = K),
 
-        v*Kv = sum_o sum_i (K_{i,i+o} + K_{i+o,i}) p_{o,i}
-                           + i (K_{i,i+o} - K_{i+o,i}) q_{o,i},
+        v*Kv = sum_o sum_i (K_{i,i+o} + K_{i+o,i}) p_{o,i},
 
-    with p + iq = conj(v_i) v_{i+o} and the main diagonal (o = 0, q = 0)
-    counted once. For v = x + iy, p = x_i x_{i+o} + y_i y_{i+o} and
-    q = x_i y_{i+o} - y_i x_{i+o}.
+    with p = Re(conj(v_i) v_{i+o}) and the main diagonal (o = 0) counted
+    once: the imaginary parts cancel between (i, i+o) and (i+o, i). For
+    v = x + iy, p = x_i x_{i+o} + y_i y_{i+o}.
 
-    Returns one ``(o, sym, skew)`` per offset o >= 0 of the union pattern
-    of the three matrices. The columns of ``sym`` (n - o, 4) hold the sums
-    of Re A, Im A, M and D: weighted by p they give Re v*Av, Im v*Av and
-    the forms of the real M and D. The columns of ``skew`` (n - o, 2) hold
-    -Im and Re of the differences of A: weighted by q they give the rest
-    of Re v*Av and Im v*Av. ``skew`` is None on an offset where A is
-    exactly symmetric. No symmetry is assumed. The tables hold about
-    6 x offsets x n numbers: few for the package's banded systems.
+    Returns one ``(o, sym)`` per offset o >= 0 of the union pattern of
+    the three matrices. The columns of ``sym`` (n - o, 4) hold the sums of
+    Re A, Im A, M and D: weighted by p they give Re v*Av, Im v*Av and the
+    forms of the real M and D. A must be exactly symmetric, as every
+    assembled A is (:func:`garding_check` refuses any other). The tables
+    hold about 4 x offsets x n numbers: few for the package's banded
+    systems.
     """
     n = A.shape[0]
     a, m, d = (sp.coo_matrix(K) for K in (A, M, D))
@@ -297,13 +297,7 @@ def _band_tables(A, M, D) -> list:
     # shape (offsets, columns, n): each table below is a column-major view
     sym = np.stack([diagonals(slots[0], a.data.real), diagonals(slots[0], a.data.imag),
                     diagonals(slots[1], m.data), diagonals(slots[2], d.data)], axis=1)
-    upper = a.col > a.row
-    keep = upper | (a.col < a.row)  # the main diagonal has no skew part
-    signed = np.where(upper, a.data, -a.data)[keep]
-    skew = np.stack([-diagonals(slots[0][keep], signed.imag),
-                     diagonals(slots[0][keep], signed.real)], axis=1)
-    return [(o, s[:, : n - o].T, t[:, : n - o].T if np.any(t[:, : n - o]) else None)
-            for o, s, t in zip(offsets.tolist(), sym, skew)]
+    return [(o, s[:, : n - o].T) for o, s in zip(offsets.tolist(), sym)]
 
 
 def _band_forms(bands: list, x: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -314,37 +308,28 @@ def _band_forms(bands: list, x: np.ndarray, work: np.ndarray) -> np.ndarray:
     Per offset o, one elementwise shifted product of the 2b rows of ``x``
     gives (x_i x_{i+o}, y_i y_{i+o}) of every sample, and one product
     with the offset's table weights them for all four forms at once; the
-    two rows of a sample add up to p. On an offset where A is not
-    symmetric a second product, with the real and imaginary rows
-    swapped, gives q as the difference of a sample's two rows. The
-    shifted products are written into ``work``, a C-contiguous array of
-    at least 2b rows of n, so a block allocates nothing of size n.
+    two rows of a sample add up to p. The shifted products are written
+    into ``work``, a C-contiguous array of at least 2b rows of n, so a
+    block allocates nothing of size n.
     """
     b, _, n = x.shape
     rows = x.reshape(2 * b, n)
     prod = work[: 2 * b]
-    pairs = prod.reshape(b, 2, n)  # the same memory, row 2j + r = pairs[j, r]
     by_p = np.zeros((2 * b, 4))
-    by_q = np.zeros((2 * b, 2))
-    for o, sym, skew in bands:
+    for o, sym in bands:
         m = n - o
         np.multiply(rows[:, :m], rows[:, o:], out=prod[:, :m])
         by_p += prod[:, :m] @ sym
-        if skew is not None:
-            np.multiply(x[:, :, :m], x[:, ::-1, o:], out=pairs[:, :, :m])
-            by_q += prod[:, :m] @ skew
-    forms = by_p.reshape(b, 2, 4).sum(axis=1)
-    by_q = by_q.reshape(b, 2, 2)
-    forms[:, :2] += by_q[:, 0] - by_q[:, 1]
-    return forms
+    return by_p.reshape(b, 2, 4).sum(axis=1)
 
 
-def garding_check(
-    sys: GalerkinSystem,
-    constants: GardingConstants = CANONICAL_GARDING,
-    seed: int = 0,
-) -> GardingReport:
+def garding_check(sys: GalerkinSystem, constants: GardingConstants,
+                  seed: int = 0) -> GardingReport:
     """Sample random coefficient vectors against the shifted-coercivity bound.
+
+    A must be exactly symmetric (:func:`~helmprec.numerics.is_symmetric`),
+    as every assembled A is; any other A, one with a NaN entry too, is an
+    ``InvalidArgumentError``.
 
     For the canonical homogeneous impedance problem (mu^{-1} = eps = 1,
     real theta) the inequality with constants (1, 2) follows from the
@@ -371,12 +356,14 @@ def garding_check(
     per diagonal offset o >= 0 of their pattern, times that offset's
     (n - o) x 4 table (:func:`_band_forms`): about offsets x b x n operations
     for all 3b forms. A P1 system has 2 offsets in 1D and 4 in 2D (0, 1,
-    m and m + 1 for m free nodes per grid column); an offset where A is
-    not exactly symmetric would cost a second product. With one BLAS
-    thread on a 2-core Xeon, the whole check took 0.072 s at n = 6,561
-    and 0.344 s at n = 25,921, wall and CPU time alike. Blocks of 8 were 13% faster than blocks of 16 at n = 6,561 and
-    7% slower at n = 25,921; blocks of 32 were slower at both.
+    m and m + 1 for m free nodes per grid column). With one BLAS thread
+    on a 2-core Xeon, the whole check took 0.072 s at n = 6,561 and
+    0.344 s at n = 25,921, wall and CPU time alike. Blocks of 8 were 13%
+    faster than blocks of 16 at n = 6,561 and 7% slower at n = 25,921;
+    blocks of 32 were slower at both.
     """
+    if not is_symmetric(sys.A):
+        raise InvalidArgumentError("the Gårding check needs an exactly symmetric A")
     spec = sys.spec
     canonical = bool(
         not spec.mu_inv.is_matrix
@@ -465,11 +452,7 @@ def coefficient_differences(spec1: ProblemSpec, spec2: ProblemSpec) -> tuple[flo
 
 def checked_norms(dmu, deps) -> tuple[float, float]:
     """The coefficient-difference norms (dmu, deps) as floats; each must be
-    given, as a finite number >= 0, or InvalidArgumentError is raised."""
-    if dmu is None or deps is None:
-        raise InvalidArgumentError(
-            "coefficient-difference norms unavailable; pass dmu and deps"
-        )
+    a finite number >= 0, or InvalidArgumentError is raised."""
     for name, value in (("dmu", dmu), ("deps", deps)):
         # an infinite norm would pass the nearby checks, a negative one
         # would emit the small-cond checks; a non-number would not compute
@@ -525,7 +508,7 @@ def nearby_bound_report(
         return BoundReport(
             k=k, h=h, alpha=alpha, n=n, dmu=dmu, deps=deps, cdis1=nan, cdis2=math.inf,
             mass_ratio=nan, lhs_D=nan, lhs_Dinv=nan, lhs_2=nan, lhs_2p=nan,
-            rhs_lemma=math.inf, rhs_lemma2=None, cond=nan, checks=(), singular=True,
+            rhs_lemma=math.inf, rhs_lemma2=None, cond=nan, checks=(),
         )
     cdis1 = sys1.c_dis(seed)
     op_left, op_right, s = _difference_operators(A1, A2, sys2.lu)
@@ -564,11 +547,8 @@ def nearby_bound_report(
     )
 
 
-def norm_equivalence_report(
-    sys: MatrixSystem,
-    constants: GardingConstants = CANONICAL_GARDING,
-    seed: int = 0,
-) -> NormEquivalenceReport:
+def norm_equivalence_report(sys: MatrixSystem, constants: GardingConstants,
+                            seed: int = 0) -> NormEquivalenceReport:
     """Check the norm-equivalence chains of the discrete solution operator.
 
     With valid constants (C_g1, C_g2) the three norms obey

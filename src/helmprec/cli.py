@@ -15,8 +15,6 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import io as hio
 from .assemble import (
     ProblemSpec,
@@ -161,8 +159,8 @@ def _sweep_point(cfg, sys1, k, alpha, seed, result: ScenarioResult):
         if rep.singular:
             result.add(name + ".nonsingular", False, math.nan)
             return row
-        b = assemble_load(sys1.spec, 1.0)
-        fp = fixed_point(sys1, sys2, b, np.zeros(sys1.n, dtype=complex))
+        b = assemble_load(sys1.spec)
+        fp = fixed_point(sys1, sys2, b)
         lu2 = sys2.lu
         gm = gmres(lambda x: lu2.solve(sys1.A @ x), lu2.solve(b), sys1.D)
         row["fp_iters"] = fp.iterations
@@ -185,7 +183,7 @@ def cmd_sweep(config_path: str, out_dir: str = "out", seed: int = 0) -> Scenario
 
     sweep = cfg["sweep"]
     problem = dict(cfg["problem"], resolution=sweep["resolution"])
-    alphas = sweep["alpha_values"] if cfg["perturbation"]["mode"] == "absorption" else [None]
+    alphas = sweep["alpha_values"] or [None]  # None in nearby mode
     if sweep["ladder"] is not None:
         # the ladder needs every k's reference mesh: one that cannot be built
         # is an error before any point is solved
@@ -228,32 +226,25 @@ def cmd_export(config_path: str, out_dir: str = "out") -> ScenarioResult:
     cfg = _load(config_path, out_dir)
     sys1 = assemble_system(hio.build_problem(cfg["problem"]))
     sys2, _ = _perturbed(cfg, sys1)
-    dmu, deps = coefficient_differences(sys1.spec, sys2.spec)
+    norms = coefficient_differences(sys1.spec, sys2.spec)
     result = ScenarioResult()
-    result.paths.update(hio.write_matrix_exchange(sys1, sys2, out_dir, dmu=dmu, deps=deps))
+    result.paths.update(hio.write_matrix_exchange(sys1, sys2, out_dir, *norms))
     return result
 
 
-def cmd_import(
-    matrix_dir: str,
-    out_dir: str | None = None,
-    seed: int = 0,
-    dmu: float | None = None,
-    deps: float | None = None,
-) -> ScenarioResult:
+def cmd_import(matrix_dir: str, out_dir: str | None = None, seed: int = 0) -> ScenarioResult:
     """Read an external pair, validate it, and run the nearby bound report.
 
-    Each coefficient-difference norm is the one given here, else the one
-    in the pair's meta.json; without either the report cannot be made.
-    Once the pair and the norms are checked, A1's C_dis is made and its
-    LU factors are dropped, so A2's factors are made and used beside D's
-    Gram factor only.
+    The exchange directory is the command's only input: the
+    coefficient-difference norms are those of the pair's meta.json, checked
+    before anything is factored. Once the pair is validated, A1's C_dis is
+    made and its LU factors are dropped, so A2's factors are made and used
+    beside D's Gram factor only.
     """
     _check_seed(seed)
     sys1, sys2, meta = hio.read_matrix_exchange(matrix_dir)
+    dmu, deps = checked_norms(meta.get("dmu"), meta.get("deps"))
     validate_external(sys1, sys2, seed)
-    dmu, deps = checked_norms(meta.get("dmu") if dmu is None else dmu,
-                              meta.get("deps") if deps is None else deps)
     sys1.c_dis(seed)
     sys1.drop_lu()
     rep = nearby_bound_report(sys1, sys2, dmu=dmu, deps=deps, seed=seed)
@@ -282,10 +273,6 @@ def _parser() -> argparse.ArgumentParser:
         ("import", "run bound checks on external matrices", (
             ("--dir", dict(dest="matrix_dir", required=True,
                            help="directory with A1.mtx, A2.mtx, D.mtx, M.mtx and meta.json")),
-            ("--dmu", dict(type=float, default=None,
-                           help="sup norm of the diffusion coefficient difference")),
-            ("--deps", dict(type=float, default=None,
-                            help="sup norm of the low-order coefficient difference")),
             ("--out-dir", dict(default=None, help="output directory (default: --dir)")), seed,
         )),
     ):

@@ -7,10 +7,13 @@ or a [re, im] pair, kept as written), string, list or pair of numbers,
 the boundary sides of the mesh, or a rule (an object whose 'type' names
 the table of its other keys). A default is REQUIRED, a value, or a
 function of the config read so far (``sweep.k_values`` defaults to
-``[problem.k]``); a None default makes the key optional. A constraint
-is None or (test, text), and a value failing test(value, cfg) "must be
-<text>". The walker ``_section`` rejects unknown and missing keys,
-reads a default as it reads a written value, applies the constraint
+``[problem.k]``); a None default, or a function that gives None, makes
+the key optional. A constraint is None or (test, text), and a value
+failing test(value, cfg) "must be <text>". The keys that only absorption
+mode reads, ``perturbation.alpha`` and ``sweep.alpha_values``, are None
+in nearby mode, where writing one is an error. The walker ``_section``
+rejects unknown and missing keys, reads a default as it reads a written
+value, applies the constraint
 and names the key in every ``ConfigError``. A read config is the plain
 dict of its sections, every default filled in, and re-reading its JSON
 dump gives the same dict. A config that is not UTF-8 text is a
@@ -131,6 +134,20 @@ def _sides(value, where, cfg):
     return _section({s: tag for s in SIDES[cfg["problem"]["dimension"]]}, value, where, cfg)
 
 
+def _absorption_only(kind, default, check) -> tuple:
+    """The table entry of a key that only absorption mode reads: its default
+    is ``default(cfg)`` there and None in nearby mode, where a written
+    value is refused, not ignored."""
+    def absorption(cfg):
+        return cfg["perturbation"]["mode"] == "absorption"
+
+    def read(value, where, cfg):
+        if not absorption(cfg):
+            raise ConfigError(f"{where} is not read in nearby mode; remove it")
+        return kind(value, where, cfg)
+    return read, lambda cfg: default(cfg) if absorption(cfg) else None, check
+
+
 def _rule(types: dict):
     """The kind of a rule: an object whose 'type' key names the table of
     its other keys."""
@@ -197,16 +214,20 @@ _CONFIG = {
     }, REQUIRED, None),
     "perturbation": ({
         "mode": (_str, "absorption", _one_of("absorption", "nearby")),
-        "alpha": (_float, 0.3, _at_least(0)),
+        "alpha": _absorption_only(_float, lambda cfg: 0.3, _at_least(0)),
         "mu_inv": (_COEFFICIENT, None, None),
         "eps": (_COEFFICIENT, None, None),
     }, {}, (lambda p, cfg: p["mode"] == "absorption" or p["mu_inv"] or p["eps"],
             "absorption, or nearby with a mu_inv and/or eps rule")),
+    # a sweep names its summary lines by k and alpha, so none may repeat
     "sweep": ({
         "k_values": (_numbers, lambda cfg: [cfg["problem"]["k"]],
-                     (lambda ks, cfg: min(ks) > 0, "numbers > 0")),
-        "alpha_values": (_numbers, lambda cfg: [cfg["perturbation"]["alpha"]],
-                         (lambda alphas, cfg: min(alphas) >= 0, "numbers >= 0")),
+                     (lambda ks, cfg: min(ks) > 0 and len(set(ks)) == len(ks),
+                      "distinct numbers > 0")),
+        "alpha_values": _absorption_only(
+            _numbers, lambda cfg: [cfg["perturbation"]["alpha"]],
+            (lambda alphas, cfg: min(alphas) >= 0 and len(set(alphas)) == len(alphas),
+             "distinct numbers >= 0")),
         "resolution": (_RESOLUTION, lambda cfg: cfg["problem"]["resolution"], None),
         "ladder": ({"refine": (_int, 4, _at_least(2))}, None, None),
     }, {}, None),
@@ -235,7 +256,9 @@ def _value(entry: tuple, written: dict, key: str, where: str, cfg: dict, out: di
     """Read one key of a section into ``out``: its written value, else its
     default, read by its kind and checked by its constraint."""
     kind, default, check = entry
-    value = written[key] if key in written else default(cfg) if callable(default) else default
+    if callable(default):
+        default = default(cfg)
+    value = written[key] if key in written else default
     if value is None and default is None:
         out[key] = None
         return
@@ -447,18 +470,12 @@ def read_matrix_mm(path: str) -> sp.csr_matrix:
     return X
 
 
-def write_matrix_exchange(
-    sys1: MatrixSystem,
-    sys2: MatrixSystem,
-    directory: str,
-    dmu: Optional[float] = None,
-    deps: Optional[float] = None,
-) -> dict[str, str]:
+def write_matrix_exchange(sys1: MatrixSystem, sys2: MatrixSystem, directory: str,
+                          dmu: float, deps: float) -> dict[str, str]:
     """Write a system pair to a directory: A1.mtx and A2.mtx, the system
     matrices; D.mtx and M.mtx, the norm matrices of ``sys1``; and
-    meta.json with the coefficient-difference norms given, ``{}`` when
-    none is, so no norms of an earlier pair stay. Returns the written
-    paths by file name."""
+    meta.json with the coefficient-difference norms ``dmu`` and ``deps``,
+    which an import reads. Returns the written paths by file name."""
     os.makedirs(directory, exist_ok=True)
     paths = {}
     for name, X, symmetry in (
@@ -469,24 +486,23 @@ def write_matrix_exchange(
     ):
         paths[name] = os.path.join(directory, name)
         write_matrix_mm(paths[name], X, symmetry)
-    meta = {name: norm for name, norm in (("dmu", dmu), ("deps", deps)) if norm is not None}
     paths["meta.json"] = os.path.join(directory, "meta.json")
     with open(paths["meta.json"], "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
+        json.dump({"dmu": dmu, "deps": deps}, fh, indent=2)
         fh.write("\n")
     return paths
 
 
 def read_matrix_exchange(directory: str) -> tuple[MatrixSystem, MatrixSystem, dict]:
     """Read a system pair from the directory :func:`write_matrix_exchange`
-    writes: A1.mtx, A2.mtx, D.mtx and M.mtx, and meta.json if it is there.
+    writes: A1.mtx, A2.mtx, D.mtx, M.mtx and meta.json.
 
     Returns ``(sys1, sys2, meta)``: the systems of A1 and A2, both on the
     same D and M objects (float64 when their entries are real; a complex
     one is left for :func:`validate_external` to refuse), and the parsed
-    meta.json (the coefficient-difference norms of an exported pair), or
-    ``{}`` when there is none. A meta.json that is not a JSON object
-    raises MatrixExchangeError.
+    meta.json, which holds the pair's coefficient-difference norms. A
+    missing file, or a meta.json that is not a JSON object, raises
+    MatrixExchangeError; the norms themselves are checked by the caller.
     """
     mats = {}
     for name in ("A1", "A2", "D", "M"):
@@ -494,16 +510,16 @@ def read_matrix_exchange(directory: str) -> tuple[MatrixSystem, MatrixSystem, di
         if not os.path.exists(path):
             raise MatrixExchangeError(f"matrix file for {name} not found: {path}")
         mats[name] = read_matrix_mm(path)
-    meta = {}
     meta_path = os.path.join(directory, "meta.json")
-    if os.path.exists(meta_path):
+    try:
         with open(meta_path, "r", encoding="utf-8") as fh:
-            try:
-                meta = json.load(fh)
-            except ValueError as exc:  # also a file that is not UTF-8
-                raise MatrixExchangeError(f"{meta_path}: {exc}") from None
-        if not isinstance(meta, dict):
-            raise MatrixExchangeError(f"{meta_path} is not a JSON object")
+            meta = json.load(fh)
+    except FileNotFoundError:
+        raise MatrixExchangeError(f"meta.json not found: {meta_path}") from None
+    except ValueError as exc:  # also a file that is not UTF-8
+        raise MatrixExchangeError(f"{meta_path}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise MatrixExchangeError(f"{meta_path} is not a JSON object")
     D, M = (X if X.imag.count_nonzero() else X.real.astype(float)
             for X in (mats["D"], mats["M"]))
     return MatrixSystem(mats["A1"], D, M), MatrixSystem(mats["A2"], D, M), meta

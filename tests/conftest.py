@@ -17,6 +17,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from helmprec import (
+    GardingConstants,
     ProblemSpec,
     Role,
     assemble_system,
@@ -47,6 +48,10 @@ def bench_run():
 IMP = BoundaryTag.IMPEDANCE
 DIR = BoundaryTag.DIRICHLET
 NEU = BoundaryTag.NEUMANN
+
+# The shifted-coercivity constants of mu^{-1} = eps = 1 (the identity
+# Re A + 2M = D), which garding_constants_for gives for the canonical problem.
+CANONICAL_GARDING = GardingConstants(1.0, 2.0)
 
 
 def canonical_spec_1d(k, n, left=IMP, right=IMP, theta=1.0, a=0.0, b=1.0):

@@ -18,6 +18,7 @@ import scipy.sparse.linalg as spla
 
 from assembly_oracle import oracle_system
 from conftest import (
+    CANONICAL_GARDING,
     canonical_1d,
     canonical_2d,
     canonical_spec_1d,
@@ -177,7 +178,7 @@ def test_norm_chains_and_infsup_lower_bound(suite):
             if key in seen:
                 continue
             seen.add(key)
-            rep = norm_equivalence_report(case.sys1)
+            rep = norm_equivalence_report(case.sys1, CANONICAL_GARDING)
             for c in rep.checks:
                 assert c.passed, (case.label, c.name, c.lhs, c.rhs)
             lower = 1.0 / (1.0 + 2.0 * rep.h0_to_h)
@@ -234,11 +235,11 @@ def test_oracle_equivalence(rng):
 
 
 def _check_envelopes(sys1, sys2, c, label):
-    b = assemble_load(sys1.spec, 1.0)
+    b = assemble_load(sys1.spec)
     with pytest.MonkeyPatch.context() as settings:
         settings.setattr(solvers, "TOL", 1e-6)
         settings.setattr(solvers, "MAX_IT", 300)
-        fp = fixed_point(sys1, sys2, b, np.zeros(sys1.n, complex))
+        fp = fixed_point(sys1, sys2, b)
         lu2 = spla.splu(sp.csc_matrix(sys2.A, dtype=complex))
         settings.setattr(solvers, "MAX_IT", 200)
         gm = gmres(lambda x: lu2.solve(sys1.A @ x), lu2.solve(b), sys1.D)

@@ -12,6 +12,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import (
+    CANONICAL_GARDING,
     DIR,
     IMP,
     canonical_1d,
@@ -31,7 +32,6 @@ from helmprec.bounds import (
     GARDING_SAMPLES,
     _band_forms,
     _band_tables,
-    CANONICAL_GARDING,
     GardingConstants,
     GardingReport,
     garding_check,
@@ -83,7 +83,7 @@ def test_garding_identity_is_checked_on_the_matrices():
     D = sys.D.copy()
     i = int(np.argmax(D.diagonal()))
     D[i, i] *= 1 + 1e-10
-    rep = garding_check(dataclasses.replace(sys, D=D))
+    rep = garding_check(dataclasses.replace(sys, D=D), CANONICAL_GARDING)
     assert rep.canonical and rep.violations == 0
     assert rep.identity_max_rel_err == pytest.approx(1e-10, rel=1e-3)
     assert not rep.passed
@@ -187,9 +187,9 @@ def _garding_case(name):
         return canonical_1d(10.0, 60), GardingConstants(10.0, 0.0)
     if name == "nan_entry":
         sys = canonical_1d(3.0, 10)
-        A = sys.A.tocoo()
-        A.data[3] = np.nan
-        return dataclasses.replace(sys, A=A.tocsr()), CANONICAL_GARDING
+        M = sys.M.tocoo()
+        M.data[3] = np.nan
+        return dataclasses.replace(sys, M=M.tocsr()), CANONICAL_GARDING
     if name == "overflow":  # mu^-1 = 1e306: finite entries whose forms overflow
         spec = canonical_spec_1d(3.0, 100)
         mu = constant_field(spec.mesh, 1e306, Role.MU_INV)
@@ -241,11 +241,11 @@ def _recording(sys):
 @pytest.mark.parametrize("n_samples", [1, B - 1, B, B + 1, 2 * B + 3, 1000])
 def test_garding_sparse_products_per_block(monkeypatch, n_samples):
     """No product with A, M or D, neither per block nor per sample: the
-    forms are read off the diagonals, with or without a skew part."""
+    forms are read off the diagonals."""
     monkeypatch.setattr(bounds, "GARDING_SAMPLES", n_samples)
     for case in ("canonical_1d", "matrix_mu"):
         sys, log = _recording(_garding_case(case)[0])
-        garding_check(sys)
+        garding_check(sys, CANONICAL_GARDING)
         assert log == []
 
 
@@ -269,7 +269,7 @@ def test_garding_samples_are_the_sequential_draws(monkeypatch):
 
     monkeypatch.setattr(bounds, "GARDING_SAMPLES", n_samples)
     monkeypatch.setattr(np.random, "default_rng", default_rng)
-    garding_check(sys, seed=seed)
+    garding_check(sys, CANONICAL_GARDING, seed=seed)
     assert seeds == [seed]
     assert [len(draws) for draws in log] == [B, B, 3]
     assert np.array_equal(np.concatenate(log), expected)  # (sample, re/im, dof)
@@ -290,26 +290,38 @@ def assert_band_forms_exact(A, M, D, seed=0):
     np.testing.assert_allclose(forms[:, 3], qd.real, rtol=1e-13)
 
 
-def test_band_forms_of_a_non_symmetric_banded_matrix():
-    """Any complex A, with no symmetry: the skew part of each offset counts."""
+def test_band_forms_of_a_symmetric_banded_system():
+    """Any exactly symmetric complex A, on offsets no P1 system has, with
+    real symmetric M and D: one table per offset of the union pattern."""
     rng = np.random.default_rng(3)
-    n, offsets = 40, [-7, -2, 0, 1, 5, 6]
-    A = sp.diags([rng.standard_normal(n - abs(o)) + 1j * rng.standard_normal(n - abs(o))
-                  for o in offsets], offsets, format="csr")
-    M = sp.diags([rng.standard_normal(n - abs(o)) for o in (-1, 0, 3)], [-1, 0, 3],
-                 format="csr")
-    D = sp.identity(n, format="csr")
-    assert (A - A.T).count_nonzero() > 0 and (M - M.T).count_nonzero() > 0
-    assert [o for o, _, _ in _band_tables(A, M, D)] == [0, 1, 2, 3, 5, 6, 7]
+    n = 40
+
+    def banded(offsets):  # complex symmetric
+        X = sp.diags([rng.standard_normal(n - o) + 1j * rng.standard_normal(n - o)
+                      for o in offsets], offsets, format="csr")
+        return (X + sp.triu(X, 1).T).tocsr()
+
+    A, M, D = banded([0, 2, 5, 6]), banded([0, 1, 3]).real, banded([0, 7]).real
+    assert [o for o, _ in _band_tables(A, M, D)] == [0, 1, 2, 3, 5, 6, 7]
     assert_band_forms_exact(A, M, D)
 
 
+def test_garding_refuses_a_non_symmetric_a():
+    """The band tables read an exactly symmetric A: one off-diagonal entry
+    changed in its last bit is an InvalidArgumentError."""
+    sys = canonical_1d(3.0, 10)
+    A = sys.A.tocoo()
+    i = np.flatnonzero(A.row != A.col)[3]
+    A.data[i] *= 1 + 2 ** -52
+    with pytest.raises(InvalidArgumentError, match="exactly symmetric A"):
+        garding_check(dataclasses.replace(sys, A=A.tocsr()), CANONICAL_GARDING)
+
+
 def test_band_forms_of_a_matrix_mu_system():
-    """A matrix-valued mu^{-1} assembles an exactly symmetric A, so no offset
-    carries a skew table, and the forms still match dense products."""
+    """A matrix-valued mu^{-1} assembles an exactly symmetric A, and the
+    forms match dense products."""
     sys = _garding_case("matrix_mu")[0]
     assert (sys.A != sys.A.T).nnz == 0
-    assert all(skew is None for _, _, skew in _band_tables(sys.A, sys.M, sys.D))
     assert_band_forms_exact(sys.A, sys.M, sys.D)
 
 
@@ -338,20 +350,26 @@ def test_band_forms_for_every_dirichlet_subset(tags):
 @pytest.mark.parametrize("left,right", [(IMP, IMP), (DIR, IMP), (IMP, DIR), (DIR, DIR)])
 def test_band_forms_1d(left, right):
     sys = canonical_1d(6.0, 30, left=left, right=right)
-    assert [o for o, _, _ in _band_tables(sys.A, sys.M, sys.D)] == [0, 1]
+    assert [o for o, _ in _band_tables(sys.A, sys.M, sys.D)] == [0, 1]
     assert_band_forms_exact(sys.A, sys.M, sys.D)
 
 
 @pytest.mark.parametrize("name", ["A", "M", "D"])
 def test_garding_non_finite_form_is_a_violation(name):
-    """A NaN entry, on the diagonal or off it, makes every sample's form
-    with that matrix NaN: each sample is a violation, the worst margin is
-    -inf and the report fails."""
+    """A NaN entry, on the diagonal or off it, cannot pass. In M or D it
+    makes every sample's form with that matrix NaN: each sample is a
+    violation, the worst margin is -inf and the report fails. In A it
+    makes A unequal to its transpose (NaN != NaN), which is refused."""
     sys = canonical_1d(3.0, 10)
     for diagonal in (True, False):
         X = getattr(sys, name).tocoo()
         X.data[np.flatnonzero((X.row == X.col) == diagonal)[3]] = np.nan
-        rep = garding_check(dataclasses.replace(sys, **{name: X.tocsr()}))
+        bad = dataclasses.replace(sys, **{name: X.tocsr()})
+        if name == "A":
+            with pytest.raises(InvalidArgumentError, match="exactly symmetric A"):
+                garding_check(bad, CANONICAL_GARDING)
+            continue
+        rep = garding_check(bad, CANONICAL_GARDING)
         assert rep.violations == GARDING_SAMPLES
         assert rep.worst_rel_margin == -math.inf
         assert not rep.passed
@@ -364,7 +382,7 @@ def test_garding_overflowing_form_is_a_violation():
     mu = constant_field(spec.mesh, 1e306, Role.MU_INV)
     sys = assemble_system(ProblemSpec(spec.k, spec.mesh, mu, spec.eps, spec.theta))
     assert np.all(np.isfinite(sys.A.data))
-    rep = garding_check(sys)
+    rep = garding_check(sys, CANONICAL_GARDING)
     assert rep.violations == GARDING_SAMPLES
     assert rep.worst_rel_margin == -math.inf
     assert not rep.passed
@@ -469,7 +487,7 @@ def test_norm_equivalence_report_singular_raises():
     bad = s.A.tolil()
     bad[0, :] = 0
     with pytest.raises(SingularSystemError):
-        norm_equivalence_report(MatrixSystem(bad.tocsr(), s.D, s.M))
+        norm_equivalence_report(MatrixSystem(bad.tocsr(), s.D, s.M), CANONICAL_GARDING)
 
 
 def test_identity_pair_zero_report():
@@ -617,7 +635,8 @@ def test_external_pair_report_and_missing_norms():
 def test_norm_equivalence_trivial_system():
     # A = D with M = D: all three norms are 1 and the chains are tight
     s = canonical_1d(5.0, 20)
-    rep = norm_equivalence_report(MatrixSystem(s.D.astype(complex).tocsr(), s.D, s.D))
+    rep = norm_equivalence_report(MatrixSystem(s.D.astype(complex).tocsr(), s.D, s.D),
+                                  CANONICAL_GARDING)
     for v in (rep.hstar_to_h, rep.h0_to_h, rep.h0_to_h0, rep.gamma):
         assert v == pytest.approx(1.0, rel=1e-9)
     assert rep.passed
@@ -625,7 +644,7 @@ def test_norm_equivalence_trivial_system():
 
 @pytest.mark.parametrize("k,n", [(5, 50), (20, 400)])
 def test_norm_equivalence_report_canonical(k, n):
-    rep = norm_equivalence_report(canonical_1d(float(k), n))
+    rep = norm_equivalence_report(canonical_1d(float(k), n), CANONICAL_GARDING)
     assert rep.passed, [(c.name, c.passed) for c in rep.checks]
     assert rep.gamma >= 1.0 / (1.0 + 2.0 * rep.h0_to_h) * (1 - 1e-9)
 
@@ -833,7 +852,7 @@ def test_pair_shares_factors_and_caches_derived(splu_calls, pencil_calls):
     assert splu_calls == [] and len(pencil_calls) == 2  # the norm estimates only
     for field in ("cdis1", "cdis2", "mass_ratio", "lhs_D", "lhs_Dinv", "lhs_2"):
         assert getattr(again, field) == getattr(rep, field), field
-    nrep = norm_equivalence_report(s1)
+    nrep = norm_equivalence_report(s1, CANONICAL_GARDING)
     assert splu_calls == [] and len(pencil_calls) == 2 + 2  # two M-weighted norms
     assert nrep.hstar_to_h == nrep.c_dis == rep.cdis1
     assert s1.c_dis(0) is s1.c_dis(0)

@@ -36,9 +36,12 @@ def write_cfg(tmp_path, extra=None, name="cfg.json"):
         "perturbation": {"mode": "absorption", "alpha": 0.2},
         "sweep": {"k_values": [4.0, 8.0], "alpha_values": [0.1, 0.2, 0.4]},
     }
-    if extra:
-        for key, val in extra.items():
-            cfg.setdefault(key, {}).update(val) if isinstance(val, dict) else cfg.update({key: val})
+    extra = extra or {}
+    if isinstance(extra.get("perturbation"), dict) and extra["perturbation"].get("mode") == "nearby":
+        # keys that only absorption mode reads are refused in nearby mode
+        del cfg["perturbation"]["alpha"], cfg["sweep"]["alpha_values"]
+    for key, val in extra.items():
+        cfg.setdefault(key, {}).update(val) if isinstance(val, dict) else cfg.update({key: val})
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
@@ -230,6 +233,28 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, extra, where):
     assert where in str(exc.value)
     assert main(["verify", "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("extra,message", [
+    ({"perturbation": {"mode": "nearby", "alpha": 5, "eps": {"type": "constant", "value": 2}}},
+     "perturbation.alpha is not read in nearby mode"),
+    ({"perturbation": {"mode": "nearby", "eps": {"type": "constant", "value": 2}},
+      "sweep": {"alpha_values": [0.1, 0.9]}}, "sweep.alpha_values is not read in nearby mode"),
+    ({"sweep": {"k_values": [3, 3], "alpha_values": [0.1]}},
+     "sweep.k_values must be distinct numbers > 0, got [3.0, 3.0]"),
+    ({"sweep": {"k_values": [3], "alpha_values": [0.1, 0.1]}},
+     "sweep.alpha_values must be distinct numbers >= 0, got [0.1, 0.1]"),
+], ids=["nearby_alpha", "nearby_alpha_values", "repeated_k", "repeated_alpha"])
+def test_sweep_refuses_an_unread_key_or_a_repeated_grid_value(tmp_path, capsys, extra, message):
+    """A sweep ignored alpha and alpha_values in nearby mode, printing one
+    PASS line, and solved a repeated k or alpha again under the same
+    summary-line name: each is now a ConfigError that names the key."""
+    path = write_cfg(tmp_path, extra)
+    assert main(["sweep", "--config", path, "--out-dir", str(tmp_path / "s")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+    assert not (tmp_path / "s" / "sweep.csv").exists()
 
 
 def test_config_that_is_not_utf8_is_an_error(tmp_path, capsys):
@@ -1265,8 +1290,7 @@ def test_singular_sweep_row_is_a_failure(tmp_path, capsys, monkeypatch):
         return BoundReport(
             k=sys1.spec.k, h=sys1.spec.mesh.h, alpha=alpha, n=sys1.n, dmu=0.0, deps=0.0,
             cdis1=nan, cdis2=math.inf, mass_ratio=nan, lhs_D=nan, lhs_Dinv=nan, lhs_2=nan,
-            lhs_2p=nan, rhs_lemma=math.inf, rhs_lemma2=None, cond=nan, checks=(),
-            singular=True)
+            lhs_2p=nan, rhs_lemma=math.inf, rhs_lemma2=None, cond=nan, checks=())
 
     monkeypatch.setattr(cli, "nearby_bound_report", singular_report)
     path = write_cfg(tmp_path, {"sweep": {"k_values": [4.0], "alpha_values": [0.1]}})
@@ -1415,14 +1439,15 @@ def test_import_refuses_an_indefinite_m_before_factoring_a(tmp_path, splu_calls)
 
 
 def test_import_refuses_a_bad_norm_before_factoring_a(tmp_path, splu_calls):
-    """A bad coefficient-difference norm is refused after D and M are
-    certified and before A1 or A2 is factored."""
+    """A bad coefficient-difference norm in meta.json is refused before
+    anything is factored: not A1 or A2, and not D, sigma I - M or M."""
     exch = str(tmp_path / "exch")
     cmd_export(write_cfg(tmp_path), out_dir=exch)
+    Path(exch, "meta.json").write_text('{"dmu": Infinity, "deps": 0.2}')
     splu_calls.clear()
-    with pytest.raises(InvalidArgumentError, match="dmu must be a finite number"):
-        cmd_import(exch, out_dir=str(tmp_path / "i"), dmu=math.inf)
-    assert _factor_kinds(splu_calls) == {"f": 3}  # D, sigma I - M, M
+    with pytest.raises(InvalidArgumentError, match="dmu must be a finite number >= 0, got inf"):
+        cmd_import(exch, out_dir=str(tmp_path / "i"))
+    assert splu_calls == []
 
 
 def test_import_of_an_empty_pair_is_an_error(tmp_path, capsys):
@@ -1482,9 +1507,9 @@ def test_import_of_a_non_finite_entry_is_an_error(tmp_path, capsys, name, entry,
     assert line.startswith(f"{i} {j} ")
 
 
-def test_import_norms_flags_over_meta(tmp_path):
-    """import takes each coefficient-difference norm from its flag, else from
-    the pair's meta.json, and fails without either."""
+def test_import_takes_its_norms_from_meta_json(tmp_path, capsys):
+    """export writes both coefficient-difference norms into meta.json, the
+    only place import reads them from; import takes no norm flags."""
     exch = str(tmp_path / "exch")
     cmd_export(write_cfg(tmp_path), out_dir=exch)
     meta_path = os.path.join(exch, "meta.json")
@@ -1495,46 +1520,49 @@ def test_import_norms_flags_over_meta(tmp_path):
         return json.loads(Path(os.path.join(directory, "bounds.json")).read_text())
 
     cmd_import(exch, out_dir=str(tmp_path / "m"))
-    from_meta = bounds(tmp_path / "m")
-    assert (from_meta["dmu"], from_meta["deps"]) == (meta["dmu"], meta["deps"])
-    cmd_import(exch, out_dir=str(tmp_path / "f"), deps=0.5)
-    assert (bounds(tmp_path / "f")["dmu"], bounds(tmp_path / "f")["deps"]) == (0.0, 0.5)
-    cmd_import(exch, out_dir=str(tmp_path / "g"), dmu=0.1, deps=0.5)
-    assert (bounds(tmp_path / "g")["dmu"], bounds(tmp_path / "g")["deps"]) == (0.1, 0.5)
+    assert (bounds(tmp_path / "m")["dmu"], bounds(tmp_path / "m")["deps"]) == (
+        meta["dmu"], meta["deps"])
+    Path(meta_path).write_text('{"dmu": 0.1, "deps": 0.5}')
+    cmd_import(exch, out_dir=str(tmp_path / "e"))
+    assert (bounds(tmp_path / "e")["dmu"], bounds(tmp_path / "e")["deps"]) == (0.1, 0.5)
 
-    os.remove(meta_path)
-    out = str(tmp_path / "x")
-    assert main(["import", "--dir", exch, "--out-dir", out]) == 1
-    assert main(["import", "--dir", exch, "--out-dir", out, "--deps", "0.5"]) == 1
-    assert not os.path.exists(os.path.join(out, "bounds.json"))
-    flags = ["--dmu", repr(meta["dmu"]), "--deps", repr(meta["deps"])]
-    assert main(["import", "--dir", exch, "--out-dir", out] + flags) == 0
-    assert bounds(out)["rhs_lemma"] == from_meta["rhs_lemma"]
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["import", "--help"])
+    help_text = capsys.readouterr().out
+    assert "--dir" in help_text and "--dmu" not in help_text and "--deps" not in help_text
+    with pytest.raises(SystemExit):
+        main(["import", "--dir", exch, "--dmu", "0.1"])
+    assert "unrecognized arguments: --dmu 0.1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags,meta,message", [
-    (["--dmu", "inf"], None, "dmu must be a finite number >= 0, got inf"),
-    (["--dmu", "-5"], None, "dmu must be a finite number >= 0, got -5.0"),
-    (["--deps", "nan"], None, "deps must be a finite number >= 0, got nan"),
-    ([], '{"dmu": Infinity, "deps": 0.2}', "dmu must be a finite number >= 0, got inf"),
-    ([], '{"dmu": "0", "deps": 0.2}', "dmu must be a finite number >= 0, got '0'"),
-    ([], '{"dmu": true, "deps": 0.2}', "dmu must be a finite number >= 0, got True"),
-    ([], '{"dmu": 0.0, "deps": ', "meta.json: Expecting value"),
-    ([], "[0.0, 0.2]", "meta.json is not a JSON object"),
-], ids=["flag_inf", "flag_negative", "flag_nan", "meta_inf", "meta_string", "meta_bool",
-        "meta_not_json", "meta_list"])
-def test_import_rejects_a_bad_norm(tmp_path, capsys, flags, meta, message):
+@pytest.mark.parametrize("meta,message", [
+    ('{"dmu": Infinity, "deps": 0.2}', "dmu must be a finite number >= 0, got inf"),
+    ('{"dmu": -5, "deps": 0.2}', "dmu must be a finite number >= 0, got -5"),
+    ('{"dmu": 0.0, "deps": NaN}', "deps must be a finite number >= 0, got nan"),
+    ('{"dmu": 0.0}', "deps must be a finite number >= 0, got None"),
+    ('{"dmu": "0", "deps": 0.2}', "dmu must be a finite number >= 0, got '0'"),
+    ('{"dmu": true, "deps": 0.2}', "dmu must be a finite number >= 0, got True"),
+    ('{"dmu": 0.0, "deps": ', "meta.json: Expecting value"),
+    ("[0.0, 0.2]", "meta.json is not a JSON object"),
+    (None, "meta.json not found"),
+], ids=["meta_inf", "meta_negative", "meta_nan", "meta_missing_norm", "meta_string",
+        "meta_bool", "meta_not_json", "meta_list", "meta_missing"])
+def test_import_rejects_a_bad_norm(tmp_path, capsys, meta, message):
     """An infinite coefficient-difference norm passed the nearby checks, a
     negative one emitted the small-cond checks, and a malformed meta.json
-    ended in a traceback: each is one error line and exit status 1."""
+    ended in a traceback: each, and a missing norm or meta.json, is one
+    error line and exit status 1."""
     exch = str(tmp_path / "exch")
     cmd_export(write_cfg(tmp_path), out_dir=exch)
-    if meta is not None:
+    if meta is None:
+        os.remove(os.path.join(exch, "meta.json"))
+    else:
         with open(os.path.join(exch, "meta.json"), "w") as fh:
             fh.write(meta)
     capsys.readouterr()
     out = str(tmp_path / "i")
-    assert main(["import", "--dir", exch, "--out-dir", out] + flags) == 1
+    assert main(["import", "--dir", exch, "--out-dir", out]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import canonical_1d, canonical_spec_1d, working_rung
+from conftest import CANONICAL_GARDING, canonical_1d, canonical_spec_1d, working_rung
 
 from helmprec.assemble import assemble_system
 from helmprec.bounds import garding_check, infsup_ladder, InfSupLadder, nearby_bound_report
@@ -314,23 +314,12 @@ def test_matrix_exchange_dir_roundtrip(tmp_path):
     assert b2.D is b1.D and b2.M is b1.M
     assert b1.D.dtype == b1.M.dtype == np.float64  # read as the real matrices they are
     assert meta == {"dmu": 0.0, "deps": 0.25}
+    (d / "meta.json").unlink()
+    with pytest.raises(MatrixExchangeError, match="meta.json not found"):
+        read_matrix_exchange(str(d))
     (d / "D.mtx").unlink()
     with pytest.raises(MatrixExchangeError, match="matrix file for D not found"):
         read_matrix_exchange(str(d))
-
-
-def test_matrix_exchange_without_norms_leaves_no_earlier_norms(tmp_path):
-    """A pair written without norms into the directory of an exported pair
-    reads back with no norms, not with the earlier pair's."""
-    spec = canonical_spec_1d(6.0, 15)
-    s1 = assemble_system(spec)
-    d = str(tmp_path / "exch")
-    write_matrix_exchange(s1, assemble_system(spec.with_absorption(0.3)), d, dmu=0.0, deps=0.5)
-    s3 = assemble_system(spec.with_absorption(0.1))
-    write_matrix_exchange(s1, s3, d)
-    _, b2, meta = read_matrix_exchange(d)
-    assert (abs(b2.A - s3.A)).max() == 0.0
-    assert meta == {}
 
 
 def test_bound_report_serialization(tmp_path):
@@ -366,11 +355,11 @@ def test_trace_and_ladder_serialization(tmp_path):
 
 
 def test_report_determinism(tmp_path):
-    rep = garding_check(canonical_1d(4.0, 12), seed=5)
+    rep = garding_check(canonical_1d(4.0, 12), CANONICAL_GARDING, seed=5)
     p1 = write_report(rep, str(tmp_path / "a.json"))
     p2 = write_report(rep, str(tmp_path / "b.json"))
     assert Path(p1).read_bytes() == Path(p2).read_bytes()
-    rep2 = garding_check(canonical_1d(4.0, 12), seed=5)
+    rep2 = garding_check(canonical_1d(4.0, 12), CANONICAL_GARDING, seed=5)
     p3 = write_report(rep2, str(tmp_path / "c.json"))
     assert Path(p1).read_bytes() == Path(p3).read_bytes()
 
@@ -378,7 +367,7 @@ def test_report_determinism(tmp_path):
 def test_write_report_rejects_unknown(tmp_path):
     with pytest.raises(InvalidArgumentError):
         write_report(object(), str(tmp_path / "x.json"))
-    rep = garding_check(canonical_1d(4.0, 12))
+    rep = garding_check(canonical_1d(4.0, 12), CANONICAL_GARDING)
     for name in ("x.yaml", "x.JSON", "json"):
         with pytest.raises(InvalidArgumentError, match=r"does not end in \.json or \.csv"):
             write_report(rep, str(tmp_path / name))

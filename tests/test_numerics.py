@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import mp_oracle
 from conftest import (
     DIR,
     IMP,
@@ -29,6 +31,7 @@ from helmprec import (
     constant_field,
 )
 from helmprec import numerics
+from helmprec.bounds import SLACK
 from helmprec.errors import (
     InvalidArgumentError,
     NoConvergenceError,
@@ -661,3 +664,43 @@ def test_linear_operator_input(rng):
     assert weighted_operator_norm(op, g) == pytest.approx(
         oracle_weighted_norm(C, D, "D"), rel=1e-8
     )
+
+
+# ROADMAP item 17's L sweep: 1D, k = 0.1, 20 elements on [0, L] (n = 21),
+# canonical coefficients. cond(D) grows like L^-2, from 1.7e7 at L = 1e-1
+# to 1.7e13 at L = 1e-4.
+L_SWEEP = (1e-1, 1e-2, 1e-3, 1e-4)
+
+
+@functools.cache
+def _l_sweep_case(length):
+    """(C_dis, h0_to_h) of the package at seed 0 and of the 60-digit oracle."""
+    s = canonical_1d(0.1, 20, b=length)
+    duo = solution_operator_norms(s.lu, s.D, s.M)
+    oracle = mp_oracle.solution_operator_norms(s.A, s.D, s.M)
+    return (s.c_dis(0), duo.h0_to_h), tuple(float(v) for v in oracle)
+
+
+@pytest.mark.parametrize("length", L_SWEEP)
+def test_c_dis_matches_the_high_precision_oracle(length):
+    """C_dis is accurate across the sweep: 3.6e-15 to 2.1e-13 relative."""
+    (c_dis, _), (exact, _) = _l_sweep_case(length)
+    assert abs(c_dis - exact) <= 1e-12 * exact
+
+
+def _item_17(error):
+    return pytest.mark.xfail(strict=True, reason=(
+        f"ROADMAP item 17: h0_to_h is off by {error} relative, beyond SLACK, "
+        "although its eigensolve converged to 1e-10"))
+
+
+@pytest.mark.parametrize("length", [
+    1e-1, 1e-2,
+    pytest.param(1e-3, marks=_item_17("2.0e-7")),
+    pytest.param(1e-4, marks=_item_17("3.5e-5")),
+])
+def test_h0_to_h_matches_the_high_precision_oracle(length):
+    """h0_to_h is within SLACK of the oracle where D is well enough
+    conditioned: 1.0e-11 and 4.3e-10 relative at L = 1e-1 and 1e-2."""
+    (_, h0_to_h), (_, exact) = _l_sweep_case(length)
+    assert abs(h0_to_h - exact) <= SLACK * exact

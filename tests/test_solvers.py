@@ -46,7 +46,7 @@ def test_direct_solve_trivials():
 
 def test_direct_solve_single_element_closed_form():
     s = canonical_1d(1.0, 1)
-    b = assemble_load(s.spec, 1.0)
+    b = assemble_load(s.spec)
     x = direct_solve(s.lu, b)
     # hand 2x2 inverse by adjugate
     a, off = 2 / 3 - 1j, -7 / 6
@@ -65,19 +65,19 @@ def test_direct_solve_singular():
 
 def test_fixed_point_same_system_one_step(absorption_pair, settings):
     s1, _, _ = absorption_pair
-    b = assemble_load(s1.spec, 1.0)
+    b = assemble_load(s1.spec)
     settings(5, 1e-12)
-    tr = fixed_point(s1, s1, b, np.zeros(s1.n, complex))
+    tr = fixed_point(s1, s1, b)
     assert tr.converged
     assert tr.norms[1] <= 1e-10 * tr.norms[0]
 
 
 def test_fixed_point_exact_start(absorption_pair, settings):
+    """With b = 0 the zero start is the exact solution: no iteration is
+    made."""
     s1, s2, _ = absorption_pair
-    b = assemble_load(s1.spec, 1.0)
-    x = direct_solve(s1.lu, b)
     settings(5, 1e-12)
-    tr = fixed_point(s1, s2, b, x)
+    tr = fixed_point(s1, s2, np.zeros(s1.n, complex))
     assert tr.iterations == 0
     assert tr.norms[0] == 0.0
     assert tr.converged
@@ -86,9 +86,9 @@ def test_fixed_point_exact_start(absorption_pair, settings):
 def test_fixed_point_contraction_envelope(absorption_pair, settings):
     s1, s2, c = absorption_pair
     assert c < 1
-    b = assemble_load(s1.spec, 1.0)
+    b = assemble_load(s1.spec)
     settings(60, 1e-12)
-    tr = fixed_point(s1, s2, b, np.zeros(s1.n, complex))
+    tr = fixed_point(s1, s2, b)
     env_c = c ** np.arange(tr.iterations + 1)
     assert np.all(tr.norms <= env_c * tr.norms[0] * (1 + 1e-8))
 
@@ -98,9 +98,9 @@ def test_fixed_point_singular_preconditioner(absorption_pair):
     bad = s1.A.tolil()
     bad[0, :] = 0
     s_bad = dataclasses.replace(s1, A=bad.tocsr())
-    b = assemble_load(s1.spec, 1.0)
+    b = assemble_load(s1.spec)
     with pytest.raises(SingularSystemError):
-        fixed_point(s1, s_bad, b, np.zeros(s1.n, complex))
+        fixed_point(s1, s_bad, b)
 
 
 def test_gmres_identity_one_iteration(settings):
@@ -124,7 +124,7 @@ def test_gmres_three_eigenvalues_three_iterations(rng, settings):
 
 def test_gmres_envelope_and_monotonicity(absorption_pair, settings):
     s1, s2, c = absorption_pair
-    b = assemble_load(s1.spec, 1.0)
+    b = assemble_load(s1.spec)
     lu2 = spla.splu(sp.csc_matrix(s2.A, dtype=complex))
     settings(100, 1e-12)
     tr = gmres(lambda x: lu2.solve(s1.A @ x), lu2.solve(b), s1.D)
@@ -195,7 +195,7 @@ def test_gmres_storage_growth_is_bitwise_invisible(absorption_pair, rng, setting
     n = 30
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 5 * np.eye(n)
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    runs = ((lambda x: lu2.solve(s1.A @ x), lu2.solve(assemble_load(s1.spec, 1.0)), s1.D),
+    runs = ((lambda x: lu2.solve(s1.A @ x), lu2.solve(assemble_load(s1.spec)), s1.D),
             (lambda x: A @ x, b, _eye(n)))
     settings(100, 1e-12)
     start = solvers._START_STEPS
