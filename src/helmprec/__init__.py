@@ -20,7 +20,6 @@ from .bounds import (
 )
 from .coeffs import (
     CoefficientField,
-    Role,
     absorption_shift,
     constant_field,
     field_diff_sup_norm,

@@ -46,10 +46,11 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .coeffs import CoefficientField, Role, absorption_shift
+from .coeffs import CoefficientField, absorption_shift
 from .errors import (
     DegenerateSystemError,
     InvalidArgumentError,
+    InvalidCoefficientError,
     InvalidSystemError,
     NotPositiveDefiniteError,
     SingularSystemError,
@@ -71,7 +72,10 @@ from .numerics import (
 class ProblemSpec:
     """A concrete variational problem: k, mesh, coefficients, impedance weight.
 
-    ``theta`` is one positive real for all impedance facets.
+    Both fields live on ``mesh``; Re(mu_inv) must be positive definite on
+    every element, and eps, which multiplies the scalar u, scalar (else an
+    InvalidCoefficientError). ``theta`` is one positive real for all
+    impedance facets.
     """
 
     k: float
@@ -81,6 +85,11 @@ class ProblemSpec:
     theta: float = 1.0
 
     def __post_init__(self):
+        if not (re_min := self.mu_inv.real_min()) > 0:
+            raise InvalidCoefficientError(
+                f"Re(mu^-1) must be positive elementwise (min {re_min:g})")
+        if self.eps.is_matrix:
+            raise InvalidCoefficientError("eps values must be scalars")
         try:  # k^{-2} scales the stiffness, so it must be a finite float too
             valid = 0 < self.k < math.inf and float(self.k) ** -2 < math.inf
         except OverflowError:
@@ -89,8 +98,6 @@ class ProblemSpec:
             raise InvalidArgumentError(
                 f"wavenumber must be positive and finite, with k^-2 finite, got {self.k}"
             )
-        if self.mu_inv.role != Role.MU_INV or self.eps.role != Role.EPS:
-            raise InvalidArgumentError("coefficient roles do not match their slots")
         if self.mu_inv.mesh is not self.mesh or self.eps.mesh is not self.mesh:
             raise InvalidArgumentError("coefficient fields built on a different mesh")
         if not self.theta > 0:

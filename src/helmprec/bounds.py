@@ -246,16 +246,13 @@ class InfSupLadder:
 def garding_constants_for(spec: ProblemSpec) -> GardingConstants:
     """Valid shifted-coercivity constants derived from coefficient ranges.
 
-    With m = min eigenvalue of Re(mu^{-1}) over elements and
+    With m = ``spec.mu_inv.real_min()``, the min eigenvalue of Re(mu^{-1})
+    over elements, which ``ProblemSpec`` requires to be > 0, and
     E = max(Re eps, 0), the real part of the form is bounded below by
     m ||v||_H^2 - (m + E) ||v||_0^2, so (C_g1, C_g2) = (m, m + E) works;
     the homogeneous case gives exactly (1, 2).
     """
-    mu = spec.mu_inv
-    if mu.is_matrix:
-        m = float(np.linalg.eigvalsh(mu.values.real).min())
-    else:
-        m = float(mu.values.real.min())
+    m = spec.mu_inv.real_min()
     e_max = max(float(spec.eps.values.real.max()), 0.0)
     return GardingConstants(m, m + e_max)
 

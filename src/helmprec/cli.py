@@ -33,7 +33,6 @@ from .bounds import (
     nearby_bound_report,
     norm_equivalence_report,
 )
-from .coeffs import Role
 from .errors import HelmprecError, InvalidArgumentError
 from .solvers import fixed_point, gmres
 
@@ -97,8 +96,8 @@ def _perturbed(cfg: dict, sys1, alpha=None):
         return assemble_system(spec1.with_absorption(a)), a
     fields = [
         getattr(spec1, key) if pert[key] is None
-        else hio.field_from_rule(spec1.mesh, pert[key], role, spec1.k)
-        for key, role in (("mu_inv", Role.MU_INV), ("eps", Role.EPS))
+        else hio.field_from_rule(spec1.mesh, pert[key], key, spec1.k)
+        for key in hio.COEFFICIENTS
     ]
     return assemble_system(ProblemSpec(spec1.k, spec1.mesh, *fields, spec1.theta)), None
 
@@ -141,7 +140,7 @@ def _sweep_point(cfg, sys1, k, alpha, seed, result: ScenarioResult):
     report's verdict. ``sys1`` is k's system or the error building it raised."""
     row = {c: None for c in SWEEP_COLUMNS}
     row.update({"k": k, "alpha": alpha, "error": ""})
-    name = f"sweep[k={k:g}" + (f",alpha={alpha:g}]" if alpha is not None else "]")
+    name = hio.point_name("sweep", k, alpha)
 
     def failed(exc: HelmprecError) -> dict:
         row["error"] = type(exc).__name__
@@ -214,9 +213,9 @@ def cmd_sweep(config_path: str, out_dir: str = "out", seed: int = 0) -> Scenario
         for k in sweep["k_values"]:
             e = entries.get(k)
             if e is None:  # k's system, its C_dis or its reference rung failed
-                result.add(f"ladder[k={k:g}]", False, math.nan)
+                result.add(hio.point_name("ladder", k, None), False, math.nan)
             else:  # a singular entry's ratio is nan
-                result.add(f"ladder[k={k:g}]", not e.singular, e.ratio)
+                result.add(hio.point_name("ladder", k, None), not e.singular, e.ratio)
     return result
 
 

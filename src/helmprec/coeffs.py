@@ -1,14 +1,11 @@
 """Piecewise-constant complex coefficient fields.
 
 A field assigns one value per mesh element: a complex scalar, or (for
-the diffusion coefficient in 2D) a symmetric complex 2x2 matrix. The
-two roles mirror the two coefficients of the operator
-``-k^{-2} div(mu^{-1} grad) - eps``:
-
-* MU_INV fields must have positive-definite real part elementwise,
-* EPS fields are scalar, otherwise unconstrained, bounded multipliers.
-
-Every value of either role must be finite.
+the diffusion coefficient in 2D) a symmetric complex 2x2 matrix. Every
+value must be finite. A field does not know which coefficient of the
+operator ``-k^{-2} div(mu^{-1} grad) - eps`` it is: the slot it fills,
+``ProblemSpec.mu_inv`` or ``ProblemSpec.eps``, checks what that slot
+needs (a positive-definite Re(mu^{-1}), a scalar eps).
 
 Because fields are piecewise constant, their sup-norm differences are
 exact maxima and all element integrals in the assembly stay closed-form.
@@ -18,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from numbers import Real
 from typing import Callable
 
@@ -28,23 +24,16 @@ from .errors import InvalidArgumentError, InvalidCoefficientError
 from .mesh import Mesh
 
 
-class Role(Enum):
-    MU_INV = "mu_inv"
-    EPS = "eps"
-
-
 @dataclass(frozen=True, eq=False)
 class CoefficientField:
     """Per-element coefficient values tied to a mesh.
 
     ``values`` has shape (n_elements,) for scalar fields or
-    (n_elements, 2, 2) for matrix-valued diffusion coefficients (MU_INV)
-    in 2D.
+    (n_elements, 2, 2) for symmetric matrix values on a 2D mesh, all finite.
     """
 
     mesh: Mesh
     values: np.ndarray
-    role: Role
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
@@ -55,10 +44,8 @@ class CoefficientField:
                 f"{values.shape[0]} values for {self.mesh.n_elements} elements"
             )
         if not np.all(np.isfinite(values)):
-            raise InvalidCoefficientError(f"{self.role.value} values must be finite")
+            raise InvalidCoefficientError("coefficient values must be finite")
         if values.ndim == 3:
-            if self.role == Role.EPS:  # eps multiplies the scalar u
-                raise InvalidCoefficientError("eps values must be scalars")
             if self.mesh.dimension != 2 or values.shape[1:] != (2, 2):
                 raise InvalidArgumentError(
                     "matrix-valued fields must be (n, 2, 2) on a 2D mesh"
@@ -67,22 +54,18 @@ class CoefficientField:
                 raise InvalidCoefficientError("matrix values must be symmetric")
         elif values.ndim != 1:
             raise InvalidArgumentError(f"bad value shape {values.shape}")
-        if self.role == Role.MU_INV:
-            if values.ndim == 1:
-                re_min = values.real.min()
-            else:
-                re_min = np.linalg.eigvalsh(values.real).min()
-            if not re_min > 0:
-                raise InvalidCoefficientError(
-                    f"Re(mu^-1) must be positive elementwise (min {re_min:g})"
-                )
 
     @property
     def is_matrix(self) -> bool:
         return self.values.ndim == 3
 
+    def real_min(self) -> float:
+        """Least eigenvalue of Re(value) over the elements (a scalar's Re)."""
+        real = self.values.real
+        return float((np.linalg.eigvalsh(real) if self.is_matrix else real).min())
 
-def constant_field(mesh: Mesh, value, role: Role) -> CoefficientField:
+
+def constant_field(mesh: Mesh, value) -> CoefficientField:
     """Field with the same (scalar or 2x2) value on every element."""
     value = np.asarray(value, dtype=complex)
     if value.ndim == 0:
@@ -91,16 +74,14 @@ def constant_field(mesh: Mesh, value, role: Role) -> CoefficientField:
         values = np.broadcast_to(value, (mesh.n_elements, 2, 2)).copy()
     else:
         raise InvalidArgumentError(f"value must be scalar or 2x2, got {value.shape}")
-    return CoefficientField(mesh, values, role)
+    return CoefficientField(mesh, values)
 
 
-def piecewise_field(
-    mesh: Mesh, region_rule: Callable, role: Role
-) -> CoefficientField:
+def piecewise_field(mesh: Mesh, region_rule: Callable) -> CoefficientField:
     """Field built by evaluating ``region_rule`` at element centroids.
 
     The rule receives a float in 1D and a length-2 coordinate array in
-    2D, and returns a complex scalar (or a 2x2 array for MU_INV in 2D).
+    2D, and returns a complex scalar (or a 2x2 array in 2D).
     """
     centroids = mesh.element_centroids()
     vals = []
@@ -110,18 +91,16 @@ def piecewise_field(
     shapes = {v.shape for v in vals}
     if len(shapes) != 1:
         raise InvalidArgumentError(f"rule returned mixed shapes: {shapes}")
-    return CoefficientField(mesh, np.stack(vals), role)
+    return CoefficientField(mesh, np.stack(vals))
 
 
 def absorption_shift(eps: CoefficientField, alpha: float) -> CoefficientField:
-    """The absorption perturbation: multiply an EPS field by (1 + i*alpha).
+    """The absorption perturbation: multiply an eps field by (1 + i*alpha).
 
     ``alpha`` must be a finite real number >= 0 (a bool is not one). A
     product that leaves the float range is an InvalidCoefficientError
     naming alpha and max|eps|, raised without a warning.
     """
-    if eps.role != Role.EPS:
-        raise InvalidArgumentError("absorption_shift applies to EPS fields only")
     number = isinstance(alpha, Real) and not isinstance(alpha, bool)
     if not (number and 0 <= alpha < math.inf):
         raise InvalidArgumentError(f"alpha must be a finite number >= 0, got {alpha!r}")
@@ -131,7 +110,7 @@ def absorption_shift(eps: CoefficientField, alpha: float) -> CoefficientField:
         raise InvalidCoefficientError(
             f"(1 + i alpha) eps overflows: alpha = {float(alpha):g}, "
             f"max|eps| = {np.abs(eps.values).max():g}")
-    return CoefficientField(eps.mesh, values, eps.role)
+    return CoefficientField(eps.mesh, values)
 
 
 def pml_profile_1d(
@@ -160,9 +139,7 @@ def pml_profile_1d(
     x = mesh.element_centroids()[:, 0]
     ramp = np.where(x > R, ((x - R) / (b - R)) ** 2, 0.0)
     s = 1.0 + 1j * (sigma0 / k) * ramp
-    mu_inv = CoefficientField(mesh, 1.0 / s, Role.MU_INV)
-    eps = CoefficientField(mesh, s, Role.EPS)
-    return mu_inv, eps
+    return CoefficientField(mesh, 1.0 / s), CoefficientField(mesh, s)
 
 
 def field_diff_sup_norm(f1: CoefficientField, f2: CoefficientField) -> float:
@@ -174,8 +151,6 @@ def field_diff_sup_norm(f1: CoefficientField, f2: CoefficientField) -> float:
     """
     if f1.mesh is not f2.mesh:
         raise InvalidArgumentError("fields live on different meshes")
-    if f1.role != f2.role:
-        raise InvalidArgumentError("fields have different roles")
     if f1.values.shape != f2.values.shape:
         raise InvalidArgumentError("fields have different value shapes")
     diff = f1.values - f2.values
@@ -198,4 +173,4 @@ def resample_field(
     """
     if new_mesh.dimension != field.mesh.dimension:
         raise InvalidArgumentError("meshes have different dimensions")
-    return CoefficientField(new_mesh, field.values[parent], field.role)
+    return CoefficientField(new_mesh, field.values[parent])

@@ -2,19 +2,24 @@
 
 A JSON config is read against one key table, ``_CONFIG``: each key of
 each section maps to (kind, default, constraint). A kind is a nested
-section's table or a reader: finite float, integer, complex (a number
-or a [re, im] pair, kept as written), string, list or pair of numbers,
+section's table or a reader: finite float, integer, finite complex (a
+number or a [re, im] pair, kept as written), string, list or pair of numbers,
 the boundary sides of the mesh, or a rule (an object whose 'type' names
 the table of its other keys). A default is REQUIRED, a value, or a
 function of the config read so far (``sweep.k_values`` defaults to
 ``[problem.k]``); a None default, or a function that gives None, makes
 the key optional. A constraint is None or (test, text), and a value
-failing test(value, cfg) "must be <text>". The keys that only absorption
-mode reads, ``perturbation.alpha`` and ``sweep.alpha_values``, are None
-in nearby mode, where writing one is an error. The walker ``_section``
-rejects unknown and missing keys, reads a default as it reads a written
-value, applies the constraint
-and names the key in every ``ConfigError``. A read config is the plain
+failing test(value, cfg) "must be <text>". A key that only one
+perturbation mode reads (``perturbation.alpha`` and ``sweep.alpha_values``
+in absorption mode, the rules ``perturbation.mu_inv`` and
+``perturbation.eps`` in nearby mode) is None in the other mode, where
+writing one is an error. The values of a sweep grid must print distinct
+summary-line names (``point_name``). What a coefficient's slot needs of
+its field (a positive-definite Re(mu^-1), a scalar eps) ``ProblemSpec``
+checks. The
+walker ``_section`` rejects unknown and missing keys, reads a default as
+it reads a written value, applies the constraint and names the key in
+every ``ConfigError``. A read config is the plain
 dict of its sections, every default filled in, and re-reading its JSON
 dump gives the same dict. A config that is not UTF-8 text is a
 ``ConfigError`` too; a matrix file that is not is a
@@ -41,6 +46,7 @@ are the command line's ``--seed`` and ``--out-dir``, and a config with a
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import json
 import math
@@ -51,13 +57,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assemble import MatrixSystem, ProblemSpec
-from .coeffs import CoefficientField, Role, constant_field, piecewise_field, pml_profile_1d
+from .coeffs import CoefficientField, constant_field, piecewise_field, pml_profile_1d
 from .errors import ConfigError, InvalidArgumentError, MatrixExchangeError
 from .mesh import MAX_INDEX, SIDES, BoundaryTag, Mesh, build_interval_mesh, build_rect_mesh
 
 SCHEMA_VERSION = 1
 
 _TAGS = {t.value: t for t in BoundaryTag}
+COEFFICIENTS = ("mu_inv", "eps")  # the config keys, and ProblemSpec slots, of the coefficients
 
 
 def _as_complex(v) -> complex:
@@ -71,9 +78,9 @@ def _number(value, where: str, kind=float):
     Only a JSON number is a number: a string or a boolean is rejected
     rather than converted, and a complex key takes a number or a [re, im]
     pair of numbers. An integer key rejects a non-integral number rather
-    than truncating it (3.0 and 1e3 are integers). A float key rejects a
-    non-finite number (``NaN``, ``Infinity`` or a literal that overflows,
-    such as 1e400).
+    than truncating it (3.0 and 1e3 are integers). A float or complex key
+    rejects a non-finite number (``NaN``, ``Infinity`` or a literal that
+    overflows, such as 1e400), or a pair with one.
     """
     pair = kind is complex and isinstance(value, list) and len(value) == 2
     parts = value if pair else [value]
@@ -85,7 +92,7 @@ def _number(value, where: str, kind=float):
         number = kind(*parts)
     except OverflowError as exc:
         raise ConfigError(f"{where}: not a valid number: {value!r}") from exc
-    if kind is float and not math.isfinite(number):
+    if kind is not int and not cmath.isfinite(number):
         raise ConfigError(f"{where}: not a finite number: {value!r}")
     return number
 
@@ -134,18 +141,17 @@ def _sides(value, where, cfg):
     return _section({s: tag for s in SIDES[cfg["problem"]["dimension"]]}, value, where, cfg)
 
 
-def _absorption_only(kind, default, check) -> tuple:
-    """The table entry of a key that only absorption mode reads: its default
-    is ``default(cfg)`` there and None in nearby mode, where a written
-    value is refused, not ignored."""
-    def absorption(cfg):
-        return cfg["perturbation"]["mode"] == "absorption"
-
+def _mode_only(mode: str, kind, default, check) -> tuple:
+    """The table entry of a key that only perturbation mode ``mode`` reads:
+    its default is ``default(cfg)`` in that mode and None in the other,
+    where a written value is refused, not ignored."""
     def read(value, where, cfg):
-        if not absorption(cfg):
-            raise ConfigError(f"{where} is not read in nearby mode; remove it")
+        if cfg["perturbation"]["mode"] != mode:
+            raise ConfigError(
+                f"{where} is not read in {cfg['perturbation']['mode']} mode; remove it")
         return kind(value, where, cfg)
-    return read, lambda cfg: default(cfg) if absorption(cfg) else None, check
+    return (read, lambda cfg: default(cfg) if cfg["perturbation"]["mode"] == mode else None,
+            check)
 
 
 def _rule(types: dict):
@@ -197,6 +203,24 @@ _RESOLUTION = _rule({
 })
 _CONSTANT_ONE = {"type": "constant", "value": [1.0, 0.0]}
 
+
+def point_name(prefix: str, k: float, alpha: Optional[float]) -> str:
+    """The summary-line name of a sweep point or a ladder entry, such as
+    ``sweep[k=10,alpha=0.3]``, or ``ladder[k=10]`` for alpha None: each
+    value in ``{:g}`` form, to 6 significant digits."""
+    return f"{prefix}[k={k:g}" + (f",alpha={alpha:g}]" if alpha is not None else "]")
+
+
+# a sweep names its summary lines by k and alpha, so no two values of a grid
+# may give the same name
+_K_VALUES = (lambda ks, cfg: min(ks) > 0
+             and len({point_name("sweep", k, None) for k in ks}) == len(ks),
+             "numbers > 0 that name distinct summary lines (6 significant digits)")
+_ALPHA_VALUES = (lambda alphas, cfg: min(alphas) >= 0
+                 and len({point_name("sweep", cfg["sweep"]["k_values"][0], a)
+                          for a in alphas}) == len(alphas),
+                 "numbers >= 0 that name distinct summary lines (6 significant digits)")
+
 _CONFIG = {
     "schema_version": (_int, SCHEMA_VERSION, _one_of(SCHEMA_VERSION)),
     "problem": ({
@@ -214,20 +238,15 @@ _CONFIG = {
     }, REQUIRED, None),
     "perturbation": ({
         "mode": (_str, "absorption", _one_of("absorption", "nearby")),
-        "alpha": _absorption_only(_float, lambda cfg: 0.3, _at_least(0)),
-        "mu_inv": (_COEFFICIENT, None, None),
-        "eps": (_COEFFICIENT, None, None),
+        "alpha": _mode_only("absorption", _float, lambda cfg: 0.3, _at_least(0)),
+        "mu_inv": _mode_only("nearby", _COEFFICIENT, lambda cfg: None, None),
+        "eps": _mode_only("nearby", _COEFFICIENT, lambda cfg: None, None),
     }, {}, (lambda p, cfg: p["mode"] == "absorption" or p["mu_inv"] or p["eps"],
             "absorption, or nearby with a mu_inv and/or eps rule")),
-    # a sweep names its summary lines by k and alpha, so none may repeat
     "sweep": ({
-        "k_values": (_numbers, lambda cfg: [cfg["problem"]["k"]],
-                     (lambda ks, cfg: min(ks) > 0 and len(set(ks)) == len(ks),
-                      "distinct numbers > 0")),
-        "alpha_values": _absorption_only(
-            _numbers, lambda cfg: [cfg["perturbation"]["alpha"]],
-            (lambda alphas, cfg: min(alphas) >= 0 and len(set(alphas)) == len(alphas),
-             "distinct numbers >= 0")),
+        "k_values": (_numbers, lambda cfg: [cfg["problem"]["k"]], _K_VALUES),
+        "alpha_values": _mode_only("absorption", _numbers,
+                                   lambda cfg: [cfg["perturbation"]["alpha"]], _ALPHA_VALUES),
         "resolution": (_RESOLUTION, lambda cfg: cfg["problem"]["resolution"], None),
         "ladder": ({"refine": (_int, 4, _at_least(2))}, None, None),
     }, {}, None),
@@ -335,10 +354,11 @@ def build_mesh(problem: dict, k: Optional[float] = None) -> Mesh:
     return build_rect_mesh(w, h, nx, ny, tags)
 
 
-def field_from_rule(mesh: Mesh, rule: dict, role: Role, k: float) -> CoefficientField:
-    """Materialize one coefficient rule on a mesh."""
+def field_from_rule(mesh: Mesh, rule: dict, key: str, k: float) -> CoefficientField:
+    """Materialize the rule of coefficient ``key`` (of ``COEFFICIENTS``) on a
+    mesh; only a ``pml`` rule reads the key, to pick its half of the pair."""
     if rule["type"] == "constant":
-        return constant_field(mesh, _as_complex(rule["value"]), role)
+        return constant_field(mesh, _as_complex(rule["value"]))
     if rule["type"] == "step":
         axis, thr = rule["axis"], rule["threshold"]
         below, above = _as_complex(rule["below"]), _as_complex(rule["above"])
@@ -346,9 +366,8 @@ def field_from_rule(mesh: Mesh, rule: dict, role: Role, k: float) -> Coefficient
             f = lambda x: below if x < thr else above
         else:
             f = lambda p: below if p[axis] < thr else above
-        return piecewise_field(mesh, f, role)
-    mu_inv, eps = pml_profile_1d(mesh, k, rule["start"], rule["sigma0"])
-    return mu_inv if role == Role.MU_INV else eps
+        return piecewise_field(mesh, f)
+    return dict(zip(COEFFICIENTS, pml_profile_1d(mesh, k, rule["start"], rule["sigma0"])))[key]
 
 
 def build_problem(problem: dict, k: Optional[float] = None) -> ProblemSpec:
@@ -356,9 +375,8 @@ def build_problem(problem: dict, k: Optional[float] = None) -> ProblemSpec:
     optionally at another k."""
     k = problem["k"] if k is None else k
     mesh = build_mesh(problem, k)
-    mu = field_from_rule(mesh, problem["mu_inv"], Role.MU_INV, k)
-    eps = field_from_rule(mesh, problem["eps"], Role.EPS, k)
-    return ProblemSpec(k, mesh, mu, eps, problem["theta"])
+    fields = [field_from_rule(mesh, problem[key], key, k) for key in COEFFICIENTS]
+    return ProblemSpec(k, mesh, *fields, problem["theta"])
 
 
 # -- matrix exchange ----------------------------------------------------------

@@ -19,7 +19,6 @@ import scipy.sparse.linalg as spla
 from helmprec import (
     GardingConstants,
     ProblemSpec,
-    Role,
     assemble_system,
     build_interval_mesh,
     build_rect_mesh,
@@ -57,8 +56,8 @@ CANONICAL_GARDING = GardingConstants(1.0, 2.0)
 def canonical_spec_1d(k, n, left=IMP, right=IMP, theta=1.0, a=0.0, b=1.0):
     mesh = build_interval_mesh(a, b, n, left, right)
     return ProblemSpec(
-        k, mesh, constant_field(mesh, 1.0, Role.MU_INV),
-        constant_field(mesh, 1.0, Role.EPS), theta,
+        k, mesh, constant_field(mesh, 1.0),
+        constant_field(mesh, 1.0), theta,
     )
 
 
@@ -75,8 +74,8 @@ def working_rung(spec, seed=0):
 def canonical_spec_2d(k, nx, ny, tags=IMP, theta=1.0):
     mesh = build_rect_mesh(1.0, 1.0, nx, ny, tags)
     return ProblemSpec(
-        k, mesh, constant_field(mesh, 1.0, Role.MU_INV),
-        constant_field(mesh, 1.0, Role.EPS), theta,
+        k, mesh, constant_field(mesh, 1.0),
+        constant_field(mesh, 1.0), theta,
     )
 
 

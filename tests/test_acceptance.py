@@ -33,7 +33,7 @@ from conftest import (
 from helmprec import solvers
 from helmprec.assemble import assemble_load, assemble_system
 from helmprec.bounds import nearby_bound_report, norm_equivalence_report
-from helmprec.coeffs import Role, absorption_shift, piecewise_field
+from helmprec.coeffs import absorption_shift, piecewise_field
 from helmprec.numerics import (
     discrete_inf_sup,
     gram_factor,
@@ -89,7 +89,7 @@ def suite():
             cases.append(Case(f"k={k:g},n={n},alpha={alpha}", k, n, s1, s2, rep))
         for delta in DELTAS:
             eps2 = piecewise_field(
-                s1.spec.mesh, lambda x: 1.0 + delta if x < 0.5 else 1.0, Role.EPS
+                s1.spec.mesh, lambda x: 1.0 + delta if x < 0.5 else 1.0
             )
             s2 = assemble_system(s1.spec.with_eps(eps2))
             rep = nearby_bound_report(s1, s2)

@@ -23,7 +23,6 @@ from helmprec import assemble
 from helmprec.cli import cmd_sweep
 from helmprec.coeffs import (
     CoefficientField,
-    Role,
     absorption_shift,
     constant_field,
     piecewise_field,
@@ -118,8 +117,8 @@ def test_load_on_subnormal_cells_is_finite_without_a_warning():
     """The load needs the element measure alone: on cells of width about
     2e-322 the gradients' 1 / h overflowed with a RuntimeWarning."""
     mesh = build_interval_mesh(0.0, 1e-320, 50, IMP, IMP)
-    spec = ProblemSpec(10.0, mesh, constant_field(mesh, 1.0, Role.MU_INV),
-                       constant_field(mesh, 1.0, Role.EPS), 1.0)
+    spec = ProblemSpec(10.0, mesh, constant_field(mesh, 1.0),
+                       constant_field(mesh, 1.0), 1.0)
     F = assemble_load(spec)
     assert F.shape == (51,) and np.all(np.isfinite(F))
     assert np.all(F.real > 0) and np.all(F.imag == 0)
@@ -139,8 +138,8 @@ def test_garding_identity_random_vectors():
 
 def test_real_part_structure_for_real_coefficients():
     mesh = build_interval_mesh(0, 1, 12, IMP, IMP)
-    mu = piecewise_field(mesh, lambda x: 2.0 if x < 0.3 else 0.5, Role.MU_INV)
-    eps = piecewise_field(mesh, lambda x: 1.0 if x < 0.6 else 3.0, Role.EPS)
+    mu = piecewise_field(mesh, lambda x: 2.0 if x < 0.3 else 0.5)
+    eps = piecewise_field(mesh, lambda x: 1.0 if x < 0.6 else 3.0)
     s = assemble_system(ProblemSpec(4.0, mesh, mu, eps, 1.0))
     o = oracle_system(s.spec)
     rng = np.random.default_rng(1)
@@ -167,13 +166,13 @@ def test_structure_flags():
 
 def test_eps_linearity():
     mesh = build_interval_mesh(0, 1, 8, IMP, IMP)
-    mu = constant_field(mesh, 1.0, Role.MU_INV)
-    e1 = piecewise_field(mesh, lambda x: 1.0 + 0.5j if x < 0.4 else 2.0, Role.EPS)
-    e2 = piecewise_field(mesh, lambda x: 0.25 if x < 0.7 else 1j, Role.EPS)
+    mu = constant_field(mesh, 1.0)
+    e1 = piecewise_field(mesh, lambda x: 1.0 + 0.5j if x < 0.4 else 2.0)
+    e2 = piecewise_field(mesh, lambda x: 0.25 if x < 0.7 else 1j)
     esum = e1.values + e2.values
     from helmprec.coeffs import CoefficientField
 
-    s_sum = assemble_system(ProblemSpec(2.0, mesh, mu, CoefficientField(mesh, esum, Role.EPS)))
+    s_sum = assemble_system(ProblemSpec(2.0, mesh, mu, CoefficientField(mesh, esum)))
     s1 = assemble_system(ProblemSpec(2.0, mesh, mu, e1))
     s2 = assemble_system(ProblemSpec(2.0, mesh, mu, e2))
     # A(e) = S + B - M_e, so A(e1) + A(e2) - A(e1 + e2) = S + B
@@ -201,8 +200,8 @@ def test_degenerate_all_dirichlet():
 
 def test_theta_validation():
     mesh = build_interval_mesh(0, 1, 4, IMP, IMP)
-    mu = constant_field(mesh, 1.0, Role.MU_INV)
-    eps = constant_field(mesh, 1.0, Role.EPS)
+    mu = constant_field(mesh, 1.0)
+    eps = constant_field(mesh, 1.0)
     with pytest.raises(InvalidArgumentError):
         ProblemSpec(1.0, mesh, mu, eps, 0.0)
 
@@ -218,15 +217,13 @@ def test_neumann_means_no_boundary_term():
 def test_spec_validation_errors():
     mesh = build_interval_mesh(0, 1, 4, IMP, IMP)
     other = build_interval_mesh(0, 1, 4, IMP, IMP)
-    mu = constant_field(mesh, 1.0, Role.MU_INV)
-    eps = constant_field(other, 1.0, Role.EPS)
+    mu = constant_field(mesh, 1.0)
+    eps = constant_field(other, 1.0)
     with pytest.raises(InvalidArgumentError):
         ProblemSpec(1.0, mesh, mu, eps)
     for k in (-1.0, math.inf, math.nan):  # k = inf would drop the stiffness
         with pytest.raises(InvalidArgumentError, match="wavenumber"):
-            ProblemSpec(k, mesh, mu, constant_field(mesh, 1.0, Role.EPS))
-    with pytest.raises(InvalidArgumentError):
-        ProblemSpec(1.0, mesh, constant_field(mesh, 1.0, Role.EPS), eps)
+            ProblemSpec(k, mesh, mu, constant_field(mesh, 1.0))
 
 
 def test_validate_external_roundtrip_and_errors():
@@ -293,24 +290,23 @@ def _coefficients(mesh, kind, k, rng):
     """(mu^{-1}, eps) of one kind on the mesh."""
     ne = mesh.n_elements
     if kind == "constant":
-        return constant_field(mesh, 1.0, Role.MU_INV), constant_field(mesh, 1.0, Role.EPS)
+        return constant_field(mesh, 1.0), constant_field(mesh, 1.0)
     if kind == "pml":
         return pml_profile_1d(mesh, k, 0.5 * (mesh.lo[0] + mesh.hi[0]), 5.0)
     if kind == "step":
         axis = mesh.dimension - 1
         middle = 0.5 * (mesh.lo[axis] + mesh.hi[axis])
         rule = {"type": "step", "axis": axis, "threshold": middle}
-        mu = field_from_rule(mesh, dict(rule, below=2.0, above=0.5), Role.MU_INV, k)
-        eps = field_from_rule(mesh, dict(rule, below=1.0, above=[3.0, 0.5]), Role.EPS, k)
+        mu = field_from_rule(mesh, dict(rule, below=2.0, above=0.5), "mu_inv", k)
+        eps = field_from_rule(mesh, dict(rule, below=1.0, above=[3.0, 0.5]), "eps", k)
         return mu, eps
-    eps = CoefficientField(mesh, rng.standard_normal(ne) + 1j * rng.standard_normal(ne),
-                           Role.EPS)
+    eps = CoefficientField(mesh, rng.standard_normal(ne) + 1j * rng.standard_normal(ne))
     if kind == "complex":
         values = 1 + rng.random(ne) + 0.5j * rng.standard_normal(ne)
     else:  # symmetric 2 x 2 with a positive-definite real part
         q = rng.standard_normal((ne, 2, 2))
         values = q @ np.swapaxes(q, 1, 2) + np.eye(2) + 0.3j * (q + np.swapaxes(q, 1, 2))
-    return CoefficientField(mesh, values, Role.MU_INV), eps
+    return CoefficientField(mesh, values), eps
 
 
 @pytest.mark.parametrize("mesh_name, kind", [

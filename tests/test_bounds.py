@@ -43,7 +43,6 @@ from helmprec.bounds import (
 )
 from helmprec.coeffs import (
     CoefficientField,
-    Role,
     absorption_shift,
     constant_field,
     piecewise_field,
@@ -62,7 +61,7 @@ from helmprec.assemble import ProblemSpec
 
 def eps_perturbed(spec, delta):
     eps2 = piecewise_field(
-        spec.mesh, lambda x: 1.0 + delta if x < 0.5 else 1.0, Role.EPS
+        spec.mesh, lambda x: 1.0 + delta if x < 0.5 else 1.0
     )
     return assemble_system(ProblemSpec(spec.k, spec.mesh, spec.mu_inv, eps2, spec.theta))
 
@@ -157,8 +156,8 @@ def garding_reference(sys, constants, n_samples, seed, rtol=1e-12):
 def _step_spec_2d():
     """Unit square, mu^-1 in {0.5, 2} split in x, eps in {1, 3} split in y."""
     mesh = build_rect_mesh(1, 1, 8, 8, IMP)
-    mu = piecewise_field(mesh, lambda p: 0.5 if p[0] < 0.5 else 2.0, Role.MU_INV)
-    eps = piecewise_field(mesh, lambda p: 1.0 if p[1] < 0.5 else 3.0, Role.EPS)
+    mu = piecewise_field(mesh, lambda p: 0.5 if p[0] < 0.5 else 2.0)
+    eps = piecewise_field(mesh, lambda p: 1.0 if p[1] < 0.5 else 3.0)
     return ProblemSpec(10.0, mesh, mu, eps, 1.0)
 
 
@@ -172,8 +171,8 @@ def _matrix_mu_spec_2d():
     diag[:, 0, 0], diag[:, 1, 1] = 1.0, 0.1
     values = (rot @ diag @ np.swapaxes(rot, 1, 2)) * (1 + 0.2j)
     values = 0.5 * (values + np.swapaxes(values, 1, 2))
-    mu = CoefficientField(mesh, values, Role.MU_INV)
-    return ProblemSpec(5.0, mesh, mu, constant_field(mesh, 1.0, Role.EPS), 1.0)
+    mu = CoefficientField(mesh, values)
+    return ProblemSpec(5.0, mesh, mu, constant_field(mesh, 1.0), 1.0)
 
 
 @functools.cache
@@ -192,7 +191,7 @@ def _garding_case(name):
         return dataclasses.replace(sys, M=M.tocsr()), CANONICAL_GARDING
     if name == "overflow":  # mu^-1 = 1e306: finite entries whose forms overflow
         spec = canonical_spec_1d(3.0, 100)
-        mu = constant_field(spec.mesh, 1e306, Role.MU_INV)
+        mu = constant_field(spec.mesh, 1e306)
         spec = ProblemSpec(spec.k, spec.mesh, mu, spec.eps, spec.theta)
         return assemble_system(spec), CANONICAL_GARDING
     spec = _step_spec_2d() if name == "step_mu" else _matrix_mu_spec_2d()
@@ -379,7 +378,7 @@ def test_garding_overflowing_form_is_a_violation():
     """A finite system whose quadratic forms overflow (mu^-1 = 1e306 gives
     stiffness entries near 2e307) cannot pass."""
     spec = canonical_spec_1d(3.0, 100)
-    mu = constant_field(spec.mesh, 1e306, Role.MU_INV)
+    mu = constant_field(spec.mesh, 1e306)
     sys = assemble_system(ProblemSpec(spec.k, spec.mesh, mu, spec.eps, spec.theta))
     assert np.all(np.isfinite(sys.A.data))
     rep = garding_check(sys, CANONICAL_GARDING)
@@ -437,8 +436,8 @@ def test_garding_constants_for_fields():
     assert (g.c_g1, g.c_g2) == (1.0, 2.0)
     mesh = spec.mesh
     spec2 = ProblemSpec(
-        5.0, mesh, constant_field(mesh, 2.0, Role.MU_INV),
-        constant_field(mesh, 3.0, Role.EPS), 1.0,
+        5.0, mesh, constant_field(mesh, 2.0),
+        constant_field(mesh, 3.0), 1.0,
     )
     g2 = garding_constants_for(spec2)
     assert (g2.c_g1, g2.c_g2) == (2.0, 5.0)
@@ -458,14 +457,14 @@ def test_garding_constants_for_matrix_mu():
     values = rot @ diag @ np.swapaxes(rot, 1, 2)
     values = 0.5 * (values + np.swapaxes(values, 1, 2)) * (1 + 0.2j)
     loop_min = min(float(np.linalg.eigvalsh(v.real).min()) for v in values)
-    mu = CoefficientField(mesh, values, Role.MU_INV)
-    spec = ProblemSpec(5.0, mesh, mu, constant_field(mesh, 1.0, Role.EPS), 1.0)
+    mu = CoefficientField(mesh, values)
+    spec = ProblemSpec(5.0, mesh, mu, constant_field(mesh, 1.0), 1.0)
     assert garding_constants_for(spec) == GardingConstants(loop_min, loop_min + 1.0)
 
     bad = values.copy()
     bad[137] = np.diag([1.0, -0.25])
     with pytest.raises(InvalidCoefficientError, match="min -0.25"):
-        CoefficientField(mesh, bad, Role.MU_INV)
+        ProblemSpec(5.0, mesh, CoefficientField(mesh, bad), spec.eps)
 
 
 def test_singular_pair_report():
@@ -525,7 +524,7 @@ def test_nearby_bounds_dense_oracle_eps_perturbation():
 def test_nearby_bounds_mu_perturbation():
     spec = canonical_spec_1d(4.0, 30)
     s1 = assemble_system(spec)
-    mu2 = constant_field(spec.mesh, 2.0, Role.MU_INV)
+    mu2 = constant_field(spec.mesh, 2.0)
     s2 = assemble_system(ProblemSpec(spec.k, spec.mesh, mu2, spec.eps, spec.theta))
     rep = nearby_bound_report(s1, s2)
     assert rep.dmu == pytest.approx(1.0, rel=1e-14)
@@ -707,8 +706,8 @@ def test_remesh_preserves_structure():
     """The nested transfer of a step field is exact: the fine problem sees
     the coefficient function of the coarse one, at the same k and theta."""
     mesh = build_interval_mesh(0, 2, 6, IMP, IMP)
-    mu = piecewise_field(mesh, lambda x: 2.0 if x < 1.0 else 1.0, Role.MU_INV)
-    eps = constant_field(mesh, 1.0, Role.EPS)
+    mu = piecewise_field(mesh, lambda x: 2.0 if x < 1.0 else 1.0)
+    eps = constant_field(mesh, 1.0)
     spec = ProblemSpec(5.0, mesh, mu, eps, 1.5)
     fine = remesh_problem(spec, build_interval_mesh(0, 2, 24, IMP, IMP))
     assert fine.k == 5.0
@@ -722,11 +721,11 @@ def test_remesh_preserves_structure():
         return 3.0 if p[0] < 0.5 and p[1] >= 0.25 else 1.0
 
     coarse = build_rect_mesh(2.0, 1.0, 4, 4, IMP)
-    spec2 = ProblemSpec(4.0, coarse, constant_field(coarse, 1.0, Role.MU_INV),
-                        piecewise_field(coarse, step, Role.EPS))
+    spec2 = ProblemSpec(4.0, coarse, constant_field(coarse, 1.0),
+                        piecewise_field(coarse, step))
     refined = build_rect_mesh(2.0, 1.0, 12, 12, IMP)
     fine2 = remesh_problem(spec2, refined)
-    assert np.array_equal(fine2.eps.values, piecewise_field(refined, step, Role.EPS).values)
+    assert np.array_equal(fine2.eps.values, piecewise_field(refined, step).values)
 
 
 def test_remesh_onto_a_mesh_that_is_not_nested_raises():

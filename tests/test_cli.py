@@ -240,15 +240,28 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, extra, where):
      "perturbation.alpha is not read in nearby mode"),
     ({"perturbation": {"mode": "nearby", "eps": {"type": "constant", "value": 2}},
       "sweep": {"alpha_values": [0.1, 0.9]}}, "sweep.alpha_values is not read in nearby mode"),
+    ({"perturbation": {"mode": "absorption", "eps": {"type": "constant", "value": 50}}},
+     "perturbation.eps is not read in absorption mode"),
     ({"sweep": {"k_values": [3, 3], "alpha_values": [0.1]}},
-     "sweep.k_values must be distinct numbers > 0, got [3.0, 3.0]"),
+     "sweep.k_values must be numbers > 0 that name distinct summary lines "
+     "(6 significant digits), got [3.0, 3.0]"),
     ({"sweep": {"k_values": [3], "alpha_values": [0.1, 0.1]}},
-     "sweep.alpha_values must be distinct numbers >= 0, got [0.1, 0.1]"),
-], ids=["nearby_alpha", "nearby_alpha_values", "repeated_k", "repeated_alpha"])
+     "sweep.alpha_values must be numbers >= 0 that name distinct summary lines "
+     "(6 significant digits), got [0.1, 0.1]"),
+    ({"sweep": {"k_values": [3.0000001, 3.0000002], "alpha_values": [0.1], "ladder": {}}},
+     "sweep.k_values must be numbers > 0 that name distinct summary lines "
+     "(6 significant digits), got [3.0000001, 3.0000002]"),
+    ({"sweep": {"k_values": [3], "alpha_values": [0.1, 0.1000001]}},
+     "sweep.alpha_values must be numbers >= 0 that name distinct summary lines "
+     "(6 significant digits), got [0.1, 0.1000001]"),
+], ids=["nearby_alpha", "nearby_alpha_values", "absorption_eps",
+        "repeated_k", "repeated_alpha", "k_names_collide", "alpha_names_collide"])
 def test_sweep_refuses_an_unread_key_or_a_repeated_grid_value(tmp_path, capsys, extra, message):
     """A sweep ignored alpha and alpha_values in nearby mode, printing one
-    PASS line, and solved a repeated k or alpha again under the same
-    summary-line name: each is now a ConfigError that names the key."""
+    PASS line, and a coefficient rule in absorption mode; it solved a
+    repeated k or alpha again under the same summary-line name, and so two
+    values that print alike (PASS sweep[k=3,alpha=0.1] and ladder[k=3]
+    twice): each is now a ConfigError that names the key."""
     path = write_cfg(tmp_path, extra)
     assert main(["sweep", "--config", path, "--out-dir", str(tmp_path / "s")]) == 1
     captured = capsys.readouterr()
@@ -428,14 +441,27 @@ def test_negative_seed_flag_is_an_error(tmp_path, capsys, command):
     assert capsys.readouterr().err == "error: --seed must be >= 0, got -5\n"
 
 
-@pytest.mark.parametrize("role,value", [("eps", [float("nan"), 0.0]),
-                                        ("eps", [1.0, float("inf")]),
-                                        ("mu_inv", [float("inf"), 0.0])])
+@pytest.mark.parametrize("role,value", [
+    ("eps", [float("nan"), 0.0]),
+    ("eps", [1.0, float("inf")]),
+    ("mu_inv", [float("inf"), 0.0]),
+    ("eps", {"type": "step", "threshold": 0.5, "below": 1.0, "above": float("nan")}),
+    ("perturbation.mu_inv", [float("nan"), 1.0]),
+])
 def test_non_finite_coefficient_is_an_error(tmp_path, capsys, role, value):
-    """Not a singular matrix and not a PASS: the coefficient is rejected."""
-    path = write_cfg(tmp_path, {"problem": {role: {"type": "constant", "value": value}}})
+    """Not a singular matrix and not a PASS: the config reader rejects the
+    value and names its key. The field named its role ("eps values must be
+    finite"), which named the wrong section for a perturbation rule."""
+    section, key = role.split(".") if "." in role else ("problem", role)
+    rule = value if isinstance(value, dict) else {"type": "constant", "value": value}
+    extra = {section: {key: rule}}
+    if section == "perturbation":
+        extra[section]["mode"] = "nearby"
+    path = write_cfg(tmp_path, extra)
+    where, shown = ((f"{section}.{key}.above", value["above"]) if isinstance(value, dict)
+                    else (f"{section}.{key}.value", value))
     assert main(["verify", "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == f"error: {role} values must be finite\n"
+    assert capsys.readouterr().err == f"error: {where}: not a finite number: {shown!r}\n"
 
 
 def test_sweep_grid_rows_and_zero_alpha(tmp_path):

@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CANONICAL_GARDING, canonical_1d, canonical_spec_1d, working_rung
 
@@ -12,7 +14,9 @@ from helmprec.bounds import garding_check, infsup_ladder, InfSupLadder, nearby_b
 from helmprec.coeffs import absorption_shift
 from helmprec.errors import ConfigError, InvalidArgumentError, MatrixExchangeError
 from helmprec.io import (
+    _CONFIG,
     build_problem,
+    point_name,
     read_config,
     read_matrix_exchange,
     read_matrix_mm,
@@ -130,6 +134,79 @@ def test_config_validation_errors():
         read_config("not json")
     with pytest.raises(ConfigError, match="schema_version"):
         read_config('{"schema_version": 99, "problem": {"dimension": 1, "k": 1}}')
+
+
+RULE = {"type": "constant", "value": 2}
+# each key that only one perturbation mode reads: (mode, section, key, a value)
+MODE_ONLY = [
+    ("absorption", "perturbation", "alpha", 0.5),
+    ("absorption", "sweep", "alpha_values", [0.1, 0.5]),
+    ("nearby", "perturbation", "mu_inv", RULE),
+    ("nearby", "perturbation", "eps", RULE),
+]
+
+
+def test_mode_only_table_lists_every_such_key():
+    found = {(section, key) for section, (table, _, _) in _CONFIG.items()
+             if isinstance(table, dict) for key, (kind, _, _) in table.items()
+             if getattr(kind, "__qualname__", "").startswith("_mode_only.")}
+    assert found == {(section, key) for _, section, key, _ in MODE_ONLY}
+
+
+@pytest.mark.parametrize("mode,section,key,value", MODE_ONLY,
+                         ids=[f"{section}.{key}" for _, section, key, _ in MODE_ONLY])
+def test_a_key_one_mode_reads_is_refused_in_the_other(mode, section, key, value):
+    """Read in its mode, where its JSON dump reads back alike; a written
+    value in the other mode is a ConfigError naming the key, not ignored,
+    and an unwritten one is None there."""
+    other = {"absorption": "nearby", "nearby": "absorption"}[mode]
+
+    def config(m, written=True):
+        cfg = {"problem": {"dimension": 1, "k": 1}, "perturbation": {"mode": m}}
+        if m == "nearby" and key != "mu_inv":  # nearby mode needs a rule
+            cfg["perturbation"]["mu_inv"] = RULE
+        if written:
+            cfg.setdefault(section, {})[key] = value
+        return json.dumps(cfg)
+
+    cfg = read_config(config(mode))
+    assert cfg[section][key] == value
+    assert read_config(json.dumps(cfg)) == cfg
+    with pytest.raises(ConfigError) as exc:
+        read_config(config(other))
+    assert str(exc.value) == f"{section}.{key} is not read in {other} mode; remove it"
+    assert read_config(config(other, written=False))[section][key] is None
+
+
+# values 1 + d for small d print alike in {:g} form: most draws collide
+_grid_value = st.one_of(st.floats(0.0, 1e6), st.floats(1.0, 1.00001),
+                        st.sampled_from([0.0, 1.0, 1.000001, 1e-7, 1.5e-7]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_grid_value, min_size=1, max_size=4),
+       st.lists(_grid_value, min_size=1, max_size=4))
+def test_an_accepted_sweep_prints_distinct_names(k_values, alpha_values):
+    """The reader accepts a grid iff its values are in range and every sweep
+    and ladder summary line gets its own name."""
+    text = json.dumps({"problem": {"dimension": 1, "k": 1},
+                       "sweep": {"k_values": k_values, "alpha_values": alpha_values,
+                                 "ladder": {}}})
+    names = ([point_name("sweep", k, a) for k in k_values for a in alpha_values]
+             + [point_name("ladder", k, None) for k in k_values])
+    in_range = min(k_values) > 0
+    try:
+        read_config(text)
+    except ConfigError:
+        assert not in_range or len(set(names)) < len(names)
+    else:
+        assert in_range and len(set(names)) == len(names)
+
+
+def test_point_names_print_values_in_g_form():
+    assert point_name("sweep", 10.0, 0.3) == "sweep[k=10,alpha=0.3]"
+    assert point_name("sweep", 3.0000001, None) == point_name("sweep", 3.0000002, None)
+    assert point_name("ladder", 1234567.0, None) == "ladder[k=1.23457e+06]"
 
 
 def test_resolution_rules():

@@ -25,7 +25,6 @@ from conftest import (
 from helmprec import (
     CoefficientField,
     ProblemSpec,
-    Role,
     assemble_system,
     build_rect_mesh,
     constant_field,
@@ -165,9 +164,9 @@ def _matrix_mu_system():
     diag[:, 0, 0], diag[:, 1, 1] = 1.5, 0.2
     values = rot @ diag @ np.swapaxes(rot, 1, 2)
     values = 0.5 * (values + np.swapaxes(values, 1, 2)) * (1 + 0.2j)
-    mu = CoefficientField(mesh, values, Role.MU_INV)
+    mu = CoefficientField(mesh, values)
     return assemble_system(
-        ProblemSpec(5.0, mesh, mu, constant_field(mesh, 1.0, Role.EPS), 1.0))
+        ProblemSpec(5.0, mesh, mu, constant_field(mesh, 1.0), 1.0))
 
 
 FACTOR_CASES = {
