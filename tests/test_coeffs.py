@@ -14,6 +14,7 @@ from helmprec.coeffs import (
     resample_field,
 )
 from helmprec.errors import InvalidArgumentError, InvalidCoefficientError
+from helmprec.io import field_from_rule
 from helmprec.mesh import BoundaryTag, build_interval_mesh, build_rect_mesh
 
 IMP = BoundaryTag.IMPEDANCE
@@ -45,13 +46,22 @@ def test_constant_field_rejects_nonpositive_mu(mesh4):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.inf),
                                  complex(np.nan, 0.0)])
-def test_field_rejects_non_finite_values(mesh4, bad):
+# One case per coefficient slot; the ids are the ones this test has always had.
+@pytest.mark.parametrize("key", [pytest.param("eps", id="Role.EPS"),
+                                 pytest.param("mu_inv", id="Role.MU_INV")])
+def test_field_rejects_non_finite_values(mesh4, key, bad):
+    """The finiteness check does not depend on the slot: a rule of either
+    coefficient key with a non-finite value is refused alike."""
     values = np.ones(mesh4.n_elements, dtype=complex)
     values[2] = bad
     with pytest.raises(InvalidCoefficientError, match="coefficient values must be finite"):
         CoefficientField(mesh4, values)
     with pytest.raises(InvalidCoefficientError, match="must be finite"):
         constant_field(mesh4, bad)
+    for rule in ({"type": "constant", "value": bad},
+                 {"type": "step", "axis": 0, "threshold": 0.5, "below": 1.0, "above": bad}):
+        with pytest.raises(InvalidCoefficientError, match="must be finite"):
+            field_from_rule(mesh4, rule, key, 2.0)
     mesh = build_rect_mesh(1, 1, 2, 2, IMP)
     with pytest.raises(InvalidCoefficientError, match="must be finite"):
         constant_field(mesh, np.array([[1.0, bad], [bad, 1.0]]))
