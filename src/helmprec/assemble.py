@@ -33,8 +33,8 @@ norm matrices D and M, owning the LU factor of A, the certified LU
 factor of D (its Gram factor) and the quantities derived from them. A
 :class:`GalerkinSystem` adds the problem it came from; a pair supplied
 as matrices (e.g. Maxwell edge-element matrices from another code) is
-two matrix systems on the same D and M, checked by
-:func:`validate_external`.
+two matrix systems on the same D and M, whose D and M
+:func:`validate_external` certifies.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from .numerics import (
     gram_factor,
     lu_factor,
     mass_extremes,
-    nearly_equal,
 )
 
 
@@ -356,36 +355,15 @@ def assemble_load(spec: ProblemSpec) -> np.ndarray:
     return F[_free_nodes(mesh)]
 
 
-def _check_hermitian(X, name: str):
-    if not nearly_equal(X, X.getH()):
-        raise InvalidSystemError(f"matrix {name} is not Hermitian")
-
-
-def validate_external(sys1: MatrixSystem, sys2: MatrixSystem,
-                      seed: int = DEFAULT_SEED) -> None:
-    """Check an imported pair: consistent nonzero dimensions, D and M Hermitian PD.
-
-    D and M are those of ``sys1``; the bound report checks that ``sys2``
-    has the same ones and shares their factors.
-    """
-    if sys1.n == 0:
-        raise InvalidSystemError("matrix A1 is empty (0 x 0)")
-    mats = {"A1": sys1.A, "A2": sys2.A, "D": sys1.D, "M": sys1.M}
-    for name, X in mats.items():
-        if X.shape[0] != X.shape[1]:
-            raise InvalidSystemError(f"matrix {name} is not square: {X.shape}")
-        if X.shape[0] != sys1.n:
-            raise InvalidSystemError(
-                f"matrix {name} has dimension {X.shape[0]}, expected {sys1.n}"
-            )
-    for name in ("D", "M"):
-        X = mats[name]
-        _check_hermitian(X, name)
-        if X.nnz and abs(X.imag).max() > 0:
-            raise InvalidSystemError(f"matrix {name} must be real symmetric")
+def validate_external(system: MatrixSystem, seed: int = DEFAULT_SEED) -> None:
+    """Certify the D and M of an imported system symmetric positive definite
+    by the :func:`~helmprec.numerics.gram_factor` factors a report at
+    ``seed`` reuses: D's Gram factor and M's inside the mass extremes. An
+    InvalidSystemError names the matrix that fails."""
+    for name, certify in (("D", lambda: system.gram_d),
+                          ("M", lambda: system.mass_extremes(seed))):
         try:
-            # certified by what a report at ``seed`` reuses: D's Gram
-            # factor, and M's factor inside the mass extremes
-            sys1.gram_d if name == "D" else sys1.mass_extremes(seed)
-        except NotPositiveDefiniteError as exc:
-            raise InvalidSystemError(f"matrix {name} is not positive definite") from exc
+            certify()
+        except (InvalidArgumentError, NotPositiveDefiniteError) as exc:
+            raise InvalidSystemError(
+                f"matrix {name} is not symmetric positive definite: {exc}") from exc

@@ -2,9 +2,9 @@
 
 Every command reads its input in one call, a config (a dict) or an
 exchange directory, runs its checks, writes report files into the output
-directory, prints one summary line per check, and exits nonzero iff an
-asserted inequality failed or an error occurred. Runs are deterministic
-for a fixed config and seed.
+directory, which its first write makes, prints one summary line per
+check, and exits nonzero iff an asserted inequality failed or an error
+occurred. Runs are deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .assemble import (
 from .bounds import (
     BoundReport,
     GardingConstants,
-    checked_norms,
     coefficient_differences,
     garding_check,
     garding_constants_for,
@@ -79,15 +78,6 @@ def _check_seed(seed: int):
         raise InvalidArgumentError(f"--seed must be >= 0, got {seed}")
 
 
-def _load(config_path: str, out_dir: str, seed: int = 0) -> dict:
-    """The config of a config command, after checking its seed; makes the
-    output directory."""
-    _check_seed(seed)
-    cfg = hio.load_config(config_path)
-    os.makedirs(out_dir, exist_ok=True)
-    return cfg
-
-
 def _perturbed(cfg: dict, sys1, alpha=None):
     """(sys2, absorption or None): the perturbed system of the config's pair."""
     pert, spec1 = cfg["perturbation"], sys1.spec
@@ -109,7 +99,8 @@ def cmd_verify(config_path: str, out_dir: str = "out", seed: int = 0) -> Scenari
     C_dis, and are dropped right after it: the nearby report reads that
     C_dis from the cache, so A2's factors are made and used beside D's
     Gram factor only."""
-    cfg = _load(config_path, out_dir, seed)
+    _check_seed(seed)
+    cfg = hio.load_config(config_path)
     result = ScenarioResult()
 
     sys1 = assemble_system(hio.build_problem(cfg["problem"]))
@@ -177,17 +168,13 @@ def cmd_sweep(config_path: str, out_dir: str = "out", seed: int = 0) -> Scenario
     ladder; it is freed before the next k is assembled. A k whose system,
     C_dis or reference rung fails has no ladder entry and a FAIL ladder line
     with margin nan; the other k keep theirs."""
-    cfg = _load(config_path, out_dir, seed)
+    _check_seed(seed)
+    cfg = hio.load_config(config_path)
     result = ScenarioResult()
 
     sweep = cfg["sweep"]
     problem = dict(cfg["problem"], resolution=sweep["resolution"])
     alphas = sweep["alpha_values"] or [None]  # None in nearby mode
-    if sweep["ladder"] is not None:
-        # the ladder needs every k's reference mesh: one that cannot be built
-        # is an error before any point is solved
-        for k in sweep["k_values"]:
-            hio.build_mesh(problem, k).refined(sweep["ladder"]["refine"])
     rows, rungs = [], []
     for k in sweep["k_values"]:
         try:
@@ -222,7 +209,7 @@ def cmd_sweep(config_path: str, out_dir: str = "out", seed: int = 0) -> Scenario
 def cmd_export(config_path: str, out_dir: str = "out") -> ScenarioResult:
     """Assemble the config's pair and write it as matrix exchange files; it
     checks nothing, so its result holds only the written paths."""
-    cfg = _load(config_path, out_dir)
+    cfg = hio.load_config(config_path)
     sys1 = assemble_system(hio.build_problem(cfg["problem"]))
     sys2, _ = _perturbed(cfg, sys1)
     norms = coefficient_differences(sys1.spec, sys2.spec)
@@ -232,25 +219,23 @@ def cmd_export(config_path: str, out_dir: str = "out") -> ScenarioResult:
 
 
 def cmd_import(matrix_dir: str, out_dir: str | None = None, seed: int = 0) -> ScenarioResult:
-    """Read an external pair, validate it, and run the nearby bound report.
+    """Read an external pair, certify its D and M, and run the nearby bound
+    report.
 
-    The exchange directory is the command's only input: the
-    coefficient-difference norms are those of the pair's meta.json, checked
-    before anything is factored. Once the pair is validated, A1's C_dis is
-    made and its LU factors are dropped, so A2's factors are made and used
-    beside D's Gram factor only.
+    The exchange directory, meta.json's norms included, is the command's
+    only input, and its reader refuses a malformed one before anything is
+    factored. A1's C_dis is made after D and M are certified, and its LU
+    factors are dropped, so A2's are made and used beside D's Gram factor
+    only.
     """
     _check_seed(seed)
-    sys1, sys2, meta = hio.read_matrix_exchange(matrix_dir)
-    dmu, deps = checked_norms(meta.get("dmu"), meta.get("deps"))
-    validate_external(sys1, sys2, seed)
+    sys1, sys2, (dmu, deps) = hio.read_matrix_exchange(matrix_dir)
+    validate_external(sys1, seed)
     sys1.c_dis(seed)
     sys1.drop_lu()
     rep = nearby_bound_report(sys1, sys2, dmu=dmu, deps=deps, seed=seed)
-    out = out_dir or matrix_dir
-    os.makedirs(out, exist_ok=True)
     result = ScenarioResult()
-    _add_bound_report(result, rep, out)
+    _add_bound_report(result, rep, out_dir or matrix_dir)
     return result
 
 

@@ -54,12 +54,12 @@ class InvalidPairError(InvalidArgumentError):
 
 
 class MatrixExchangeError(HelmprecError):
-    """A matrix exchange file is malformed; message carries the line number."""
+    """A matrix exchange file is malformed; the message names it, and its line."""
 
-    def __init__(self, msg, line=None):
-        if line is not None:
-            msg = f"line {line}: {msg}"
-        super().__init__(msg)
+    def __init__(self, msg, path, line=None):
+        where = path if line is None else f"{path}: line {line}"
+        super().__init__(f"{where}: {msg}")
+        self.path = path
         self.line = line
 
 

@@ -14,9 +14,9 @@ perturbation mode reads (``perturbation.alpha`` and ``sweep.alpha_values``
 in absorption mode, the rules ``perturbation.mu_inv`` and
 ``perturbation.eps`` in nearby mode) is None in the other mode, where
 writing one is an error. The values of a sweep grid must print distinct
-summary-line names (``point_name``). What a coefficient's slot needs of
-its field (a positive-definite Re(mu^-1), a scalar eps) ``ProblemSpec``
-checks. The
+summary-line names (``point_name``), and the values of a mu_inv rule
+must have real parts > 0. What a coefficient's slot needs of its field
+(a positive-definite Re(mu^-1), a scalar eps) ``ProblemSpec`` checks. The
 walker ``_section`` rejects unknown and missing keys, reads a default as
 it reads a written value, applies the constraint and names the key in
 every ``ConfigError``. A read config is the plain
@@ -30,8 +30,9 @@ entries (real/imag pairs), 1-based indices, and symmetry 'general' or
 'hermitian', written by ``scipy.io.mmwrite`` in shortest round-trip
 digits so doubles round-trip exactly. An exchange directory holds
 A1.mtx, A2.mtx, D.mtx, M.mtx and meta.json, and is read and written
-whole. Each report class declares its file forms, as the ordered names
-of the attributes they hold: ``JSON_KEYS`` for a JSON object, and
+whole; its reader alone refuses a malformed one, naming the file. Each
+report class declares its file forms, as the ordered names of the
+attributes they hold: ``JSON_KEYS`` for a JSON object, and
 ``CSV_COLUMNS`` for CSV rows, one per entry of a ladder, else one for
 the report. ``write_report`` writes either form, as the file's suffix
 names, from that declaration alone, so identical inputs give
@@ -57,6 +58,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assemble import MatrixSystem, ProblemSpec
+from .bounds import checked_norms
 from .coeffs import CoefficientField, constant_field, piecewise_field, pml_profile_1d
 from .errors import ConfigError, InvalidArgumentError, MatrixExchangeError
 from .mesh import MAX_INDEX, SIDES, BoundaryTag, Mesh, build_interval_mesh, build_rect_mesh
@@ -196,6 +198,10 @@ _COEFFICIENT = _rule({
     "pml": {"start": (_float, REQUIRED, _PML_START),
             "sigma0": (_float, REQUIRED, _at_least(0))},
 })
+# a pml rule's 1/s has Re > 0 unless it underflows, which ProblemSpec refuses
+_MU_INV = (lambda rule, cfg: all(_as_complex(rule[key]).real > 0
+                                 for key in ("value", "below", "above") if key in rule),
+           "a rule whose values have real parts > 0")
 _RESOLUTION = _rule({
     "elements": {"n": (_int, REQUIRED, _at_least(1))},
     "per_k": {"factor": (_float, REQUIRED, _POSITIVE)},
@@ -231,7 +237,7 @@ _CONFIG = {
         "k": (_float, REQUIRED, _POSITIVE),
         "theta": (_float, 1.0, _POSITIVE),
         "resolution": (_RESOLUTION, {"type": "per_k", "factor": 10.0}, None),
-        "mu_inv": (_COEFFICIENT, _CONSTANT_ONE, None),
+        "mu_inv": (_COEFFICIENT, _CONSTANT_ONE, _MU_INV),
         "eps": (_COEFFICIENT, _CONSTANT_ONE, None),
         "garding": ({"c_g1": (_float, REQUIRED, _POSITIVE),
                      "c_g2": (_float, REQUIRED, _at_least(0))}, None, None),
@@ -239,7 +245,7 @@ _CONFIG = {
     "perturbation": ({
         "mode": (_str, "absorption", _one_of("absorption", "nearby")),
         "alpha": _mode_only("absorption", _float, lambda cfg: 0.3, _at_least(0)),
-        "mu_inv": _mode_only("nearby", _COEFFICIENT, lambda cfg: None, None),
+        "mu_inv": _mode_only("nearby", _COEFFICIENT, lambda cfg: None, _MU_INV),
         "eps": _mode_only("nearby", _COEFFICIENT, lambda cfg: None, None),
     }, {}, (lambda p, cfg: p["mode"] == "absorption" or p["mu_inv"] or p["eps"],
             "absorption, or nearby with a mu_inv and/or eps rule")),
@@ -405,49 +411,57 @@ def write_matrix_mm(path: str, X, symmetry: str = "general"):
         scipy.io.mmwrite(fh, coo, field="complex", symmetry=symmetry)
 
 
+def _read_text(path: str) -> str:
+    """The text of an exchange file, or a MatrixExchangeError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise MatrixExchangeError("not found", path) from None
+    except UnicodeDecodeError as exc:
+        raise MatrixExchangeError(f"not UTF-8 text: {exc}", path) from None
+
+
 def read_matrix_mm(path: str) -> sp.csr_matrix:
-    """Read one coordinate-format complex matrix; errors carry line numbers.
+    """Read one coordinate-format complex matrix; each error names ``path``
+    and, where one is at fault, its line.
 
     Comment and blank lines may stand anywhere after the banner. One
     ``np.loadtxt`` call parses the entry lines; array masks check their
     indices and values, and each reports its first hit.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise MatrixExchangeError(f"{path} is not UTF-8 text: {exc}") from None
+    lines = _read_text(path).splitlines()
     if not lines:
-        raise MatrixExchangeError("empty file", line=1)
+        raise MatrixExchangeError("empty file", path, 1)
     banner = lines[0].split()
     if len(banner) != 5 or banner[0] != "%%MatrixMarket":
-        raise MatrixExchangeError("malformed header banner", line=1)
+        raise MatrixExchangeError("malformed header banner", path, 1)
     _, obj, fmt, field, symmetry = banner
     if (obj, fmt) != ("matrix", "coordinate"):
-        raise MatrixExchangeError(f"unsupported object/format {obj}/{fmt}", line=1)
+        raise MatrixExchangeError(f"unsupported object/format {obj}/{fmt}", path, 1)
     if field != "complex":
-        raise MatrixExchangeError(f"field must be 'complex', got {field!r}", line=1)
+        raise MatrixExchangeError(f"field must be 'complex', got {field!r}", path, 1)
     if symmetry not in ("general", "hermitian"):
-        raise MatrixExchangeError(f"unsupported symmetry {symmetry!r}", line=1)
+        raise MatrixExchangeError(f"unsupported symmetry {symmetry!r}", path, 1)
 
     # the numbers of the lines after the banner that are not comments or blank
     numbers = [ln for ln, text in enumerate(lines[1:], start=2)
                if not text.startswith("%") and text.strip()]
     if not numbers:
-        raise MatrixExchangeError("missing size line", line=len(lines))
+        raise MatrixExchangeError("missing size line", path, len(lines))
     ln, numbers = numbers[0], numbers[1:]
     parts = lines[ln - 1].split()
     if len(parts) != 3:
-        raise MatrixExchangeError("size line must be 'rows cols nnz'", line=ln)
+        raise MatrixExchangeError("size line must be 'rows cols nnz'", path, ln)
     try:
         n, m, nnz = (int(p) for p in parts)
     except ValueError:
-        raise MatrixExchangeError("size line must contain integers", line=ln)
+        raise MatrixExchangeError("size line must contain integers", path, ln)
     if min(n, m, nnz) < 0:
-        raise MatrixExchangeError("size line must not be negative", line=ln)
+        raise MatrixExchangeError("size line must not be negative", path, ln)
     if max(n, m) > MAX_INDEX:
         raise MatrixExchangeError(
-            f"size line must give at most {MAX_INDEX} rows and columns", line=ln)
+            f"size line must give at most {MAX_INDEX} rows and columns", path, ln)
 
     texts = [lines[k - 1] for k in numbers]
     entries = np.empty(0, _ENTRY)
@@ -461,7 +475,7 @@ def read_matrix_mm(path: str) -> sp.csr_matrix:
             except ValueError:
                 problem = ("unparseable entry" if len(text.split()) == 4
                            else "entry must be 'i j re im' (complex real/imag pair)")
-                raise MatrixExchangeError(problem, line=ln) from None
+                raise MatrixExchangeError(problem, path, ln) from None
         raise
     i, j = entries["i"], entries["j"]
     vals = np.empty(len(entries), dtype=complex)
@@ -477,10 +491,10 @@ def read_matrix_mm(path: str) -> sp.csr_matrix:
         if bad.any():
             first = np.argmax(bad)
             raise MatrixExchangeError(f"index ({i[first]}, {j[first]}) {problem}",
-                                      line=numbers[first])
+                                      path, numbers[first])
     if len(entries) != nnz:
         raise MatrixExchangeError(
-            f"expected {nnz} entries, found {len(entries)}", line=len(lines)
+            f"expected {nnz} entries, found {len(entries)}", path, len(lines)
         )
     X = sp.coo_matrix((vals, (i - 1, j - 1)), shape=(n, m)).tocsr()
     if symmetry == "hermitian":
@@ -511,36 +525,45 @@ def write_matrix_exchange(sys1: MatrixSystem, sys2: MatrixSystem, directory: str
     return paths
 
 
-def read_matrix_exchange(directory: str) -> tuple[MatrixSystem, MatrixSystem, dict]:
+def read_matrix_exchange(directory: str) -> tuple[MatrixSystem, MatrixSystem,
+                                                  tuple[float, float]]:
     """Read a system pair from the directory :func:`write_matrix_exchange`
     writes: A1.mtx, A2.mtx, D.mtx, M.mtx and meta.json.
 
-    Returns ``(sys1, sys2, meta)``: the systems of A1 and A2, both on the
-    same D and M objects (float64 when their entries are real; a complex
-    one is left for :func:`validate_external` to refuse), and the parsed
-    meta.json, which holds the pair's coefficient-difference norms. A
-    missing file, or a meta.json that is not a JSON object, raises
-    MatrixExchangeError; the norms themselves are checked by the caller.
+    Returns ``(sys1, sys2, (dmu, deps))``: the systems of A1 and A2 on
+    the same float64 D and M objects, and meta.json's norms, checked by
+    :func:`~helmprec.bounds.checked_norms`. A MatrixExchangeError names
+    the file at fault: one missing or not UTF-8, one :func:`read_matrix_mm`
+    refuses, an A1 not square and non-empty, a matrix not of A1's size, a
+    D or M that is not real, or a meta.json that is not such an object.
     """
     mats = {}
     for name in ("A1", "A2", "D", "M"):
         path = os.path.join(directory, f"{name}.mtx")
-        if not os.path.exists(path):
-            raise MatrixExchangeError(f"matrix file for {name} not found: {path}")
-        mats[name] = read_matrix_mm(path)
+        X = read_matrix_mm(path)
+        n = mats["A1"].shape[0] if mats else X.shape[0]
+        if X.shape != (n, n) or not n:
+            want = f"{n}x{n} as A1.mtx" if mats else "square and non-empty"
+            raise MatrixExchangeError(f"matrix is {X.shape[0]}x{X.shape[1]}, not {want}", path)
+        if name in ("D", "M"):
+            if X.imag.count_nonzero():
+                raise MatrixExchangeError(
+                    "matrix has a nonzero imaginary part; D and M must be real", path)
+            X = X.real.astype(float)
+        mats[name] = X
     meta_path = os.path.join(directory, "meta.json")
     try:
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except FileNotFoundError:
-        raise MatrixExchangeError(f"meta.json not found: {meta_path}") from None
-    except ValueError as exc:  # also a file that is not UTF-8
-        raise MatrixExchangeError(f"{meta_path}: {exc}") from None
+        meta = json.loads(_read_text(meta_path))
+    except ValueError as exc:
+        raise MatrixExchangeError(str(exc), meta_path) from None
     if not isinstance(meta, dict):
-        raise MatrixExchangeError(f"{meta_path} is not a JSON object")
-    D, M = (X if X.imag.count_nonzero() else X.real.astype(float)
-            for X in (mats["D"], mats["M"]))
-    return MatrixSystem(mats["A1"], D, M), MatrixSystem(mats["A2"], D, M), meta
+        raise MatrixExchangeError("not a JSON object", meta_path)
+    try:
+        norms = checked_norms(meta.get("dmu"), meta.get("deps"))
+    except InvalidArgumentError as exc:
+        raise MatrixExchangeError(str(exc), meta_path) from None
+    A1, A2, D, M = mats.values()
+    return MatrixSystem(A1, D, M), MatrixSystem(A2, D, M), norms
 
 
 # -- report serialization -----------------------------------------------------
@@ -558,12 +581,18 @@ def _f(x) -> str:
     return repr(float(x))
 
 
+def _create(path: str):
+    """``path`` opened to write text, its directory made first."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def write_csv(path: str, columns, rows):
     """Write rows (dicts) under a documented header; deterministic output."""
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_f(row.get(c)) for c in columns))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -571,7 +600,7 @@ def write_report(report, path: str) -> str:
     """Serialize a report in the form its class declares, to JSON or CSV as
     the suffix of ``path`` says, ``.json`` or ``.csv``: the object of its
     ``JSON_KEYS``, or one row of its ``CSV_COLUMNS`` per entry of a ladder,
-    else of the report itself."""
+    else of the report itself. The file's directory is made if missing."""
     fmt = os.path.splitext(path)[1]
     if fmt not in (".json", ".csv"):
         raise InvalidArgumentError(f"report path {path!r} does not end in .json or .csv")
@@ -582,7 +611,7 @@ def write_report(report, path: str) -> str:
         rows = getattr(report, "entries", (report,))
         write_csv(path, keys, [{key: getattr(row, key) for key in keys} for row in rows])
         return path
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         # a check is the object of its fields; np.float64 is a float, but
         # np.bool_ and np.integer need their item()
         json.dump({key: getattr(report, key) for key in keys}, fh, indent=2,

@@ -227,22 +227,24 @@ def test_spec_validation_errors():
 
 
 def test_validate_external_roundtrip_and_errors():
+    """D and M are certified by their factors, which refuse a matrix that
+    is not SPD, not symmetric or not real; the error names the matrix."""
     s1 = canonical_1d(4.0, 10)
-    s2 = assemble_system(s1.spec.with_eps(absorption_shift(s1.spec.eps, 0.2)))
-    validate_external(s1, s2)
+    validate_external(s1)
 
-    def pair(D, M):
-        return MatrixSystem(s1.A, D, M), MatrixSystem(s2.A, D, M)
+    def system(D, M):
+        return MatrixSystem(s1.A, D, M)
 
-    with pytest.raises(InvalidSystemError, match="D"):
-        validate_external(*pair((-1.0 * s1.D).tocsr(), s1.M))
+    with pytest.raises(InvalidSystemError,
+                       match="matrix D is not symmetric positive definite: non-positive pivot"):
+        validate_external(system((-1.0 * s1.D).tocsr(), s1.M))
+    skew = s1.D.tolil()
+    skew[0, 1] += 1e-3
+    with pytest.raises(InvalidSystemError, match="matrix D .*needs a symmetric matrix"):
+        validate_external(system(skew.tocsr(), s1.M))
     # D and M are factored as real matrices, so any imaginary part is rejected
-    with pytest.raises(InvalidSystemError, match="M must be real"):
-        validate_external(*pair(s1.D, (s1.M * (1 + 1e-15j)).tocsr()))
-
-    small = canonical_1d(4.0, 5)
-    with pytest.raises(InvalidSystemError, match="M"):
-        validate_external(*pair(s1.D, small.M))
+    with pytest.raises(InvalidSystemError, match="matrix M .*needs a real matrix"):
+        validate_external(system(s1.D, (s1.M * (1 + 1e-15j)).tocsr()))
 
 
 def test_system_keeps_only_the_factors_of_a_and_d():

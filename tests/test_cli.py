@@ -350,13 +350,11 @@ def test_resolution_without_a_finite_element_count_is_an_error(tmp_path, capsys,
 
 @pytest.mark.parametrize("command,extra,nodes", [
     ("verify", {"problem": {"resolution": {"type": "elements", "n": 1e15}}}, "1.00e+15"),
-    ("sweep", {"sweep": {"k_values": [8.0], "alpha_values": [0.2], "ladder": {"refine": 1e14}}},
-     "6.00e+15"),
     ("verify", {"problem": {"resolution": {"type": "per_k", "factor": 1e300}}}, "8.00e+300"),
     ("verify", {"problem": {"resolution": {"type": "elements", "n": 1e300}}}, "1.00e+300"),
     ("verify", {"problem": {"dimension": 2, "resolution": {"type": "elements", "n": 3e6}}},
      "9.00e+12"),
-], ids=["1d_elements", "1d_ladder_refine", "1d_per_k", "1d_elements_huge", "2d_elements"])
+], ids=["1d_elements", "1d_per_k", "1d_elements_huge", "2d_elements"])
 def test_mesh_beyond_the_superlu_index_limit_is_an_error(tmp_path, capsys, command, extra, nodes):
     """A resolution that the grammar accepts but that gives more nodes than
     SuperLU can index ended in a memory or size traceback: it is one error
@@ -369,26 +367,31 @@ def test_mesh_beyond_the_superlu_index_limit_is_an_error(tmp_path, capsys, comma
         f"error: a mesh of {nodes} nodes exceeds SuperLU's limit of 2147483647\n")
 
 
-@pytest.mark.parametrize("sweep", [
-    {"ladder": {"refine": 1e14}},
-    {"k_values": [4.0, 1e300], "resolution": {"type": "per_k", "factor": 10},
-     "ladder": {"refine": 2}},
+@pytest.mark.parametrize("sweep,errors,ladder", [
+    ({"ladder": {"refine": 1e14}}, [""] * 6, {"ladder[k=4]": False, "ladder[k=8]": False}),
+    ({"k_values": [4.0, 1e300], "resolution": {"type": "per_k", "factor": 10},
+      "ladder": {"refine": 2}},
+     [""] * 3 + ["InvalidArgumentError"] * 3, {"ladder[k=4]": True, "ladder[k=1e+300]": False}),
 ], ids=["reference_mesh", "working_mesh"])
-def test_sweep_builds_its_reference_meshes_before_any_point(tmp_path, capsys, splu_calls,
-                                                            sweep):
-    """A ladder whose reference mesh cannot be built (10 elements refined
-    1e14 times, or a k whose own mesh has 1e301 nodes) ended the sweep only
-    after every point was solved and sweep.csv written, a file no line
-    announced: it is one error line before any factorization, and no file."""
+def test_a_ladder_rung_that_cannot_be_built_fails_only_its_k(tmp_path, capsys, sweep, errors,
+                                                             ladder):
+    """A mesh too large to build (10 elements refined 1e14 times, 6e15
+    nodes, or a k whose own mesh has 1e301 nodes) fails the ladder line of
+    its k, and a working mesh its k's points too; every other line keeps
+    its verdict and both files are written, as with a ladder of any other
+    refinement. A check of every reference mesh before the first point
+    made the whole sweep one error line instead."""
     path = write_cfg(tmp_path, {"problem": {"resolution": {"type": "elements", "n": 10}},
                                 "sweep": sweep})
     out = tmp_path / "s"
     assert main(["sweep", "--config", path, "--out-dir", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: a mesh of ") and captured.err.count("\n") == 1
-    assert not (out / "sweep.csv").exists()
-    assert splu_calls == []
+    assert captured.err == ""
+    assert [r["error"] for r in _csv_rows(out / "sweep.csv")] == errors
+    verdicts = [line.split(":")[0].split() for line in captured.out.splitlines()]
+    assert {name: flag == "PASS" for flag, name in verdicts
+            if name.startswith("ladder[")} == ladder
+    assert len(_csv_rows(out / "ladder.csv")) == sum(ladder.values())
 
 
 # C_g1 = 50 is far above the valid constant: three norm checks fail.
@@ -462,6 +465,29 @@ def test_non_finite_coefficient_is_an_error(tmp_path, capsys, role, value):
                     else (f"{section}.{key}.value", value))
     assert main(["verify", "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {where}: not a finite number: {shown!r}\n"
+
+
+@pytest.mark.parametrize("role,rule", [
+    ("mu_inv", {"type": "constant", "value": -1}),
+    ("mu_inv", _step(0) | {"below": [0.0, 2.0]}),
+    ("perturbation.mu_inv", {"type": "constant", "value": [-1.0, 0.0]}),
+    ("perturbation.mu_inv", _step(0) | {"above": -0.5}),
+], ids=["constant", "step_below", "perturbation_constant", "perturbation_step_above"])
+def test_a_mu_inv_value_without_a_positive_real_part_names_its_key(tmp_path, capsys, role,
+                                                                    rule):
+    """ProblemSpec refused such a value without naming the section of its
+    rule, after the output directory was made: the config reader names
+    the key, and no directory is made."""
+    section, key = role.split(".") if "." in role else ("problem", role)
+    extra = {section: {key: rule}}
+    if section == "perturbation":
+        extra[section]["mode"] = "nearby"
+    out = tmp_path / "o"
+    assert main(["verify", "--config", write_cfg(tmp_path, extra), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {section}.{key} must be a rule whose values have real parts > 0, "
+        f"got {rule!r}\n")
+    assert not out.exists()
 
 
 def test_sweep_grid_rows_and_zero_alpha(tmp_path):
@@ -748,19 +774,20 @@ def test_sweep_ladder_working_rung_is_the_sweep_mesh_non_square(tmp_path):
         assert float(rung["h_ref"]) == pytest.approx(float(rung["h"]) / 2, rel=1e-15)
 
 
+# a resolution whose meshes exceed SuperLU's index limit at every k
+TOO_FINE = {"type": "per_k", "factor": 1e300}
+
+
 def test_sweep_ladder_fails_the_k_whose_system_failed(tmp_path):
     """A k whose sweep system could not be built is an error row and a
     failed ladder line with no ladder entry; the sweep still writes both
     files."""
-    path = write_cfg(tmp_path, {
-        "problem": {"mu_inv": {"type": "step", "axis": 0, "threshold": 0.5,
-                               "below": [-1.0, 0.0], "above": [1.0, 0.0]}},
-        "sweep": {"alpha_values": [0.1], "ladder": {"refine": 2}},
-    })
+    path = write_cfg(tmp_path, {"sweep": {"alpha_values": [0.1], "ladder": {"refine": 2},
+                                          "resolution": TOO_FINE}})
     out = tmp_path / "sf"
     res = cmd_sweep(path, out_dir=str(out))
     assert res.exit_status == 1
-    assert all(r["error"] == "InvalidCoefficientError"
+    assert all(r["error"] == "InvalidArgumentError"
                for r in _csv_rows(out / "sweep.csv"))
     assert _csv_rows(out / "ladder.csv") == []
     assert [s for s in res.summaries if s[0].startswith("ladder")] == [
@@ -962,11 +989,8 @@ def test_sweep_continues_past_per_point_failures(tmp_path):
     cfg = {
         "problem": {"dimension": 1, "k": 4.0,
                     "resolution": {"type": "elements", "n": 20}},
-        "perturbation": {
-            "mode": "nearby",
-            "mu_inv": {"type": "step", "axis": 0, "threshold": 0.5,
-                       "below": [-1.0, 0.0], "above": [1.0, 0.0]},
-        },
+        # C_dis of each A2 underflows
+        "perturbation": {"mode": "nearby", "eps": {"type": "constant", "value": 1e300}},
         "sweep": {"k_values": [4.0, 8.0]},
     }
     path = tmp_path / "bad.json"
@@ -975,7 +999,7 @@ def test_sweep_continues_past_per_point_failures(tmp_path):
     assert res.exit_status == 1  # failures reported
     lines = Path(res.paths["sweep"]).read_text().splitlines()
     assert len(lines) == 3  # run continued through both grid points
-    assert all("InvalidCoefficientError" in l for l in lines[1:])
+    assert all(l.endswith(",UnderflowError") for l in lines[1:])
 
 
 UNDERFLOW = {"problem": {"k": 3.0, "resolution": {"type": "elements", "n": 10}}}
@@ -1339,6 +1363,31 @@ def test_export_import_roundtrip_matches(tmp_path):
         assert a[key] == b[key], key
 
 
+def test_import_of_a_non_symmetric_a1_estimates_all_four_norms(tmp_path, capsys):
+    """An A1 made non-symmetric by one entry has no twin identities: the
+    import estimates lhs_Dinv and lhs_2p through A2's LU factors, and all
+    four left-hand sides agree with the dense oracles."""
+    from conftest import oracle_weighted_norm
+    from helmprec.io import write_matrix_mm
+
+    exch = tmp_path / "exch"
+    assert cmd_export(write_cfg(tmp_path), out_dir=str(exch)).exit_status == 0
+    A1 = read_matrix_mm(str(exch / "A1.mtx")).tolil()
+    A1[3, 4] += 0.05
+    write_matrix_mm(str(exch / "A1.mtx"), A1.tocsr())
+    capsys.readouterr()
+    assert main(["import", "--dir", str(exch), "--out-dir", str(tmp_path / "i")]) == 0
+    report = json.loads((tmp_path / "i" / "bounds.json").read_text())
+    A1d, A2d = A1.toarray(), read_matrix_mm(str(exch / "A2.mtx")).toarray()
+    D = read_matrix_mm(str(exch / "D.mtx")).real
+    left = np.eye(len(A1d)) - np.linalg.solve(A2d, A1d)
+    right = np.eye(len(A1d)) - A1d @ np.linalg.inv(A2d)
+    for key, C, mode in (("lhs_D", left, "D"), ("lhs_Dinv", right, "D_inv"),
+                         ("lhs_2", left, "euclid"), ("lhs_2p", right, "euclid")):
+        assert report[key] == pytest.approx(oracle_weighted_norm(C, D, mode), rel=1e-8), key
+    assert report["lhs_Dinv"] != report["lhs_D"]
+
+
 def test_singular_import_writes_its_norms_as_floats(tmp_path, capsys):
     """An imported pair whose A2 is singular writes the integer norms of its
     meta.json, 0 and 1, as 0.0 and 1.0, as a nonsingular pair does."""
@@ -1397,12 +1446,12 @@ def test_import_is_invariant_under_a_permutation_of_the_unknowns(tmp_path, perm_
         "perturbation": {"alpha": 0.3}})
     exch, perm_exch = str(tmp_path / "exch"), str(tmp_path / "perm")
     cmd_export(cfg_path, out_dir=exch)
-    sys1, sys2, meta = read_matrix_exchange(exch)
+    sys1, sys2, norms = read_matrix_exchange(exch)
     assert sys1.n == 441
     p = np.random.default_rng(perm_seed).permutation(sys1.n)
     D, M = (X[p][:, p] for X in (sys1.D, sys1.M))
     write_matrix_exchange(MatrixSystem(sys1.A[p][:, p], D, M),
-                          MatrixSystem(sys2.A[p][:, p], D, M), perm_exch, **meta)
+                          MatrixSystem(sys2.A[p][:, p], D, M), perm_exch, *norms)
     reports = [json.loads(Path(cmd_import(d, out_dir=d + "_i").paths["bounds"]).read_text())
                for d in (exch, perm_exch)]
     base, permuted = reports
@@ -1438,12 +1487,12 @@ def test_import_errors(tmp_path):
         cmd_import(exch)
 
     # D is read as a real matrix only when it is one: a Hermitian D with a
-    # nonzero imaginary part is refused
+    # nonzero imaginary part is refused by the reader, which names its file
     cmd_export(cfg_path, out_dir=exch)
     D = read_matrix_mm(os.path.join(exch, "D.mtx"))
     D = D + 1e-15j * (sp.triu(D, 1) - sp.tril(D, -1))
     write_matrix_mm(os.path.join(exch, "D.mtx"), D, "hermitian")
-    with pytest.raises(InvalidSystemError, match="matrix D must be real symmetric"):
+    with pytest.raises(MatrixExchangeError, match="D.mtx: matrix has a nonzero imaginary part"):
         cmd_import(exch)
 
 
@@ -1458,7 +1507,7 @@ def test_import_refuses_an_indefinite_m_before_factoring_a(tmp_path, splu_calls)
     M[0, 0] = -M[0, 0]  # e_0^T M e_0 < 0 < e_1^T M e_1
     write_matrix_mm(os.path.join(exch, "M.mtx"), M, "hermitian")
     splu_calls.clear()
-    with pytest.raises(InvalidSystemError, match="matrix M is not positive definite"):
+    with pytest.raises(InvalidSystemError, match="matrix M is not symmetric positive definite"):
         cmd_import(exch, out_dir=str(tmp_path / "i"))
     assert _factor_kinds(splu_calls) == {"f": 3}  # D, sigma I - M, M
     assert not os.path.exists(os.path.join(tmp_path, "i", "bounds.json"))
@@ -1471,7 +1520,8 @@ def test_import_refuses_a_bad_norm_before_factoring_a(tmp_path, splu_calls):
     cmd_export(write_cfg(tmp_path), out_dir=exch)
     Path(exch, "meta.json").write_text('{"dmu": Infinity, "deps": 0.2}')
     splu_calls.clear()
-    with pytest.raises(InvalidArgumentError, match="dmu must be a finite number >= 0, got inf"):
+    with pytest.raises(MatrixExchangeError,
+                       match="meta.json: dmu must be a finite number >= 0, got inf"):
         cmd_import(exch, out_dir=str(tmp_path / "i"))
     assert splu_calls == []
 
@@ -1487,7 +1537,7 @@ def test_import_of_an_empty_pair_is_an_error(tmp_path, capsys):
     assert main(["import", "--dir", str(exch)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: matrix A1 is empty (0 x 0)\n"
+    assert captured.err == f"error: {exch / 'A1.mtx'}: matrix is 0x0, not square and non-empty\n"
 
 
 def test_import_of_a_matrix_file_that_is_not_utf8_is_an_error(tmp_path, capsys):
@@ -1497,12 +1547,12 @@ def test_import_of_a_matrix_file_that_is_not_utf8_is_an_error(tmp_path, capsys):
     cmd_export(write_cfg(tmp_path), out_dir=str(exch))
     a2 = exch / "A2.mtx"
     a2.write_bytes(a2.read_bytes() + b"\xff")
-    with pytest.raises(MatrixExchangeError, match="A2.mtx is not UTF-8 text"):
+    with pytest.raises(MatrixExchangeError, match="A2.mtx: not UTF-8 text"):
         read_matrix_mm(str(a2))
     assert main(["import", "--dir", str(exch)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {a2}: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name,entry,value", [
@@ -1526,8 +1576,8 @@ def test_import_of_a_non_finite_entry_is_an_error(tmp_path, capsys, name, entry,
     captured = capsys.readouterr()
     assert captured.out == ""
     i, j = entry[0] + 1, entry[1] + 1
-    match = re.fullmatch(rf"error: line (\d+): index \({i}, {j}\) has a value that is "
-                         r"not finite\n", captured.err)
+    match = re.fullmatch(rf"error: {re.escape(str(path))}: line (\d+): index \({i}, {j}\) "
+                         r"has a value that is not finite\n", captured.err)
     assert match, captured.err
     line = path.read_text().splitlines()[int(match.group(1)) - 1]
     assert line.startswith(f"{i} {j} ")
@@ -1570,8 +1620,8 @@ def test_import_takes_its_norms_from_meta_json(tmp_path, capsys):
     ('{"dmu": "0", "deps": 0.2}', "dmu must be a finite number >= 0, got '0'"),
     ('{"dmu": true, "deps": 0.2}', "dmu must be a finite number >= 0, got True"),
     ('{"dmu": 0.0, "deps": ', "meta.json: Expecting value"),
-    ("[0.0, 0.2]", "meta.json is not a JSON object"),
-    (None, "meta.json not found"),
+    ("[0.0, 0.2]", "meta.json: not a JSON object"),
+    (None, "meta.json: not found"),
 ], ids=["meta_inf", "meta_negative", "meta_nan", "meta_missing_norm", "meta_string",
         "meta_bool", "meta_not_json", "meta_list", "meta_missing"])
 def test_import_rejects_a_bad_norm(tmp_path, capsys, meta, message):
@@ -1591,9 +1641,9 @@ def test_import_rejects_a_bad_norm(tmp_path, capsys, meta, message):
     assert main(["import", "--dir", exch, "--out-dir", out]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert message in captured.err
-    assert not os.path.exists(os.path.join(out, "bounds.json"))
+    assert captured.err.startswith(f"error: {os.path.join(exch, 'meta.json')}: ")
+    assert captured.err.count("\n") == 1 and message in captured.err
+    assert not os.path.exists(out)
 
 
 def test_sweep_point_records_a_failed_k_without_growing_its_traceback(tmp_path):
@@ -1618,16 +1668,12 @@ def test_sweep_point_records_a_failed_k_without_growing_its_traceback(tmp_path):
 def test_sweep_first_system_failure_fills_each_row_of_its_k(tmp_path):
     """k's first system is built once; when that fails, every alpha of
     that k gets the error row and the run continues."""
-    path = write_cfg(tmp_path, {
-        "problem": {"mu_inv": {"type": "step", "axis": 0, "threshold": 0.5,
-                               "below": [-1.0, 0.0], "above": [1.0, 0.0]}},
-        "sweep": {"alpha_values": [0.1, 0.2]},
-    })
+    path = write_cfg(tmp_path, {"sweep": {"alpha_values": [0.1, 0.2], "resolution": TOO_FINE}})
     res = cmd_sweep(path, out_dir=str(tmp_path / "sf"))
     assert res.exit_status == 1
     lines = Path(res.paths["sweep"]).read_text().splitlines()
     assert len(lines) == 1 + 2 * 2
-    assert all(l.endswith("InvalidCoefficientError") for l in lines[1:])
+    assert all(l.endswith("InvalidArgumentError") for l in lines[1:])
 
 
 def test_readme_synopsis_lists_each_commands_flags():

@@ -323,7 +323,7 @@ HERMITIAN = "%%MatrixMarket matrix coordinate complex hermitian\n"
 
 # One defect per file: the text, the line that the error names and a part
 # of its message.
-@pytest.mark.parametrize("text,line,message", [
+MM_DEFECTS = pytest.mark.parametrize("text,line,message", [
     ("", 1, "empty file"),
     ("%%MatrixMarket matrix coordinate complex\n2 2 0\n", 1, "malformed header banner"),
     ("%%MatrixMarket matrix array complex general\n2 2\n", 1,
@@ -356,14 +356,73 @@ HERMITIAN = "%%MatrixMarket matrix coordinate complex hermitian\n"
         "entry_3_tokens", "entry_5_tokens", "value_not_a_number", "index_not_an_integer",
         "index_0_based", "row_out_of_range", "column_out_of_range", "above_diagonal", "too_few",
         "too_many", "after_comments"])
+
+
+@MM_DEFECTS
 def test_matrix_mm_reader_names_the_line_of_each_defect(tmp_path, text, line, message):
     path = tmp_path / "bad.mtx"
     path.write_text(text)
     with pytest.raises(MatrixExchangeError) as exc:
         read_matrix_mm(str(path))
-    assert exc.value.line == line
-    assert str(exc.value).startswith(f"line {line}: ")
+    assert (exc.value.path, exc.value.line) == (str(path), line)
+    assert str(exc.value).startswith(f"{path}: line {line}: ")
     assert message in str(exc.value)
+
+
+IDENTITY = "2 2 2\n1 1 1 0\n2 2 1 0\n"
+EXCHANGE = {"A1.mtx": GENERAL + IDENTITY, "A2.mtx": GENERAL + IDENTITY,
+            "D.mtx": HERMITIAN + IDENTITY, "M.mtx": HERMITIAN + IDENTITY,
+            "meta.json": '{"dmu": 0.0, "deps": 0.1}'}
+
+
+def _import_error(directory, name, text, capsys) -> str:
+    """The stderr of ``helmprec import`` on a valid 2 x 2 exchange directory
+    whose file ``name`` holds ``text`` instead (None: no such file)."""
+    from helmprec.cli import main
+
+    directory.mkdir()
+    for file, content in EXCHANGE.items():
+        if file != name:
+            (directory / file).write_text(content)
+        elif text is not None:
+            (directory / file).write_bytes(text.encode() if isinstance(text, str) else text)
+    assert main(["import", "--dir", str(directory)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert not (directory / "bounds.json").exists()
+    return captured.err
+
+
+@pytest.mark.parametrize("name", ["A1.mtx", "A2.mtx", "D.mtx", "M.mtx"])
+@MM_DEFECTS
+def test_import_names_the_file_and_line_of_each_defect(tmp_path, capsys, name, text, line,
+                                                       message):
+    """Each defect of the reader's table, planted in any one of the four
+    matrix files, is one error line that names that file and the line."""
+    err = _import_error(tmp_path / "x", name, text, capsys)
+    path = tmp_path / "x" / name
+    assert err.startswith(f"error: {path}: line {line}: ") and message in err, err
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("A1.mtx", None, "not found"),
+    ("meta.json", b'{"dmu": 0.0, "deps": 0.1}\xff', "not UTF-8 text"),
+    ("A1.mtx", GENERAL + "2 3 0\n", "matrix is 2x3, not square and non-empty"),
+    ("A2.mtx", GENERAL + "3 3 0\n", "matrix is 3x3, not 2x2 as A1.mtx"),
+    ("D.mtx", GENERAL + "2 3 2\n1 1 1 0\n2 2 1 0\n", "matrix is 2x3, not 2x2 as A1.mtx"),
+    ("M.mtx", HERMITIAN + "1 1 1\n1 1 1 0\n", "matrix is 1x1, not 2x2 as A1.mtx"),
+    ("D.mtx", HERMITIAN + "2 2 3\n1 1 1 0\n2 1 0 1e-300\n2 2 1 0\n",
+     "matrix has a nonzero imaginary part; D and M must be real"),
+    ("M.mtx", GENERAL + "2 2 2\n1 1 1 0\n2 2 1 -1\n", "nonzero imaginary part"),
+], ids=["A1_missing", "meta_not_utf8", "A1_not_square", "A2_size", "D_not_square", "M_size",
+        "D_complex", "M_complex"])
+def test_import_names_the_file_of_each_exchange_defect(tmp_path, capsys, name, text, message):
+    """What the exchange reader refuses beyond one file's format is one
+    error line that names the file; test_cli's import tests hold the other
+    meta.json defects."""
+    err = _import_error(tmp_path / "x", name, text, capsys)
+    assert err.startswith(f"error: {tmp_path / 'x' / name}: ") and message in err, err
 
 
 @pytest.mark.parametrize("symmetry", ["general", "hermitian"])
@@ -384,18 +443,18 @@ def test_matrix_exchange_dir_roundtrip(tmp_path):
     d = tmp_path / "exch"
     paths = write_matrix_exchange(s1, s2, str(d), dmu=0.0, deps=0.25)
     assert set(paths) == {"A1.mtx", "A2.mtx", "D.mtx", "M.mtx", "meta.json"}
-    b1, b2, meta = read_matrix_exchange(str(d))
+    b1, b2, norms = read_matrix_exchange(str(d))
     assert (abs(b1.A - s1.A)).max() == 0.0
     assert (abs(b2.A - s2.A)).max() == 0.0
     assert (abs(b1.D - s1.D)).max() == 0.0
     assert b2.D is b1.D and b2.M is b1.M
     assert b1.D.dtype == b1.M.dtype == np.float64  # read as the real matrices they are
-    assert meta == {"dmu": 0.0, "deps": 0.25}
+    assert norms == (0.0, 0.25)
     (d / "meta.json").unlink()
-    with pytest.raises(MatrixExchangeError, match="meta.json not found"):
+    with pytest.raises(MatrixExchangeError, match="meta.json: not found"):
         read_matrix_exchange(str(d))
     (d / "D.mtx").unlink()
-    with pytest.raises(MatrixExchangeError, match="matrix file for D not found"):
+    with pytest.raises(MatrixExchangeError, match="D.mtx: not found"):
         read_matrix_exchange(str(d))
 
 
